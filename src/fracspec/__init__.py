@@ -6,7 +6,7 @@ Subpackage map:
 * :mod:`fracspec.quadrature` domains, cosphere rules, asymptotic constants
 * :mod:`fracspec.discretize` grids, operators, fractional restrictions
 * :mod:`fracspec.eig` symmetric eigensolves and singular values
-* :mod:`fracspec.fits` power-law fits and boundary-behavior probes
+* :mod:`fracspec.asymptotics` power-law fits and boundary-behavior probes
 * :mod:`fracspec.zaremba` mixed-problem assemblies and the resolvent
   difference (Krein) spectra
 * :mod:`fracspec.cli` command-line entry point

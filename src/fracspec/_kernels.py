@@ -4,7 +4,9 @@ Public names (``quad_form_power_sum``, ``kappa0_power_sum``,
 ``dtn_weight_sum``, ``boundary_quantities``, ``toeplitz_gather``) point at
 the active build chosen in :mod:`fracspec._accel`.  The ``*_nb`` and
 ``*_np`` variants are kept importable side by side so tests and the
-benchmark can compare them.
+benchmark can compare them.  ``restricted_power_apply``, the matrix-free
+product with a restricted torus multiplier, has one build: its work is
+in the compiled transforms.
 
 Conventions shared by all kernels:
 
@@ -204,6 +206,38 @@ def toeplitz_gather_np(kern_flat, idx, strides, shape):
     d = idx[:, None, :] - idx[None, :, :]
     d %= shape[None, None, :]
     return kern_flat[d @ strides]
+
+
+# ---------------------------------------------------------------------------
+# matrix-free restricted multiplier (single build)
+# ---------------------------------------------------------------------------
+
+
+def restricted_power_apply(symbol, interior, shape, X):
+    """Product of the restricted torus multiplier with X, no matrix formed.
+
+    The columns of X (values on the flat torus indices ``interior``) are
+    zero-extended to the torus, transformed by ``rfftn``, multiplied by
+    ``symbol`` (the multiplier on the half lattice ``rfftn`` returns),
+    transformed back and restricted to ``interior`` again.  X is (m,) or
+    (m, k) with m = interior.size; the result has the shape of X.
+    Columns go through in blocks of at most 2^22 torus values.
+    """
+    X = np.asarray(X, dtype=float)
+    cols = X.reshape(interior.size, -1)
+    out = np.empty_like(cols)
+    size = int(np.prod(shape))
+    axes = tuple(range(1, len(shape) + 1))
+    step = max(1, (1 << 22) // size)
+    for lo in range(0, cols.shape[1], step):
+        block = cols[:, lo : lo + step]
+        torus = np.zeros((block.shape[1], size))
+        torus[:, interior] = block.T
+        spec = np.fft.rfftn(torus.reshape((-1, *shape)), axes=axes)
+        spec *= symbol
+        back = np.fft.irfftn(spec, s=shape, axes=axes).reshape(block.shape[1], size)
+        out[:, lo : lo + step] = back[:, interior].T
+    return out.reshape(X.shape)
 
 
 # ---------------------------------------------------------------------------

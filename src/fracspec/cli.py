@@ -242,12 +242,13 @@ def _build_domain(cfg):
     raise ConfigurationError(f"unknown domain kind {kind!r}")
 
 
-def _assemble_operator(cfg):
-    """Assembled (possibly fractional) operator matrix plus its grid."""
+def _assemble_operator(cfg, matrix_free=False):
+    """Assembled operator plus its grid; matrix_free applies a fractional power by transforms."""
     from .discretize import (
         TorusMultiplier,
         assemble_second_order,
         build_grid,
+        fractional_operator,
         fractional_restricted,
     )
     from .errors import ConfigurationError
@@ -264,9 +265,8 @@ def _assemble_operator(cfg):
         return A, grid, coeffs, a
     if bc != "dirichlet":
         raise ConfigurationError("fractional powers are restricted with Dirichlet exterior data")
-    mult = TorusMultiplier.from_coeffs(coeffs)
-    A = fractional_restricted(mult, a, grid=grid)
-    return A, grid, coeffs, a
+    build = fractional_operator if matrix_free else fractional_restricted
+    return build(TorusMultiplier.from_coeffs(coeffs), a, grid=grid), grid, coeffs, a
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +480,12 @@ def _cmd_weyl_const(cfg, args, em: Emitter) -> list[str]:
 
 
 def _cmd_spectrum(cfg, args, em: Emitter) -> list[str]:
-    from .eig import sym_eig
+    from .eig import lanczos_extreme, sym_eig
 
-    A, grid, coeffs, a = _assemble_operator(cfg)
-    spec = sym_eig(A)
-    values = spec.values
     count = _get_int(cfg, "task", "count", None)
-    if count:
-        values = values[:count]
+    A, grid, coeffs, a = _assemble_operator(cfg, matrix_free=bool(count))
+    spec = lanczos_extreme(A, k=count) if count else sym_eig(A)
+    values = spec.values
     em.row("law", "lambda_j ascending; Weyl: lambda_j ~ C j^(2a/n)")
     em.row("operator", A.descriptor)
     em.row("power", a)
@@ -495,6 +493,8 @@ def _cmd_spectrum(cfg, args, em: Emitter) -> list[str]:
     em.row("lambda_min", float(values[0]))
     em.row("lambda_max", float(values[-1]))
     em.row("h", grid.h)
+    for key, value in spec.meta.items():  # eig_path, and max_residual where pairs were checked
+        em.row(key, value)
     em.sequence("spectrum-values", values)
     return [f"computed {values.size} eigenvalues in [{values[0]:.6g}, {values[-1]:.6g}]"]
 
@@ -562,21 +562,12 @@ def _cmd_weyl_fit(cfg, args, em: Emitter) -> list[str]:
 
 
 def _cmd_boundary_exp(cfg, args, em: Emitter) -> list[str]:
-    import numpy as np
-    import scipy.linalg
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     from .asymptotics import boundary_exponent, ratio_trace_check
+    from .eig import lanczos_extreme
 
-    A, grid, coeffs, a = _assemble_operator(cfg)
-    mat = A.matrix
-    if sp.issparse(mat):
-        vals, vecs = spla.eigsh(mat.tocsc(), k=1, which="SA")
-        u = vecs[:, 0]
-    else:
-        vals, vecs = scipy.linalg.eigh(np.asarray(mat), subset_by_index=[0, 0])
-        u = vecs[:, 0]
+    A, grid, coeffs, a = _assemble_operator(cfg, matrix_free=True)
+    ground = lanczos_extreme(A, k=1, want_vectors=True)
+    u = ground.vectors[:, 0]
     band = _get_floats(cfg, "task", "band")
     band = tuple(band) if band else (2.0 * grid.h, 20.0 * grid.h)
     exponent = boundary_exponent(u, grid, band=band)
@@ -585,7 +576,9 @@ def _cmd_boundary_exp(cfg, args, em: Emitter) -> list[str]:
 
     em.row("law", "u(x) ~ dist(x)^a near the boundary")
     em.row("power", a)
-    em.row("ground_energy", float(vals[0]))
+    em.row("ground_energy", float(ground.values[0]))
+    for key, value in ground.meta.items():
+        em.row(key, value)
     em.row("exponent", float(exponent))
     em.row("band_lo", float(band[0]))
     em.row("band_hi", float(band[1]))

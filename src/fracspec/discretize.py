@@ -1,7 +1,10 @@
 """Grids and matrix realizations.
 
 Uniform torus grids carry the periodic-embedding path for restricted
-fractional powers r+ P_a e+; the same grids feed the second-order
+fractional powers r+ P_a e+, either gathered into a dense matrix
+(fractional_restricted, for full spectra and as the oracle) or applied
+matrix-free by transforms (fractional_operator, for a few eigenpairs past
+the dense cap); the same grids feed the second-order
 Dirichlet and mixed assemblies whose Schur complements realize the
 discrete Dirichlet-to-Neumann operators.  A boundary-fitted polar grid
 covers the n = 2 disk work, where the curved boundary needs per-node
@@ -498,6 +501,19 @@ def _multiplier_values(mult: TorusMultiplier, grid: Grid) -> np.ndarray:
     return vals
 
 
+def _symbol_power(mult: TorusMultiplier, a: float, grid: Grid) -> np.ndarray:
+    """The multiplier to the power a on the frequency lattice.
+
+    The one source of the symbol for both the dense gather and the
+    matrix-free apply, so the two routes realize the same operator.
+    """
+    vals = _multiplier_values(mult, grid)
+    if vals.min() < -1e-10 * max(vals.max(), 1.0):
+        raise NotPositiveError("multiplier takes negative values on the frequency lattice")
+    vals = np.clip(vals, 0.0, None)
+    return vals**a
+
+
 def _restricted_from_multiplier(vals_pow: np.ndarray, grid: Grid, interior: np.ndarray) -> np.ndarray:
     kern = np.fft.ifftn(vals_pow)
     kern = np.ascontiguousarray(kern.real.ravel())
@@ -539,12 +555,8 @@ def fractional_restricted(base, a: float, grid: Grid | None = None, interior=Non
     if isinstance(base, TorusMultiplier):
         if grid is None:
             raise ConfigurationError("multiplier path needs a grid")
-        vals = _multiplier_values(base, grid)
-        if vals.min() < -1e-10 * max(vals.max(), 1.0):
-            raise NotPositiveError("multiplier takes negative values on the frequency lattice")
-        vals = np.clip(vals, 0.0, None)
         idx = interior if interior is not None else np.arange(grid.size)
-        R = _restricted_from_multiplier(vals**a, grid, idx)
+        R = _restricted_from_multiplier(_symbol_power(base, a, grid), grid, idx)
         desc = f"({base.descriptor})^{a:g} restricted to {idx.size} nodes"
         return OperatorMatrix(R, "interior", grid, desc, {"units": "operator", "path": "multiplier", "a": a})
 
@@ -577,6 +589,54 @@ def fractional_restricted(base, a: float, grid: Grid | None = None, interior=Non
     R = P[np.ix_(idx, idx)]
     R = 0.5 * (R + R.T)
     return OperatorMatrix(R, "interior", grid, f"({desc_base})^{a:g} restricted", {"units": "operator", "path": "dense", "a": a})
+
+
+class RestrictedPowerOperator(spla.LinearOperator):
+    """Matrix-free r+ P_a e+ for a torus multiplier.
+
+    The operator fractional_restricted gathers into a dense m x m matrix,
+    applied instead by zero extension, transforms and restriction
+    (circulant embedding: Chan & Jin, An Introduction to Iterative
+    Toeplitz Solvers, SIAM 2007).  Storage is one half-lattice symbol and
+    each product costs two transforms of the torus, so a few Lanczos
+    pairs stay within reach past the dense cap.  The dense gather keeps
+    the real, symmetrized part of the torus kernel, i.e. the even part of
+    the lattice symbol, and that even part is what the transforms multiply
+    by; toarray() is the gather itself, for the dense route.
+    """
+
+    def __init__(self, mult: TorusMultiplier, a: float, grid: Grid):
+        idx = grid.interior_idx
+        super().__init__(np.float64, (idx.size, idx.size))
+        vals_pow = _symbol_power(mult, a, grid)
+        axes = tuple(range(grid.n))
+        even = 0.5 * (vals_pow + np.roll(np.flip(vals_pow, axes), 1, axes))
+        self.symbol = np.ascontiguousarray(even[..., : grid.shape[-1] // 2 + 1])
+        self.mult, self.a, self.grid, self.interior = mult, a, grid, idx
+        self.descriptor = f"({mult.descriptor})^{a:g} restricted to {idx.size} nodes"
+
+    @property
+    def norm_bound(self) -> float:
+        """Upper bound on the 2-norm: restriction cannot raise the multiplier's largest value."""
+        return float(np.abs(self.symbol).max())
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix fractional_restricted gathers for the same operator."""
+        return fractional_restricted(self.mult, self.a, grid=self.grid).matrix
+
+    def _matmat(self, X):
+        return _kernels.restricted_power_apply(self.symbol, self.interior, self.grid.shape, X)
+
+
+def fractional_operator(mult: TorusMultiplier, a: float, grid: Grid) -> RestrictedPowerOperator:
+    """Discrete r+ P_a e+ on the grid's interior as a matrix-free LinearOperator.
+
+    The same operator as fractional_restricted(mult, a, grid), which stays
+    the oracle.
+    """
+    if not a > 0.0:
+        raise ValueError("fractional exponent a must be positive")
+    return RestrictedPowerOperator(mult, a, grid)
 
 
 def spectral_fractional_dirichlet(A_dir, a: float) -> OperatorMatrix:

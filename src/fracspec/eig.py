@@ -1,10 +1,9 @@
 """Symmetric eigendecomposition and singular values for assembled operators.
 
-Dense-first policy: everything at desk scale (dimension <= 8192) goes
-through LAPACK's tridiagonalization + implicit-shift drivers via
-scipy.linalg.eigh.  A Lanczos path (ARPACK through scipy.sparse.linalg,
-restarts keep the Krylov basis reorthogonalized) is available for a few
-extreme pairs of larger sparse operators.
+Full spectra: LAPACK's tridiagonalization + implicit-shift drivers (scipy.linalg.eigh)
+on the dense matrix, capped at dimension 8192.  A few lowest pairs: lanczos_extreme,
+ARPACK's implicitly restarted Lanczos on a dense, sparse or matrix-free operator,
+uncapped, residuals checked; within the cap the dense route takes what it cannot finish.
 
 Eigenvalues are repeated according to multiplicity throughout.
 """
@@ -16,20 +15,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NotPositiveError, NumericError
 
 DENSE_CAP = 8192
+MAX_RESIDUAL = 1e-8  # eigenpair residual, relative to |lambda|, lanczos_extreme accepts
+BACKWARD_ERROR = 100  # or this many eps ||A|| (measured pairs: 0.7-52 eps ||A||)
+_SCALE_FLOOR = np.finfo(float).eps ** (2.0 / 3.0)  # smallest |lambda| residuals are relative to (ARPACK's)
 
 
 def _as_dense(A) -> np.ndarray:
-    """Accept ndarray, scipy sparse, or anything exposing .matrix."""
+    """Accept ndarray, scipy sparse, a LinearOperator, or anything exposing .matrix; capped first."""
     if hasattr(A, "matrix"):
         A = A.matrix
-    if sp.issparse(A):
-        A = A.toarray()
+    if getattr(A, "shape", (0,))[0] > DENSE_CAP:
+        raise NumericError(f"dense eigensolve capped at {DENSE_CAP}, got {A.shape[0]}: full spectra stop there, and a "
+                           "few pairs past it come only from Lanczos within the residual bound (lanczos_extreme)")
+    if hasattr(A, "toarray") or isinstance(A, spla.LinearOperator):  # sparse, or an operator: gather it
+        A = A.toarray() if hasattr(A, "toarray") else A @ np.eye(A.shape[0])
     M = np.asarray(A, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-d matrix")
@@ -77,13 +81,13 @@ class Spectrum:
         return iter(self.values)
 
     def residuals(self, A) -> np.ndarray:
-        """Per-pair ||A v - lambda v|| / (||A|| ||v||); needs stored vectors."""
+        """Per-pair ||A v - lambda v|| / (|lambda| ||v||), |lambda| >= eps^(2/3); A has @ or .matrix."""
         if self.vectors is None:
             raise ValueError("spectrum was computed without eigenvectors")
-        M = _as_dense(A)
-        norm = np.linalg.norm(M, 2)
-        rs = M @ self.vectors - self.vectors * self.values[None, :]
-        return np.linalg.norm(rs, axis=0) / (norm * np.linalg.norm(self.vectors, axis=0))
+        op = A.matrix if hasattr(A, "matrix") else A
+        rs = op @ self.vectors - self.vectors * self.values
+        scale = np.maximum(np.abs(self.values), _SCALE_FLOOR)
+        return np.linalg.norm(rs, axis=0) / (scale * np.linalg.norm(self.vectors, axis=0))
 
     def to_csv(self, path) -> None:
         """Delimited text export, one (index, value) row per entry."""
@@ -112,22 +116,13 @@ def sym_eig(A, want_vectors: bool = False, descriptor: str | None = None) -> Spe
 
     The symmetrized matrix (A + A^T)/2 is what actually gets decomposed.
     """
-    M = _as_dense(A)
-    if M.shape[0] > DENSE_CAP:
-        raise NumericError(
-            f"dense eigendecomposition capped at {DENSE_CAP}, got {M.shape[0]}; "
-            "use lanczos_extreme for a few pairs of a larger operator"
-        )
-    M = _check_symmetric(M)
+    M = _check_symmetric(_as_dense(A))
     desc = descriptor if descriptor is not None else getattr(A, "descriptor", "")
     try:
-        if want_vectors:
-            w, v = scipy.linalg.eigh(M)
-            return Spectrum(w, v, desc)
-        w = scipy.linalg.eigvalsh(M)
+        w, v = scipy.linalg.eigh(M) if want_vectors else (scipy.linalg.eigvalsh(M), None)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericError(f"symmetric eigensolver did not converge: {exc}") from exc
-    return Spectrum(w, None, desc)
+    return Spectrum(w, v, desc, meta={"eig_path": "dense"})
 
 
 def singular_values(B, descriptor: str | None = None) -> Spectrum:
@@ -149,28 +144,40 @@ def singular_values(B, descriptor: str | None = None) -> Spectrum:
     return Spectrum(s, None, desc, order="descending")
 
 
-def lanczos_extreme(A, k: int = 6, which: str = "SA", tol: float = 1e-10) -> Spectrum:
-    """A few extreme eigenvalues by Lanczos iteration (ascending order).
+def lanczos_extreme(A, k: int = 6, which: str = "SA", want_vectors: bool = False) -> Spectrum:
+    """The k smallest eigenpairs of A (dense, sparse, LinearOperator or .matrix), ascending; which="SA" only.
 
-    which = "SA" for the smallest algebraic, "LA" for the largest.  Small
-    inputs fall back to the dense path, where the request is exact.
+    Above dimension max(4k, 64), ARPACK from a fixed start vector, within DENSE_CAP for about n operator
+    products.  A pair counts if ||A v - lambda v|| <= max(MAX_RESIDUAL |lambda|, BACKWARD_ERROR eps ||A||),
+    ||A|| <= the operator's norm_bound or 1-norm: rounding alone leaves eps ||A||.  Otherwise the dense route
+    answers (residual reported, unchecked), or NumericError past DENSE_CAP.  meta: eig_path, max_residual.
     """
-    mat = A.matrix if hasattr(A, "matrix") else A
-    n = mat.shape[0]
-    if n <= max(4 * k, 64):
-        w = sym_eig(mat).values
-        picked = w[:k] if which == "SA" else w[-k:]
-        return Spectrum(picked, None, getattr(A, "descriptor", ""), meta={"path": "dense"})
-    try:
-        w = spla.eigsh(mat, k=k, which=which, return_eigenvectors=False, tol=tol)
-    except spla.ArpackNoConvergence as exc:
-        raise NumericError(f"Lanczos iteration did not converge for {k} pairs: {exc}") from exc
-    return Spectrum(np.sort(w), None, getattr(A, "descriptor", ""), meta={"path": "lanczos"})
+    if which != "SA":
+        raise ValueError("lanczos_extreme returns the smallest pairs only (which='SA')")
+    op = A.matrix if hasattr(A, "matrix") else A
+    n = op.shape[0]
+    ok = False
+    if n > max(4 * k, 64):
+        ncv = min(n, max(2 * k + 1, 20))
+        norm = getattr(op, "norm_bound", 0.0) if isinstance(op, spla.LinearOperator) else abs(op).sum(axis=0).max()
+        try:  # a fixed start vector makes repeated calls agree bit for bit; ARPACK returns ascending values
+            w, V = spla.eigsh(op, k=k, which="SA", tol=0.0, ncv=ncv, v0=np.random.default_rng(0).uniform(-1.0, 1.0, n),
+                              maxiter=n // (ncv - k) + 1 if n <= DENSE_CAP else None)
+            res = Spectrum(w, V).residuals(op)
+            floor = BACKWARD_ERROR * np.finfo(float).eps * norm / np.maximum(np.abs(w), _SCALE_FLOOR)
+            ok = bool(np.all(res <= np.maximum(MAX_RESIDUAL, floor)))
+        except spla.ArpackNoConvergence:
+            pass  # the dense route answers below; past DENSE_CAP, _as_dense raises NumericError
+    if not ok:
+        w, V = scipy.linalg.eigh(_check_symmetric(_as_dense(op)), subset_by_index=[0, min(k, n) - 1])
+        res = Spectrum(w, V).residuals(op)
+    return Spectrum(w, V if want_vectors else None, getattr(A, "descriptor", ""),
+                    meta={"eig_path": "lanczos" if ok else "dense", "max_residual": float(res.max())})
 
 
 def min_eigenvalue_estimate(A) -> float:
     """Lower end of the spectrum, for positivity shifts."""
-    return float(lanczos_extreme(A, k=1, which="SA").values[0])
+    return float(lanczos_extreme(A, k=1).values[0])
 
 
 def require_positive_definite(A, name: str = "operator") -> None:

@@ -129,6 +129,28 @@ class TestPipelines:
         assert float(rows["exponent"]) == pytest.approx(1.0, abs=0.05)
         assert rows["ratio_nonvanishing"] == "True"
 
+    def test_spectrum_count_beyond_dense_cap(self, tmp_path):
+        # m = 127^2 = 16129 > DENSE_CAP: a few pairs of the matrix-free operator
+        assert run(
+            ["spectrum", "--coeffs", "identity", "--a", "0.5", "--domain", "square",
+             "--nodes", "128", "--count", "6"],
+            tmp_path,
+        ) == 0
+        rows = report_lines(tmp_path, "spectrum")
+        assert rows["eig_path"] == "lanczos"
+        assert float(rows["max_residual"]) <= 1e-8
+        assert int(rows["count"]) == 6
+
+    @pytest.mark.parametrize("a", ["1", "0.5"])  # sparse and matrix-free Lanczos
+    def test_boundary_exp_repro_in_process(self, tmp_path, a):
+        args = ["boundary-exp", "--coeffs", "identity", "--domain", "square",
+                "--nodes", "24", "--a", a, "--repro"]
+        assert run(args, tmp_path) == 0
+        first = (tmp_path / "boundary-exp-report.txt").read_bytes()
+        assert run(args, tmp_path) == 0
+        assert (tmp_path / "boundary-exp-report.txt").read_bytes() == first
+        assert report_lines(tmp_path, "boundary-exp")["eig_path"] == "lanczos"
+
     def test_zaremba_square_grid(self, tmp_path):
         assert run(
             ["zaremba", "--coeffs", "identity", "--domain", "square",
@@ -200,6 +222,19 @@ class TestConfigHandling:
     def test_unknown_subcommand_exit_2(self, capsys):
         assert execute(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_residual_gate_exit_3(self, tmp_path, monkeypatch):
+        # a matrix-free product that is not symmetric gives Ritz pairs that
+        # miss the residual check; past the dense cap that is exit 3
+        from fracspec import _kernels, eig
+
+        apply = _kernels.restricted_power_apply
+        monkeypatch.setattr(_kernels, "restricted_power_apply",
+                            lambda symbol, interior, shape, X: apply(symbol, interior, shape, X)
+                            + 0.5 * np.roll(X, 1, axis=0))
+        monkeypatch.setattr(eig, "DENSE_CAP", 64)
+        assert run(["spectrum", "--coeffs", "identity", "--a", "0.5", "--domain", "square",
+                    "--nodes", "16", "--count", "3"], tmp_path) == 3
 
     def test_numeric_failure_exit_3(self, tmp_path):
         seq = tmp_path / "seq.csv"

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from fracspec import eig
+from fracspec.discretize import (
+    TorusMultiplier,
+    assemble_second_order,
+    build_grid,
+    fractional_operator,
+    fractional_restricted,
+)
 from fracspec.eig import (
     DENSE_CAP,
     Spectrum,
@@ -12,6 +21,8 @@ from fracspec.eig import (
     sym_eig,
 )
 from fracspec.errors import NotPositiveError, NumericError
+from fracspec.quadrature import DomainSpec
+from fracspec.symbols import SecondOrderCoeffs
 
 
 def dirichlet_tridiag(N, h):
@@ -149,3 +160,88 @@ def test_min_eig_and_positivity_gate():
     require_positive_definite(A)
     with pytest.raises(NotPositiveError):
         require_positive_definite(np.diag([-1.0, 2.0]))
+
+
+def test_residuals_relative_to_each_eigenvalue():
+    # the same absolute defect weighs 1e6 times more on the pair at 1e-3
+    # than on the pair at 1e3; a LinearOperator gives the same numbers
+    A = np.diag([1e-3, 1.0, 1e3])
+    spec = Spectrum(np.array([1e-3 + 1e-9, 1.0, 1e3 + 1e-9]), np.eye(3))
+    res = spec.residuals(A)
+    assert res[0] == pytest.approx(1e-6, rel=1e-5)
+    assert res[2] == pytest.approx(1e-12, rel=1e-3)
+    assert np.array_equal(spec.residuals(spla.aslinearoperator(A)), res)
+
+
+def test_lanczos_vectors_and_route():
+    rng = np.random.default_rng(7)
+    n = 200
+    A = sp.diags(rng.random(n) + 1.0) + sp.diags(np.full(n - 1, 0.2), 1) + sp.diags(np.full(n - 1, 0.2), -1)
+    spec = lanczos_extreme(spla.aslinearoperator(A), k=3, want_vectors=True)
+    assert spec.meta["eig_path"] == "lanczos"
+    assert spec.meta["max_residual"] <= 1e-12
+    assert np.allclose(spec.values, sym_eig(A).values[:3], rtol=1e-12)
+    small = lanczos_extreme(A, k=60)  # k >= n/4: the dense route
+    assert small.meta["eig_path"] == "dense" and small.vectors is None
+    assert np.allclose(small.values, sym_eig(A).values[:60], rtol=1e-12)
+
+
+def test_lanczos_repeat_calls_bit_identical():
+    # a fixed start vector: two calls in one process agree to the last bit
+    g = build_grid(DomainSpec.unit_square(), 48)
+    A = assemble_second_order(SecondOrderCoeffs.laplacian(2), g, bc="mixed", sigma=0.0)
+    first = lanczos_extreme(A, k=1, want_vectors=True)
+    second = lanczos_extreme(A, k=1, want_vectors=True)
+    assert first.meta["eig_path"] == "lanczos"
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.vectors, second.vectors)
+
+
+def test_lanczos_residual_gate(monkeypatch):
+    # a product that is not symmetric gives Ritz pairs that miss the check:
+    # within the cap the dense route takes over (and rejects the matrix),
+    # past it lanczos_extreme raises
+    n = 100
+    A = sp.diags(np.arange(1.0, n + 1.0)) + sp.diags(np.full(n - 1, 0.5), 1)
+    with pytest.raises(ValueError, match="not symmetric"):
+        lanczos_extreme(A, k=2)
+    monkeypatch.setattr(eig, "DENSE_CAP", 64)
+    with pytest.raises(NumericError, match="residual"):
+        lanczos_extreme(A, k=2)
+
+
+@pytest.mark.parametrize("n", [500, DENSE_CAP + 500])
+def test_lanczos_accepts_rounding_floor(n):
+    # ||A|| / lambda_1 = 1e9: rounding alone leaves a residual near
+    # eps * 1e9 = 2e-7 > MAX_RESIDUAL, which the check accepts as a
+    # backward error of at most BACKWARD_ERROR * eps * ||A||, within the
+    # dense cap and past it
+    d = np.concatenate([[1.0], np.linspace(1e8, 1e9, n - 1)])
+    spec = lanczos_extreme(sp.diags(d).tocsr(), k=1)
+    assert spec.meta["eig_path"] == "lanczos"
+    assert eig.MAX_RESIDUAL < spec.meta["max_residual"] <= eig.BACKWARD_ERROR * np.finfo(float).eps * 1e9
+    assert spec.values[0] == pytest.approx(1.0, abs=eig.BACKWARD_ERROR * np.finfo(float).eps * 1e9)
+
+
+def test_lanczos_no_convergence_falls_back(monkeypatch):
+    # (-Laplacian)^1.5 on 511 interval nodes: ||A|| / lambda_1 ~ 3e7, and
+    # Lanczos needs far more than its n operator products, so ARPACK stops
+    # unconverged and the dense route answers
+    g = build_grid(DomainSpec.unit_interval(), 512)
+    mult = TorusMultiplier.from_coeffs(SecondOrderCoeffs.laplacian(1))
+    raised, real = [], spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except spla.ArpackNoConvergence:
+            raised.append(kwargs["maxiter"])
+            raise
+
+    monkeypatch.setattr(eig.spla, "eigsh", eigsh)
+    op = fractional_operator(mult, 1.5, grid=g)
+    spec = lanczos_extreme(op, k=1)
+    assert raised and spec.meta["eig_path"] == "dense"
+    # both dense solves are backward stable: they agree to eps ||A||, not to eps lambda_1
+    dense = sym_eig(fractional_restricted(mult, 1.5, grid=g)).values[0]
+    assert spec.values[0] == pytest.approx(dense, abs=eig.BACKWARD_ERROR * np.finfo(float).eps * op.norm_bound)
