@@ -646,7 +646,7 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
         em.row("shift", shift)
         em.row("n2_flagged", True)
         em.sequence("zaremba-mu", d.mu)
-        em.sequence("zaremba-interface", np.sort(np.linalg.eigvalsh(d.L_weighted)))
+        em.sequence("zaremba-interface", np.linalg.eigvalsh(d.L_weighted))
         return [f"computed {d.mu.size} interface eigenvalues (disk fast path)"]
 
     coeffs = _build_coeffs(cfg)

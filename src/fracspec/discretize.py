@@ -5,7 +5,8 @@ fractional powers r+ P_a e+, either gathered into a dense matrix
 (fractional_restricted, for full spectra and as the oracle) or applied
 matrix-free by transforms (fractional_operator, for a few eigenpairs past
 the dense cap); the same grids feed the second-order
-Dirichlet and mixed assemblies whose Schur complements realize the
+Dirichlet and mixed assemblies whose Schur complements (schur_split, the
+one routine the Krein, DtN and Poisson-extension paths share) realize the
 discrete Dirichlet-to-Neumann operators.  A boundary-fitted polar grid
 covers the n = 2 disk work, where the curved boundary needs per-node
 arc-length weights.
@@ -675,39 +676,49 @@ class PoissonExtension:
         return out
 
 
-def _split_blocks(A_full: OperatorMatrix):
-    I = A_full.rows("interior")
-    B = A_full.rows("sigma_plus")
-    if "sigma_minus" in A_full.meta.get("row_sets", {}):
-        B = np.concatenate([B, A_full.rows("sigma_minus")])
-    mat = A_full.matrix
+def schur_split(mat, I, B):
+    """Extension map and boundary Schur complement over row sets I and B.
+
+    mat is dense or sparse.  Returns K = -A_II^{-1} A_IB and the
+    symmetrized S = A_BB + A_IB^T K; an empty B gives an (nI, 0) K and a
+    (0, 0) S.  A singular interior block raises NumericError.
+    """
+    I = np.asarray(I, dtype=int)
+    B = np.asarray(B, dtype=int)
+    if B.size == 0:
+        return np.zeros((I.size, 0)), np.zeros((0, 0))
     if sp.issparse(mat):
-        A_II = mat[I][:, I].tocsc()
-        A_IB = mat[I][:, B].toarray()
-        A_BB = mat[B][:, B].toarray()
+        mat = mat.tocsr()
+        A_II, A_IB, A_BB = mat[I][:, I].tocsc(), mat[I][:, B].toarray(), mat[B][:, B].toarray()
     else:
-        A_II = mat[np.ix_(I, I)]
-        A_IB = mat[np.ix_(I, B)]
-        A_BB = mat[np.ix_(B, B)]
-    return I, B, A_II, A_IB, A_BB
-
-
-def _interior_solve(A_II, rhs: np.ndarray) -> np.ndarray:
+        mat = np.asarray(mat, dtype=float)
+        A_II, A_IB, A_BB = mat[np.ix_(I, I)], mat[np.ix_(I, B)], mat[np.ix_(B, B)]
     try:
         if sp.issparse(A_II):
             lu = spla.splu(A_II)
-            if np.abs(lu.U.diagonal()).min() <= 1e-300:
-                raise NumericError("singular interior block; apply a positivity shift")
-            return lu.solve(rhs)
-        return scipy.linalg.solve(A_II, rhs, assume_a="sym")
+            K = -lu.solve(A_IB) if np.abs(lu.U.diagonal()).min() > 1e-300 else None
+        else:
+            K = -scipy.linalg.solve(A_II, A_IB, assume_a="sym")
     except (RuntimeError, scipy.linalg.LinAlgError) as exc:
         raise NumericError(f"interior block solve failed (missing positivity shift?): {exc}") from exc
+    if K is None:
+        raise NumericError("singular interior block; apply a positivity shift")
+    S = A_BB + A_IB.T @ K
+    return K, 0.5 * (S + S.T)
+
+
+def _boundary_rows(A_full: OperatorMatrix) -> np.ndarray:
+    """Sigma+ rows followed by any Sigma- rows the assembly retained."""
+    B = A_full.rows("sigma_plus")
+    if "sigma_minus" in A_full.meta.get("row_sets", {}):
+        B = np.concatenate([B, A_full.rows("sigma_minus")])
+    return B
 
 
 def poisson_extension(A_full: OperatorMatrix) -> PoissonExtension:
     """K_gamma for an assembly that retained its boundary nodes."""
-    I, B, A_II, A_IB, _ = _split_blocks(A_full)
-    K = -_interior_solve(A_II, A_IB)
+    I, B = A_full.rows("interior"), _boundary_rows(A_full)
+    K, _ = schur_split(A_full.matrix, I, B)
     return PoissonExtension(K, I, B, f"Poisson extension of [{A_full.descriptor}]")
 
 
@@ -721,10 +732,8 @@ def schur_dtn(A_full: OperatorMatrix, partition=None, boundary_weights=None):
     The unweighted algebraic Schur complement is kept in meta for the
     exact Krein identity.
     """
-    I, B, A_II, A_IB, A_BB = _split_blocks(A_full)
-    K = -_interior_solve(A_II, A_IB)
-    S_alg = A_BB + A_IB.T @ K
-    S_alg = 0.5 * (S_alg + S_alg.T)
+    B = _boundary_rows(A_full)
+    _, S_alg = schur_split(A_full.matrix, A_full.rows("interior"), B)
 
     grid = A_full.grid
     n = grid.n if grid is not None else 1
@@ -744,13 +753,15 @@ def schur_dtn(A_full: OperatorMatrix, partition=None, boundary_weights=None):
         # rows are present (it was eliminated at assembly time)
         sel = np.arange(A_full.rows("sigma_plus").size)
     else:
+        # partition entries are grid node ids, or boundary positions when
+        # the matrix carries no node ids
         node_ids = A_full.meta.get("node_ids")
-        if node_ids is None:
-            sel = np.asarray(partition)
-        else:
-            boundary_nodes = np.asarray(node_ids)[B]
-            lookup = {int(nid): k for k, nid in enumerate(boundary_nodes)}
-            sel = np.array([lookup[int(p)] for p in np.asarray(partition)], dtype=int)
+        boundary_nodes = np.arange(B.size) if node_ids is None else np.asarray(node_ids)[B]
+        lookup = {int(nid): k for k, nid in enumerate(boundary_nodes)}
+        wanted = [int(p) for p in np.asarray(partition).ravel()]
+        if any(p not in lookup for p in wanted):
+            raise ConfigurationError("partition contains nodes outside the boundary set")
+        sel = np.array([lookup[p] for p in wanted], dtype=int)
 
     P = OperatorMatrix(
         -S_w,

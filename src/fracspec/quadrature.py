@@ -101,11 +101,17 @@ def sphere_rule(n: int, level: int = 0) -> SphereRule:
 
 
 def _eval_on_nodes(f, nodes: np.ndarray) -> np.ndarray:
+    """f on every node: one call on the node array, else one call per node.
+
+    A pointwise integrand handed the (N, n) node array either returns the
+    wrong shape or raises the ValueError/IndexError numpy gives for the
+    shape mismatch; only those fall back to the node loop.
+    """
     try:
         vals = np.asarray(f(nodes), dtype=float)
         if vals.shape == (nodes.shape[0],):
             return vals
-    except Exception:
+    except (ValueError, IndexError):
         pass
     return np.array([float(f(xi)) for xi in nodes])
 

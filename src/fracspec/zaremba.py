@@ -8,10 +8,14 @@ boundary nodes B = Sigma+,
 
     M = [K; I] S^{-1} [K; I]^T,
 
-whose nonzero spectrum equals that of S^{-1}(K^T K + I) exactly.  The
-module also carries the interior-weighted spectra used for asymptotic
-comparisons, the flat-strip probe measuring the DtN principal symbol
-against -kappa0, and a Fourier fast path for disk interfaces.
+whose nonzero spectrum equals that of S^{-1}(K^T K + I) exactly.  K and
+S come from discretize.schur_split, the one Schur-complement routine
+shared with the DtN and Poisson-extension paths; S is Cholesky-factored
+once, and every spectrum of the form S^{-1} X is a generalized-definite
+eigensolve of the pencil (X, S).  The module also carries the
+interior-weighted spectra used for asymptotic comparisons, the
+flat-strip probe measuring the DtN principal symbol against -kappa0, and
+a Fourier fast path for disk interfaces.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .discretize import DENSE_POWER_CAP, Grid, OperatorMatrix, assemble_second_order
+from .discretize import DENSE_POWER_CAP, Grid, OperatorMatrix, assemble_second_order, schur_split
 from .eig import min_eigenvalue_estimate
 from .errors import ConfigurationError, NotPositiveError, NumericError
 from .symbols import SecondOrderCoeffs, boundary_reduction, dtn_principal
+
+_NOT_POSITIVE = "interface Schur complement is not positive definite; apply a larger positivity shift"
 
 
 # ---------------------------------------------------------------------------
@@ -36,18 +42,17 @@ from .symbols import SecondOrderCoeffs, boundary_reduction, dtn_principal
 class KreinAssembly:
     """Schur-factorized resolvent difference for one mixed assembly.
 
-    Holds the Dirichlet block A_gamma, the mixed matrix, the extension
-    map K, the algebraic interface Schur complement S (the unweighted
-    L), its boundary-weighted counterpart, and the interior mass P1 =
-    K^T W_I K.  M itself is materialized lazily and only below the
-    dense-size cap.
+    Built from the extension map K and the algebraic interface Schur
+    complement S (the unweighted L) of discretize.schur_split.  Holds
+    the Cholesky factor of S, its form-unit and boundary-weighted
+    counterparts, and the interior mass P1 = K^T W_I K.  M itself is
+    materialized lazily and only below the dense-size cap.
     """
 
-    def __init__(self, A_II, A_IB, A_BB, h: float, n: int, shift: float,
+    def __init__(self, K, S, h: float, n: int, shift: float,
                  boundary_weights=None, interior_weights=None, meta=None,
                  form_units: bool = False):
-        nI = A_II.shape[0]
-        nB = A_IB.shape[1] if A_IB is not None else 0
+        nI, nB = K.shape
         self.h = float(h)
         self.n = int(n)
         self.shift = float(shift)
@@ -64,46 +69,23 @@ class KreinAssembly:
             boundary_weights = np.full(nB, self.h ** (self.n - 1))
         self.boundary_weights = np.asarray(boundary_weights, dtype=float)
 
-        self._A_II = A_II
-        if nB == 0:
-            self.K = np.zeros((nI, 0))
-            self.S = np.zeros((0, 0))
-        else:
-            A_IB = np.asarray(A_IB, dtype=float)
-            A_BB = np.asarray(A_BB, dtype=float)
-            if sp.issparse(A_II):
-                import scipy.sparse.linalg as spla
-
-                try:
-                    lu = spla.splu(A_II.tocsc())
-                except RuntimeError as exc:
-                    raise NumericError(f"interior block not invertible: {exc}") from exc
-                self.K = -lu.solve(A_IB)
-            else:
-                try:
-                    self.K = -scipy.linalg.solve(np.asarray(A_II, dtype=float), A_IB, assume_a="sym")
-                except scipy.linalg.LinAlgError as exc:
-                    raise NumericError(f"interior block not invertible: {exc}") from exc
-            S = A_BB + A_IB.T @ self.K
-            self.S = 0.5 * (S + S.T)
-            w = scipy.linalg.eigvalsh(self.S)
-            if w.min() <= 0.0:
-                raise NotPositiveError(
-                    "interface Schur complement is not positive definite; apply a larger positivity shift"
-                )
+        self.K = K
+        self.S = S
+        self._chol = None
+        if nB:
+            try:
+                self._chol = scipy.linalg.cho_factor(S)
+            except scipy.linalg.LinAlgError as exc:
+                raise NotPositiveError(_NOT_POSITIVE) from exc
         # weighted spectra live in quadratic-form units; box assemblies carry
         # the 1/h^n operator normalization that must be undone first
         self.S_form = self.S if form_units else (self.h**self.n) * self.S
-        root = 1.0 / np.sqrt(self.boundary_weights) if nB else np.ones(0)
-        self.L_weighted = root[:, None] * self.S_form * root[None, :] if nB else np.zeros((0, 0))
-        self.P1 = (self.K * self.interior_weights[:, None]).T @ self.K if nB else np.zeros((0, 0))
+        root = 1.0 / np.sqrt(self.boundary_weights)
+        self.L_weighted = root[:, None] * self.S_form * root[None, :]
+        self.P1 = (self.K * self.interior_weights[:, None]).T @ self.K
         self._M = None
 
     # -- matrices ----------------------------------------------------------
-
-    @property
-    def A_gamma(self) -> OperatorMatrix:
-        return OperatorMatrix(self._A_II, "interior", descriptor="Dirichlet block", meta={"h": self.h})
 
     @property
     def M(self) -> np.ndarray:
@@ -116,26 +98,15 @@ class KreinAssembly:
                 if size > DENSE_POWER_CAP:
                     raise NumericError(f"M would be {size}x{size}, above the {DENSE_POWER_CAP} cap")
                 G = np.vstack([self.K, np.eye(self.n_boundary)])
-                X = scipy.linalg.solve(self.S, G.T, assume_a="pos")
-                M = G @ X
+                M = G @ scipy.linalg.cho_solve(self._chol, G.T)
                 self._M = 0.5 * (M + M.T)
         return self._M
 
     # -- spectra -----------------------------------------------------------
 
-    def _congruence_eigs(self, inner: np.ndarray) -> np.ndarray:
-        """Descending eigenvalues of S_like^{-1} inner via S^{-1/2} similarity."""
-        if self.n_boundary == 0:
-            return np.zeros(0)
-        w, V = scipy.linalg.eigh(self.S)
-        root = (V / np.sqrt(w)) @ V.T
-        G = root @ inner @ root
-        vals = scipy.linalg.eigvalsh(0.5 * (G + G.T))
-        return vals[::-1]
-
     def mu_exact(self) -> np.ndarray:
         """Nonzero spectrum of M through the algebraic identity side."""
-        return self._congruence_eigs(self.K.T @ self.K + np.eye(self.n_boundary))
+        return _definite_eigs(self.K.T @ self.K + np.eye(self.n_boundary), self.S)
 
     def mu_from_M(self) -> np.ndarray:
         """Top eigenvalues of the materialized M (independent route)."""
@@ -161,27 +132,18 @@ class KreinAssembly:
         grids where the default one-sided sum underweights slowly
         decaying extensions.
         """
-        if self.n_boundary == 0:
-            return np.zeros(0)
         inner = self.P1.copy()
         if half_cell:
             inner[np.diag_indices_from(inner)] += 0.5 * self.h * self.boundary_weights
         if include_boundary_mass:
             inner[np.diag_indices_from(inner)] += self.boundary_weights
-        w, V = scipy.linalg.eigh(self.S_form)
-        root = (V / np.sqrt(w)) @ V.T
-        G = root @ inner @ root
-        return scipy.linalg.eigvalsh(0.5 * (G + G.T))[::-1]
+        return _definite_eigs(inner, self.S_form)
 
     def weighted_L_spectrum(self) -> np.ndarray:
         """Ascending spectrum of the boundary-weighted interface operator."""
         if self.n_boundary == 0:
             return np.zeros(0)
         return scipy.linalg.eigvalsh(self.L_weighted)
-
-    def weighted_L_eigenpairs(self):
-        vals = scipy.linalg.eigh(self.L_weighted)
-        return vals
 
     def record(self) -> dict:
         return {
@@ -194,6 +156,21 @@ class KreinAssembly:
         }
 
 
+def _definite_eigs(inner: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of the symmetric-definite pencil (inner, S).
+
+    Solved directly as a generalized problem (Golub & Van Loan, Matrix
+    Computations, sec. 8.7); S that is not positive definite raises
+    NotPositiveError.
+    """
+    if S.size == 0:
+        return np.zeros(0)
+    try:
+        return scipy.linalg.eigh(inner, S, eigvals_only=True)[::-1]
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveError(_NOT_POSITIVE) from exc
+
+
 def krein_from_matrix(A_full: OperatorMatrix, shift: float = 0.0,
                       boundary_weights=None, interior_weights=None) -> KreinAssembly:
     """Krein assembly from a matrix carrying interior/sigma_plus row sets.
@@ -202,23 +179,14 @@ def krein_from_matrix(A_full: OperatorMatrix, shift: float = 0.0,
     grid-based callers should fold the shift into the zero-order term at
     assembly time instead, which uses the true node volumes.
     """
-    I = np.asarray(A_full.rows("interior"), dtype=int)
-    B = np.asarray(A_full.rows("sigma_plus"), dtype=int)
     mat = A_full.matrix
     if shift:
         mat = mat + shift * (sp.identity(mat.shape[0], format="csr") if sp.issparse(mat) else np.eye(mat.shape[0]))
-    if sp.issparse(mat):
-        A_II = mat[I][:, I]
-        A_IB = mat[I][:, B].toarray()
-        A_BB = mat[B][:, B].toarray()
-    else:
-        A_II = mat[np.ix_(I, I)]
-        A_IB = mat[np.ix_(I, B)]
-        A_BB = mat[np.ix_(B, B)]
+    K, S = schur_split(mat, A_full.rows("interior"), A_full.rows("sigma_plus"))
     grid = A_full.grid
     h = A_full.meta.get("h", grid.h if grid is not None else 1.0)
     n = grid.n if grid is not None else 1
-    return KreinAssembly(A_II, A_IB, A_BB, h, n, shift,
+    return KreinAssembly(K, S, h, n, shift,
                          boundary_weights=boundary_weights, interior_weights=interior_weights,
                          meta={"descriptor": A_full.descriptor},
                          form_units=A_full.meta.get("units") == "form")
@@ -242,21 +210,15 @@ def krein_term(coeffs: SecondOrderCoeffs, sigma, grid: Grid, partition=None,
         shift_val = float(shift)
     A = assemble_second_order(coeffs, grid, bc="mixed", sigma=sigma, a0=shift_val) if shift_val else probe
 
-    I = A.rows("interior")
-    B_all = A.rows("sigma_plus")
-    node_ids = np.asarray(A.meta["node_ids"])
-    if partition is None:
-        B = B_all
-    else:
+    B = A.rows("sigma_plus")
+    if partition is not None:
+        node_ids = np.asarray(A.meta["node_ids"])
         wanted = set(int(p) for p in np.asarray(partition).ravel())
-        B = np.array([r for r in B_all if int(node_ids[r]) in wanted], dtype=int)
+        B = np.array([r for r in B if int(node_ids[r]) in wanted], dtype=int)
         if len(B) != len(wanted):
             raise ConfigurationError("partition contains nodes outside the grid's sigma_plus set")
-    mat = A.matrix
-    A_II = mat[I][:, I]
-    A_IB = mat[I][:, B].toarray() if B.size else None
-    A_BB = mat[B][:, B].toarray() if B.size else None
-    return KreinAssembly(A_II, A_IB, A_BB, grid.h, grid.n, shift_val,
+    K, S = schur_split(A.matrix, A.rows("interior"), B)
+    return KreinAssembly(K, S, grid.h, grid.n, shift_val,
                          meta={"descriptor": A.descriptor, "sigma": A.meta.get("sigma")})
 
 
@@ -278,18 +240,19 @@ class KreinIdentityReport:
 def krein_identity_check(k: KreinAssembly) -> KreinIdentityReport:
     """Compare the two independent routes to the nonzero spectrum of M.
 
-    Left side: dense eigenvalues of the materialized M.  Right side: the
-    spectrum of S^{-1}(K^T K + I) through a symmetric congruence.  The
-    agreement is an exact finite-dimensional matrix identity, so the
-    expected mismatch is pure roundoff.
+    Left side: the top n_boundary values of the one dense eigensolve of
+    the materialized M, which also gives the rank and sign checks.  Right
+    side: the spectrum of S^{-1}(K^T K + I) as a generalized-definite
+    solve.  The agreement is an exact finite-dimensional matrix identity,
+    so the expected mismatch is pure roundoff.
     """
-    mu_m = k.mu_from_M()
     mu_id = k.mu_exact()
     if mu_id.size == 0:
-        return KreinIdentityReport(0.0, mu_m, mu_id, True)
+        return KreinIdentityReport(0.0, np.zeros(0), mu_id, True)
+    all_m = scipy.linalg.eigvalsh(k.M)
+    mu_m = all_m[::-1][: k.n_boundary]
     scale = np.abs(mu_id).max()
     mismatch = float(np.abs(mu_m - mu_id).max() / scale)
-    all_m = scipy.linalg.eigvalsh(k.M)
     rank = int(np.sum(np.abs(all_m) > 1e-12 * max(scale, 1.0)))
     psd_ok = all_m.min() >= -1e-12 * max(scale, 1.0)
     return KreinIdentityReport(mismatch, mu_m, mu_id, bool(rank <= k.n_boundary and psd_ok))
@@ -523,10 +486,7 @@ def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: flo
         # commutes with the interior elimination, so adding it here is exact
         S_plus = S_plus + sigma * arc_w * np.eye(sel.size)
 
-    w = scipy.linalg.eigvalsh(S_plus)
-    if w.min() <= 0.0:
-        raise NotPositiveError("arc Schur complement not positive definite; increase the shift")
-    mu = scipy.linalg.eigh(Q_plus, S_plus, eigvals_only=True)[::-1]
+    mu = _definite_eigs(Q_plus, S_plus)
 
     L_weighted = S_plus / arc_w
     d_lo = radius * (thetas[sel] - th0)

@@ -22,6 +22,7 @@ from fracspec.discretize import (
 from fracspec.errors import ConfigurationError, NotPositiveError, NumericError
 from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
+from fracspec.zaremba import krein_from_matrix
 
 
 def laplacian(n):
@@ -357,8 +358,9 @@ class TestPoissonExtension:
             "toy",
             meta={"row_sets": {"interior": [0, 1], "sigma_plus": [2]}},
         )
-        with pytest.raises(NumericError):
-            poisson_extension(bad)
+        for route in (poisson_extension, krein_from_matrix):
+            with pytest.raises(NumericError):
+                route(bad)
 
 
 class TestSchurDtn:
@@ -409,6 +411,11 @@ class TestSchurDtn:
         n_plus = pg.sigma_plus_idx.size
         assert L.shape == (n_plus, n_plus)
         assert np.allclose(L.toarray(), -P.toarray()[:n_plus, :n_plus], atol=1e-12)
+
+    def test_partition_outside_boundary_rejected(self):
+        _, A = _square_all_faces(8)
+        with pytest.raises(ConfigurationError):
+            schur_dtn(A, partition=[10**6])
 
     def test_positive_after_shift(self):
         _, A = _square_all_faces(8)

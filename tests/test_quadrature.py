@@ -44,6 +44,20 @@ def test_sphere_integral_nonfinite_names_node():
         sphere_integral(bad, n=2)
 
 
+def test_sphere_integral_propagates_integrand_error():
+    class IntegrandBug(Exception):
+        pass
+
+    def broken(xi):
+        # fine node by node, a bug on the vectorized call
+        if np.ndim(xi) == 2:
+            raise IntegrandBug("integrand failed on the node array")
+        return 1.0
+
+    with pytest.raises(IntegrandBug):
+        sphere_integral(broken, n=2)
+
+
 def test_domain_measures_closed_form():
     assert domain_measure(DomainSpec.unit_square()).value == 1.0
     assert domain_measure(DomainSpec.unit_box()).value == 1.0

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracspec.discretize import (
     OperatorMatrix,
@@ -92,6 +95,67 @@ class TestKreinToy:
                             meta={"row_sets": {"interior": [0, 1], "sigma_plus": [2]}, "h": 1.0})
         sparse = krein_from_matrix(om)
         assert np.allclose(dense.M, sparse.M, atol=1e-13)
+
+
+def congruence_mu(S, inner):
+    """Descending spectrum of S^{-1} inner through the S^{-1/2} similarity."""
+    w, V = sla.eigh(S)
+    root = (V / np.sqrt(w)) @ V.T
+    G = root @ inner @ root
+    return sla.eigvalsh(0.5 * (G + G.T))[::-1]
+
+
+@st.composite
+def split_spd(draw):
+    """A random SPD matrix (eigenvalues in [0.5, 4]) with a random I/B split and weights."""
+    size = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    A = (q * rng.uniform(0.5, 4.0, size)) @ q.T
+    perm = rng.permutation(size)
+    nB = draw(st.integers(1, size - 1))
+    B, I = np.sort(perm[:nB]), np.sort(perm[nB:])
+    om = wrap(0.5 * (A + A.T), I.tolist(), B.tolist(), h=float(rng.uniform(0.1, 1.0)))
+    return om, rng.uniform(0.5, 2.0, nB), rng.uniform(0.5, 2.0, I.size)
+
+
+class TestKreinOracle:
+    """The generalized-definite spectra against the materialized M and the S^{-1/2} congruence."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_spd())
+    def test_mu_exact_matches_materialized_m(self, problem):
+        om, _, _ = problem
+        k = krein_from_matrix(om)
+        top = np.linalg.eigvalsh(k.M)[::-1][: k.n_boundary]
+        mu = k.mu_exact()
+        assert np.max(np.abs(mu - top)) <= 1e-10 * mu[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_spd(), st.booleans(), st.booleans())
+    def test_weighted_mu_matches_congruence(self, problem, half_cell, boundary_mass):
+        om, w_b, w_i = problem
+        k = krein_from_matrix(om, boundary_weights=w_b, interior_weights=w_i)
+        inner = (k.K * w_i[:, None]).T @ k.K
+        inner[np.diag_indices_from(inner)] += (0.5 * k.h if half_cell else 0.0) * w_b
+        inner[np.diag_indices_from(inner)] += w_b if boundary_mass else 0.0
+        want = congruence_mu(k.S_form, inner)
+        got = k.weighted_mu(include_boundary_mass=boundary_mass, half_cell=half_cell)
+        assert np.max(np.abs(got - want)) <= 1e-10 * want[0]
+
+    def test_identity_check_solves_m_once(self, monkeypatch):
+        calls = []
+        real = sla.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a)[0])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigvalsh", spy)
+        k = krein_term(SecondOrderCoeffs.laplacian(2), 0.5, build_grid(DomainSpec.unit_square(), 8))
+        rep = krein_identity_check(k)
+        assert calls == [k.n_interior + k.n_boundary]
+        assert rep.max_rel_mismatch <= 1e-10
 
 
 class TestKreinGrid:
@@ -352,6 +416,10 @@ class TestDiskSpectra:
     def test_too_coarse_rejected(self):
         with pytest.raises(ConfigurationError):
             disk_interface_spectra(2, 16)
+
+    def test_indefinite_arc_schur_rejected(self):
+        with pytest.raises(NotPositiveError):
+            disk_interface_spectra(10, 16, shift=-5.0)
 
 
 def box_face_chain_mu(N, shift, half_cell=False):
