@@ -10,10 +10,18 @@ Subpackage map:
 * :mod:`fracspec.zaremba` mixed-problem assemblies and the resolvent
   difference (Krein) spectra
 * :mod:`fracspec.cli` command-line entry point
+
+The hot kernels (:mod:`fracspec._kernels`) have one numpy/BLAS build;
+importing the package loads no numeric library, so ``--jobs`` can still
+cap the thread pools first.
 """
 
 __version__ = "0.1.0"
 
-from ._accel import backend
+
+def backend() -> str:
+    """Name of the kernel build, recorded as ``kernel_backend`` in every manifest."""
+    return "numpy"
+
 
 __all__ = ["backend", "__version__"]

@@ -1,12 +1,11 @@
-"""Hot numeric loops, in numba and pure-numpy builds.
+"""Hot numeric kernels: one vectorized numpy/BLAS build.
 
-Public names (``quad_form_power_sum``, ``kappa0_power_sum``,
-``dtn_weight_sum``, ``boundary_quantities``, ``toeplitz_gather``) point at
-the active build chosen in :mod:`fracspec._accel`.  The ``*_nb`` and
-``*_np`` variants are kept importable side by side so tests and the
-benchmark can compare them.  ``restricted_power_apply``, the matrix-free
-product with a restricted torus multiplier, has one build: its work is
-in the compiled transforms.
+Quadrature kernels sum over a (nodes x directions) product.  Each
+256-node chunk evaluates its quadratic forms as one GEMM,
+``mats.reshape(-1, n*n) @ outer(dirs).T``, whose rows of ``outer(dirs)``
+are ``dirs[s] (x) dirs[s]``; chunking bounds the working set.
+``restricted_power_apply`` is the matrix-free product with a restricted
+torus multiplier; its work is in the compiled transforms.
 
 Conventions shared by all kernels:
 
@@ -22,179 +21,66 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._accel import NUMBA_ACTIVE, jit, kwd
-
-
-# ---------------------------------------------------------------------------
-# numba builds (plain loops; compiled when numba is active)
-# ---------------------------------------------------------------------------
-
-
-@jit(**kwd)
-def quad_form_power_sum_nb(mats, wx, dirs, ws, expo):
-    # sum_{d,s} wx[d] ws[s] (dirs[s]^T mats[d] dirs[s])**expo
-    nd = mats.shape[0]
-    n = mats.shape[1]
-    ns = dirs.shape[0]
-    total = 0.0
-    for d in range(nd):
-        acc = 0.0
-        for s in range(ns):
-            q = 0.0
-            for i in range(n):
-                row = 0.0
-                for j in range(n):
-                    row += mats[d, i, j] * dirs[s, j]
-                q += dirs[s, i] * row
-            if q <= 0.0:
-                return np.nan
-            acc += ws[s] * q**expo
-        total += wx[d] * acc
-    return total
-
-
-@jit(**kwd)
-def kappa0_power_sum_nb(mats, wx, dirs, ws, expo):
-    # mats frame-reduced; dirs live in the tangent coordinates (n-1 dims)
-    nd = mats.shape[0]
-    n = mats.shape[1]
-    ns = dirs.shape[0]
-    total = 0.0
-    for d in range(nd):
-        ann = mats[d, n - 1, n - 1]
-        acc = 0.0
-        for s in range(ns):
-            b = 0.0
-            c = 0.0
-            for i in range(n - 1):
-                b += mats[d, i, n - 1] * dirs[s, i]
-                row = 0.0
-                for j in range(n - 1):
-                    row += mats[d, i, j] * dirs[s, j]
-                c += dirs[s, i] * row
-            ap = ann * c - b * b
-            if ap <= 0.0:
-                return np.nan
-            acc += ws[s] * ap ** (0.5 * expo)
-        total += wx[d] * acc
-    return total
-
-
-@jit(**kwd)
-def dtn_weight_sum_nb(mats, wx, dirs, ws, p):
-    # sum of wx ws (ann / (2 kappa0^2))**p over the same product grid
-    nd = mats.shape[0]
-    n = mats.shape[1]
-    ns = dirs.shape[0]
-    total = 0.0
-    for d in range(nd):
-        ann = mats[d, n - 1, n - 1]
-        acc = 0.0
-        for s in range(ns):
-            b = 0.0
-            c = 0.0
-            for i in range(n - 1):
-                b += mats[d, i, n - 1] * dirs[s, i]
-                row = 0.0
-                for j in range(n - 1):
-                    row += mats[d, i, j] * dirs[s, j]
-                c += dirs[s, i] * row
-            ap = ann * c - b * b
-            if ap <= 0.0:
-                return np.nan
-            acc += ws[s] * (ann / (2.0 * ap)) ** p
-        total += wx[d] * acc
-    return total
-
-
-@jit(**kwd)
-def boundary_quantities_nb(mats, xips):
-    # per-sample ann, b, c for frame-reduced mats (N,n,n) and xips (N,n-1)
-    m = mats.shape[0]
-    n = mats.shape[1]
-    ann = np.empty(m)
-    b = np.empty(m)
-    c = np.empty(m)
-    for k in range(m):
-        ann[k] = mats[k, n - 1, n - 1]
-        bk = 0.0
-        ck = 0.0
-        for i in range(n - 1):
-            bk += mats[k, i, n - 1] * xips[k, i]
-            row = 0.0
-            for j in range(n - 1):
-                row += mats[k, i, j] * xips[k, j]
-            ck += xips[k, i] * row
-        b[k] = bk
-        c[k] = ck
-    return ann, b, c
-
-
-@jit(**kwd)
-def toeplitz_gather_nb(kern_flat, idx, strides, shape):
-    # R[i,j] = kern[(idx[i]-idx[j]) mod shape], row-major strides
-    m = idx.shape[0]
-    nd = idx.shape[1]
-    out = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            flat = 0
-            for k in range(nd):
-                d = idx[i, k] - idx[j, k]
-                d %= shape[k]
-                flat += d * strides[k]
-            out[i, j] = kern_flat[flat]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy builds (vectorized, chunked to bound the working set)
-# ---------------------------------------------------------------------------
-
 _CHUNK = 256
 
 
-def quad_form_power_sum_np(mats, wx, dirs, ws, expo):
+def _outer(dirs):
+    """Rows dirs[s] (x) dirs[s], flattened: (ns, k*k) for dirs (ns, k)."""
+    return (dirs[:, :, None] * dirs[:, None, :]).reshape(dirs.shape[0], -1)
+
+
+def _quad_forms(mats, outer):
+    """dirs[s]^T mats[d] dirs[s] for every (d, s) as one GEMM."""
+    return mats.reshape(mats.shape[0], -1) @ outer.T
+
+
+def quad_form_power_sum(mats, wx, dirs, ws, expo):
+    """sum_{d,s} wx[d] ws[s] (dirs[s]^T mats[d] dirs[s])**expo, NaN if a form is <= 0."""
+    outer = _outer(dirs)
     total = 0.0
     for lo in range(0, mats.shape[0], _CHUNK):
-        chunk = mats[lo : lo + _CHUNK]
-        q = np.einsum("dij,si,sj->ds", chunk, dirs, dirs)
+        q = _quad_forms(mats[lo : lo + _CHUNK], outer)
         if np.any(q <= 0.0):
             return np.nan
         total += wx[lo : lo + _CHUNK] @ (q**expo) @ ws
     return float(total)
 
 
-def _reduced_ap_np(chunk, dirs):
+def _reduced_ap(chunk, dirs, outer):
+    # ann and the reduced discriminant a' = ann c - b^2 per (node, tangential direction)
     n = chunk.shape[1]
     ann = chunk[:, n - 1, n - 1]
     b = chunk[:, : n - 1, n - 1] @ dirs.T
-    c = np.einsum("dij,si,sj->ds", chunk[:, : n - 1, : n - 1], dirs, dirs)
-    ap = ann[:, None] * c - b * b
-    return ann, ap
+    c = _quad_forms(chunk[:, : n - 1, : n - 1], outer)
+    return ann, ann[:, None] * c - b * b
 
 
-def kappa0_power_sum_np(mats, wx, dirs, ws, expo):
+def kappa0_power_sum(mats, wx, dirs, ws, expo):
+    """sum wx ws kappa0**expo over frame-reduced mats and tangential dirs (n-1 dims)."""
+    outer = _outer(dirs)
     total = 0.0
     for lo in range(0, mats.shape[0], _CHUNK):
-        _, ap = _reduced_ap_np(mats[lo : lo + _CHUNK], dirs)
+        _, ap = _reduced_ap(mats[lo : lo + _CHUNK], dirs, outer)
         if np.any(ap <= 0.0):
             return np.nan
         total += wx[lo : lo + _CHUNK] @ (ap ** (0.5 * expo)) @ ws
     return float(total)
 
 
-def dtn_weight_sum_np(mats, wx, dirs, ws, p):
+def dtn_weight_sum(mats, wx, dirs, ws, p):
+    """sum wx ws (ann / (2 kappa0^2))**p over the same product as ``kappa0_power_sum``."""
+    outer = _outer(dirs)
     total = 0.0
     for lo in range(0, mats.shape[0], _CHUNK):
-        ann, ap = _reduced_ap_np(mats[lo : lo + _CHUNK], dirs)
+        ann, ap = _reduced_ap(mats[lo : lo + _CHUNK], dirs, outer)
         if np.any(ap <= 0.0):
             return np.nan
         total += wx[lo : lo + _CHUNK] @ ((ann[:, None] / (2.0 * ap)) ** p) @ ws
     return float(total)
 
 
-def boundary_quantities_np(mats, xips):
+def boundary_quantities(mats, xips):
+    """Per-sample ann, b, c for frame-reduced mats (N, n, n) and xips (N, n-1)."""
     n = mats.shape[1]
     ann = np.ascontiguousarray(mats[:, n - 1, n - 1])
     b = np.einsum("ki,ki->k", mats[:, : n - 1, n - 1], xips)
@@ -202,15 +88,11 @@ def boundary_quantities_np(mats, xips):
     return ann, b, c
 
 
-def toeplitz_gather_np(kern_flat, idx, strides, shape):
+def toeplitz_gather(kern_flat, idx, strides, shape):
+    """R[i, j] = kern[(idx[i] - idx[j]) mod shape], with row-major strides."""
     d = idx[:, None, :] - idx[None, :, :]
     d %= shape[None, None, :]
     return kern_flat[d @ strides]
-
-
-# ---------------------------------------------------------------------------
-# matrix-free restricted multiplier (single build)
-# ---------------------------------------------------------------------------
 
 
 def restricted_power_apply(symbol, interior, shape, X):
@@ -238,21 +120,3 @@ def restricted_power_apply(symbol, interior, shape, X):
         back = np.fft.irfftn(spec, s=shape, axes=axes).reshape(block.shape[1], size)
         out[:, lo : lo + step] = back[:, interior].T
     return out.reshape(X.shape)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if NUMBA_ACTIVE:
-    quad_form_power_sum = quad_form_power_sum_nb
-    kappa0_power_sum = kappa0_power_sum_nb
-    dtn_weight_sum = dtn_weight_sum_nb
-    boundary_quantities = boundary_quantities_nb
-    toeplitz_gather = toeplitz_gather_nb
-else:
-    quad_form_power_sum = quad_form_power_sum_np
-    kappa0_power_sum = kappa0_power_sum_np
-    dtn_weight_sum = dtn_weight_sum_np
-    boundary_quantities = boundary_quantities_np
-    toeplitz_gather = toeplitz_gather_np

@@ -11,7 +11,7 @@ Configuration comes from an INI-style file ([section] with key = value
 lines) merged with command-line flags, flags winning.  Unknown sections
 or keys are rejected before any computation.  Every run emits a
 manifest recording the config hash, package and library versions, the
-active kernel backend, the seed, and all tolerances; reports are
+kernel build (always ``numpy``), the seed, and all tolerances; reports are
 structured-record text, sequences are `j,value` files, and each
 sequence ships with a small plot script.  With --repro set the files
 contain no timestamps, so identical configs produce bit-identical
@@ -20,8 +20,10 @@ output.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 tolerance violation in --assert mode.
 
-Heavy imports happen inside the handlers so that --jobs can cap the
-thread pools through the environment before the numeric stack loads.
+Heavy imports happen inside the handlers, and importing this module
+(with the package) loads no numpy, so that --jobs can cap the thread
+pools (OMP, OpenBLAS, MKL, numexpr) through the environment before the
+numeric stack loads.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ KNOWN_KEYS = {
         "band", "threshold", "expect_exponent", "expect_constant",
         "tol", "tol_exponent", "tol_constant", "which", "input", "samples",
     },
-    "output": {"directory", "repro", "seed", "jobs", "formats"},
+    "output": {"directory", "repro", "seed", "jobs"},
 }
 
 _FLAG_DESTS = {
@@ -194,19 +196,18 @@ def _build_coeffs(cfg):
 
     spec = _get(cfg, "operator", "coeffs", "identity")
     n = _get_int(cfg, "domain", "n", None)
-    sigma = _get_float(cfg, "operator", "sigma", 0.0)
     if spec in ("identity", "laplacian"):
         dom_n = n if n is not None else _domain_dim(cfg)
         return SecondOrderCoeffs.laplacian(dom_n)
     if spec.startswith("diag:"):
         diag = [float(p) for p in spec[5:].split(",")]
-        return SecondOrderCoeffs(len(diag), a=np.diag(diag), sigma=sigma)
+        return SecondOrderCoeffs(len(diag), a=np.diag(diag))
     if spec.startswith("matrix:"):
         rows = [[float(p) for p in row.split(",")] for row in spec[7:].split(";")]
         mat = np.asarray(rows, dtype=float)
         if mat.shape[0] != mat.shape[1]:
             raise ConfigurationError("coefficient matrix must be square")
-        return SecondOrderCoeffs(mat.shape[0], a=mat, sigma=sigma)
+        return SecondOrderCoeffs(mat.shape[0], a=mat)
     raise ConfigurationError(f"unknown coefficient form {spec!r}")
 
 
@@ -335,7 +336,7 @@ class Emitter:
         import numpy
         import scipy
 
-        from . import __version__, _accel
+        from . import __version__, backend
 
         entries = {
             "task": self.task,
@@ -344,7 +345,7 @@ class Emitter:
             "python_version": platform.python_version(),
             "numpy_version": numpy.__version__,
             "scipy_version": scipy.__version__,
-            "kernel_backend": "numba" if _accel.NUMBA_ACTIVE else "numpy",
+            "kernel_backend": backend(),
             "seed": _get_int(self.cfg, "output", "seed", 0),
             "jobs": _get_int(self.cfg, "output", "jobs", 0) or "unlimited",
             "repro": str(self.repro).lower(),
@@ -837,8 +838,7 @@ def execute(argv) -> int:
         return int(exc.code or 0)
 
     if getattr(args, "jobs", None):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS", "NUMBA_NUM_THREADS"):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ[var] = str(args.jobs)
 
     from .errors import ConfigurationError, NumericError

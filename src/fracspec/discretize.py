@@ -199,11 +199,6 @@ class OperatorMatrix:
         except KeyError as exc:
             raise KeyError(f"matrix has no row set {name!r}") from exc
 
-    def shifted(self, c: float) -> "OperatorMatrix":
-        """Positivity-shifted copy: matrix + c * mass, mass = identity here."""
-        m = self.matrix + c * (sp.identity(self.shape[0], format="csr") if sp.issparse(self.matrix) else np.eye(self.shape[0]))
-        return OperatorMatrix(m, self.index_label, self.grid, self.descriptor + f" + {c:g}", {**self.meta, "shift": c})
-
     # -- export ------------------------------------------------------------
 
     def _header(self) -> dict:
@@ -456,7 +451,6 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
         "h": h,
         "bc": bc,
         "circulant": bc == "periodic" and coeffs.constant,
-        "mass": f"identity * h^{n}",
     }
     if a0:
         meta["a0"] = "callable" if callable(a0) else float(a0)

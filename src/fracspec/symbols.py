@@ -72,17 +72,16 @@ class DegenerateSymbolError(ValueError):
 
 @dataclass(frozen=True)
 class SecondOrderCoeffs:
-    """Coefficients (a_jk, a0, sigma) of a second-order symmetric operator.
+    """Principal coefficients a_jk of a second-order symmetric operator.
 
     ``a`` is either a constant (n, n) symmetric array or a callable
-    ``x -> (n, n) array``.  ``a0`` and ``sigma`` are constants or callables;
-    ``sigma`` is only meaningful on the Robin part of the boundary.
+    ``x -> (n, n) array``.  The zeroth-order term and the Robin
+    coefficient are arguments of the assembly (``assemble_second_order``,
+    ``krein_term``), not fields here.
     """
 
     n: int
     a: object
-    a0: object = 0.0
-    sigma: object = 0.0
 
     def __post_init__(self):
         if not callable(self.a):
@@ -94,8 +93,8 @@ class SecondOrderCoeffs:
             object.__setattr__(self, "a", mat)
 
     @classmethod
-    def laplacian(cls, n: int, a0=0.0, sigma=0.0) -> "SecondOrderCoeffs":
-        return cls(n=n, a=np.eye(n), a0=a0, sigma=sigma)
+    def laplacian(cls, n: int) -> "SecondOrderCoeffs":
+        return cls(n=n, a=np.eye(n))
 
     @property
     def constant(self) -> bool:
@@ -108,12 +107,6 @@ class SecondOrderCoeffs:
                 raise ValueError("coefficient callable returned a wrong shape")
             return mat
         return self.a
-
-    def a0_at(self, x) -> float:
-        return float(self.a0(x)) if callable(self.a0) else float(self.a0)
-
-    def sigma_at(self, x) -> float:
-        return float(self.sigma(x)) if callable(self.sigma) else float(self.sigma)
 
     def a_batch(self, points: np.ndarray) -> np.ndarray:
         """Coefficient matrices at many points, shape (npts, n, n)."""

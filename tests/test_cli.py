@@ -1,12 +1,14 @@
 """End-to-end checks of the command line front end.
 
-Everything runs in-process through cli.execute so exit codes and
-emitted files can be asserted without shelling out.
+Almost everything runs in-process through cli.execute so exit codes and
+emitted files can be asserted without shelling out; the console entry
+point and the import-order guard for --jobs run in a subprocess.
 """
 
 import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,10 +203,12 @@ class TestConfigHandling:
         assert report_lines(out2, "weyl-const")["power"] == "0.5"
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        cfgfile = tmp_path / "bad.ini"
-        cfgfile.write_text("[task]\nfrobnicate = 1\n")
-        assert execute(["singular-probe", "--config", str(cfgfile),
-                        "--out", str(tmp_path / "o")]) == 2
+        # an invented key, and a key no pipeline reads
+        for text in ("[task]\nfrobnicate = 1\n", "[output]\nformats = csv\n"):
+            cfgfile = tmp_path / "bad.ini"
+            cfgfile.write_text(text)
+            assert execute(["singular-probe", "--config", str(cfgfile),
+                            "--out", str(tmp_path / "o")]) == 2, text
 
     def test_unknown_config_section_rejected(self, tmp_path):
         cfgfile = tmp_path / "bad.ini"
@@ -307,3 +311,14 @@ def test_jobs_flag_caps_thread_env(tmp_path):
             os.environ.pop("OMP_NUM_THREADS", None)
         else:
             os.environ["OMP_NUM_THREADS"] = before
+
+
+def test_cli_import_leaves_numeric_stack_unloaded():
+    # --jobs sets the thread caps in execute(); they only bind if numpy loads after that
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fracspec.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -105,7 +105,7 @@ class TestAssembly:
 
     def test_periodic_circulant_symbol(self):
         g = build_grid(DomainSpec.unit_interval(), 16)
-        one = SecondOrderCoeffs(n=1, a=np.eye(1), a0=1.0)
+        one = SecondOrderCoeffs(n=1, a=np.eye(1))
         A = assemble_second_order(one, g, bc="periodic", a0=1.0)
         assert A.meta["circulant"]
         vals = np.fft.fft(A.toarray()[0]).real

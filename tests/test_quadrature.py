@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fracspec import _kernels
-from fracspec._accel import HAS_NUMBA
 from fracspec.quadrature import (
     DomainSpec,
     EllipticityError,
@@ -260,27 +259,57 @@ def test_boundary_constant_rejects_indefinite():
         weyl_constant_L(bad, DomainSpec.disk())
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_kernel_builds_agree():
-    rng = np.random.default_rng(12)
-    m, n = 40, 3
+def _spd_batch(rng, m, n):
     mats = np.empty((m, n, n))
     for i in range(m):
         g = rng.standard_normal((n, n))
         mats[i] = g @ g.T + n * np.eye(n)
+    return mats
+
+
+def _reduced_parts(A, t):
+    # ann, b, c of a frame-reduced matrix at tangential covector t
+    k = A.shape[0] - 1
+    return A[k, k], A[:k, k] @ t, t @ A[:k, :k] @ t
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernels_match_per_pair_reference(n):
+    rng = np.random.default_rng(12)
+    m = 40
+    mats = _spd_batch(rng, m, n)
     wx = rng.random(m) + 0.5
-    rule = sphere_rule(3, level=-2)
-    t_rule = sphere_rule(2, level=-2)
-    dirs3 = np.ascontiguousarray(rule.nodes)
-    ws3 = np.ascontiguousarray(rule.weights)
-    dirs2 = np.ascontiguousarray(t_rule.nodes)
-    ws2 = np.ascontiguousarray(t_rule.weights)
-    a = _kernels.quad_form_power_sum_nb(mats, wx, dirs3, ws3, -1.5)
-    b = _kernels.quad_form_power_sum_np(mats, wx, dirs3, ws3, -1.5)
-    assert a == pytest.approx(b, rel=1e-12)
-    a = _kernels.kappa0_power_sum_nb(mats, wx, dirs2, ws2, -2.0)
-    b = _kernels.kappa0_power_sum_np(mats, wx, dirs2, ws2, -2.0)
-    assert a == pytest.approx(b, rel=1e-12)
-    a = _kernels.dtn_weight_sum_nb(mats, wx, dirs2, ws2, 1.0)
-    b = _kernels.dtn_weight_sum_np(mats, wx, dirs2, ws2, 1.0)
-    assert a == pytest.approx(b, rel=1e-12)
+    full = sphere_rule(n, level=-2)
+    tang = sphere_rule(n - 1, level=-2)
+    dirs, ws = np.ascontiguousarray(full.nodes), np.ascontiguousarray(full.weights)
+    tdirs, tws = np.ascontiguousarray(tang.nodes), np.ascontiguousarray(tang.weights)
+
+    ref = sum(wx[d] * sum(ws[s] * (dirs[s] @ mats[d] @ dirs[s]) ** -1.5 for s in range(len(ws))) for d in range(m))
+    assert _kernels.quad_form_power_sum(mats, wx, dirs, ws, -1.5) == pytest.approx(ref, rel=1e-13)
+
+    kappa_ref = dtn_ref = 0.0
+    for d in range(m):
+        for s in range(len(tws)):
+            ann, b, c = _reduced_parts(mats[d], tdirs[s])
+            ap = ann * c - b * b
+            kappa_ref += wx[d] * tws[s] * ap ** (0.5 * -2.0)
+            dtn_ref += wx[d] * tws[s] * (ann / (2.0 * ap)) ** 1.0
+    assert _kernels.kappa0_power_sum(mats, wx, tdirs, tws, -2.0) == pytest.approx(kappa_ref, rel=1e-13)
+    assert _kernels.dtn_weight_sum(mats, wx, tdirs, tws, 1.0) == pytest.approx(dtn_ref, rel=1e-13)
+
+    xips = rng.standard_normal((m, n - 1))
+    got = _kernels.boundary_quantities(mats, xips)
+    want = np.array([_reduced_parts(mats[k], xips[k]) for k in range(m)]).T
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-13, atol=0.0)
+
+
+def test_kernels_return_nan_on_nonpositive_form():
+    rng = np.random.default_rng(3)
+    mats = _spd_batch(rng, 40, 3)
+    mats[17] = np.diag([1.0, -1.0, 1.0])  # indefinite in full and in reduced (tangential) form
+    wx = np.ones(40)
+    full, tang = sphere_rule(3, level=-2), sphere_rule(2, level=-2)
+    assert np.isnan(_kernels.quad_form_power_sum(mats, wx, full.nodes, full.weights, -1.5))
+    assert np.isnan(_kernels.kappa0_power_sum(mats, wx, tang.nodes, tang.weights, -2.0))
+    assert np.isnan(_kernels.dtn_weight_sum(mats, wx, tang.nodes, tang.weights, 1.0))
