@@ -8,8 +8,12 @@ quadrature), spectrum (assemble + eigensolve + export), weyl-fit
 strip), singular-probe (log-divergence detector).
 
 Configuration comes from an INI-style file ([section] with key = value
-lines) merged with command-line flags, flags winning.  Unknown sections
-or keys are rejected before any computation.  Every run emits a
+lines) merged with command-line flags, flags winning.  Both are declared
+once, in the OPTIONS table: each row gives a config key, its flag, its
+type and the subcommands that offer the flag, so a subcommand rejects a
+flag its pipeline does not read.  Unknown sections or keys, and config
+values their type cannot read, are rejected before any computation.
+Every run emits a
 manifest recording the config hash, package and library versions, the
 kernel build (always ``numpy``), the seed, and all tolerances; reports are
 structured-record text, sequences are `j,value` files, and each
@@ -21,9 +25,9 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 tolerance violation in --assert mode.
 
 Heavy imports happen inside the handlers, and importing this module
-(with the package) loads no numpy, so that --jobs can cap the thread
-pools (OMP, OpenBLAS, MKL, numexpr) through the environment before the
-numeric stack loads.
+(with the package) loads no numpy, so that --jobs (or [output] jobs in
+the config file) can cap the thread pools (OMP, OpenBLAS, MKL, numexpr)
+through the environment before the numeric stack loads.
 """
 
 from __future__ import annotations
@@ -35,60 +39,82 @@ import os
 import sys
 
 # ---------------------------------------------------------------------------
-# configuration schema
+# option table
 # ---------------------------------------------------------------------------
 
-KNOWN_KEYS = {
-    "operator": {"kind", "coeffs", "a", "sigma", "shift", "bc", "mu"},
-    "domain": {"kind", "n", "lengths", "radius", "arc", "cap", "sigma_plus", "torus_pad"},
-    "grid": {"nodes", "n_r", "n_theta", "h"},
-    "task": {
-        "xi", "window", "fixed_exponent", "deltas", "decay", "level", "count",
-        "band", "threshold", "expect_exponent", "expect_constant",
-        "tol", "tol_exponent", "tol_constant", "which", "input", "samples",
-    },
-    "output": {"directory", "repro", "seed", "jobs"},
-}
 
-_FLAG_DESTS = {
-    "op": ("operator", "kind"),
-    "coeffs": ("operator", "coeffs"),
-    "a": ("operator", "a"),
-    "sigma": ("operator", "sigma"),
-    "shift": ("operator", "shift"),
-    "bc": ("operator", "bc"),
-    "mu": ("operator", "mu"),
-    "domain": ("domain", "kind"),
-    "n": ("domain", "n"),
-    "lengths": ("domain", "lengths"),
-    "radius": ("domain", "radius"),
-    "arc": ("domain", "arc"),
-    "cap": ("domain", "cap"),
-    "nodes": ("grid", "nodes"),
-    "n_r": ("grid", "n_r"),
-    "n_theta": ("grid", "n_theta"),
-    "h": ("grid", "h"),
-    "xi": ("task", "xi"),
-    "window": ("task", "window"),
-    "fixed_exponent": ("task", "fixed_exponent"),
-    "deltas": ("task", "deltas"),
-    "decay": ("task", "decay"),
-    "level": ("task", "level"),
-    "count": ("task", "count"),
-    "band": ("task", "band"),
-    "threshold": ("task", "threshold"),
-    "expect_exponent": ("task", "expect_exponent"),
-    "expect_constant": ("task", "expect_constant"),
-    "tol": ("task", "tol"),
-    "tol_exponent": ("task", "tol_exponent"),
-    "tol_constant": ("task", "tol_constant"),
-    "which": ("task", "which"),
-    "input": ("task", "input"),
-    "samples": ("task", "samples"),
-    "out": ("output", "directory"),
-    "seed": ("output", "seed"),
-    "jobs": ("output", "jobs"),
+def _floats(raw: str) -> list:
+    """Comma- (or semicolon-) separated numbers."""
+    return [float(p) for p in raw.replace(";", ",").split(",") if p.strip()]
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+SUBCOMMANDS = {
+    "symbol-check": "factorization and reflection-phase residuals",
+    "weyl-const": "spectral constants by cosphere quadrature",
+    "spectrum": "assemble, eigensolve, export",
+    "weyl-fit": "power-law fit of a spectral sequence",
+    "boundary-exp": "boundary decay rate of the ground eigenfunction",
+    "zaremba": "Krein pipeline with identity check",
+    "dtn-probe": "interface symbol on a flat strip",
+    "singular-probe": "log-divergence detector",
 }
+_ASSEMBLED = ("spectrum", "weyl-fit", "boundary-exp")  # read through _assemble_operator
+_DOMAIN = ("weyl-const", "zaremba", *_ASSEMBLED)  # read through _build_domain
+_ALL = tuple(SUBCOMMANDS)
+
+# One row per option: (section, key, flag, type, subcommands offering the
+# flag, help).  The type converts the config text: float, int, str, _floats,
+# _bool, or a tuple of the accepted words.  Every option is also a config
+# key [section] key = value, accepted by any subcommand.
+OPTIONS = (
+    ("operator", "kind", "--op", ("frac-laplacian", "coeffs"), ("weyl-const",), "operator kind"),
+    ("operator", "coeffs", "--coeffs", str, ("symbol-check", "dtn-probe", *_DOMAIN),
+     "identity | diag:1,4 | matrix:2,1;1,2"),
+    ("operator", "a", "--a", float, ("symbol-check", "weyl-const", *_ASSEMBLED), "fractional power"),
+    ("operator", "sigma", "--sigma", float, ("zaremba", *_ASSEMBLED), "Robin weight on the free boundary"),
+    ("operator", "shift", "--shift", str, ("zaremba",), "positivity shift (number or 'auto')"),
+    ("operator", "bc", "--bc", str, _ASSEMBLED, "dirichlet | mixed | periodic"),
+    ("operator", "mu", "--mu", float, ("symbol-check",), "reflection order (defaults to the power)"),
+    ("domain", "kind", "--domain", str, _DOMAIN, "interval | square | box | disk | ball"),
+    ("domain", "n", "--n", int, ("symbol-check", *_DOMAIN), "ambient dimension"),
+    ("domain", "radius", "--radius", float, _DOMAIN, "disk radius"),
+    ("domain", "arc", "--arc", _floats, _DOMAIN, "free arc angles t0,t1 (disk)"),
+    ("domain", "cap", "--cap", float, _DOMAIN, "cap angle (ball)"),
+    ("grid", "nodes", "--nodes", int, ("zaremba", *_ASSEMBLED), "nodes per axis"),
+    ("grid", "n_r", "--n-r", int, ("zaremba",), "radial rings (disk)"),
+    ("grid", "n_theta", "--n-theta", int, ("zaremba",), "angular nodes (disk)"),
+    ("grid", "h", "--h", float, ("dtn-probe",), "grid spacing (strip probe)"),
+    ("task", "xi", "--xi", _floats, ("dtn-probe",), "tangential frequencies, comma separated"),
+    ("task", "window", "--window", _floats, ("weyl-fit",), "fit window j_lo,j_hi"),
+    ("task", "fixed_exponent", "--fixed-exponent", float, ("weyl-fit",), "fit the constant at this exponent"),
+    ("task", "deltas", "--deltas", _floats, ("singular-probe",), "cutoff sequence, comma separated, decreasing"),
+    ("task", "decay", "--decay", str, ("singular-probe",), "flat | harmonic"),
+    ("task", "level", "--level", int, ("weyl-const",), "quadrature refinement level"),
+    ("task", "count", "--count", int, ("spectrum",), "export only the first eigenvalues"),
+    ("task", "band", "--band", _floats, ("boundary-exp",), "distance band lo,hi for the fit"),
+    ("task", "threshold", "--threshold", float, ("boundary-exp",), "near-boundary ratio threshold"),
+    ("task", "expect_exponent", "--expect-exponent", float, ("weyl-fit",), "expected exponent"),
+    ("task", "expect_constant", "--expect-constant", float, ("weyl-fit",), "expected constant"),
+    ("task", "tol", "--tol", float,
+     ("symbol-check", "boundary-exp", "zaremba", "dtn-probe", "singular-probe"), "primary tolerance for --assert"),
+    ("task", "tol_exponent", "--tol-exponent", float, ("weyl-fit",), "relative exponent tolerance"),
+    ("task", "tol_constant", "--tol-constant", float, ("weyl-fit",), "relative constant tolerance"),
+    ("task", "which", "--which", str, ("weyl-const",), "dirichlet | interface-l | interface-m"),
+    ("task", "input", "--input", str, ("weyl-fit",), "fit an existing j,value file instead of assembling"),
+    ("task", "samples", "--samples", int, ("symbol-check",), "random boundary samples"),
+    ("output", "directory", "--out", str, _ALL, "output directory (overrides FRACSPEC_OUT)"),
+    ("output", "repro", "--repro", _bool, _ALL, "omit timestamps for bit-identical reruns"),
+    ("output", "seed", "--seed", int, _ALL, "seed for sampled checks"),
+    ("output", "jobs", "--jobs", int, _ALL, "cap worker threads"),
+)
+_TYPES = {(section, key): typ for section, key, _, typ, _, _ in OPTIONS}
 
 
 class ToleranceFailure(RuntimeError):
@@ -104,23 +130,23 @@ def _load_config_file(path: str) -> dict:
         raise ConfigurationError(f"config file not found: {path}")
     cfg = {}
     for section in parser.sections():
-        if section not in KNOWN_KEYS:
+        if section not in {s for s, _ in _TYPES}:
             raise ConfigurationError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
-            if key not in KNOWN_KEYS[section]:
+            if (section, key) not in _TYPES:
                 raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
             cfg[(section, key)] = value.strip()
+            _get(cfg, section, key)  # check the value; the config keeps its text
     return cfg
 
 
 def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
+    """Flag values over the config: scalars as str(type(value)), the rest as given."""
     merged = dict(cfg)
-    for flag, dest in _FLAG_DESTS.items():
-        val = getattr(args, flag, None)
+    for section, key, flag, *_ in OPTIONS:
+        val = getattr(args, flag[2:].replace("-", "_"), None)
         if val is not None:
-            merged[dest] = str(val)
-    if getattr(args, "repro", False):
-        merged[("output", "repro")] = "true"
+            merged[(section, key)] = str(val)
     return merged
 
 
@@ -129,54 +155,22 @@ def _config_hash(cfg: dict, subcommand: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# typed getters ------------------------------------------------------------
-
-
 def _get(cfg, section, key, default=None):
-    return cfg.get((section, key), default)
-
-
-def _get_float(cfg, section, key, default=None):
+    """The value at [section] key converted by its table type, or default if unset."""
     from .errors import ConfigurationError
 
     raw = cfg.get((section, key))
     if raw is None:
         return default
+    typ = _TYPES[(section, key)]
+    if isinstance(typ, tuple):
+        if raw not in typ:
+            raise ConfigurationError(f"{section}.{key} must be one of {' | '.join(typ)}, got {raw!r}")
+        return raw
     try:
-        return float(raw)
+        return typ(raw)
     except ValueError as exc:
-        raise ConfigurationError(f"{section}.{key} must be a number, got {raw!r}") from exc
-
-
-def _get_int(cfg, section, key, default=None):
-    from .errors import ConfigurationError
-
-    raw = cfg.get((section, key))
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{section}.{key} must be an integer, got {raw!r}") from exc
-
-
-def _get_floats(cfg, section, key, default=None):
-    from .errors import ConfigurationError
-
-    raw = cfg.get((section, key))
-    if raw is None:
-        return default
-    try:
-        return [float(p) for p in raw.replace(";", ",").split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"{section}.{key} must be comma-separated numbers") from exc
-
-
-def _get_bool(cfg, section, key, default=False):
-    raw = cfg.get((section, key))
-    if raw is None:
-        return default
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+        raise ConfigurationError(f"{section}.{key}: cannot read {raw!r} as {typ.__name__.strip('_')}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +189,7 @@ def _build_coeffs(cfg):
     from .symbols import SecondOrderCoeffs
 
     spec = _get(cfg, "operator", "coeffs", "identity")
-    n = _get_int(cfg, "domain", "n", None)
+    n = _get(cfg, "domain", "n", None)
     if spec in ("identity", "laplacian"):
         dom_n = n if n is not None else _domain_dim(cfg)
         return SecondOrderCoeffs.laplacian(dom_n)
@@ -213,7 +207,7 @@ def _build_coeffs(cfg):
 
 def _domain_dim(cfg) -> int:
     kind = _get(cfg, "domain", "kind", "square")
-    n = _get_int(cfg, "domain", "n", None)
+    n = _get(cfg, "domain", "n", None)
     if n is not None:
         return n
     return {"interval": 1, "square": 2, "disk": 2, "box": 3, "cube": 3, "ball": 3}.get(kind, 2)
@@ -226,7 +220,7 @@ def _build_domain(cfg):
     from .quadrature import DomainSpec
 
     kind = _get(cfg, "domain", "kind", "square")
-    n = _get_int(cfg, "domain", "n", None)
+    n = _get(cfg, "domain", "n", None)
     if kind == "interval" or (kind == "square" and n == 1):
         return DomainSpec.unit_interval()
     if kind == "square":
@@ -234,12 +228,12 @@ def _build_domain(cfg):
     if kind in ("box", "cube") or (kind == "square" and n == 3):
         return DomainSpec.unit_box()
     if kind == "disk":
-        arc = _get_floats(cfg, "domain", "arc", [0.0, float(np.pi)])
+        arc = _get(cfg, "domain", "arc", [0.0, float(np.pi)])
         if len(arc) != 2:
             raise ConfigurationError("arc needs two angles")
-        return DomainSpec.disk(radius=_get_float(cfg, "domain", "radius", 1.0), arc=tuple(arc))
+        return DomainSpec.disk(radius=_get(cfg, "domain", "radius", 1.0), arc=tuple(arc))
     if kind == "ball":
-        return DomainSpec.ball(cap=_get_float(cfg, "domain", "cap", float(np.pi) / 2.0))
+        return DomainSpec.ball(cap=_get(cfg, "domain", "cap", float(np.pi) / 2.0))
     raise ConfigurationError(f"unknown domain kind {kind!r}")
 
 
@@ -256,12 +250,12 @@ def _assemble_operator(cfg, matrix_free=False):
 
     coeffs = _build_coeffs(cfg)
     domain = _build_domain(cfg)
-    nodes = _get_int(cfg, "grid", "nodes", 32)
+    nodes = _get(cfg, "grid", "nodes", 32)
     grid = build_grid(domain, nodes)
-    a = _get_float(cfg, "operator", "a", 1.0)
+    a = _get(cfg, "operator", "a", 1.0)
     bc = _get(cfg, "operator", "bc", "dirichlet")
     if a == 1.0:
-        sigma = _get_float(cfg, "operator", "sigma", 0.0) if bc == "mixed" else None
+        sigma = _get(cfg, "operator", "sigma", 0.0) if bc == "mixed" else None
         A = assemble_second_order(coeffs, grid, bc=bc, sigma=sigma)
         return A, grid, coeffs, a
     if bc != "dirichlet":
@@ -346,8 +340,8 @@ class Emitter:
             "numpy_version": numpy.__version__,
             "scipy_version": scipy.__version__,
             "kernel_backend": backend(),
-            "seed": _get_int(self.cfg, "output", "seed", 0),
-            "jobs": _get_int(self.cfg, "output", "jobs", 0) or "unlimited",
+            "seed": _get(self.cfg, "output", "seed", 0),
+            "jobs": _get(self.cfg, "output", "jobs", 0) or "unlimited",
             "repro": str(self.repro).lower(),
         }
         for name, value in sorted(self.tolerances.items()):
@@ -400,10 +394,10 @@ def _cmd_symbol_check(cfg, args, em: Emitter) -> list[str]:
 
     coeffs = _build_coeffs(cfg)
     n = coeffs.n
-    a = _get_float(cfg, "operator", "a", 1.0)
-    mu = _get_float(cfg, "operator", "mu", a)
-    samples = _get_int(cfg, "task", "samples", 16)
-    seed = _get_int(cfg, "output", "seed", 0)
+    a = _get(cfg, "operator", "a", 1.0)
+    mu = _get(cfg, "operator", "mu", a)
+    samples = _get(cfg, "task", "samples", 16)
+    seed = _get(cfg, "output", "seed", 0)
     rng = np.random.default_rng(seed)
 
     worst_fact = 0.0
@@ -432,7 +426,7 @@ def _cmd_symbol_check(cfg, args, em: Emitter) -> list[str]:
         f"factorization residual = {0 if worst_fact < 1e-14 else f'{worst_fact:.6g}'}",
         f"transmission residual = {0 if worst_trans < 1e-14 else f'{worst_trans:.6g}'}",
     ]
-    tol = _get_float(cfg, "task", "tol", 1e-8)
+    tol = _get(cfg, "task", "tol", 1e-8)
     em.tolerance("residual", tol)
     if args.check_tolerances and max(worst_fact, worst_trans) > tol:
         raise ToleranceFailure(f"symbol residuals exceed {tol:g}")
@@ -444,8 +438,8 @@ def _cmd_weyl_const(cfg, args, em: Emitter) -> list[str]:
     from .symbols import PrincipalSymbol
 
     which = _get(cfg, "task", "which", "dirichlet")
-    level = _get_int(cfg, "task", "level", 0)
-    a = _get_float(cfg, "operator", "a", 1.0)
+    level = _get(cfg, "task", "level", 0)
+    a = _get(cfg, "operator", "a", 1.0)
     domain = _build_domain(cfg)
     op_kind = _get(cfg, "operator", "kind", "frac-laplacian")
     coeffs = _build_coeffs(cfg)
@@ -483,7 +477,7 @@ def _cmd_weyl_const(cfg, args, em: Emitter) -> list[str]:
 def _cmd_spectrum(cfg, args, em: Emitter) -> list[str]:
     from .eig import lanczos_extreme, sym_eig
 
-    count = _get_int(cfg, "task", "count", None)
+    count = _get(cfg, "task", "count", None)
     A, grid, coeffs, a = _assemble_operator(cfg, matrix_free=bool(count))
     spec = lanczos_extreme(A, k=count) if count else sym_eig(A)
     values = spec.values
@@ -524,9 +518,9 @@ def _cmd_weyl_fit(cfg, args, em: Emitter) -> list[str]:
         A, grid, coeffs, a = _assemble_operator(cfg)
         values = sym_eig(A).values
         label = A.descriptor
-    window = _get_floats(cfg, "task", "window")
+    window = _get(cfg, "task", "window")
     window = (int(window[0]), int(window[1])) if window else None
-    fixed = _get_float(cfg, "task", "fixed_exponent", None)
+    fixed = _get(cfg, "task", "fixed_exponent", None)
     fit = weyl_fit(values, window=window, fixed_exponent=fixed)
 
     em.row("law", "v_j ~ C j^e on the fit window")
@@ -540,10 +534,10 @@ def _cmd_weyl_fit(cfg, args, em: Emitter) -> list[str]:
     em.sequence("weyl-fit-values", values)
     lines = [f"exponent = {fit.exponent:.6g}", f"constant = {fit.constant:.6g}"]
 
-    exp_target = _get_float(cfg, "task", "expect_exponent", None)
-    const_target = _get_float(cfg, "task", "expect_constant", None)
-    tol_e = _get_float(cfg, "task", "tol_exponent", 0.05)
-    tol_c = _get_float(cfg, "task", "tol_constant", 0.15)
+    exp_target = _get(cfg, "task", "expect_exponent", None)
+    const_target = _get(cfg, "task", "expect_constant", None)
+    tol_e = _get(cfg, "task", "tol_exponent", 0.05)
+    tol_c = _get(cfg, "task", "tol_constant", 0.15)
     if exp_target is not None:
         em.tolerance("exponent_rel", tol_e)
         em.row("expect_exponent", exp_target)
@@ -569,10 +563,10 @@ def _cmd_boundary_exp(cfg, args, em: Emitter) -> list[str]:
     A, grid, coeffs, a = _assemble_operator(cfg, matrix_free=True)
     ground = lanczos_extreme(A, k=1, want_vectors=True)
     u = ground.vectors[:, 0]
-    band = _get_floats(cfg, "task", "band")
+    band = _get(cfg, "task", "band")
     band = tuple(band) if band else (2.0 * grid.h, 20.0 * grid.h)
     exponent = boundary_exponent(u, grid, band=band)
-    threshold = _get_float(cfg, "task", "threshold", 0.5)
+    threshold = _get(cfg, "task", "threshold", 0.5)
     ratio = ratio_trace_check(u, grid, a, band=band, threshold=threshold)
 
     em.row("law", "u(x) ~ dist(x)^a near the boundary")
@@ -590,7 +584,7 @@ def _cmd_boundary_exp(cfg, args, em: Emitter) -> list[str]:
         f"boundary exponent = {exponent:.6g} (target {a:.6g})",
         f"weighted ratio nonvanishing = {ratio.nonvanishing}",
     ]
-    tol = _get_float(cfg, "task", "tol", 0.1)
+    tol = _get(cfg, "task", "tol", 0.1)
     em.tolerance("exponent_abs", tol)
     if args.check_tolerances and abs(exponent - a) > tol:
         raise ToleranceFailure(f"boundary exponent {exponent:.6g} not within {tol:g} of {a:g}")
@@ -630,17 +624,17 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
 
     domain_kind = _get(cfg, "domain", "kind", "square")
     shift_raw = _get(cfg, "operator", "shift", "auto")
-    sigma = _get_float(cfg, "operator", "sigma", 0.0)
-    tol = _get_float(cfg, "task", "tol", 1e-10)
+    sigma = _get(cfg, "operator", "sigma", 0.0)
+    tol = _get(cfg, "task", "tol", 1e-10)
     em.tolerance("identity_rel", tol)
 
     if domain_kind == "disk":
-        arc = _get_floats(cfg, "domain", "arc", [0.0, float(np.pi)])
-        n_r = _get_int(cfg, "grid", "n_r", 64)
-        n_theta = _get_int(cfg, "grid", "n_theta", 128)
+        arc = _get(cfg, "domain", "arc", [0.0, float(np.pi)])
+        n_r = _get(cfg, "grid", "n_r", 64)
+        n_theta = _get(cfg, "grid", "n_theta", 128)
         shift = 1.0 if shift_raw == "auto" else float(shift_raw)
         d = disk_interface_spectra(n_r, n_theta, arc=tuple(arc),
-                                   radius=_get_float(cfg, "domain", "radius", 1.0),
+                                   radius=_get(cfg, "domain", "radius", 1.0),
                                    shift=shift, sigma=sigma)
         em.row("law", "mu_j(M) ~ c j^(-2/(n-1)); interface spectra via separation of modes")
         em.row("boundary_nodes", int(d.mu.size))
@@ -651,7 +645,7 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
         return [f"computed {d.mu.size} interface eigenvalues (disk fast path)"]
 
     coeffs = _build_coeffs(cfg)
-    grid = build_grid(_build_domain(cfg), _get_int(cfg, "grid", "nodes", 16))
+    grid = build_grid(_build_domain(cfg), _get(cfg, "grid", "nodes", 16))
     shift = "auto" if shift_raw == "auto" else float(shift_raw)
     k = krein_term(coeffs, sigma, grid, shift=shift)
     rep = krein_identity_check(k)
@@ -681,8 +675,8 @@ def _cmd_dtn_probe(cfg, args, em: Emitter) -> list[str]:
     from .zaremba import dtn_symbol_probe
 
     coeffs = _build_coeffs(cfg)
-    xi = _get_floats(cfg, "task", "xi", [1.0, 2.0, 3.0])
-    h = _get_float(cfg, "grid", "h", 1.0 / 128.0)
+    xi = _get(cfg, "task", "xi", [1.0, 2.0, 3.0])
+    h = _get(cfg, "grid", "h", 1.0 / 128.0)
     rep = dtn_symbol_probe(coeffs, xi, h=h)
 
     em.row("law", "p_dtn(xi') = -kappa0(xi') to principal order")
@@ -695,7 +689,7 @@ def _cmd_dtn_probe(cfg, args, em: Emitter) -> list[str]:
         em.row(f"rel_error_{k+1}", float(rep.rel_errors[k]))
     worst = float(np.max(rep.rel_errors))
     em.row("max_rel_error", worst)
-    tol = _get_float(cfg, "task", "tol", 0.10)
+    tol = _get(cfg, "task", "tol", 0.10)
     em.tolerance("symbol_rel", tol)
     if args.check_tolerances and worst > tol:
         raise ToleranceFailure(f"interface symbol off by {worst:.3g} > {tol:g}")
@@ -708,12 +702,12 @@ def _cmd_singular_probe(cfg, args, em: Emitter) -> list[str]:
     from .asymptotics import log_divergence_probe
 
     decay = _get(cfg, "task", "decay", "harmonic")
-    deltas = _get_floats(cfg, "task", "deltas")
+    deltas = _get(cfg, "task", "deltas")
     if deltas is None:
         deltas = np.geomspace(0.3, 1e-3, 25)
     probe = log_divergence_probe(1.0, np.asarray(deltas, dtype=float), decay=decay)
 
-    tol = _get_float(cfg, "task", "tol", 0.05)
+    tol = _get(cfg, "task", "tol", 0.05)
     divergent = (not probe.degenerate) and abs(probe.slope - 1.0) <= tol
     em.row("law", "I(delta) ~ ||psi||^2 |log delta| as delta -> 0+")
     em.row("decay", decay)
@@ -751,82 +745,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral pipelines for fractional and mixed-boundary elliptic operators.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, summary in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)  # exact flags only
         p.add_argument("--config", help="INI-style config file")
-        p.add_argument("--out", help="output directory (overrides FRACSPEC_OUT)")
-        p.add_argument("--repro", action="store_true", help="omit timestamps for bit-identical reruns")
-        p.add_argument("--seed", type=int, help="seed for sampled checks")
-        p.add_argument("--jobs", type=int, help="cap worker threads")
-        p.add_argument("--assert", dest="check_tolerances", action="store_true",
-                       help="exit 4 when a tolerance is violated")
-        p.add_argument("--tol", type=float, help="primary tolerance for --assert")
-
-    def operator(p, frac=True):
-        p.add_argument("--op", help="operator kind: frac-laplacian | coeffs")
-        p.add_argument("--coeffs", help="identity | diag:1,4 | matrix:2,1;1,2")
-        if frac:
-            p.add_argument("--a", type=float, help="fractional power")
-        p.add_argument("--sigma", type=float, help="Robin weight on the free boundary")
-        p.add_argument("--shift", help="positivity shift (number or 'auto')")
-        p.add_argument("--bc", help="dirichlet | mixed | periodic")
-
-    def domain(p):
-        p.add_argument("--domain", help="interval | square | box | disk | ball")
-        p.add_argument("--n", type=int, help="ambient dimension")
-        p.add_argument("--radius", type=float)
-        p.add_argument("--arc", help="free arc angles t0,t1")
-        p.add_argument("--cap", type=float)
-
-    def grid(p):
-        p.add_argument("--nodes", type=int, help="nodes per axis")
-        p.add_argument("--n-r", dest="n_r", type=int, help="radial rings (disk)")
-        p.add_argument("--n-theta", dest="n_theta", type=int, help="angular nodes (disk)")
-        p.add_argument("--h", type=float, help="grid spacing (strip probe)")
-
-    p = sub.add_parser("symbol-check", help="factorization and reflection-phase residuals")
-    common(p); operator(p)
-    p.add_argument("--n", type=int, help="ambient dimension")
-    p.add_argument("--mu", type=float, help="reflection order (defaults to the power)")
-    p.add_argument("--samples", type=int, help="random boundary samples")
-
-    p = sub.add_parser("weyl-const", help="spectral constants by cosphere quadrature")
-    common(p); operator(p); domain(p)
-    p.add_argument("--which", help="dirichlet | interface-l | interface-m")
-    p.add_argument("--level", type=int, help="quadrature refinement level")
-
-    p = sub.add_parser("spectrum", help="assemble, eigensolve, export")
-    common(p); operator(p); domain(p); grid(p)
-    p.add_argument("--count", type=int, help="export only the first eigenvalues")
-
-    p = sub.add_parser("weyl-fit", help="power-law fit of a spectral sequence")
-    common(p); operator(p); domain(p); grid(p)
-    p.add_argument("--input", help="fit an existing j,value file instead of assembling")
-    p.add_argument("--window", help="fit window j_lo,j_hi")
-    p.add_argument("--fixed-exponent", dest="fixed_exponent", type=float)
-    p.add_argument("--expect-exponent", dest="expect_exponent", type=float)
-    p.add_argument("--expect-constant", dest="expect_constant", type=float)
-    p.add_argument("--tol-exponent", dest="tol_exponent", type=float)
-    p.add_argument("--tol-constant", dest="tol_constant", type=float)
-
-    p = sub.add_parser("boundary-exp", help="boundary decay rate of the ground eigenfunction")
-    common(p); operator(p); domain(p); grid(p)
-    p.add_argument("--band", help="distance band lo,hi for the fit")
-    p.add_argument("--threshold", type=float, help="near-boundary ratio threshold")
-
-    p = sub.add_parser("zaremba", help="Krein pipeline with identity check")
-    common(p); operator(p); domain(p); grid(p)
-    p.add_argument("--toy", action="store_true", help="run the 2-node worked example")
-
-    p = sub.add_parser("dtn-probe", help="interface symbol on a flat strip")
-    common(p); operator(p); grid(p)
-    p.add_argument("--xi", help="tangential frequencies, comma separated")
-
-    p = sub.add_parser("singular-probe", help="log-divergence detector")
-    common(p)
-    p.add_argument("--decay", help="flat | harmonic")
-    p.add_argument("--deltas", help="cutoff sequence, comma separated, decreasing")
-
+        if name not in ("weyl-const", "spectrum"):  # the others check a tolerance
+            p.add_argument("--assert", dest="check_tolerances", action="store_true",
+                           help="exit 4 when a tolerance is violated")
+        if name == "zaremba":
+            p.add_argument("--toy", action="store_true", help="run the 2-node worked example")
+        for _, _, flag, typ, subcommands, text in OPTIONS:
+            if name not in subcommands:
+                continue
+            if typ is _bool:
+                p.add_argument(flag, action="store_const", const="true", help=text)
+            elif isinstance(typ, tuple):
+                p.add_argument(flag, choices=typ, help=text)
+            else:
+                p.add_argument(flag, type=typ if typ in (int, float) else None, help=text)
     return parser
 
 
@@ -837,16 +772,15 @@ def execute(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if getattr(args, "jobs", None):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(args.jobs)
-
     from .errors import ConfigurationError, NumericError
 
     try:
-        cfg = _load_config_file(args.config) if args.config else {}
-        cfg = _merge_flags(cfg, args)
-        repro = _get_bool(cfg, "output", "repro", False)
+        cfg = _merge_flags(_load_config_file(args.config) if args.config else {}, args)
+        jobs = _get(cfg, "output", "jobs")
+        if jobs:  # before any handler loads the numeric stack
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+                os.environ[var] = str(jobs)
+        repro = _get(cfg, "output", "repro", False)
         outdir = _resolve_outdir(cfg, args)
         em = Emitter(outdir, args.subcommand, cfg, args, repro)
         lines = _HANDLERS[args.subcommand](cfg, args, em)

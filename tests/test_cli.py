@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracspec.cli import execute
+from fracspec.cli import OPTIONS, SUBCOMMANDS, _bool, _build_parser, _floats, _get, _merge_flags, execute
 
 
 def run(args, out):
@@ -203,8 +203,10 @@ class TestConfigHandling:
         assert report_lines(out2, "weyl-const")["power"] == "0.5"
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        # an invented key, and a key no pipeline reads
-        for text in ("[task]\nfrobnicate = 1\n", "[output]\nformats = csv\n"):
+        # an invented key, and keys no pipeline reads
+        for text in ("[task]\nfrobnicate = 1\n", "[output]\nformats = csv\n",
+                     "[domain]\nlengths = 1,1\n", "[domain]\nsigma_plus = top\n",
+                     "[domain]\ntorus_pad = 2\n"):
             cfgfile = tmp_path / "bad.ini"
             cfgfile.write_text(text)
             assert execute(["singular-probe", "--config", str(cfgfile),
@@ -222,6 +224,26 @@ class TestConfigHandling:
                     "--domain", "square", "--n", "2"], tmp_path) == 2
         assert run(["dtn-probe", "--coeffs", "identity", "--xi", "1.5",
                     "--h", "0.015625"], tmp_path) == 2
+        # a config value is checked on load, though singular-probe never reads it
+        cfgfile = tmp_path / "b.ini"
+        cfgfile.write_text("[grid]\nnodes = abc\n")
+        assert run(["singular-probe", "--config", str(cfgfile)], tmp_path) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--shift", "5"],
+        ["spectrum", "--op", "bogus"],
+        ["spectrum", "--n-r", "4"],
+        ["spectrum", "--h", "0.1"],
+        ["spectrum", "--assert"],
+        ["zaremba", "--a", "0.5"],
+        ["zaremba", "--bc", "periodic"],
+        ["dtn-probe", "--nodes", "8"],
+        ["weyl-fit", "--tol", "0.1"],
+        ["weyl-const", "--op", "bogus"],
+    ], ids=" ".join)
+    def test_flag_the_subcommand_ignores_exit_2(self, tmp_path, argv, capsys):
+        assert run(argv, tmp_path) == 2
+        capsys.readouterr()
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert execute(["frobnicate"]) == 2
@@ -300,17 +322,46 @@ def test_console_script_help():
     assert "symbol-check" in proc.stdout
 
 
-def test_jobs_flag_caps_thread_env(tmp_path):
-    before = os.environ.get("OMP_NUM_THREADS")
-    try:
-        assert execute(["zaremba", "--toy", "--jobs", "2",
-                        "--out", str(tmp_path)]) == 0
-        assert os.environ.get("OMP_NUM_THREADS") == "2"
-    finally:
-        if before is None:
-            os.environ.pop("OMP_NUM_THREADS", None)
-        else:
-            os.environ["OMP_NUM_THREADS"] = before
+def test_jobs_flag_caps_thread_env(tmp_path, monkeypatch):
+    cfgfile = tmp_path / "j.ini"
+    cfgfile.write_text("[output]\njobs = 2\n")
+    for extra in (["--jobs", "2"], ["--config", str(cfgfile)]):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert execute(["zaremba", "--toy", *extra, "--out", str(tmp_path / "o")]) == 0
+        assert os.environ.get("OMP_NUM_THREADS") == "2", extra
+
+
+# flag text -> config text (scalars as str(type(value))) -> converted value
+_SAMPLES = {
+    float: ("0.250", "0.25", 0.25),
+    int: ("07", "7", 7),
+    str: ("some-text", "some-text", "some-text"),
+    _floats: ("1;2.5", "1;2.5", [1.0, 2.5]),
+}
+
+
+@pytest.mark.parametrize("row", OPTIONS, ids=lambda row: row[2])
+def test_option_table_round_trip(row, capsys):
+    section, key, flag, typ, subcommands, _ = row
+    if typ is _bool:
+        argv, text, value = [flag], "true", True
+    elif isinstance(typ, tuple):
+        argv, text, value = [flag, typ[-1]], typ[-1], typ[-1]
+    else:
+        raw, text, value = _SAMPLES[typ]
+        argv = [flag, raw]
+    parser = _build_parser()
+    for sub in SUBCOMMANDS:
+        if sub not in subcommands:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([sub, *argv])
+            assert exc.value.code == 2, sub
+            continue
+        cfg = _merge_flags({}, parser.parse_args([sub, *argv]))
+        assert cfg == {(section, key): text}, sub
+        assert _get(cfg, section, key) == value, sub
+    capsys.readouterr()
 
 
 def test_cli_import_leaves_numeric_stack_unloaded():
