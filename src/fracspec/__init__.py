@@ -5,7 +5,7 @@ Subpackage map:
 * :mod:`fracspec.symbols` boundary symbol algebra and factorizations
 * :mod:`fracspec.quadrature` domains, cosphere rules, asymptotic constants
 * :mod:`fracspec.discretize` grids, operators, fractional restrictions
-* :mod:`fracspec.eig` symmetric eigensolves and singular values
+* :mod:`fracspec.eig` symmetric eigensolves
 * :mod:`fracspec.asymptotics` power-law fits and boundary-behavior probes
 * :mod:`fracspec.zaremba` mixed-problem assemblies and the resolvent
   difference (Krein) spectra

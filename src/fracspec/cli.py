@@ -37,15 +37,41 @@ import configparser
 import hashlib
 import os
 import sys
+from dataclasses import dataclass
 
 # ---------------------------------------------------------------------------
 # option table
 # ---------------------------------------------------------------------------
 
 
-def _floats(raw: str) -> list:
-    """Comma- (or semicolon-) separated numbers."""
-    return [float(p) for p in raw.replace(";", ",").split(",") if p.strip()]
+@dataclass(frozen=True)
+class _Floats:
+    """Comma- (or semicolon-) separated numbers, exactly `count` of them if set."""
+
+    count: int | None = None
+
+    def __call__(self, raw: str) -> list:
+        vals = [float(p) for p in raw.replace(";", ",").split(",") if p.strip()]
+        if self.count is not None and len(vals) != self.count:
+            raise ValueError(f"needs {self.count} comma-separated numbers, got {len(vals)}")
+        return vals
+
+
+@dataclass(frozen=True)
+class _Int:
+    """An integer of at least `lo`."""
+
+    lo: int
+
+    def __call__(self, raw: str) -> int:
+        val = int(raw)
+        if val < self.lo:
+            raise ValueError(f"must be at least {self.lo}")
+        return val
+
+
+_floats = _Floats()
+_pair = _Floats(2)
 
 
 def _bool(raw: str) -> bool:
@@ -70,9 +96,10 @@ _DOMAIN = ("weyl-const", "zaremba", *_ASSEMBLED)  # read through _build_domain
 _ALL = tuple(SUBCOMMANDS)
 
 # One row per option: (section, key, flag, type, subcommands offering the
-# flag, help).  The type converts the config text: float, int, str, _floats,
-# _bool, or a tuple of the accepted words.  Every option is also a config
-# key [section] key = value, accepted by any subcommand.
+# flag, help).  The type converts and checks the config text: float, int,
+# _Int(lo) (at least lo), str, _floats, _pair (exactly two numbers), _bool,
+# or a tuple of the accepted words.  Every option is also a config key
+# [section] key = value, accepted by any subcommand.
 OPTIONS = (
     ("operator", "kind", "--op", ("frac-laplacian", "coeffs"), ("weyl-const",), "operator kind"),
     ("operator", "coeffs", "--coeffs", str, ("symbol-check", "dtn-probe", *_DOMAIN),
@@ -85,20 +112,20 @@ OPTIONS = (
     ("domain", "kind", "--domain", str, _DOMAIN, "interval | square | box | disk | ball"),
     ("domain", "n", "--n", int, ("symbol-check", *_DOMAIN), "ambient dimension"),
     ("domain", "radius", "--radius", float, _DOMAIN, "disk radius"),
-    ("domain", "arc", "--arc", _floats, _DOMAIN, "free arc angles t0,t1 (disk)"),
+    ("domain", "arc", "--arc", _pair, _DOMAIN, "free arc angles t0,t1 (disk)"),
     ("domain", "cap", "--cap", float, _DOMAIN, "cap angle (ball)"),
     ("grid", "nodes", "--nodes", int, ("zaremba", *_ASSEMBLED), "nodes per axis"),
     ("grid", "n_r", "--n-r", int, ("zaremba",), "radial rings (disk)"),
     ("grid", "n_theta", "--n-theta", int, ("zaremba",), "angular nodes (disk)"),
     ("grid", "h", "--h", float, ("dtn-probe",), "grid spacing (strip probe)"),
     ("task", "xi", "--xi", _floats, ("dtn-probe",), "tangential frequencies, comma separated"),
-    ("task", "window", "--window", _floats, ("weyl-fit",), "fit window j_lo,j_hi"),
+    ("task", "window", "--window", _pair, ("weyl-fit",), "fit window j_lo,j_hi"),
     ("task", "fixed_exponent", "--fixed-exponent", float, ("weyl-fit",), "fit the constant at this exponent"),
     ("task", "deltas", "--deltas", _floats, ("singular-probe",), "cutoff sequence, comma separated, decreasing"),
     ("task", "decay", "--decay", str, ("singular-probe",), "flat | harmonic"),
     ("task", "level", "--level", int, ("weyl-const",), "quadrature refinement level"),
-    ("task", "count", "--count", int, ("spectrum",), "export only the first eigenvalues"),
-    ("task", "band", "--band", _floats, ("boundary-exp",), "distance band lo,hi for the fit"),
+    ("task", "count", "--count", _Int(1), ("spectrum",), "export only the first eigenvalues"),
+    ("task", "band", "--band", _pair, ("boundary-exp",), "distance band lo,hi for the fit"),
     ("task", "threshold", "--threshold", float, ("boundary-exp",), "near-boundary ratio threshold"),
     ("task", "expect_exponent", "--expect-exponent", float, ("weyl-fit",), "expected exponent"),
     ("task", "expect_constant", "--expect-constant", float, ("weyl-fit",), "expected constant"),
@@ -108,7 +135,7 @@ OPTIONS = (
     ("task", "tol_constant", "--tol-constant", float, ("weyl-fit",), "relative constant tolerance"),
     ("task", "which", "--which", str, ("weyl-const",), "dirichlet | interface-l | interface-m"),
     ("task", "input", "--input", str, ("weyl-fit",), "fit an existing j,value file instead of assembling"),
-    ("task", "samples", "--samples", int, ("symbol-check",), "random boundary samples"),
+    ("task", "samples", "--samples", _Int(1), ("symbol-check",), "random boundary samples"),
     ("output", "directory", "--out", str, _ALL, "output directory (overrides FRACSPEC_OUT)"),
     ("output", "repro", "--repro", _bool, _ALL, "omit timestamps for bit-identical reruns"),
     ("output", "seed", "--seed", int, _ALL, "seed for sampled checks"),
@@ -136,7 +163,6 @@ def _load_config_file(path: str) -> dict:
             if (section, key) not in _TYPES:
                 raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
             cfg[(section, key)] = value.strip()
-            _get(cfg, section, key)  # check the value; the config keeps its text
     return cfg
 
 
@@ -170,7 +196,7 @@ def _get(cfg, section, key, default=None):
     try:
         return typ(raw)
     except ValueError as exc:
-        raise ConfigurationError(f"{section}.{key}: cannot read {raw!r} as {typ.__name__.strip('_')}") from exc
+        raise ConfigurationError(f"{section}.{key}: cannot read {raw!r} ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +217,18 @@ def _build_coeffs(cfg):
     spec = _get(cfg, "operator", "coeffs", "identity")
     n = _get(cfg, "domain", "n", None)
     if spec in ("identity", "laplacian"):
-        dom_n = n if n is not None else _domain_dim(cfg)
-        return SecondOrderCoeffs.laplacian(dom_n)
+        return SecondOrderCoeffs.laplacian(n if n is not None else _domain_dim(cfg))
     if spec.startswith("diag:"):
-        diag = [float(p) for p in spec[5:].split(",")]
-        return SecondOrderCoeffs(len(diag), a=np.diag(diag))
-    if spec.startswith("matrix:"):
-        rows = [[float(p) for p in row.split(",")] for row in spec[7:].split(";")]
-        mat = np.asarray(rows, dtype=float)
+        mat = np.diag([float(p) for p in spec[5:].split(",")])
+    elif spec.startswith("matrix:"):
+        mat = np.asarray([[float(p) for p in row.split(",")] for row in spec[7:].split(";")], dtype=float)
         if mat.shape[0] != mat.shape[1]:
             raise ConfigurationError("coefficient matrix must be square")
-        return SecondOrderCoeffs(mat.shape[0], a=mat)
-    raise ConfigurationError(f"unknown coefficient form {spec!r}")
+    else:
+        raise ConfigurationError(f"unknown coefficient form {spec!r}")
+    if n is not None and n != mat.shape[0]:
+        raise ConfigurationError(f"coefficients {spec!r} are {mat.shape[0]}-dimensional, but domain.n = {n}")
+    return SecondOrderCoeffs(mat.shape[0], a=mat)
 
 
 def _domain_dim(cfg) -> int:
@@ -229,8 +255,6 @@ def _build_domain(cfg):
         return DomainSpec.unit_box()
     if kind == "disk":
         arc = _get(cfg, "domain", "arc", [0.0, float(np.pi)])
-        if len(arc) != 2:
-            raise ConfigurationError("arc needs two angles")
         return DomainSpec.disk(radius=_get(cfg, "domain", "radius", 1.0), arc=tuple(arc))
     if kind == "ball":
         return DomainSpec.ball(cap=_get(cfg, "domain", "cap", float(np.pi) / 2.0))
@@ -478,8 +502,8 @@ def _cmd_spectrum(cfg, args, em: Emitter) -> list[str]:
     from .eig import lanczos_extreme, sym_eig
 
     count = _get(cfg, "task", "count", None)
-    A, grid, coeffs, a = _assemble_operator(cfg, matrix_free=bool(count))
-    spec = lanczos_extreme(A, k=count) if count else sym_eig(A)
+    A, grid, coeffs, a = _assemble_operator(cfg, matrix_free=count is not None)
+    spec = sym_eig(A) if count is None else lanczos_extreme(A, k=count)
     values = spec.values
     em.row("law", "lambda_j ascending; Weyl: lambda_j ~ C j^(2a/n)")
     em.row("operator", A.descriptor)
@@ -616,6 +640,7 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
         em.row("law", "nonzero spec(M) = spec(S^-1 (K^T K + I))")
         em.row("mu_1", mu)
         em.row("identity_mismatch", float(rep.max_rel_mismatch))
+        em.row("identity_residual", rep.residual)
         em.row("rank_bound_ok", rep.rank_bound_ok)
         return [
             f"M eigenvalue = {mu:.6g}",
@@ -657,6 +682,7 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
     em.row("sigma", sigma)
     em.row("n2_flagged", bool(k.meta.get("n2_flagged", False)))
     em.row("identity_mismatch", float(rep.max_rel_mismatch))
+    em.row("identity_residual", rep.residual)
     em.row("rank_bound_ok", rep.rank_bound_ok)
     em.sequence("zaremba-mu", mu_w)
     em.sequence("zaremba-interface", k.weighted_L_spectrum())
@@ -760,8 +786,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, action="store_const", const="true", help=text)
             elif isinstance(typ, tuple):
                 p.add_argument(flag, choices=typ, help=text)
-            else:
-                p.add_argument(flag, type=typ if typ in (int, float) else None, help=text)
+            else:  # numbers parse as numbers here; limits and list lengths are checked in execute
+                p.add_argument(flag, type=int if isinstance(typ, _Int) else typ if typ in (int, float) else None,
+                               help=text)
     return parser
 
 
@@ -776,6 +803,8 @@ def execute(argv) -> int:
 
     try:
         cfg = _merge_flags(_load_config_file(args.config) if args.config else {}, args)
+        for section, key in cfg:  # every value, read or not, is checked before any run
+            _get(cfg, section, key)
         jobs = _get(cfg, "output", "jobs")
         if jobs:  # before any handler loads the numeric stack
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):

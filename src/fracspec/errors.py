@@ -1,6 +1,7 @@
 """Shared exception types.
 
-ConfigurationError maps to CLI exit code 2, NumericError to exit code 3.
+ConfigurationError maps to CLI exit code 2, NumericError (with its
+subtypes) to exit code 3.
 """
 
 
@@ -14,3 +15,7 @@ class NumericError(RuntimeError):
 
 class NotPositiveError(NumericError):
     """An operator required to be positive (semi)definite is not."""
+
+
+class InvariantError(NumericError):
+    """A computed object broke an invariant it must hold (symmetry, ordering)."""

@@ -13,7 +13,18 @@ import sys
 import numpy as np
 import pytest
 
-from fracspec.cli import OPTIONS, SUBCOMMANDS, _bool, _build_parser, _floats, _get, _merge_flags, execute
+from fracspec.cli import (
+    OPTIONS,
+    SUBCOMMANDS,
+    _bool,
+    _build_parser,
+    _floats,
+    _get,
+    _Int,
+    _merge_flags,
+    _pair,
+    execute,
+)
 
 
 def run(args, out):
@@ -167,6 +178,13 @@ class TestPipelines:
         vals = np.array([float(r.split(",")[1]) for r in mu[1:]])
         assert np.all(np.diff(vals) <= 1e-15)
 
+    def test_zaremba_box_certified(self, tmp_path):
+        assert run(["zaremba", "--coeffs", "identity", "--domain", "box", "--nodes", "16"], tmp_path) == 0
+        rows = report_lines(tmp_path, "zaremba")
+        assert float(rows["identity_mismatch"]) <= 1e-10
+        assert float(rows["identity_residual"]) <= 1e-12
+        assert rows["rank_bound_ok"] == "True"
+
     def test_zaremba_disk_flagged(self, tmp_path):
         assert run(
             ["zaremba", "--coeffs", "identity", "--domain", "disk",
@@ -184,6 +202,17 @@ class TestPipelines:
         assert float(rows["max_rel_error"]) <= 1e-3
         strict = tmp_path / "strict"
         assert run(args + ["--assert", "--tol", "1e-6"], strict) == 4
+
+
+# option values the table's constraints reject, with a phrase of the message
+_CONSTRAINT_CASES = [
+    (["weyl-fit", "--window", "5"], "task.window"),
+    (["zaremba", "--domain", "disk", "--arc", "1", "--n-r", "8", "--n-theta", "16"], "domain.arc"),
+    (["boundary-exp", "--band", "0.1"], "task.band"),
+    (["symbol-check", "--n", "3", "--coeffs", "diag:1,2"], "2-dimensional, but domain.n = 3"),
+    (["spectrum", "--count", "0", "--nodes", "8"], "task.count"),
+    (["spectrum", "--count", "-3", "--nodes", "8"], "task.count"),
+]
 
 
 class TestConfigHandling:
@@ -245,6 +274,19 @@ class TestConfigHandling:
         assert run(argv, tmp_path) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, message", _CONSTRAINT_CASES, ids=[" ".join(argv) for argv, _ in _CONSTRAINT_CASES])
+    def test_option_constraint_exit_2(self, tmp_path, argv, message, capsys):
+        assert run(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert "Traceback" not in err and not (tmp_path / "manifest.txt").exists()
+
+    def test_constraint_in_config_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[task]\nwindow = 5\n")
+        assert run(["singular-probe", "--config", str(cfgfile)], tmp_path) == 2
+        assert "task.window" in capsys.readouterr().err
+
     def test_unknown_subcommand_exit_2(self, capsys):
         assert execute(["frobnicate"]) == 2
         capsys.readouterr()
@@ -261,6 +303,15 @@ class TestConfigHandling:
         monkeypatch.setattr(eig, "DENSE_CAP", 64)
         assert run(["spectrum", "--coeffs", "identity", "--a", "0.5", "--domain", "square",
                     "--nodes", "16", "--count", "3"], tmp_path) == 3
+
+    def test_invariant_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        # an assembly that comes out unsymmetric is a numeric failure, not a configuration error
+        from fracspec import discretize
+
+        monkeypatch.setattr(discretize, "assemble_second_order",
+                            lambda *a, **k: discretize.OperatorMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), "bad"))
+        assert run(["spectrum", "--coeffs", "identity", "--nodes", "8"], tmp_path) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: operator matrix is not symmetric")
 
     def test_numeric_failure_exit_3(self, tmp_path):
         seq = tmp_path / "seq.csv"
@@ -338,6 +389,8 @@ _SAMPLES = {
     int: ("07", "7", 7),
     str: ("some-text", "some-text", "some-text"),
     _floats: ("1;2.5", "1;2.5", [1.0, 2.5]),
+    _pair: ("1;2.5", "1;2.5", [1.0, 2.5]),
+    _Int(1): ("07", "7", 7),
 }
 
 

@@ -17,9 +17,10 @@ from fracspec.discretize import (
     materialize_torus_operator,
     poisson_extension,
     schur_dtn,
+    schur_split,
     spectral_fractional_dirichlet,
 )
-from fracspec.errors import ConfigurationError, NotPositiveError, NumericError
+from fracspec.errors import ConfigurationError, InvariantError, NotPositiveError, NumericError
 from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
 from fracspec.zaremba import krein_from_matrix
@@ -181,7 +182,7 @@ class TestAssembly:
         assert sla.eigvalsh(A.toarray()).min() > 0.0
 
     def test_matrix_symmetry_guard(self):
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(InvariantError, match="symmetric"):
             OperatorMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), "bad")
 
 
@@ -421,6 +422,20 @@ class TestSchurDtn:
         _, A = _square_all_faces(8)
         _, L = schur_dtn(A)
         assert sla.eigvalsh(L.toarray()).min() > 0.0
+
+    @pytest.mark.parametrize("domain, nodes, sigma", [
+        (DomainSpec.unit_box(), 12, 0.0),
+        (DomainSpec.unit_square(), 48, 1.25),
+    ], ids=["box12", "square48-robin"])
+    def test_sparse_split_matches_dense_solve(self, domain, nodes, sigma):
+        # the minimum-degree sparse LU route against scipy.linalg.solve on the dense blocks
+        g = build_grid(domain, nodes)
+        A = assemble_second_order(laplacian(g.n), g, bc="mixed", sigma=sigma, a0=1.0)
+        I, B = A.rows("interior"), A.rows("sigma_plus")
+        K, S = schur_split(A.matrix, I, B)
+        K_d, S_d = schur_split(A.matrix.toarray(), I, B)
+        assert np.abs(K - K_d).max() <= 1e-13 * np.abs(K_d).max()
+        assert np.abs(S - S_d).max() <= 1e-13 * np.abs(S_d).max()
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,77 @@ class TestKreinOracle:
         monkeypatch.setattr(sla, "eigvalsh", spy)
         k = krein_term(SecondOrderCoeffs.laplacian(2), 0.5, build_grid(DomainSpec.unit_square(), 8))
         rep = krein_identity_check(k)
-        assert calls == [k.n_interior + k.n_boundary]
+        assert calls == [k.n_boundary]  # the Ritz matrix B, never the N x N matrix M
         assert rep.max_rel_mismatch <= 1e-10
+
+
+def full_spectrum_verdict(k, scale):
+    """Descending full spectrum of the materialized M and the rank/sign test on it."""
+    w = np.linalg.eigvalsh(k.M)[::-1]
+    t = 1e-12 * max(scale, 1.0)
+    return w, bool(np.sum(np.abs(w) > t) <= k.n_boundary and w.min() >= -t)
+
+
+def grid_krein(domain, nodes, sigma):
+    grid = build_grid(domain, nodes)
+    return krein_term(SecondOrderCoeffs.laplacian(grid.n), sigma, grid)
+
+
+class TestRitzCertificate:
+    """The Rayleigh-Ritz check against a full eigensolve of M, and defects it must catch."""
+
+    def assert_weyl_bound(self, k):
+        rep = krein_identity_check(k)
+        ritz, rho = k.ritz_from_M()
+        scale = np.abs(rep.mu_identity).max()
+        w, verdict = full_spectrum_verdict(k, scale)
+        slack = rho + 1e-13 * scale
+        assert np.max(np.abs(w[: k.n_boundary] - ritz)) <= slack
+        assert np.max(np.abs(w[k.n_boundary :]), initial=0.0) <= slack
+        assert rep.rank_bound_ok == verdict
+        assert rep.residual == pytest.approx(rho / scale, rel=1e-15)
+        assert np.array_equal(rep.mu_from_m, ritz)
+        return rep
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_spd())
+    def test_ritz_values_bound_full_spectrum(self, problem):
+        om, _, _ = problem
+        assert self.assert_weyl_bound(krein_from_matrix(om)).rank_bound_ok
+
+    @pytest.mark.parametrize("domain, nodes, sigma", [
+        (DomainSpec.unit_box(), 12, 0.5),
+        (DomainSpec.unit_square(), 48, 1.25),
+    ], ids=["box12", "square48"])
+    def test_ritz_values_bound_full_spectrum_on_grids(self, domain, nodes, sigma):
+        rep = self.assert_weyl_bound(grid_krein(domain, nodes, sigma))
+        assert rep.rank_bound_ok
+        assert rep.residual <= 1e-12
+        assert rep.max_rel_mismatch <= 1e-12
+
+    def test_symmetric_perturbation_fails_certificate(self):
+        k = grid_krein(DomainSpec.unit_square(), 16, 0.5)
+        assert krein_identity_check(k).rank_bound_ok
+        E = np.random.default_rng(1).standard_normal(k.M.shape)
+        E = E + E.T
+        k._M = k.M + 1e-9 * E / np.linalg.norm(E)
+        rep = krein_identity_check(k)
+        assert not rep.rank_bound_ok
+        assert rep.residual * np.abs(rep.mu_identity).max() > 1e-10
+
+    def test_rank_one_outside_range_fails_both_routes(self):
+        k = grid_krein(DomainSpec.unit_square(), 16, 0.5)
+        G = np.vstack([k.K, np.eye(k.n_boundary)])
+        v = np.random.default_rng(2).standard_normal(G.shape[0])
+        v -= G @ np.linalg.lstsq(G, v, rcond=None)[0]  # orthogonal to range([K; I])
+        v /= np.linalg.norm(v)
+        scale = np.abs(k.mu_exact()).max()
+        k._M = k.M + 1e-3 * scale * np.outer(v, v)
+        rep = krein_identity_check(k)
+        assert not rep.rank_bound_ok
+        assert rep.residual == pytest.approx(1e-3, rel=1e-6)  # rho is the added term itself
+        assert not full_spectrum_verdict(k, scale)[1]  # one eigenvalue too many: the rank bound fails
+        assert rep.max_rel_mismatch <= 1e-12  # while the Ritz values still match the identity
 
 
 class TestKreinGrid:
