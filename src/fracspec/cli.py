@@ -74,6 +74,16 @@ _floats = _Floats()
 _pair = _Floats(2)
 
 
+def _index_range(raw: str) -> list:
+    """Two comma-separated integers lo,hi with lo < hi."""
+    vals = [int(p) for p in raw.replace(";", ",").split(",") if p.strip()]
+    if len(vals) != 2:
+        raise ValueError(f"needs 2 comma-separated integers, got {len(vals)}")
+    if vals[0] >= vals[1]:
+        raise ValueError(f"needs lo < hi, got {vals[0]},{vals[1]}")
+    return vals
+
+
 def _bool(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
@@ -97,9 +107,10 @@ _ALL = tuple(SUBCOMMANDS)
 
 # One row per option: (section, key, flag, type, subcommands offering the
 # flag, help).  The type converts and checks the config text: float, int,
-# _Int(lo) (at least lo), str, _floats, _pair (exactly two numbers), _bool,
-# or a tuple of the accepted words.  Every option is also a config key
-# [section] key = value, accepted by any subcommand.
+# _Int(lo) (at least lo), str, _floats, _pair (exactly two numbers),
+# _index_range (integers lo < hi), _bool, or a tuple of the accepted words.
+# Every option is also a config key [section] key = value, accepted by any
+# subcommand.
 OPTIONS = (
     ("operator", "kind", "--op", ("frac-laplacian", "coeffs"), ("weyl-const",), "operator kind"),
     ("operator", "coeffs", "--coeffs", str, ("symbol-check", "dtn-probe", *_DOMAIN),
@@ -119,7 +130,7 @@ OPTIONS = (
     ("grid", "n_theta", "--n-theta", int, ("zaremba",), "angular nodes (disk)"),
     ("grid", "h", "--h", float, ("dtn-probe",), "grid spacing (strip probe)"),
     ("task", "xi", "--xi", _floats, ("dtn-probe",), "tangential frequencies, comma separated"),
-    ("task", "window", "--window", _pair, ("weyl-fit",), "fit window j_lo,j_hi"),
+    ("task", "window", "--window", _index_range, ("weyl-fit",), "fit window j_lo,j_hi"),
     ("task", "fixed_exponent", "--fixed-exponent", float, ("weyl-fit",), "fit the constant at this exponent"),
     ("task", "deltas", "--deltas", _floats, ("singular-probe",), "cutoff sequence, comma separated, decreasing"),
     ("task", "decay", "--decay", str, ("singular-probe",), "flat | harmonic"),
@@ -500,9 +511,12 @@ def _cmd_weyl_const(cfg, args, em: Emitter) -> list[str]:
 
 def _cmd_spectrum(cfg, args, em: Emitter) -> list[str]:
     from .eig import lanczos_extreme, sym_eig
+    from .errors import ConfigurationError
 
     count = _get(cfg, "task", "count", None)
     A, grid, coeffs, a = _assemble_operator(cfg, matrix_free=count is not None)
+    if count is not None and count > A.shape[0]:
+        raise ConfigurationError(f"task.count {count} exceeds the operator dimension {A.shape[0]}")
     spec = sym_eig(A) if count is None else lanczos_extreme(A, k=count)
     values = spec.values
     em.row("law", "lambda_j ascending; Weyl: lambda_j ~ C j^(2a/n)")
@@ -543,9 +557,8 @@ def _cmd_weyl_fit(cfg, args, em: Emitter) -> list[str]:
         values = sym_eig(A).values
         label = A.descriptor
     window = _get(cfg, "task", "window")
-    window = (int(window[0]), int(window[1])) if window else None
     fixed = _get(cfg, "task", "fixed_exponent", None)
-    fit = weyl_fit(values, window=window, fixed_exponent=fixed)
+    fit = weyl_fit(values, window=tuple(window) if window else None, fixed_exponent=fixed)
 
     em.row("law", "v_j ~ C j^e on the fit window")
     em.row("source", label)
@@ -618,11 +631,13 @@ def _cmd_boundary_exp(cfg, args, em: Emitter) -> list[str]:
 def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
     import numpy as np
 
-    from .discretize import OperatorMatrix, build_grid
+    from .discretize import OperatorMatrix
     from .zaremba import (
         disk_interface_spectra,
+        face_mode_spectra,
         krein_from_matrix,
         krein_identity_check,
+        krein_path,
         krein_term,
     )
 
@@ -639,6 +654,8 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
         mu = float(k.mu_exact()[0])
         em.row("law", "nonzero spec(M) = spec(S^-1 (K^T K + I))")
         em.row("mu_1", mu)
+        em.row("krein_path", "assembled")
+        em.row("identity_check", "run")
         em.row("identity_mismatch", float(rep.max_rel_mismatch))
         em.row("identity_residual", rep.residual)
         em.row("rank_bound_ok", rep.rank_bound_ok)
@@ -649,6 +666,7 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
 
     domain_kind = _get(cfg, "domain", "kind", "square")
     shift_raw = _get(cfg, "operator", "shift", "auto")
+    mode_shift = 1.0 if shift_raw == "auto" else float(shift_raw)  # auto is 1 on the positive mode-route inputs
     sigma = _get(cfg, "operator", "sigma", 0.0)
     tol = _get(cfg, "task", "tol", 1e-10)
     em.tolerance("identity_rel", tol)
@@ -657,30 +675,47 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
         arc = _get(cfg, "domain", "arc", [0.0, float(np.pi)])
         n_r = _get(cfg, "grid", "n_r", 64)
         n_theta = _get(cfg, "grid", "n_theta", 128)
-        shift = 1.0 if shift_raw == "auto" else float(shift_raw)
         d = disk_interface_spectra(n_r, n_theta, arc=tuple(arc),
                                    radius=_get(cfg, "domain", "radius", 1.0),
-                                   shift=shift, sigma=sigma)
+                                   shift=mode_shift, sigma=sigma)
         em.row("law", "mu_j(M) ~ c j^(-2/(n-1)); interface spectra via separation of modes")
         em.row("boundary_nodes", int(d.mu.size))
-        em.row("shift", shift)
+        em.row("shift", mode_shift)
         em.row("n2_flagged", True)
+        em.row("krein_path", "modes")
+        em.row("identity_check", "not_run")
         em.sequence("zaremba-mu", d.mu)
         em.sequence("zaremba-interface", np.linalg.eigvalsh(d.L_weighted))
         return [f"computed {d.mu.size} interface eigenvalues (disk fast path)"]
 
     coeffs = _build_coeffs(cfg)
-    grid = build_grid(_build_domain(cfg), _get(cfg, "grid", "nodes", 16))
-    shift = "auto" if shift_raw == "auto" else float(shift_raw)
-    k = krein_term(coeffs, sigma, grid, shift=shift)
+    domain = _build_domain(cfg)
+    nodes = _get(cfg, "grid", "nodes", 16)
+    path, grid = krein_path(coeffs, sigma, domain, nodes)  # past the cap, non-separable inputs stop here
+    em.row("law", "nonzero spec(M) = spec(S^-1 (K^T K + I)); mu_j(M) ~ c j^(-2/(n-1))")
+    if path == "modes":
+        f = face_mode_spectra(coeffs, sigma, domain, nodes, shift=mode_shift)
+        em.row("interior_nodes", f.meta["n_interior"])
+        em.row("boundary_nodes", f.meta["n_boundary"])
+        em.row("shift", f.meta["shift"])
+        em.row("sigma", sigma)
+        em.row("n2_flagged", f.meta["n2_flagged"])
+        em.row("krein_path", path)
+        em.row("identity_check", "not_run")
+        em.sequence("zaremba-mu", f.mu)
+        em.sequence("zaremba-interface", f.interface)
+        return [f"computed {f.mu.size} weighted interface eigenvalues (face modes; identity check not run)"]
+
+    k = krein_term(coeffs, sigma, grid, shift="auto" if shift_raw == "auto" else mode_shift)
     rep = krein_identity_check(k)
     mu_w = k.weighted_mu()
-    em.row("law", "nonzero spec(M) = spec(S^-1 (K^T K + I)); mu_j(M) ~ c j^(-2/(n-1))")
     em.row("interior_nodes", k.n_interior)
     em.row("boundary_nodes", k.n_boundary)
     em.row("shift", k.shift)
     em.row("sigma", sigma)
     em.row("n2_flagged", bool(k.meta.get("n2_flagged", False)))
+    em.row("krein_path", path)
+    em.row("identity_check", "run")
     em.row("identity_mismatch", float(rep.max_rel_mismatch))
     em.row("identity_residual", rep.residual)
     em.row("rank_bound_ok", rep.rank_bound_ok)

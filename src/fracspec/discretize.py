@@ -24,7 +24,6 @@ so in meta["units"].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,44 +197,6 @@ class OperatorMatrix:
             return np.asarray(self.meta["row_sets"][name])
         except KeyError as exc:
             raise KeyError(f"matrix has no row set {name!r}") from exc
-
-    # -- export ------------------------------------------------------------
-
-    def _header(self) -> dict:
-        hdr = {
-            "descriptor": self.descriptor,
-            "index_label": self.index_label,
-            "shape": list(self.shape),
-            "units": self.meta.get("units", "operator"),
-        }
-        if self.grid is not None:
-            hdr["grid"] = {"h": self.grid.h, "shape": list(self.grid.shape)}
-        return hdr
-
-    def to_text(self, path) -> None:
-        dense = self.toarray()
-        with open(path, "w") as fh:
-            fh.write("# fracspec operator matrix\n")
-            fh.write("# " + json.dumps(self._header(), sort_keys=True) + "\n")
-            np.savetxt(fh, dense, fmt="%.17g")
-
-    def to_binary(self, path) -> None:
-        np.savez_compressed(path, matrix=self.toarray(), header=json.dumps(self._header(), sort_keys=True))
-
-    @classmethod
-    def from_text(cls, path) -> "OperatorMatrix":
-        with open(path) as fh:
-            fh.readline()
-            hdr = json.loads(fh.readline().lstrip("# ").strip())
-            dense = np.loadtxt(fh)
-        dense = np.atleast_2d(dense)
-        return cls(dense, hdr["index_label"], None, hdr["descriptor"], {"units": hdr.get("units", "operator")})
-
-    @classmethod
-    def from_binary(cls, path) -> "OperatorMatrix":
-        data = np.load(path, allow_pickle=False)
-        hdr = json.loads(str(data["header"]))
-        return cls(data["matrix"], hdr["index_label"], None, hdr["descriptor"], {"units": hdr.get("units", "operator")})
 
 
 # ---------------------------------------------------------------------------

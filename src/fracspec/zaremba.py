@@ -24,10 +24,20 @@ values or of zero (Parlett, The Symmetric Eigenvalue Problem, ch. 11),
 so a small rho proves both the rank bound and the sign of the spectrum,
 and the Ritz values stand for the nonzero spectrum of M in the
 comparison with S^{-1}(K^T K + I).  rho relative to the spectral scale
-is reported as identity_residual.  The module also carries the
-interior-weighted spectra used for asymptotic comparisons, the
-flat-strip probe measuring the DtN principal symbol against -kappa0, and
-a Fourier fast path for disk interfaces.
+is reported as identity_residual.  The identity is only checked where
+M is materialized, N <= DENSE_POWER_CAP (krein_path "assembled").
+
+On separable geometries each tangential mode reduces the mixed problem
+to one tridiagonal normal chain (Buzbee, Golub & Nielson, SIAM J. Numer.
+Anal. 7 (1970)).  chain_schur is the one chain elimination: a batch of
+chains, one LDL^H sweep over the chain index vectorized over the modes,
+returning the per-mode interface Schur value s_m and extension mass q_m.
+Three callers share it: the disk (angular Fourier modes, radial chains,
+arc submatrices of the synthesized circulants), the square and box
+faces (DST-I modes over the free face, normal chains, partition
+submatrices; krein_path "modes" past the cap), and the flat-strip probe
+measuring the DtN principal symbol against -kappa0.  The module also
+carries the interior-weighted spectra used for asymptotic comparisons.
 """
 
 from __future__ import annotations
@@ -38,13 +48,17 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .discretize import DENSE_POWER_CAP, Grid, OperatorMatrix, assemble_second_order, schur_split
+from .discretize import DENSE_POWER_CAP, Grid, OperatorMatrix, assemble_second_order, build_grid, schur_split
 from .eig import min_eigenvalue_estimate
 from .errors import ConfigurationError, NotPositiveError, NumericError
 from .symbols import SecondOrderCoeffs, boundary_reduction, dtn_principal
 
 _NOT_POSITIVE = "interface Schur complement is not positive definite; apply a larger positivity shift"
 _ROW_BLOCK = 512  # rows of M per block of the Rayleigh-Ritz residual
+
+
+def _cap_message(size: int) -> str:
+    return f"M would be {size}x{size}, above the {DENSE_POWER_CAP} cap"
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +123,7 @@ class KreinAssembly:
                 self._M = np.zeros((size, size))
             else:
                 if size > DENSE_POWER_CAP:
-                    raise NumericError(f"M would be {size}x{size}, above the {DENSE_POWER_CAP} cap")
+                    raise NumericError(_cap_message(size))
                 # F^T = R^{-T} G^T; the product F F^T is symmetric bit for bit
                 Ft = scipy.linalg.solve_triangular(self._chol[0], self._basis().T, trans="T",
                                                    lower=self._chol[1])
@@ -304,6 +318,51 @@ def krein_identity_check(k: KreinAssembly) -> KreinIdentityReport:
 
 
 # ---------------------------------------------------------------------------
+# batched chain-Schur core
+# ---------------------------------------------------------------------------
+
+
+def chain_schur(diag, off, d_free, c, vol=None):
+    """Schur complements of a batch of Hermitian tridiagonal chains onto a free end node.
+
+    Row m of diag (modes, L) and off (modes, L-1) is the chain T_m: real
+    diagonal diag[m] and superdiagonal T_m[j, j+1] = off[m, j], real or
+    complex.  Position 0 is the far end; position L-1 couples to one free
+    node with weight c[m] (the entry T[L-1, free]) whose diagonal is
+    d_free[m].  One forward LDL^H (Thomas) sweep over the chain index,
+    vectorized over the modes, gives the pivots p_j, and
+    (T^{-1})_{L-1, L-1} = 1/p_{L-1}, so
+
+        s_m = d_free[m] - |c[m]|^2 / p_{L-1}.
+
+    With vol (modes, L), back substitution gives the extension
+    u = -T^{-1} c e_{L-1} of a unit value on the free node as a
+    cumulative product, and its mass q_m = sum_j vol[m, j] |u_j|^2.
+    Returns (s, q), q None without vol.  No pivoting: the chains of a
+    positive assembly are positive definite.
+    """
+    modes, length = np.shape(diag)
+    diag = np.ascontiguousarray(np.transpose(diag))  # chain-major: each step reads one contiguous row
+    off = np.ascontiguousarray(np.transpose(off))
+    e2 = np.abs(off) ** 2
+    piv = np.empty((length, modes))
+    piv[0] = diag[0]
+    for j in range(1, length):
+        np.subtract(diag[j], e2[j - 1] / piv[j - 1], out=piv[j])
+    s = np.asarray(d_free) - np.abs(c) ** 2 / piv[-1]
+    q = None
+    if vol is not None:
+        # u_{L-1} = -c / p_{L-1} and u_j = -(T[j, j+1] / p_j) u_{j+1}
+        ratio = -off / piv[:-1]
+        u = np.concatenate([np.cumprod(ratio[::-1], axis=0)[::-1], np.ones((1, modes))])
+        u *= -np.asarray(c) / piv[-1]
+        q = np.einsum("jm,mj->m", np.abs(u) ** 2, vol)
+    if not (np.all(np.isfinite(s)) and (q is None or np.all(np.isfinite(q)))):
+        raise NumericError("chain elimination met a zero pivot")
+    return s, q
+
+
+# ---------------------------------------------------------------------------
 # flat-strip DtN symbol probe
 # ---------------------------------------------------------------------------
 
@@ -324,36 +383,6 @@ class DtnProbeReport:
             "rel_errors": list(map(float, self.rel_errors)),
             **self.meta,
         }
-
-
-def _mode_schur(coeffs_mat: np.ndarray, xi: float, h: float, n_rows: int) -> float:
-    """Scalar Schur complement of the per-mode boundary-normal chain.
-
-    Rows j = 0..n_rows-1 discretize the inward normal; the top row
-    carries a Dirichlet condition (eliminated), the bottom row j = 0 is
-    the free boundary node with half tangential weight.  Returns the
-    form-unit interface energy of the mode.
-    """
-    a11 = coeffs_mat[0, 0]
-    a22 = coeffs_mat[1, 1]
-    a12 = coeffs_mat[0, 1]
-    mxi = 2.0 - 2.0 * np.cos(xi * h)
-    sxi = np.sin(xi * h)
-    diag = np.full(n_rows, a11 * mxi + 2.0 * a22, dtype=complex)
-    diag[0] = 0.5 * a11 * mxi + a22
-    off_up = np.full(n_rows - 1, -a22 - 1j * a12 * sxi, dtype=complex)  # T[j, j+1]
-    # banded solve of T[1:, 1:] x = T[1:, 0]
-    ab = np.zeros((3, n_rows - 1), dtype=complex)
-    ab[0, 1:] = off_up[1:]
-    ab[1, :] = diag[1:]
-    ab[2, :-1] = np.conj(off_up[1:])
-    rhs = np.zeros(n_rows - 1, dtype=complex)
-    rhs[0] = np.conj(off_up[0])  # T[1, 0]
-    x = scipy.linalg.solve_banded((1, 1), ab, rhs)
-    s = diag[0] - off_up[0] * x[0]
-    if abs(s.imag) > 1e-10 * abs(s):
-        raise NumericError("mode reduction lost Hermitian symmetry")
-    return float(s.real)
 
 
 def dtn_symbol_probe(coeffs: SecondOrderCoeffs, xi_primes, h: float = 1.0 / 128.0,
@@ -388,8 +417,17 @@ def dtn_symbol_probe(coeffs: SecondOrderCoeffs, xi_primes, h: float = 1.0 / 128.
     if n_rows > 200000:
         raise ConfigurationError("strip too tall for the requested spacing")
 
+    # one chain per frequency: rows 1..n_rows-1 above the free row 0, which
+    # carries half the tangential weight; the Dirichlet top row is eliminated
     a = np.asarray(coeffs.a, dtype=float)
-    measured = np.array([-_mode_schur(a, xi, h, n_rows) / h for xi in xi_arr])
+    mxi = 2.0 - 2.0 * np.cos(xi_arr * h)
+    off = -a[1, 1] - 1j * a[0, 1] * np.sin(xi_arr * h)  # T[j, j+1]
+    length = n_rows - 1
+    up = np.conj(off)  # T[j, j-1]: each chain runs from the top row down to row 1
+    s, _ = chain_schur(np.broadcast_to((a[0, 0] * mxi + 2.0 * a[1, 1])[:, None], (xi_arr.size, length)),
+                       np.broadcast_to(up[:, None], (xi_arr.size, length - 1)),
+                       0.5 * a[0, 0] * mxi + a[1, 1], up)
+    measured = -s / h
     rel = np.abs(measured - predicted) / np.abs(predicted)
     meta = {"h": h, "period": period, "height": float(n_rows * h), "rows": n_rows}
     return DtnProbeReport(xi_arr, measured, predicted, rel, meta)
@@ -424,17 +462,18 @@ class DiskSpectra:
         return {"count": int(self.mu.size), **self.meta}
 
 
-def _radial_mode_reduction(n_r: int, n_theta: int, radius: float, shift: float, m: int):
-    """Scalar Schur s_m and extension mass q_m of one angular mode.
+def _radial_chains(n_r: int, n_theta: int, radius: float, shift: float, modes: np.ndarray):
+    """Scalar Schur s_m and extension mass q_m of the given angular modes.
 
-    The mode-m energy restricted to one radial chain: nodes j = 1..n_r-1
-    are interior rings, j = n_r the boundary ring (value prescribed), and
-    the center joins the m = 0 chain only.  Returns (s_m, q_m) in form
-    units per boundary node.
+    The mode-m energy restricted to one radial chain, in form units per
+    boundary node: position 0 is the centre, positions 1..n_r-1 the
+    interior rings, and ring n_r the boundary ring (the free node).  The
+    centre joins mode 0 only; in every other mode it is a decoupled unit
+    with no volume.
     """
     dr = radius / n_r
     dth = 2.0 * np.pi / n_theta
-    mang = 2.0 - 2.0 * np.cos(m * dth)
+    mang = (2.0 - 2.0 * np.cos(modes * dth))[:, None]
     r = dr * np.arange(1, n_r + 1)
 
     # radial edge weights between rings j and j+1 (midpoint radius)
@@ -446,43 +485,23 @@ def _radial_mode_reduction(n_r: int, n_theta: int, radius: float, shift: float, 
     vol = r * dr * dth
     vol[-1] *= 0.5
 
-    with_center = m == 0
-    n_int = (n_r - 1) + (1 if with_center else 0)  # unknowns per chain
-    diag = np.zeros(n_int)
-    off = np.zeros(max(n_int - 1, 0))
-    # layout: [center?] ring1 .. ring_{n_r-1}
-    base = 1 if with_center else 0
-    for j in range(n_r - 1):  # rings 1..n_r-1 at positions base+j
-        pos = base + j
-        diag[pos] += w_ang[j] * mang + shift * vol[j]
-        if j + 1 < n_r - 1:
-            diag[pos] += w_rad[j]
-            diag[base + j + 1] += w_rad[j]
-            off[pos] = -w_rad[j]
-        else:
-            diag[pos] += w_rad[j]  # edge to the boundary ring
-    # center-ring1 edges, weight dth/2 per sector: the ring-1 diagonal sees
-    # that stiffness in every mode; the center unknown joins mode 0 only,
-    # with per-mode volume W_center / n_theta
-    diag[base] += dth / 2.0
-    if with_center:
-        diag[0] += dth / 2.0 + shift * (np.pi * (dr / 2.0) ** 2) / n_theta
-        off[0] = -dth / 2.0
+    # ring j sees its outer radial edge and its inner one; ring 1's inner
+    # edges go to the centre, weight dth/2 per sector, in every mode
+    inner = np.concatenate(([dth / 2.0], w_rad[:-1]))
+    zero = modes == 0
+    v_centre = np.pi * (dr / 2.0) ** 2 / n_theta  # per-mode share of the centre volume
+    diag = np.empty((modes.size, n_r))
+    diag[:, 0] = np.where(zero, dth / 2.0 + shift * v_centre, 1.0)
+    diag[:, 1:] = w_ang[:-1] * mang + shift * vol[:-1] + w_rad + inner
+    off = np.empty((modes.size, n_r - 1))
+    off[:, 0] = np.where(zero, -dth / 2.0, 0.0)
+    off[:, 1:] = -w_rad[:-1]
+    vols = np.empty((modes.size, n_r))
+    vols[:, 0] = np.where(zero, v_centre, 0.0)
+    vols[:, 1:] = vol[:-1]
     # boundary node diagonal: its angular edges + the last radial edge + mass
-    s_diag = w_ang[-1] * mang + w_rad[-1] + shift * vol[-1]
-
-    ab = np.zeros((3, n_int))
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
-    rhs = np.zeros(n_int)
-    rhs[-1] = w_rad[-1]  # coupling of ring n_r-1 to the boundary value 1
-    u = scipy.linalg.solve_banded((1, 1), ab, rhs)
-    s_m = s_diag - w_rad[-1] * u[-1]
-
-    vols = np.concatenate(([np.pi * (dr / 2.0) ** 2 / n_theta], vol[: n_r - 1])) if with_center else vol[: n_r - 1]
-    q_m = float(vols @ u**2)
-    return float(s_m), q_m
+    d_free = w_ang[-1] * mang[:, 0] + w_rad[-1] + shift * vol[-1]
+    return chain_schur(diag, off, d_free, np.full(modes.size, -w_rad[-1]), vols)
 
 
 def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: float = 1.0,
@@ -503,10 +522,7 @@ def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: flo
         raise ConfigurationError("arc endpoints must satisfy 0 <= a < b <= 2 pi")
 
     half = n_theta // 2
-    s_half = np.zeros(half + 1)
-    q_half = np.zeros(half + 1)
-    for m in range(half + 1):
-        s_half[m], q_half[m] = _radial_mode_reduction(n_r, n_theta, radius, shift, m)
+    s_half, q_half = _radial_chains(n_r, n_theta, radius, shift, np.arange(half + 1))
     s_modes = np.concatenate([s_half, s_half[1 : n_theta - half][::-1]])
     q_modes = np.concatenate([q_half, q_half[1 : n_theta - half][::-1]])
 
@@ -550,3 +566,138 @@ def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: flo
         "n2_flagged": True,
     }
     return DiskSpectra(np.asarray(mu), L_weighted, S_plus, Q_plus, arc_distances, s_modes, q_modes, meta)
+
+
+# ---------------------------------------------------------------------------
+# box and square face route
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FaceSpectra:
+    """Interface spectra on a square or box whose free boundary lies in one face.
+
+    mu: descending interior-weighted Krein spectrum, the values
+    KreinAssembly.weighted_mu gives.  interface: ascending spectrum of the
+    boundary-weighted interface operator, as weighted_L_spectrum gives.
+    """
+
+    mu: np.ndarray
+    interface: np.ndarray
+    meta: dict
+
+
+def separable_face(coeffs: SecondOrderCoeffs, sigma, domain) -> bool:
+    """Whether the mixed assembly separates into face modes with the auto shift 1.
+
+    True for a rectangle or box with one free face, constant diagonal
+    coefficients with positive entries and a constant sigma >= 0: the
+    assembly is then positive, and tangential DST-I modes diagonalize it.
+    """
+    if domain.kind not in ("rectangle", "box") or len(domain.sigma_plus) != 1:
+        return False
+    if not coeffs.constant or callable(sigma) or sigma is None or sigma < 0.0:
+        return False
+    a = np.asarray(coeffs.a)
+    return bool(np.all(a == np.diag(np.diag(a))) and np.all(np.diag(a) > 0.0))
+
+
+def _face_cells(domain, nodes: int):
+    """Spacing and cells per axis of build_grid(domain, nodes), the free face's normal axis
+    and its tangential axes, without building the torus grid."""
+    if nodes < 8:
+        raise ConfigurationError("nodes_per_axis must be at least 8")
+    extent = domain.extent()
+    h = float(extent.max()) / nodes
+    cells = [int(round(e / h)) for e in extent]
+    normal = "xyz".index(domain.sigma_plus[0][0])
+    return h, cells, normal, [t for t in range(len(cells)) if t != normal]
+
+
+def face_mode_spectra(coeffs: SecondOrderCoeffs, sigma: float, domain, nodes: int, partition=None,
+                      shift: float = 1.0) -> FaceSpectra:
+    """Krein and interface spectra of the mixed problem on a square or box face.
+
+    The discrete problem of krein_term on build_grid(domain, nodes) with a
+    numeric shift, solved without the grid: tangential DST-I modes over
+    the free face's n-1 axes diagonalize the separable assembly, and each
+    mode is one normal chain for chain_schur.  A full free face is
+    diagonal in the modes.  partition selects a patch of the face by
+    position in its nodes (C order over the tangential axes, the order of
+    the grid's sigma_plus_idx); the rest of the face is Dirichlet, and
+    the patch takes the submatrices of S = V diag(s) V and
+    Q = V diag(q) V, V the orthonormal DST-I (scipy.fft.dstn), as the
+    disk takes the arc's.
+    """
+    if not separable_face(coeffs, sigma, domain):
+        raise ConfigurationError("the face mode route needs a rectangle or box with one free face, "
+                                 "constant positive diagonal coefficients and a constant sigma >= 0")
+    h, cells, normal, tangential = _face_cells(domain, nodes)
+    n = len(cells)
+    face_shape = tuple(cells[t] - 1 for t in tangential)
+    a = np.diag(coeffs.a)
+
+    # tangential stiffness per mode: sum over face axes of a_t 4 sin^2(pi m / 2 cells_t)
+    lam = np.ix_(*(a[t] * 4.0 * np.sin(np.pi * np.arange(1, cells[t]) / (2.0 * cells[t])) ** 2
+                   for t in tangential))
+    w = h ** (n - 2)  # edge weight of the form
+    stiff = w * np.broadcast_to(sum(lam), face_shape).ravel()
+    modes, length = stiff.size, cells[normal] - 1
+    s, q = chain_schur(np.broadcast_to((stiff + 2.0 * w * a[normal] + shift * h**n)[:, None], (modes, length)),
+                       np.broadcast_to(-w * a[normal], (modes, length - 1)),
+                       0.5 * stiff + w * a[normal] + 0.5 * shift * h**n + sigma * h ** (n - 1),
+                       np.full(modes, -w * a[normal]),
+                       np.broadcast_to(h**n, (modes, length)))
+    if s.min() <= 0.0:
+        raise NotPositiveError(_NOT_POSITIVE)
+
+    w_b = h ** (n - 1)
+    if partition is None:
+        n_free = modes
+        mu = np.sort(q / s)[::-1]
+        interface = np.sort(s) / w_b
+    else:
+        import scipy.fft  # only patches use it, and it is slow to import
+
+        sel = np.unique(np.asarray(partition, dtype=int).ravel())
+        if sel.size == 0 or sel[0] < 0 or sel[-1] >= modes:
+            raise ConfigurationError(f"partition positions must lie in the {modes} free face nodes")
+        n_free = sel.size
+        # rows sel of V, from the DST of unit vectors
+        V = np.zeros((n_free, modes))
+        V[np.arange(n_free), sel] = 1.0
+        V = scipy.fft.dstn(V.reshape(n_free, *face_shape), type=1, norm="ortho",
+                           axes=tuple(range(1, n)), overwrite_x=True).reshape(n_free, modes)
+        S_plus = (V * s) @ V.T
+        mu = _definite_eigs((V * q) @ V.T, S_plus)
+        interface = scipy.linalg.eigvalsh(S_plus) / w_b
+    meta = {
+        "n_interior": int(np.prod([c - 1 for c in cells])),
+        "n_boundary": int(n_free),
+        "shift": float(shift),
+        "n2_flagged": n == 2,
+    }
+    return FaceSpectra(mu, interface, meta)
+
+
+def krein_path(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int):
+    """The route that answers the Zaremba question on a grid domain, with its grid.
+
+    ("assembled", build_grid(domain, nodes)) while M, of size
+    N = n_I + n_B, fits under DENSE_POWER_CAP: only that route
+    materializes M and certifies the Krein identity.  Past the cap,
+    ("modes", None) for separable inputs: face_mode_spectra needs no
+    grid, and the torus grid of a fine box is the largest object of the
+    run.  Any other input raises NumericError here, before the assembly
+    and Schur work.
+    """
+    if separable_face(coeffs, sigma, domain):
+        _, cells, _, tangential = _face_cells(domain, nodes)
+        size = np.prod([c - 1 for c in cells]) + np.prod([cells[t] - 1 for t in tangential])
+        if size > DENSE_POWER_CAP:
+            return "modes", None
+    grid = build_grid(domain, nodes)
+    size = grid.interior_idx.size + grid.sigma_plus_idx.size
+    if size > DENSE_POWER_CAP:
+        raise NumericError(_cap_message(size))
+    return "assembled", grid

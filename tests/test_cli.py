@@ -20,6 +20,7 @@ from fracspec.cli import (
     _build_parser,
     _floats,
     _get,
+    _index_range,
     _Int,
     _merge_flags,
     _pair,
@@ -184,6 +185,35 @@ class TestPipelines:
         assert float(rows["identity_mismatch"]) <= 1e-10
         assert float(rows["identity_residual"]) <= 1e-12
         assert rows["rank_bound_ok"] == "True"
+        assert (rows["krein_path"], rows["identity_check"]) == ("assembled", "run")
+
+    def test_zaremba_box_past_cap_takes_face_modes(self, tmp_path):
+        # N = 23^3 + 23^2 = 12696 > 8192: M cannot be materialized, the face modes answer
+        from fracspec.quadrature import DomainSpec
+        from fracspec.symbols import SecondOrderCoeffs
+        from fracspec.zaremba import face_mode_spectra
+
+        assert run(["zaremba", "--coeffs", "identity", "--domain", "box", "--nodes", "24",
+                    "--sigma", "0.5"], tmp_path) == 0
+        rows = report_lines(tmp_path, "zaremba")
+        assert (rows["krein_path"], rows["identity_check"]) == ("modes", "not_run")
+        assert "identity_mismatch" not in rows and "rank_bound_ok" not in rows
+        assert (rows["interior_nodes"], rows["boundary_nodes"], rows["shift"]) == ("12167", "529", "1.0")
+        want = face_mode_spectra(SecondOrderCoeffs.laplacian(3), 0.5, DomainSpec.unit_box(), 24)
+        got = np.loadtxt(tmp_path / "zaremba-mu.csv", delimiter=",", skiprows=1)[:, 1]
+        assert np.array_equal(got, want.mu)
+
+    def test_zaremba_past_cap_fails_before_the_work(self, tmp_path, monkeypatch, capsys):
+        # cross coefficients do not separate: exit 3 before any assembly or Schur split
+        from fracspec import zaremba
+
+        calls = []
+        monkeypatch.setattr(zaremba, "schur_split", lambda *a: calls.append("schur_split"))
+        monkeypatch.setattr(zaremba, "assemble_second_order", lambda *a, **k: calls.append("assemble"))
+        assert run(["zaremba", "--coeffs", "matrix:2,0.5,0;0.5,2,0;0,0,1", "--domain", "box",
+                    "--nodes", "24"], tmp_path) == 3
+        assert capsys.readouterr().err == "numeric failure: M would be 12696x12696, above the 8192 cap\n"
+        assert calls == []
 
     def test_zaremba_disk_flagged(self, tmp_path):
         assert run(
@@ -193,6 +223,7 @@ class TestPipelines:
         ) == 0
         rows = report_lines(tmp_path, "zaremba")
         assert rows["n2_flagged"] == "True"
+        assert (rows["krein_path"], rows["identity_check"]) == ("modes", "not_run")
 
     def test_dtn_probe_assert_modes(self, tmp_path):
         args = ["dtn-probe", "--coeffs", "matrix:2,1;1,2", "--xi", "1,2",
@@ -212,6 +243,9 @@ _CONSTRAINT_CASES = [
     (["symbol-check", "--n", "3", "--coeffs", "diag:1,2"], "2-dimensional, but domain.n = 3"),
     (["spectrum", "--count", "0", "--nodes", "8"], "task.count"),
     (["spectrum", "--count", "-3", "--nodes", "8"], "task.count"),
+    (["spectrum", "--count", "100", "--nodes", "8"], "task.count 100 exceeds the operator dimension 49"),
+    (["weyl-fit", "--window", "2.7,30.9"], "task.window"),
+    (["weyl-fit", "--window", "30,2"], "needs lo < hi"),
 ]
 
 
@@ -390,6 +424,7 @@ _SAMPLES = {
     str: ("some-text", "some-text", "some-text"),
     _floats: ("1;2.5", "1;2.5", [1.0, 2.5]),
     _pair: ("1;2.5", "1;2.5", [1.0, 2.5]),
+    _index_range: ("2;30", "2;30", [2, 30]),
     _Int(1): ("07", "7", 7),
 }
 

@@ -488,28 +488,3 @@ class TestPolarDisk:
     def test_too_small_rejected(self):
         with pytest.raises(ConfigurationError):
             PolarDiskGrid(radius=1.0, n_r=2, n_theta=16, arc=(0.0, np.pi))
-
-
-# ---------------------------------------------------------------------------
-# export round trips
-# ---------------------------------------------------------------------------
-
-
-class TestExport:
-    def test_text_round_trip(self, tmp_path):
-        A = OperatorMatrix(np.array([[2.0, -1.0], [-1.0, 1.5]]), "toy", descriptor="toy matrix")
-        p = tmp_path / "m.txt"
-        A.to_text(p)
-        B = OperatorMatrix.from_text(p)
-        assert np.array_equal(A.toarray(), B.toarray())
-        assert B.descriptor == "toy matrix"
-        assert B.index_label == "toy"
-
-    def test_binary_round_trip(self, tmp_path):
-        g = build_grid(DomainSpec.unit_interval(), 16)
-        A = assemble_second_order(laplacian(1), g, bc="dirichlet")
-        p = tmp_path / "m.npz"
-        A.to_binary(p)
-        B = OperatorMatrix.from_binary(p)
-        assert np.array_equal(A.toarray(), B.toarray())
-        assert "bc=dirichlet" in B.descriptor

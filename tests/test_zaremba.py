@@ -1,4 +1,4 @@
-"""Krein-term algebra, the DtN strip probe, and the disk fast path."""
+"""Krein-term algebra, the chain-Schur core, the DtN strip probe, and the disk and face mode routes."""
 
 import numpy as np
 import pytest
@@ -14,15 +14,18 @@ from fracspec.discretize import (
     build_grid,
 )
 from fracspec.asymptotics import weyl_fit
-from fracspec.errors import ConfigurationError, NotPositiveError
+from fracspec.errors import ConfigurationError, NotPositiveError, NumericError
 from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
 from fracspec.zaremba import (
-    DiskSpectra,
+    _radial_chains,
+    chain_schur,
     disk_interface_spectra,
     dtn_symbol_probe,
+    face_mode_spectra,
     krein_from_matrix,
     krein_identity_check,
+    krein_path,
     krein_term,
 )
 
@@ -416,6 +419,94 @@ class TestDtnProbe:
         assert set(("xi", "measured", "predicted", "rel_errors", "h", "rows")) <= set(rec)
 
 
+def radial_mode_reduction_banded(n_r, n_theta, radius, shift, m):
+    """Per-mode (s_m, q_m) of the disk's radial chain by one banded solve.
+
+    The slow path the batched chain core replaced: the centre joins the
+    m = 0 chain only, the boundary ring's value is 1, and the extension
+    mass sums the interior node volumes.
+    """
+    dr = radius / n_r
+    dth = 2.0 * np.pi / n_theta
+    mang = 2.0 - 2.0 * np.cos(m * dth)
+    r = dr * np.arange(1, n_r + 1)
+    w_rad = (r[:-1] + 0.5 * dr) * dth / dr
+    w_ang = dr / (r * dth)
+    w_ang[-1] *= 0.5
+    vol = r * dr * dth
+    vol[-1] *= 0.5
+
+    with_center = m == 0
+    n_int = (n_r - 1) + (1 if with_center else 0)
+    diag = np.zeros(n_int)
+    off = np.zeros(max(n_int - 1, 0))
+    base = 1 if with_center else 0
+    for j in range(n_r - 1):
+        pos = base + j
+        diag[pos] += w_ang[j] * mang + shift * vol[j]
+        if j + 1 < n_r - 1:
+            diag[pos] += w_rad[j]
+            diag[base + j + 1] += w_rad[j]
+            off[pos] = -w_rad[j]
+        else:
+            diag[pos] += w_rad[j]
+    diag[base] += dth / 2.0
+    if with_center:
+        diag[0] += dth / 2.0 + shift * (np.pi * (dr / 2.0) ** 2) / n_theta
+        off[0] = -dth / 2.0
+    s_diag = w_ang[-1] * mang + w_rad[-1] + shift * vol[-1]
+
+    ab = np.zeros((3, n_int))
+    ab[0, 1:] = off
+    ab[1] = diag
+    ab[2, :-1] = off
+    rhs = np.zeros(n_int)
+    rhs[-1] = w_rad[-1]
+    u = sla.solve_banded((1, 1), ab, rhs)
+    vols = np.concatenate(([np.pi * (dr / 2.0) ** 2 / n_theta], vol[: n_r - 1])) if with_center else vol[: n_r - 1]
+    return s_diag - w_rad[-1] * u[-1], vols @ u**2
+
+
+@st.composite
+def hermitian_chains(draw):
+    """A batch of diagonally dominant Hermitian tridiagonal chains with a free end node."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes, length = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    cplx = draw(st.booleans())
+    off = rng.standard_normal((modes, length - 1)) + (1j * rng.standard_normal((modes, length - 1)) if cplx else 0.0)
+    c = rng.standard_normal(modes) + (1j * rng.standard_normal(modes) if cplx else 0.0)
+    diag = rng.uniform(0.5, 2.0, (modes, length)) + 2.0 * np.abs(np.pad(off, ((0, 0), (1, 1)))).max(axis=1, keepdims=True)
+    return diag, off, rng.uniform(0.5, 2.0, modes) + np.abs(c), c, rng.uniform(0.1, 1.0, (modes, length))
+
+
+class TestChainCore:
+    """The batched chain-Schur sweep against dense elimination and the per-mode banded solves."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(hermitian_chains())
+    def test_matches_dense_schur_and_extension(self, chains):
+        diag, off, d_free, c, vol = chains
+        s, q = chain_schur(diag, off, d_free, c, vol)
+        for m in range(diag.shape[0]):
+            T = np.diag(diag[m]).astype(complex) + np.diag(off[m], 1) + np.diag(np.conj(off[m]), -1)
+            b = np.zeros(diag.shape[1], dtype=complex)
+            b[-1] = c[m]
+            u = -np.linalg.solve(T, b)
+            want_s = d_free[m] + np.vdot(b, u).real
+            assert s[m] == pytest.approx(want_s, rel=1e-12, abs=1e-12 * abs(d_free[m]))
+            assert q[m] == pytest.approx(vol[m] @ np.abs(u) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("n_r, n_theta", [(1024, 640), (128, 256)], ids=["1024x640", "128x256"])
+    @pytest.mark.parametrize("shift", [0.0, 2.5])
+    def test_disk_chains_match_banded_oracle(self, n_r, n_theta, shift):
+        modes = np.arange(n_theta // 2 + 1)
+        s, q = _radial_chains(n_r, n_theta, 1.0, shift, modes)
+        ref = np.array([radial_mode_reduction_banded(n_r, n_theta, 1.0, shift, m) for m in modes])
+        scale = np.abs(ref[:, 0]).max()
+        assert np.max(np.abs(s - ref[:, 0])) <= 1e-10 * scale
+        assert np.max(np.abs(q - ref[:, 1])) <= 1e-10 * np.abs(ref[:, 1]).max()
+
+
 class TestDiskSpectra:
     def dual_route(self, shift):
         pg = PolarDiskGrid(n_r=10, n_theta=16, radius=1.0, arc=(0.0, np.pi))
@@ -557,3 +648,58 @@ class TestBoxFaceModes:
         target = 1.0 / (8.0 * np.pi)
         assert abs(fit.exponent - (-1.0)) <= 0.15
         assert abs(fixed.constant - target) / target <= 0.30
+
+
+class TestFaceModes:
+    """face_mode_spectra against the assembled krein_term route and the test-side chain oracle."""
+
+    @pytest.mark.parametrize("domain, nodes, coeffs, sigma, part", [
+        (DomainSpec.unit_box(), 12, np.eye(3), 0.0, "full"),
+        (DomainSpec.unit_box(), 12, np.eye(3), 0.5, "every-third"),
+        (DomainSpec.unit_box(), 16, np.diag([1.0, 2.0, 0.5]), 1.5, "full"),
+        (DomainSpec.unit_box(), 16, np.eye(3), 0.0, "half"),
+        (DomainSpec.unit_square(), 32, np.diag([2.0, 0.7]), 0.75, "full"),
+        (DomainSpec.unit_square(sigma_plus=("x+",)), 32, np.diag([2.0, 0.7]), 0.75, "every-third"),
+    ], ids=["box12", "box12-robin-patch", "box16-robin-diag", "box16-patch", "square32-robin",
+            "square32-xface-robin-patch"])
+    def test_matches_assembled_route(self, domain, nodes, coeffs, sigma, part):
+        grid = build_grid(domain, nodes)
+        ids = grid.sigma_plus_idx
+        partition = {"full": None, "every-third": ids[::3], "half": ids[: ids.size // 2]}[part]
+        co = SecondOrderCoeffs(grid.n, a=coeffs)
+        k = krein_term(co, sigma, grid, partition=partition, shift=1.0)
+        positions = None if partition is None else np.searchsorted(ids, partition)
+        f = face_mode_spectra(co, sigma, domain, nodes, partition=positions, shift=1.0)
+        mu, lam = k.weighted_mu(), k.weighted_L_spectrum()
+        assert f.mu.size == mu.size == k.n_boundary == f.meta["n_boundary"]
+        assert f.meta["n_interior"] == k.n_interior
+        assert np.max(np.abs(f.mu - mu) / mu) <= 1e-11
+        assert np.max(np.abs(f.interface - lam) / lam) <= 1e-11
+
+    def test_matches_chain_oracle(self):
+        f = face_mode_spectra(SecondOrderCoeffs.laplacian(3), 0.0, DomainSpec.unit_box(), 64, shift=1.0)
+        oracle = box_face_chain_mu(64, shift=1.0)
+        assert np.max(np.abs(f.mu - oracle) / oracle) <= 1e-11
+
+    def test_route_past_the_cap(self):
+        box, co = DomainSpec.unit_box(), SecondOrderCoeffs.laplacian(3)
+        path, grid = krein_path(co, 0.5, box, 16)
+        assert path == "assembled" and grid.interior_idx.size + grid.sigma_plus_idx.size == 3600
+        assert krein_path(co, 0.5, box, 24) == ("modes", None)  # 12696 nodes
+        cross = SecondOrderCoeffs(3, a=np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]]))
+        for coeffs, sigma in ((cross, 0.5), (co, -0.5)):
+            assert krein_path(coeffs, sigma, box, 16)[0] == "assembled"
+            with pytest.raises(NumericError, match="M would be 12696x12696, above the 8192 cap"):
+                krein_path(coeffs, sigma, box, 24)
+
+    def test_non_separable_rejected(self):
+        square = DomainSpec.unit_square()
+        cross = SecondOrderCoeffs(2, a=np.array([[2.0, 1.0], [1.0, 2.0]]))
+        with pytest.raises(ConfigurationError):
+            face_mode_spectra(cross, 0.0, square, 16)
+        with pytest.raises(ConfigurationError):
+            face_mode_spectra(SecondOrderCoeffs.laplacian(2), lambda x: 1.0, square, 16)
+        with pytest.raises(ConfigurationError):
+            face_mode_spectra(SecondOrderCoeffs.laplacian(2), 0.0, DomainSpec.unit_square(("x-", "y-")), 16)
+        with pytest.raises(ConfigurationError):
+            face_mode_spectra(SecondOrderCoeffs.laplacian(2), 0.0, square, 16, partition=[15])
