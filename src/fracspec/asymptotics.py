@@ -134,19 +134,15 @@ def exponent_from_profile(u, d, band: tuple, min_nodes: int = 20) -> float:
 def _normal_line_samples(grid, values, band):
     """(t, |u|) pairs along inward normal lines of an axis-aligned domain.
 
-    One line per boundary node lying on exactly one face (corner and edge
-    nodes have no unique normal and are skipped).  t is the distance from
-    the line's base point; the band test is strict on both ends.
+    One line per boundary node lying on exactly one face plane
+    (Grid.on_planes; corner and edge nodes have no unique normal and are
+    skipped).  t is the distance from the line's base point; the band
+    test is strict on both ends.
     """
-    lo_d = grid.domain.origin()
-    hi_d = lo_d + grid.domain.extent()
-    snap = 1e-8 * grid.h
     eps = 1e-9 * grid.h
     lo, hi = band
-    pts = grid.points(grid.boundary_idx)
-    on_lo = np.abs(pts - lo_d) <= snap
-    on_hi = np.abs(pts - hi_d) <= snap
-    nfaces = on_lo.sum(axis=1) + on_hi.sum(axis=1)
+    hits = grid.on_planes(grid.boundary_idx)
+    nfaces = hits.sum(axis=(1, 2))
     interior_mask = np.zeros(grid.size, dtype=bool)
     interior_mask[grid.interior_idx] = True
     strides = np.array([int(np.prod(grid.shape[ax + 1 :])) for ax in range(grid.n)], dtype=np.int64)
@@ -155,7 +151,7 @@ def _normal_line_samples(grid, values, band):
     inband = (ts_all > lo + eps) & (ts_all < hi - eps)
     t_parts, v_parts = [], []
     for ax in range(grid.n):
-        for sgn, face_mask in ((+1, on_lo[:, ax]), (-1, on_hi[:, ax])):
+        for sgn, face_mask in ((+1, hits[:, ax, 0]), (-1, hits[:, ax, 1])):
             base = grid.boundary_idx[face_mask & (nfaces == 1)]
             if base.size == 0:
                 continue
@@ -173,6 +169,7 @@ def _normal_line_samples(grid, values, band):
 
 
 def _grid_profile(u, grid):
+    """Interior values of a grid function given on the torus or the interior nodes, and their distances."""
     u = np.asarray(u, dtype=float).ravel()
     if u.size == grid.size:
         idx = grid.interior_idx
@@ -194,32 +191,17 @@ def boundary_exponent(u, grid, band: tuple | None = None, min_nodes: int = 20) -
     without axis-aligned faces fall back to the plain in-band profile
     against nearest-boundary distance.  Default band (2h, 20h): below 2h
     the d^a profile is unresolved, above 20h the smooth interior factor
-    contaminates the slope.
+    contaminates the slope.  Both fits are exponent_from_profile.
     """
     if band is None:
         band = (2.0 * grid.h, 20.0 * grid.h)
-    lo, hi = band
-    if not 0.0 < lo < hi:
-        raise ValueError("band must satisfy 0 < d_min < d_max")
-    if getattr(grid.domain, "kind", None) in ("interval", "rectangle", "box"):
-        u = np.asarray(u, dtype=float).ravel()
-        if u.size == grid.interior_idx.size:
-            full = np.zeros(grid.size)
-            full[grid.interior_idx] = u
-        elif u.size == grid.size:
-            full = u
-        else:
-            raise ValueError("grid function must live on the torus or the interior nodes")
-        t, v = _normal_line_samples(grid, np.abs(full), band)
-        if t.size:
-            keep = v > 1e-13 * v.max()
-            if keep.sum() < min_nodes:
-                raise NumericError(f"only {int(keep.sum())} usable samples in band, need {min_nodes}")
-            x, y = np.log(t[keep]), np.log(v[keep])
-            A = np.stack([x, np.ones_like(x)], axis=1)
-            (slope, _), *_ = np.linalg.lstsq(A, y, rcond=None)
-            return float(slope)
     vals, dist = _grid_profile(u, grid)
+    if getattr(grid.domain, "kind", None) in ("interval", "rectangle", "box"):
+        full = np.zeros(grid.size)
+        full[grid.interior_idx] = np.abs(vals)
+        t, v = _normal_line_samples(grid, full, band)
+        if t.size:
+            return exponent_from_profile(v, t, band, min_nodes)
     return exponent_from_profile(vals, dist, band, min_nodes)
 
 

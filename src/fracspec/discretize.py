@@ -4,12 +4,17 @@ Uniform torus grids carry the periodic-embedding path for restricted
 fractional powers r+ P_a e+, either gathered into a dense matrix
 (fractional_restricted, for full spectra and as the oracle) or applied
 matrix-free by transforms (fractional_operator, for a few eigenpairs past
-the dense cap); the same grids feed the second-order
-Dirichlet and mixed assemblies whose Schur complements (schur_split, the
-one routine the Krein, DtN and Poisson-extension paths share) realize the
-discrete Dirichlet-to-Neumann operators.  A boundary-fitted polar grid
-covers the n = 2 disk work, where the curved boundary needs per-node
-arc-length weights.
+the dense cap).  The same grids feed the second-order Dirichlet, mixed
+and periodic assemblies, which sum the form over the closure nodes of
+the domain with one neighbour rule for every boundary condition; which
+node lies on which face plane is decided once, from integer torus
+indices (Grid.planes), and grid_spacing is the one spacing rule.
+schur_split is the one Schur complement: its extension map K and
+interface S are the discrete Poisson extension and, weighted by the
+boundary measure, the discrete Dirichlet-to-Neumann operator of the
+Krein assembly (zaremba.KreinAssembly.K and L_weighted).  A
+boundary-fitted polar grid covers the n = 2 disk work, where the curved
+boundary needs per-node arc-length weights.
 
 Unit conventions
 ----------------
@@ -24,7 +29,7 @@ so in meta["units"].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +43,7 @@ from .symbols import SecondOrderCoeffs
 
 DENSE_POWER_CAP = 8192
 _SNAP = 1e-9  # relative to h; boundary-hit tolerance
+_TORUS_PAD = 2.0  # torus extent over domain extent, per axis, of the periodic embedding
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +58,15 @@ class Grid:
     Node sets (flat indices into the row-major torus array) are disjoint
     and cover the torus: interior of Omega, sigma_plus, sigma_minus,
     exterior.  d holds every node's distance to the domain boundary.
+    planes (n, 2) holds the torus index of each axis's low and high face
+    plane (see _plane_hits).
     """
 
     domain: DomainSpec
     h: float
     shape: tuple
     origin: np.ndarray
+    planes: np.ndarray
     interior_idx: np.ndarray
     sigma_plus_idx: np.ndarray
     sigma_minus_idx: np.ndarray
@@ -83,9 +92,34 @@ class Grid:
         multi = np.stack(np.unravel_index(np.asarray(idx), self.shape), axis=-1)
         return self.origin + self.h * multi
 
+    def on_planes(self, idx) -> np.ndarray:
+        """(len(idx), n, 2) mask of the given flat indices on each axis's low / high face plane."""
+        return _plane_hits(self.planes, np.stack(np.unravel_index(np.asarray(idx), self.shape), axis=-1))
+
     def frequencies(self) -> list[np.ndarray]:
         """Angular Fourier frequencies per axis for the torus."""
         return [2.0 * np.pi * np.fft.fftfreq(m, d=self.h) for m in self.shape]
+
+
+def grid_spacing(domain: DomainSpec, nodes_per_axis: int) -> tuple[float, list[int]]:
+    """Spacing h = max extent / nodes_per_axis and the whole cells per axis, round(extent / h)."""
+    if nodes_per_axis < 8:
+        raise ConfigurationError("nodes_per_axis must be at least 8")
+    extent = domain.extent()
+    h = float(extent.max()) / nodes_per_axis
+    return h, [int(round(e / h)) for e in extent]
+
+
+def _plane_hits(planes: np.ndarray, multi: np.ndarray) -> np.ndarray:
+    """Face-plane membership from integer torus indices, (len(multi), n, 2).
+
+    A node lies on the low (high) face plane of axis t when its index
+    along t equals planes[t, 0] (planes[t, 1]).  Only box-like domains
+    have face planes: the low one is node-aligned by construction, the
+    high one when the extent is a whole number of cells; the other
+    entries are -1 and match no node.
+    """
+    return multi[:, :, None] == planes
 
 
 def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
@@ -93,44 +127,43 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
 
     Omega membership is decided by the cell-center indicator; nodes
     landing on the boundary (within snap tolerance) are classified into
-    sigma_plus (relative face interiors) and sigma_minus.
+    sigma_plus (relative interiors of its faces: on the face's plane and
+    on no other) and sigma_minus.
     """
-    if nodes_per_axis < 8:
-        raise ConfigurationError("nodes_per_axis must be at least 8")
+    h, cells = grid_spacing(domain, nodes_per_axis)
     extent = domain.extent()
-    h = float(extent.max()) / nodes_per_axis
-    shape = tuple(int(round(domain.torus_pad * e / h)) for e in extent)
+    shape = tuple(int(round(_TORUS_PAD * e / h)) for e in extent)
     if any(m * h < e + 2 * h for m, e in zip(shape, extent)):
         raise ConfigurationError("domain does not fit in the padded torus")
-    offsets = np.array([(m - int(round(e / h))) // 2 for m, e in zip(shape, extent)])
+    offsets = np.array([(m - c) // 2 for m, c in zip(shape, cells)])
     origin = domain.origin() - offsets * h
+    planes = np.full((len(shape), 2), -1)
+    box_like = domain.kind in ("interval", "rectangle", "box")
+    if box_like:
+        for t, (c, e, off) in enumerate(zip(cells, extent, offsets)):
+            planes[t] = off, (off + c if abs(c * h - e) <= _SNAP * h else -1)
 
     multi = np.stack(np.unravel_index(np.arange(int(np.prod(shape))), shape), axis=-1)
     x = origin + h * multi
 
-    snap = _SNAP * h
     d = _distance_to_boundary(domain, x)
-    on_boundary = d <= snap
+    on_boundary = d <= _SNAP * h
     inside = domain.contains(x) & ~on_boundary
     splus = np.zeros(x.shape[0], dtype=bool)
-    if on_boundary.any() and domain.kind in ("interval", "rectangle", "box"):
-        lo = domain.origin()
-        hi = lo + extent
+    if box_like:
+        hits = _plane_hits(planes, multi)
+        on_plane = hits.any(axis=2)
         for face in domain.sigma_plus:
-            axis = {"x": 0, "y": 1, "z": 2}[face[0]]
-            val = lo[axis] if face[1] == "-" else hi[axis]
-            on_face = np.abs(x[:, axis] - val) <= snap
-            rel_int = np.ones(x.shape[0], dtype=bool)
-            for j in range(domain.n):
-                if j != axis:
-                    rel_int &= (x[:, j] > lo[j] + snap) & (x[:, j] < hi[j] - snap)
-            splus |= on_boundary & on_face & rel_int
+            axis = "xyz".index(face[0])
+            on_other = np.delete(on_plane, axis, axis=1).any(axis=1)
+            splus |= on_boundary & hits[:, axis, int(face[1] == "+")] & ~on_other
     idx = np.arange(x.shape[0])
     return Grid(
         domain=domain,
         h=h,
         shape=shape,
         origin=origin,
+        planes=planes,
         interior_idx=idx[inside],
         sigma_plus_idx=idx[splus],
         sigma_minus_idx=idx[on_boundary & ~splus],
@@ -220,6 +253,14 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
     sigma_minus) and requires sigma, 0.0 being a valid choice; "periodic"
     assembles on the whole torus with no boundary terms.
 
+    The form is summed over the closure nodes (interior and boundary; the
+    whole torus for "periodic") in ascending torus index, and one
+    neighbour rule serves every boundary condition: the closure position
+    of node + offset, taken modulo the torus, or -1 outside the closure.
+    The padding of build_grid keeps the closure of a bounded domain from
+    wrapping.  A dual cell on a face plane (Grid.planes) is halved once
+    per plane: edges along the plane, cross cells in it, node volumes.
+
     Diagonal coefficients may vary over the domain (edge-midpoint
     sampling); cross coefficients enter through the diagonal-difference
     form per grid cell and must be constant.
@@ -232,7 +273,8 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
     if coeffs.n != n:
         raise ConfigurationError("coefficient dimension does not match the grid")
 
-    if bc == "periodic":
+    periodic = bc == "periodic"
+    if periodic:
         keep = np.arange(grid.size)
         row_sets = {"torus": np.arange(grid.size)}
     elif bc == "dirichlet":
@@ -244,164 +286,66 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
             "interior": np.arange(grid.interior_idx.size),
             "sigma_plus": grid.interior_idx.size + np.arange(grid.sigma_plus_idx.size),
         }
-    pos = np.full(grid.size, -1, dtype=np.int64)
-    pos[keep] = np.arange(keep.size)
+    closure = keep if periodic else np.sort(np.concatenate([grid.interior_idx, grid.boundary_idx]))
+    multi = np.stack(np.unravel_index(closure, grid.shape), axis=-1)
+    x = grid.origin + h * multi
+    on_plane = _plane_hits(grid.planes, multi).any(axis=2) & (not periodic)  # the torus has no faces
 
-    closure = np.zeros(grid.size, dtype=bool)
-    if bc == "periodic":
-        closure[:] = True
-    else:
-        closure[grid.interior_idx] = True
-        closure[grid.boundary_idx] = True
-    on_bdry = np.zeros(grid.size, dtype=bool)
-    if bc != "periodic":
-        on_bdry[grid.boundary_idx] = True
-
-    shape = grid.shape
-    size = grid.size
-    all_multi = np.stack(np.unravel_index(np.arange(size), shape), axis=-1)
-    x_all = grid.origin + h * all_multi
+    def neighbour(offset):
+        t = np.ravel_multi_index(((multi + offset) % grid.shape).T, grid.shape)
+        p = np.minimum(np.searchsorted(closure, t), closure.size - 1)
+        return np.where(closure[p] == t, p, -1)
 
     rows, cols, vals = [], [], []
 
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
+    def add_edges(k, l, w):
+        rows.extend((k, l, k, l))
+        cols.extend((k, l, l, k))
+        vals.extend((w, w, -w, -w))
 
-    edge_w = h ** (n - 2)
+    unit = np.eye(n, dtype=int)
     for axis in range(n):
-        nb_multi = all_multi.copy()
-        nb_multi[:, axis] = (nb_multi[:, axis] + 1) % shape[axis]
-        nb = np.ravel_multi_index(nb_multi.T, shape)
-        if bc == "periodic":
-            mask = np.ones(size, dtype=bool)
-        else:
-            wraps = all_multi[:, axis] + 1 >= shape[axis]
-            mask = closure & closure[nb] & ~wraps
-        k = np.arange(size)[mask]
-        l = nb[mask]
-        # dual-cell fraction: halve per transverse axis on which both
-        # endpoints lie on the boundary
-        frac = np.ones(k.size)
-        if bc != "periodic":
-            dom_lo = grid.domain.origin()
-            dom_hi = dom_lo + grid.domain.extent()
-            both = on_bdry[k] & on_bdry[l]
-            for t_axis in range(n):
-                if t_axis == axis:
-                    continue
-                lo_t = dom_lo[t_axis]
-                hi_t = dom_hi[t_axis]
-                on_t = (np.abs(x_all[k, t_axis] - lo_t) <= _SNAP * h) | (np.abs(x_all[k, t_axis] - hi_t) <= _SNAP * h)
-                frac[both & on_t] *= 0.5
-        mid = 0.5 * (x_all[k] + x_all[l])
-        w = edge_w * frac * _coeff_entries(coeffs, mid, axis, axis)
-        add(k, k, w)
-        add(l, l, w)
-        add(k, l, -w)
-        add(l, k, -w)
+        nb = neighbour(unit[axis])
+        k = np.flatnonzero(nb >= 0)
+        l = nb[k]
+        frac = 0.5 ** np.delete(on_plane[k], axis, axis=1).sum(axis=1)
+        mid = 0.5 * (x[k] + x[l])
+        add_edges(k, l, h ** (n - 2) * frac * _coeff_entries(coeffs, mid, axis, axis))
 
     if not coeffs.constant:
-        probe = coeffs.a_batch(x_all[:: max(1, size // 16)])
-        off = probe.copy()
-        for i in range(n):
-            off[:, i, i] = 0.0
-        if np.abs(off).max() > 0.0:
+        probe = coeffs.a_batch(x[:: max(1, closure.size // 16)])
+        if probe[:, ~np.eye(n, dtype=bool)].any():
             raise ConfigurationError("variable cross-derivative coefficients are not supported")
-        amat = None
     else:
-        amat = np.asarray(coeffs.a, dtype=float)
-
-    if amat is not None:
-        cell_w = 0.5 * h ** (n - 2)
+        # diagonal-difference edges along e_i + e_j and e_i - e_j over each closure cell
         for i in range(n):
             for j in range(i + 1, n):
-                aij = amat[i, j]
+                aij = coeffs.a[i, j]
                 if aij == 0.0:
                     continue
-                for sgn in (1, -1):
-                    # diagonal-difference edges along e_i + sgn e_j over each cell
-                    base = all_multi.copy()
-                    if sgn < 0:
-                        base[:, j] = (base[:, j] + 1) % shape[j]
-                    corner = base.copy()
-                    corner[:, i] = (corner[:, i] + 1) % shape[i]
-                    corner[:, j] = (corner[:, j] + sgn) % shape[j]
-                    kf = np.ravel_multi_index(base.T, shape)
-                    lf = np.ravel_multi_index(corner.T, shape)
-                    if bc == "periodic":
-                        mask = np.ones(size, dtype=bool)
-                    else:
-                        wraps_i = all_multi[:, i] + 1 >= shape[i]
-                        wraps_j = all_multi[:, j] + 1 >= shape[j]
-                        # cell must sit inside the closure: check all 4 cell corners
-                        c10 = all_multi.copy()
-                        c10[:, i] = (c10[:, i] + 1) % shape[i]
-                        c01 = all_multi.copy()
-                        c01[:, j] = (c01[:, j] + 1) % shape[j]
-                        c11 = c10.copy()
-                        c11[:, j] = (c11[:, j] + 1) % shape[j]
-                        corners_ok = (
-                            closure
-                            & closure[np.ravel_multi_index(c10.T, shape)]
-                            & closure[np.ravel_multi_index(c01.T, shape)]
-                            & closure[np.ravel_multi_index(c11.T, shape)]
-                        )
-                        mask = corners_ok & ~wraps_i & ~wraps_j
-                    k = kf[mask]
-                    l = lf[mask]
-                    w = np.full(k.size, sgn * aij * cell_w)
-                    if bc != "periodic" and n > 2:
-                        # halve cells lying inside a boundary face along a
-                        # transverse axis (constant coordinate on the face)
-                        dom_lo = grid.domain.origin()
-                        dom_hi = dom_lo + grid.domain.extent()
-                        xk = x_all[k]
-                        for t_axis in range(n):
-                            if t_axis in (i, j):
-                                continue
-                            on_t = (np.abs(xk[:, t_axis] - dom_lo[t_axis]) <= _SNAP * h) | (
-                                np.abs(xk[:, t_axis] - dom_hi[t_axis]) <= _SNAP * h
-                            )
-                            w[on_t] *= 0.5
-                    add(k, k, w)
-                    add(l, l, w)
-                    add(k, l, -w)
-                    add(l, k, -w)
+                c10, c01, c11 = neighbour(unit[i]), neighbour(unit[j]), neighbour(unit[i] + unit[j])
+                cell = np.flatnonzero((c10 >= 0) & (c01 >= 0) & (c11 >= 0))
+                half = 0.5 ** np.delete(on_plane[cell], (i, j), axis=1).sum(axis=1)
+                for sgn, k, l in ((1, cell, c11[cell]), (-1, c01[cell], c10[cell])):
+                    add_edges(k, l, np.full(k.size, sgn * aij * 0.5 * h ** (n - 2)) * half)
 
     # zero-order and Robin terms (node volumes, boundary fractions)
-    diag_extra = np.zeros(size)
-    if a0 or (bc != "periodic"):
-        bfrac = np.ones(size)
-        if bc != "periodic":
-            dom_lo = grid.domain.origin()
-            dom_hi = dom_lo + grid.domain.extent()
-            for t_axis in range(n):
-                lo_t = dom_lo[t_axis]
-                hi_t = dom_hi[t_axis]
-                on_t = (np.abs(x_all[:, t_axis] - lo_t) <= _SNAP * h) | (np.abs(x_all[:, t_axis] - hi_t) <= _SNAP * h)
-                bfrac[on_t & on_bdry] *= 0.5
-        if a0:
-            a0_vals = a0(x_all) if callable(a0) else a0
-            diag_extra += np.asarray(a0_vals, dtype=float) * h**n * bfrac
-    if bc == "mixed" and sigma is not None and grid.sigma_plus_idx.size:
-        sp_idx = grid.sigma_plus_idx
-        sig_vals = sigma(x_all[sp_idx]) if callable(sigma) else sigma
-        diag_extra[sp_idx] += np.asarray(sig_vals, dtype=float) * h ** (n - 1)
-    nz = diag_extra != 0.0
-    if nz.any():
-        k = np.arange(size)[nz]
-        add(k, k, diag_extra[nz])
+    diag = np.zeros(closure.size)
+    if a0:
+        diag += np.asarray(a0(x) if callable(a0) else a0, dtype=float) * h**n * 0.5 ** on_plane.sum(axis=1)
+    if bc == "mixed" and grid.sigma_plus_idx.size:
+        free = np.searchsorted(closure, grid.sigma_plus_idx)
+        diag[free] += np.asarray(sigma(x[free]) if callable(sigma) else sigma, dtype=float) * h ** (n - 1)
+    nz = np.flatnonzero(diag)
+    rows.append(nz)
+    cols.append(nz)
+    vals.append(diag[nz])
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    keep_mask = (pos[rows] >= 0) & (pos[cols] >= 0)
-    form = sp.csr_matrix(
-        (vals[keep_mask], (pos[rows[keep_mask]], pos[cols[keep_mask]])),
-        shape=(keep.size, keep.size),
-    )
+    pos = np.full(closure.size, -1)
+    pos[np.searchsorted(closure, keep)] = np.arange(keep.size)
+    r, c = pos[np.concatenate(rows)], pos[np.concatenate(cols)]
+    kept = (r >= 0) & (c >= 0)
+    form = sp.csr_matrix((np.concatenate(vals)[kept], (r[kept], c[kept])), shape=(keep.size, keep.size))
     form.sum_duplicates()
     mat = form / h**n
     desc = f"second-order form, bc={bc}, coefficients {coeffs.describe()}"
@@ -411,7 +355,7 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
         "node_ids": keep,
         "h": h,
         "bc": bc,
-        "circulant": bc == "periodic" and coeffs.constant,
+        "circulant": periodic and coeffs.constant,
     }
     if a0:
         meta["a0"] = "callable" if callable(a0) else float(a0)
@@ -610,25 +554,8 @@ def spectral_fractional_dirichlet(A_dir, a: float) -> OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Poisson extension and Schur DtN
+# Schur complement
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PoissonExtension:
-    """Discrete harmonic extension [ -A_II^{-1} A_IB phi ; phi ]."""
-
-    K: np.ndarray
-    interior_rows: np.ndarray
-    boundary_rows: np.ndarray
-    descriptor: str = ""
-
-    def apply(self, phi) -> np.ndarray:
-        phi = np.asarray(phi, dtype=float)
-        out = np.empty(self.K.shape[0] + self.K.shape[1])
-        out[self.interior_rows] = self.K @ phi
-        out[self.boundary_rows] = phi
-        return out
 
 
 def schur_split(mat, I, B):
@@ -663,79 +590,6 @@ def schur_split(mat, I, B):
         raise NumericError("singular interior block; apply a positivity shift")
     S = A_BB + A_IB.T @ K
     return K, 0.5 * (S + S.T)
-
-
-def _boundary_rows(A_full: OperatorMatrix) -> np.ndarray:
-    """Sigma+ rows followed by any Sigma- rows the assembly retained."""
-    B = A_full.rows("sigma_plus")
-    if "sigma_minus" in A_full.meta.get("row_sets", {}):
-        B = np.concatenate([B, A_full.rows("sigma_minus")])
-    return B
-
-
-def poisson_extension(A_full: OperatorMatrix) -> PoissonExtension:
-    """K_gamma for an assembly that retained its boundary nodes."""
-    I, B = A_full.rows("interior"), _boundary_rows(A_full)
-    K, _ = schur_split(A_full.matrix, I, B)
-    return PoissonExtension(K, I, B, f"Poisson extension of [{A_full.descriptor}]")
-
-
-def schur_dtn(A_full: OperatorMatrix, partition=None, boundary_weights=None):
-    """Discrete DtN pair from the boundary Schur complement.
-
-    Returns (P_dtn, L): P_dtn is the negated Schur complement of the
-    form matrix scaled by the boundary weight (h^{n-1} by default), a
-    consistent approximation of the continuum DtN principal part; L is
-    the positive restriction of -P_dtn to the partition's Sigma_+ nodes.
-    The unweighted algebraic Schur complement is kept in meta for the
-    exact Krein identity.
-    """
-    B = _boundary_rows(A_full)
-    _, S_alg = schur_split(A_full.matrix, A_full.rows("interior"), B)
-
-    grid = A_full.grid
-    n = grid.n if grid is not None else 1
-    h = A_full.meta.get("h", grid.h if grid is not None else 1.0)
-    if boundary_weights is None:
-        w = np.full(B.size, h ** (n - 1))
-    else:
-        w = np.asarray(boundary_weights, dtype=float)
-    # form-unit Schur = h^n * algebraic (operator units); weighted by w
-    units = A_full.meta.get("units", "operator")
-    S_form = (h**n) * S_alg if units == "operator" else S_alg
-    root = 1.0 / np.sqrt(w)
-    S_w = root[:, None] * S_form * root[None, :]
-
-    if partition is None:
-        # default Sigma_+ restriction; keeps everything when no Sigma_-
-        # rows are present (it was eliminated at assembly time)
-        sel = np.arange(A_full.rows("sigma_plus").size)
-    else:
-        # partition entries are grid node ids, or boundary positions when
-        # the matrix carries no node ids
-        node_ids = A_full.meta.get("node_ids")
-        boundary_nodes = np.arange(B.size) if node_ids is None else np.asarray(node_ids)[B]
-        lookup = {int(nid): k for k, nid in enumerate(boundary_nodes)}
-        wanted = [int(p) for p in np.asarray(partition).ravel()]
-        if any(p not in lookup for p in wanted):
-            raise ConfigurationError("partition contains nodes outside the boundary set")
-        sel = np.array([lookup[p] for p in wanted], dtype=int)
-
-    P = OperatorMatrix(
-        -S_w,
-        "boundary",
-        grid,
-        f"discrete DtN of [{A_full.descriptor}]",
-        {"units": "weighted-form", "algebraic_schur": S_alg, "weights": w, "schur_selector": sel},
-    )
-    L = OperatorMatrix(
-        S_w[np.ix_(sel, sel)],
-        "sigma_plus",
-        grid,
-        f"interface operator of [{A_full.descriptor}]",
-        {"units": "weighted-form", "algebraic_schur": S_alg[np.ix_(sel, sel)], "weights": w[sel]},
-    )
-    return P, L
 
 
 # ---------------------------------------------------------------------------

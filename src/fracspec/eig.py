@@ -116,16 +116,14 @@ def sym_eig(A, want_vectors: bool = False, descriptor: str | None = None) -> Spe
     return Spectrum(w, v, desc, meta={"eig_path": "dense"})
 
 
-def lanczos_extreme(A, k: int = 6, which: str = "SA", want_vectors: bool = False) -> Spectrum:
-    """The k smallest eigenpairs of A (dense, sparse, LinearOperator or .matrix), ascending; which="SA" only.
+def lanczos_extreme(A, k: int = 6, want_vectors: bool = False) -> Spectrum:
+    """The k smallest eigenpairs of A (dense, sparse, LinearOperator or .matrix), ascending.
 
     Above dimension max(4k, 64), ARPACK from a fixed start vector, within DENSE_CAP for about n operator
     products.  A pair counts if ||A v - lambda v|| <= max(MAX_RESIDUAL |lambda|, BACKWARD_ERROR eps ||A||),
     ||A|| <= the operator's norm_bound or 1-norm: rounding alone leaves eps ||A||.  Otherwise the dense route
     answers (residual reported, unchecked), or NumericError past DENSE_CAP.  meta: eig_path, max_residual.
     """
-    if which != "SA":
-        raise ValueError("lanczos_extreme returns the smallest pairs only (which='SA')")
     op = A.matrix if hasattr(A, "matrix") else A
     n = op.shape[0]
     ok = False

@@ -151,7 +151,7 @@ _BOX_FACES = {
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Shape, boundary split Sigma+/Sigma-, and torus-embedding data.
+    """Shape and boundary split Sigma+/Sigma-.
 
     kind: interval | rectangle | box | disk | ball.
     lengths: per-axis extents for box-like kinds.
@@ -159,7 +159,6 @@ class DomainSpec:
     sigma_plus: face-id tuple for box-like kinds (e.g. ("y-",)), an
         ("arc", th0, th1) angle range for the disk, or ("cap", phi_max)
         (polar angle from the north pole) for the ball.
-    torus_pad: padding factor of the periodic embedding (>= 1.5).
     """
 
     kind: str
@@ -167,13 +166,10 @@ class DomainSpec:
     radius: float = 1.0
     center: tuple = ()
     sigma_plus: tuple = ()
-    torus_pad: float = 2.0
 
     def __post_init__(self):
         if self.kind not in ("interval", "rectangle", "box", "disk", "ball"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.torus_pad < 1.5:
-            raise ValueError("torus_pad must be >= 1.5 so the domain sits strictly inside")
         if self.kind in ("interval", "rectangle", "box"):
             want = {"interval": 1, "rectangle": 2, "box": 3}[self.kind]
             if len(self.lengths) != want:
@@ -191,24 +187,24 @@ class DomainSpec:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def unit_interval(cls, sigma_plus=("x-",), torus_pad=2.0):
-        return cls("interval", lengths=(1.0,), sigma_plus=tuple(sigma_plus), torus_pad=torus_pad)
+    def unit_interval(cls, sigma_plus=("x-",)):
+        return cls("interval", lengths=(1.0,), sigma_plus=tuple(sigma_plus))
 
     @classmethod
-    def unit_square(cls, sigma_plus=("y-",), torus_pad=2.0):
-        return cls("rectangle", lengths=(1.0, 1.0), sigma_plus=tuple(sigma_plus), torus_pad=torus_pad)
+    def unit_square(cls, sigma_plus=("y-",)):
+        return cls("rectangle", lengths=(1.0, 1.0), sigma_plus=tuple(sigma_plus))
 
     @classmethod
-    def unit_box(cls, sigma_plus=("z-",), torus_pad=2.0):
-        return cls("box", lengths=(1.0, 1.0, 1.0), sigma_plus=tuple(sigma_plus), torus_pad=torus_pad)
+    def unit_box(cls, sigma_plus=("z-",)):
+        return cls("box", lengths=(1.0, 1.0, 1.0), sigma_plus=tuple(sigma_plus))
 
     @classmethod
-    def disk(cls, radius=1.0, arc=(0.0, np.pi), torus_pad=2.0):
-        return cls("disk", radius=radius, sigma_plus=("arc",) + tuple(arc), torus_pad=torus_pad)
+    def disk(cls, radius=1.0, arc=(0.0, np.pi)):
+        return cls("disk", radius=radius, sigma_plus=("arc",) + tuple(arc))
 
     @classmethod
-    def ball(cls, radius=1.0, cap=np.pi / 2, torus_pad=2.0):
-        return cls("ball", radius=radius, sigma_plus=("cap", cap), torus_pad=torus_pad)
+    def ball(cls, radius=1.0, cap=np.pi / 2):
+        return cls("ball", radius=radius, sigma_plus=("cap", cap))
 
     # -- basic geometry -----------------------------------------------------
 

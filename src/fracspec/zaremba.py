@@ -9,11 +9,12 @@ boundary nodes B = Sigma+,
     M = [K; I] S^{-1} [K; I]^T,
 
 whose nonzero spectrum equals that of S^{-1}(K^T K + I) exactly.  K and
-S come from discretize.schur_split, the one Schur-complement routine
-shared with the DtN and Poisson-extension paths; S = R^T R is
-Cholesky-factored once, M is materialized as F F^T with F = [K; I] R^{-1},
-and every spectrum of the form S^{-1} X is a generalized-definite
-eigensolve of the pencil (X, S).
+S come from discretize.schur_split, the one Schur complement: K is the
+discrete Poisson extension, and S in form units over the boundary
+weights h^{n-1} (KreinAssembly.L_weighted) is the discrete DtN operator
+with its sign reversed.  S = R^T R is Cholesky-factored once, M is
+materialized as F F^T with F = [K; I] R^{-1}, and every spectrum of the
+form S^{-1} X is a generalized-definite eigensolve of the pencil (X, S).
 
 The identity (criterion 08) is certified without an eigensolve of the
 N x N matrix M.  With Q an orthonormal basis of range([K; I]), the
@@ -35,7 +36,8 @@ returning the per-mode interface Schur value s_m and extension mass q_m.
 Three callers share it: the disk (angular Fourier modes, radial chains,
 arc submatrices of the synthesized circulants), the square and box
 faces (DST-I modes over the free face, normal chains, partition
-submatrices; krein_path "modes" past the cap), and the flat-strip probe
+submatrices; krein_path "modes" past the cap, on the cells that
+discretize.grid_spacing gives build_grid too), and the flat-strip probe
 measuring the DtN principal symbol against -kappa0.  The module also
 carries the interior-weighted spectra used for asymptotic comparisons.
 """
@@ -48,7 +50,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .discretize import DENSE_POWER_CAP, Grid, OperatorMatrix, assemble_second_order, build_grid, schur_split
+from .discretize import (DENSE_POWER_CAP, Grid, OperatorMatrix, assemble_second_order, build_grid, grid_spacing,
+                         schur_split)
 from .eig import min_eigenvalue_estimate
 from .errors import ConfigurationError, NotPositiveError, NumericError
 from .symbols import SecondOrderCoeffs, boundary_reduction, dtn_principal
@@ -603,13 +606,9 @@ def separable_face(coeffs: SecondOrderCoeffs, sigma, domain) -> bool:
 
 
 def _face_cells(domain, nodes: int):
-    """Spacing and cells per axis of build_grid(domain, nodes), the free face's normal axis
+    """Spacing and cells per axis (grid_spacing, as build_grid), the free face's normal axis
     and its tangential axes, without building the torus grid."""
-    if nodes < 8:
-        raise ConfigurationError("nodes_per_axis must be at least 8")
-    extent = domain.extent()
-    h = float(extent.max()) / nodes
-    cells = [int(round(e / h)) for e in extent]
+    h, cells = grid_spacing(domain, nodes)
     normal = "xyz".index(domain.sigma_plus[0][0])
     return h, cells, normal, [t for t in range(len(cells)) if t != normal]
 

@@ -15,8 +15,6 @@ from fracspec.discretize import (
     build_grid,
     fractional_restricted,
     materialize_torus_operator,
-    poisson_extension,
-    schur_dtn,
     schur_split,
     spectral_fractional_dirichlet,
 )
@@ -181,6 +179,34 @@ class TestAssembly:
         A = assemble_second_order(SecondOrderCoeffs(n=2, a=a), g, bc="dirichlet")
         assert sla.eigvalsh(A.toarray()).min() > 0.0
 
+    def test_box_face_halving_is_a_kron_sum(self):
+        # free z- face, in-face cross term: the form separates into
+        # kron(2D Dirichlet form, 1D lumped mass) + kron(2D lumped mass, 1D mixed form),
+        # so the halved edges, cross cells and node volumes on the face are pinned
+        a11, a22, a12, a33, sigma, a0 = 2.0, 1.5, 0.4, 1.25, 0.7, 0.3
+        a = np.array([[a11, a12, 0.0], [a12, a22, 0.0], [0.0, 0.0, a33]])
+        g = build_grid(DomainSpec.unit_box(sigma_plus=("z-",)), 8)
+        A = assemble_second_order(SecondOrderCoeffs(n=3, a=a), g, bc="mixed", sigma=sigma, a0=a0)
+        N, h = 8, g.h
+        m = N - 1
+        eye, T = np.eye(m), 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+        D = np.eye(m, k=1) - np.eye(m, k=-1)
+        form_2d = a11 * np.kron(T, eye) + a22 * np.kron(eye, T) - 0.5 * a12 * np.kron(D, D)
+        mass_2d = h**2 * np.eye(m * m)
+        # z nodes 0 (free, half cell) .. N-1; node N is Dirichlet
+        mass_1d = h * np.diag(np.r_[0.5, np.ones(N - 1)])
+        T1 = 2.0 * np.eye(N) - np.eye(N, k=1) - np.eye(N, k=-1)
+        T1[0, 0] = 1.0
+        form_1d = a33 / h * T1 + sigma * np.diag(np.r_[1.0, np.zeros(N - 1)]) + a0 * mass_1d
+        ref = np.kron(form_2d, mass_1d) + np.kron(mass_2d, form_1d)
+        # the assembly's rows in the (x, y, z) order of the reference
+        ijk = np.stack(np.unravel_index(A.meta["node_ids"], g.shape), axis=-1) - g.planes[:, 0]
+        order = ((ijk[:, 0] - 1) * m + ijk[:, 1] - 1) * N + ijk[:, 2]
+        assert np.array_equal(np.sort(order), np.arange(ref.shape[0]))
+        got = np.empty_like(ref)
+        got[np.ix_(order, order)] = h**3 * A.toarray()
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_matrix_symmetry_guard(self):
         with pytest.raises(InvariantError, match="symmetric"):
             OperatorMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), "bad")
@@ -307,7 +333,7 @@ class TestSpectralFractional:
 
 
 # ---------------------------------------------------------------------------
-# Poisson extension and Schur DtN
+# Poisson extension and DtN: schur_split's K and the Krein assembly's L
 # ---------------------------------------------------------------------------
 
 
@@ -318,36 +344,50 @@ def _square_all_faces(nodes=16):
     return g, A
 
 
+def _extension(A):
+    """phi -> [K phi; phi] in A's rows, K the extension map of schur_split, and the Schur complement S."""
+    I, B = A.rows("interior"), A.rows("sigma_plus")
+    K, S = schur_split(A.matrix, I, B)
+
+    def apply(phi):
+        u = np.empty(A.shape[0])
+        u[I] = K @ phi
+        u[B] = phi
+        return u
+
+    return apply, S
+
+
 class TestPoissonExtension:
     def test_1d_linear_interpolant(self):
         dom = DomainSpec.unit_interval(sigma_plus=("x-", "x+"))
         g = build_grid(dom, 16)
         A = assemble_second_order(laplacian(1), g, bc="mixed", sigma=0.0)
-        ext = poisson_extension(A)
+        ext, _ = _extension(A)
         alpha, beta = 2.0, -1.0
-        u = ext.apply(np.array([alpha, beta]))
+        u = ext(np.array([alpha, beta]))
         nodes = A.meta["node_ids"]
         x = g.points(nodes)[:, 0]
         assert np.allclose(u, alpha + (beta - alpha) * x, atol=1e-12)
 
     def test_zero_data(self):
         _, A = _square_all_faces(8)
-        ext = poisson_extension(A)
-        u = ext.apply(np.zeros(A.rows("sigma_plus").size))
+        ext, _ = _extension(A)
+        u = ext(np.zeros(A.rows("sigma_plus").size))
         assert np.abs(u).max() == 0.0
 
     def test_constant_data_extends_exactly(self):
+        # through the Krein assembly, whose K is the extension map
         _, A = _square_all_faces(16)
-        ext = poisson_extension(A)
-        u = ext.apply(np.ones(A.rows("sigma_plus").size))
-        assert np.abs(u - 1.0).max() < 1e-10
+        K = krein_from_matrix(A).K
+        assert np.abs(K @ np.ones(K.shape[1]) - 1.0).max() < 1e-10
 
     def test_discrete_harmonicity(self):
         _, A = _square_all_faces(12)
-        ext = poisson_extension(A)
+        ext, _ = _extension(A)
         rng = np.random.default_rng(11)
         phi = rng.standard_normal(A.rows("sigma_plus").size)
-        u = ext.apply(phi)
+        u = ext(phi)
         r = (A.matrix @ u)[A.rows("interior")]
         scale = np.abs(A.matrix @ u).max()
         assert np.abs(r).max() <= 1e-10 * scale
@@ -359,69 +399,63 @@ class TestPoissonExtension:
             "toy",
             meta={"row_sets": {"interior": [0, 1], "sigma_plus": [2]}},
         )
-        for route in (poisson_extension, krein_from_matrix):
-            with pytest.raises(NumericError):
-                route(bad)
+        with pytest.raises(NumericError):
+            krein_from_matrix(bad)
 
 
 class TestSchurDtn:
+    """The DtN operator is -L, L = KreinAssembly.L_weighted: the form-unit Schur complement over h^{n-1}."""
+
     def test_two_node_toy(self):
         A = OperatorMatrix(
             np.array([[2.0, -1.0], [-1.0, 1.5]]),
             "toy",
             meta={"row_sets": {"interior": [0], "sigma_plus": [1]}, "h": 1.0},
         )
-        P, L = schur_dtn(A)
-        assert P.toarray() == pytest.approx(np.array([[-1.0]]))
-        assert L.toarray() == pytest.approx(np.array([[1.0]]))
+        assert krein_from_matrix(A).L_weighted == pytest.approx(np.array([[1.0]]))
 
     def test_1d_interval_dtn_is_minus_one(self):
         dom = DomainSpec.unit_interval()
         g = build_grid(dom, 32)
         A = assemble_second_order(laplacian(1), g, bc="mixed", sigma=0.0)
-        P, L = schur_dtn(A)
-        assert P.toarray() == pytest.approx(np.array([[-1.0]]), rel=1e-12)
-        assert L.toarray() == pytest.approx(np.array([[1.0]]), rel=1e-12)
+        assert -krein_from_matrix(A).L_weighted == pytest.approx(np.array([[-1.0]]), rel=1e-12)
 
     def test_energy_identity(self):
         _, A = _square_all_faces(12)
-        ext = poisson_extension(A)
-        P, L = schur_dtn(A)
-        S_alg = P.meta["algebraic_schur"]
+        ext, S = _extension(A)
         rng = np.random.default_rng(5)
         nb = A.rows("sigma_plus").size
         phi = rng.standard_normal(nb)
         psi = rng.standard_normal(nb)
-        u, v = ext.apply(phi), ext.apply(psi)
+        u, v = ext(phi), ext(psi)
         lhs = u @ (A.matrix @ v)
-        rhs = phi @ (S_alg @ psi)
+        rhs = phi @ (S @ psi)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_full_sigma_plus_keeps_everything(self):
-        _, A = _square_all_faces(8)
-        P, L = schur_dtn(A)
-        assert L.shape == P.shape
-        assert np.allclose(L.toarray(), -P.toarray())
+        # the interface operator covers every retained boundary node: h^n S / h^{n-1}
+        g, A = _square_all_faces(8)
+        _, S = _extension(A)
+        L = krein_from_matrix(A).L_weighted
+        assert L.shape == S.shape == (A.rows("sigma_plus").size,) * 2
+        assert np.allclose(L, g.h * S, rtol=1e-14, atol=0.0)
 
     def test_sigma_minus_elimination_matches_submatrix(self):
         # Schur over Sigma+ after Dirichlet-dropping Sigma- equals the
         # Sigma+ principal submatrix of the full-boundary Schur complement
         pg = PolarDiskGrid(radius=1.0, n_r=10, n_theta=16, arc=(0.0, np.pi))
         F = assemble_polar_laplacian(pg)
-        P, L = schur_dtn(F, boundary_weights=np.full(pg.n_theta, pg.radius * pg.dtheta))
         n_plus = pg.sigma_plus_idx.size
+        arc_w = pg.radius * pg.dtheta
+        L = krein_from_matrix(F, boundary_weights=np.full(n_plus, arc_w)).L_weighted
+        _, S_full = schur_split(F.matrix, F.rows("interior"),
+                                np.concatenate([F.rows("sigma_plus"), F.rows("sigma_minus")]))
         assert L.shape == (n_plus, n_plus)
-        assert np.allclose(L.toarray(), -P.toarray()[:n_plus, :n_plus], atol=1e-12)
-
-    def test_partition_outside_boundary_rejected(self):
-        _, A = _square_all_faces(8)
-        with pytest.raises(ConfigurationError):
-            schur_dtn(A, partition=[10**6])
+        assert np.allclose(L, S_full[:n_plus, :n_plus] / arc_w, atol=1e-12)
 
     def test_positive_after_shift(self):
         _, A = _square_all_faces(8)
-        _, L = schur_dtn(A)
-        assert sla.eigvalsh(L.toarray()).min() > 0.0
+        assert sla.eigvalsh(krein_from_matrix(A).L_weighted).min() > 0.0
 
     @pytest.mark.parametrize("domain, nodes, sigma", [
         (DomainSpec.unit_box(), 12, 0.0),

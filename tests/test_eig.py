@@ -101,7 +101,7 @@ def test_lanczos_matches_dense_tail():
     n = 300
     diags = rng.random(n) + 1.0
     A = sp.diags(diags) + sp.diags(np.full(n - 1, 0.1), 1) + sp.diags(np.full(n - 1, 0.1), -1)
-    small = lanczos_extreme(A, k=4, which="SA").values
+    small = lanczos_extreme(A, k=4).values
     dense = sym_eig(A.toarray()).values[:4]
     assert np.allclose(small, dense, rtol=1e-8)
 

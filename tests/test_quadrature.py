@@ -91,11 +91,6 @@ def test_boundary_frames_are_adapted():
                 assert f[:, -1] @ p < 0.0
 
 
-def test_torus_pad_validation():
-    with pytest.raises(ValueError):
-        DomainSpec.unit_square(torus_pad=1.2)
-
-
 def test_weyl_constant_square_laplacian():
     # |Omega| sigma(S^1) / (n (2 pi)^n) = 2 pi / (2 (2 pi)^2) = 1 / (4 pi)
     sym = PrincipalSymbol.fractional_laplacian(2, 0.5)
