@@ -4,8 +4,10 @@ Quadrature kernels sum over a (nodes x directions) product.  Each
 256-node chunk evaluates its quadratic forms as one GEMM,
 ``mats.reshape(-1, n*n) @ outer(dirs).T``, whose rows of ``outer(dirs)``
 are ``dirs[s] (x) dirs[s]``; chunking bounds the working set.
-``restricted_power_apply`` is the matrix-free product with a restricted
-torus multiplier; its work is in the compiled transforms.
+``toeplitz_gather`` reads a torus kernel at the offsets of two sets of
+nodes, and ``restricted_power_apply`` is the matrix-free product with a
+restricted torus multiplier; its work is in the compiled transforms.
+``asymmetry`` measures how far a dense matrix is from symmetric.
 
 Conventions shared by all kernels:
 
@@ -88,11 +90,41 @@ def boundary_quantities(mats, xips):
     return ann, b, c
 
 
-def toeplitz_gather(kern_flat, idx, strides, shape):
-    """R[i, j] = kern[(idx[i] - idx[j]) mod shape], with row-major strides."""
-    d = idx[:, None, :] - idx[None, :, :]
-    d %= shape[None, None, :]
-    return kern_flat[d @ strides]
+def toeplitz_gather(kern_flat, idx, shape, cols=None):
+    """R[i, j] = kern[(idx[i] - cols[j]) mod shape] for a flat row-major torus kernel.
+
+    idx and cols (default idx) are (m, n) torus multi-indices.  The kernel
+    is tiled twice along each axis, so the offset idx[i] - cols[j] + shape
+    indexes the tiling directly, with no wrap; the flat offsets are formed
+    one block of rows at a time, of about 2^16 entries.
+    """
+    cols = idx if cols is None else cols
+    shape = np.asarray(shape, dtype=np.int64)
+    tiled = np.tile(kern_flat.reshape(tuple(shape)), (2,) * shape.size).ravel()
+    strides = np.array([np.prod(2 * shape[k + 1 :]) for k in range(shape.size)], dtype=np.int64)  # row-major, tiled
+    rows = idx @ strides
+    shifted = shape @ strides - cols @ strides
+    out = np.empty((rows.size, shifted.size))
+    step = max(1, (1 << 16) // max(shifted.size, 1))
+    for lo in range(0, rows.size, step):
+        np.take(tiled, rows[lo : lo + step, None] + shifted, out=out[lo : lo + step])
+    return out
+
+
+def asymmetry(M):
+    """(max|M - M^T|, max|M|) of a dense square matrix.
+
+    Blocks of rows are compared with the matching columns above the
+    diagonal, so no temporary is larger than about 2^16 entries.
+    """
+    m = M.shape[0]
+    step = max(1, (1 << 16) // max(m, 1))
+    asym = scale = 0.0
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        asym = max(asym, float(np.abs(M[lo:hi, lo:] - M[lo:, lo:hi].T).max()))
+        scale = max(scale, float(np.abs(M[lo:hi]).max()))
+    return asym, scale
 
 
 def restricted_power_apply(symbol, interior, shape, X):

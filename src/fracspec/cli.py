@@ -272,15 +272,9 @@ def _build_domain(cfg):
     raise ConfigurationError(f"unknown domain kind {kind!r}")
 
 
-def _assemble_operator(cfg, matrix_free=False):
-    """Assembled operator plus its grid; matrix_free applies a fractional power by transforms."""
-    from .discretize import (
-        TorusMultiplier,
-        assemble_second_order,
-        build_grid,
-        fractional_operator,
-        fractional_restricted,
-    )
+def _assemble_operator(cfg):
+    """Assembled operator plus its grid; a fractional power is the matrix-free RestrictedPowerOperator."""
+    from .discretize import TorusMultiplier, assemble_second_order, build_grid, fractional_operator
     from .errors import ConfigurationError
 
     coeffs = _build_coeffs(cfg)
@@ -295,8 +289,7 @@ def _assemble_operator(cfg, matrix_free=False):
         return A, grid, coeffs, a
     if bc != "dirichlet":
         raise ConfigurationError("fractional powers are restricted with Dirichlet exterior data")
-    build = fractional_operator if matrix_free else fractional_restricted
-    return build(TorusMultiplier.from_coeffs(coeffs), a, grid=grid), grid, coeffs, a
+    return fractional_operator(TorusMultiplier.from_coeffs(coeffs), a, grid=grid), grid, coeffs, a
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +507,7 @@ def _cmd_spectrum(cfg, args, em: Emitter) -> list[str]:
     from .errors import ConfigurationError
 
     count = _get(cfg, "task", "count", None)
-    A, grid, coeffs, a = _assemble_operator(cfg, matrix_free=count is not None)
+    A, grid, coeffs, a = _assemble_operator(cfg)
     if count is not None and count > A.shape[0]:
         raise ConfigurationError(f"task.count {count} exceeds the operator dimension {A.shape[0]}")
     spec = sym_eig(A) if count is None else lanczos_extreme(A, k=count)
@@ -526,7 +519,7 @@ def _cmd_spectrum(cfg, args, em: Emitter) -> list[str]:
     em.row("lambda_min", float(values[0]))
     em.row("lambda_max", float(values[-1]))
     em.row("h", grid.h)
-    for key, value in spec.meta.items():  # eig_path, and max_residual where pairs were checked
+    for key, value in spec.meta.items():  # eig_path; max_residual where pairs were checked; the parity blocks
         em.row(key, value)
     em.sequence("spectrum-values", values)
     return [f"computed {values.size} eigenvalues in [{values[0]:.6g}, {values[-1]:.6g}]"]
@@ -597,7 +590,7 @@ def _cmd_boundary_exp(cfg, args, em: Emitter) -> list[str]:
     from .asymptotics import boundary_exponent, ratio_trace_check
     from .eig import lanczos_extreme
 
-    A, grid, coeffs, a = _assemble_operator(cfg, matrix_free=True)
+    A, grid, coeffs, a = _assemble_operator(cfg)
     ground = lanczos_extreme(A, k=1, want_vectors=True)
     u = ground.vectors[:, 0]
     band = _get(cfg, "task", "band")

@@ -2,9 +2,11 @@
 
 Uniform torus grids carry the periodic-embedding path for restricted
 fractional powers r+ P_a e+, either gathered into a dense matrix
-(fractional_restricted, for full spectra and as the oracle) or applied
-matrix-free by transforms (fractional_operator, for a few eigenpairs past
-the dense cap).  The same grids feed the second-order Dirichlet, mixed
+(fractional_restricted, the oracle and the general route) or held as an
+operator (fractional_operator) that is applied matrix-free by transforms,
+for a few eigenpairs past the dense cap, and that splits into
+reflection-parity blocks (ParitySplit) on tensor-block interiors, for full
+spectra.  The same grids feed the second-order Dirichlet, mixed
 and periodic assemblies, which sum the form over the closure nodes of
 the domain with one neighbour rule for every boundary condition; which
 node lies on which face plane is decided once, from integer torus
@@ -29,6 +31,7 @@ so in meta["units"].
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +45,7 @@ from .quadrature import DomainSpec
 from .symbols import SecondOrderCoeffs
 
 DENSE_POWER_CAP = 8192
+PARITY_DEFECT = 1e-12  # largest relative kernel defect ParitySplit accepts
 _SNAP = 1e-9  # relative to h; boundary-hit tolerance
 _TORUS_PAD = 2.0  # torus extent over domain extent, per axis, of the periodic embedding
 
@@ -208,8 +212,7 @@ class OperatorMatrix:
             asym = np.abs(diff.data).max() if diff.nnz else 0.0
         else:
             matrix = np.asarray(matrix, dtype=float)
-            scale = np.abs(matrix).max() if matrix.size else 0.0
-            asym = np.abs(matrix - matrix.T).max() if matrix.size else 0.0
+            asym, scale = _kernels.asymmetry(matrix)
         if scale and asym > 1e-12 * scale:
             raise InvariantError("operator matrix is not symmetric to working tolerance")
         self.matrix = matrix
@@ -237,12 +240,18 @@ class OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_entries(coeffs: SecondOrderCoeffs, x_mid: np.ndarray, i: int, j: int) -> np.ndarray:
-    """a_ij sampled at edge midpoints (vectorized over x_mid rows)."""
+def _diagonal_entries(coeffs: SecondOrderCoeffs, x_mid: np.ndarray, i: int) -> np.ndarray:
+    """a_ii sampled at edge midpoints (vectorized over x_mid rows).
+
+    A variable coefficient with a nonzero cross entry at any of them
+    raises ConfigurationError: cross terms enter only as constants.
+    """
     if coeffs.constant:
-        return np.full(x_mid.shape[0], coeffs.a[i, j])
+        return np.full(x_mid.shape[0], coeffs.a[i, i])
     mats = coeffs.a_batch(x_mid)
-    return mats[:, i, j]
+    if mats[:, ~np.eye(coeffs.n, dtype=bool)].any():
+        raise ConfigurationError("variable cross-derivative coefficients are not supported")
+    return mats[:, i, i]
 
 
 def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=None, a0=0.0) -> OperatorMatrix:
@@ -263,7 +272,8 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
 
     Diagonal coefficients may vary over the domain (edge-midpoint
     sampling); cross coefficients enter through the diagonal-difference
-    form per grid cell and must be constant.
+    form per grid cell and must be constant, which is checked at every
+    edge midpoint.
     """
     n, h = grid.n, grid.h
     if bc not in ("dirichlet", "mixed", "periodic"):
@@ -310,13 +320,9 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
         l = nb[k]
         frac = 0.5 ** np.delete(on_plane[k], axis, axis=1).sum(axis=1)
         mid = 0.5 * (x[k] + x[l])
-        add_edges(k, l, h ** (n - 2) * frac * _coeff_entries(coeffs, mid, axis, axis))
+        add_edges(k, l, h ** (n - 2) * frac * _diagonal_entries(coeffs, mid, axis))
 
-    if not coeffs.constant:
-        probe = coeffs.a_batch(x[:: max(1, closure.size // 16)])
-        if probe[:, ~np.eye(n, dtype=bool)].any():
-            raise ConfigurationError("variable cross-derivative coefficients are not supported")
-    else:
+    if coeffs.constant:
         # diagonal-difference edges along e_i + e_j and e_i - e_j over each closure cell
         for i in range(n):
             for j in range(i + 1, n):
@@ -414,14 +420,20 @@ def _symbol_power(mult: TorusMultiplier, a: float, grid: Grid) -> np.ndarray:
     return vals**a
 
 
+def _reflect(x: np.ndarray, axes) -> np.ndarray:
+    """x(-d) of a torus array x(d), d negated modulo the torus along the given axes."""
+    return np.roll(np.flip(x, axes), 1, axes)
+
+
+def _even_kernel(vals_pow: np.ndarray) -> np.ndarray:
+    """The real torus kernel of a lattice symbol, made even: K(d) = K(-d) bit for bit."""
+    kern = np.fft.ifftn(vals_pow).real
+    return 0.5 * (kern + _reflect(kern, tuple(range(kern.ndim))))
+
+
 def _restricted_from_multiplier(vals_pow: np.ndarray, grid: Grid, interior: np.ndarray) -> np.ndarray:
-    kern = np.fft.ifftn(vals_pow)
-    kern = np.ascontiguousarray(kern.real.ravel())
-    multi = np.stack(np.unravel_index(interior, grid.shape), axis=-1).astype(np.int64)
-    strides = np.array([int(np.prod(grid.shape[k + 1 :])) for k in range(grid.n)], dtype=np.int64)
-    shape = np.asarray(grid.shape, dtype=np.int64)
-    R = _kernels.toeplitz_gather(kern, np.ascontiguousarray(multi), strides, shape)
-    return 0.5 * (R + R.T)
+    multi = np.stack(np.unravel_index(interior, grid.shape), axis=-1)
+    return _kernels.toeplitz_gather(_even_kernel(vals_pow).ravel(), multi, grid.shape)
 
 
 def materialize_torus_operator(mult: TorusMultiplier, grid: Grid, circulant_hint: bool = True) -> OperatorMatrix:
@@ -491,6 +503,59 @@ def fractional_restricted(base, a: float, grid: Grid | None = None, interior=Non
     return OperatorMatrix(R, "interior", grid, f"({desc_base})^{a:g} restricted", {"units": "operator", "path": "dense", "a": a})
 
 
+@dataclass(frozen=True)
+class ParitySplit:
+    """Reflection-parity blocks of r+ P_a e+ on a tensor-block interior.
+
+    When the even torus kernel K is even along every axis as well, the
+    restricted operator commutes with the reflection j_k -> L_k - 1 - j_k
+    of each axis of the interior block (L_k nodes along axis k), so it
+    splits into one block per parity p in {0, 1}^n (Cantoni & Butler,
+    Linear Algebra Appl. 13 (1976), for one reflection).  Block p acts on
+    the half-block with ceil(L_k/2) nodes (the centre included) along an
+    even axis and floor(L_k/2) along an odd one:
+
+        B_p[I, J] = f(I) f(J) sum_s (-1)^(p.s) K(I - rho_s J),
+
+    where rho_s reflects the axes in s and f is the product of 1/sqrt(2)
+    over the axes where I is the centre of an odd length.  The spectra of
+    the blocks together are the operator's.  The kernel is made even
+    along every axis bit for bit, so each block is exactly symmetric.
+    """
+
+    kernel: np.ndarray  # torus kernel, even along every axis bit for bit, torus shape
+    corner: np.ndarray  # torus multi-index of the interior block's low corner
+    lengths: np.ndarray  # interior nodes per axis
+    defect: float  # max over axes of max|K - flip_k K|, relative to max|K|, before K was made even per axis
+
+    @property
+    def parities(self) -> list[tuple]:
+        """The parities p whose half-blocks are nonempty (a length-1 axis has no odd half)."""
+        return [p for p in itertools.product((0, 1), repeat=self.lengths.size) if (self.lengths > p).all()]
+
+    def half(self, p) -> np.ndarray:
+        """Half-block lengths of parity p: ceil(L_k/2) where p_k = 0, floor(L_k/2) where p_k = 1."""
+        return (self.lengths + 1 - np.asarray(p)) // 2
+
+    @property
+    def sizes(self) -> list[int]:
+        return [int(np.prod(self.half(p))) for p in self.parities]
+
+    def block(self, p) -> np.ndarray:
+        """The dense block B_p."""
+        L, half, kern = self.lengths, self.half(p), self.kernel.ravel()
+        local = np.stack(np.unravel_index(np.arange(np.prod(half)), tuple(half)), axis=-1)
+        rows = self.corner + local
+        B = np.zeros((rows.shape[0], rows.shape[0]))
+        for s in itertools.product((0, 1), repeat=L.size):
+            cols = self.corner + np.where(s, L - 1 - local, local)
+            (np.subtract if np.dot(p, s) % 2 else np.add)(
+                B, _kernels.toeplitz_gather(kern, rows, self.kernel.shape, cols), out=B)
+        f = np.where((L % 2 == 1) & (local == L // 2), np.sqrt(0.5), 1.0).prod(axis=1)
+        B *= np.multiply.outer(f, f)  # f(I) f(J) rounds alike for (I, J) and (J, I)
+        return B
+
+
 class RestrictedPowerOperator(spla.LinearOperator):
     """Matrix-free r+ P_a e+ for a torus multiplier.
 
@@ -502,15 +567,15 @@ class RestrictedPowerOperator(spla.LinearOperator):
     pairs stay within reach past the dense cap.  The dense gather keeps
     the real, symmetrized part of the torus kernel, i.e. the even part of
     the lattice symbol, and that even part is what the transforms multiply
-    by; toarray() is the gather itself, for the dense route.
+    by; toarray() is the gather itself, for the dense route, and
+    parity_split() the reflection-parity blocks, for full spectra.
     """
 
     def __init__(self, mult: TorusMultiplier, a: float, grid: Grid):
         idx = grid.interior_idx
         super().__init__(np.float64, (idx.size, idx.size))
         vals_pow = _symbol_power(mult, a, grid)
-        axes = tuple(range(grid.n))
-        even = 0.5 * (vals_pow + np.roll(np.flip(vals_pow, axes), 1, axes))
+        even = 0.5 * (vals_pow + _reflect(vals_pow, tuple(range(grid.n))))
         self.symbol = np.ascontiguousarray(even[..., : grid.shape[-1] // 2 + 1])
         self.mult, self.a, self.grid, self.interior = mult, a, grid, idx
         self.descriptor = f"({mult.descriptor})^{a:g} restricted to {idx.size} nodes"
@@ -523,6 +588,27 @@ class RestrictedPowerOperator(spla.LinearOperator):
     def toarray(self) -> np.ndarray:
         """The dense matrix fractional_restricted gathers for the same operator."""
         return fractional_restricted(self.mult, self.a, grid=self.grid).matrix
+
+    def parity_split(self) -> ParitySplit | None:
+        """The reflection-parity blocks of the operator, or None when it does not split.
+
+        It splits when the interior fills a tensor block and the even
+        kernel departs from evenness along each axis by at most
+        PARITY_DEFECT, relative to its largest value.
+        """
+        multi = np.stack(np.unravel_index(self.interior, self.grid.shape), axis=-1)
+        corner = multi.min(axis=0)
+        lengths = multi.max(axis=0) - corner + 1
+        if self.interior.size != np.prod(lengths):
+            return None
+        kern = _even_kernel(_symbol_power(self.mult, self.a, self.grid))
+        scale = np.abs(kern).max()
+        defect = max(np.abs(kern - _reflect(kern, k)).max() for k in range(kern.ndim)) / scale
+        if not defect <= PARITY_DEFECT:  # NaN for a zero kernel: no split either
+            return None
+        for k in range(kern.ndim):  # each step keeps the earlier axes even bit for bit
+            kern = 0.5 * (kern + _reflect(kern, k))
+        return ParitySplit(kern, corner, lengths, float(defect))
 
     def _matmat(self, X):
         return _kernels.restricted_power_apply(self.symbol, self.interior, self.grid.shape, X)

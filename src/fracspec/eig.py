@@ -1,9 +1,14 @@
 """Symmetric eigendecomposition for assembled operators.
 
-Full spectra: LAPACK's tridiagonalization + implicit-shift drivers (scipy.linalg.eigh)
-on the dense matrix, capped at dimension 8192.  A few lowest pairs: lanczos_extreme,
-ARPACK's implicitly restarted Lanczos on a dense, sparse or matrix-free operator,
-uncapped, residuals checked; within the cap the dense route takes what it cannot finish.
+Full spectra: sym_eig, LAPACK's tridiagonalization + implicit-shift drivers
+(scipy.linalg.eigh).  An operator that splits into reflection-parity blocks
+(discretize.RestrictedPowerOperator.parity_split: a tensor-block interior and a
+kernel even along every axis) has its values taken block by block, each block
+capped at dimension 8192 (eig_path "parity"); any other input is gathered whole
+and capped at 8192 before the gather (eig_path "dense").  A few lowest pairs:
+lanczos_extreme, ARPACK's implicitly restarted Lanczos on a dense, sparse or
+matrix-free operator, uncapped, residuals checked; within the cap the dense route
+takes what it cannot finish.
 
 Eigenvalues are repeated according to multiplicity throughout.
 """
@@ -16,6 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
+from ._kernels import asymmetry
 from .errors import InvariantError, NumericError
 
 DENSE_CAP = 8192
@@ -24,13 +30,17 @@ BACKWARD_ERROR = 100  # or this many eps ||A|| (measured pairs: 0.7-52 eps ||A||
 _SCALE_FLOOR = np.finfo(float).eps ** (2.0 / 3.0)  # smallest |lambda| residuals are relative to (ARPACK's)
 
 
+def _check_cap(n: int) -> None:
+    if n > DENSE_CAP:
+        raise NumericError(f"dense eigensolve capped at {DENSE_CAP}, got {n}: full spectra stop there, and a "
+                           "few pairs past it come only from Lanczos within the residual bound (lanczos_extreme)")
+
+
 def _as_dense(A) -> np.ndarray:
     """Accept ndarray, scipy sparse, a LinearOperator, or anything exposing .matrix; capped first."""
     if hasattr(A, "matrix"):
         A = A.matrix
-    if getattr(A, "shape", (0,))[0] > DENSE_CAP:
-        raise NumericError(f"dense eigensolve capped at {DENSE_CAP}, got {A.shape[0]}: full spectra stop there, and a "
-                           "few pairs past it come only from Lanczos within the residual bound (lanczos_extreme)")
+    _check_cap(getattr(A, "shape", (0,))[0])
     if hasattr(A, "toarray") or isinstance(A, spla.LinearOperator):  # sparse, or an operator: gather it
         A = A.toarray() if hasattr(A, "toarray") else A @ np.eye(A.shape[0])
     M = np.asarray(A, dtype=float)
@@ -40,12 +50,13 @@ def _as_dense(A) -> np.ndarray:
 
 
 def _check_symmetric(M: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
+    """(M + M^T)/2 after checking max|M - M^T| <= rtol max|M|; M itself when it is exactly symmetric."""
     if M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    scale = np.abs(M).max() if M.size else 0.0
-    if scale and np.abs(M - M.T).max() > rtol * scale:
+    asym, scale = asymmetry(M)
+    if scale and asym > rtol * scale:
         raise InvariantError("matrix is not symmetric within tolerance")
-    return 0.5 * (M + M.T)
+    return M if asym == 0.0 else 0.5 * (M + M.T)
 
 
 @dataclass(frozen=True)
@@ -102,18 +113,38 @@ class Spectrum:
         }
 
 
-def sym_eig(A, want_vectors: bool = False, descriptor: str | None = None) -> Spectrum:
-    """Full ascending spectrum of a symmetric matrix.
-
-    The symmetrized matrix (A + A^T)/2 is what actually gets decomposed.
-    """
-    M = _check_symmetric(_as_dense(A))
-    desc = descriptor if descriptor is not None else getattr(A, "descriptor", "")
+def _eigh(M: np.ndarray, want_vectors: bool, overwrite: bool = False):
+    """eigh, or eigvalsh; overwrite lets LAPACK work in M's own memory (M^T is M, in Fortran order)."""
     try:
-        w, v = scipy.linalg.eigh(M) if want_vectors else (scipy.linalg.eigvalsh(M), None)
+        if want_vectors:
+            return scipy.linalg.eigh(M)
+        return scipy.linalg.eigvalsh(M.T if overwrite else M, overwrite_a=overwrite), None
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericError(f"symmetric eigensolver did not converge: {exc}") from exc
-    return Spectrum(w, v, desc, meta={"eig_path": "dense"})
+
+
+def sym_eig(A, want_vectors: bool = False, descriptor: str | None = None) -> Spectrum:
+    """Full ascending spectrum of a symmetric matrix or operator.
+
+    Values only of an operator with a parity split (parity_split() not
+    None): each reflection-parity block is solved on its own, DENSE_CAP
+    applies per block, the values are merged, and the m x m matrix is never
+    formed; meta reports the blocks, the largest block and the split's
+    parity_defect.  Otherwise the whole matrix is gathered, capped first,
+    and its symmetrized part (A + A^T)/2 is decomposed.
+    """
+    desc = descriptor if descriptor is not None else getattr(A, "descriptor", "")
+    split = None if want_vectors or not hasattr(A, "parity_split") else A.parity_split()
+    if split is None:
+        w, v = _eigh(_check_symmetric(_as_dense(A)), want_vectors)
+        return Spectrum(w, v, desc, meta={"eig_path": "dense"})
+    sizes = split.sizes
+    _check_cap(max(sizes))
+    # each block is built here and dropped after its solve, so LAPACK may overwrite it
+    w = np.sort(np.concatenate([_eigh(_check_symmetric(split.block(p)), False, overwrite=True)[0]
+                                for p in split.parities]))
+    meta = {"eig_path": "parity", "blocks": len(sizes), "max_block": max(sizes), "parity_defect": split.defect}
+    return Spectrum(w, None, desc, meta=meta)
 
 
 def lanczos_extreme(A, k: int = 6, want_vectors: bool = False) -> Spectrum:

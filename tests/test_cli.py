@@ -155,6 +155,34 @@ class TestPipelines:
         assert float(rows["max_residual"]) <= 1e-8
         assert int(rows["count"]) == 6
 
+    def test_full_spectrum_beyond_dense_cap_by_parity(self, tmp_path):
+        # m = 23^3 = 12167 > DENSE_CAP, in 8 reflection-parity blocks of at most 12^3 = 1728
+        assert run(["spectrum", "--a", "0.5", "--domain", "box", "--nodes", "24"], tmp_path) == 0
+        rows = report_lines(tmp_path, "spectrum")
+        assert (rows["eig_path"], rows["blocks"], rows["max_block"]) == ("parity", "8", "1728")
+        assert int(rows["count"]) == 23**3 and float(rows["parity_defect"]) <= 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["--coeffs", "matrix:2,0.3;0.3,1", "--domain", "square", "--nodes", "128"],  # no split: m = 16129
+        ["--domain", "disk", "--nodes", "200"],  # no tensor interior: m about 31000
+    ])
+    def test_full_spectrum_past_cap_exits_before_gathering(self, tmp_path, monkeypatch, capsys, argv):
+        from fracspec import _kernels
+
+        gathers = []
+        monkeypatch.setattr(_kernels, "toeplitz_gather", lambda *a, **k: gathers.append(a))
+        assert run(["spectrum", "--a", "0.5", *argv], tmp_path) == 3
+        assert "capped at 8192" in capsys.readouterr().err and not gathers
+
+    def test_parity_block_past_cap_exits_before_gathering(self, tmp_path, monkeypatch, capsys):
+        from fracspec import _kernels, eig
+
+        gathers = []
+        monkeypatch.setattr(_kernels, "toeplitz_gather", lambda *a, **k: gathers.append(a))
+        monkeypatch.setattr(eig, "DENSE_CAP", 200)  # square 32: blocks of 16^2 = 256 and less
+        assert run(["spectrum", "--a", "0.5", "--domain", "square", "--nodes", "32"], tmp_path) == 3
+        assert "capped at 200, got 256" in capsys.readouterr().err and not gathers
+
     @pytest.mark.parametrize("a", ["1", "0.5"])  # sparse and matrix-free Lanczos
     def test_boundary_exp_repro_in_process(self, tmp_path, a):
         args = ["boundary-exp", "--coeffs", "identity", "--domain", "square",

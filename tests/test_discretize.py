@@ -157,6 +157,18 @@ class TestAssembly:
         with pytest.raises(ConfigurationError):
             assemble_second_order(coeffs, g, bc="dirichlet")
 
+    def test_local_variable_cross_rejected(self):
+        # a cross coefficient on a small disk between sample nodes: every edge
+        # midpoint is checked, so it cannot be dropped silently
+        g = build_grid(DomainSpec.unit_square(), 16)
+
+        def a(x):
+            c = 0.5 if np.hypot(x[0] - 0.25, x[1] - 0.75) < 0.07 else 0.0
+            return np.array([[2.0, c], [c, 2.0]])
+
+        with pytest.raises(ConfigurationError, match="cross-derivative"):
+            assemble_second_order(SecondOrderCoeffs(n=2, a=a), g, bc="dirichlet")
+
     def test_cross_term_interior_stencil(self):
         # constant a12: interior stencil couples diagonal neighbours with -a12/(2h^2)
         g = build_grid(DomainSpec.unit_square(), 8)
@@ -218,6 +230,21 @@ class TestAssembly:
 
 
 class TestFractional:
+    @pytest.mark.parametrize("shape", [(7,), (6, 9), (4, 5, 6)])
+    def test_toeplitz_gather_matches_wrapped_differences(self, shape):
+        # reference: the m x m x n wrapped difference array, indexed through the flat strides
+        from fracspec._kernels import toeplitz_gather
+
+        rng = np.random.default_rng(len(shape))
+        kern = rng.standard_normal(shape).ravel()
+        rows = np.stack([rng.integers(0, m, 40) for m in shape], axis=-1)
+        cols = np.stack([rng.integers(0, m, 30) for m in shape], axis=-1)
+        strides = np.array([int(np.prod(shape[k + 1 :])) for k in range(len(shape))])
+        wrapped = (rows[:, None, :] - cols[None, :, :]) % np.array(shape)
+        assert np.array_equal(toeplitz_gather(kern, rows, shape, cols), kern[wrapped @ strides])
+        square = (rows[:, None, :] - rows[None, :, :]) % np.array(shape)
+        assert np.array_equal(toeplitz_gather(kern, rows, shape), kern[square @ strides])
+
     def test_two_node_toy(self):
         R = fractional_restricted(np.diag([2.0, 8.0]), 0.5)
         assert np.allclose(R.toarray(), np.diag([np.sqrt(2.0), 2.0 * np.sqrt(2.0)]), rtol=1e-14)

@@ -59,6 +59,25 @@ def test_sym_eig_symmetrizes_roundoff_input():
     assert np.allclose(w_clean, w_perturbed, atol=1e-11)
 
 
+@pytest.mark.parametrize("m", [1, 7, 300, 1100])
+def test_asymmetry_matches_the_full_difference(m):
+    # rows go in blocks of 2^16 entries: 300 and 1100 leave a ragged last block
+    from fracspec._kernels import asymmetry
+
+    M = np.random.default_rng(m).standard_normal((m, m))
+    assert asymmetry(M) == (np.abs(M - M.T).max(), np.abs(M).max())
+    S = M + M.T
+    assert asymmetry(S) == (0.0, np.abs(S).max())
+
+
+def test_check_symmetric_returns_exactly_symmetric_input_itself():
+    M = np.random.default_rng(3).standard_normal((50, 50))
+    S = M + M.T
+    assert eig._check_symmetric(S) is S
+    near = S + 1e-12 * np.triu(np.ones_like(S), 1)
+    assert np.array_equal(eig._check_symmetric(near), 0.5 * (near + near.T))
+
+
 def test_sym_eig_dense_cap():
     big = np.zeros((DENSE_CAP + 1, DENSE_CAP + 1))
     with pytest.raises(NumericError, match="capped"):

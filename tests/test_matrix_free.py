@@ -2,8 +2,11 @@
 
 fractional_restricted gathers r+ P_a e+ into a dense matrix and stays the
 reference; fractional_operator applies the same operator by transforms,
-and lanczos_extreme takes a few pairs from it.  Random SPD forms in
-n = 1, 2, 3, powers a in (0, 1.5] and small grids.
+lanczos_extreme takes a few pairs from it, and sym_eig takes its full
+spectrum from the reflection-parity blocks.  Random SPD forms in
+n = 1, 2, 3, powers a in (0, 1.5] and small grids; for the parity blocks,
+random diagonal forms, powers a in (0, 2) and boxes with odd and even
+node counts per axis.
 """
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from fracspec.asymptotics import boundary_exponent
 from fracspec.discretize import TorusMultiplier, build_grid, fractional_operator, fractional_restricted
-from fracspec.eig import lanczos_extreme
+from fracspec.eig import lanczos_extreme, sym_eig
 from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
 
@@ -67,3 +70,52 @@ def test_ground_state_boundary_exponent_matches_dense(problem):
     _, vecs = sla.eigh(fractional_restricted(mult, a, grid=grid).toarray(), subset_by_index=[0, 0])
     ground = lanczos_extreme(fractional_operator(mult, a, grid=grid), k=1, want_vectors=True)
     assert abs(boundary_exponent(ground.vectors[:, 0], grid) - boundary_exponent(vecs[:, 0], grid)) <= 1e-8
+
+
+@st.composite
+def diagonal_problems(draw):
+    """A random diagonal form, a power in (0, 2) and an interval, rectangle or box grid.
+
+    The longest side has `nodes` cells and the others a random fraction of
+    it, so the interior lengths L_k are odd or even independently.
+    """
+    n = draw(st.sampled_from([1, 2, 3]))
+    nodes = draw(st.integers(*{1: (8, 60), 2: (8, 20), 3: (8, 11)}[n]))
+    cells = [nodes] + [draw(st.integers(3, nodes)) for _ in range(n - 1)]
+    kind = {1: "interval", 2: "rectangle", 3: "box"}[n]
+    domain = DomainSpec(kind, lengths=tuple(c / nodes for c in cells))
+    form = np.diag(draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n)))
+    a = draw(st.floats(0.05, 1.95))
+    return TorusMultiplier.from_coeffs(SecondOrderCoeffs(n, a=form)), a, build_grid(domain, nodes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(diagonal_problems())
+def test_parity_spectrum_matches_dense_eigenvalues(problem):
+    mult, a, grid = problem
+    dense = sla.eigvalsh(fractional_restricted(mult, a, grid=grid).toarray())
+    op = fractional_operator(mult, a, grid=grid)
+    spec = sym_eig(op)
+    assert spec.meta["eig_path"] == "parity" and spec.meta["parity_defect"] <= 1e-12
+    split = op.parity_split()  # exactly symmetric blocks need no symmetrized copy
+    assert all(np.array_equal(B, B.T) for B in map(split.block, split.parities))
+    assert spec.meta["blocks"] == 2**grid.n and spec.meta["max_block"] < dense.size
+    assert np.allclose(spec.values, dense, rtol=1e-10, atol=1e-13 * dense[-1])
+
+
+def test_off_diagonal_form_takes_the_dense_gather():
+    # a cross term breaks the evenness along each axis: no split, and the
+    # values are those of the gathered matrix, bit for bit
+    grid = build_grid(DomainSpec.unit_square(), 16)
+    mult = TorusMultiplier.from_coeffs(SecondOrderCoeffs(2, a=np.array([[2.0, 0.3], [0.3, 1.0]])))
+    op = fractional_operator(mult, 0.5, grid=grid)
+    assert op.parity_split() is None
+    spec = sym_eig(op)
+    assert spec.meta == {"eig_path": "dense"}
+    assert np.array_equal(spec.values, sla.eigvalsh(fractional_restricted(mult, 0.5, grid=grid).toarray()))
+
+
+def test_disk_interior_takes_the_dense_gather():
+    grid = build_grid(DomainSpec.disk(radius=0.5), 16)
+    op = fractional_operator(TorusMultiplier.from_coeffs(SecondOrderCoeffs.laplacian(2)), 0.5, grid=grid)
+    assert op.parity_split() is None and sym_eig(op).meta["eig_path"] == "dense"
