@@ -678,7 +678,7 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
         em.row("krein_path", "modes")
         em.row("identity_check", "not_run")
         em.sequence("zaremba-mu", d.mu)
-        em.sequence("zaremba-interface", np.linalg.eigvalsh(d.L_weighted))
+        em.sequence("zaremba-interface", d.interface)
         return [f"computed {d.mu.size} interface eigenvalues (disk fast path)"]
 
     coeffs = _build_coeffs(cfg)

@@ -40,11 +40,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _kernels
+from .eig import sym_eig
 from .errors import ConfigurationError, InvariantError, NotPositiveError, NumericError
 from .quadrature import DomainSpec
 from .symbols import SecondOrderCoeffs
 
-DENSE_POWER_CAP = 8192
 PARITY_DEFECT = 1e-12  # largest relative kernel defect ParitySplit accepts
 _SNAP = 1e-9  # relative to h; boundary-hit tolerance
 _TORUS_PAD = 2.0  # torus extent over domain extent, per axis, of the periodic embedding
@@ -59,11 +59,13 @@ _TORUS_PAD = 2.0  # torus extent over domain extent, per axis, of the periodic e
 class Grid:
     """Uniform torus grid with node classification for an embedded domain.
 
-    Node sets (flat indices into the row-major torus array) are disjoint
-    and cover the torus: interior of Omega, sigma_plus, sigma_minus,
-    exterior.  d holds every node's distance to the domain boundary.
-    planes (n, 2) holds the torus index of each axis's low and high face
-    plane (see _plane_hits).
+    Node sets (flat indices into the row-major torus array, ascending)
+    are disjoint: interior of Omega, sigma_plus and sigma_minus; every
+    other torus node lies outside the closure.  d (torus-sized, flat
+    index) holds the distance to the domain boundary of each node of the
+    domain's bounding block, the only nodes build_grid classifies, and
+    NaN elsewhere.  planes (n, 2) holds the torus index of each axis's
+    low and high face plane (see _plane_hits).
     """
 
     domain: DomainSpec
@@ -74,7 +76,6 @@ class Grid:
     interior_idx: np.ndarray
     sigma_plus_idx: np.ndarray
     sigma_minus_idx: np.ndarray
-    exterior_idx: np.ndarray
     d: np.ndarray
 
     @property
@@ -132,7 +133,11 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
     Omega membership is decided by the cell-center indicator; nodes
     landing on the boundary (within snap tolerance) are classified into
     sigma_plus (relative interiors of its faces: on the face's plane and
-    on no other) and sigma_minus.
+    on no other) and sigma_minus.  Only the domain's bounding block, torus
+    indices offsets to offsets + cells along each axis, is classified:
+    it holds every closure node, and on a padded torus it is about
+    2^-n of the nodes.  Free nodes lie on faces of intervals, rectangles
+    and boxes only, so a disk or ball grid has no sigma_plus nodes.
     """
     h, cells = grid_spacing(domain, nodes_per_axis)
     extent = domain.extent()
@@ -147,11 +152,12 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
         for t, (c, e, off) in enumerate(zip(cells, extent, offsets)):
             planes[t] = off, (off + c if abs(c * h - e) <= _SNAP * h else -1)
 
-    multi = np.stack(np.unravel_index(np.arange(int(np.prod(shape))), shape), axis=-1)
+    block = tuple(c + 1 for c in cells)
+    multi = offsets + np.stack(np.unravel_index(np.arange(int(np.prod(block))), block), axis=-1)
     x = origin + h * multi
 
-    d = _distance_to_boundary(domain, x)
-    on_boundary = d <= _SNAP * h
+    d_block = _distance_to_boundary(domain, x)
+    on_boundary = d_block <= _SNAP * h
     inside = domain.contains(x) & ~on_boundary
     splus = np.zeros(x.shape[0], dtype=bool)
     if box_like:
@@ -161,7 +167,9 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
             axis = "xyz".index(face[0])
             on_other = np.delete(on_plane, axis, axis=1).any(axis=1)
             splus |= on_boundary & hits[:, axis, int(face[1] == "+")] & ~on_other
-    idx = np.arange(x.shape[0])
+    idx = np.ravel_multi_index(multi.T, shape)  # ascending: the block's C order is the torus's
+    d = np.full(int(np.prod(shape)), np.nan)
+    d[idx] = d_block
     return Grid(
         domain=domain,
         h=h,
@@ -171,7 +179,6 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
         interior_idx=idx[inside],
         sigma_plus_idx=idx[splus],
         sigma_minus_idx=idx[on_boundary & ~splus],
-        exterior_idx=idx[~inside & ~on_boundary],
         d=d,
     )
 
@@ -259,8 +266,9 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
 
     bc = "dirichlet" keeps interior nodes only; "mixed" keeps interior
     plus sigma_plus nodes (Robin term sigma there, Dirichlet on
-    sigma_minus) and requires sigma, 0.0 being a valid choice; "periodic"
-    assembles on the whole torus with no boundary terms.
+    sigma_minus) and requires sigma, 0.0 being a valid choice, and a grid
+    with sigma_plus nodes; "periodic" assembles on the whole torus with no
+    boundary terms.
 
     The form is summed over the closure nodes (interior and boundary; the
     whole torus for "periodic") in ascending torus index, and one
@@ -280,6 +288,9 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
         raise ConfigurationError(f"unknown boundary condition {bc!r}")
     if bc == "mixed" and sigma is None:
         raise ConfigurationError("mixed assembly needs sigma (0.0 is allowed)")
+    if bc == "mixed" and grid.sigma_plus_idx.size == 0:
+        raise ConfigurationError(f"mixed assembly needs free boundary nodes, and the {grid.domain.kind} grid has "
+                                 "none: they lie on faces of intervals, rectangles and boxes only")
     if coeffs.n != n:
         raise ConfigurationError("coefficient dimension does not match the grid")
 
@@ -339,7 +350,7 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
     diag = np.zeros(closure.size)
     if a0:
         diag += np.asarray(a0(x) if callable(a0) else a0, dtype=float) * h**n * 0.5 ** on_plane.sum(axis=1)
-    if bc == "mixed" and grid.sigma_plus_idx.size:
+    if bc == "mixed":
         free = np.searchsorted(closure, grid.sigma_plus_idx)
         diag[free] += np.asarray(sigma(x[free]) if callable(sigma) else sigma, dtype=float) * h ** (n - 1)
     nz = np.flatnonzero(diag)
@@ -361,7 +372,6 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
         "node_ids": keep,
         "h": h,
         "bc": bc,
-        "circulant": periodic and coeffs.constant,
     }
     if a0:
         meta["a0"] = "callable" if callable(a0) else float(a0)
@@ -436,16 +446,16 @@ def _restricted_from_multiplier(vals_pow: np.ndarray, grid: Grid, interior: np.n
     return _kernels.toeplitz_gather(_even_kernel(vals_pow).ravel(), multi, grid.shape)
 
 
-def materialize_torus_operator(mult: TorusMultiplier, grid: Grid, circulant_hint: bool = True) -> OperatorMatrix:
+def materialize_torus_operator(mult: TorusMultiplier, grid: Grid) -> OperatorMatrix:
     """Dense torus matrix of a Fourier multiplier.
 
-    With circulant_hint=False the returned matrix routes fractional
-    powers through the dense eigendecomposition path, which is the
-    slow-but-generic contrast to the fast transform route.
+    Its fractional powers take the dense eigendecomposition route of
+    fractional_restricted, the slow-but-generic contrast to the
+    transform route of the multiplier itself.
     """
     vals = _multiplier_values(mult, grid)
     dense = _restricted_from_multiplier(vals, grid, np.arange(grid.size))
-    meta = {"units": "operator", "circulant": circulant_hint, "h": grid.h}
+    meta = {"units": "operator", "h": grid.h}
     return OperatorMatrix(dense, "torus", grid, f"dense torus matrix of {mult.descriptor}", meta)
 
 
@@ -454,8 +464,9 @@ def fractional_restricted(base, a: float, grid: Grid | None = None, interior=Non
 
     base is either a TorusMultiplier (constant-coefficient fast path via
     the fast transform) or a symmetric positive semidefinite torus
-    matrix (dense eigendecomposition path, capped at 8192).  a = 1 with
-    a matrix base returns the principal submatrix exactly.
+    matrix (dense eigendecomposition path: eig.sym_eig, capped at
+    eig.DENSE_CAP and checked symmetric).  a = 1 with a matrix base
+    returns the principal submatrix exactly.
     """
     if not a > 0.0:
         raise ValueError("fractional exponent a must be positive")
@@ -472,34 +483,19 @@ def fractional_restricted(base, a: float, grid: Grid | None = None, interior=Non
         desc = f"({base.descriptor})^{a:g} restricted to {idx.size} nodes"
         return OperatorMatrix(R, "interior", grid, desc, {"units": "operator", "path": "multiplier", "a": a})
 
-    mat = base.toarray() if isinstance(base, OperatorMatrix) else np.asarray(base, dtype=float)
     desc_base = base.descriptor if isinstance(base, OperatorMatrix) else "matrix"
-    meta_base = base.meta if isinstance(base, OperatorMatrix) else {}
-    idx = interior if interior is not None else np.arange(mat.shape[0])
+    idx = interior if interior is not None else np.arange(np.shape(base)[0])
 
     if a == 1.0:
+        mat = base.toarray() if isinstance(base, OperatorMatrix) else np.asarray(base, dtype=float)
         R = mat[np.ix_(idx, idx)]
         return OperatorMatrix(R, "interior", grid, f"({desc_base}) restricted", {"units": "operator", "path": "submatrix", "a": 1.0})
 
-    if meta_base.get("circulant") and grid is not None and mat.shape[0] == grid.size:
-        kern_row = mat[0].reshape(grid.shape)
-        vals = np.fft.fftn(kern_row)
-        vals = vals.real
-        if vals.min() < -1e-10 * max(vals.max(), 1.0):
-            raise NotPositiveError("torus operator has negative eigenvalues beyond tolerance")
-        vals = np.clip(vals, 0.0, None)
-        R = _restricted_from_multiplier(vals**a, grid, idx)
-        return OperatorMatrix(R, "interior", grid, f"({desc_base})^{a:g} restricted", {"units": "operator", "path": "multiplier", "a": a})
-
-    if mat.shape[0] > DENSE_POWER_CAP:
-        raise NumericError(f"dense fractional power capped at {DENSE_POWER_CAP} nodes, got {mat.shape[0]}")
-    w, V = scipy.linalg.eigh(0.5 * (mat + mat.T))
+    spec = sym_eig(base, want_vectors=True)  # capped before base is gathered
+    w = spec.values
     if w.min() < -1e-10 * max(abs(w.max()), 1.0):
         raise NotPositiveError("base operator has negative eigenvalues beyond tolerance")
-    w = np.clip(w, 0.0, None)
-    P = (V * w**a) @ V.T
-    R = P[np.ix_(idx, idx)]
-    R = 0.5 * (R + R.T)
+    R = _power_from_pairs(np.clip(w, 0.0, None), spec.vectors, a)[np.ix_(idx, idx)]
     return OperatorMatrix(R, "interior", grid, f"({desc_base})^{a:g} restricted", {"units": "operator", "path": "dense", "a": a})
 
 
@@ -625,6 +621,12 @@ def fractional_operator(mult: TorusMultiplier, a: float, grid: Grid) -> Restrict
     return RestrictedPowerOperator(mult, a, grid)
 
 
+def _power_from_pairs(w: np.ndarray, V: np.ndarray, a: float) -> np.ndarray:
+    """V diag(w^a) V^T for eigenpairs with w >= 0, as F F^T with F = V diag(w^(a/2)): symmetric bit for bit."""
+    F = V * w ** (0.5 * a)
+    return F @ F.T
+
+
 def spectral_fractional_dirichlet(A_dir, a: float) -> OperatorMatrix:
     """The a-th power of the Dirichlet realization itself (contrast object)."""
     mat = A_dir.toarray() if isinstance(A_dir, OperatorMatrix) else np.asarray(A_dir, dtype=float)
@@ -632,11 +634,11 @@ def spectral_fractional_dirichlet(A_dir, a: float) -> OperatorMatrix:
     grid = A_dir.grid if isinstance(A_dir, OperatorMatrix) else None
     if a == 1.0:
         return OperatorMatrix(mat.copy(), "interior", grid, desc, {"units": "operator", "a": 1.0})
-    w, V = scipy.linalg.eigh(0.5 * (mat + mat.T))
-    if w.min() <= 0.0:
+    spec = sym_eig(mat, want_vectors=True)
+    if spec.values.min() <= 0.0:
         raise NotPositiveError("Dirichlet realization must be positive definite")
-    P = (V * w**a) @ V.T
-    return OperatorMatrix(0.5 * (P + P.T), "interior", grid, f"({desc})^{a:g} spectral", {"units": "operator", "a": a})
+    P = _power_from_pairs(spec.values, spec.vectors, a)
+    return OperatorMatrix(P, "interior", grid, f"({desc})^{a:g} spectral", {"units": "operator", "a": a})
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,25 @@
-"""Symmetric eigendecomposition for assembled operators.
+"""Symmetric eigendecomposition: the package's one entry point to eigensolvers.
+
+No other module calls a dense or iterative eigensolver, and DENSE_CAP is the one
+dense-size cap; callers that must refuse work past it (the Krein term M, the
+Zaremba route choice) read it here at call time.
 
 Full spectra: sym_eig, LAPACK's tridiagonalization + implicit-shift drivers
-(scipy.linalg.eigh).  An operator that splits into reflection-parity blocks
-(discretize.RestrictedPowerOperator.parity_split: a tensor-block interior and a
-kernel even along every axis) has its values taken block by block, each block
-capped at dimension 8192 (eig_path "parity"); any other input is gathered whole
-and capped at 8192 before the gather (eig_path "dense").  A few lowest pairs:
-lanczos_extreme, ARPACK's implicitly restarted Lanczos on a dense, sparse or
-matrix-free operator, uncapped, residuals checked; within the cap the dense route
-takes what it cannot finish.
+(scipy.linalg.eigh), with vectors on request.  An operator that splits into
+reflection-parity blocks (discretize.RestrictedPowerOperator.parity_split: a
+tensor-block interior and a kernel even along every axis) has its values taken
+block by block, each block capped at DENSE_CAP (eig_path "parity"); any other
+input is gathered whole and capped at DENSE_CAP before the gather (eig_path
+"dense").  Given B as well, sym_eig solves the symmetric-definite pencil
+A x = lambda B x (the Krein and interface spectra of zaremba) with the same cap
+and symmetry check on both matrices; a B that is not positive definite raises
+NotPositiveError.  Every matrix is checked symmetric within a relative 1e-8
+before it is symmetrized, never silently.  A few lowest pairs: lanczos_extreme,
+ARPACK's implicitly restarted Lanczos on a dense, sparse or matrix-free
+operator, uncapped, residuals checked; within the cap the dense route takes
+what it cannot finish.
 
-Eigenvalues are repeated according to multiplicity throughout.
+Eigenvalues are ascending and repeated according to multiplicity throughout.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from ._kernels import asymmetry
-from .errors import InvariantError, NumericError
+from .errors import InvariantError, NotPositiveError, NumericError
 
 DENSE_CAP = 8192
 MAX_RESIDUAL = 1e-8  # eigenpair residual, relative to |lambda|, lanczos_extreme accepts
@@ -123,17 +132,29 @@ def _eigh(M: np.ndarray, want_vectors: bool, overwrite: bool = False):
         raise NumericError(f"symmetric eigensolver did not converge: {exc}") from exc
 
 
-def sym_eig(A, want_vectors: bool = False, descriptor: str | None = None) -> Spectrum:
-    """Full ascending spectrum of a symmetric matrix or operator.
+def sym_eig(A, B=None, want_vectors: bool = False, descriptor: str | None = None) -> Spectrum:
+    """Full ascending spectrum of a symmetric matrix or operator A, or of the pencil (A, B).
 
-    Values only of an operator with a parity split (parity_split() not
-    None): each reflection-parity block is solved on its own, DENSE_CAP
-    applies per block, the values are merged, and the m x m matrix is never
-    formed; meta reports the blocks, the largest block and the split's
-    parity_defect.  Otherwise the whole matrix is gathered, capped first,
-    and its symmetrized part (A + A^T)/2 is decomposed.
+    With B, the symmetric-definite pencil A x = lambda B x (Golub & Van
+    Loan, Matrix Computations, sec. 8.7): both matrices are capped and
+    checked symmetric, and a B that is not positive definite raises
+    NotPositiveError.  Values only of an operator with a parity split
+    (parity_split() not None), without B: each reflection-parity block is
+    solved on its own, DENSE_CAP applies per block, the values are merged,
+    and the m x m matrix is never formed; meta reports the blocks, the
+    largest block and the split's parity_defect.  Otherwise the whole
+    matrix is gathered, capped first, and its symmetrized part (A + A^T)/2
+    is decomposed.
     """
     desc = descriptor if descriptor is not None else getattr(A, "descriptor", "")
+    if B is not None:
+        A, B = _check_symmetric(_as_dense(A)), _check_symmetric(_as_dense(B))
+        try:
+            out = scipy.linalg.eigh(A, B, eigvals_only=not want_vectors)
+        except scipy.linalg.LinAlgError as exc:
+            raise NotPositiveError(f"pencil matrix B is not positive definite: {exc}") from exc
+        w, v = out if want_vectors else (out, None)
+        return Spectrum(w, v, desc, meta={"eig_path": "dense"})
     split = None if want_vectors or not hasattr(A, "parity_split") else A.parity_split()
     if split is None:
         w, v = _eigh(_check_symmetric(_as_dense(A)), want_vectors)

@@ -344,6 +344,12 @@ def boundary_reduction(
     ann = float(abar[-1, -1])
     if ann <= 0.0:
         raise EllipticityError("abar_nn must be positive")
+    return BoundaryFactorization(x=x, frame=frame, abar=abar, a_nn=ann, **_root_pair(abar, xip))
+
+
+def _root_pair(abar: np.ndarray, xip: np.ndarray) -> dict:
+    """The base fields of the factorization of the frame-reduced abar (abar_nn > 0) at xi'."""
+    ann = float(abar[-1, -1])
     b = float(abar[:-1, -1] @ xip)
     c = float(xip @ abar[:-1, :-1] @ xip)
     a_prime = ann * c - b * b
@@ -355,20 +361,8 @@ def boundary_reduction(
     poly = ann * _XI_N_PROBE**2 + 2.0 * b * _XI_N_PROBE + c
     fact = ann * (kappa_plus + 1j * _XI_N_PROBE) * (kappa_minus - 1j * _XI_N_PROBE)
     residual = float(np.max(np.abs(poly - fact) / np.abs(poly)))
-    return BoundaryFactorization(
-        x=x,
-        frame=frame,
-        abar=abar,
-        a_nn=ann,
-        xi_prime=xip,
-        b=b,
-        c=c,
-        a_prime=a_prime,
-        kappa0=kappa0,
-        kappa_plus=kappa_plus,
-        kappa_minus=kappa_minus,
-        residual=residual,
-    )
+    return dict(xi_prime=xip, b=b, c=c, a_prime=a_prime, kappa0=kappa0, kappa_plus=kappa_plus,
+                kappa_minus=kappa_minus, residual=residual)
 
 
 def tangential_form(abar: np.ndarray) -> np.ndarray:
@@ -423,19 +417,7 @@ def tangential_factorization(
     fact = att * (kappat_plus + 1j * _XI_N_PROBE) * (kappat_minus - 1j * _XI_N_PROBE)
     scale = np.maximum(np.abs(kap_sq), 1e-300)
     residual = float(np.max(np.abs(kap_sq - fact) / scale))
-    base = {}
-    if xidp.size and np.any(xidp):
-        red = boundary_reduction(coeffs, x, frame, np.append(xidp, 0.0))
-        base = dict(
-            xi_prime=red.xi_prime,
-            b=red.b,
-            c=red.c,
-            a_prime=red.a_prime,
-            kappa0=red.kappa0,
-            kappa_plus=red.kappa_plus,
-            kappa_minus=red.kappa_minus,
-            residual=red.residual,
-        )
+    base = _root_pair(abar, np.append(xidp, 0.0)) if xidp.size and np.any(xidp) else {}
     return BoundaryFactorization(
         x=x,
         frame=frame,

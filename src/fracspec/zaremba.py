@@ -26,7 +26,7 @@ so a small rho proves both the rank bound and the sign of the spectrum,
 and the Ritz values stand for the nonzero spectrum of M in the
 comparison with S^{-1}(K^T K + I).  rho relative to the spectral scale
 is reported as identity_residual.  The identity is only checked where
-M is materialized, N <= DENSE_POWER_CAP (krein_path "assembled").
+M is materialized, N <= eig.DENSE_CAP (krein_path "assembled").
 
 On separable geometries each tangential mode reduces the mixed problem
 to one tridiagonal normal chain (Buzbee, Golub & Nielson, SIAM J. Numer.
@@ -40,6 +40,11 @@ submatrices; krein_path "modes" past the cap, on the cells that
 discretize.grid_spacing gives build_grid too), and the flat-strip probe
 measuring the DtN principal symbol against -kappa0.  The module also
 carries the interior-weighted spectra used for asymptotic comparisons.
+
+Every spectrum here, the pencils (X, S) and the interface operators
+alike, comes from eig.sym_eig, which owns the dense cap and the
+symmetry check; routes report mu descending and interface spectra
+ascending.
 """
 
 from __future__ import annotations
@@ -50,9 +55,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .discretize import (DENSE_POWER_CAP, Grid, OperatorMatrix, assemble_second_order, build_grid, grid_spacing,
-                         schur_split)
-from .eig import min_eigenvalue_estimate
+from . import eig
+from .discretize import Grid, OperatorMatrix, assemble_second_order, build_grid, grid_spacing, schur_split
+from .eig import min_eigenvalue_estimate, sym_eig
 from .errors import ConfigurationError, NotPositiveError, NumericError
 from .symbols import SecondOrderCoeffs, boundary_reduction, dtn_principal
 
@@ -61,7 +66,7 @@ _ROW_BLOCK = 512  # rows of M per block of the Rayleigh-Ritz residual
 
 
 def _cap_message(size: int) -> str:
-    return f"M would be {size}x{size}, above the {DENSE_POWER_CAP} cap"
+    return f"M would be {size}x{size}, above the {eig.DENSE_CAP} cap"
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +130,7 @@ class KreinAssembly:
             if self.n_boundary == 0:
                 self._M = np.zeros((size, size))
             else:
-                if size > DENSE_POWER_CAP:
+                if size > eig.DENSE_CAP:
                     raise NumericError(_cap_message(size))
                 # F^T = R^{-T} G^T; the product F F^T is symmetric bit for bit
                 Ft = scipy.linalg.solve_triangular(self._chol[0], self._basis().T, trans="T",
@@ -141,7 +146,7 @@ class KreinAssembly:
 
     def mu_exact(self) -> np.ndarray:
         """Nonzero spectrum of M through the algebraic identity side."""
-        return _definite_eigs(self.K.T @ self.K + np.eye(self.n_boundary), self.S)
+        return sym_eig(self.K.T @ self.K + np.eye(self.n_boundary), self.S).values[::-1]
 
     def mu_from_M(self) -> np.ndarray:
         """Descending Rayleigh-Ritz values of the materialized M on range([K; I])."""
@@ -164,7 +169,7 @@ class KreinAssembly:
         Q = scipy.linalg.solve_triangular(C, self._basis().T, lower=True).T
         B = Q.T @ (M @ Q)
         B = 0.5 * (B + B.T)
-        ritz = scipy.linalg.eigvalsh(B)[::-1]
+        ritz = sym_eig(B).values[::-1]
         BQt = B @ Q.T
         sq = 0.0
         for lo in range(0, M.shape[0], _ROW_BLOCK):
@@ -195,13 +200,11 @@ class KreinAssembly:
             inner[np.diag_indices_from(inner)] += 0.5 * self.h * self.boundary_weights
         if include_boundary_mass:
             inner[np.diag_indices_from(inner)] += self.boundary_weights
-        return _definite_eigs(inner, self.S_form)
+        return sym_eig(inner, self.S_form).values[::-1]
 
     def weighted_L_spectrum(self) -> np.ndarray:
         """Ascending spectrum of the boundary-weighted interface operator."""
-        if self.n_boundary == 0:
-            return np.zeros(0)
-        return scipy.linalg.eigvalsh(self.L_weighted)
+        return sym_eig(self.L_weighted).values
 
     def record(self) -> dict:
         return {
@@ -212,21 +215,6 @@ class KreinAssembly:
             "shift": self.shift,
             "n2_flagged": self.meta["n2_flagged"],
         }
-
-
-def _definite_eigs(inner: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of the symmetric-definite pencil (inner, S).
-
-    Solved directly as a generalized problem (Golub & Van Loan, Matrix
-    Computations, sec. 8.7); S that is not positive definite raises
-    NotPositiveError.
-    """
-    if S.size == 0:
-        return np.zeros(0)
-    try:
-        return scipy.linalg.eigh(inner, S, eigvals_only=True)[::-1]
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveError(_NOT_POSITIVE) from exc
 
 
 def krein_from_matrix(A_full: OperatorMatrix, shift: float = 0.0,
@@ -446,19 +434,17 @@ class DiskSpectra:
     """Interface spectra on a disk with a circular-arc free boundary.
 
     mu: descending interior-weighted Krein spectrum, eig(S^-1 K^T W K).
-    L_weighted: arc-weighted interface Schur matrix over Sigma+ nodes.
-    arc_distances: geodesic distance of each Sigma+ node to the nearest
-    arc endpoint.  s_modes/q_modes: the per-mode scalar reductions the
-    full-circle matrices were synthesized from.
+    interface: ascending spectrum of L_weighted, as FaceSpectra.interface.
+    L_weighted: arc-weighted interface Schur matrix over Sigma+ nodes, and
+    S_plus the unweighted one.  arc_distances: geodesic distance of each
+    Sigma+ node to the nearest arc endpoint.
     """
 
     mu: np.ndarray
+    interface: np.ndarray
     L_weighted: np.ndarray
     S_plus: np.ndarray
-    Q_plus: np.ndarray
     arc_distances: np.ndarray
-    s_modes: np.ndarray
-    q_modes: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def record(self) -> dict:
@@ -526,13 +512,8 @@ def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: flo
 
     half = n_theta // 2
     s_half, q_half = _radial_chains(n_r, n_theta, radius, shift, np.arange(half + 1))
-    s_modes = np.concatenate([s_half, s_half[1 : n_theta - half][::-1]])
-    q_modes = np.concatenate([q_half, q_half[1 : n_theta - half][::-1]])
-
-    row_s = np.fft.ifft(s_modes).real
-    row_q = np.fft.ifft(q_modes).real
-    S_full = scipy.linalg.circulant(row_s)
-    Q_full = scipy.linalg.circulant(row_q)
+    S_full, Q_full = (scipy.linalg.circulant(np.fft.ifft(np.concatenate([v, v[1 : n_theta - half][::-1]])).real)
+                      for v in (s_half, q_half))
 
     dth = 2.0 * np.pi / n_theta
     thetas = dth * np.arange(n_theta)
@@ -550,7 +531,7 @@ def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: flo
         # commutes with the interior elimination, so adding it here is exact
         S_plus = S_plus + sigma * arc_w * np.eye(sel.size)
 
-    mu = _definite_eigs(Q_plus, S_plus)
+    mu = sym_eig(Q_plus, S_plus).values[::-1]
 
     L_weighted = S_plus / arc_w
     d_lo = radius * (thetas[sel] - th0)
@@ -568,7 +549,7 @@ def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: flo
         "arc_weight": arc_w,
         "n2_flagged": True,
     }
-    return DiskSpectra(np.asarray(mu), L_weighted, S_plus, Q_plus, arc_distances, s_modes, q_modes, meta)
+    return DiskSpectra(mu, sym_eig(L_weighted).values, L_weighted, S_plus, arc_distances, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +649,8 @@ def face_mode_spectra(coeffs: SecondOrderCoeffs, sigma: float, domain, nodes: in
         V = scipy.fft.dstn(V.reshape(n_free, *face_shape), type=1, norm="ortho",
                            axes=tuple(range(1, n)), overwrite_x=True).reshape(n_free, modes)
         S_plus = (V * s) @ V.T
-        mu = _definite_eigs((V * q) @ V.T, S_plus)
-        interface = scipy.linalg.eigvalsh(S_plus) / w_b
+        mu = sym_eig((V * q) @ V.T, S_plus).values[::-1]
+        interface = sym_eig(S_plus).values / w_b
     meta = {
         "n_interior": int(np.prod([c - 1 for c in cells])),
         "n_boundary": int(n_free),
@@ -683,7 +664,7 @@ def krein_path(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int):
     """The route that answers the Zaremba question on a grid domain, with its grid.
 
     ("assembled", build_grid(domain, nodes)) while M, of size
-    N = n_I + n_B, fits under DENSE_POWER_CAP: only that route
+    N = n_I + n_B, fits under eig.DENSE_CAP: only that route
     materializes M and certifies the Krein identity.  Past the cap,
     ("modes", None) for separable inputs: face_mode_spectra needs no
     grid, and the torus grid of a fine box is the largest object of the
@@ -693,10 +674,10 @@ def krein_path(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int):
     if separable_face(coeffs, sigma, domain):
         _, cells, _, tangential = _face_cells(domain, nodes)
         size = np.prod([c - 1 for c in cells]) + np.prod([cells[t] - 1 for t in tangential])
-        if size > DENSE_POWER_CAP:
+        if size > eig.DENSE_CAP:
             return "modes", None
     grid = build_grid(domain, nodes)
     size = grid.interior_idx.size + grid.sigma_plus_idx.size
-    if size > DENSE_POWER_CAP:
+    if size > eig.DENSE_CAP:
         raise NumericError(_cap_message(size))
     return "assembled", grid

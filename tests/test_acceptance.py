@@ -199,7 +199,7 @@ def test_criterion_05_weyl_law_variable_route():
     # 64^2 torus; the fitted constant must match the quadrature prediction.
     co = SecondOrderCoeffs(n=2, a=np.diag([1.0, 4.0]))
     g = build_grid(DomainSpec.unit_square(), 32)
-    dense = materialize_torus_operator(TorusMultiplier.from_coeffs(co), g, circulant_hint=False)
+    dense = materialize_torus_operator(TorusMultiplier.from_coeffs(co), g)
     lam = np.sort(sla.eigvalsh(fractional_restricted(dense, 0.5, g).toarray()))
     target = weyl_constant_dirichlet(
         PrincipalSymbol.from_coeffs(co, 0.5), DomainSpec.unit_square()

@@ -343,6 +343,15 @@ class TestConfigHandling:
         assert err.startswith("configuration error: ") and message in err
         assert "Traceback" not in err and not (tmp_path / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--domain", "disk", "--nodes", "12", "--bc", "mixed"],
+        ["zaremba", "--domain", "ball", "--nodes", "8"],
+    ], ids=" ".join)
+    def test_mixed_without_free_nodes_exit_2(self, tmp_path, argv, capsys):
+        # build_grid puts free nodes on box-like faces only: a disk or ball mixed problem would be Dirichlet
+        assert run(argv, tmp_path) == 2
+        assert "mixed assembly needs free boundary nodes" in capsys.readouterr().err
+
     def test_constraint_in_config_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text("[task]\nwindow = 5\n")

@@ -10,6 +10,7 @@ from fracspec.discretize import (
     OperatorMatrix,
     PolarDiskGrid,
     TorusMultiplier,
+    _distance_to_boundary,
     assemble_polar_laplacian,
     assemble_second_order,
     build_grid,
@@ -65,9 +66,19 @@ class TestBuildGrid:
         assert abs(area - np.pi) / np.pi < 0.03
 
     def test_node_sets_partition_torus(self):
-        g = build_grid(DomainSpec.unit_square(), 12)
-        allidx = np.concatenate([g.interior_idx, g.sigma_plus_idx, g.sigma_minus_idx, g.exterior_idx])
-        assert np.array_equal(np.sort(allidx), np.arange(g.size))
+        # the node sets are disjoint and ascending, and every other node of the whole torus (only the
+        # bounding block is classified) lies outside the closed domain
+        for domain in (DomainSpec.unit_square(), DomainSpec("rectangle", lengths=(1.0, 0.53)),
+                       DomainSpec.disk(), DomainSpec.ball()):
+            g = build_grid(domain, 12)
+            sets = [g.interior_idx, g.sigma_plus_idx, g.sigma_minus_idx]
+            assert all(np.all(np.diff(s) > 0) for s in sets)
+            closure = np.concatenate(sets)
+            assert np.unique(closure).size == closure.size
+            rest = g.points(np.setdiff1d(np.arange(g.size), closure))
+            assert not domain.contains(rest).any()
+            assert _distance_to_boundary(domain, rest).min() > 1e-9 * g.h
+            assert np.isfinite(g.d[closure]).all()
 
     def test_distance_field(self):
         g = build_grid(DomainSpec.unit_square(), 16)
@@ -106,7 +117,6 @@ class TestAssembly:
         g = build_grid(DomainSpec.unit_interval(), 16)
         one = SecondOrderCoeffs(n=1, a=np.eye(1))
         A = assemble_second_order(one, g, bc="periodic", a0=1.0)
-        assert A.meta["circulant"]
         vals = np.fft.fft(A.toarray()[0]).real
         N, h = g.shape[0], g.h
         k = np.arange(N)
@@ -121,6 +131,13 @@ class TestAssembly:
         wd = sla.eigvalsh(Ad.toarray())
         assert wm[0] > 0.0
         assert wm[0] < wd[0]
+
+    @pytest.mark.parametrize("domain", [DomainSpec.disk(), DomainSpec.ball()], ids=lambda d: d.kind)
+    def test_mixed_needs_free_nodes(self, domain):
+        g = build_grid(domain, 8)
+        assert g.sigma_plus_idx.size == 0
+        with pytest.raises(ConfigurationError, match="needs free boundary nodes"):
+            assemble_second_order(laplacian(domain.n), g, bc="mixed", sigma=0.0)
 
     def test_mixed_requires_sigma(self):
         g = build_grid(DomainSpec.unit_square(), 8)
@@ -282,7 +299,7 @@ class TestFractional:
         g = build_grid(DomainSpec.unit_interval(), 16)
         mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 + 1.0)
         Rfast = fractional_restricted(mult, 0.5, g)
-        dense = materialize_torus_operator(mult, g, circulant_hint=False)
+        dense = materialize_torus_operator(mult, g)
         Rdense = fractional_restricted(dense, 0.5, g)
         assert np.abs(Rfast.toarray() - Rdense.toarray()).max() < 1e-10
 
@@ -328,6 +345,8 @@ class TestFractional:
         big = np.zeros((8193, 8193))
         with pytest.raises(NumericError, match="8192"):
             fractional_restricted(big, 0.5)
+        with pytest.raises(NumericError, match="8192"):
+            fractional_restricted(FakeBig(), 0.5)
 
 
 class TestSpectralFractional:

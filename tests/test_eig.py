@@ -1,5 +1,9 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -18,7 +22,7 @@ from fracspec.eig import (
     min_eigenvalue_estimate,
     sym_eig,
 )
-from fracspec.errors import InvariantError, NumericError
+from fracspec.errors import InvariantError, NotPositiveError, NumericError
 from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
 
@@ -82,6 +86,49 @@ def test_sym_eig_dense_cap():
     big = np.zeros((DENSE_CAP + 1, DENSE_CAP + 1))
     with pytest.raises(NumericError, match="capped"):
         sym_eig(big)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sym_eig_pencil_matches_scipy(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    g, c = rng.standard_normal((2, n, n))
+    A, B = g + g.T, c @ c.T + n * np.eye(n)
+    spec = sym_eig(A, B, want_vectors=True)
+    w, V = sla.eigh(A, B)
+    assert np.allclose(spec.values, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+    assert np.all(np.diff(spec.values) >= 0.0)
+    assert np.allclose(A @ spec.vectors, B @ spec.vectors * spec.values, atol=1e-10 * np.abs(w).max())
+    # exactly symmetric inputs reach LAPACK unchanged
+    assert np.array_equal(sym_eig(A, B).values, sla.eigh(A, B, eigvals_only=True))
+
+
+def test_sym_eig_pencil_indefinite_b():
+    with pytest.raises(NotPositiveError):
+        sym_eig(np.eye(3), np.diag([1.0, -1.0, 2.0]))
+
+
+def test_sym_eig_pencil_capped_before_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(eig, "DENSE_CAP", 8)
+    monkeypatch.setattr(eig.scipy.linalg, "eigh", lambda *a, **k: calls.append(a))
+    for A, B in ((np.eye(9), np.eye(9)), (np.eye(4), np.eye(9))):
+        with pytest.raises(NumericError, match="capped at 8, got 9"):
+            sym_eig(A, B)
+    assert calls == []
+
+
+def test_pencil_symmetry_checked():
+    with pytest.raises(InvariantError):
+        sym_eig(np.eye(2), np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+
+def test_eig_is_the_only_eigensolver_caller():
+    # every dense or iterative eigensolve of the package goes through eig.py
+    src = pathlib.Path(eig.__file__).parent
+    callers = [p.name for p in sorted(src.glob("*.py"))
+               if p.name != "eig.py" and re.search(r"\b(eigh|eigvalsh|eigsh)\(", p.read_text())]
+    assert callers == []
 
 
 def test_eigvector_residuals_and_orthogonality():

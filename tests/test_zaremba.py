@@ -13,6 +13,7 @@ from fracspec.discretize import (
     assemble_polar_laplacian,
     build_grid,
 )
+from fracspec import eig
 from fracspec.asymptotics import weyl_fit
 from fracspec.errors import ConfigurationError, NotPositiveError, NumericError
 from fracspec.quadrature import DomainSpec
@@ -553,6 +554,12 @@ class TestDiskSpectra:
         slope = np.linalg.lstsq(A, np.log(d.mu[lo:hi]), rcond=None)[0][0]
         assert slope == pytest.approx(-2.0, abs=0.2)
 
+    def test_interface_spectrum(self):
+        d = disk_interface_spectra(12, 24, arc=(0.5, 4.0), shift=1.0, sigma=0.3)
+        w = sla.eigvalsh(d.L_weighted)
+        assert np.allclose(d.interface, w, rtol=1e-12, atol=0.0)
+        assert np.all(np.diff(d.interface) >= 0.0)
+
     def test_spectrum_positive_descending(self):
         d = disk_interface_spectra(12, 24, shift=1.0)
         assert d.mu.min() > 0.0
@@ -691,6 +698,16 @@ class TestFaceModes:
             assert krein_path(coeffs, sigma, box, 16)[0] == "assembled"
             with pytest.raises(NumericError, match="M would be 12696x12696, above the 8192 cap"):
                 krein_path(coeffs, sigma, box, 24)
+
+    def test_cap_read_from_eig(self, monkeypatch):
+        # eig.DENSE_CAP is the one cap, read at call time by the route choice and by M
+        box, co = DomainSpec.unit_box(), SecondOrderCoeffs.laplacian(3)
+        path, grid = krein_path(co, 0.5, box, 12)
+        k = krein_term(co, 0.5, grid)
+        monkeypatch.setattr(eig, "DENSE_CAP", 1000)
+        assert krein_path(co, 0.5, box, 12) == ("modes", None)  # 11^3 + 11^2 = 1452 nodes
+        with pytest.raises(NumericError, match="M would be 1452x1452, above the 1000 cap"):
+            k.M
 
     def test_non_separable_rejected(self):
         square = DomainSpec.unit_square()
