@@ -172,10 +172,9 @@ def _grid_profile(u, grid):
     """Interior values of a grid function given on the torus or the interior nodes, and their distances."""
     u = np.asarray(u, dtype=float).ravel()
     if u.size == grid.size:
-        idx = grid.interior_idx
-        return u[idx], grid.d[idx]
+        return u[grid.interior_idx], grid.d
     if u.size == grid.interior_idx.size:
-        return u, grid.d[grid.interior_idx]
+        return u, grid.d
     raise ValueError("grid function must live on the torus or the interior nodes")
 
 

@@ -215,20 +215,25 @@ def _get(cfg, section, key, default=None):
 # ---------------------------------------------------------------------------
 
 
-def _build_coeffs(cfg):
-    """Coefficient matrix from its text form.
+def _build_coeffs(cfg, domain=None):
+    """Strongly elliptic coefficient matrix from its text form.
 
-    Accepted: `identity` / `laplacian`, `diag:1,4`, `matrix:2,1;1,2`.
+    Accepted: `identity` / `laplacian`, `diag:1,4`, `matrix:2,1;1,2`.  The
+    dimension is the domain's when one is given, else domain.n (default 2).
     """
     import numpy as np
 
     from .errors import ConfigurationError
-    from .symbols import SecondOrderCoeffs
+    from .symbols import SecondOrderCoeffs, strong_ellipticity_margin
 
     spec = _get(cfg, "operator", "coeffs", "identity")
-    n = _get(cfg, "domain", "n", None)
+    if domain is not None:
+        n, where = domain.n, f"the {_get(cfg, 'domain', 'kind', 'square')} domain is {domain.n}-dimensional"
+    else:
+        n = _get(cfg, "domain", "n", None)
+        where = f"domain.n = {n}"
     if spec in ("identity", "laplacian"):
-        return SecondOrderCoeffs.laplacian(n if n is not None else _domain_dim(cfg))
+        return SecondOrderCoeffs.laplacian(2 if n is None else n)
     if spec.startswith("diag:"):
         mat = np.diag([float(p) for p in spec[5:].split(",")])
     elif spec.startswith("matrix:"):
@@ -238,38 +243,39 @@ def _build_coeffs(cfg):
     else:
         raise ConfigurationError(f"unknown coefficient form {spec!r}")
     if n is not None and n != mat.shape[0]:
-        raise ConfigurationError(f"coefficients {spec!r} are {mat.shape[0]}-dimensional, but domain.n = {n}")
-    return SecondOrderCoeffs(mat.shape[0], a=mat)
-
-
-def _domain_dim(cfg) -> int:
-    kind = _get(cfg, "domain", "kind", "square")
-    n = _get(cfg, "domain", "n", None)
-    if n is not None:
-        return n
-    return {"interval": 1, "square": 2, "disk": 2, "box": 3, "cube": 3, "ball": 3}.get(kind, 2)
+        raise ConfigurationError(f"coefficients {spec!r} are {mat.shape[0]}-dimensional, but {where}")
+    coeffs = SecondOrderCoeffs(mat.shape[0], a=mat)
+    margin = strong_ellipticity_margin(coeffs, np.zeros((1, coeffs.n)))
+    if margin <= 0.0:
+        raise ConfigurationError(f"coefficients {spec!r} are not strongly elliptic (smallest eigenvalue {margin:.6g})")
+    return coeffs
 
 
 def _build_domain(cfg):
+    """One of the five documented domains; domain.n, if set, must be its dimension."""
     import numpy as np
 
     from .errors import ConfigurationError
     from .quadrature import DomainSpec
 
     kind = _get(cfg, "domain", "kind", "square")
-    n = _get(cfg, "domain", "n", None)
-    if kind == "interval" or (kind == "square" and n == 1):
-        return DomainSpec.unit_interval()
-    if kind == "square":
-        return DomainSpec.unit_square()
-    if kind in ("box", "cube") or (kind == "square" and n == 3):
-        return DomainSpec.unit_box()
-    if kind == "disk":
+    if kind == "interval":
+        domain = DomainSpec.unit_interval()
+    elif kind == "square":
+        domain = DomainSpec.unit_square()
+    elif kind == "box":
+        domain = DomainSpec.unit_box()
+    elif kind == "disk":
         arc = _get(cfg, "domain", "arc", [0.0, float(np.pi)])
-        return DomainSpec.disk(radius=_get(cfg, "domain", "radius", 1.0), arc=tuple(arc))
-    if kind == "ball":
-        return DomainSpec.ball(cap=_get(cfg, "domain", "cap", float(np.pi) / 2.0))
-    raise ConfigurationError(f"unknown domain kind {kind!r}")
+        domain = DomainSpec.disk(radius=_get(cfg, "domain", "radius", 1.0), arc=tuple(arc))
+    elif kind == "ball":
+        domain = DomainSpec.ball(cap=_get(cfg, "domain", "cap", float(np.pi) / 2.0))
+    else:
+        raise ConfigurationError(f"unknown domain kind {kind!r}")
+    n = _get(cfg, "domain", "n", domain.n)
+    if n != domain.n:
+        raise ConfigurationError(f"domain.n = {n}, but the {kind} domain is {domain.n}-dimensional")
+    return domain
 
 
 def _assemble_operator(cfg):
@@ -277,8 +283,8 @@ def _assemble_operator(cfg):
     from .discretize import TorusMultiplier, assemble_second_order, build_grid, fractional_operator
     from .errors import ConfigurationError
 
-    coeffs = _build_coeffs(cfg)
     domain = _build_domain(cfg)
+    coeffs = _build_coeffs(cfg, domain)
     nodes = _get(cfg, "grid", "nodes", 32)
     grid = build_grid(domain, nodes)
     a = _get(cfg, "operator", "a", 1.0)
@@ -470,11 +476,11 @@ def _cmd_weyl_const(cfg, args, em: Emitter) -> list[str]:
     a = _get(cfg, "operator", "a", 1.0)
     domain = _build_domain(cfg)
     op_kind = _get(cfg, "operator", "kind", "frac-laplacian")
-    coeffs = _build_coeffs(cfg)
+    coeffs = _build_coeffs(cfg, domain)
 
     if which == "dirichlet":
         if op_kind == "frac-laplacian":
-            symbol = PrincipalSymbol.fractional_laplacian(_domain_dim(cfg), a)
+            symbol = PrincipalSymbol.fractional_laplacian(domain.n, a)
         else:
             symbol = PrincipalSymbol.from_coeffs(coeffs, power=a)
         res = weyl_constant_dirichlet(symbol, domain, level=level)
@@ -657,19 +663,17 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
             f"identity mismatch = {rep.max_rel_mismatch:.6g}",
         ]
 
-    domain_kind = _get(cfg, "domain", "kind", "square")
+    domain = _build_domain(cfg)
     shift_raw = _get(cfg, "operator", "shift", "auto")
     mode_shift = 1.0 if shift_raw == "auto" else float(shift_raw)  # auto is 1 on the positive mode-route inputs
     sigma = _get(cfg, "operator", "sigma", 0.0)
     tol = _get(cfg, "task", "tol", 1e-10)
     em.tolerance("identity_rel", tol)
 
-    if domain_kind == "disk":
-        arc = _get(cfg, "domain", "arc", [0.0, float(np.pi)])
+    if domain.kind == "disk":
         n_r = _get(cfg, "grid", "n_r", 64)
         n_theta = _get(cfg, "grid", "n_theta", 128)
-        d = disk_interface_spectra(n_r, n_theta, arc=tuple(arc),
-                                   radius=_get(cfg, "domain", "radius", 1.0),
+        d = disk_interface_spectra(n_r, n_theta, arc=domain.sigma_plus[1:], radius=domain.radius,
                                    shift=mode_shift, sigma=sigma)
         em.row("law", "mu_j(M) ~ c j^(-2/(n-1)); interface spectra via separation of modes")
         em.row("boundary_nodes", int(d.mu.size))
@@ -681,8 +685,7 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
         em.sequence("zaremba-interface", d.interface)
         return [f"computed {d.mu.size} interface eigenvalues (disk fast path)"]
 
-    coeffs = _build_coeffs(cfg)
-    domain = _build_domain(cfg)
+    coeffs = _build_coeffs(cfg, domain)
     nodes = _get(cfg, "grid", "nodes", 16)
     path, grid = krein_path(coeffs, sigma, domain, nodes)  # past the cap, non-separable inputs stop here
     em.row("law", "nonzero spec(M) = spec(S^-1 (K^T K + I)); mu_j(M) ~ c j^(-2/(n-1))")

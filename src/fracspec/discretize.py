@@ -61,11 +61,10 @@ class Grid:
 
     Node sets (flat indices into the row-major torus array, ascending)
     are disjoint: interior of Omega, sigma_plus and sigma_minus; every
-    other torus node lies outside the closure.  d (torus-sized, flat
-    index) holds the distance to the domain boundary of each node of the
-    domain's bounding block, the only nodes build_grid classifies, and
-    NaN elsewhere.  planes (n, 2) holds the torus index of each axis's
-    low and high face plane (see _plane_hits).
+    other torus node lies outside the closure.  d holds the distance to
+    the domain boundary of each interior node, aligned with interior_idx.
+    planes (n, 2) holds the torus index of each axis's low and high face
+    plane (see _plane_hits).
     """
 
     domain: DomainSpec
@@ -168,8 +167,6 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
             on_other = np.delete(on_plane, axis, axis=1).any(axis=1)
             splus |= on_boundary & hits[:, axis, int(face[1] == "+")] & ~on_other
     idx = np.ravel_multi_index(multi.T, shape)  # ascending: the block's C order is the torus's
-    d = np.full(int(np.prod(shape)), np.nan)
-    d[idx] = d_block
     return Grid(
         domain=domain,
         h=h,
@@ -179,7 +176,7 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
         interior_idx=idx[inside],
         sigma_plus_idx=idx[splus],
         sigma_minus_idx=idx[on_boundary & ~splus],
-        d=d,
+        d=d_block[inside],
     )
 
 

@@ -415,12 +415,6 @@ def domain_measure(domain: DomainSpec, part: str = "volume", via: str = "closed"
 # ---------------------------------------------------------------------------
 
 
-def _coeff_symbol_parts(symbol: PrincipalSymbol):
-    coeffs = getattr(symbol, "coeffs", None)
-    power = getattr(symbol, "power", None)
-    return coeffs, power
-
-
 def weyl_constant_dirichlet(symbol: PrincipalSymbol, domain: DomainSpec, level: int = 0) -> QuadratureResult:
     """Dirichlet Weyl constant C' and its companion C = C'**(-2a/n).
 
@@ -431,7 +425,7 @@ def weyl_constant_dirichlet(symbol: PrincipalSymbol, domain: DomainSpec, level: 
     two_a = symbol.order
     if two_a <= 0:
         raise ValueError("symbol order must be positive")
-    coeffs, _power = _coeff_symbol_parts(symbol)
+    coeffs = symbol.coeffs
     vals = {}
     nodes = {}
     for lev in (level - 1, level):

@@ -26,6 +26,13 @@ the two boundary regimes, yields a second factorization
 
 whose principal-branch half-power split carries the square-root
 boundary behavior of the mixed problem.
+
+``_root_pairs`` is the one implementation of this factorization, on
+arrays.  Every factorization takes the same path: ``reduce_frames``, then
+``_kernels.boundary_quantities`` for (ann, b, c), then ``_root_pairs``.
+``factorization_residuals`` runs it over a batch; ``boundary_reduction``
+and ``tangential_factorization`` run it on a batch of one, the latter
+once more on the tangential form ``a'`` for its second pair.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
+from .eig import sym_eig
 
 __all__ = [
     "EllipticityError",
@@ -43,12 +51,9 @@ __all__ = [
     "SecondOrderCoeffs",
     "PrincipalSymbol",
     "BoundaryFactorization",
-    "eval_principal",
     "strong_ellipticity_margin",
     "boundary_reduction",
     "tangential_factorization",
-    "dtn_principal",
-    "kappa0_symbol",
     "mu_transmission_residual",
     "reduce_frames",
     "factorization_residuals",
@@ -88,8 +93,8 @@ class SecondOrderCoeffs:
             mat = np.asarray(self.a, dtype=float)
             if mat.shape != (self.n, self.n):
                 raise ValueError(f"coefficient matrix must be {(self.n, self.n)}")
-            if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
-                raise ValueError("coefficient matrix must be symmetric")
+            if not np.isfinite(mat).all() or _kernels.asymmetry(mat)[0] > 1e-12:
+                raise ValueError("coefficient matrix must be finite and symmetric")
             object.__setattr__(self, "a", mat)
 
     @classmethod
@@ -135,16 +140,15 @@ class SecondOrderCoeffs:
 class PrincipalSymbol:
     """Homogeneous principal symbol p(x, xi) of known order.
 
-    ``coeffs`` and ``power`` are filled when the symbol is a power of a
-    second-order coefficient form; quadrature uses them for a fused
-    evaluation path instead of calling ``fn`` node by node.
+    ``coeffs`` is filled when the symbol is a power of a second-order
+    coefficient form; quadrature uses it for a fused evaluation path
+    instead of calling ``fn`` node by node.
     """
 
     order: float
     fn: Callable
     kind: str = "user-supplied"
     coeffs: Optional[SecondOrderCoeffs] = None
-    power: Optional[float] = None
 
     def __call__(self, x, xi):
         return self.fn(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
@@ -161,7 +165,6 @@ class PrincipalSymbol:
             fn=fn,
             kind=f"fractional-power(laplacian, {a})",
             coeffs=SecondOrderCoeffs.laplacian(n),
-            power=a,
         )
 
     @classmethod
@@ -172,72 +175,20 @@ class PrincipalSymbol:
             return float(xi @ coeffs.a_at(x) @ xi) ** power
 
         kind = "differential" if power == 1.0 else f"fractional-power(coeffs, {power})"
-        return cls(order=2.0 * power, fn=fn, kind=kind, coeffs=coeffs, power=power)
-
-    def check_homogeneity(self, points, covectors, scales) -> float:
-        """Max relative deviation of p(x, t xi) from t^m p(x, xi)."""
-        worst = 0.0
-        for x, xi in zip(points, covectors):
-            base = self(x, xi)
-            for t in scales:
-                lhs = self(x, t * xi)
-                rhs = t**self.order * base
-                denom = max(abs(rhs), 1e-300)
-                worst = max(worst, abs(lhs - rhs) / denom)
-        return worst
+        return cls(order=2.0 * power, fn=fn, kind=kind, coeffs=coeffs)
 
 
-def eval_principal(coeffs: SecondOrderCoeffs, x, xi) -> float:
-    """Value of the quadratic form sum a_jk(x) xi_j xi_k."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (coeffs.n,):
-        raise ValueError(f"covector must have dimension {coeffs.n}")
-    return float(xi @ coeffs.a_at(x) @ xi)
+def strong_ellipticity_margin(coeffs: SecondOrderCoeffs, sample_points) -> float:
+    """Min over the sample points of the smallest eigenvalue of a(x).
 
-
-def _unit_directions(n: int, rule) -> np.ndarray:
-    """Unit covectors used for sampled-minimum ellipticity checks."""
-    if isinstance(rule, np.ndarray):
-        return rule
-    npts = rule if isinstance(rule, int) else None
-    if n == 1:
-        return np.array([[-1.0], [1.0]])
-    if n == 2:
-        k = npts or 256
-        th = 2.0 * np.pi * np.arange(k) / k
-        return np.column_stack([np.cos(th), np.sin(th)])
-    if n == 3:
-        nz = npts or 64
-        nphi = 2 * nz
-        z, _ = np.polynomial.legendre.leggauss(nz)
-        phi = 2.0 * np.pi * np.arange(nphi) / nphi
-        r = np.sqrt(1.0 - z**2)
-        dirs = np.empty((nz * nphi, 3))
-        dirs[:, 0] = np.outer(r, np.cos(phi)).ravel()
-        dirs[:, 1] = np.outer(r, np.sin(phi)).ravel()
-        dirs[:, 2] = np.repeat(z, nphi)
-        return dirs
-    # generic fallback: Fibonacci-style deterministic directions
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((npts or 1024, n))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def strong_ellipticity_margin(coeffs: SecondOrderCoeffs, sample_points, sphere_rule="default") -> float:
-    """Min over samples of abar(x, xi) / |xi|^2 on the unit cosphere.
-
-    The caller treats a nonpositive return as an invalid operator.
+    This is the exact minimum of abar(x, xi) / |xi|^2 over the cosphere
+    at each point; the caller treats a nonpositive return as an invalid
+    operator.
     """
     points = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if points.shape[0] == 0:
         raise ValueError("sample_points must be nonempty")
-    dirs = _unit_directions(coeffs.n, None if sphere_rule == "default" else sphere_rule)
-    worst = np.inf
-    for x in points:
-        mat = coeffs.a_at(x)
-        vals = np.einsum("si,ij,sj->s", dirs, mat, dirs)
-        worst = min(worst, float(vals.min()))
-    return worst
+    return min(float(sym_eig(coeffs.a_at(x)).values[0]) for x in points)
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +263,62 @@ class BoundaryFactorization:
         )
 
 
+def _root_pairs(ann, b, c, x):
+    """The one factorization ann x^2 + 2 b x + c = ann (kappa+ + i x)(kappa- - i x), on arrays.
+
+    Arguments broadcast.  Returns kappa0 = sqrt(ann c - b^2), the pair
+    kappa_pm = (kappa0 ± i b) / ann, and the relative residual of the
+    factored form at x.  Callers check a' = ann c - b^2 > 0 first, where
+    the polynomial has no real zero and the residual's 1e-300 floor never
+    binds; only the degenerate tangential pair (a' = 0) meets it.
+    """
+    kappa0 = np.sqrt(ann * c - b * b)
+    ib, ix = 1j * b, 1j * x
+    kappa_plus = (kappa0 + ib) / ann
+    kappa_minus = (kappa0 - ib) / ann
+    poly = ann * x**2 + 2.0 * b * x + c
+    fact = ann * (kappa_plus + ix) * (kappa_minus - ix)
+    return kappa0, kappa_plus, kappa_minus, np.abs(poly - fact) / np.maximum(np.abs(poly), 1e-300)
+
+
+def _elliptic_quantities(red, xips):
+    """ann, b, c and a' = ann c - b^2 per sample; raises EllipticityError unless every a' > 0."""
+    ann, b, c = _kernels.boundary_quantities(red, xips)
+    a_prime = ann * c - b * b
+    if (a_prime <= 0.0).any():
+        raise EllipticityError("reduced discriminant a' = ann c - b^2 must be positive")
+    return ann, b, c, a_prime
+
+
 def _check_frame(frame: np.ndarray, n: int) -> np.ndarray:
     frame = np.asarray(frame, dtype=float)
     if frame.shape != (n, n):
         raise ValueError(f"frame must be an {(n, n)} matrix with columns = frame vectors")
-    if np.max(np.abs(frame.T @ frame - np.eye(n))) > _FRAME_TOL:
+    if abs(frame.T @ frame - np.eye(n)).max() > _FRAME_TOL:
         raise ValueError("frame columns must be orthonormal")
     return frame
 
 
+def _reduce_one(coeffs: SecondOrderCoeffs, point, frame) -> dict:
+    """The point, checked frame, frame-reduced abar and its abar_nn > 0 as BoundaryFactorization fields."""
+    x = np.asarray(point, dtype=float)
+    frame = _check_frame(frame, coeffs.n)
+    abar = reduce_frames(coeffs.a_at(x)[None], frame[None])[0]
+    ann = float(abar[-1, -1])
+    if ann <= 0.0:
+        raise EllipticityError("abar_nn must be positive")
+    return dict(x=x, frame=frame, abar=abar, a_nn=ann)
+
+
 _XI_N_PROBE = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+def _base_fields(abar: np.ndarray, xip: np.ndarray) -> dict:
+    """Base fields at one frame-reduced abar and xi': a batch of one, residual the max over _XI_N_PROBE."""
+    (ann,), (b,), (c,), (a_prime,) = _elliptic_quantities(abar[None], xip[None])
+    kappa0, kappa_plus, kappa_minus, residual = _root_pairs(ann, b, c, _XI_N_PROBE)
+    return dict(xi_prime=xip, b=float(b), c=float(c), a_prime=float(a_prime), kappa0=float(kappa0),
+                kappa_plus=complex(kappa_plus), kappa_minus=complex(kappa_minus), residual=float(residual.max()))
 
 
 def boundary_reduction(
@@ -333,36 +330,13 @@ def boundary_reduction(
     the interior normal in the last one.  Raises EllipticityError when the
     reduced discriminant a' = ann c - b^2 is not positive.
     """
-    x = np.asarray(boundary_point, dtype=float)
-    frame = _check_frame(normal_frame, coeffs.n)
     xip = np.asarray(xi_prime, dtype=float).reshape(-1)
     if xip.shape != (coeffs.n - 1,):
         raise ValueError(f"xi_prime must have dimension {coeffs.n - 1}")
-    if not np.any(xip):
+    if not xip.any():
         raise ValueError("xi_prime must be nonzero")
-    abar = frame.T @ coeffs.a_at(x) @ frame
-    ann = float(abar[-1, -1])
-    if ann <= 0.0:
-        raise EllipticityError("abar_nn must be positive")
-    return BoundaryFactorization(x=x, frame=frame, abar=abar, a_nn=ann, **_root_pair(abar, xip))
-
-
-def _root_pair(abar: np.ndarray, xip: np.ndarray) -> dict:
-    """The base fields of the factorization of the frame-reduced abar (abar_nn > 0) at xi'."""
-    ann = float(abar[-1, -1])
-    b = float(abar[:-1, -1] @ xip)
-    c = float(xip @ abar[:-1, :-1] @ xip)
-    a_prime = ann * c - b * b
-    if a_prime <= 0.0:
-        raise EllipticityError("reduced discriminant a' = ann c - b^2 must be positive")
-    kappa0 = float(np.sqrt(a_prime))
-    kappa_plus = (kappa0 + 1j * b) / ann
-    kappa_minus = (kappa0 - 1j * b) / ann
-    poly = ann * _XI_N_PROBE**2 + 2.0 * b * _XI_N_PROBE + c
-    fact = ann * (kappa_plus + 1j * _XI_N_PROBE) * (kappa_minus - 1j * _XI_N_PROBE)
-    residual = float(np.max(np.abs(poly - fact) / np.abs(poly)))
-    return dict(xi_prime=xip, b=b, c=c, a_prime=a_prime, kappa0=kappa0, kappa_plus=kappa_plus,
-                kappa_minus=kappa_minus, residual=residual)
+    reduced = _reduce_one(coeffs, boundary_point, normal_frame)
+    return BoundaryFactorization(**reduced, **_base_fields(reduced["abar"], xip))
 
 
 def tangential_form(abar: np.ndarray) -> np.ndarray:
@@ -385,85 +359,38 @@ def tangential_factorization(
     that its column n-2 (the last tangential one) is normal to the
     interface inside the boundary.  ``xi_dprime`` holds the remaining n-2
     covector components; it is empty for n = 2, in which case the root
-    pair degenerates to constants.
+    pair degenerates to constants.  The tangential pair factors a' (in
+    which the interface normal is last) exactly as the base pair factors
+    abar; the base fields are boundary_reduction's at xi' = (xi'', 0).
     """
-    x = np.asarray(interface_point, dtype=float)
-    frame = _check_frame(frame, coeffs.n)
     xidp = np.asarray(xi_dprime, dtype=float).reshape(-1)
     if xidp.shape != (coeffs.n - 2,):
         raise ValueError(f"xi_dprime must have dimension {coeffs.n - 2}")
-    abar = frame.T @ coeffs.a_at(x) @ frame
-    ann = float(abar[-1, -1])
-    if ann <= 0.0:
-        raise EllipticityError("abar_nn must be positive")
-    a_tan = tangential_form(abar)
-    att = float(a_tan[-1, -1])
+    reduced = _reduce_one(coeffs, interface_point, frame)
+    a_tan = tangential_form(reduced["abar"])
+    (att,), (b_t,), (c_t,) = _kernels.boundary_quantities(a_tan[None], xidp[None])  # b_t = c_t = 0 for zero xi''
     if att <= 0.0:
         raise EllipticityError("a'_{n-1,n-1} must be positive")
-    if xidp.size:
-        b_t = float(a_tan[:-1, -1] @ xidp)
-        c_t = float(xidp @ a_tan[:-1, :-1] @ xidp)
-    else:
-        b_t = 0.0
-        c_t = 0.0
     a_pp = att * c_t - b_t * b_t
-    if xidp.size and np.any(xidp) and a_pp <= 0.0:
+    nonzero = xidp.any()  # else a'' = 0 and the pair degenerates to constants, with no base fields
+    if nonzero and a_pp <= 0.0:
         raise EllipticityError("tangential reduced discriminant must be positive")
-    kappa0_t = float(np.sqrt(max(a_pp, 0.0)))
-    kappat_plus = (kappa0_t + 1j * b_t) / att
-    kappat_minus = (kappa0_t - 1j * b_t) / att
-    # reconstruction residual: kappa0(xi'', xi_last)^2 against the factored form
-    kap_sq = att * _XI_N_PROBE**2 + 2.0 * b_t * _XI_N_PROBE + c_t
-    fact = att * (kappat_plus + 1j * _XI_N_PROBE) * (kappat_minus - 1j * _XI_N_PROBE)
-    scale = np.maximum(np.abs(kap_sq), 1e-300)
-    residual = float(np.max(np.abs(kap_sq - fact) / scale))
-    base = _root_pair(abar, np.append(xidp, 0.0)) if xidp.size and np.any(xidp) else {}
+    kappa0_t, kappat_plus, kappat_minus, residual = _root_pairs(att, b_t, c_t, _XI_N_PROBE)
+    base = _base_fields(reduced["abar"], np.append(xidp, 0.0)) if nonzero else {}
     return BoundaryFactorization(
-        x=x,
-        frame=frame,
-        abar=abar,
-        a_nn=ann,
+        **reduced,
         xi_dprime=xidp,
         a_tangent=a_tan,
-        a_tt=att,
-        b_t=b_t,
-        c_t=c_t,
-        a_pp=a_pp,
-        kappa0_t=kappa0_t,
-        kappat_plus=kappat_plus,
-        kappat_minus=kappat_minus,
-        tangential_residual=residual,
+        a_tt=float(att),
+        b_t=float(b_t),
+        c_t=float(c_t),
+        a_pp=float(a_pp),
+        kappa0_t=float(kappa0_t),
+        kappat_plus=complex(kappat_plus),
+        kappat_minus=complex(kappat_minus),
+        tangential_residual=float(residual.max()),
         **base,
     )
-
-
-@dataclass(frozen=True)
-class DtnPrincipal:
-    """Principal DtN value -kappa0 with its Poisson-kernel companion."""
-
-    value: float
-    factorization: BoundaryFactorization
-
-    def __float__(self):
-        return self.value
-
-    def poisson_kernel(self, x_n):
-        return self.factorization.poisson_kernel(x_n)
-
-
-def dtn_principal(coeffs: SecondOrderCoeffs, boundary_point, frame, xi_prime) -> DtnPrincipal:
-    """Principal symbol -kappa0(x', xi') of the Dirichlet-to-Neumann map."""
-    bf = boundary_reduction(coeffs, boundary_point, frame, xi_prime)
-    return DtnPrincipal(value=-bf.kappa0, factorization=bf)
-
-
-def kappa0_symbol(coeffs: SecondOrderCoeffs, frame) -> PrincipalSymbol:
-    """kappa0(x', xi') as an order-1 symbol in the tangential covector."""
-
-    def fn(x, xip):
-        return boundary_reduction(coeffs, x, frame, xip).kappa0
-
-    return PrincipalSymbol(order=1.0, fn=fn, kind="differential")
 
 
 # ---------------------------------------------------------------------------
@@ -471,75 +398,24 @@ def kappa0_symbol(coeffs: SecondOrderCoeffs, frame) -> PrincipalSymbol:
 # ---------------------------------------------------------------------------
 
 
-def _fd_derivatives(symbol, x, xi, order, step):
-    """Central finite-difference xi-derivatives of p at (x, xi), up to order 2."""
-    n = xi.size
-    out = []
-    if order >= 1:
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = step
-            out.append((1, (symbol(x, xi + e) - symbol(x, xi - e)) / (2 * step)))
-    if order >= 2:
-        # second differences divide by step^2, so the roundoff floor is
-        # eps/step^2; keep the step at or above eps^(1/4) to stay near the
-        # truncation/roundoff balance point
-        step = max(step, float(np.finfo(float).eps) ** 0.25)
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = step
-            second = (symbol(x, xi + e) - 2 * symbol(x, xi) + symbol(x, xi - e)) / step**2
-            out.append((2, second))
-            for k in range(j + 1, n):
-                f = np.zeros(n)
-                f[k] = step
-                mixed = (
-                    symbol(x, xi + e + f)
-                    - symbol(x, xi + e - f)
-                    - symbol(x, xi - e + f)
-                    + symbol(x, xi - e - f)
-                ) / (4 * step**2)
-                out.append((2, mixed))
-    return out
+def mu_transmission_residual(symbol: PrincipalSymbol, mu: float, boundary_points, normals) -> float:
+    """Residual of p(x, -N) = exp(i pi (m - 2 mu)) p(x, N), relative to |p(x, N)|.
 
-
-def mu_transmission_residual(
-    symbol: PrincipalSymbol,
-    mu: float,
-    boundary_points,
-    normals,
-    deriv_order: int = 0,
-    fd_step: float = 1e-5,
-) -> float:
-    """Residual of p(x, -N) = exp(i pi (m - 2 mu - |alpha|)) p(x, N).
-
-    The principal part (alpha = 0) is evaluated exactly; covector
-    derivatives up to ``deriv_order`` (at most 2) are approximated by
-    central differences with the given step, so their contribution to the
-    residual is approximate at roughly the 1e-6 level.
+    The principal part is evaluated exactly at each boundary point and
+    normal; the maximum over the points is returned.
     """
     points = np.atleast_2d(np.asarray(boundary_points, dtype=float))
     norms = np.atleast_2d(np.asarray(normals, dtype=float))
     if points.shape[0] != norms.shape[0]:
         raise ValueError("boundary_points and normals must pair up")
-    if deriv_order > 2:
-        raise ValueError("derivative checks are supported up to order 2")
-    m = symbol.order
+    phase = np.exp(1j * np.pi * (symbol.order - 2.0 * mu))
     worst = 0.0
     for x, nvec in zip(points, norms):
         p_plus = complex(symbol(x, nvec))
         if abs(p_plus) < 1e-300:
             raise DegenerateSymbolError("symbol vanishes on the given normal")
         p_minus = complex(symbol(x, -nvec))
-        phase = np.exp(1j * np.pi * (m - 2.0 * mu))
         worst = max(worst, abs(p_minus - phase * p_plus) / abs(p_plus))
-        if deriv_order:
-            d_plus = _fd_derivatives(symbol, x, nvec, deriv_order, fd_step)
-            d_minus = _fd_derivatives(symbol, x, -nvec, deriv_order, fd_step)
-            for (ka, gp), (_, gm) in zip(d_plus, d_minus):
-                ph = np.exp(1j * np.pi * (m - 2.0 * mu - ka))
-                denom = max(abs(gp), 1e-12 * abs(p_plus), 1e-300)
-                worst = max(worst, abs(gm - ph * gp) / denom)
     return worst
 
 
@@ -567,14 +443,6 @@ def factorization_residuals(mats, frames, xips, xins):
     xips = np.ascontiguousarray(np.atleast_2d(xips), dtype=float)
     xins = np.asarray(xins, dtype=float)
     red = np.ascontiguousarray(reduce_frames(mats, frames))
-    ann, b, c = _kernels.boundary_quantities(red, xips)
-    ap = ann * c - b * b
-    if np.any(ap <= 0.0):
-        raise EllipticityError("nonpositive reduced discriminant in batch")
-    kappa0 = np.sqrt(ap)
-    kplus = (kappa0 + 1j * b) / ann
-    kminus = (kappa0 - 1j * b) / ann
-    poly = ann * xins**2 + 2.0 * b * xins + c
-    fact = ann * (kplus + 1j * xins) * (kminus - 1j * xins)
-    resid = np.abs(poly - fact) / np.abs(poly)
+    ann, b, c, _ = _elliptic_quantities(red, xips)
+    kappa0, _, _, resid = _root_pairs(ann, b, c, xins)
     return kappa0, kappa0 / ann, resid

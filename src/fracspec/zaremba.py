@@ -59,7 +59,7 @@ from . import eig
 from .discretize import Grid, OperatorMatrix, assemble_second_order, build_grid, grid_spacing, schur_split
 from .eig import min_eigenvalue_estimate, sym_eig
 from .errors import ConfigurationError, NotPositiveError, NumericError
-from .symbols import SecondOrderCoeffs, boundary_reduction, dtn_principal
+from .symbols import SecondOrderCoeffs, boundary_reduction
 
 _NOT_POSITIVE = "interface Schur complement is not positive definite; apply a larger positivity shift"
 _ROW_BLOCK = 512  # rows of M per block of the Rayleigh-Ritz residual
@@ -399,10 +399,10 @@ def dtn_symbol_probe(coeffs: SecondOrderCoeffs, xi_primes, h: float = 1.0 / 128.
         raise ConfigurationError("tangential frequency incommensurate with the strip period")
 
     frame = np.eye(2)  # tangent e1, inward normal e2
-    predicted = np.array([float(dtn_principal(coeffs, (0.0, 0.0), frame, (xi,))) for xi in xi_arr])
+    facts = [boundary_reduction(coeffs, (0.0, 0.0), frame, (xi,)) for xi in xi_arr]
+    predicted = np.array([-f.kappa0 for f in facts])
     # truncation height from the decay rate Re kappa_plus of the inward solution
-    rates = [boundary_reduction(coeffs, (0.0, 0.0), frame, (xi,)).kappa_plus.real for xi in xi_arr]
-    rate = min(rates)
+    rate = min(f.kappa_plus.real for f in facts)
     H = height if height is not None else 14.0 / rate
     n_rows = int(np.ceil(H / h))
     if n_rows > 200000:

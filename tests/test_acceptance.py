@@ -38,6 +38,7 @@ from fracspec.quadrature import (
 from fracspec.symbols import (
     PrincipalSymbol,
     SecondOrderCoeffs,
+    boundary_reduction,
     factorization_residuals,
     strong_ellipticity_margin,
     tangential_factorization,
@@ -152,6 +153,33 @@ def test_criterion_02_tangential_factorization(boundary_samples):
             worst = max(worst, bf.tangential_residual)
     assert worst <= 1e-12, verdict("02 tangential factorization", False, f"max residual {worst:.3g}")
     verdict("02 tangential factorization", True, f"max reconstruction residual {worst:.3g}")
+
+
+def test_scalar_and_batch_factorizations_agree(boundary_samples):
+    # boundary_reduction, the base fields of tangential_factorization and the
+    # batch take one path (reduce_frames, boundary_quantities, _root_pairs):
+    # kappa0 and Re kappa_pm agree within 4 eps relative on the criterion-01
+    # samples, and on the same samples with xi' = (xi'', 0) for n = 3
+    def worst_rel(values, reference):
+        return float(np.max(np.abs(np.asarray(values) - reference) / np.abs(reference)))
+
+    worst = 0.0
+    for n, (mats, frames, xips, xins) in boundary_samples.items():
+        sym = 0.5 * (mats + np.swapaxes(mats, 1, 2))
+        coeffs = [SecondOrderCoeffs(n=n, a=m) for m in sym]
+        origin = np.zeros(n)
+        lines = [xips] if n == 2 else [xips, np.column_stack([xips[:, : n - 2], np.zeros(len(xips))])]
+        for cov in lines:
+            kappa0, re_kappa, _ = factorization_residuals(sym, frames, cov, xins)
+            scalar = [boundary_reduction(co, origin, f, xi) for co, f, xi in zip(coeffs, frames, cov)]
+            worst = max(worst, worst_rel([bf.kappa0 for bf in scalar], kappa0),
+                        worst_rel([bf.kappa_plus.real for bf in scalar], re_kappa),
+                        worst_rel([bf.kappa_minus.real for bf in scalar], re_kappa))
+        if n > 2:  # the last line is xi' = (xi'', 0), where the tangential base fields live
+            tang = [tangential_factorization(co, origin, f, xi[: n - 2]) for co, f, xi in zip(coeffs, frames, xips)]
+            worst = max(worst, worst_rel([tf.kappa0 for tf in tang], kappa0),
+                        worst_rel([tf.kappa_plus.real for tf in tang], re_kappa))
+    assert worst <= 4.0 * np.finfo(float).eps
 
 
 def test_criterion_03_weyl_constant_cross_check():
@@ -326,7 +354,7 @@ def test_criterion_09_interface_decay_box(box16):
     # companion expected-failure test below records that no single end
     # rule satisfies both at this resolution, while the separable
     # fine-grid study (sibling interface-module test file) shows both
-    # clauses holding jointly from 64 layers up.
+    # clauses holding jointly from 64 layers up on the window 8..40.
     cM = weyl_constant_M(SecondOrderCoeffs.laplacian(3), DomainSpec.unit_box())
     target = cM.value ** (2.0 / (3 - 1))  # = 1/(8 pi) for the Laplacian face
     lean = box16.weighted_mu()
@@ -350,8 +378,11 @@ def test_criterion_09_interface_decay_box(box16):
     "both clauses on one spectrum: the one-sided layer sum reads slope -1.12 "
     "but constant -67% of target, the trapezoid end rule reads constant -22% "
     "but slope -0.75; the separable fine-grid reduction passes both jointly "
-    "from 64 layers up (slope -0.88, constant -17%), so the miss is purely "
-    "the pinned desk-scale resolution",
+    "from 64 layers up on the wider window 8..40 (slope -0.88, constant -17%), "
+    "but on this window 2..12 the continuum modes of the separable problem, "
+    "the h -> 0 limit of both end rules, fit slope -0.832 and constant -30.8%, "
+    "outside both clauses: part of the miss is finite-j (two-term Weyl) error "
+    "of the low window, not resolution",
 )
 def test_criterion_09_interface_decay_box_single_rule(box16):
     target = weyl_constant_M(SecondOrderCoeffs.laplacian(3), DomainSpec.unit_box()).value ** (2.0 / (3 - 1))

@@ -274,6 +274,29 @@ _CONSTRAINT_CASES = [
     (["spectrum", "--count", "100", "--nodes", "8"], "task.count 100 exceeds the operator dimension 49"),
     (["weyl-fit", "--window", "2.7,30.9"], "task.window"),
     (["weyl-fit", "--window", "30,2"], "needs lo < hi"),
+    # coefficient and --n dimensions against the domain's
+    (["zaremba", "--domain", "box", "--coeffs", "diag:1,2", "--nodes", "64"],
+     "coefficients 'diag:1,2' are 2-dimensional, but the box domain is 3-dimensional"),
+    (["zaremba", "--domain", "square", "--coeffs", "diag:1,2,3", "--nodes", "128"],
+     "coefficients 'diag:1,2,3' are 3-dimensional, but the square domain is 2-dimensional"),
+    (["zaremba", "--domain", "box", "--coeffs", "diag:1,2,3,4", "--nodes", "64"],
+     "coefficients 'diag:1,2,3,4' are 4-dimensional, but the box domain is 3-dimensional"),
+    (["weyl-const", "--op", "coeffs", "--coeffs", "diag:1,2", "--domain", "box"],
+     "coefficients 'diag:1,2' are 2-dimensional, but the box domain is 3-dimensional"),
+    (["weyl-const", "--domain", "disk", "--n", "3"], "domain.n = 3, but the disk domain is 2-dimensional"),
+    (["weyl-const", "--domain", "square", "--n", "1"], "domain.n = 1, but the square domain is 2-dimensional"),
+    (["zaremba", "--domain", "disk", "--n", "3"], "domain.n = 3, but the disk domain is 2-dimensional"),
+    (["spectrum", "--domain", "cube"], "unknown domain kind 'cube'"),
+    # forms that are not strongly elliptic
+    (["spectrum", "--domain", "square", "--coeffs", "matrix:1,2;2,1", "--nodes", "16", "--count", "3"],
+     "coefficients 'matrix:1,2;2,1' are not strongly elliptic (smallest eigenvalue -1)"),
+    (["zaremba", "--domain", "square", "--coeffs", "matrix:1,2;2,1"], "not strongly elliptic"),
+    (["zaremba", "--domain", "box", "--coeffs", "diag:1,-1,1"], "not strongly elliptic"),
+    (["boundary-exp", "--domain", "square", "--coeffs", "diag:1,-1"], "not strongly elliptic"),
+    (["weyl-fit", "--domain", "square", "--coeffs", "matrix:1,2;2,1"], "not strongly elliptic"),
+    (["weyl-const", "--op", "coeffs", "--coeffs", "diag:1,-1"], "not strongly elliptic"),
+    (["symbol-check", "--coeffs", "matrix:1,2;2,1"], "not strongly elliptic"),
+    (["dtn-probe", "--coeffs", "diag:1,0"], "not strongly elliptic (smallest eigenvalue 0)"),
 ]
 
 

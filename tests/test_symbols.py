@@ -16,30 +16,42 @@ def _random_frame(rng, n):
     return q * np.sign(np.diag(r))
 
 
-def test_eval_principal_worked_values():
-    lap = sy.SecondOrderCoeffs.laplacian(2)
-    assert sy.eval_principal(lap, [0.0, 0.0], [3.0, 4.0]) == 25.0
-    d14 = sy.SecondOrderCoeffs(2, np.diag([1.0, 4.0]))
-    assert sy.eval_principal(d14, [0.2, 0.3], [1.0, 1.0]) == 5.0
-    m = sy.SecondOrderCoeffs(2, [[2.0, 1.0], [1.0, 2.0]])
-    assert sy.eval_principal(m, [0.0, 0.0], [1.0, 0.0]) == 2.0
-
-
-def test_eval_principal_dimension_mismatch():
-    lap = sy.SecondOrderCoeffs.laplacian(2)
-    with pytest.raises(ValueError):
-        sy.eval_principal(lap, [0.0, 0.0], [1.0, 2.0, 3.0])
-
-
 def test_ellipticity_margin_examples():
     pts = [[0.0, 0.0], [0.5, 0.5]]
     assert sy.strong_ellipticity_margin(sy.SecondOrderCoeffs.laplacian(2), pts) == pytest.approx(1.0, abs=1e-12)
-    # min of cos^2 + 4 sin^2 is 1, attained at theta = 0 (a rule node)
+    # the margin is the smallest eigenvalue: min of cos^2 + 4 sin^2 is 1
     d14 = sy.SecondOrderCoeffs(2, np.diag([1.0, 4.0]))
     assert sy.strong_ellipticity_margin(d14, pts) == pytest.approx(1.0, abs=1e-12)
-    # eigenvalues of [[2,1],[1,2]] are 1 and 3; minimizer theta=3pi/4 is a node of the 256-rule
+    # eigenvalues of [[2,1],[1,2]] are 1 and 3
     m = sy.SecondOrderCoeffs(2, [[2.0, 1.0], [1.0, 2.0]])
     assert sy.strong_ellipticity_margin(m, pts) == pytest.approx(1.0, abs=1e-12)
+    # indefinite and variable forms: the minimum over the points
+    assert sy.strong_ellipticity_margin(sy.SecondOrderCoeffs(2, [[1.0, 2.0], [2.0, 1.0]]), pts) == pytest.approx(-1.0)
+    var = sy.SecondOrderCoeffs(2, lambda x: np.diag([1.0 + x[0], 2.0]))
+    assert sy.strong_ellipticity_margin(var, pts) == pytest.approx(1.0, abs=1e-15)
+    assert sy.strong_ellipticity_margin(var, [[-0.25, 0.0]]) == pytest.approx(0.75, abs=1e-15)
+
+
+def test_ellipticity_margin_is_the_cosphere_minimum():
+    # the exact minimum lies at or below every sampled direction, and a dense circle gets within 1e-4
+    rng = np.random.default_rng(4)
+    th = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    dirs = np.column_stack([np.cos(th), np.sin(th)])
+    for _ in range(20):
+        coeffs = sy.SecondOrderCoeffs(2, _random_spd(rng, 2))
+        sampled = np.einsum("si,ij,sj->s", dirs, coeffs.a, dirs).min()
+        margin = sy.strong_ellipticity_margin(coeffs, [[0.0, 0.0]])
+        assert margin <= sampled + 1e-12
+        assert margin >= sampled - 1e-4 * sampled
+
+
+def test_symmetry_rule_is_absolute():
+    # asymmetry up to 1e-12 is accepted whatever the scale, anything more is not
+    sy.SecondOrderCoeffs(2, [[1e6, 1.0], [1.0 + 5e-13, 1e6]])
+    with pytest.raises(ValueError, match="symmetric"):
+        sy.SecondOrderCoeffs(2, [[1e6, 1.0], [1.0 + 1e-11, 1e6]])
+    with pytest.raises(ValueError, match="symmetric"):
+        sy.SecondOrderCoeffs(2, [[1.0, np.nan], [0.0, 1.0]])
 
 
 def test_boundary_reduction_laplacian():
@@ -190,17 +202,18 @@ def test_tangential_n2_constant_roots():
 
 
 def test_dtn_principal_examples():
-    assert float(sy.dtn_principal(sy.SecondOrderCoeffs.laplacian(2), [0, 0], np.eye(2), [1.0])) == pytest.approx(-1.0)
+    # the principal DtN symbol is -kappa0
+    assert -sy.boundary_reduction(sy.SecondOrderCoeffs.laplacian(2), [0, 0], np.eye(2), [1.0]).kappa0 == pytest.approx(-1.0)
     d14 = sy.SecondOrderCoeffs(2, np.diag([1.0, 4.0]))
-    assert float(sy.dtn_principal(d14, [0, 0], np.eye(2), [1.0])) == pytest.approx(-2.0)
+    assert -sy.boundary_reduction(d14, [0, 0], np.eye(2), [1.0]).kappa0 == pytest.approx(-2.0)
     m = sy.SecondOrderCoeffs(2, [[2.0, 1.0], [1.0, 2.0]])
-    assert float(sy.dtn_principal(m, [0, 0], np.eye(2), [1.0])) == pytest.approx(-np.sqrt(3.0))
+    assert -sy.boundary_reduction(m, [0, 0], np.eye(2), [1.0]).kappa0 == pytest.approx(-np.sqrt(3.0))
 
 
 def test_dtn_poisson_kernel_decay():
     m = sy.SecondOrderCoeffs(2, [[2.0, 1.0], [1.0, 2.0]])
-    dtn = sy.dtn_principal(m, [0, 0], np.eye(2), [1.0])
-    ker = dtn.poisson_kernel(np.array([0.0, 1.0, 2.0]))
+    bf = sy.boundary_reduction(m, [0, 0], np.eye(2), [1.0])
+    ker = bf.poisson_kernel(np.array([0.0, 1.0, 2.0]))
     assert ker[0] == 1.0
     # |exp(-k x)| = exp(-Re k x), strictly decaying since Re kappa_plus > 0
     assert np.all(np.abs(ker[1:]) < np.abs(ker[:-1]))
@@ -216,7 +229,7 @@ def test_dtn_negativity_bound():
         frame = _random_frame(rng, n)
         xip = rng.standard_normal(n - 1)
         xip /= np.linalg.norm(xip)
-        val = float(sy.dtn_principal(coeffs, np.zeros(n), frame, xip))
+        val = -sy.boundary_reduction(coeffs, np.zeros(n), frame, xip).kappa0
         assert val < 0.0
         assert val <= -margin / np.sqrt(coeffs.a[range(n), range(n)].max())
 
@@ -231,7 +244,7 @@ def test_mu_transmission_even_symbol():
 def test_mu_transmission_kappa0_symbol():
     # evenness of kappa0 in xi' gives the half-transmission property
     m = sy.SecondOrderCoeffs(3, [[2.0, 0.5, 0.1], [0.5, 1.5, 0.2], [0.1, 0.2, 3.0]])
-    sym = sy.kappa0_symbol(m, np.eye(3))
+    sym = sy.PrincipalSymbol(order=1.0, fn=lambda x, xip: sy.boundary_reduction(m, x, np.eye(3), xip).kappa0)
     pts = [np.zeros(3), np.zeros(3)]
     normals = [[1.0, 0.0], [0.3, -0.9]]
     assert sy.mu_transmission_residual(sym, 0.5, pts, normals) <= 1e-12
@@ -252,21 +265,6 @@ def test_mu_transmission_degenerate_symbol():
     s = sy.PrincipalSymbol(order=1.0, fn=lambda x, xi: xi[0])
     with pytest.raises(sy.DegenerateSymbolError):
         sy.mu_transmission_residual(s, 0.5, [[0.0, 0.0]], [[0.0, 1.0]])
-
-
-def test_mu_transmission_derivative_check():
-    # even order-2a symbol: first xi-derivatives are odd, matching the shifted phase
-    s = sy.PrincipalSymbol.fractional_laplacian(2, 0.45)
-    r = sy.mu_transmission_residual(s, 0.45, [[0.0, 0.0]], [[0.8, 0.6]], deriv_order=2)
-    assert r <= 1e-6
-
-
-def test_homogeneity_check():
-    s = sy.PrincipalSymbol.fractional_laplacian(3, 0.7)
-    rng = np.random.default_rng(2)
-    pts = rng.standard_normal((5, 3))
-    cov = rng.standard_normal((5, 3))
-    assert s.check_homogeneity(pts, cov, [0.5, 2.0, 11.0]) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None)
