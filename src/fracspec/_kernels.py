@@ -112,7 +112,7 @@ def toeplitz_gather(kern_flat, idx, shape, cols=None):
 
 
 def asymmetry(M):
-    """(max|M - M^T|, max|M|) of a dense square matrix.
+    """(max|M - M^T|, max|M|) of a dense square matrix; both NaN if M holds a NaN.
 
     Blocks of rows are compared with the matching columns above the
     diagonal, so no temporary is larger than about 2^16 entries.
@@ -122,8 +122,11 @@ def asymmetry(M):
     asym = scale = 0.0
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        asym = max(asym, float(np.abs(M[lo:hi, lo:] - M[lo:, lo:hi].T).max()))
-        scale = max(scale, float(np.abs(M[lo:hi]).max()))
+        x = float(np.abs(M[lo:hi, lo:] - M[lo:, lo:hi].T).max())
+        y = float(np.abs(M[lo:hi]).max())
+        # max(a, b) returns a when b is NaN: a NaN block replaces the fold, and max keeps it after
+        asym = max(asym, x) if x == x else x
+        scale = max(scale, y) if y == y else y
     return asym, scale
 
 

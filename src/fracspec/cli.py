@@ -631,6 +631,7 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
     import numpy as np
 
     from .discretize import OperatorMatrix
+    from .errors import ConfigurationError
     from .zaremba import (
         disk_interface_spectra,
         face_mode_spectra,
@@ -664,6 +665,7 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
         ]
 
     domain = _build_domain(cfg)
+    coeffs = _build_coeffs(cfg, domain)
     shift_raw = _get(cfg, "operator", "shift", "auto")
     mode_shift = 1.0 if shift_raw == "auto" else float(shift_raw)  # auto is 1 on the positive mode-route inputs
     sigma = _get(cfg, "operator", "sigma", 0.0)
@@ -671,6 +673,9 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
     em.tolerance("identity_rel", tol)
 
     if domain.kind == "disk":
+        if not np.array_equal(coeffs.a, np.eye(2)):
+            raise ConfigurationError(f"the disk mode route solves the Laplacian only, "
+                                     f"not coefficients {_get(cfg, 'operator', 'coeffs')!r}")
         n_r = _get(cfg, "grid", "n_r", 64)
         n_theta = _get(cfg, "grid", "n_theta", 128)
         d = disk_interface_spectra(n_r, n_theta, arc=domain.sigma_plus[1:], radius=domain.radius,
@@ -685,7 +690,6 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
         em.sequence("zaremba-interface", d.interface)
         return [f"computed {d.mu.size} interface eigenvalues (disk fast path)"]
 
-    coeffs = _build_coeffs(cfg, domain)
     nodes = _get(cfg, "grid", "nodes", 16)
     path, grid = krein_path(coeffs, sigma, domain, nodes)  # past the cap, non-separable inputs stop here
     em.row("law", "nonzero spec(M) = spec(S^-1 (K^T K + I)); mu_j(M) ~ c j^(-2/(n-1))")

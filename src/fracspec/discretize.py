@@ -217,7 +217,7 @@ class OperatorMatrix:
         else:
             matrix = np.asarray(matrix, dtype=float)
             asym, scale = _kernels.asymmetry(matrix)
-        if scale and asym > 1e-12 * scale:
+        if scale and not asym <= 1e-12 * scale:  # NaN fails the comparison
             raise InvariantError("operator matrix is not symmetric to working tolerance")
         self.matrix = matrix
         self.index_label = index_label

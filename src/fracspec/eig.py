@@ -63,7 +63,7 @@ def _check_symmetric(M: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     asym, scale = asymmetry(M)
-    if scale and asym > rtol * scale:
+    if scale and not asym <= rtol * scale:  # NaN fails the comparison
         raise InvariantError("matrix is not symmetric within tolerance")
     return M if asym == 0.0 else 0.5 * (M + M.T)
 

@@ -12,21 +12,25 @@ whose nonzero spectrum equals that of S^{-1}(K^T K + I) exactly.  K and
 S come from discretize.schur_split, the one Schur complement: K is the
 discrete Poisson extension, and S in form units over the boundary
 weights h^{n-1} (KreinAssembly.L_weighted) is the discrete DtN operator
-with its sign reversed.  S = R^T R is Cholesky-factored once, M is
-materialized as F F^T with F = [K; I] R^{-1}, and every spectrum of the
-form S^{-1} X is a generalized-definite eigensolve of the pencil (X, S).
+with its sign reversed.  S = R^T R is Cholesky-factored once, so
+M = F F^T with F = [K; I] R^{-1}, and every spectrum of the form
+S^{-1} X is a generalized-definite eigensolve of the pencil (X, S).
 
 The identity (criterion 08) is certified without an eigensolve of the
-N x N matrix M.  With Q an orthonormal basis of range([K; I]), the
-Rayleigh-Ritz values of M are the eigenvalues of B = Q^T M Q (n_B x n_B),
-and rho = ||M - Q B Q^T||_F is measured on the materialized M.  By
-Weyl's inequality every eigenvalue of M lies within rho of the Ritz
-values or of zero (Parlett, The Symmetric Eigenvalue Problem, ch. 11),
-so a small rho proves both the rank bound and the sign of the spectrum,
-and the Ritz values stand for the nonzero spectrum of M in the
+N x N matrix M, and without storing it.  With Q an orthonormal basis of
+range([K; I]), the Rayleigh-Ritz values of M are the eigenvalues of
+B = Q^T M Q = (Q^T F)(F^T Q) (n_B x n_B), and rho = ||F F^T - Q B Q^T||_F
+is summed over row blocks of the upper triangle, each one GEMM of inner
+dimension 2 n_B over the two n_B x N factors F^T and Q^T: every entry of
+M is formed and compared with Q B Q^T, in about 2 N^2 n_B flops, and no
+N x N array is held (at the 16-layer box, N = 3600, M alone would be
+104 MB).  By Weyl's inequality every eigenvalue of M lies within rho of
+the Ritz values or of zero (Parlett, The Symmetric Eigenvalue Problem,
+ch. 11), so a small rho proves both the rank bound and the sign of the
+spectrum, and the Ritz values stand for the nonzero spectrum of M in the
 comparison with S^{-1}(K^T K + I).  rho relative to the spectral scale
-is reported as identity_residual.  The identity is only checked where
-M is materialized, N <= eig.DENSE_CAP (krein_path "assembled").
+is reported as identity_residual.  The identity is only checked for
+N <= eig.DENSE_CAP (krein_path "assembled").
 
 On separable geometries each tangential mode reduces the mixed problem
 to one tridiagonal normal chain (Buzbee, Golub & Nielson, SIAM J. Numer.
@@ -50,6 +54,7 @@ ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -62,7 +67,7 @@ from .errors import ConfigurationError, NotPositiveError, NumericError
 from .symbols import SecondOrderCoeffs, boundary_reduction
 
 _NOT_POSITIVE = "interface Schur complement is not positive definite; apply a larger positivity shift"
-_ROW_BLOCK = 512  # rows of M per block of the Rayleigh-Ritz residual
+_ROW_BLOCK = 128  # rows of M - Q B Q^T per block of the Rayleigh-Ritz residual
 
 
 def _cap_message(size: int) -> str:
@@ -81,7 +86,7 @@ class KreinAssembly:
     complement S (the unweighted L) of discretize.schur_split.  Holds
     the Cholesky factor of S, its form-unit and boundary-weighted
     counterparts, and the interior mass P1 = K^T W_I K.  M itself is
-    materialized lazily and only below the dense-size cap.
+    never stored: the identity certificate reads it in row blocks.
     """
 
     def __init__(self, K, S, h: float, n: int, shift: float,
@@ -118,65 +123,65 @@ class KreinAssembly:
         root = 1.0 / np.sqrt(self.boundary_weights)
         self.L_weighted = root[:, None] * self.S_form * root[None, :]
         self.P1 = (self.K * self.interior_weights[:, None]).T @ self.K
-        self._M = None
 
-    # -- matrices ----------------------------------------------------------
-
-    @property
-    def M(self) -> np.ndarray:
-        """The resolvent-difference matrix on interior + Sigma+ nodes."""
-        if self._M is None:
-            size = self.n_interior + self.n_boundary
-            if self.n_boundary == 0:
-                self._M = np.zeros((size, size))
-            else:
-                if size > eig.DENSE_CAP:
-                    raise NumericError(_cap_message(size))
-                # F^T = R^{-T} G^T; the product F F^T is symmetric bit for bit
-                Ft = scipy.linalg.solve_triangular(self._chol[0], self._basis().T, trans="T",
-                                                   lower=self._chol[1])
-                self._M = Ft.T @ Ft
-        return self._M
-
-    def _basis(self) -> np.ndarray:
-        """G = [K; I], whose range holds the range of M."""
-        return np.vstack([self.K, np.eye(self.n_boundary)])
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G^T G = I + K^T K for G = [K; I], read-only; the identity side and the Ritz basis share it."""
+        g = self.K.T @ self.K + np.eye(self.n_boundary)
+        g.flags.writeable = False
+        return g
 
     # -- spectra -----------------------------------------------------------
 
     def mu_exact(self) -> np.ndarray:
         """Nonzero spectrum of M through the algebraic identity side."""
-        return sym_eig(self.K.T @ self.K + np.eye(self.n_boundary), self.S).values[::-1]
-
-    def mu_from_M(self) -> np.ndarray:
-        """Descending Rayleigh-Ritz values of the materialized M on range([K; I])."""
-        return self.ritz_from_M()[0]
+        return sym_eig(self.gram, self.S).values[::-1]
 
     def ritz_from_M(self) -> tuple[np.ndarray, float]:
         """Ritz values of M on range([K; I]), descending, and rho = ||M - Q B Q^T||_F.
 
-        B = Q^T M Q for the thin-QR basis Q of G = [K; I], found as
-        G = Q C^T with C C^T = G^T G = I + K^T K (Cholesky QR).  Cholesky
-        QR loses orthogonality as eps cond(G)^2, and the identity block
-        keeps cond(G)^2 <= 1 + ||K||^2 small (below 8 on the square and
-        box grids, where ||Q^T Q - I|| is a few eps).  The residual is
-        summed over row blocks, so no second N x N array is formed.
+        M = F F^T with F^T = R^{-T} G^T, and Q^T = C^{-1} G^T is the
+        thin-QR basis of G = [K; I] with C C^T = G^T G (Cholesky QR).
+        Cholesky QR loses orthogonality as eps cond(G)^2, and the identity
+        block keeps cond(G)^2 <= 1 + ||K||^2 small (below 8 on the square
+        and box grids, where ||Q^T Q - I|| is a few eps).  B = Q^T (M Q)
+        with M Q = F (F^T Q), and rho is summed over row blocks of the upper
+        triangle of M - Q B Q^T, off-diagonal parts twice: each block is
+        one GEMM of inner dimension 2 n_B against the stacked factor
+        [F | Q]^T (2 n_B x N), so no N x N array is formed.  Refused past
+        eig.DENSE_CAP, the size the assembled route is kept to.
         """
-        if self.n_boundary == 0:
+        nB = self.n_boundary
+        if nB == 0:
             return np.zeros(0), 0.0
-        M = self.M
-        C = np.linalg.cholesky(self.K.T @ self.K + np.eye(self.n_boundary))
-        Q = scipy.linalg.solve_triangular(C, self._basis().T, lower=True).T
-        B = Q.T @ (M @ Q)
+        size = self.n_interior + nB
+        if size > eig.DENSE_CAP:
+            raise NumericError(_cap_message(size))
+        G = np.vstack([self.K, np.eye(nB)])  # G.T is Fortran-ordered: LAPACK reads it without a transposing copy
+        FQt = np.empty((2 * nB, size))  # [F | Q]^T
+        FQt[:nB] = scipy.linalg.solve_triangular(self._chol[0], G.T, trans="T", lower=self._chol[1])
+        FQt[nB:] = scipy.linalg.solve_triangular(np.linalg.cholesky(self.gram), G.T, lower=True)
+        del G
+        # Q^T (M Q) with M Q = F (F^T Q), not (Q^T F)(F^T Q): this order keeps the
+        # 2-node worked example's Ritz value at exactly 5/4
+        B = FQt[nB:] @ (FQt[:nB].T @ (FQt[:nB] @ FQt[nB:].T))
         B = 0.5 * (B + B.T)
         ritz = sym_eig(B).values[::-1]
-        BQt = B @ Q.T
         sq = 0.0
-        for lo in range(0, M.shape[0], _ROW_BLOCK):
-            D = Q[lo : lo + _ROW_BLOCK] @ BQt
-            np.subtract(M[lo : lo + _ROW_BLOCK], D, out=D)
-            sq += float(np.linalg.norm(D)) ** 2
+        for lo in range(0, size, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, size)
+            D = self._residual_rows(lo, hi, FQt, B)
+            # the diagonal block counts once, the part right of it twice
+            sq += 2.0 * float(np.linalg.norm(D)) ** 2 - float(np.linalg.norm(D[:, : hi - lo])) ** 2
+            del D  # before the next block is formed
         return ritz, float(np.sqrt(sq))
+
+    @staticmethod
+    def _residual_rows(lo: int, hi: int, FQt: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """(M - Q B Q^T)[lo:hi, lo:] = [F | -Q B][lo:hi] [F | Q]^T[:, lo:], one GEMM of inner dimension 2 n_B."""
+        nB = B.shape[0]
+        rows = FQt[:, lo:hi].T
+        return np.hstack([rows[:, :nB], -(rows[:, nB:] @ B)]) @ FQt[:, lo:]
 
     def weighted_mu(self, include_boundary_mass: bool = False,
                     half_cell: bool = False) -> np.ndarray:
@@ -288,11 +293,12 @@ class KreinIdentityReport:
 def krein_identity_check(k: KreinAssembly) -> KreinIdentityReport:
     """Compare the two independent routes to the nonzero spectrum of M.
 
-    Left side: the Rayleigh-Ritz values of the materialized M on
-    range([K; I]) with their residual rho.  Every eigenvalue of M lies
-    within rho of a Ritz value or of zero, so rho <= t and
-    min(ritz) - rho >= -t (t = 1e-12 max(scale, 1)) prove that at most
-    n_boundary eigenvalues exceed t in modulus and none falls below -t.
+    Left side: the Rayleigh-Ritz values of M = F F^T on range([K; I])
+    with their residual rho, read in row blocks (ritz_from_M).  Every
+    eigenvalue of M lies within rho of a Ritz value or of zero, so
+    rho <= t and min(ritz) - rho >= -t (t = 1e-12 max(scale, 1)) prove
+    that at most n_boundary eigenvalues exceed t in modulus and none
+    falls below -t.
     Right side: the spectrum of S^{-1}(K^T K + I) as a generalized-definite
     solve.  The agreement is an exact finite-dimensional matrix identity,
     so the expected mismatch and residual are pure roundoff.
@@ -664,12 +670,11 @@ def krein_path(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int):
     """The route that answers the Zaremba question on a grid domain, with its grid.
 
     ("assembled", build_grid(domain, nodes)) while M, of size
-    N = n_I + n_B, fits under eig.DENSE_CAP: only that route
-    materializes M and certifies the Krein identity.  Past the cap,
-    ("modes", None) for separable inputs: face_mode_spectra needs no
-    grid, and the torus grid of a fine box is the largest object of the
-    run.  Any other input raises NumericError here, before the assembly
-    and Schur work.
+    N = n_I + n_B, fits under eig.DENSE_CAP: only that route certifies
+    the Krein identity.  Past the cap, ("modes", None) for separable
+    inputs: face_mode_spectra needs no grid, and the torus grid of a
+    fine box is the largest object of the run.  Any other input raises
+    NumericError here, before the assembly and Schur work.
     """
     if separable_face(coeffs, sigma, domain):
         _, cells, _, tangential = _face_cells(domain, nodes)

@@ -253,6 +253,13 @@ class TestPipelines:
         assert rows["n2_flagged"] == "True"
         assert (rows["krein_path"], rows["identity_check"]) == ("modes", "not_run")
 
+    def test_zaremba_disk_default_is_the_laplacian(self, tmp_path):
+        base = ["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--repro"]
+        assert run(base, tmp_path / "default") == 0
+        assert run(base + ["--coeffs", "diag:1,1"], tmp_path / "form") == 0
+        for name in ("zaremba-report.txt", "zaremba-mu.csv", "zaremba-interface.csv"):
+            assert (tmp_path / "default" / name).read_text() == (tmp_path / "form" / name).read_text()
+
     def test_dtn_probe_assert_modes(self, tmp_path):
         args = ["dtn-probe", "--coeffs", "matrix:2,1;1,2", "--xi", "1,2",
                 "--h", "0.015625"]
@@ -286,6 +293,8 @@ _CONSTRAINT_CASES = [
     (["weyl-const", "--domain", "disk", "--n", "3"], "domain.n = 3, but the disk domain is 2-dimensional"),
     (["weyl-const", "--domain", "square", "--n", "1"], "domain.n = 1, but the square domain is 2-dimensional"),
     (["zaremba", "--domain", "disk", "--n", "3"], "domain.n = 3, but the disk domain is 2-dimensional"),
+    (["zaremba", "--domain", "disk", "--coeffs", "diag:1,4", "--n-r", "16", "--n-theta", "32"],
+     "the disk mode route solves the Laplacian only, not coefficients 'diag:1,4'"),
     (["spectrum", "--domain", "cube"], "unknown domain kind 'cube'"),
     # forms that are not strongly elliptic
     (["spectrum", "--domain", "square", "--coeffs", "matrix:1,2;2,1", "--nodes", "16", "--count", "3"],

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from fracspec import eig
 from fracspec.discretize import (
+    OperatorMatrix,
     TorusMultiplier,
     assemble_second_order,
     build_grid,
@@ -72,6 +73,20 @@ def test_asymmetry_matches_the_full_difference(m):
     assert asymmetry(M) == (np.abs(M - M.T).max(), np.abs(M).max())
     S = M + M.T
     assert asymmetry(S) == (0.0, np.abs(S).max())
+
+
+@pytest.mark.parametrize("where", [(0, 1), (0, 1099), (1099, 0)], ids=["2x2", "first-block", "last-block"])
+def test_nan_entry_is_not_symmetric(where):
+    # a NaN anywhere, in any of the row blocks, makes both guards refuse the matrix
+    from fracspec._kernels import asymmetry
+
+    M = np.array([[2.0, 0.0], [0.0, 2.0]]) if where == (0, 1) else 2.0 * np.eye(1100)
+    M[where] = np.nan
+    assert all(np.isnan(asymmetry(M)))
+    with pytest.raises(InvariantError, match="symmetric"):
+        sym_eig(M)
+    with pytest.raises(InvariantError, match="symmetric"):
+        OperatorMatrix(M, "bad")
 
 
 def test_check_symmetric_returns_exactly_symmetric_input_itself():

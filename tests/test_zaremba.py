@@ -1,5 +1,7 @@
 """Krein-term algebra, the chain-Schur core, the DtN strip probe, and the disk and face mode routes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -38,6 +40,24 @@ def wrap(mat, interior, splus, h=1.0, units=None):
     return OperatorMatrix(np.asarray(mat, dtype=float), "all", meta=meta)
 
 
+def basis(k):
+    """G = [K; I], whose range holds the range of M."""
+    return np.vstack([k.K, np.eye(k.n_boundary)])
+
+
+def materialized_m(k):
+    """The N x N matrix M = F F^T, F = [K; I] R^{-1} with S = R^T R: the oracle of the blocked certificate."""
+    Ft = sla.solve_triangular(sla.cholesky(k.S), basis(k).T, trans="T")
+    return Ft.T @ Ft
+
+
+def materialized_ritz(M, G):
+    """Descending Ritz values of M on range(G) and rho = ||M - Q B Q^T||_F, on the whole matrix."""
+    Q = np.linalg.qr(G)[0]
+    B = Q.T @ M @ Q
+    return sla.eigvalsh(0.5 * (B + B.T))[::-1], float(np.linalg.norm(M - Q @ B @ Q.T))
+
+
 class TestKreinToy:
     # A = [[2,-1],[-1,1.5]], interior {0}, free boundary {1}:
     # K = 1/2, S = 1.5 - 1/2 = 1, M = [[1/4,1/2],[1/2,1]], spectrum {5/4, 0}
@@ -46,12 +66,12 @@ class TestKreinToy:
 
     def test_toy_matrix(self):
         k = self.toy()
-        assert np.allclose(k.M, [[0.25, 0.5], [0.5, 1.0]], atol=1e-14)
+        assert np.allclose(materialized_m(k), [[0.25, 0.5], [0.5, 1.0]], atol=1e-14)
 
     def test_toy_spectrum(self):
         k = self.toy()
         assert np.allclose(k.mu_exact(), [1.25], atol=1e-14)
-        assert np.allclose(k.mu_from_M(), [1.25], atol=1e-14)
+        assert np.allclose(k.ritz_from_M()[0], [1.25], atol=1e-14)
 
     def test_toy_identity_report(self):
         rep = krein_identity_check(self.toy())
@@ -72,15 +92,15 @@ class TestKreinToy:
         B = rng.standard_normal((8, 8))
         A = B @ B.T + 8 * np.eye(8)
         k = krein_from_matrix(wrap(A, [0, 1, 2, 3, 4, 5], [6, 7]))
-        w = np.linalg.eigvalsh(k.M)
+        w = np.linalg.eigvalsh(materialized_m(k))
         assert w.min() >= -1e-12 * w.max()
         assert np.sum(w > 1e-10 * w.max()) <= 2
 
     def test_empty_free_boundary(self):
         k = krein_from_matrix(wrap(np.eye(3) * 2.0, [0, 1, 2], []))
         assert k.mu_exact().size == 0
-        assert k.mu_from_M().size == 0
-        assert np.all(k.M == 0.0)
+        ritz, rho = k.ritz_from_M()
+        assert ritz.size == 0 and rho == 0.0
         assert krein_identity_check(k).max_rel_mismatch == 0.0
 
     def test_indefinite_schur_rejected(self):
@@ -98,7 +118,7 @@ class TestKreinToy:
         om = OperatorMatrix(sp.csr_matrix(g), "all",
                             meta={"row_sets": {"interior": [0, 1], "sigma_plus": [2]}, "h": 1.0})
         sparse = krein_from_matrix(om)
-        assert np.allclose(dense.M, sparse.M, atol=1e-13)
+        assert np.allclose(materialized_m(dense), materialized_m(sparse), atol=1e-13)
 
 
 def congruence_mu(S, inner):
@@ -131,7 +151,7 @@ class TestKreinOracle:
     def test_mu_exact_matches_materialized_m(self, problem):
         om, _, _ = problem
         k = krein_from_matrix(om)
-        top = np.linalg.eigvalsh(k.M)[::-1][: k.n_boundary]
+        top = np.linalg.eigvalsh(materialized_m(k))[::-1][: k.n_boundary]
         mu = k.mu_exact()
         assert np.max(np.abs(mu - top)) <= 1e-10 * mu[0]
 
@@ -162,16 +182,22 @@ class TestKreinOracle:
         assert rep.max_rel_mismatch <= 1e-10
 
 
-def full_spectrum_verdict(k, scale):
+def full_spectrum_verdict(M, n_boundary, scale):
     """Descending full spectrum of the materialized M and the rank/sign test on it."""
-    w = np.linalg.eigvalsh(k.M)[::-1]
+    w = np.linalg.eigvalsh(M)[::-1]
     t = 1e-12 * max(scale, 1.0)
-    return w, bool(np.sum(np.abs(w) > t) <= k.n_boundary and w.min() >= -t)
+    return w, bool(np.sum(np.abs(w) > t) <= n_boundary and w.min() >= -t)
 
 
 def grid_krein(domain, nodes, sigma):
     grid = build_grid(domain, nodes)
     return krein_term(SecondOrderCoeffs.laplacian(grid.n), sigma, grid)
+
+
+def read_perturbed_m(monkeypatch, k, E):
+    """Make the certificate read the row blocks of M + E, as a defect in the assembled M would show."""
+    real = k._residual_rows
+    monkeypatch.setattr(k, "_residual_rows", lambda lo, hi, *factors: real(lo, hi, *factors) + E[lo:hi, lo:])
 
 
 class TestRitzCertificate:
@@ -181,7 +207,12 @@ class TestRitzCertificate:
         rep = krein_identity_check(k)
         ritz, rho = k.ritz_from_M()
         scale = np.abs(rep.mu_identity).max()
-        w, verdict = full_spectrum_verdict(k, scale)
+        M = materialized_m(k)
+        # the blocked certificate against the same quantities on the whole matrix
+        ritz_ref, rho_ref = materialized_ritz(M, basis(k))
+        assert np.max(np.abs(ritz - ritz_ref)) <= 1e-13 * scale
+        assert abs(rho - rho_ref) <= 1e-13 * scale
+        w, verdict = full_spectrum_verdict(M, k.n_boundary, scale)
         slack = rho + 1e-13 * scale
         assert np.max(np.abs(w[: k.n_boundary] - ritz)) <= slack
         assert np.max(np.abs(w[k.n_boundary :]), initial=0.0) <= slack
@@ -206,28 +237,42 @@ class TestRitzCertificate:
         assert rep.residual <= 1e-12
         assert rep.max_rel_mismatch <= 1e-12
 
-    def test_symmetric_perturbation_fails_certificate(self):
+    def test_certificate_holds_no_n_by_n_array(self):
+        k = grid_krein(DomainSpec.unit_box(), 12, 0.5)
+        size = k.n_interior + k.n_boundary
+        tracemalloc.start()
+        try:
+            assert krein_identity_check(k).rank_bound_ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size * size * 8 / 2  # one N x N float array would be twice this
+
+    def test_symmetric_perturbation_fails_certificate(self, monkeypatch):
         k = grid_krein(DomainSpec.unit_square(), 16, 0.5)
         assert krein_identity_check(k).rank_bound_ok
-        E = np.random.default_rng(1).standard_normal(k.M.shape)
+        size = k.n_interior + k.n_boundary
+        E = np.random.default_rng(1).standard_normal((size, size))
         E = E + E.T
-        k._M = k.M + 1e-9 * E / np.linalg.norm(E)
+        read_perturbed_m(monkeypatch, k, 1e-9 * E / np.linalg.norm(E))
         rep = krein_identity_check(k)
         assert not rep.rank_bound_ok
         assert rep.residual * np.abs(rep.mu_identity).max() > 1e-10
 
-    def test_rank_one_outside_range_fails_both_routes(self):
+    def test_rank_one_outside_range_fails_both_routes(self, monkeypatch):
         k = grid_krein(DomainSpec.unit_square(), 16, 0.5)
-        G = np.vstack([k.K, np.eye(k.n_boundary)])
+        G = basis(k)
         v = np.random.default_rng(2).standard_normal(G.shape[0])
         v -= G @ np.linalg.lstsq(G, v, rcond=None)[0]  # orthogonal to range([K; I])
         v /= np.linalg.norm(v)
         scale = np.abs(k.mu_exact()).max()
-        k._M = k.M + 1e-3 * scale * np.outer(v, v)
+        E = 1e-3 * scale * np.outer(v, v)
+        read_perturbed_m(monkeypatch, k, E)
         rep = krein_identity_check(k)
         assert not rep.rank_bound_ok
         assert rep.residual == pytest.approx(1e-3, rel=1e-6)  # rho is the added term itself
-        assert not full_spectrum_verdict(k, scale)[1]  # one eigenvalue too many: the rank bound fails
+        # one eigenvalue too many: the rank bound fails
+        assert not full_spectrum_verdict(materialized_m(k) + E, k.n_boundary, scale)[1]
         assert rep.max_rel_mismatch <= 1e-12  # while the Ritz values still match the identity
 
 
@@ -700,14 +745,14 @@ class TestFaceModes:
                 krein_path(coeffs, sigma, box, 24)
 
     def test_cap_read_from_eig(self, monkeypatch):
-        # eig.DENSE_CAP is the one cap, read at call time by the route choice and by M
+        # eig.DENSE_CAP is the one cap, read at call time by the route choice and by the certificate
         box, co = DomainSpec.unit_box(), SecondOrderCoeffs.laplacian(3)
         path, grid = krein_path(co, 0.5, box, 12)
         k = krein_term(co, 0.5, grid)
         monkeypatch.setattr(eig, "DENSE_CAP", 1000)
         assert krein_path(co, 0.5, box, 12) == ("modes", None)  # 11^3 + 11^2 = 1452 nodes
         with pytest.raises(NumericError, match="M would be 1452x1452, above the 1000 cap"):
-            k.M
+            krein_identity_check(k)
 
     def test_non_separable_rejected(self):
         square = DomainSpec.unit_square()
