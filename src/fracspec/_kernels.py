@@ -1,84 +1,23 @@
 """Hot numeric kernels: one vectorized numpy/BLAS build.
 
-Quadrature kernels sum over a (nodes x directions) product.  Each
-256-node chunk evaluates its quadratic forms as one GEMM,
-``mats.reshape(-1, n*n) @ outer(dirs).T``, whose rows of ``outer(dirs)``
-are ``dirs[s] (x) dirs[s]``; chunking bounds the working set.
-``toeplitz_gather`` reads a torus kernel at the offsets of two sets of
-nodes, and ``restricted_power_apply`` is the matrix-free product with a
-restricted torus multiplier; its work is in the compiled transforms.
-``asymmetry`` measures how far a dense matrix is from symmetric.
+``boundary_quantities`` evaluates the boundary symbol's (ann, b, c) per
+sample.  ``toeplitz_gather`` reads a torus kernel at the offsets of two
+sets of nodes, and ``restricted_power_apply`` is the matrix-free product
+with a restricted torus multiplier; its work is in the compiled
+transforms.  ``asymmetry`` measures how far a dense matrix is from
+symmetric.  Kernels that would build a large temporary work in blocks of
+about 2^16 entries (2^22 torus values for the transforms), which bounds
+the working set.
 
-Conventions shared by all kernels:
-
-* coefficient matrices arrive frame-reduced where stated, so the last
-  index is the interior-normal direction;
-* quadrature kernels accumulate a plain weighted sum in a fixed order,
-  which keeps results deterministic across runs;
-* a nonpositive reduced discriminant (ellipticity failure) makes the
-  quadrature kernels return NaN; wrappers turn that into an error.
+Coefficient matrices arrive frame-reduced where stated, so the last
+index is the interior-normal direction.  The Weyl-constant quadratures
+need no kernel here: their cosphere integrals are in closed form (see
+``quadrature``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_CHUNK = 256
-
-
-def _outer(dirs):
-    """Rows dirs[s] (x) dirs[s], flattened: (ns, k*k) for dirs (ns, k)."""
-    return (dirs[:, :, None] * dirs[:, None, :]).reshape(dirs.shape[0], -1)
-
-
-def _quad_forms(mats, outer):
-    """dirs[s]^T mats[d] dirs[s] for every (d, s) as one GEMM."""
-    return mats.reshape(mats.shape[0], -1) @ outer.T
-
-
-def quad_form_power_sum(mats, wx, dirs, ws, expo):
-    """sum_{d,s} wx[d] ws[s] (dirs[s]^T mats[d] dirs[s])**expo, NaN if a form is <= 0."""
-    outer = _outer(dirs)
-    total = 0.0
-    for lo in range(0, mats.shape[0], _CHUNK):
-        q = _quad_forms(mats[lo : lo + _CHUNK], outer)
-        if np.any(q <= 0.0):
-            return np.nan
-        total += wx[lo : lo + _CHUNK] @ (q**expo) @ ws
-    return float(total)
-
-
-def _reduced_ap(chunk, dirs, outer):
-    # ann and the reduced discriminant a' = ann c - b^2 per (node, tangential direction)
-    n = chunk.shape[1]
-    ann = chunk[:, n - 1, n - 1]
-    b = chunk[:, : n - 1, n - 1] @ dirs.T
-    c = _quad_forms(chunk[:, : n - 1, : n - 1], outer)
-    return ann, ann[:, None] * c - b * b
-
-
-def kappa0_power_sum(mats, wx, dirs, ws, expo):
-    """sum wx ws kappa0**expo over frame-reduced mats and tangential dirs (n-1 dims)."""
-    outer = _outer(dirs)
-    total = 0.0
-    for lo in range(0, mats.shape[0], _CHUNK):
-        _, ap = _reduced_ap(mats[lo : lo + _CHUNK], dirs, outer)
-        if np.any(ap <= 0.0):
-            return np.nan
-        total += wx[lo : lo + _CHUNK] @ (ap ** (0.5 * expo)) @ ws
-    return float(total)
-
-
-def dtn_weight_sum(mats, wx, dirs, ws, p):
-    """sum wx ws (ann / (2 kappa0^2))**p over the same product as ``kappa0_power_sum``."""
-    outer = _outer(dirs)
-    total = 0.0
-    for lo in range(0, mats.shape[0], _CHUNK):
-        ann, ap = _reduced_ap(mats[lo : lo + _CHUNK], dirs, outer)
-        if np.any(ap <= 0.0):
-            return np.nan
-        total += wx[lo : lo + _CHUNK] @ ((ann[:, None] / (2.0 * ap)) ** p) @ ws
-    return float(total)
 
 
 def boundary_quantities(mats, xips):

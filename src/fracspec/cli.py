@@ -420,11 +420,7 @@ def _plot_script(csv_name: str) -> str:
 def _cmd_symbol_check(cfg, args, em: Emitter) -> list[str]:
     import numpy as np
 
-    from .symbols import (
-        PrincipalSymbol,
-        boundary_reduction,
-        mu_transmission_residual,
-    )
+    from .symbols import PrincipalSymbol, boundary_residuals, mu_transmission_residual
 
     coeffs = _build_coeffs(cfg)
     n = coeffs.n
@@ -434,19 +430,13 @@ def _cmd_symbol_check(cfg, args, em: Emitter) -> list[str]:
     seed = _get(cfg, "output", "seed", 0)
     rng = np.random.default_rng(seed)
 
-    worst_fact = 0.0
-    points = []
-    normals = []
-    for _ in range(samples):
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        x = rng.standard_normal(n)
-        xi_p = rng.standard_normal(n - 1) if n > 1 else np.zeros(0)
-        fact = boundary_reduction(coeffs, x, q, xi_p)
-        worst_fact = max(worst_fact, fact.residual)
-        points.append(x)
-        normals.append(q[:, -1])
+    # one row per sample: the QR input, then x, then xi', as drawn one sample at a time
+    draws = rng.standard_normal((samples, n * n + 2 * n - 1))
+    frames, _ = np.linalg.qr(draws[:, : n * n].reshape(samples, n, n))
+    points = draws[:, n * n : n * n + n]
+    worst_fact = float(boundary_residuals(coeffs, points, frames, draws[:, n * n + n :]).max())
     symbol = PrincipalSymbol.from_coeffs(coeffs, power=a)
-    worst_trans = mu_transmission_residual(symbol, mu, points, normals)
+    worst_trans = mu_transmission_residual(symbol, mu, points, frames[:, :, -1])
 
     em.row("law", "abar_nn (xi_n - kappa+)(xi_n - kappa-) = a(xi', xi_n); p(-N) = exp(i pi (m - 2 mu)) p(N)")
     em.row("coefficients", coeffs.describe())

@@ -14,9 +14,7 @@ indices (Grid.planes), and grid_spacing is the one spacing rule.
 schur_split is the one Schur complement: its extension map K and
 interface S are the discrete Poisson extension and, weighted by the
 boundary measure, the discrete Dirichlet-to-Neumann operator of the
-Krein assembly (zaremba.KreinAssembly.K and L_weighted).  A
-boundary-fitted polar grid covers the n = 2 disk work, where the curved
-boundary needs per-node arc-length weights.
+Krein assembly (zaremba.KreinAssembly.K and L_weighted).
 
 Unit conventions
 ----------------
@@ -24,9 +22,7 @@ Assembled OperatorMatrix objects are in operator units: the matrix of
 the bilinear form divided by the node volume h^n, so the 1D Dirichlet
 Laplacian is the classical tridiag(-1, 2, -1)/h^2.  The form matrix is
 recovered as h^n * matrix; Schur complements of the form matrix divided
-by the boundary weight h^{n-1} approximate the continuum DtN.  Polar
-assemblies keep form units (their node volumes are nonuniform) and say
-so in meta["units"].
+by the boundary weight h^{n-1} approximate the continuum DtN.
 """
 
 from __future__ import annotations
@@ -48,6 +44,7 @@ from .symbols import SecondOrderCoeffs
 PARITY_DEFECT = 1e-12  # largest relative kernel defect ParitySplit accepts
 _SNAP = 1e-9  # relative to h; boundary-hit tolerance
 _TORUS_PAD = 2.0  # torus extent over domain extent, per axis, of the periodic embedding
+_SLAB = 1 << 16  # bounding-block nodes build_grid classifies at a time, rounded to whole planes
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +132,10 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
     on no other) and sigma_minus.  Only the domain's bounding block, torus
     indices offsets to offsets + cells along each axis, is classified:
     it holds every closure node, and on a padded torus it is about
-    2^-n of the nodes.  Free nodes lie on faces of intervals, rectangles
-    and boxes only, so a disk or ball grid has no sigma_plus nodes.
+    2^-n of the nodes.  It is classified in slabs of whole planes along
+    axis 0, of about _SLAB nodes each, which bounds the temporaries.  Free
+    nodes lie on faces of intervals, rectangles and boxes only, so a disk
+    or ball grid has no sigma_plus nodes.
     """
     h, cells = grid_spacing(domain, nodes_per_axis)
     extent = domain.extent()
@@ -152,31 +151,36 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
             planes[t] = off, (off + c if abs(c * h - e) <= _SNAP * h else -1)
 
     block = tuple(c + 1 for c in cells)
-    multi = offsets + np.stack(np.unravel_index(np.arange(int(np.prod(block))), block), axis=-1)
-    x = origin + h * multi
-
-    d_block = _distance_to_boundary(domain, x)
-    on_boundary = d_block <= _SNAP * h
-    inside = domain.contains(x) & ~on_boundary
-    splus = np.zeros(x.shape[0], dtype=bool)
-    if box_like:
-        hits = _plane_hits(planes, multi)
-        on_plane = hits.any(axis=2)
-        for face in domain.sigma_plus:
-            axis = "xyz".index(face[0])
-            on_other = np.delete(on_plane, axis, axis=1).any(axis=1)
-            splus |= on_boundary & hits[:, axis, int(face[1] == "+")] & ~on_other
-    idx = np.ravel_multi_index(multi.T, shape)  # ascending: the block's C order is the torus's
+    plane, total = int(np.prod(block[1:])), int(np.prod(block))
+    step = max(1, _SLAB // plane) * plane
+    parts = []  # per slab: interior, sigma_plus and sigma_minus indices, interior distances
+    for lo in range(0, total, step):
+        multi = offsets + np.stack(np.unravel_index(np.arange(lo, min(lo + step, total)), block), axis=-1)
+        x = origin + h * multi
+        d_slab = _distance_to_boundary(domain, x)
+        on_boundary = d_slab <= _SNAP * h
+        inside = domain.contains(x) & ~on_boundary
+        splus = np.zeros(x.shape[0], dtype=bool)
+        if box_like:
+            hits = _plane_hits(planes, multi)
+            on_plane = hits.any(axis=2)
+            for face in domain.sigma_plus:
+                axis = "xyz".index(face[0])
+                on_other = np.delete(on_plane, axis, axis=1).any(axis=1)
+                splus |= on_boundary & hits[:, axis, int(face[1] == "+")] & ~on_other
+        idx = np.ravel_multi_index(multi.T, shape)  # ascending: the block's C order is the torus's
+        parts.append((idx[inside], idx[splus], idx[on_boundary & ~splus], d_slab[inside]))
+    interior_idx, sigma_plus_idx, sigma_minus_idx, d = (np.concatenate(p) for p in zip(*parts))
     return Grid(
         domain=domain,
         h=h,
         shape=shape,
         origin=origin,
         planes=planes,
-        interior_idx=idx[inside],
-        sigma_plus_idx=idx[splus],
-        sigma_minus_idx=idx[on_boundary & ~splus],
-        d=d_block[inside],
+        interior_idx=interior_idx,
+        sigma_plus_idx=sigma_plus_idx,
+        sigma_minus_idx=sigma_minus_idx,
+        d=d,
     )
 
 
@@ -624,20 +628,6 @@ def _power_from_pairs(w: np.ndarray, V: np.ndarray, a: float) -> np.ndarray:
     return F @ F.T
 
 
-def spectral_fractional_dirichlet(A_dir, a: float) -> OperatorMatrix:
-    """The a-th power of the Dirichlet realization itself (contrast object)."""
-    mat = A_dir.toarray() if isinstance(A_dir, OperatorMatrix) else np.asarray(A_dir, dtype=float)
-    desc = A_dir.descriptor if isinstance(A_dir, OperatorMatrix) else "matrix"
-    grid = A_dir.grid if isinstance(A_dir, OperatorMatrix) else None
-    if a == 1.0:
-        return OperatorMatrix(mat.copy(), "interior", grid, desc, {"units": "operator", "a": 1.0})
-    spec = sym_eig(mat, want_vectors=True)
-    if spec.values.min() <= 0.0:
-        raise NotPositiveError("Dirichlet realization must be positive definite")
-    P = _power_from_pairs(spec.values, spec.vectors, a)
-    return OperatorMatrix(P, "interior", grid, f"({desc})^{a:g} spectral", {"units": "operator", "a": a})
-
-
 # ---------------------------------------------------------------------------
 # Schur complement
 # ---------------------------------------------------------------------------
@@ -675,154 +665,3 @@ def schur_split(mat, I, B):
         raise NumericError("singular interior block; apply a positivity shift")
     S = A_BB + A_IB.T @ K
     return K, 0.5 * (S + S.T)
-
-
-# ---------------------------------------------------------------------------
-# polar disk grid (boundary-fitted, n = 2)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolarDiskGrid:
-    """Polar grid on a disk: a center node plus n_r rings of n_theta nodes.
-
-    Node 0 is the center; ring j (1-based radius j*dr) occupies the slice
-    1 + (j-1)*n_theta + k for angle index k.  The outermost ring carries
-    the boundary; sigma_plus is the relative interior of the given arc.
-    """
-
-    radius: float
-    n_r: int
-    n_theta: int
-    arc: tuple
-
-    def __post_init__(self):
-        if self.n_r < 4 or self.n_theta < 8:
-            raise ConfigurationError("polar grid needs n_r >= 4 and n_theta >= 8")
-
-    @property
-    def dr(self) -> float:
-        return self.radius / self.n_r
-
-    @property
-    def dtheta(self) -> float:
-        return 2.0 * np.pi / self.n_theta
-
-    @property
-    def size(self) -> int:
-        return 1 + self.n_r * self.n_theta
-
-    def node_id(self, j: int, k: int) -> int:
-        return 1 + (j - 1) * self.n_theta + k % self.n_theta
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return self.dtheta * np.arange(self.n_theta)
-
-    @property
-    def interior_idx(self) -> np.ndarray:
-        return np.arange(0, 1 + (self.n_r - 1) * self.n_theta)
-
-    @property
-    def boundary_idx(self) -> np.ndarray:
-        return np.arange(1 + (self.n_r - 1) * self.n_theta, self.size)
-
-    @property
-    def boundary_arc_mask(self) -> np.ndarray:
-        """Relative interior of the arc among boundary-ring angles."""
-        th0, th1 = self.arc
-        th = self.thetas
-        eps = 1e-12
-        return (th > th0 + eps) & (th < th1 - eps)
-
-    @property
-    def sigma_plus_idx(self) -> np.ndarray:
-        return self.boundary_idx[self.boundary_arc_mask]
-
-    @property
-    def sigma_minus_idx(self) -> np.ndarray:
-        return self.boundary_idx[~self.boundary_arc_mask]
-
-    def points(self) -> np.ndarray:
-        pts = np.zeros((self.size, 2))
-        r = self.dr * np.arange(1, self.n_r + 1)
-        th = self.thetas
-        rr, tt = np.meshgrid(r, th, indexing="ij")
-        pts[1:, 0] = (rr * np.cos(tt)).ravel()
-        pts[1:, 1] = (rr * np.sin(tt)).ravel()
-        return pts
-
-    def volumes(self) -> np.ndarray:
-        """Dual-cell areas (half cell on the boundary ring)."""
-        v = np.empty(self.size)
-        v[0] = np.pi * (0.5 * self.dr) ** 2
-        r = self.dr * np.arange(1, self.n_r + 1)
-        ring = r * self.dr * self.dtheta
-        ring[-1] = r[-1] * (0.5 * self.dr) * self.dtheta
-        v[1:] = np.repeat(ring, self.n_theta).reshape(self.n_r, self.n_theta).ravel()
-        return v
-
-    def arc_weights(self) -> np.ndarray:
-        """Per-node boundary arc length on the outer ring."""
-        return np.full(self.n_theta, self.radius * self.dtheta)
-
-
-def assemble_polar_laplacian(grid: PolarDiskGrid, sigma: float = 0.0) -> OperatorMatrix:
-    """Form-unit assembly of the Laplacian on the polar disk grid.
-
-    Radial edges carry r_mid * dtheta / dr, angular edges dr / (r dtheta),
-    center-to-ring edges dtheta / 2; a Robin term sigma adds arc weights
-    on sigma_plus.  Natural boundary on the outer ring; returned with all
-    boundary nodes present, ordered interior then sigma_plus then
-    sigma_minus by row sets in meta.
-    """
-    nt, nr, dr, dth = grid.n_theta, grid.n_r, grid.dr, grid.dtheta
-    rows, cols, vals = [], [], []
-
-    def add_edge(a, b, w):
-        rows.extend((a, b, a, b))
-        cols.extend((a, b, b, a))
-        vals.extend((w, w, -w, -w))
-
-    for k in range(nt):
-        add_edge(0, grid.node_id(1, k), 0.5 * dth)
-    for j in range(1, nr):
-        r_mid = (j + 0.5) * dr
-        w = r_mid * dth / dr
-        for k in range(nt):
-            add_edge(grid.node_id(j, k), grid.node_id(j + 1, k), w)
-    for j in range(1, nr + 1):
-        r_j = j * dr
-        w = dr / (r_j * dth)
-        if j == nr:
-            w *= 0.5  # half dual cell outside the boundary ring
-        for k in range(nt):
-            add_edge(grid.node_id(j, k), grid.node_id(j, (k + 1) % nt), w)
-
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(grid.size, grid.size))
-    mat.sum_duplicates()
-    if sigma:
-        aw = grid.arc_weights()
-        mask = grid.boundary_arc_mask
-        d = np.zeros(grid.size)
-        d[grid.boundary_idx[mask]] = sigma * aw[mask]
-        mat = mat + sp.diags(d)
-
-    order = np.concatenate([grid.interior_idx, grid.sigma_plus_idx, grid.sigma_minus_idx])
-    perm = mat[order][:, order]
-    ni, npl = grid.interior_idx.size, grid.sigma_plus_idx.size
-    row_sets = {
-        "interior": np.arange(ni),
-        "sigma_plus": ni + np.arange(npl),
-        "sigma_minus": ni + npl + np.arange(grid.sigma_minus_idx.size),
-    }
-    meta = {
-        "units": "form",
-        "row_sets": row_sets,
-        "node_ids": order,
-        "h": dr,
-        "volumes": grid.volumes()[order],
-        "arc_weights": grid.arc_weights(),
-        "sigma": sigma,
-    }
-    return OperatorMatrix(perm, "polar-disk", None, "Laplacian form on a polar disk grid", meta)

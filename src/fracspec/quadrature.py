@@ -10,22 +10,35 @@ Three asymptotic constants are computed here:
 * the perturbation constant ``c(M)``, same prefactor with integrand
   ``(ann / (2 kappa0^2))^{(n-1)/2}``.
 
-Cosphere rules are composite trapezoid on the circle and product
+For coefficient-form symbols every cosphere integral above is of
+(xi . A xi)^{-k/2} over the unit sphere S^{k-1}, which the Gaussian
+integral in polar coordinates gives in closed form:
+
+    int_{S^{k-1}} (xi . A xi)^{-k/2} dsigma = |S^{k-1}| det(A)^{-1/2},
+
+with A = a(x) for C' (k = n) and A = a', the tangential form of
+``symbols.tangential_form``, for c(L) and c(M) (k = n - 1; c(M) carries
+the extra factor (ann / 2)^{(n-1)/2}).  One batched Cholesky per rule
+node checks A positive definite exactly and gives det(A)^{-1/2} as
+1 / prod diag(L), so only the spatial rule is summed.
+
+User-supplied symbols without coefficients are summed node by node over
+cosphere rules: composite trapezoid on the circle and product
 Gauss-Legendre x trapezoid on the 2-sphere; the "cosphere" of a
 1-dimensional tangent space is the two-point set {-1, +1} with counting
-measure.  Error estimates come from comparing two refinement levels,
-since no external truth is available for these integrals.
+measure.  Error estimates come from comparing two refinement levels of
+the spatial rule (and of the cosphere rule, where one is used), since no
+external truth is available for these integrals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from . import _kernels
-from .symbols import EllipticityError, PrincipalSymbol, SecondOrderCoeffs, reduce_frames
+from .symbols import EllipticityError, PrincipalSymbol, SecondOrderCoeffs, reduce_frames, tangential_form
 
 __all__ = [
     "DomainSpec",
@@ -415,31 +428,51 @@ def domain_measure(domain: DomainSpec, part: str = "volume", via: str = "closed"
 # ---------------------------------------------------------------------------
 
 
+def _sphere_measure(k: int) -> float:
+    """|S^{k-1}| = 2 pi^{k/2} / Gamma(k/2): 2 for the two-point set, 2 pi for the circle."""
+    return 2.0 * math.pi ** (0.5 * k) / math.gamma(0.5 * k)
+
+
+def _inv_sqrt_det(mats: np.ndarray, what: str) -> np.ndarray:
+    """det(A)^{-1/2} per matrix of a batch (N, k, k), from one batched Cholesky.
+
+    Raises EllipticityError, naming ``what``, unless every A is positive
+    definite.
+    """
+    try:
+        diag = np.diagonal(np.linalg.cholesky(mats), axis1=1, axis2=2)
+        ok = (diag > 0.0).all()  # a NaN form gives a NaN factor without raising; it fails here
+    except np.linalg.LinAlgError:
+        ok = False
+    if not ok:
+        raise EllipticityError(f"{what} not positive definite at a quadrature node")
+    return 1.0 / diag.prod(axis=1)
+
+
 def weyl_constant_dirichlet(symbol: PrincipalSymbol, domain: DomainSpec, level: int = 0) -> QuadratureResult:
     """Dirichlet Weyl constant C' and its companion C = C'**(-2a/n).
 
     For symbols built from coefficient matrices the integrand
-    |p|^{-n/2a} reduces to (xi . a(x) xi)^{-n/2}, independent of a.
+    |p|^{-n/2a} reduces to (xi . a(x) xi)^{-n/2}, independent of a, whose
+    cosphere integral is |S^{n-1}| det(a(x))^{-1/2}.
     """
     n = domain.n
     two_a = symbol.order
     if two_a <= 0:
         raise ValueError("symbol order must be positive")
     coeffs = symbol.coeffs
+    if coeffs is not None and coeffs.n != n:
+        raise ValueError(f"symbol coefficients are {coeffs.n}-dimensional, the domain {n}-dimensional")
     vals = {}
     nodes = {}
     for lev in (level - 1, level):
         pts, wx = domain.volume_rule(lev)
-        rule = sphere_rule(n, lev)
+        nodes[lev] = {"domain": pts.shape[0]}
         if coeffs is not None:
-            mats = np.ascontiguousarray(coeffs.a_batch(pts))
-            total = _kernels.quad_form_power_sum(
-                mats, np.ascontiguousarray(wx), np.ascontiguousarray(rule.nodes),
-                np.ascontiguousarray(rule.weights), -0.5 * n
-            )
-            if not np.isfinite(total):
-                raise EllipticityError("coefficient form not positive at a quadrature node")
+            total = _sphere_measure(n) * float(wx @ _inv_sqrt_det(coeffs.a_batch(pts), "coefficient form"))
         else:
+            rule = sphere_rule(n, lev)
+            nodes[lev]["sphere"] = rule.nodes.shape[0]
             total = 0.0
             for x, w in zip(pts, wx):
                 fv = np.array([abs(complex(symbol(x, xi))) for xi in rule.nodes])
@@ -447,7 +480,6 @@ def weyl_constant_dirichlet(symbol: PrincipalSymbol, domain: DomainSpec, level: 
                     raise EllipticityError(f"symbol not elliptic at sample x={x}")
                 total += w * float(rule.weights @ fv ** (-n / two_a))
         vals[lev] = total / (n * (2.0 * np.pi) ** n)
-        nodes[lev] = {"domain": pts.shape[0], "sphere": rule.nodes.shape[0]}
     cprime = vals[level]
     companion = cprime ** (-two_a / n)
     return QuadratureResult(
@@ -459,6 +491,7 @@ def weyl_constant_dirichlet(symbol: PrincipalSymbol, domain: DomainSpec, level: 
 
 
 def _boundary_constant(coeffs: SecondOrderCoeffs, domain: DomainSpec, level: int, which: str) -> QuadratureResult:
+    """c(L) or c(M), with int_{|xi'|=1} kappa0^{-(n-1)} = |S^{n-2}| det(a')^{-1/2}, a' the tangential form."""
     n = domain.n
     if n < 2:
         raise ValueError("boundary constants need n >= 2")
@@ -466,19 +499,15 @@ def _boundary_constant(coeffs: SecondOrderCoeffs, domain: DomainSpec, level: int
     nodes = {}
     for lev in (level - 1, level):
         pts, frames, wx = domain.boundary_rule("sigma_plus", lev)
-        rule = sphere_rule(n - 1, lev)
-        mats = np.ascontiguousarray(reduce_frames(coeffs.a_batch(pts), frames))
-        wx = np.ascontiguousarray(wx)
-        dirs = np.ascontiguousarray(rule.nodes)
-        ws = np.ascontiguousarray(rule.weights)
-        if which == "L":
-            total = _kernels.kappa0_power_sum(mats, wx, dirs, ws, -(n - 1.0))
-        else:
-            total = _kernels.dtn_weight_sum(mats, wx, dirs, ws, 0.5 * (n - 1.0))
-        if not np.isfinite(total):
-            raise EllipticityError("boundary factorization failed at a quadrature node")
-        vals[lev] = total / ((n - 1) * (2.0 * np.pi) ** (n - 1))
-        nodes[lev] = {"boundary": pts.shape[0], "cosphere": rule.nodes.shape[0]}
+        abar = reduce_frames(coeffs.a_batch(pts), frames)
+        ann = abar[:, -1, -1]
+        if not (ann > 0.0).all():
+            raise EllipticityError("abar_nn not positive at a quadrature node")
+        f = _inv_sqrt_det(tangential_form(abar), "tangential form a'")
+        if which == "M":
+            f *= (0.5 * ann) ** (0.5 * (n - 1))
+        vals[lev] = _sphere_measure(n - 1) * float(wx @ f) / ((n - 1) * (2.0 * np.pi) ** (n - 1))
+        nodes[lev] = {"boundary": pts.shape[0]}
     meta = {}
     if which == "M" and n == 2:
         meta["n2_special_case"] = True  # reported value sits outside the main n >= 3 scope

@@ -30,9 +30,11 @@ boundary behavior of the mixed problem.
 ``_root_pairs`` is the one implementation of this factorization, on
 arrays.  Every factorization takes the same path: ``reduce_frames``, then
 ``_kernels.boundary_quantities`` for (ann, b, c), then ``_root_pairs``.
-``factorization_residuals`` runs it over a batch; ``boundary_reduction``
-and ``tangential_factorization`` run it on a batch of one, the latter
-once more on the tangential form ``a'`` for its second pair.
+``factorization_residuals`` and ``boundary_residuals`` run it over a
+batch; ``boundary_reduction`` and ``tangential_factorization`` run it on
+a batch of one, the latter once more on the tangential form ``a'`` for
+its second pair.  ``tangential_form`` is the one definition of ``a'``,
+for one matrix or a batch.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ __all__ = [
     "BoundaryFactorization",
     "strong_ellipticity_margin",
     "boundary_reduction",
+    "boundary_residuals",
+    "tangential_form",
     "tangential_factorization",
     "mu_transmission_residual",
     "reduce_frames",
@@ -290,24 +294,33 @@ def _elliptic_quantities(red, xips):
     return ann, b, c, a_prime
 
 
-def _check_frame(frame: np.ndarray, n: int) -> np.ndarray:
-    frame = np.asarray(frame, dtype=float)
-    if frame.shape != (n, n):
-        raise ValueError(f"frame must be an {(n, n)} matrix with columns = frame vectors")
-    if abs(frame.T @ frame - np.eye(n)).max() > _FRAME_TOL:
+def _check_frames(frames, shape: tuple) -> np.ndarray:
+    """Frames of the given shape, (n, n) or (N, n, n), whose columns are orthonormal to _FRAME_TOL."""
+    frames = np.asarray(frames, dtype=float)
+    if frames.shape != shape:
+        raise ValueError(f"frame must be an {shape[-2:]} matrix with columns = frame vectors")
+    if abs(np.swapaxes(frames, -1, -2) @ frames - np.eye(shape[-1])).max() > _FRAME_TOL:
         raise ValueError("frame columns must be orthonormal")
-    return frame
+    return frames
 
 
 def _reduce_one(coeffs: SecondOrderCoeffs, point, frame) -> dict:
     """The point, checked frame, frame-reduced abar and its abar_nn > 0 as BoundaryFactorization fields."""
     x = np.asarray(point, dtype=float)
-    frame = _check_frame(frame, coeffs.n)
+    frame = _check_frames(frame, (coeffs.n, coeffs.n))
     abar = reduce_frames(coeffs.a_at(x)[None], frame[None])[0]
     ann = float(abar[-1, -1])
     if ann <= 0.0:
         raise EllipticityError("abar_nn must be positive")
     return dict(x=x, frame=frame, abar=abar, a_nn=ann)
+
+
+def _check_xi_prime(xips: np.ndarray, n: int) -> None:
+    """xi' per sample, (N, n-1): of dimension n - 1 and nonzero."""
+    if xips.shape[1:] != (n - 1,):
+        raise ValueError(f"xi_prime must have dimension {n - 1}")
+    if not xips.any(axis=1).all():
+        raise ValueError("xi_prime must be nonzero")
 
 
 _XI_N_PROBE = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
@@ -331,23 +344,38 @@ def boundary_reduction(
     reduced discriminant a' = ann c - b^2 is not positive.
     """
     xip = np.asarray(xi_prime, dtype=float).reshape(-1)
-    if xip.shape != (coeffs.n - 1,):
-        raise ValueError(f"xi_prime must have dimension {coeffs.n - 1}")
-    if not xip.any():
-        raise ValueError("xi_prime must be nonzero")
+    _check_xi_prime(xip[None], coeffs.n)
     reduced = _reduce_one(coeffs, boundary_point, normal_frame)
     return BoundaryFactorization(**reduced, **_base_fields(reduced["abar"], xip))
 
 
+def boundary_residuals(coeffs: SecondOrderCoeffs, points, frames, xips) -> np.ndarray:
+    """boundary_reduction's residual at a batch of samples, with its checks.
+
+    points (N, n), frames (N, n, n) and xips (N, n-1), one sample per
+    row.  One reduce_frames, _elliptic_quantities and _root_pairs serve
+    the whole batch; the result is each sample's largest relative
+    residual over the _XI_N_PROBE normal components.
+    """
+    n = coeffs.n
+    xips = np.asarray(xips, dtype=float)
+    _check_xi_prime(xips, n)
+    abar = reduce_frames(coeffs.a_batch(points), _check_frames(frames, (xips.shape[0], n, n)))
+    if (abar[:, -1, -1] <= 0.0).any():
+        raise EllipticityError("abar_nn must be positive")
+    ann, b, c, _ = _elliptic_quantities(abar, xips)
+    return _root_pairs(ann[:, None], b[:, None], c[:, None], _XI_N_PROBE)[3].max(axis=1)
+
+
 def tangential_form(abar: np.ndarray) -> np.ndarray:
-    """Matrix of the quadratic form a'(xi') = ann c(xi') - b(xi')^2.
+    """Matrix of the quadratic form a'(xi') = ann c(xi') - b(xi')^2, for one abar (n, n) or a batch (N, n, n).
 
     With abar frame-reduced, a'_jk = ann abar_jk - abar_jn abar_kn for
     j, k < n, so kappa0(xi')^2 = xi' . a' xi'.
     """
-    ann = abar[-1, -1]
-    v = abar[:-1, -1]
-    return ann * abar[:-1, :-1] - np.outer(v, v)
+    ann = abar[..., -1:, -1:]
+    v = abar[..., :-1, -1]
+    return ann * abar[..., :-1, :-1] - v[..., :, None] * v[..., None, :]
 
 
 def tangential_factorization(

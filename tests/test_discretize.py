@@ -1,24 +1,31 @@
-"""Grid construction, second-order assembly, and fractional restriction."""
+"""Grid construction, second-order assembly, and fractional restriction.
+
+Two contrast objects live here, since only tests use them: the spectral
+fractional power of a Dirichlet matrix, and a boundary-fitted polar disk
+grid with its form-unit Laplacian (the assembled oracle of the disk mode
+route in zaremba, imported by test_zaremba).
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.special import jn_zeros
 
 from fracspec.discretize import (
     Grid,
     OperatorMatrix,
-    PolarDiskGrid,
     TorusMultiplier,
     _distance_to_boundary,
-    assemble_polar_laplacian,
     assemble_second_order,
     build_grid,
     fractional_restricted,
     materialize_torus_operator,
     schur_split,
-    spectral_fractional_dirichlet,
 )
+from fracspec.eig import sym_eig
 from fracspec.errors import ConfigurationError, InvariantError, NotPositiveError, NumericError
 from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
@@ -27,6 +34,171 @@ from fracspec.zaremba import krein_from_matrix
 
 def laplacian(n):
     return SecondOrderCoeffs.laplacian(n)
+
+
+def spectral_fractional_dirichlet(A_dir, a: float) -> OperatorMatrix:
+    """The a-th power of the Dirichlet realization itself (contrast object)."""
+    mat = A_dir.toarray() if isinstance(A_dir, OperatorMatrix) else np.asarray(A_dir, dtype=float)
+    desc = A_dir.descriptor if isinstance(A_dir, OperatorMatrix) else "matrix"
+    grid = A_dir.grid if isinstance(A_dir, OperatorMatrix) else None
+    if a == 1.0:
+        return OperatorMatrix(mat.copy(), "interior", grid, desc, {"units": "operator", "a": 1.0})
+    spec = sym_eig(mat, want_vectors=True)
+    if spec.values.min() <= 0.0:
+        raise NotPositiveError("Dirichlet realization must be positive definite")
+    F = spec.vectors * spec.values ** (0.5 * a)
+    return OperatorMatrix(F @ F.T, "interior", grid, f"({desc})^{a:g} spectral", {"units": "operator", "a": a})
+
+
+# ---------------------------------------------------------------------------
+# polar disk grid (boundary-fitted, n = 2)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PolarDiskGrid:
+    """Polar grid on a disk: a center node plus n_r rings of n_theta nodes.
+
+    Node 0 is the center; ring j (1-based radius j*dr) occupies the slice
+    1 + (j-1)*n_theta + k for angle index k.  The outermost ring carries
+    the boundary; sigma_plus is the relative interior of the given arc.
+    """
+
+    radius: float
+    n_r: int
+    n_theta: int
+    arc: tuple
+
+    def __post_init__(self):
+        if self.n_r < 4 or self.n_theta < 8:
+            raise ConfigurationError("polar grid needs n_r >= 4 and n_theta >= 8")
+
+    @property
+    def dr(self) -> float:
+        return self.radius / self.n_r
+
+    @property
+    def dtheta(self) -> float:
+        return 2.0 * np.pi / self.n_theta
+
+    @property
+    def size(self) -> int:
+        return 1 + self.n_r * self.n_theta
+
+    def node_id(self, j: int, k: int) -> int:
+        return 1 + (j - 1) * self.n_theta + k % self.n_theta
+
+    @property
+    def thetas(self) -> np.ndarray:
+        return self.dtheta * np.arange(self.n_theta)
+
+    @property
+    def interior_idx(self) -> np.ndarray:
+        return np.arange(0, 1 + (self.n_r - 1) * self.n_theta)
+
+    @property
+    def boundary_idx(self) -> np.ndarray:
+        return np.arange(1 + (self.n_r - 1) * self.n_theta, self.size)
+
+    @property
+    def boundary_arc_mask(self) -> np.ndarray:
+        """Relative interior of the arc among boundary-ring angles."""
+        th0, th1 = self.arc
+        th = self.thetas
+        eps = 1e-12
+        return (th > th0 + eps) & (th < th1 - eps)
+
+    @property
+    def sigma_plus_idx(self) -> np.ndarray:
+        return self.boundary_idx[self.boundary_arc_mask]
+
+    @property
+    def sigma_minus_idx(self) -> np.ndarray:
+        return self.boundary_idx[~self.boundary_arc_mask]
+
+    def points(self) -> np.ndarray:
+        pts = np.zeros((self.size, 2))
+        r = self.dr * np.arange(1, self.n_r + 1)
+        th = self.thetas
+        rr, tt = np.meshgrid(r, th, indexing="ij")
+        pts[1:, 0] = (rr * np.cos(tt)).ravel()
+        pts[1:, 1] = (rr * np.sin(tt)).ravel()
+        return pts
+
+    def volumes(self) -> np.ndarray:
+        """Dual-cell areas (half cell on the boundary ring)."""
+        v = np.empty(self.size)
+        v[0] = np.pi * (0.5 * self.dr) ** 2
+        r = self.dr * np.arange(1, self.n_r + 1)
+        ring = r * self.dr * self.dtheta
+        ring[-1] = r[-1] * (0.5 * self.dr) * self.dtheta
+        v[1:] = np.repeat(ring, self.n_theta).reshape(self.n_r, self.n_theta).ravel()
+        return v
+
+    def arc_weights(self) -> np.ndarray:
+        """Per-node boundary arc length on the outer ring."""
+        return np.full(self.n_theta, self.radius * self.dtheta)
+
+
+def assemble_polar_laplacian(grid: PolarDiskGrid, sigma: float = 0.0) -> OperatorMatrix:
+    """Form-unit assembly of the Laplacian on the polar disk grid.
+
+    Radial edges carry r_mid * dtheta / dr, angular edges dr / (r dtheta),
+    center-to-ring edges dtheta / 2; a Robin term sigma adds arc weights
+    on sigma_plus.  Natural boundary on the outer ring; returned with all
+    boundary nodes present, ordered interior then sigma_plus then
+    sigma_minus by row sets in meta.
+    """
+    nt, nr, dr, dth = grid.n_theta, grid.n_r, grid.dr, grid.dtheta
+    rows, cols, vals = [], [], []
+
+    def add_edge(a, b, w):
+        rows.extend((a, b, a, b))
+        cols.extend((a, b, b, a))
+        vals.extend((w, w, -w, -w))
+
+    for k in range(nt):
+        add_edge(0, grid.node_id(1, k), 0.5 * dth)
+    for j in range(1, nr):
+        r_mid = (j + 0.5) * dr
+        w = r_mid * dth / dr
+        for k in range(nt):
+            add_edge(grid.node_id(j, k), grid.node_id(j + 1, k), w)
+    for j in range(1, nr + 1):
+        r_j = j * dr
+        w = dr / (r_j * dth)
+        if j == nr:
+            w *= 0.5  # half dual cell outside the boundary ring
+        for k in range(nt):
+            add_edge(grid.node_id(j, k), grid.node_id(j, (k + 1) % nt), w)
+
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(grid.size, grid.size))
+    mat.sum_duplicates()
+    if sigma:
+        aw = grid.arc_weights()
+        mask = grid.boundary_arc_mask
+        d = np.zeros(grid.size)
+        d[grid.boundary_idx[mask]] = sigma * aw[mask]
+        mat = mat + sp.diags(d)
+
+    order = np.concatenate([grid.interior_idx, grid.sigma_plus_idx, grid.sigma_minus_idx])
+    perm = mat[order][:, order]
+    ni, npl = grid.interior_idx.size, grid.sigma_plus_idx.size
+    row_sets = {
+        "interior": np.arange(ni),
+        "sigma_plus": ni + np.arange(npl),
+        "sigma_minus": ni + npl + np.arange(grid.sigma_minus_idx.size),
+    }
+    meta = {
+        "units": "form",
+        "row_sets": row_sets,
+        "node_ids": order,
+        "h": dr,
+        "volumes": grid.volumes()[order],
+        "arc_weights": grid.arc_weights(),
+        "sigma": sigma,
+    }
+    return OperatorMatrix(perm, "polar-disk", None, "Laplacian form on a polar disk grid", meta)
 
 
 # ---------------------------------------------------------------------------

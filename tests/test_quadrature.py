@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracspec import _kernels
+from fracspec import _kernels, quadrature
 from fracspec.quadrature import (
     DomainSpec,
     EllipticityError,
@@ -139,6 +141,11 @@ def test_weyl_constant_rejects_indefinite():
         weyl_constant_dirichlet(sym, dom)
 
 
+def test_weyl_constant_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimensional"):
+        weyl_constant_dirichlet(PrincipalSymbol.fractional_laplacian(2, 0.5), DomainSpec.unit_box())
+
+
 def test_interface_constant_hemisphere():
     lap = SecondOrderCoeffs.laplacian(3)
     res = weyl_constant_L(lap, DomainSpec.ball(cap=np.pi / 2))
@@ -268,30 +275,108 @@ def _reduced_parts(A, t):
     return A[k, k], A[:k, k] @ t, t @ A[:k, :k] @ t
 
 
+# ---------------------------------------------------------------------------
+# oracle: the closed-form cosphere integrals against per-node x sphere_rule sums
+# ---------------------------------------------------------------------------
+
+
+def _spd(rng, n):
+    """Symmetric positive definite, eigenvalues in [1, 4], in a random frame."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * rng.uniform(1.0, 4.0, n)) @ q.T
+
+
+class _SmoothField:
+    """a(x) = Q diag(2.5 + amp sin(K x + phi)) Q^T: smooth, eigenvalues in [1, 4]."""
+
+    def __init__(self, rng, n):
+        self.q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        self.k = rng.uniform(-2.0, 2.0, (n, n))
+        self.phi = rng.uniform(0.0, 2.0 * np.pi, n)
+        self.amp = rng.uniform(0.5, 1.5, n)
+
+    def __call__(self, x):
+        return (self.q * (2.5 + self.amp * np.sin(self.k @ x + self.phi))) @ self.q.T
+
+
+# sphere level of the reference sums: converged to roundoff for eigenvalue ratios up to 4
+_REF_SPHERE_LEVEL = -1
+_CONSTANTS = ("dirichlet", "L", "M")
+
+
+def _forms(mats, dirs):
+    """dirs[s] . mats[d] dirs[s] for every (d, s), as one GEMM."""
+    outer = (dirs[:, :, None] * dirs[:, None, :]).reshape(dirs.shape[0], -1)
+    return mats.reshape(mats.shape[0], -1) @ outer.T
+
+
+def _oracle_domain(n, which):
+    if which == "dirichlet":
+        return DomainSpec.unit_square() if n == 2 else DomainSpec.unit_box()
+    return DomainSpec.disk(arc=(0.3, 2.1)) if n == 2 else DomainSpec.ball(cap=1.0)
+
+
+def _reference(coeffs, which, level):
+    """The constant as a product sum over the spatial rule x sphere_rule, node blocks of 256.
+
+    The integrands are the definitions: (xi . a xi)^(-n/2) for C', and
+    kappa0^(-(n-1)) or (ann / (2 kappa0^2))^((n-1)/2) with
+    kappa0^2 = ann c - b^2 for c(L) and c(M).
+    """
+    n = coeffs.n
+    dom = _oracle_domain(n, which)
+    if which == "dirichlet":
+        pts, wx = dom.volume_rule(level)
+        rule = sphere_rule(n, _REF_SPHERE_LEVEL)
+        total = 0.0
+        for lo in range(0, pts.shape[0], 256):
+            q = _forms(coeffs.a_batch(pts[lo : lo + 256]), rule.nodes)
+            total += wx[lo : lo + 256] @ (q ** (-0.5 * n) @ rule.weights)
+        return total / (n * (2.0 * np.pi) ** n)
+    pts, frames, wx = dom.boundary_rule("sigma_plus", level)
+    rule = sphere_rule(n - 1, _REF_SPHERE_LEVEL)
+    total = 0.0
+    for lo in range(0, pts.shape[0], 256):
+        fr = frames[lo : lo + 256]
+        red = np.swapaxes(fr, 1, 2) @ coeffs.a_batch(pts[lo : lo + 256]) @ fr
+        ann = red[:, -1, -1][:, None]
+        b = red[:, :-1, -1] @ rule.nodes.T
+        ap = ann * _forms(np.ascontiguousarray(red[:, :-1, :-1]), rule.nodes) - b * b
+        vals = ap ** (-0.5 * (n - 1)) if which == "L" else (ann / (2.0 * ap)) ** (0.5 * (n - 1))
+        total += wx[lo : lo + 256] @ (vals @ rule.weights)
+    return total / ((n - 1) * (2.0 * np.pi) ** (n - 1))
+
+
+def _closed_form(coeffs, which, level):
+    dom = _oracle_domain(coeffs.n, which)
+    if which == "dirichlet":
+        return weyl_constant_dirichlet(PrincipalSymbol.from_coeffs(coeffs, 0.5), dom, level=level).value
+    return (weyl_constant_L if which == "L" else weyl_constant_M)(coeffs, dom, level=level).value
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    level=st.integers(-2, 0),
+    which=st.sampled_from(_CONSTANTS),
+    variable=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_closed_form_matches_product_sum_hypothesis(n, level, which, variable, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = SecondOrderCoeffs(n, _SmoothField(rng, n) if variable else _spd(rng, n))
+    assert _closed_form(coeffs, which, level) == pytest.approx(_reference(coeffs, which, level), rel=1e-12)
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_kernels_match_per_pair_reference(n):
+def test_closed_form_matches_per_pair_reference(n):
     rng = np.random.default_rng(12)
+    field = SecondOrderCoeffs(n, _SmoothField(rng, n))
+    for which in _CONSTANTS:
+        assert _closed_form(field, which, -2) == pytest.approx(_reference(field, which, -2), rel=1e-12)
+
     m = 40
     mats = _spd_batch(rng, m, n)
-    wx = rng.random(m) + 0.5
-    full = sphere_rule(n, level=-2)
-    tang = sphere_rule(n - 1, level=-2)
-    dirs, ws = np.ascontiguousarray(full.nodes), np.ascontiguousarray(full.weights)
-    tdirs, tws = np.ascontiguousarray(tang.nodes), np.ascontiguousarray(tang.weights)
-
-    ref = sum(wx[d] * sum(ws[s] * (dirs[s] @ mats[d] @ dirs[s]) ** -1.5 for s in range(len(ws))) for d in range(m))
-    assert _kernels.quad_form_power_sum(mats, wx, dirs, ws, -1.5) == pytest.approx(ref, rel=1e-13)
-
-    kappa_ref = dtn_ref = 0.0
-    for d in range(m):
-        for s in range(len(tws)):
-            ann, b, c = _reduced_parts(mats[d], tdirs[s])
-            ap = ann * c - b * b
-            kappa_ref += wx[d] * tws[s] * ap ** (0.5 * -2.0)
-            dtn_ref += wx[d] * tws[s] * (ann / (2.0 * ap)) ** 1.0
-    assert _kernels.kappa0_power_sum(mats, wx, tdirs, tws, -2.0) == pytest.approx(kappa_ref, rel=1e-13)
-    assert _kernels.dtn_weight_sum(mats, wx, tdirs, tws, 1.0) == pytest.approx(dtn_ref, rel=1e-13)
-
     xips = rng.standard_normal((m, n - 1))
     got = _kernels.boundary_quantities(mats, xips)
     want = np.array([_reduced_parts(mats[k], xips[k]) for k in range(m)]).T
@@ -299,12 +384,49 @@ def test_kernels_match_per_pair_reference(n):
         np.testing.assert_allclose(g, w, rtol=1e-13, atol=0.0)
 
 
-def test_kernels_return_nan_on_nonpositive_form():
-    rng = np.random.default_rng(3)
-    mats = _spd_batch(rng, 40, 3)
-    mats[17] = np.diag([1.0, -1.0, 1.0])  # indefinite in full and in reduced (tangential) form
-    wx = np.ones(40)
-    full, tang = sphere_rule(3, level=-2), sphere_rule(2, level=-2)
-    assert np.isnan(_kernels.quad_form_power_sum(mats, wx, full.nodes, full.weights, -1.5))
-    assert np.isnan(_kernels.kappa0_power_sum(mats, wx, tang.nodes, tang.weights, -2.0))
-    assert np.isnan(_kernels.dtn_weight_sum(mats, wx, tang.nodes, tang.weights, 1.0))
+def test_closed_form_rejects_nonpositive_form():
+    box = DomainSpec.unit_box(("z-",))
+    # indefinite in full and in reduced (tangential) form, on half the box
+    half = SecondOrderCoeffs(3, lambda x: np.diag([1.0, 1.0 if x[0] < 0.5 else -1.0, 1.0]))
+    with pytest.raises(EllipticityError):
+        weyl_constant_dirichlet(PrincipalSymbol.from_coeffs(half, 0.5), box, level=-2)
+    for fn in (weyl_constant_L, weyl_constant_M):
+        with pytest.raises(EllipticityError):
+            fn(half, box, level=-2)
+        # a' = ann c - b^2 = I is positive, but abar_nn = -1 is not
+        with pytest.raises(EllipticityError):
+            fn(SecondOrderCoeffs(3, -np.eye(3)), box, level=-2)
+
+
+def test_indefinite_form_between_sphere_nodes_rejected():
+    # eigenvalues (1, 1, -1e-6): the negative cone is about 1e-3 wide and falls between
+    # the cosphere nodes, so a check at the nodes alone passes it
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    a = q @ np.diag([1.0, 1.0, -1e-6]) @ q.T
+    a = 0.5 * (a + a.T)
+    for lev in (-2, -1):
+        nodes = sphere_rule(3, lev).nodes
+        assert (np.einsum("si,ij,sj->s", nodes, a, nodes) > 0.0).all()
+    symbol = PrincipalSymbol.from_coeffs(SecondOrderCoeffs(3, a), 0.5)
+    with pytest.raises(EllipticityError):
+        weyl_constant_dirichlet(symbol, DomainSpec.unit_box(), level=-1)
+
+
+def test_coefficient_constants_never_call_sphere_rule(monkeypatch):
+    calls = []
+
+    def spy(n, level=0):
+        calls.append((n, level))
+        return sphere_rule(n, level)
+
+    monkeypatch.setattr(quadrature, "sphere_rule", spy)
+    lap = SecondOrderCoeffs.laplacian(3)
+    weyl_constant_dirichlet(PrincipalSymbol.fractional_laplacian(3, 0.5), DomainSpec.ball(), level=-2)
+    weyl_constant_L(lap, DomainSpec.ball(), level=-2)
+    weyl_constant_M(lap, DomainSpec.ball(), level=-2)
+    assert calls == []
+    # a user-supplied symbol keeps the node loop over the cosphere rule
+    generic = PrincipalSymbol(order=1.0, fn=lambda x, xi: float(xi @ xi) ** 0.5)
+    weyl_constant_dirichlet(generic, DomainSpec.unit_square(), level=-3)
+    assert calls == [(2, -4), (2, -3)]

@@ -9,12 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracspec.discretize import (
-    OperatorMatrix,
-    PolarDiskGrid,
-    assemble_polar_laplacian,
-    build_grid,
-)
+from fracspec.discretize import OperatorMatrix, build_grid
 from fracspec import eig
 from fracspec.asymptotics import weyl_fit
 from fracspec.errors import ConfigurationError, NotPositiveError, NumericError
@@ -31,6 +26,7 @@ from fracspec.zaremba import (
     krein_path,
     krein_term,
 )
+from test_discretize import PolarDiskGrid, assemble_polar_laplacian
 
 
 def wrap(mat, interior, splus, h=1.0, units=None):
