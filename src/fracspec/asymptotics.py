@@ -9,8 +9,7 @@ certifies a d^{1/2}-type element just failing H^1.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import exp1
@@ -37,27 +36,11 @@ class WeylFit:
     window: tuple
     residual: float
     fixed_exponent: bool = False
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         j_lo, j_hi = self.window
         if j_lo < 2 or j_hi < j_lo:
             raise ValueError("fit window must satisfy 2 <= j_lo <= j_hi")
-
-    def record(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "constant": self.constant,
-            "window": list(self.window),
-            "residual": self.residual,
-            "fixed_exponent": self.fixed_exponent,
-            **self.meta,
-        }
-
-
-def _sequence_values(spec) -> np.ndarray:
-    values = getattr(spec, "values", spec)
-    return np.asarray(values, dtype=float).ravel()
 
 
 def default_window(m: int) -> tuple:
@@ -71,14 +54,14 @@ def default_window(m: int) -> tuple:
     return (j_lo, j_hi)
 
 
-def weyl_fit(spec, window: tuple | None = None, fixed_exponent: float | None = None) -> WeylFit:
-    """Fit value_j ~ C j^e over the window (default: middle third).
+def weyl_fit(values, window: tuple | None = None, fixed_exponent: float | None = None) -> WeylFit:
+    """Fit value_j ~ C j^e over the window (default: middle third) of a 1-D sequence.
 
     With fixed_exponent given, only C is fit: log C is the mean of
     log value_j - e log j, i.e. C is the geometric mean of value_j *
     j^{-e} over the window.
     """
-    values = _sequence_values(spec)
+    values = np.asarray(values, dtype=float).ravel()
     m = values.size
     if window is None:
         window = default_window(m)
@@ -92,16 +75,15 @@ def weyl_fit(spec, window: tuple | None = None, fixed_exponent: float | None = N
         raise NumericError("fit window contains nonpositive or non-finite values")
     j = np.arange(j_lo, j_hi + 1, dtype=float)
     lj, lv = np.log(j), np.log(v)
-    digest = hashlib.sha256(v.tobytes()).hexdigest()[:16]
     if fixed_exponent is None:
         A = np.stack([lj, np.ones_like(lj)], axis=1)
         (slope, intercept), *_ = np.linalg.lstsq(A, lv, rcond=None)
         resid = float(np.sqrt(np.mean((lv - slope * lj - intercept) ** 2)))
-        return WeylFit(float(slope), float(np.exp(intercept)), (j_lo, j_hi), resid, False, {"inputs_hash": digest})
+        return WeylFit(float(slope), float(np.exp(intercept)), (j_lo, j_hi), resid, False)
     e = float(fixed_exponent)
     logc = float(np.mean(lv - e * lj))
     resid = float(np.sqrt(np.mean((lv - e * lj - logc) ** 2)))
-    return WeylFit(e, float(np.exp(logc)), (j_lo, j_hi), resid, True, {"inputs_hash": digest})
+    return WeylFit(e, float(np.exp(logc)), (j_lo, j_hi), resid, True)
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +91,11 @@ def weyl_fit(spec, window: tuple | None = None, fixed_exponent: float | None = N
 # ---------------------------------------------------------------------------
 
 
-def exponent_from_profile(u, d, band: tuple, min_nodes: int = 20) -> float:
+def exponent_from_profile(u, d, band: tuple) -> float:
     """Slope of log|u| against log d over samples with d inside band.
 
     Samples with |u| below 1e-13 * max|u| are excluded (dead zone around
-    sign changes); fewer than min_nodes usable samples is an error.
+    sign changes); fewer than 20 usable samples is an error.
     """
     u = np.abs(np.asarray(u, dtype=float).ravel())
     d = np.asarray(d, dtype=float).ravel()
@@ -123,8 +105,8 @@ def exponent_from_profile(u, d, band: tuple, min_nodes: int = 20) -> float:
     if not 0.0 < lo < hi:
         raise ValueError("band must satisfy 0 < d_min < d_max")
     keep = (d >= lo) & (d <= hi) & (u > 1e-13 * u.max())
-    if keep.sum() < min_nodes:
-        raise NumericError(f"only {int(keep.sum())} usable nodes in band, need {min_nodes}")
+    if keep.sum() < 20:
+        raise NumericError(f"only {int(keep.sum())} usable nodes in band, need 20")
     x, y = np.log(d[keep]), np.log(u[keep])
     A = np.stack([x, np.ones_like(x)], axis=1)
     (slope, _), *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -169,16 +151,14 @@ def _normal_line_samples(grid, values, band):
 
 
 def _grid_profile(u, grid):
-    """Interior values of a grid function given on the torus or the interior nodes, and their distances."""
+    """Values of a grid function on the interior nodes, and their distances."""
     u = np.asarray(u, dtype=float).ravel()
-    if u.size == grid.size:
-        return u[grid.interior_idx], grid.d
-    if u.size == grid.interior_idx.size:
-        return u, grid.d
-    raise ValueError("grid function must live on the torus or the interior nodes")
+    if u.size != grid.interior_idx.size:
+        raise ValueError("grid function must live on the interior nodes")
+    return u, grid.d
 
 
-def boundary_exponent(u, grid, band: tuple | None = None, min_nodes: int = 20) -> float:
+def boundary_exponent(u, grid, band: tuple | None = None) -> float:
     """Boundary decay exponent of a grid function: |u| ~ d^a near d = 0.
 
     For axis-aligned domains the samples run along the inward normal
@@ -195,13 +175,13 @@ def boundary_exponent(u, grid, band: tuple | None = None, min_nodes: int = 20) -
     if band is None:
         band = (2.0 * grid.h, 20.0 * grid.h)
     vals, dist = _grid_profile(u, grid)
-    if getattr(grid.domain, "kind", None) in ("interval", "rectangle", "box"):
+    if grid.domain.box_like:
         full = np.zeros(grid.size)
         full[grid.interior_idx] = np.abs(vals)
         t, v = _normal_line_samples(grid, full, band)
         if t.size:
-            return exponent_from_profile(v, t, band, min_nodes)
-    return exponent_from_profile(vals, dist, band, min_nodes)
+            return exponent_from_profile(v, t, band)
+    return exponent_from_profile(vals, dist, band)
 
 
 @dataclass(frozen=True)
@@ -211,15 +191,6 @@ class RatioTraceReport:
     threshold: float
     nonvanishing: bool
     band: tuple
-
-    def record(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "near_max": self.near_max,
-            "threshold": self.threshold,
-            "nonvanishing": self.nonvanishing,
-            "band": list(self.band),
-        }
 
 
 def ratio_trace_check(u, grid, a: float, band: tuple | None = None, threshold: float = 0.5) -> RatioTraceReport:
@@ -259,15 +230,6 @@ class LogDivergenceReport:
     slope: float
     norm_sq: float
     degenerate: bool
-
-    def record(self) -> dict:
-        return {
-            "deltas": list(map(float, self.deltas)),
-            "integrals": list(map(float, self.integrals)),
-            "slope": self.slope,
-            "norm_sq": self.norm_sq,
-            "degenerate": self.degenerate,
-        }
 
 
 def log_divergence_probe(psi, deltas, decay: str = "harmonic") -> LogDivergenceReport:

@@ -280,7 +280,7 @@ def _build_domain(cfg):
 
 def _assemble_operator(cfg):
     """Assembled operator plus its grid; a fractional power is the matrix-free RestrictedPowerOperator."""
-    from .discretize import TorusMultiplier, assemble_second_order, build_grid, fractional_operator
+    from .discretize import RestrictedPowerOperator, TorusMultiplier, assemble_second_order, build_grid
     from .errors import ConfigurationError
 
     domain = _build_domain(cfg)
@@ -295,7 +295,7 @@ def _assemble_operator(cfg):
         return A, grid, coeffs, a
     if bc != "dirichlet":
         raise ConfigurationError("fractional powers are restricted with Dirichlet exterior data")
-    return fractional_operator(TorusMultiplier.from_coeffs(coeffs), a, grid=grid), grid, coeffs, a
+    return RestrictedPowerOperator(TorusMultiplier.from_coeffs(coeffs), a, grid), grid, coeffs, a
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +321,10 @@ def _fmt(value) -> str:
 class Emitter:
     """Collects report rows, sequences, and tolerances, then writes files."""
 
-    def __init__(self, outdir: str, task: str, cfg: dict, args, repro: bool):
+    def __init__(self, outdir: str, task: str, cfg: dict, repro: bool):
         self.outdir = outdir
         self.task = task
         self.cfg = cfg
-        self.args = args
         self.repro = repro
         self.rows: list[tuple[str, str]] = []
         self.tolerances: dict[str, float] = {}
@@ -636,7 +635,6 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
         # boundary node; every quantity is hand-checkable
         toy = OperatorMatrix(
             np.array([[2.0, -1.0], [-1.0, 1.5]]),
-            "all",
             meta={"row_sets": {"interior": [0], "sigma_plus": [1]}, "h": 1.0},
         )
         k = krein_from_matrix(toy)
@@ -836,7 +834,7 @@ def execute(argv) -> int:
                 os.environ[var] = str(jobs)
         repro = _get(cfg, "output", "repro", False)
         outdir = _resolve_outdir(cfg, args)
-        em = Emitter(outdir, args.subcommand, cfg, args, repro)
+        em = Emitter(outdir, args.subcommand, cfg, repro)
         lines = _HANDLERS[args.subcommand](cfg, args, em)
         em.write()
         for line in lines:

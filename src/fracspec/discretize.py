@@ -3,7 +3,7 @@
 Uniform torus grids carry the periodic-embedding path for restricted
 fractional powers r+ P_a e+, either gathered into a dense matrix
 (fractional_restricted, the oracle and the general route) or held as an
-operator (fractional_operator) that is applied matrix-free by transforms,
+operator (RestrictedPowerOperator) that is applied matrix-free by transforms,
 for a few eigenpairs past the dense cap, and that splits into
 reflection-parity blocks (ParitySplit) on tensor-block interiors, for full
 spectra.  The same grids feed the second-order Dirichlet, mixed
@@ -145,8 +145,7 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
     offsets = np.array([(m - c) // 2 for m, c in zip(shape, cells)])
     origin = domain.origin() - offsets * h
     planes = np.full((len(shape), 2), -1)
-    box_like = domain.kind in ("interval", "rectangle", "box")
-    if box_like:
+    if domain.box_like:
         for t, (c, e, off) in enumerate(zip(cells, extent, offsets)):
             planes[t] = off, (off + c if abs(c * h - e) <= _SNAP * h else -1)
 
@@ -161,7 +160,7 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
         on_boundary = d_slab <= _SNAP * h
         inside = domain.contains(x) & ~on_boundary
         splus = np.zeros(x.shape[0], dtype=bool)
-        if box_like:
+        if domain.box_like:
             hits = _plane_hits(planes, multi)
             on_plane = hits.any(axis=2)
             for face in domain.sigma_plus:
@@ -187,7 +186,7 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
 def _distance_to_boundary(domain: DomainSpec, x: np.ndarray) -> np.ndarray:
     lo = domain.origin()
     hi = lo + domain.extent()
-    if domain.kind in ("interval", "rectangle", "box"):
+    if domain.box_like:
         below = np.maximum(lo - x, 0.0)
         above = np.maximum(x - hi, 0.0)
         outside = np.sqrt((below**2 + above**2).sum(axis=1))
@@ -207,12 +206,12 @@ def _distance_to_boundary(domain: DomainSpec, x: np.ndarray) -> np.ndarray:
 class OperatorMatrix:
     """Symmetric matrix realization of a continuum operator.
 
-    Carries the node-set labels its rows act on (meta["row_sets"] maps
-    set names to row positions), the grid it came from, and a plain-text
+    Carries the node sets its rows act on (meta["row_sets"] maps set
+    names to row positions), the grid it came from, and a plain-text
     descriptor of the continuum object.
     """
 
-    def __init__(self, matrix, index_label: str, grid=None, descriptor: str = "", meta: dict | None = None):
+    def __init__(self, matrix, grid=None, descriptor: str = "", meta: dict | None = None):
         if sp.issparse(matrix):
             matrix = matrix.tocsr()
             scale = np.abs(matrix.data).max() if matrix.nnz else 0.0
@@ -224,7 +223,6 @@ class OperatorMatrix:
         if scale and not asym <= 1e-12 * scale:  # NaN fails the comparison
             raise InvariantError("operator matrix is not symmetric to working tolerance")
         self.matrix = matrix
-        self.index_label = index_label
         self.grid = grid
         self.descriptor = descriptor
         self.meta = dict(meta or {})
@@ -378,7 +376,7 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
         meta["a0"] = "callable" if callable(a0) else float(a0)
     if bc == "mixed":
         meta["sigma"] = "callable" if callable(sigma) else float(sigma)
-    return OperatorMatrix(mat, bc, grid, desc, meta)
+    return OperatorMatrix(mat, grid, desc, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +455,7 @@ def materialize_torus_operator(mult: TorusMultiplier, grid: Grid) -> OperatorMat
     vals = _multiplier_values(mult, grid)
     dense = _restricted_from_multiplier(vals, grid, np.arange(grid.size))
     meta = {"units": "operator", "h": grid.h}
-    return OperatorMatrix(dense, "torus", grid, f"dense torus matrix of {mult.descriptor}", meta)
+    return OperatorMatrix(dense, grid, f"dense torus matrix of {mult.descriptor}", meta)
 
 
 def fractional_restricted(base, a: float, grid: Grid | None = None, interior=None) -> OperatorMatrix:
@@ -482,7 +480,7 @@ def fractional_restricted(base, a: float, grid: Grid | None = None, interior=Non
         idx = interior if interior is not None else np.arange(grid.size)
         R = _restricted_from_multiplier(_symbol_power(base, a, grid), grid, idx)
         desc = f"({base.descriptor})^{a:g} restricted to {idx.size} nodes"
-        return OperatorMatrix(R, "interior", grid, desc, {"units": "operator", "path": "multiplier", "a": a})
+        return OperatorMatrix(R, grid, desc, {"units": "operator", "path": "multiplier", "a": a})
 
     desc_base = base.descriptor if isinstance(base, OperatorMatrix) else "matrix"
     idx = interior if interior is not None else np.arange(np.shape(base)[0])
@@ -490,14 +488,14 @@ def fractional_restricted(base, a: float, grid: Grid | None = None, interior=Non
     if a == 1.0:
         mat = base.toarray() if isinstance(base, OperatorMatrix) else np.asarray(base, dtype=float)
         R = mat[np.ix_(idx, idx)]
-        return OperatorMatrix(R, "interior", grid, f"({desc_base}) restricted", {"units": "operator", "path": "submatrix", "a": 1.0})
+        return OperatorMatrix(R, grid, f"({desc_base}) restricted", {"units": "operator", "path": "submatrix", "a": 1.0})
 
     spec = sym_eig(base, want_vectors=True)  # capped before base is gathered
     w = spec.values
     if w.min() < -1e-10 * max(abs(w.max()), 1.0):
         raise NotPositiveError("base operator has negative eigenvalues beyond tolerance")
     R = _power_from_pairs(np.clip(w, 0.0, None), spec.vectors, a)[np.ix_(idx, idx)]
-    return OperatorMatrix(R, "interior", grid, f"({desc_base})^{a:g} restricted", {"units": "operator", "path": "dense", "a": a})
+    return OperatorMatrix(R, grid, f"({desc_base})^{a:g} restricted", {"units": "operator", "path": "dense", "a": a})
 
 
 @dataclass(frozen=True)
@@ -569,6 +567,8 @@ class RestrictedPowerOperator(spla.LinearOperator):
     """
 
     def __init__(self, mult: TorusMultiplier, a: float, grid: Grid):
+        if not a > 0.0:
+            raise ValueError("fractional exponent a must be positive")
         idx = grid.interior_idx
         super().__init__(np.float64, (idx.size, idx.size))
         vals_pow = _symbol_power(mult, a, grid)
@@ -609,17 +609,6 @@ class RestrictedPowerOperator(spla.LinearOperator):
 
     def _matmat(self, X):
         return _kernels.restricted_power_apply(self.symbol, self.interior, self.grid.shape, X)
-
-
-def fractional_operator(mult: TorusMultiplier, a: float, grid: Grid) -> RestrictedPowerOperator:
-    """Discrete r+ P_a e+ on the grid's interior as a matrix-free LinearOperator.
-
-    The same operator as fractional_restricted(mult, a, grid), which stays
-    the oracle.
-    """
-    if not a > 0.0:
-        raise ValueError("fractional exponent a must be positive")
-    return RestrictedPowerOperator(mult, a, grid)
 
 
 def _power_from_pairs(w: np.ndarray, V: np.ndarray, a: float) -> np.ndarray:

@@ -19,7 +19,9 @@ ARPACK's implicitly restarted Lanczos on a dense, sparse or matrix-free
 operator, uncapped, residuals checked; within the cap the dense route takes
 what it cannot finish.
 
-Eigenvalues are ascending and repeated according to multiplicity throughout.
+Every Spectrum holds its eigenvalues ascending, repeated according to
+multiplicity, and checks that order; callers that report a descending
+sequence (the Krein mu of zaremba) reverse the values.
 """
 
 from __future__ import annotations
@@ -58,46 +60,29 @@ def _as_dense(A) -> np.ndarray:
     return M
 
 
-def _check_symmetric(M: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
-    """(M + M^T)/2 after checking max|M - M^T| <= rtol max|M|; M itself when it is exactly symmetric."""
+def _check_symmetric(M: np.ndarray) -> np.ndarray:
+    """(M + M^T)/2 after checking max|M - M^T| <= 1e-8 max|M|; M itself when it is exactly symmetric."""
     if M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     asym, scale = asymmetry(M)
-    if scale and not asym <= rtol * scale:  # NaN fails the comparison
+    if scale and not asym <= 1e-8 * scale:  # NaN fails the comparison
         raise InvariantError("matrix is not symmetric within tolerance")
     return M if asym == 0.0 else 0.5 * (M + M.T)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered real spectrum, multiplicities repeated.
-
-    ascending for eigenvalues of (shifted) positive operators, descending
-    for compact-operator sequences.
-    """
+    """Ascending real spectrum, multiplicities repeated, with the eigenvectors on request."""
 
     values: np.ndarray
     vectors: np.ndarray | None = None
-    descriptor: str = ""
-    order: str = "ascending"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        diffs = np.diff(v)
-        ok = np.all(diffs >= -1e-12) if self.order == "ascending" else np.all(diffs <= 1e-12)
-        if not ok:
-            raise InvariantError(f"values are not {self.order}")
-
-    def __len__(self):
-        return self.values.size
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
+        if not np.all(np.diff(v) >= -1e-12):
+            raise InvariantError("values are not ascending")
 
     def residuals(self, A) -> np.ndarray:
         """Per-pair ||A v - lambda v|| / (|lambda| ||v||), |lambda| >= eps^(2/3); A has @ or .matrix."""
@@ -107,19 +92,6 @@ class Spectrum:
         rs = op @ self.vectors - self.vectors * self.values
         scale = np.maximum(np.abs(self.values), _SCALE_FLOOR)
         return np.linalg.norm(rs, axis=0) / (scale * np.linalg.norm(self.vectors, axis=0))
-
-    def record(self) -> dict:
-        """Structured report record."""
-        v = self.values
-        return {
-            "descriptor": self.descriptor,
-            "count": int(v.size),
-            "order": self.order,
-            "min": float(v.min()) if v.size else None,
-            "max": float(v.max()) if v.size else None,
-            "sum": float(v.sum()),
-            **self.meta,
-        }
 
 
 def _eigh(M: np.ndarray, want_vectors: bool, overwrite: bool = False):
@@ -132,7 +104,7 @@ def _eigh(M: np.ndarray, want_vectors: bool, overwrite: bool = False):
         raise NumericError(f"symmetric eigensolver did not converge: {exc}") from exc
 
 
-def sym_eig(A, B=None, want_vectors: bool = False, descriptor: str | None = None) -> Spectrum:
+def sym_eig(A, B=None, want_vectors: bool = False) -> Spectrum:
     """Full ascending spectrum of a symmetric matrix or operator A, or of the pencil (A, B).
 
     With B, the symmetric-definite pencil A x = lambda B x (Golub & Van
@@ -146,7 +118,6 @@ def sym_eig(A, B=None, want_vectors: bool = False, descriptor: str | None = None
     matrix is gathered, capped first, and its symmetrized part (A + A^T)/2
     is decomposed.
     """
-    desc = descriptor if descriptor is not None else getattr(A, "descriptor", "")
     if B is not None:
         A, B = _check_symmetric(_as_dense(A)), _check_symmetric(_as_dense(B))
         try:
@@ -154,18 +125,18 @@ def sym_eig(A, B=None, want_vectors: bool = False, descriptor: str | None = None
         except scipy.linalg.LinAlgError as exc:
             raise NotPositiveError(f"pencil matrix B is not positive definite: {exc}") from exc
         w, v = out if want_vectors else (out, None)
-        return Spectrum(w, v, desc, meta={"eig_path": "dense"})
+        return Spectrum(w, v, meta={"eig_path": "dense"})
     split = None if want_vectors or not hasattr(A, "parity_split") else A.parity_split()
     if split is None:
         w, v = _eigh(_check_symmetric(_as_dense(A)), want_vectors)
-        return Spectrum(w, v, desc, meta={"eig_path": "dense"})
+        return Spectrum(w, v, meta={"eig_path": "dense"})
     sizes = split.sizes
     _check_cap(max(sizes))
     # each block is built here and dropped after its solve, so LAPACK may overwrite it
     w = np.sort(np.concatenate([_eigh(_check_symmetric(split.block(p)), False, overwrite=True)[0]
                                 for p in split.parities]))
     meta = {"eig_path": "parity", "blocks": len(sizes), "max_block": max(sizes), "parity_defect": split.defect}
-    return Spectrum(w, None, desc, meta=meta)
+    return Spectrum(w, None, meta=meta)
 
 
 def lanczos_extreme(A, k: int = 6, want_vectors: bool = False) -> Spectrum:
@@ -193,11 +164,6 @@ def lanczos_extreme(A, k: int = 6, want_vectors: bool = False) -> Spectrum:
     if not ok:
         w, V = scipy.linalg.eigh(_check_symmetric(_as_dense(op)), subset_by_index=[0, min(k, n) - 1])
         res = Spectrum(w, V).residuals(op)
-    return Spectrum(w, V if want_vectors else None, getattr(A, "descriptor", ""),
+    return Spectrum(w, V if want_vectors else None,
                     meta={"eig_path": "lanczos" if ok else "dense", "max_residual": float(res.max())})
-
-
-def min_eigenvalue_estimate(A) -> float:
-    """Lower end of the spectrum, for positivity shifts."""
-    return float(lanczos_extreme(A, k=1).values[0])
 

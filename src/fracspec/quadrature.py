@@ -29,6 +29,12 @@ Gauss-Legendre x trapezoid on the 2-sphere; the "cosphere" of a
 measure.  Error estimates come from comparing two refinement levels of
 the spatial rule (and of the cosphere rule, where one is used), since no
 external truth is available for these integrals.
+
+DomainSpec holds the geometry of every domain the package meets and
+refuses impossible geometry (lengths and radii that are not finite and
+positive, arcs outside 0 <= t0 < t1 <= 2 pi, caps outside (0, pi]);
+DomainSpec.box_like is the one test for the interval, rectangle and box
+kinds, which have per-axis lengths and named faces.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ __all__ = [
     "QuadratureResult",
     "SphereRule",
     "sphere_rule",
-    "sphere_integral",
     "domain_measure",
     "weyl_constant_dirichlet",
     "weyl_constant_L",
@@ -113,44 +118,6 @@ def sphere_rule(n: int, level: int = 0) -> SphereRule:
     raise ValueError("sphere rules are provided for n in {1, 2, 3}")
 
 
-def _eval_on_nodes(f, nodes: np.ndarray) -> np.ndarray:
-    """f on every node: one call on the node array, else one call per node.
-
-    A pointwise integrand handed the (N, n) node array either returns the
-    wrong shape or raises the ValueError/IndexError numpy gives for the
-    shape mismatch; only those fall back to the node loop.
-    """
-    try:
-        vals = np.asarray(f(nodes), dtype=float)
-        if vals.shape == (nodes.shape[0],):
-            return vals
-    except (ValueError, IndexError):
-        pass
-    return np.array([float(f(xi)) for xi in nodes])
-
-
-def sphere_integral(f, n: int, level: int = 0) -> QuadratureResult:
-    """Integral of f over the unit sphere with a refinement error estimate."""
-    if n < 2:
-        raise ValueError("sphere_integral requires n >= 2")
-    vals = {}
-    for lev in (level - 1, level):
-        rule = sphere_rule(n, lev)
-        fx = _eval_on_nodes(f, rule.nodes)
-        bad = ~np.isfinite(fx)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"non-finite integrand value at node {rule.nodes[k]}")
-        vals[lev] = float(rule.weights @ fx)
-    rule = sphere_rule(n, level)
-    return QuadratureResult(
-        value=vals[level],
-        error=vals[level] - vals[level - 1],
-        nodes={"sphere": rule.nodes.shape[0]},
-        meta={"rule": rule.rule_id},
-    )
-
-
 # ---------------------------------------------------------------------------
 # domains
 # ---------------------------------------------------------------------------
@@ -183,18 +150,29 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("interval", "rectangle", "box", "disk", "ball"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind in ("interval", "rectangle", "box"):
-            want = {"interval": 1, "rectangle": 2, "box": 3}[self.kind]
-            if len(self.lengths) != want:
-                raise ValueError(f"{self.kind} needs {want} lengths")
-            bad = [f for f in self.sigma_plus if f not in _BOX_FACES[want]]
+        if self.box_like:
+            if len(self.lengths) != self.n:
+                raise ValueError(f"{self.kind} needs {self.n} lengths")
+            if not all(np.isfinite(L) and L > 0.0 for L in self.lengths):
+                raise ValueError(f"{self.kind} lengths must be finite and positive, got {self.lengths}")
+            bad = [f for f in self.sigma_plus if f not in _BOX_FACES[self.n]]
             if bad:
                 raise ValueError(f"unknown faces in sigma_plus: {bad}")
-        if self.kind == "disk" and self.sigma_plus and self.sigma_plus[0] != "arc":
-            raise ValueError("disk sigma_plus must be ('arc', th0, th1)")
-        if self.kind == "ball" and self.sigma_plus and self.sigma_plus[0] != "cap":
-            raise ValueError("ball sigma_plus must be ('cap', phi_max)")
-        if not self.center and self.kind in ("disk", "ball"):
+            return
+        if not (np.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"{self.kind} radius must be finite and positive, got {self.radius!r}")
+        if self.kind == "disk" and self.sigma_plus:
+            if len(self.sigma_plus) != 3 or self.sigma_plus[0] != "arc":
+                raise ValueError("disk sigma_plus must be ('arc', th0, th1)")
+            _, th0, th1 = self.sigma_plus
+            if not 0.0 <= th0 < th1 <= 2.0 * np.pi:
+                raise ValueError(f"disk arc must satisfy 0 <= t0 < t1 <= 2 pi, got ({th0!r}, {th1!r})")
+        if self.kind == "ball" and self.sigma_plus:
+            if len(self.sigma_plus) != 2 or self.sigma_plus[0] != "cap":
+                raise ValueError("ball sigma_plus must be ('cap', phi_max)")
+            if not 0.0 < self.sigma_plus[1] <= np.pi:
+                raise ValueError(f"ball cap must lie in (0, pi], got {self.sigma_plus[1]!r}")
+        if not self.center:
             object.__setattr__(self, "center", (0.0,) * self.n)
 
     # -- constructors -------------------------------------------------------
@@ -225,24 +203,25 @@ class DomainSpec:
     def n(self) -> int:
         return {"interval": 1, "rectangle": 2, "box": 3, "disk": 2, "ball": 3}[self.kind]
 
+    @property
+    def box_like(self) -> bool:
+        """Interval, rectangle or box: per-axis lengths, the origin at zero and named faces."""
+        return self.kind in ("interval", "rectangle", "box")
+
     def extent(self) -> np.ndarray:
         """Per-axis side lengths of the bounding box."""
-        if self.kind in ("interval", "rectangle", "box"):
+        if self.box_like:
             return np.asarray(self.lengths, dtype=float)
         return np.full(self.n, 2.0 * self.radius)
 
     def origin(self) -> np.ndarray:
         """Lower corner of the bounding box."""
-        if self.kind in ("interval", "rectangle", "box"):
+        if self.box_like:
             return np.zeros(self.n)
         return np.asarray(self.center, dtype=float) - self.radius
 
     def measure(self) -> float:
-        if self.kind == "interval":
-            return float(self.lengths[0])
-        if self.kind == "rectangle":
-            return float(np.prod(self.lengths))
-        if self.kind == "box":
+        if self.box_like:
             return float(np.prod(self.lengths))
         if self.kind == "disk":
             return float(np.pi * self.radius**2)
@@ -256,7 +235,7 @@ class DomainSpec:
         return float(np.prod(others))
 
     def sigma_plus_measure(self) -> float:
-        if self.kind in ("interval", "rectangle", "box"):
+        if self.box_like:
             return float(sum(self._face_measure(f) for f in self.sigma_plus))
         if self.kind == "disk":
             _, th0, th1 = self.sigma_plus
@@ -267,7 +246,7 @@ class DomainSpec:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Strict interior membership of each point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind in ("interval", "rectangle", "box"):
+        if self.box_like:
             lo = points > 0.0
             hi = points < np.asarray(self.lengths)
             return np.logical_and(lo.all(axis=1), hi.all(axis=1))
@@ -279,7 +258,7 @@ class DomainSpec:
     def volume_rule(self, level: int = 0):
         """(points, weights) integrating over the domain; Gauss-Legendre based."""
         m = max(int(32 * 2.0**level), 4)
-        if self.kind in ("interval", "rectangle", "box"):
+        if self.box_like:
             axes = []
             for L in self.lengths:
                 t, w = np.polynomial.legendre.leggauss(m)
@@ -348,7 +327,7 @@ class DomainSpec:
         directly.
         """
         m = max(int(32 * 2.0**level), 4)
-        if self.kind in ("interval", "rectangle", "box"):
+        if self.box_like:
             faces = self.sigma_plus if part == "sigma_plus" else _BOX_FACES[self.n]
             chunks = [self._face_rule(f, m) for f in faces]
             pts = np.concatenate([c[0] for c in chunks])

@@ -31,9 +31,9 @@ boundary behavior of the mixed problem.
 arrays.  Every factorization takes the same path: ``reduce_frames``, then
 ``_kernels.boundary_quantities`` for (ann, b, c), then ``_root_pairs``.
 ``factorization_residuals`` and ``boundary_residuals`` run it over a
-batch; ``boundary_reduction`` and ``tangential_factorization`` run it on
-a batch of one, the latter once more on the tangential form ``a'`` for
-its second pair.  ``tangential_form`` is the one definition of ``a'``,
+batch and ``boundary_reduction`` on a batch of one.
+``tangential_factorization`` runs only the second pair: ``_root_pairs``
+on the tangential form ``a'``, which ``tangential_form`` defines once,
 for one matrix or a batch.
 """
 
@@ -204,9 +204,10 @@ def strong_ellipticity_margin(coeffs: SecondOrderCoeffs, sample_points) -> float
 class BoundaryFactorization:
     """Quadratic boundary factorization data at one (x', xi') sample.
 
-    Base fields describe abar = ann xi_n^2 + 2 b xi_n + c and its root
-    pair; tangential fields (when filled) describe the second
-    factorization of kappa0^2 in the interface-normal covector.
+    Base fields (filled by boundary_reduction) describe abar = ann xi_n^2
+    + 2 b xi_n + c and its root pair; tangential fields (filled by
+    tangential_factorization) describe the second factorization of
+    kappa0^2 in the interface-normal covector.
     """
 
     x: np.ndarray
@@ -389,7 +390,9 @@ def tangential_factorization(
     covector components; it is empty for n = 2, in which case the root
     pair degenerates to constants.  The tangential pair factors a' (in
     which the interface normal is last) exactly as the base pair factors
-    abar; the base fields are boundary_reduction's at xi' = (xi'', 0).
+    abar; the base fields stay unset (boundary_reduction fills them).
+    With att > 0, a'' > 0 forces kappa0^2 = c_t > 0 at xi' = (xi'', 0),
+    so the base pair there is elliptic too.
     """
     xidp = np.asarray(xi_dprime, dtype=float).reshape(-1)
     if xidp.shape != (coeffs.n - 2,):
@@ -400,11 +403,9 @@ def tangential_factorization(
     if att <= 0.0:
         raise EllipticityError("a'_{n-1,n-1} must be positive")
     a_pp = att * c_t - b_t * b_t
-    nonzero = xidp.any()  # else a'' = 0 and the pair degenerates to constants, with no base fields
-    if nonzero and a_pp <= 0.0:
+    if xidp.any() and a_pp <= 0.0:  # zero xi'' gives a'' = 0: the pair degenerates to constants
         raise EllipticityError("tangential reduced discriminant must be positive")
     kappa0_t, kappat_plus, kappat_minus, residual = _root_pairs(att, b_t, c_t, _XI_N_PROBE)
-    base = _base_fields(reduced["abar"], np.append(xidp, 0.0)) if nonzero else {}
     return BoundaryFactorization(
         **reduced,
         xi_dprime=xidp,
@@ -417,7 +418,6 @@ def tangential_factorization(
         kappat_plus=complex(kappat_plus),
         kappat_minus=complex(kappat_minus),
         tangential_residual=float(residual.max()),
-        **base,
     )
 
 

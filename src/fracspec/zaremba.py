@@ -58,11 +58,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import eig
 from .discretize import Grid, OperatorMatrix, assemble_second_order, build_grid, grid_spacing, schur_split
-from .eig import min_eigenvalue_estimate, sym_eig
+from .eig import lanczos_extreme, sym_eig
 from .errors import ConfigurationError, NotPositiveError, NumericError
 from .symbols import SecondOrderCoeffs, boundary_reduction
 
@@ -183,14 +182,13 @@ class KreinAssembly:
         rows = FQt[:, lo:hi].T
         return np.hstack([rows[:, :nB], -(rows[:, nB:] @ B)]) @ FQt[:, lo:]
 
-    def weighted_mu(self, include_boundary_mass: bool = False,
-                    half_cell: bool = False) -> np.ndarray:
+    def weighted_mu(self, half_cell: bool = False) -> np.ndarray:
         """Descending spectrum of S_form^{-1} K^T W_I K.
 
         The continuum-consistent mu_j: interface form against the
         interior L2 mass of the extension.  The boundary trace mass
         (diag of Sigma+ weights) is an O(h) discrete artifact and is
-        excluded by default; the exact algebraic identity keeps it.
+        left out; the exact algebraic identity keeps it.
 
         half_cell adds the volume quadrature contribution of the free
         boundary nodes themselves (surface weight times h/2).  The
@@ -203,41 +201,25 @@ class KreinAssembly:
         inner = self.P1.copy()
         if half_cell:
             inner[np.diag_indices_from(inner)] += 0.5 * self.h * self.boundary_weights
-        if include_boundary_mass:
-            inner[np.diag_indices_from(inner)] += self.boundary_weights
         return sym_eig(inner, self.S_form).values[::-1]
 
     def weighted_L_spectrum(self) -> np.ndarray:
         """Ascending spectrum of the boundary-weighted interface operator."""
         return sym_eig(self.L_weighted).values
 
-    def record(self) -> dict:
-        return {
-            "n_interior": self.n_interior,
-            "n_boundary": self.n_boundary,
-            "h": self.h,
-            "dim": self.n,
-            "shift": self.shift,
-            "n2_flagged": self.meta["n2_flagged"],
-        }
 
+def krein_from_matrix(A_full: OperatorMatrix, boundary_weights=None, interior_weights=None) -> KreinAssembly:
+    """Krein assembly from a matrix carrying interior/sigma_plus row sets, as given.
 
-def krein_from_matrix(A_full: OperatorMatrix, shift: float = 0.0,
-                      boundary_weights=None, interior_weights=None) -> KreinAssembly:
-    """Krein assembly from a matrix carrying interior/sigma_plus row sets.
-
-    shift is added to the diagonal (identity mass) before factorization;
-    grid-based callers should fold the shift into the zero-order term at
-    assembly time instead, which uses the true node volumes.
+    A positivity shift belongs in the matrix: grid-based callers fold it
+    into the zero-order term at assembly time (krein_term), which uses the
+    true node volumes.
     """
-    mat = A_full.matrix
-    if shift:
-        mat = mat + shift * (sp.identity(mat.shape[0], format="csr") if sp.issparse(mat) else np.eye(mat.shape[0]))
-    K, S = schur_split(mat, A_full.rows("interior"), A_full.rows("sigma_plus"))
+    K, S = schur_split(A_full.matrix, A_full.rows("interior"), A_full.rows("sigma_plus"))
     grid = A_full.grid
     h = A_full.meta.get("h", grid.h if grid is not None else 1.0)
     n = grid.n if grid is not None else 1
-    return KreinAssembly(K, S, h, n, shift,
+    return KreinAssembly(K, S, h, n, 0.0,
                          boundary_weights=boundary_weights, interior_weights=interior_weights,
                          meta={"descriptor": A_full.descriptor},
                          form_units=A_full.meta.get("units") == "form")
@@ -255,7 +237,7 @@ def krein_term(coeffs: SecondOrderCoeffs, sigma, grid: Grid, partition=None,
     """
     probe = assemble_second_order(coeffs, grid, bc="mixed", sigma=sigma)
     if shift == "auto":
-        est = float(min_eigenvalue_estimate(probe.matrix)) if probe.shape[0] else 1.0
+        est = float(lanczos_extreme(probe.matrix, k=1).values[0]) if probe.shape[0] else 1.0
         shift_val = 1.0 + max(0.0, -2.0 * est)
     else:
         shift_val = float(shift)
@@ -280,14 +262,6 @@ class KreinIdentityReport:
     mu_identity: np.ndarray
     rank_bound_ok: bool
     residual: float
-
-    def record(self) -> dict:
-        return {
-            "max_rel_mismatch": self.max_rel_mismatch,
-            "count": int(self.mu_identity.size),
-            "rank_bound_ok": self.rank_bound_ok,
-            "residual": self.residual,
-        }
 
 
 def krein_identity_check(k: KreinAssembly) -> KreinIdentityReport:
@@ -372,37 +346,30 @@ class DtnProbeReport:
     rel_errors: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def record(self) -> dict:
-        return {
-            "xi": list(map(float, self.xi)),
-            "measured": list(map(float, self.measured)),
-            "predicted": list(map(float, self.predicted)),
-            "rel_errors": list(map(float, self.rel_errors)),
-            **self.meta,
-        }
-
 
 def dtn_symbol_probe(coeffs: SecondOrderCoeffs, xi_primes, h: float = 1.0 / 128.0,
-                     period: float = 2.0 * np.pi, height: float | None = None) -> DtnProbeReport:
+                     height: float | None = None) -> DtnProbeReport:
     """Measure the DtN principal symbol on a flat strip against -kappa0.
 
-    The strip is periodic in the tangential direction (length `period`)
-    and extends far enough into the normal direction that the Dirichlet
-    truncation error sits below roundoff (decay rate read off the
-    factorization roots).  Each admissible tangential frequency xi is an
-    exact eigenvector of the weighted interface operator, so the
-    Rayleigh quotient is the per-mode scalar Schur complement.
+    The strip is periodic in the tangential direction (length 2 pi, so the
+    frequencies are integers) and extends far enough into the normal
+    direction that the Dirichlet truncation error sits below roundoff
+    (decay rate read off the factorization roots).  Each admissible
+    tangential frequency xi is an exact eigenvector of the weighted
+    interface operator, so the Rayleigh quotient is the per-mode scalar
+    Schur complement.
     """
     if coeffs.n != 2:
         raise ConfigurationError("the strip probe is two-dimensional")
     if not coeffs.constant:
         raise ConfigurationError("the strip probe needs constant coefficients")
+    if not (np.isfinite(h) and h > 0.0):
+        raise ConfigurationError(f"strip spacing h must be finite and positive, got {h!r}")
     xi_arr = np.atleast_1d(np.asarray(xi_primes, dtype=float))
     if xi_arr.size == 0 or np.any(xi_arr == 0.0):
         raise ConfigurationError("tangential frequencies must be nonzero")
-    ratio = xi_arr * period / (2.0 * np.pi)
-    if np.any(np.abs(ratio - np.round(ratio)) > 1e-9):
-        raise ConfigurationError("tangential frequency incommensurate with the strip period")
+    if np.any(np.abs(xi_arr - np.round(xi_arr)) > 1e-9):
+        raise ConfigurationError("tangential frequency incommensurate with the strip period 2 pi")
 
     frame = np.eye(2)  # tangent e1, inward normal e2
     facts = [boundary_reduction(coeffs, (0.0, 0.0), frame, (xi,)) for xi in xi_arr]
@@ -426,7 +393,7 @@ def dtn_symbol_probe(coeffs: SecondOrderCoeffs, xi_primes, h: float = 1.0 / 128.
                        0.5 * a[0, 0] * mxi + a[1, 1], up)
     measured = -s / h
     rel = np.abs(measured - predicted) / np.abs(predicted)
-    meta = {"h": h, "period": period, "height": float(n_rows * h), "rows": n_rows}
+    meta = {"h": h, "height": float(n_rows * h), "rows": n_rows}
     return DtnProbeReport(xi_arr, measured, predicted, rel, meta)
 
 
@@ -452,9 +419,6 @@ class DiskSpectra:
     S_plus: np.ndarray
     arc_distances: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    def record(self) -> dict:
-        return {"count": int(self.mu.size), **self.meta}
 
 
 def _radial_chains(n_r: int, n_theta: int, radius: float, shift: float, modes: np.ndarray):

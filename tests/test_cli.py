@@ -306,6 +306,16 @@ _CONSTRAINT_CASES = [
     (["weyl-const", "--op", "coeffs", "--coeffs", "diag:1,-1"], "not strongly elliptic"),
     (["symbol-check", "--coeffs", "matrix:1,2;2,1"], "not strongly elliptic"),
     (["dtn-probe", "--coeffs", "diag:1,0"], "not strongly elliptic (smallest eigenvalue 0)"),
+    # impossible geometry and strip spacing
+    (["weyl-const", "--which", "interface-l", "--domain", "disk", "--arc", "2,1"],
+     "disk arc must satisfy 0 <= t0 < t1 <= 2 pi, got (2.0, 1.0)"),
+    (["weyl-const", "--which", "interface-m", "--domain", "ball", "--cap", "4"], "ball cap must lie in (0, pi], got 4.0"),
+    (["weyl-const", "--domain", "disk", "--radius", "-1"], "disk radius must be finite and positive, got -1.0"),
+    (["weyl-const", "--domain", "disk", "--radius", "0"], "disk radius must be finite and positive, got 0.0"),
+    (["zaremba", "--domain", "disk", "--radius", "-1", "--n-r", "8", "--n-theta", "16"],
+     "disk radius must be finite and positive, got -1.0"),
+    (["dtn-probe", "--h", "0"], "strip spacing h must be finite and positive, got 0.0"),
+    (["dtn-probe", "--h", "-0.01"], "strip spacing h must be finite and positive, got -0.01"),
 ]
 
 
@@ -412,7 +422,7 @@ class TestConfigHandling:
         from fracspec import discretize
 
         monkeypatch.setattr(discretize, "assemble_second_order",
-                            lambda *a, **k: discretize.OperatorMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), "bad"))
+                            lambda *a, **k: discretize.OperatorMatrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
         assert run(["spectrum", "--coeffs", "identity", "--nodes", "8"], tmp_path) == 3
         assert capsys.readouterr().err.startswith("numeric failure: operator matrix is not symmetric")
 

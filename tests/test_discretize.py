@@ -42,12 +42,12 @@ def spectral_fractional_dirichlet(A_dir, a: float) -> OperatorMatrix:
     desc = A_dir.descriptor if isinstance(A_dir, OperatorMatrix) else "matrix"
     grid = A_dir.grid if isinstance(A_dir, OperatorMatrix) else None
     if a == 1.0:
-        return OperatorMatrix(mat.copy(), "interior", grid, desc, {"units": "operator", "a": 1.0})
+        return OperatorMatrix(mat.copy(), grid, desc, {"units": "operator", "a": 1.0})
     spec = sym_eig(mat, want_vectors=True)
     if spec.values.min() <= 0.0:
         raise NotPositiveError("Dirichlet realization must be positive definite")
     F = spec.vectors * spec.values ** (0.5 * a)
-    return OperatorMatrix(F @ F.T, "interior", grid, f"({desc})^{a:g} spectral", {"units": "operator", "a": a})
+    return OperatorMatrix(F @ F.T, grid, f"({desc})^{a:g} spectral", {"units": "operator", "a": a})
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ def assemble_polar_laplacian(grid: PolarDiskGrid, sigma: float = 0.0) -> Operato
         "arc_weights": grid.arc_weights(),
         "sigma": sigma,
     }
-    return OperatorMatrix(perm, "polar-disk", None, "Laplacian form on a polar disk grid", meta)
+    return OperatorMatrix(perm, None, "Laplacian form on a polar disk grid", meta)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +410,7 @@ class TestAssembly:
 
     def test_matrix_symmetry_guard(self):
         with pytest.raises(InvariantError, match="symmetric"):
-            OperatorMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), "bad")
+            OperatorMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +523,14 @@ class TestFractional:
 
 class TestSpectralFractional:
     def test_diagonal_example(self):
-        A = OperatorMatrix(np.diag([1.0, 4.0]), "interior")
+        A = OperatorMatrix(np.diag([1.0, 4.0]))
         S = spectral_fractional_dirichlet(A, 0.5)
         assert np.allclose(S.toarray(), np.diag([1.0, 2.0]), atol=1e-14)
 
     def test_exponent_one_identity(self):
         rng = np.random.default_rng(3)
         B = rng.standard_normal((9, 9))
-        A = OperatorMatrix(B @ B.T + 9 * np.eye(9), "interior")
+        A = OperatorMatrix(B @ B.T + 9 * np.eye(9))
         S = spectral_fractional_dirichlet(A, 1.0)
         assert np.abs(S.toarray() - A.toarray()).max() < 1e-12
 
@@ -545,7 +545,7 @@ class TestSpectralFractional:
         assert np.allclose(w, np.sort(exact), rtol=1e-10)
 
     def test_indefinite_rejected(self):
-        A = OperatorMatrix(np.diag([1.0, -1.0]), "interior")
+        A = OperatorMatrix(np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveError):
             spectral_fractional_dirichlet(A, 0.5)
 
@@ -614,7 +614,6 @@ class TestPoissonExtension:
         # interior block with a zero row pair: singular
         bad = OperatorMatrix(
             np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-            "toy",
             meta={"row_sets": {"interior": [0, 1], "sigma_plus": [2]}},
         )
         with pytest.raises(NumericError):
@@ -627,7 +626,6 @@ class TestSchurDtn:
     def test_two_node_toy(self):
         A = OperatorMatrix(
             np.array([[2.0, -1.0], [-1.0, 1.5]]),
-            "toy",
             meta={"row_sets": {"interior": [0], "sigma_plus": [1]}, "h": 1.0},
         )
         assert krein_from_matrix(A).L_weighted == pytest.approx(np.array([[1.0]]))

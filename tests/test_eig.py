@@ -10,17 +10,16 @@ import scipy.sparse.linalg as spla
 from fracspec import eig
 from fracspec.discretize import (
     OperatorMatrix,
+    RestrictedPowerOperator,
     TorusMultiplier,
     assemble_second_order,
     build_grid,
-    fractional_operator,
     fractional_restricted,
 )
 from fracspec.eig import (
     DENSE_CAP,
     Spectrum,
     lanczos_extreme,
-    min_eigenvalue_estimate,
     sym_eig,
 )
 from fracspec.errors import InvariantError, NotPositiveError, NumericError
@@ -86,7 +85,7 @@ def test_nan_entry_is_not_symmetric(where):
     with pytest.raises(InvariantError, match="symmetric"):
         sym_eig(M)
     with pytest.raises(InvariantError, match="symmetric"):
-        OperatorMatrix(M, "bad")
+        OperatorMatrix(M)
 
 
 def test_check_symmetric_returns_exactly_symmetric_input_itself():
@@ -167,14 +166,6 @@ def test_trace_consistency():
 def test_spectrum_ordering_enforced():
     with pytest.raises(InvariantError, match="ascending"):
         Spectrum(np.array([2.0, 1.0]))
-    Spectrum(np.array([2.0, 1.0]), order="descending")
-
-
-def test_spectrum_record():
-    rec = sym_eig(np.diag([1.0, 4.0]), descriptor="toy").record()
-    assert rec["descriptor"] == "toy"
-    assert rec["count"] == 2
-    assert rec["min"] == 1.0 and rec["max"] == 4.0
 
 
 def test_lanczos_matches_dense_tail():
@@ -188,7 +179,8 @@ def test_lanczos_matches_dense_tail():
 
 
 def test_min_eigenvalue_estimate():
-    assert min_eigenvalue_estimate(np.diag([0.5, 2.0, 3.0])) == pytest.approx(0.5, rel=1e-10)
+    # the estimate behind krein_term's auto shift
+    assert lanczos_extreme(np.diag([0.5, 2.0, 3.0]), k=1).values[0] == pytest.approx(0.5, rel=1e-10)
 
 
 def test_residuals_relative_to_each_eigenvalue():
@@ -268,7 +260,7 @@ def test_lanczos_no_convergence_falls_back(monkeypatch):
             raise
 
     monkeypatch.setattr(eig.spla, "eigsh", eigsh)
-    op = fractional_operator(mult, 1.5, grid=g)
+    op = RestrictedPowerOperator(mult, 1.5, g)
     spec = lanczos_extreme(op, k=1)
     assert raised and spec.meta["eig_path"] == "dense"
     # both dense solves are backward stable: they agree to eps ||A||, not to eps lambda_1

@@ -1,7 +1,7 @@
 """Oracle tests: the matrix-free restricted power against the dense gather.
 
 fractional_restricted gathers r+ P_a e+ into a dense matrix and stays the
-reference; fractional_operator applies the same operator by transforms,
+reference; RestrictedPowerOperator applies the same operator by transforms,
 lanczos_extreme takes a few pairs from it, and sym_eig takes its full
 spectrum from the reflection-parity blocks.  Random SPD forms in
 n = 1, 2, 3, powers a in (0, 1.5] and small grids; for the parity blocks,
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec.asymptotics import boundary_exponent
-from fracspec.discretize import TorusMultiplier, build_grid, fractional_operator, fractional_restricted
+from fracspec.discretize import RestrictedPowerOperator, TorusMultiplier, build_grid, fractional_restricted
 from fracspec.eig import lanczos_extreme, sym_eig
 from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
@@ -49,7 +49,7 @@ def test_matmat_matches_dense_gather(problem):
     dense = fractional_restricted(mult, a, grid=grid).toarray()
     X = rng.standard_normal((dense.shape[0], 3))
     expect = dense @ X
-    got = fractional_operator(mult, a, grid=grid) @ X
+    got = RestrictedPowerOperator(mult, a, grid) @ X
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
@@ -58,7 +58,7 @@ def test_matmat_matches_dense_gather(problem):
 def test_few_pairs_match_dense_eigenvalues(problem, k):
     mult, a, grid, _ = problem
     dense = sla.eigvalsh(fractional_restricted(mult, a, grid=grid).toarray())
-    spec = lanczos_extreme(fractional_operator(mult, a, grid=grid), k=k)
+    spec = lanczos_extreme(RestrictedPowerOperator(mult, a, grid), k=k)
     # both solvers carry an absolute error of order eps ||A||, which dominates for large a
     assert np.allclose(spec.values, dense[:k], rtol=1e-10, atol=1e-13 * dense[-1])
 
@@ -68,7 +68,7 @@ def test_few_pairs_match_dense_eigenvalues(problem, k):
 def test_ground_state_boundary_exponent_matches_dense(problem):
     mult, a, grid, _ = problem
     _, vecs = sla.eigh(fractional_restricted(mult, a, grid=grid).toarray(), subset_by_index=[0, 0])
-    ground = lanczos_extreme(fractional_operator(mult, a, grid=grid), k=1, want_vectors=True)
+    ground = lanczos_extreme(RestrictedPowerOperator(mult, a, grid), k=1, want_vectors=True)
     assert abs(boundary_exponent(ground.vectors[:, 0], grid) - boundary_exponent(vecs[:, 0], grid)) <= 1e-8
 
 
@@ -94,7 +94,7 @@ def diagonal_problems(draw):
 def test_parity_spectrum_matches_dense_eigenvalues(problem):
     mult, a, grid = problem
     dense = sla.eigvalsh(fractional_restricted(mult, a, grid=grid).toarray())
-    op = fractional_operator(mult, a, grid=grid)
+    op = RestrictedPowerOperator(mult, a, grid)
     spec = sym_eig(op)
     assert spec.meta["eig_path"] == "parity" and spec.meta["parity_defect"] <= 1e-12
     split = op.parity_split()  # exactly symmetric blocks need no symmetrized copy
@@ -108,7 +108,7 @@ def test_off_diagonal_form_takes_the_dense_gather():
     # values are those of the gathered matrix, bit for bit
     grid = build_grid(DomainSpec.unit_square(), 16)
     mult = TorusMultiplier.from_coeffs(SecondOrderCoeffs(2, a=np.array([[2.0, 0.3], [0.3, 1.0]])))
-    op = fractional_operator(mult, 0.5, grid=grid)
+    op = RestrictedPowerOperator(mult, 0.5, grid)
     assert op.parity_split() is None
     spec = sym_eig(op)
     assert spec.meta == {"eig_path": "dense"}
@@ -117,5 +117,5 @@ def test_off_diagonal_form_takes_the_dense_gather():
 
 def test_disk_interior_takes_the_dense_gather():
     grid = build_grid(DomainSpec.disk(radius=0.5), 16)
-    op = fractional_operator(TorusMultiplier.from_coeffs(SecondOrderCoeffs.laplacian(2)), 0.5, grid=grid)
+    op = RestrictedPowerOperator(TorusMultiplier.from_coeffs(SecondOrderCoeffs.laplacian(2)), 0.5, grid)
     assert op.parity_split() is None and sym_eig(op).meta["eig_path"] == "dense"

@@ -8,7 +8,6 @@ from fracspec.quadrature import (
     DomainSpec,
     EllipticityError,
     domain_measure,
-    sphere_integral,
     sphere_rule,
     weyl_constant_dirichlet,
     weyl_constant_L,
@@ -23,42 +22,6 @@ def test_sphere_rule_total_measure():
     assert sphere_rule(3).weights.sum() == pytest.approx(4.0 * np.pi, rel=1e-13)
 
 
-def test_sphere_integral_moments():
-    # int_{S^1} xi_1^2 = pi, int_{S^2} xi_1^2 = 4 pi / 3
-    r2 = sphere_integral(lambda xi: xi[0] ** 2, n=2)
-    assert r2.value == pytest.approx(np.pi, rel=1e-12)
-    r3 = sphere_integral(lambda xi: xi[0] ** 2, n=3)
-    assert r3.value == pytest.approx(4.0 * np.pi / 3.0, rel=1e-12)
-    assert r2.error >= 0.0 and r3.error >= 0.0
-
-
-def test_sphere_integral_vectorized_callable():
-    r = sphere_integral(lambda nodes: nodes[:, 0] ** 2 + nodes[:, 1] ** 2, n=2)
-    assert r.value == pytest.approx(2.0 * np.pi, rel=1e-13)
-
-
-def test_sphere_integral_nonfinite_names_node():
-    def bad(xi):
-        return np.inf if xi[0] > 0.99 else 1.0
-
-    with pytest.raises(ValueError, match="node"):
-        sphere_integral(bad, n=2)
-
-
-def test_sphere_integral_propagates_integrand_error():
-    class IntegrandBug(Exception):
-        pass
-
-    def broken(xi):
-        # fine node by node, a bug on the vectorized call
-        if np.ndim(xi) == 2:
-            raise IntegrandBug("integrand failed on the node array")
-        return 1.0
-
-    with pytest.raises(IntegrandBug):
-        sphere_integral(broken, n=2)
-
-
 def test_domain_measures_closed_form():
     assert domain_measure(DomainSpec.unit_square()).value == 1.0
     assert domain_measure(DomainSpec.unit_box()).value == 1.0
@@ -69,6 +32,29 @@ def test_domain_measures_closed_form():
     assert domain_measure(DomainSpec.disk(arc=(0.0, np.pi)), "sigma_plus").value == pytest.approx(np.pi)
     # hemisphere cap: 2 pi (1 - cos(pi/2)) = 2 pi
     assert domain_measure(DomainSpec.ball(cap=np.pi / 2), "sigma_plus").value == pytest.approx(2.0 * np.pi)
+
+
+def test_domain_rejects_impossible_geometry():
+    cases = [
+        (lambda: DomainSpec("rectangle", lengths=(1.0, 0.0)), "lengths must be finite and positive"),
+        (lambda: DomainSpec("interval", lengths=(np.inf,)), "lengths must be finite and positive"),
+        (lambda: DomainSpec("box", lengths=(1.0, -2.0, 1.0)), "lengths must be finite and positive"),
+        (lambda: DomainSpec.disk(radius=-1.0), "radius must be finite and positive, got -1.0"),
+        (lambda: DomainSpec.disk(radius=0.0), "radius must be finite and positive, got 0.0"),
+        (lambda: DomainSpec.ball(radius=np.nan), "radius must be finite and positive"),
+        (lambda: DomainSpec.disk(arc=(2.0, 1.0)), "0 <= t0 < t1 <= 2 pi, got (2.0, 1.0)"),
+        (lambda: DomainSpec.disk(arc=(-0.1, 1.0)), "0 <= t0 < t1 <= 2 pi"),
+        (lambda: DomainSpec.disk(arc=(0.0, 7.0)), "0 <= t0 < t1 <= 2 pi"),
+        (lambda: DomainSpec.ball(cap=4.0), "cap must lie in (0, pi], got 4.0"),
+        (lambda: DomainSpec.ball(cap=0.0), "cap must lie in (0, pi]"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert message in str(exc.value)
+    # the closed ends of the ranges stay valid
+    assert DomainSpec.disk(arc=(0.0, 2.0 * np.pi)).sigma_plus_measure() == pytest.approx(2.0 * np.pi)
+    assert DomainSpec.ball(cap=np.pi).sigma_plus_measure() == pytest.approx(4.0 * np.pi)
 
 
 def test_domain_measures_by_rule_match():

@@ -166,20 +166,6 @@ def test_tangential_factorization_diag114():
         assert rec.real == pytest.approx(base.kappa0**2, rel=1e-12)
 
 
-def test_tangential_base_fields_match_boundary_reduction():
-    # the base fields at xi' = (xi'', 0) are boundary_reduction's, bit for bit
-    rng = np.random.default_rng(11)
-    for n in (3, 4):
-        coeffs = sy.SecondOrderCoeffs(n, _random_spd(rng, n))
-        frame = _random_frame(rng, n)
-        xidp = rng.standard_normal(n - 2)
-        bf = sy.tangential_factorization(coeffs, np.zeros(n), frame, xidp)
-        red = sy.boundary_reduction(coeffs, np.zeros(n), frame, np.append(xidp, 0.0))
-        for name in ("b", "c", "a_prime", "kappa0", "kappa_plus", "kappa_minus", "residual"):
-            assert getattr(bf, name) == getattr(red, name), name
-        assert np.array_equal(bf.xi_prime, red.xi_prime)
-
-
 def test_tangential_half_power_split():
     rng = np.random.default_rng(5)
     coeffs = sy.SecondOrderCoeffs(3, _random_spd(rng, 3))

@@ -33,7 +33,7 @@ def wrap(mat, interior, splus, h=1.0, units=None):
     meta = {"row_sets": {"interior": interior, "sigma_plus": splus}, "h": h}
     if units:
         meta["units"] = units
-    return OperatorMatrix(np.asarray(mat, dtype=float), "all", meta=meta)
+    return OperatorMatrix(np.asarray(mat, dtype=float), meta=meta)
 
 
 def basis(k):
@@ -103,15 +103,10 @@ class TestKreinToy:
         with pytest.raises(NotPositiveError):
             krein_from_matrix(wrap([[1.0, 2.0], [2.0, 1.0]], [0], [1]))
 
-    def test_scalar_shift_applied(self):
-        base = wrap([[1.0, 2.0], [2.0, 1.0]], [0], [1])
-        k = krein_from_matrix(base, shift=4.0)  # S = 5 - 4/5 = 21/5
-        assert np.allclose(k.S, [[4.2]], atol=1e-14)
-
     def test_sparse_interior_block(self):
         g = np.asarray([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
         dense = krein_from_matrix(wrap(g, [0, 1], [2]))
-        om = OperatorMatrix(sp.csr_matrix(g), "all",
+        om = OperatorMatrix(sp.csr_matrix(g),
                             meta={"row_sets": {"interior": [0, 1], "sigma_plus": [2]}, "h": 1.0})
         sparse = krein_from_matrix(om)
         assert np.allclose(materialized_m(dense), materialized_m(sparse), atol=1e-13)
@@ -152,15 +147,14 @@ class TestKreinOracle:
         assert np.max(np.abs(mu - top)) <= 1e-10 * mu[0]
 
     @settings(max_examples=30, deadline=None)
-    @given(split_spd(), st.booleans(), st.booleans())
-    def test_weighted_mu_matches_congruence(self, problem, half_cell, boundary_mass):
+    @given(split_spd(), st.booleans())
+    def test_weighted_mu_matches_congruence(self, problem, half_cell):
         om, w_b, w_i = problem
         k = krein_from_matrix(om, boundary_weights=w_b, interior_weights=w_i)
         inner = (k.K * w_i[:, None]).T @ k.K
         inner[np.diag_indices_from(inner)] += (0.5 * k.h if half_cell else 0.0) * w_b
-        inner[np.diag_indices_from(inner)] += w_b if boundary_mass else 0.0
         want = congruence_mu(k.S_form, inner)
-        got = k.weighted_mu(include_boundary_mass=boundary_mass, half_cell=half_cell)
+        got = k.weighted_mu(half_cell=half_cell)
         assert np.max(np.abs(got - want)) <= 1e-10 * want[0]
 
     def test_identity_check_solves_m_once(self, monkeypatch):
@@ -287,7 +281,6 @@ class TestKreinGrid:
         # positive operators still get the unit shift from 1 + max(0, -2 min)
         k = krein_term(self.co, 0.5, self.grid)
         assert k.shift == 1.0
-        assert k.record()["shift"] == 1.0
 
     def test_zero_shift_override(self):
         k = krein_term(self.co, 0.5, self.grid, shift=0.0)
@@ -315,12 +308,6 @@ class TestKreinGrid:
         bad = [int(self.grid.interior_idx[0])]
         with pytest.raises(ConfigurationError):
             krein_term(self.co, 0.5, self.grid, partition=bad)
-
-    def test_boundary_mass_increases_mu(self):
-        k = krein_term(self.co, 0.5, self.grid, shift=1.0)
-        lean = k.weighted_mu()
-        fat = k.weighted_mu(include_boundary_mass=True)
-        assert np.all(fat >= lean - 1e-15)
 
     def test_weighted_interface_spectrum(self):
         k = krein_term(self.co, 0.5, self.grid, shift=1.0)
@@ -455,10 +442,10 @@ class TestDtnProbe:
         with pytest.raises(ConfigurationError):
             dtn_symbol_probe(SecondOrderCoeffs.laplacian(3), [1.0], h=KD)
 
-    def test_report_record(self):
-        rep = dtn_symbol_probe(SecondOrderCoeffs.laplacian(2), [1.0], h=KD)
-        rec = rep.record()
-        assert set(("xi", "measured", "predicted", "rel_errors", "h", "rows")) <= set(rec)
+    @pytest.mark.parametrize("h", [0.0, -0.01, np.nan, np.inf])
+    def test_bad_spacing_rejected(self, h):
+        with pytest.raises(ConfigurationError, match="strip spacing h"):
+            dtn_symbol_probe(SecondOrderCoeffs.laplacian(2), [1.0], h=h)
 
 
 def radial_mode_reduction_banded(n_r, n_theta, radius, shift, m):
@@ -557,7 +544,7 @@ class TestDiskSpectra:
         nb = len(F.rows("sigma_plus"))
         arc_w = np.full(nb, 2.0 * np.pi / 16.0)
         mat = F.matrix + sp.diags(shift * vols) if shift else F.matrix
-        om = OperatorMatrix(mat, F.index_label, None, F.descriptor, dict(F.meta))
+        om = OperatorMatrix(mat, None, F.descriptor, dict(F.meta))
         generic = krein_from_matrix(om, boundary_weights=arc_w,
                                     interior_weights=vols[F.rows("interior")])
         fast = disk_interface_spectra(10, 16, arc=(0.0, np.pi), shift=shift)
@@ -613,9 +600,7 @@ class TestDiskSpectra:
 
     def test_record_and_flag(self):
         d = disk_interface_spectra(10, 16, shift=1.0)
-        rec = d.record()
-        assert rec["n2_flagged"] is True
-        assert rec["count"] == d.mu.size
+        assert d.meta["n2_flagged"] is True
 
     def test_bad_arc_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -678,12 +663,10 @@ class TestBoxFaceModes:
         assert np.max(np.abs(mu - oracle) / oracle) <= 1e-11
 
     def test_half_cell_between_lean_and_trace_mass(self):
-        # diagonal increments 0 <= h*w_B/2 <= w_B give elementwise ordering
+        # the diagonal increment h*w_B/2 >= 0 gives elementwise ordering
         lean = self.k.weighted_mu()
         half = self.k.weighted_mu(half_cell=True)
-        fat = self.k.weighted_mu(include_boundary_mass=True)
         assert np.all(half >= lean - 1e-15)
-        assert np.all(fat >= half - 1e-15)
 
     def test_fine_grid_interface_law(self):
         # 64 layers via the separable reduction: the trapezoid-corrected
