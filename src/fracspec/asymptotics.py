@@ -158,6 +158,12 @@ def _grid_profile(u, grid):
     return u, grid.d
 
 
+def _fit_band(grid, band=None) -> tuple:
+    """band, or the default (2h, 20h): below 2h the d^a profile is unresolved, above 20h the
+    smooth interior factor contaminates the slope."""
+    return (2.0 * grid.h, 20.0 * grid.h) if band is None else tuple(band)
+
+
 def boundary_exponent(u, grid, band: tuple | None = None) -> float:
     """Boundary decay exponent of a grid function: |u| ~ d^a near d = 0.
 
@@ -168,12 +174,10 @@ def boundary_exponent(u, grid, band: tuple | None = None) -> float:
     roughly constant suppression factor, which shifts their intercept
     but not the pooled slope, so no corner margin is needed.  Domains
     without axis-aligned faces fall back to the plain in-band profile
-    against nearest-boundary distance.  Default band (2h, 20h): below 2h
-    the d^a profile is unresolved, above 20h the smooth interior factor
-    contaminates the slope.  Both fits are exponent_from_profile.
+    against nearest-boundary distance.  band defaults to _fit_band's.  Both
+    fits are exponent_from_profile.
     """
-    if band is None:
-        band = (2.0 * grid.h, 20.0 * grid.h)
+    band = _fit_band(grid, band)
     vals, dist = _grid_profile(u, grid)
     if grid.domain.box_like:
         full = np.zeros(grid.size)
@@ -203,9 +207,7 @@ def ratio_trace_check(u, grid, a: float, band: tuple | None = None, threshold: f
     the default band).
     """
     vals, dist = _grid_profile(u, grid)
-    if band is None:
-        band = (2.0 * grid.h, 20.0 * grid.h)
-    lo, hi = band
+    lo, hi = band = _fit_band(grid, band)
     inband = (dist >= lo) & (dist <= hi)
     if inband.sum() < 20:
         raise NumericError(f"only {int(inband.sum())} nodes in band, need 20")
@@ -215,7 +217,7 @@ def ratio_trace_check(u, grid, a: float, band: tuple | None = None, threshold: f
         raise NumericError("no nodes in the nearest-to-boundary band")
     gmax = float(ratio.max())
     nmax = float(ratio[near].max())
-    return RatioTraceReport(gmax, nmax, threshold, bool(nmax > threshold * gmax), tuple(band))
+    return RatioTraceReport(gmax, nmax, threshold, bool(nmax > threshold * gmax), band)
 
 
 # ---------------------------------------------------------------------------

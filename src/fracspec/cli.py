@@ -122,7 +122,7 @@ OPTIONS = (
     ("operator", "mu", "--mu", float, ("symbol-check",), "reflection order (defaults to the power)"),
     ("domain", "kind", "--domain", str, _DOMAIN, "interval | square | box | disk | ball"),
     ("domain", "n", "--n", int, ("symbol-check", *_DOMAIN), "ambient dimension"),
-    ("domain", "radius", "--radius", float, _DOMAIN, "disk radius"),
+    ("domain", "radius", "--radius", float, _DOMAIN, "disk or ball radius"),
     ("domain", "arc", "--arc", _pair, _DOMAIN, "free arc angles t0,t1 (disk)"),
     ("domain", "cap", "--cap", float, _DOMAIN, "cap angle (ball)"),
     ("grid", "nodes", "--nodes", int, ("zaremba", *_ASSEMBLED), "nodes per axis"),
@@ -251,6 +251,10 @@ def _build_coeffs(cfg, domain=None):
     return coeffs
 
 
+# the domain kinds that read each geometry key; set on any other kind, the key is refused
+_GEOMETRY_KEYS = {"radius": ("disk", "ball"), "arc": ("disk",), "cap": ("ball",)}
+
+
 def _build_domain(cfg):
     """One of the five documented domains; domain.n, if set, must be its dimension."""
     import numpy as np
@@ -259,6 +263,11 @@ def _build_domain(cfg):
     from .quadrature import DomainSpec
 
     kind = _get(cfg, "domain", "kind", "square")
+    for key, kinds in _GEOMETRY_KEYS.items():
+        if kind not in kinds and ("domain", key) in cfg:
+            raise ConfigurationError(f"domain.{key} applies to the {' and '.join(kinds)} only, "
+                                     f"not the {kind} domain")
+    radius = _get(cfg, "domain", "radius", 1.0)
     if kind == "interval":
         domain = DomainSpec.unit_interval()
     elif kind == "square":
@@ -266,10 +275,9 @@ def _build_domain(cfg):
     elif kind == "box":
         domain = DomainSpec.unit_box()
     elif kind == "disk":
-        arc = _get(cfg, "domain", "arc", [0.0, float(np.pi)])
-        domain = DomainSpec.disk(radius=_get(cfg, "domain", "radius", 1.0), arc=tuple(arc))
+        domain = DomainSpec.disk(radius=radius, arc=tuple(_get(cfg, "domain", "arc", [0.0, float(np.pi)])))
     elif kind == "ball":
-        domain = DomainSpec.ball(cap=_get(cfg, "domain", "cap", float(np.pi) / 2.0))
+        domain = DomainSpec.ball(radius=radius, cap=_get(cfg, "domain", "cap", float(np.pi) / 2.0))
     else:
         raise ConfigurationError(f"unknown domain kind {kind!r}")
     n = _get(cfg, "domain", "n", domain.n)
@@ -588,8 +596,7 @@ def _cmd_boundary_exp(cfg, args, em: Emitter) -> list[str]:
     A, grid, coeffs, a = _assemble_operator(cfg)
     ground = lanczos_extreme(A, k=1, want_vectors=True)
     u = ground.vectors[:, 0]
-    band = _get(cfg, "task", "band")
-    band = tuple(band) if band else (2.0 * grid.h, 20.0 * grid.h)
+    band = _get(cfg, "task", "band")  # None: the default band of asymptotics._fit_band
     exponent = boundary_exponent(u, grid, band=band)
     threshold = _get(cfg, "task", "threshold", 0.5)
     ratio = ratio_trace_check(u, grid, a, band=band, threshold=threshold)
@@ -600,8 +607,8 @@ def _cmd_boundary_exp(cfg, args, em: Emitter) -> list[str]:
     for key, value in ground.meta.items():
         em.row(key, value)
     em.row("exponent", float(exponent))
-    em.row("band_lo", float(band[0]))
-    em.row("band_hi", float(band[1]))
+    em.row("band_lo", float(ratio.band[0]))
+    em.row("band_hi", float(ratio.band[1]))
     em.row("ratio_near_max", float(ratio.near_max))
     em.row("ratio_band_max", float(ratio.max_ratio))
     em.row("ratio_nonvanishing", ratio.nonvanishing)
@@ -620,15 +627,7 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
     import numpy as np
 
     from .discretize import OperatorMatrix
-    from .errors import ConfigurationError
-    from .zaremba import (
-        disk_interface_spectra,
-        face_mode_spectra,
-        krein_from_matrix,
-        krein_identity_check,
-        krein_path,
-        krein_term,
-    )
+    from .zaremba import interface_spectra, krein_from_matrix, krein_identity_check
 
     if args.toy:
         # 2-node worked example: interior node coupled to one free
@@ -643,79 +642,39 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
         em.row("law", "nonzero spec(M) = spec(S^-1 (K^T K + I))")
         em.row("mu_1", mu)
         em.row("krein_path", "assembled")
-        em.row("identity_check", "run")
-        em.row("identity_mismatch", float(rep.max_rel_mismatch))
-        em.row("identity_residual", rep.residual)
-        em.row("rank_bound_ok", rep.rank_bound_ok)
+        _identity_rows(em, rep)
         return [
             f"M eigenvalue = {mu:.6g}",
             f"identity mismatch = {rep.max_rel_mismatch:.6g}",
         ]
 
     domain = _build_domain(cfg)
-    coeffs = _build_coeffs(cfg, domain)
-    shift_raw = _get(cfg, "operator", "shift", "auto")
-    mode_shift = 1.0 if shift_raw == "auto" else float(shift_raw)  # auto is 1 on the positive mode-route inputs
-    sigma = _get(cfg, "operator", "sigma", 0.0)
     tol = _get(cfg, "task", "tol", 1e-10)
     em.tolerance("identity_rel", tol)
-
-    if domain.kind == "disk":
-        if not np.array_equal(coeffs.a, np.eye(2)):
-            raise ConfigurationError(f"the disk mode route solves the Laplacian only, "
-                                     f"not coefficients {_get(cfg, 'operator', 'coeffs')!r}")
-        n_r = _get(cfg, "grid", "n_r", 64)
-        n_theta = _get(cfg, "grid", "n_theta", 128)
-        d = disk_interface_spectra(n_r, n_theta, arc=domain.sigma_plus[1:], radius=domain.radius,
-                                   shift=mode_shift, sigma=sigma)
-        em.row("law", "mu_j(M) ~ c j^(-2/(n-1)); interface spectra via separation of modes")
-        em.row("boundary_nodes", int(d.mu.size))
-        em.row("shift", mode_shift)
-        em.row("n2_flagged", True)
-        em.row("krein_path", "modes")
-        em.row("identity_check", "not_run")
-        em.sequence("zaremba-mu", d.mu)
-        em.sequence("zaremba-interface", d.interface)
-        return [f"computed {d.mu.size} interface eigenvalues (disk fast path)"]
-
-    nodes = _get(cfg, "grid", "nodes", 16)
-    path, grid = krein_path(coeffs, sigma, domain, nodes)  # past the cap, non-separable inputs stop here
+    res = interface_spectra(_build_coeffs(cfg, domain), _get(cfg, "operator", "sigma", 0.0), domain,
+                            _get(cfg, "grid", "nodes", 16), _get(cfg, "grid", "n_r", 64),
+                            _get(cfg, "grid", "n_theta", 128), _get(cfg, "operator", "shift", "auto"))
+    rep = res.identity
     em.row("law", "nonzero spec(M) = spec(S^-1 (K^T K + I)); mu_j(M) ~ c j^(-2/(n-1))")
-    if path == "modes":
-        f = face_mode_spectra(coeffs, sigma, domain, nodes, shift=mode_shift)
-        em.row("interior_nodes", f.meta["n_interior"])
-        em.row("boundary_nodes", f.meta["n_boundary"])
-        em.row("shift", f.meta["shift"])
-        em.row("sigma", sigma)
-        em.row("n2_flagged", f.meta["n2_flagged"])
-        em.row("krein_path", path)
-        em.row("identity_check", "not_run")
-        em.sequence("zaremba-mu", f.mu)
-        em.sequence("zaremba-interface", f.interface)
-        return [f"computed {f.mu.size} weighted interface eigenvalues (face modes; identity check not run)"]
-
-    k = krein_term(coeffs, sigma, grid, shift="auto" if shift_raw == "auto" else mode_shift)
-    rep = krein_identity_check(k)
-    mu_w = k.weighted_mu()
-    em.row("interior_nodes", k.n_interior)
-    em.row("boundary_nodes", k.n_boundary)
-    em.row("shift", k.shift)
-    em.row("sigma", sigma)
-    em.row("n2_flagged", bool(k.meta.get("n2_flagged", False)))
-    em.row("krein_path", path)
-    em.row("identity_check", "run")
-    em.row("identity_mismatch", float(rep.max_rel_mismatch))
-    em.row("identity_residual", rep.residual)
-    em.row("rank_bound_ok", rep.rank_bound_ok)
-    em.sequence("zaremba-mu", mu_w)
-    em.sequence("zaremba-interface", k.weighted_L_spectrum())
-    lines = [
-        f"identity mismatch = {rep.max_rel_mismatch:.6g}",
-        f"computed {mu_w.size} weighted interface eigenvalues",
-    ]
+    for key, value in res.report.items():
+        em.row(key, value)
+    _identity_rows(em, rep)
+    em.sequence("zaremba-mu", res.mu)
+    em.sequence("zaremba-interface", res.interface)
+    if rep is None:
+        return [f"computed {res.mu.size} weighted interface eigenvalues (mode route; identity check not run)"]
     if args.check_tolerances and rep.max_rel_mismatch > tol:
         raise ToleranceFailure(f"Krein identity mismatch {rep.max_rel_mismatch:.3g} exceeds {tol:g}")
-    return lines
+    return [f"identity mismatch = {rep.max_rel_mismatch:.6g}", f"computed {res.mu.size} weighted interface eigenvalues"]
+
+
+def _identity_rows(em: Emitter, rep) -> None:
+    """The certificate rows of a Krein identity report, or not_run without one."""
+    em.row("identity_check", "not_run" if rep is None else "run")
+    if rep is not None:
+        em.row("identity_mismatch", float(rep.max_rel_mismatch))
+        em.row("identity_residual", rep.residual)
+        em.row("rank_bound_ok", rep.rank_bound_ok)
 
 
 def _cmd_dtn_probe(cfg, args, em: Emitter) -> list[str]:

@@ -40,10 +40,15 @@ returning the per-mode interface Schur value s_m and extension mass q_m.
 Three callers share it: the disk (angular Fourier modes, radial chains,
 arc submatrices of the synthesized circulants), the square and box
 faces (DST-I modes over the free face, normal chains, partition
-submatrices; krein_path "modes" past the cap, on the cells that
-discretize.grid_spacing gives build_grid too), and the flat-strip probe
-measuring the DtN principal symbol against -kappa0.  The module also
-carries the interior-weighted spectra used for asymptotic comparisons.
+submatrices, on the cells that discretize.grid_spacing gives build_grid
+too), and the flat-strip probe measuring the DtN principal symbol
+against -kappa0.  The module also carries the interior-weighted spectra
+used for asymptotic comparisons.
+
+interface_spectra is the one route choice (disk modes, face modes past
+the cap, the assembled route with its certificate, or a refusal before
+any assembly), and every route returns an InterfaceSpectra.  The shift
+"auto" has one rule, _positivity_shift's.
 
 Every spectrum here, the pencils (X, S) and the interface operators
 alike, comes from eig.sym_eig, which owns the dense cap and the
@@ -89,15 +94,11 @@ class KreinAssembly:
     """
 
     def __init__(self, K, S, h: float, n: int, shift: float,
-                 boundary_weights=None, interior_weights=None, meta=None,
-                 form_units: bool = False):
+                 boundary_weights=None, interior_weights=None, form_units: bool = False):
         nI, nB = K.shape
         self.h = float(h)
         self.n = int(n)
         self.shift = float(shift)
-        self.meta = dict(meta or {})
-        self.meta.setdefault("shift", self.shift)
-        self.meta["n2_flagged"] = self.n == 2
         self.n_interior = nI
         self.n_boundary = nB
 
@@ -221,7 +222,6 @@ def krein_from_matrix(A_full: OperatorMatrix, boundary_weights=None, interior_we
     n = grid.n if grid is not None else 1
     return KreinAssembly(K, S, h, n, 0.0,
                          boundary_weights=boundary_weights, interior_weights=interior_weights,
-                         meta={"descriptor": A_full.descriptor},
                          form_units=A_full.meta.get("units") == "form")
 
 
@@ -231,17 +231,12 @@ def krein_term(coeffs: SecondOrderCoeffs, sigma, grid: Grid, partition=None,
 
     partition optionally selects a subset of the grid's Sigma+ node ids
     as the free boundary set; unselected Sigma+ nodes are eliminated as
-    Dirichlet.  shift="auto" applies 1 + max(0, -2 min-eigenvalue
-    estimate), folded into the zero-order term so the mass is the true
-    node volume; it is recorded in the assembly.
+    Dirichlet.  The shift (a number, or "auto" by the rule of
+    _positivity_shift) is folded into the zero-order term so the mass is
+    the true node volume; it is recorded in the assembly.
     """
-    probe = assemble_second_order(coeffs, grid, bc="mixed", sigma=sigma)
-    if shift == "auto":
-        est = float(lanczos_extreme(probe.matrix, k=1).values[0]) if probe.shape[0] else 1.0
-        shift_val = 1.0 + max(0.0, -2.0 * est)
-    else:
-        shift_val = float(shift)
-    A = assemble_second_order(coeffs, grid, bc="mixed", sigma=sigma, a0=shift_val) if shift_val else probe
+    shift = _positivity_shift(shift, coeffs, sigma, grid.domain, grid)
+    A = assemble_second_order(coeffs, grid, bc="mixed", sigma=sigma, a0=shift)
 
     B = A.rows("sigma_plus")
     if partition is not None:
@@ -251,8 +246,24 @@ def krein_term(coeffs: SecondOrderCoeffs, sigma, grid: Grid, partition=None,
         if len(B) != len(wanted):
             raise ConfigurationError("partition contains nodes outside the grid's sigma_plus set")
     K, S = schur_split(A.matrix, A.rows("interior"), B)
-    return KreinAssembly(K, S, grid.h, grid.n, shift_val,
-                         meta={"descriptor": A.descriptor, "sigma": A.meta.get("sigma")})
+    return KreinAssembly(K, S, grid.h, grid.n, shift)
+
+
+def _positivity_shift(shift, coeffs: SecondOrderCoeffs, sigma, domain, grid: Grid | None = None) -> float:
+    """The zero-order shift of the mixed problem: a number as given, or the value of "auto".
+
+    "auto" is exactly 1 on inputs whose mixed assembly is known to be positive: the disk
+    (the Laplacian, the only form its route accepts) and separable_face inputs, on either
+    route.  Elsewhere it is 1 + max(0, -2 lambda_min), lambda_min a Lanczos estimate on the
+    unshifted mixed assembly on grid.
+    """
+    if shift != "auto":
+        return float(shift)
+    if domain.kind == "disk" or separable_face(coeffs, sigma, domain):
+        return 1.0
+    probe = assemble_second_order(coeffs, grid, bc="mixed", sigma=sigma)
+    est = float(lanczos_extreme(probe.matrix, k=1).values[0]) if probe.shape[0] else 1.0
+    return 1.0 + max(0.0, -2.0 * est)
 
 
 @dataclass(frozen=True)
@@ -407,7 +418,7 @@ class DiskSpectra:
     """Interface spectra on a disk with a circular-arc free boundary.
 
     mu: descending interior-weighted Krein spectrum, eig(S^-1 K^T W K).
-    interface: ascending spectrum of L_weighted, as FaceSpectra.interface.
+    interface: ascending spectrum of L_weighted, as InterfaceSpectra.interface.
     L_weighted: arc-weighted interface Schur matrix over Sigma+ nodes, and
     S_plus the unweighted one.  arc_distances: geodesic distance of each
     Sigma+ node to the nearest arc endpoint.
@@ -527,20 +538,6 @@ def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: flo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FaceSpectra:
-    """Interface spectra on a square or box whose free boundary lies in one face.
-
-    mu: descending interior-weighted Krein spectrum, the values
-    KreinAssembly.weighted_mu gives.  interface: ascending spectrum of the
-    boundary-weighted interface operator, as weighted_L_spectrum gives.
-    """
-
-    mu: np.ndarray
-    interface: np.ndarray
-    meta: dict
-
-
 def separable_face(coeffs: SecondOrderCoeffs, sigma, domain) -> bool:
     """Whether the mixed assembly separates into face modes with the auto shift 1.
 
@@ -565,7 +562,7 @@ def _face_cells(domain, nodes: int):
 
 
 def face_mode_spectra(coeffs: SecondOrderCoeffs, sigma: float, domain, nodes: int, partition=None,
-                      shift: float = 1.0) -> FaceSpectra:
+                      shift: float = 1.0) -> InterfaceSpectra:
     """Krein and interface spectra of the mixed problem on a square or box face.
 
     The discrete problem of krein_term on build_grid(domain, nodes) with a
@@ -621,32 +618,71 @@ def face_mode_spectra(coeffs: SecondOrderCoeffs, sigma: float, domain, nodes: in
         S_plus = (V * s) @ V.T
         mu = sym_eig((V * q) @ V.T, S_plus).values[::-1]
         interface = sym_eig(S_plus).values / w_b
-    meta = {
-        "n_interior": int(np.prod([c - 1 for c in cells])),
-        "n_boundary": int(n_free),
+    report = {
+        "interior_nodes": int(np.prod([c - 1 for c in cells])),
+        "boundary_nodes": int(n_free),
         "shift": float(shift),
+        "sigma": sigma,
         "n2_flagged": n == 2,
+        "krein_path": "modes",
     }
-    return FaceSpectra(mu, interface, meta)
+    return InterfaceSpectra(mu, interface, report)
 
 
-def krein_path(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int):
-    """The route that answers the Zaremba question on a grid domain, with its grid.
+# ---------------------------------------------------------------------------
+# the route choice
+# ---------------------------------------------------------------------------
 
-    ("assembled", build_grid(domain, nodes)) while M, of size
-    N = n_I + n_B, fits under eig.DENSE_CAP: only that route certifies
-    the Krein identity.  Past the cap, ("modes", None) for separable
-    inputs: face_mode_spectra needs no grid, and the torus grid of a
-    fine box is the largest object of the run.  Any other input raises
-    NumericError here, before the assembly and Schur work.
+
+@dataclass(frozen=True)
+class InterfaceSpectra:
+    """The answer of one route to the Zaremba question.
+
+    mu: descending interior-weighted Krein spectrum (KreinAssembly.weighted_mu).
+    interface: ascending spectrum of the boundary-weighted interface operator
+    (weighted_L_spectrum).  report: the report quantities in row order, krein_path
+    last.  identity: the assembled route's certificate, None on the mode routes.
     """
+
+    mu: np.ndarray
+    interface: np.ndarray
+    report: dict
+    identity: KreinIdentityReport | None = None
+
+
+def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r: int, n_theta: int,
+                      shift="auto") -> InterfaceSpectra:
+    """Answer the Zaremba question on the route that fits the input.
+
+    The disk takes its angular modes (n_r rings, n_theta angles) and refuses
+    coefficients other than the Laplacian.  A grid domain takes the assembled
+    route, the only one that certifies the Krein identity, while M (N = n_I + n_B
+    on build_grid(domain, nodes)) fits under eig.DENSE_CAP.  Past the cap,
+    separable inputs take the face modes, which need no grid (the torus grid of a
+    fine box is the largest object of the run), and any other input raises
+    NumericError.  Both refusals come before any assembly.
+    """
+    if domain.kind == "disk":
+        if not np.array_equal(coeffs.a, np.eye(2)):
+            raise ConfigurationError(f"the disk mode route solves the Laplacian only, "
+                                     f"not coefficients {coeffs.describe()}")
+        shift = _positivity_shift(shift, coeffs, sigma, domain)
+        d = disk_interface_spectra(n_r, n_theta, arc=domain.sigma_plus[1:], radius=domain.radius,
+                                   shift=shift, sigma=sigma)
+        report = {"boundary_nodes": int(d.mu.size), "shift": shift, "n2_flagged": d.meta["n2_flagged"],
+                  "krein_path": "modes"}
+        return InterfaceSpectra(d.mu, d.interface, report)
     if separable_face(coeffs, sigma, domain):
         _, cells, _, tangential = _face_cells(domain, nodes)
-        size = np.prod([c - 1 for c in cells]) + np.prod([cells[t] - 1 for t in tangential])
-        if size > eig.DENSE_CAP:
-            return "modes", None
+        if np.prod([c - 1 for c in cells]) + np.prod([cells[t] - 1 for t in tangential]) > eig.DENSE_CAP:
+            return face_mode_spectra(coeffs, sigma, domain, nodes,
+                                     shift=_positivity_shift(shift, coeffs, sigma, domain))
     grid = build_grid(domain, nodes)
     size = grid.interior_idx.size + grid.sigma_plus_idx.size
     if size > eig.DENSE_CAP:
         raise NumericError(_cap_message(size))
-    return "assembled", grid
+    k = krein_term(coeffs, sigma, grid, shift=shift)
+    identity = krein_identity_check(k)
+    report = {"interior_nodes": k.n_interior, "boundary_nodes": k.n_boundary, "shift": k.shift,
+              "sigma": sigma, "n2_flagged": k.n == 2, "krein_path": "assembled"}
+    return InterfaceSpectra(k.weighted_mu(), k.weighted_L_spectrum(), report, identity)

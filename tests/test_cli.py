@@ -294,7 +294,7 @@ _CONSTRAINT_CASES = [
     (["weyl-const", "--domain", "square", "--n", "1"], "domain.n = 1, but the square domain is 2-dimensional"),
     (["zaremba", "--domain", "disk", "--n", "3"], "domain.n = 3, but the disk domain is 2-dimensional"),
     (["zaremba", "--domain", "disk", "--coeffs", "diag:1,4", "--n-r", "16", "--n-theta", "32"],
-     "the disk mode route solves the Laplacian only, not coefficients 'diag:1,4'"),
+     "the disk mode route solves the Laplacian only, not coefficients diag(1,4)"),
     (["spectrum", "--domain", "cube"], "unknown domain kind 'cube'"),
     # forms that are not strongly elliptic
     (["spectrum", "--domain", "square", "--coeffs", "matrix:1,2;2,1", "--nodes", "16", "--count", "3"],
@@ -316,6 +316,19 @@ _CONSTRAINT_CASES = [
      "disk radius must be finite and positive, got -1.0"),
     (["dtn-probe", "--h", "0"], "strip spacing h must be finite and positive, got 0.0"),
     (["dtn-probe", "--h", "-0.01"], "strip spacing h must be finite and positive, got -0.01"),
+    # geometry keys on a domain kind that does not read them
+    (["weyl-const", "--domain", "square", "--arc", "1,2", "--cap", "3", "--radius", "5"],
+     "domain.radius applies to the disk and ball only, not the square domain"),
+    (["weyl-const", "--domain", "interval", "--radius", "2"],
+     "domain.radius applies to the disk and ball only, not the interval domain"),
+    (["zaremba", "--domain", "box", "--radius", "2", "--nodes", "8"],
+     "domain.radius applies to the disk and ball only, not the box domain"),
+    (["weyl-const", "--domain", "ball", "--arc", "1,2"], "domain.arc applies to the disk only, not the ball domain"),
+    (["spectrum", "--domain", "square", "--arc", "1,2", "--nodes", "8"],
+     "domain.arc applies to the disk only, not the square domain"),
+    (["weyl-const", "--domain", "disk", "--cap", "1"], "domain.cap applies to the ball only, not the disk domain"),
+    (["zaremba", "--domain", "box", "--cap", "1", "--nodes", "8"],
+     "domain.cap applies to the ball only, not the box domain"),
 ]
 
 
@@ -394,6 +407,25 @@ class TestConfigHandling:
         assert run(argv, tmp_path) == 2
         assert "mixed assembly needs free boundary nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, message", [
+        ("kind = square\nradius = 5\n", "domain.radius applies to the disk and ball only, not the square domain"),
+        ("kind = box\narc = 1,2\n", "domain.arc applies to the disk only, not the box domain"),
+        ("kind = disk\ncap = 1\n", "domain.cap applies to the ball only, not the disk domain"),
+    ], ids=["radius", "arc", "cap"])
+    def test_geometry_key_in_config_exit_2(self, tmp_path, section, message, capsys):
+        cfgfile = tmp_path / "g.ini"
+        cfgfile.write_text("[domain]\n" + section)
+        assert run(["weyl-const", "--config", str(cfgfile)], tmp_path / "o") == 2
+        assert message in capsys.readouterr().err
+
+    def test_ball_reads_radius(self, tmp_path):
+        # C' = vol / (2 pi)^n times the cosphere integral: radius 2 is 8 times radius 1 in 3D
+        base = ["weyl-const", "--domain", "ball", "--n", "3", "--level", "-1"]
+        assert run(base, tmp_path / "r1") == 0
+        assert run(base + ["--radius", "2"], tmp_path / "r2") == 0
+        c1, c2 = (float(report_lines(tmp_path / r, "weyl-const")["constant"]) for r in ("r1", "r2"))
+        assert c2 == pytest.approx(8.0 * c1, rel=1e-12)
+
     def test_constraint_in_config_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text("[task]\nwindow = 5\n")
@@ -454,9 +486,19 @@ class TestManifest:
                     "timestamp = "):
             assert key in text
 
-    def test_repro_reruns_bit_identical(self, tmp_path):
-        args = ["singular-probe", "--decay", "harmonic", "--repro",
-                "--deltas", "1e-2,1e-3,1e-4", "--out", str(tmp_path)]
+    @pytest.mark.parametrize("argv, cap", [
+        (["singular-probe", "--decay", "harmonic", "--deltas", "1e-2,1e-3,1e-4"], None),
+        (["zaremba", "--domain", "square", "--nodes", "12"], None),  # assembled
+        (["zaremba", "--domain", "box", "--nodes", "12"], 1000),  # face modes: 1452 nodes past the cap
+        (["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32"], None),
+        (["zaremba", "--toy"], None),
+    ], ids=["singular-probe", "zaremba-assembled", "zaremba-face-modes", "zaremba-disk", "zaremba-toy"])
+    def test_repro_reruns_bit_identical(self, tmp_path, monkeypatch, argv, cap):
+        from fracspec import eig
+
+        if cap is not None:
+            monkeypatch.setattr(eig, "DENSE_CAP", cap)
+        args = argv + ["--repro", "--out", str(tmp_path)]
         assert execute(args) == 0
         first = {
             p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()

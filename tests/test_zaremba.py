@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec.discretize import OperatorMatrix, build_grid
-from fracspec import eig
+from fracspec import eig, zaremba
 from fracspec.asymptotics import weyl_fit
 from fracspec.errors import ConfigurationError, NotPositiveError, NumericError
 from fracspec.quadrature import DomainSpec
@@ -21,9 +21,9 @@ from fracspec.zaremba import (
     disk_interface_spectra,
     dtn_symbol_probe,
     face_mode_spectra,
+    interface_spectra,
     krein_from_matrix,
     krein_identity_check,
-    krein_path,
     krein_term,
 )
 from test_discretize import PolarDiskGrid, assemble_polar_laplacian
@@ -681,6 +681,11 @@ class TestBoxFaceModes:
         assert abs(fixed.constant - target) / target <= 0.30
 
 
+def grid_route(coeffs, sigma, domain, nodes):
+    """interface_spectra on a square or box, whose route reads no disk resolution."""
+    return interface_spectra(coeffs, sigma, domain, nodes, n_r=None, n_theta=None)
+
+
 class TestFaceModes:
     """face_mode_spectra against the assembled krein_term route and the test-side chain oracle."""
 
@@ -702,8 +707,8 @@ class TestFaceModes:
         positions = None if partition is None else np.searchsorted(ids, partition)
         f = face_mode_spectra(co, sigma, domain, nodes, partition=positions, shift=1.0)
         mu, lam = k.weighted_mu(), k.weighted_L_spectrum()
-        assert f.mu.size == mu.size == k.n_boundary == f.meta["n_boundary"]
-        assert f.meta["n_interior"] == k.n_interior
+        assert f.mu.size == mu.size == k.n_boundary == f.report["boundary_nodes"]
+        assert f.report["interior_nodes"] == k.n_interior
         assert np.max(np.abs(f.mu - mu) / mu) <= 1e-11
         assert np.max(np.abs(f.interface - lam) / lam) <= 1e-11
 
@@ -712,24 +717,42 @@ class TestFaceModes:
         oracle = box_face_chain_mu(64, shift=1.0)
         assert np.max(np.abs(f.mu - oracle) / oracle) <= 1e-11
 
-    def test_route_past_the_cap(self):
+    def test_route_past_the_cap(self, monkeypatch):
         box, co = DomainSpec.unit_box(), SecondOrderCoeffs.laplacian(3)
-        path, grid = krein_path(co, 0.5, box, 16)
-        assert path == "assembled" and grid.interior_idx.size + grid.sigma_plus_idx.size == 3600
-        assert krein_path(co, 0.5, box, 24) == ("modes", None)  # 12696 nodes
+        res = grid_route(co, 0.5, box, 16)
+        assert res.report["krein_path"] == "assembled"
+        assert res.report["interior_nodes"] + res.report["boundary_nodes"] == 3600
+        assert res.identity.rank_bound_ok and res.identity.max_rel_mismatch <= 1e-10
+        builds = []
+        monkeypatch.setattr(zaremba, "build_grid", lambda *a: builds.append(a))
+        res = grid_route(co, 0.5, box, 24)  # 12696 nodes
+        assert (res.report["krein_path"], res.identity, builds) == ("modes", None, [])
+        monkeypatch.undo()
         cross = SecondOrderCoeffs(3, a=np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]]))
         for coeffs, sigma in ((cross, 0.5), (co, -0.5)):
-            assert krein_path(coeffs, sigma, box, 16)[0] == "assembled"
-            with pytest.raises(NumericError, match="M would be 12696x12696, above the 8192 cap"):
-                krein_path(coeffs, sigma, box, 24)
+            assert grid_route(coeffs, sigma, box, 16).report["krein_path"] == "assembled"
+            work = []
+            with monkeypatch.context() as m:
+                m.setattr(zaremba, "assemble_second_order", lambda *a, **k: work.append("assemble"))
+                m.setattr(zaremba, "schur_split", lambda *a: work.append("schur_split"))
+                with pytest.raises(NumericError, match="M would be 12696x12696, above the 8192 cap"):
+                    grid_route(coeffs, sigma, box, 24)
+            assert work == []
+
+    def test_disk_refuses_other_forms_before_the_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(zaremba, "disk_interface_spectra", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigurationError, match=r"Laplacian only, not coefficients diag\(1,4\)"):
+            interface_spectra(SecondOrderCoeffs(2, a=np.diag([1.0, 4.0])), 0.0, DomainSpec.disk(), 16, 16, 32)
+        assert calls == []
 
     def test_cap_read_from_eig(self, monkeypatch):
         # eig.DENSE_CAP is the one cap, read at call time by the route choice and by the certificate
         box, co = DomainSpec.unit_box(), SecondOrderCoeffs.laplacian(3)
-        path, grid = krein_path(co, 0.5, box, 12)
-        k = krein_term(co, 0.5, grid)
+        assert grid_route(co, 0.5, box, 12).report["krein_path"] == "assembled"
+        k = krein_term(co, 0.5, build_grid(box, 12))
         monkeypatch.setattr(eig, "DENSE_CAP", 1000)
-        assert krein_path(co, 0.5, box, 12) == ("modes", None)  # 11^3 + 11^2 = 1452 nodes
+        assert grid_route(co, 0.5, box, 12).report["krein_path"] == "modes"  # 11^3 + 11^2 = 1452 nodes
         with pytest.raises(NumericError, match="M would be 1452x1452, above the 1000 cap"):
             krein_identity_check(k)
 
@@ -744,3 +767,33 @@ class TestFaceModes:
             face_mode_spectra(SecondOrderCoeffs.laplacian(2), 0.0, DomainSpec.unit_square(("x-", "y-")), 16)
         with pytest.raises(ConfigurationError):
             face_mode_spectra(SecondOrderCoeffs.laplacian(2), 0.0, square, 16, partition=[15])
+
+
+class TestAutoShift:
+    """shift "auto" is exactly 1 on separable inputs, with no estimate; elsewhere the Lanczos estimate."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls, real = [], zaremba.lanczos_extreme
+        monkeypatch.setattr(zaremba, "lanczos_extreme", lambda *a, **k: calls.append(1) or real(*a, **k))
+        return calls
+
+    def test_separable_input_takes_one_without_lanczos(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        square, co = DomainSpec.unit_square(), SecondOrderCoeffs.laplacian(2)
+        grid = build_grid(square, 16)
+        auto = krein_term(co, 0.5, grid)
+        assert calls == [] and auto.shift == 1.0
+        assert np.array_equal(auto.S, krein_term(co, 0.5, grid, shift=1.0).S)
+        for nodes in (16, 128):  # the assembled route and, past the cap, the face modes
+            assert grid_route(co, 0.5, square, nodes).report["shift"] == 1.0
+        disk = interface_spectra(co, 0.5, DomainSpec.disk(), None, 16, 32)
+        assert disk.report["shift"] == 1.0 and calls == []
+
+    def test_negative_sigma_keeps_the_estimate(self, monkeypatch):
+        # a Robin weight of -5 makes the unshifted assembly indefinite: auto lifts it past 1
+        calls = self.spy(monkeypatch)
+        k = krein_term(SecondOrderCoeffs.laplacian(2), -5.0, build_grid(DomainSpec.unit_square(), 16))
+        assert len(calls) == 1 and k.shift == pytest.approx(23.615228374033318, rel=1e-8)
+        rep = krein_identity_check(k)
+        assert rep.max_rel_mismatch <= 1e-10 and rep.rank_bound_ok
