@@ -4,10 +4,11 @@
 sample.  ``toeplitz_gather`` reads a torus kernel at the offsets of two
 sets of nodes, and ``restricted_power_apply`` is the matrix-free product
 with a restricted torus multiplier; its work is in the compiled
-transforms.  ``asymmetry`` measures how far a dense matrix is from
-symmetric.  Kernels that would build a large temporary work in blocks of
-about 2^16 entries (2^22 torus values for the transforms), which bounds
-the working set.
+transforms.  ``dst1`` is the orthonormal sine transform that diagonalizes
+the Dirichlet Laplacian on a tensor block.  ``asymmetry`` measures how
+far a dense matrix is from symmetric.  Kernels that would build a large
+temporary work in blocks of about 2^16 entries (2^22 torus values for
+the transforms), which bounds the working set.
 
 Coefficient matrices arrive frame-reduced where stated, so the last
 index is the interior-normal direction.  The Weyl-constant quadratures
@@ -94,3 +95,23 @@ def restricted_power_apply(symbol, interior, shape, X):
         back = np.fft.irfftn(spec, s=shape, axes=axes).reshape(block.shape[1], size)
         out[:, lo : lo + step] = back[:, interior].T
     return out.reshape(X.shape)
+
+
+def dst1(X, axes):
+    """Orthonormal DST-I of X along each of the given axes; the transform is its own inverse.
+
+    Along an axis of length L, entry k (from 0) is sqrt(2/(L+1))
+    sum_j X[j] sin(pi (j+1)(k+1)/(L+1)): minus the imaginary part of the
+    rfft of the odd extension (0, X, 0, -reversed X), of length 2(L+1),
+    scaled by 1/sqrt(2(L+1)).
+    """
+    X = np.asarray(X, dtype=float)
+    for axis in axes:
+        Y = np.moveaxis(X, axis, -1)
+        L = Y.shape[-1]
+        ext = np.zeros((*Y.shape[:-1], 2 * (L + 1)))
+        ext[..., 1 : L + 1] = Y
+        ext[..., L + 2 :] = -Y[..., ::-1]
+        Y = np.fft.rfft(ext)[..., 1 : L + 1].imag * -np.sqrt(0.5 / (L + 1))
+        X = np.moveaxis(Y, -1, axis)
+    return X

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import NumericError
 
@@ -277,6 +276,8 @@ def log_divergence_probe(psi, deltas, decay: str = "harmonic") -> LogDivergenceR
     if decay == "flat":
         integrals = norm_sq * (-np.log(deltas))
     else:
+        from scipy.special import exp1  # imported here: only this probe needs it, and its import takes tens of ms
+
         upper = exp1(2.0 * bracket)
         integrals = np.array([float(np.sum(coeff_sq * (exp1(2.0 * bracket * dl) - upper))) for dl in deltas])
 

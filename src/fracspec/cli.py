@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -84,6 +85,19 @@ def _index_range(raw: str) -> list:
     return vals
 
 
+def _shift(raw: str) -> float | str:
+    """A finite number, or the word auto."""
+    if raw.strip() == "auto":
+        return "auto"
+    try:
+        val = float(raw)
+        if math.isfinite(val):
+            return val
+    except ValueError:
+        pass
+    raise ValueError(f"needs a finite number or 'auto', got {raw!r}")
+
+
 def _bool(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
@@ -108,7 +122,8 @@ _ALL = tuple(SUBCOMMANDS)
 # One row per option: (section, key, flag, type, subcommands offering the
 # flag, help).  The type converts and checks the config text: float, int,
 # _Int(lo) (at least lo), str, _floats, _pair (exactly two numbers),
-# _index_range (integers lo < hi), _bool, or a tuple of the accepted words.
+# _index_range (integers lo < hi), _bool, _shift (a finite number or auto),
+# or a tuple of the accepted words.
 # Every option is also a config key [section] key = value, accepted by any
 # subcommand.
 OPTIONS = (
@@ -117,7 +132,7 @@ OPTIONS = (
      "identity | diag:1,4 | matrix:2,1;1,2"),
     ("operator", "a", "--a", float, ("symbol-check", "weyl-const", *_ASSEMBLED), "fractional power"),
     ("operator", "sigma", "--sigma", float, ("zaremba", *_ASSEMBLED), "Robin weight on the free boundary"),
-    ("operator", "shift", "--shift", str, ("zaremba",), "positivity shift (number or 'auto')"),
+    ("operator", "shift", "--shift", _shift, ("zaremba",), "positivity shift (number or 'auto')"),
     ("operator", "bc", "--bc", str, _ASSEMBLED, "dirichlet | mixed | periodic"),
     ("operator", "mu", "--mu", float, ("symbol-check",), "reflection order (defaults to the power)"),
     ("domain", "kind", "--domain", str, _DOMAIN, "interval | square | box | disk | ball"),

@@ -14,10 +14,17 @@ input is gathered whole and capped at DENSE_CAP before the gather (eig_path
 A x = lambda B x (the Krein and interface spectra of zaremba) with the same cap
 and symmetry check on both matrices; a B that is not positive definite raises
 NotPositiveError.  Every matrix is checked symmetric within a relative 1e-8
-before it is symmetrized, never silently.  A few lowest pairs: lanczos_extreme,
-ARPACK's implicitly restarted Lanczos on a dense, sparse or matrix-free
-operator, uncapped, residuals checked; within the cap the dense route takes
-what it cannot finish.
+before it is symmetrized, never silently.
+
+A few lowest pairs: lanczos_extreme, on a dense, sparse or matrix-free
+operator, uncapped, with one residual rule for every iterative route.  Three
+routes, chosen from what the input shows: preconditioned LOBPCG (Knyazev,
+SIAM J. Sci. Comput. 23 (2001)) when the operator returns a preconditioner
+(RestrictedPowerOperator.preconditioner: a tensor-block interior and
+0 < a < 1) and k <= LOBPCG_MAX_K, the measured crossover (eig_path
+"lobpcg"); otherwise, or when LOBPCG errs or misses the residual rule,
+ARPACK's implicitly restarted Lanczos (eig_path "lanczos"); and within the
+cap the dense route takes what neither finishes (eig_path "dense").
 
 Every Spectrum holds its eigenvalues ascending, repeated according to
 multiplicity, and checks that order; callers that report a descending
@@ -26,6 +33,7 @@ sequence (the Krein mu of zaremba) reverse the values.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +47,9 @@ DENSE_CAP = 8192
 MAX_RESIDUAL = 1e-8  # eigenpair residual, relative to |lambda|, lanczos_extreme accepts
 BACKWARD_ERROR = 100  # or this many eps ||A|| (measured pairs: 0.7-52 eps ||A||)
 _SCALE_FLOOR = np.finfo(float).eps ** (2.0 / 3.0)  # smallest |lambda| residuals are relative to (ARPACK's)
+LOBPCG_MAX_K = 6  # most pairs LOBPCG is given: ARPACK was faster at k = 8 on box 24, at k = 12 on square 64 and 128
+LOBPCG_TOL = 1e-2 * MAX_RESIDUAL  # LOBPCG's residual target, relative to an upper estimate of |lambda_1|
+LOBPCG_MAXITER = 200  # the slowest k <= 6 measured took 147 (square 64, a = 0.9, k = 5 splitting a double pair)
 
 
 def _check_cap(n: int) -> None:
@@ -139,31 +150,71 @@ def sym_eig(A, B=None, want_vectors: bool = False) -> Spectrum:
     return Spectrum(w, None, meta=meta)
 
 
+def _accepted(op, w: np.ndarray, V: np.ndarray, norm: float) -> tuple[bool, np.ndarray]:
+    """Whether every pair (w, V) meets the residual rule of lanczos_extreme, and the pairs' residuals."""
+    res = Spectrum(w, V).residuals(op)
+    floor = BACKWARD_ERROR * np.finfo(float).eps * norm / np.maximum(np.abs(w), _SCALE_FLOOR)
+    return bool(np.all(res <= np.maximum(MAX_RESIDUAL, floor))), res
+
+
+def _lobpcg(op, k: int, precond, norm: float):
+    """(w, V, residuals, iterations) from preconditioned LOBPCG, or None on an error or a residual miss.
+
+    The start block is fixed, so repeated calls agree bit for bit.  LOBPCG's stopping tolerance is
+    absolute, so it is scaled by the Rayleigh quotient of the first start column preconditioned twice:
+    an upper bound on |lambda_1|, within a factor 4 of it on interval, square and box grids for
+    0.05 <= a <= 0.99.  Its warnings are not misses: the final Rayleigh-Ritz step often leaves pairs
+    locked just under that tolerance a little above it, still well inside the residual rule, which decides.
+    """
+    n = op.shape[0]
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, (n, k))
+    x = precond @ (precond @ X[:, 0])
+    scale = abs(float(x @ (op @ x)) / float(x @ x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            w, V, hist = spla.lobpcg(op, X, M=precond, tol=LOBPCG_TOL * scale, maxiter=LOBPCG_MAXITER,
+                                     largest=False, retResidualNormsHistory=True)
+        except (ValueError, np.linalg.LinAlgError):
+            return None
+    order = np.argsort(w, kind="stable")
+    w, V = w[order], V[:, order]
+    ok, res = _accepted(op, w, V, norm)
+    return (w, V, res, len(hist) - 2) if ok else None
+
+
 def lanczos_extreme(A, k: int = 6, want_vectors: bool = False) -> Spectrum:
     """The k smallest eigenpairs of A (dense, sparse, LinearOperator or .matrix), ascending.
 
-    Above dimension max(4k, 64), ARPACK from a fixed start vector, within DENSE_CAP for about n operator
-    products.  A pair counts if ||A v - lambda v|| <= max(MAX_RESIDUAL |lambda|, BACKWARD_ERROR eps ||A||),
-    ||A|| <= the operator's norm_bound or 1-norm: rounding alone leaves eps ||A||.  Otherwise the dense route
-    answers (residual reported, unchecked), or NumericError past DENSE_CAP.  meta: eig_path, max_residual.
+    Above dimension max(4k, 64) the pairs come from an iterative solver.  When k <= LOBPCG_MAX_K and the
+    operator offers a preconditioner (A.preconditioner() not None), LOBPCG from a fixed start block, to
+    LOBPCG_TOL (eig_path "lobpcg"; meta iterations); otherwise, or when that route misses, ARPACK from a fixed
+    start vector, within DENSE_CAP for about n operator products (eig_path "lanczos").  A pair counts if
+    ||A v - lambda v|| <= max(MAX_RESIDUAL |lambda|, BACKWARD_ERROR eps ||A||), ||A|| <= the operator's
+    norm_bound or 1-norm: rounding alone leaves eps ||A||.  Otherwise the dense route answers (residual
+    reported, unchecked), or NumericError past DENSE_CAP.  meta: eig_path, max_residual.
     """
     op = A.matrix if hasattr(A, "matrix") else A
     n = op.shape[0]
-    ok = False
+    path, extra = "dense", {}
     if n > max(4 * k, 64):
-        ncv = min(n, max(2 * k + 1, 20))
         norm = getattr(op, "norm_bound", 0.0) if isinstance(op, spla.LinearOperator) else abs(op).sum(axis=0).max()
-        try:  # a fixed start vector makes repeated calls agree bit for bit; ARPACK returns ascending values
-            w, V = spla.eigsh(op, k=k, which="SA", tol=0.0, ncv=ncv, v0=np.random.default_rng(0).uniform(-1.0, 1.0, n),
-                              maxiter=n // (ncv - k) + 1 if n <= DENSE_CAP else None)
-            res = Spectrum(w, V).residuals(op)
-            floor = BACKWARD_ERROR * np.finfo(float).eps * norm / np.maximum(np.abs(w), _SCALE_FLOOR)
-            ok = bool(np.all(res <= np.maximum(MAX_RESIDUAL, floor)))
-        except spla.ArpackNoConvergence:
-            pass  # the dense route answers below; past DENSE_CAP, _as_dense raises NumericError
-    if not ok:
+        precond = op.preconditioner() if k <= LOBPCG_MAX_K and hasattr(op, "preconditioner") else None
+        got = None if precond is None else _lobpcg(op, k, precond, norm)
+        if got is not None:
+            w, V, res, iterations = got
+            path, extra = "lobpcg", {"iterations": iterations}
+        else:
+            ncv = min(n, max(2 * k + 1, 20))
+            try:  # a fixed start vector makes repeated calls agree bit for bit; ARPACK returns ascending values
+                w, V = spla.eigsh(op, k=k, which="SA", tol=0.0, ncv=ncv,
+                                  v0=np.random.default_rng(0).uniform(-1.0, 1.0, n),
+                                  maxiter=n // (ncv - k) + 1 if n <= DENSE_CAP else None)
+                ok, res = _accepted(op, w, V, norm)
+                path = "lanczos" if ok else path
+            except spla.ArpackNoConvergence:
+                pass  # the dense route answers below; past DENSE_CAP, _as_dense raises NumericError
+    if path == "dense":
         w, V = scipy.linalg.eigh(_check_symmetric(_as_dense(op)), subset_by_index=[0, min(k, n) - 1])
         res = Spectrum(w, V).residuals(op)
-    return Spectrum(w, V if want_vectors else None,
-                    meta={"eig_path": "lanczos" if ok else "dense", "max_residual": float(res.max())})
-
+    return Spectrum(w, V if want_vectors else None, meta={"eig_path": path, "max_residual": float(res.max()), **extra})

@@ -118,11 +118,22 @@ class SecondOrderCoeffs:
         return self.a
 
     def a_batch(self, points: np.ndarray) -> np.ndarray:
-        """Coefficient matrices at many points, shape (npts, n, n)."""
+        """Coefficient matrices at many points, shape (npts, n, n).
+
+        A callable coefficient is called once per point, like a_at, and the
+        stacked result's shape is checked once.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.constant:
             return np.broadcast_to(self.a, (points.shape[0], self.n, self.n)).copy()
-        return np.stack([self.a_at(x) for x in points])
+        mats = [self.a(x) for x in points]
+        try:
+            out = np.array(mats, dtype=float)
+        except ValueError:  # ragged: the matrices differ in shape
+            out = None
+        if out is None or out.shape != (points.shape[0], self.n, self.n):
+            raise ValueError("coefficient callable returned a wrong shape")
+        return out
 
     def describe(self) -> str:
         if not self.constant:

@@ -24,6 +24,7 @@ from fracspec.cli import (
     _Int,
     _merge_flags,
     _pair,
+    _shift,
     execute,
 )
 
@@ -151,7 +152,7 @@ class TestPipelines:
             tmp_path,
         ) == 0
         rows = report_lines(tmp_path, "spectrum")
-        assert rows["eig_path"] == "lanczos"
+        assert rows["eig_path"] == "lobpcg"  # a tensor block, a = 1/2 and k = 6: preconditioned LOBPCG
         assert float(rows["max_residual"]) <= 1e-8
         assert int(rows["count"]) == 6
 
@@ -183,7 +184,7 @@ class TestPipelines:
         assert run(["spectrum", "--a", "0.5", "--domain", "square", "--nodes", "32"], tmp_path) == 3
         assert "capped at 200, got 256" in capsys.readouterr().err and not gathers
 
-    @pytest.mark.parametrize("a", ["1", "0.5"])  # sparse and matrix-free Lanczos
+    @pytest.mark.parametrize("a", ["1", "0.5"])  # sparse Lanczos, matrix-free preconditioned LOBPCG
     def test_boundary_exp_repro_in_process(self, tmp_path, a):
         args = ["boundary-exp", "--coeffs", "identity", "--domain", "square",
                 "--nodes", "24", "--a", a, "--repro"]
@@ -191,7 +192,7 @@ class TestPipelines:
         first = (tmp_path / "boundary-exp-report.txt").read_bytes()
         assert run(args, tmp_path) == 0
         assert (tmp_path / "boundary-exp-report.txt").read_bytes() == first
-        assert report_lines(tmp_path, "boundary-exp")["eig_path"] == "lanczos"
+        assert report_lines(tmp_path, "boundary-exp")["eig_path"] == {"1": "lanczos", "0.5": "lobpcg"}[a]
 
     def test_zaremba_square_grid(self, tmp_path):
         assert run(
@@ -281,6 +282,8 @@ _CONSTRAINT_CASES = [
     (["spectrum", "--count", "100", "--nodes", "8"], "task.count 100 exceeds the operator dimension 49"),
     (["weyl-fit", "--window", "2.7,30.9"], "task.window"),
     (["weyl-fit", "--window", "30,2"], "needs lo < hi"),
+    (["zaremba", "--shift", "abc"], "operator.shift: cannot read 'abc' (needs a finite number or 'auto'"),
+    (["zaremba", "--shift", "inf"], "operator.shift: cannot read 'inf' (needs a finite number or 'auto'"),
     # coefficient and --n dimensions against the domain's
     (["zaremba", "--domain", "box", "--coeffs", "diag:1,2", "--nodes", "64"],
      "coefficients 'diag:1,2' are 2-dimensional, but the box domain is 3-dimensional"),
@@ -547,6 +550,7 @@ _SAMPLES = {
     _pair: ("1;2.5", "1;2.5", [1.0, 2.5]),
     _index_range: ("2;30", "2;30", [2, 30]),
     _Int(1): ("07", "7", 7),
+    _shift: ("2.50", "2.50", 2.5),
 }
 
 
@@ -581,4 +585,15 @@ def test_cli_import_leaves_numeric_stack_unloaded():
         [sys.executable, "-c", "import fracspec.cli, sys; assert 'numpy' not in sys.modules"],
         env=env, capture_output=True, text=True,
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_pipeline_imports_leave_scipy_special_and_fft_unloaded():
+    # scipy.special (tens of ms to import) serves only singular-probe, and the sine transform of the LOBPCG
+    # preconditioner is numpy's: importing the modules a pipeline run needs loads neither
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, fracspec.asymptotics, fracspec.cli, fracspec.discretize, fracspec.eig, fracspec.zaremba; "
+            "loaded = [m for m in ('scipy.special', 'scipy.fft') if m in sys.modules]; assert not loaded, loaded")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -141,7 +141,7 @@ def test_eig_is_the_only_eigensolver_caller():
     # every dense or iterative eigensolve of the package goes through eig.py
     src = pathlib.Path(eig.__file__).parent
     callers = [p.name for p in sorted(src.glob("*.py"))
-               if p.name != "eig.py" and re.search(r"\b(eigh|eigvalsh|eigsh)\(", p.read_text())]
+               if p.name != "eig.py" and re.search(r"\b(eigh|eigvalsh|eigsh|lobpcg)\(", p.read_text())]
     assert callers == []
 
 
@@ -266,3 +266,81 @@ def test_lanczos_no_convergence_falls_back(monkeypatch):
     # both dense solves are backward stable: they agree to eps ||A||, not to eps lambda_1
     dense = sym_eig(fractional_restricted(mult, 1.5, grid=g)).values[0]
     assert spec.values[0] == pytest.approx(dense, abs=eig.BACKWARD_ERROR * np.finfo(float).eps * op.norm_bound)
+
+
+def _power_operator(domain, nodes, a=0.5, form=None):
+    g = build_grid(domain, nodes)
+    coeffs = SecondOrderCoeffs.laplacian(g.n) if form is None else SecondOrderCoeffs(g.n, a=form)
+    return RestrictedPowerOperator(TorusMultiplier.from_coeffs(coeffs), a, g)
+
+
+@pytest.mark.parametrize("shape, axes", [((1,), (0,)), ((9,), (0,)), ((6, 5), (0, 1)), ((5, 4, 3), (0, 1)),
+                                         ((4, 3, 6, 2), (0, 1, 2))])
+def test_dst1_matches_scipy_fft(shape, axes):
+    import scipy.fft
+
+    from fracspec._kernels import dst1
+
+    X = np.random.default_rng(len(shape)).standard_normal(shape)
+    expect = scipy.fft.dstn(X, type=1, norm="ortho", axes=axes)
+    assert np.allclose(dst1(X, axes), expect, rtol=0.0, atol=1e-14 * np.abs(X).sum())
+    assert np.allclose(dst1(dst1(X, axes), axes), X, rtol=0.0, atol=1e-13)  # its own inverse
+
+
+def test_preconditioner_inverts_the_spectral_power_on_sine_modes():
+    # the sine mode (j1, j2) of a rectangle block is an eigenvector of S diag(lambda^-a) S, with
+    # lambda = sum_k a_kk (pi j_k / ((L_k + 1) h))^2 from the form's diagonal only
+    form = np.array([[2.0, 0.3], [0.3, 0.5]])
+    op = _power_operator(DomainSpec("rectangle", lengths=(1.0, 0.75)), 16, a=0.4, form=form)
+    L, h = op._tensor_block()[1], op.grid.h
+    assert tuple(L) == (15, 11)
+    j = (2, 3)
+    u = np.multiply.outer(*(np.sin(np.pi * jk * np.arange(1, Lk + 1) / (Lk + 1)) for jk, Lk in zip(j, L))).ravel()
+    lam = sum(d * (np.pi * jk / ((Lk + 1) * h)) ** 2 for d, jk, Lk in zip((2.0, 0.5), j, L))
+    assert np.allclose(op.preconditioner() @ u, lam**-0.4 * u, rtol=0.0, atol=1e-12 * lam**-0.4)
+
+
+@pytest.mark.parametrize("domain, a, path", [
+    (DomainSpec.disk(radius=0.5), 0.5, "lanczos"),  # no tensor block
+    (DomainSpec.unit_square(), 1.0, "lanczos"),
+    (DomainSpec.unit_square(), 1.5, "dense"),  # ||A|| / lambda_1 ~ 1e5: ARPACK stops short, the dense route answers
+], ids=["disk", "a=1", "a=1.5"])
+def test_preconditioner_only_for_tensor_blocks_and_a_below_1(domain, a, path):
+    op = _power_operator(domain, 24, a=a)
+    assert op.preconditioner() is None
+    spec = lanczos_extreme(op, k=1)
+    assert spec.meta["eig_path"] == path and "iterations" not in spec.meta
+
+
+def test_lobpcg_route_up_to_max_k():
+    op = _power_operator(DomainSpec.unit_square(), 32)
+    dense = sym_eig(op).values
+    for k, path in ((1, "lobpcg"), (eig.LOBPCG_MAX_K, "lobpcg"), (eig.LOBPCG_MAX_K + 1, "lanczos")):
+        spec = lanczos_extreme(op, k=k)
+        assert spec.meta["eig_path"] == path and spec.meta["max_residual"] <= eig.MAX_RESIDUAL
+        assert np.allclose(spec.values, dense[:k], rtol=1e-10)
+    assert lanczos_extreme(op, k=1).meta["iterations"] > 0
+
+
+@pytest.mark.parametrize("fault", ["miss", "error"])
+def test_lobpcg_miss_falls_back_to_arpack(monkeypatch, fault):
+    # pairs that fail the residual rule, or an error inside LOBPCG, hand the request to ARPACK
+    def lobpcg(A, X, **kwargs):
+        if fault == "error":
+            raise ValueError("eigh has failed in lobpcg postprocessing")
+        return np.ones(X.shape[1]), np.linalg.qr(X)[0], [None] * 3  # random unit vectors: far from eigenvectors
+
+    monkeypatch.setattr(eig.spla, "lobpcg", lobpcg)
+    op = _power_operator(DomainSpec.unit_square(), 32)
+    spec = lanczos_extreme(op, k=2, want_vectors=True)
+    assert spec.meta["eig_path"] == "lanczos" and spec.meta["max_residual"] <= eig.MAX_RESIDUAL
+    assert np.allclose(spec.values, sym_eig(op).values[:2], rtol=1e-10)
+
+
+def test_lobpcg_repeat_calls_bit_identical():
+    # a fixed start block: two calls in one process agree to the last bit
+    op = _power_operator(DomainSpec.unit_square(), 32)
+    first, second = (lanczos_extreme(op, k=3, want_vectors=True) for _ in range(2))
+    assert first.meta["eig_path"] == "lobpcg" and first.meta == second.meta
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.vectors, second.vectors)

@@ -2,14 +2,16 @@
 
 fractional_restricted gathers r+ P_a e+ into a dense matrix and stays the
 reference; RestrictedPowerOperator applies the same operator by transforms,
-lanczos_extreme takes a few pairs from it, and sym_eig takes its full
-spectrum from the reflection-parity blocks.  Random SPD forms in
-n = 1, 2, 3, powers a in (0, 1.5] and small grids; for the parity blocks,
-random diagonal forms, powers a in (0, 2) and boxes with odd and even
-node counts per axis.
+lanczos_extreme takes a few pairs from it (preconditioned LOBPCG for a < 1,
+ARPACK's Lanczos from a = 1 on), and sym_eig takes its full spectrum from
+the reflection-parity blocks.  Random SPD forms in n = 1, 2, 3, with cross
+terms, powers a in (0, 1.5] and small grids; for the parity blocks, random
+diagonal forms, powers a in (0, 2) and boxes with odd and even node counts
+per axis.
 """
 
 import numpy as np
+import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
 
 # (domain, nodes per axis) ranges with more than 64 interior nodes, so k <= 4
-# pairs take the Lanczos route, and at least 20 samples in the default band
+# pairs take an iterative route, and at least 20 samples in the default band
 DOMAINS = {
     1: (DomainSpec.unit_interval, 72, 128),
     2: (DomainSpec.unit_square, 10, 16),
@@ -59,7 +61,20 @@ def test_few_pairs_match_dense_eigenvalues(problem, k):
     mult, a, grid, _ = problem
     dense = sla.eigvalsh(fractional_restricted(mult, a, grid=grid).toarray())
     spec = lanczos_extreme(RestrictedPowerOperator(mult, a, grid), k=k)
+    assert a >= 1.0 or spec.meta["eig_path"] == "lobpcg"  # from a = 1 on, ARPACK, or the dense route
     # both solvers carry an absolute error of order eps ||A||, which dominates for large a
+    assert np.allclose(spec.values, dense[:k], rtol=1e-10, atol=1e-13 * dense[-1])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("form", [np.eye(2), np.array([[2.0, 0.3], [0.3, 1.0]])], ids=["identity", "cross"])
+def test_few_pairs_degenerate_and_cross_forms(form, k):
+    # the identity form's pairs 2 and 3 form one eigenspace: k = 2 splits it, k = 3 takes it whole
+    grid = build_grid(DomainSpec.unit_square(), 16)
+    mult = TorusMultiplier.from_coeffs(SecondOrderCoeffs(2, a=form))
+    dense = sla.eigvalsh(fractional_restricted(mult, 0.5, grid=grid).toarray())
+    spec = lanczos_extreme(RestrictedPowerOperator(mult, 0.5, grid), k=k)
+    assert spec.meta["eig_path"] == "lobpcg"
     assert np.allclose(spec.values, dense[:k], rtol=1e-10, atol=1e-13 * dense[-1])
 
 
@@ -69,6 +84,7 @@ def test_ground_state_boundary_exponent_matches_dense(problem):
     mult, a, grid, _ = problem
     _, vecs = sla.eigh(fractional_restricted(mult, a, grid=grid).toarray(), subset_by_index=[0, 0])
     ground = lanczos_extreme(RestrictedPowerOperator(mult, a, grid), k=1, want_vectors=True)
+    assert a >= 1.0 or ground.meta["eig_path"] == "lobpcg"
     assert abs(boundary_exponent(ground.vectors[:, 0], grid) - boundary_exponent(vecs[:, 0], grid)) <= 1e-8
 
 

@@ -16,6 +16,26 @@ def _random_frame(rng, n):
     return q * np.sign(np.diag(r))
 
 
+def test_a_batch_matches_the_per_point_loop():
+    # one call of the coefficient per point, the same matrices bit for bit as stacking a_at
+    rng = np.random.default_rng(3)
+    q = _random_frame(rng, 3)
+    coeffs = sy.SecondOrderCoeffs(3, a=lambda x: (q * (2.0 + np.sin(x))) @ q.T)
+    pts = rng.uniform(-1.0, 1.0, (50, 3))
+    assert np.array_equal(coeffs.a_batch(pts), np.stack([coeffs.a_at(x) for x in pts]))
+
+
+@pytest.mark.parametrize("field", [
+    lambda x: np.eye(2),  # every matrix the wrong size
+    lambda x: np.eye(3)[: 2 + (x[0] > 0)],  # ragged: the sizes differ between points
+    lambda x: float(x[0]),  # a number, not a matrix
+])
+def test_a_batch_rejects_wrong_shapes(field):
+    pts = np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="wrong shape"):
+        sy.SecondOrderCoeffs(3, a=field).a_batch(pts)
+
+
 def test_ellipticity_margin_examples():
     pts = [[0.0, 0.0], [0.5, 0.5]]
     assert sy.strong_ellipticity_margin(sy.SecondOrderCoeffs.laplacian(2), pts) == pytest.approx(1.0, abs=1e-12)
