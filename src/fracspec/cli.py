@@ -302,7 +302,7 @@ def _build_domain(cfg):
 
 
 def _assemble_operator(cfg):
-    """Assembled operator plus its grid; a fractional power is the matrix-free RestrictedPowerOperator."""
+    """Assembled operator, its grid and the power a; a fractional power is the matrix-free RestrictedPowerOperator."""
     from .discretize import RestrictedPowerOperator, TorusMultiplier, assemble_second_order, build_grid
     from .errors import ConfigurationError
 
@@ -315,10 +315,10 @@ def _assemble_operator(cfg):
     if a == 1.0:
         sigma = _get(cfg, "operator", "sigma", 0.0) if bc == "mixed" else None
         A = assemble_second_order(coeffs, grid, bc=bc, sigma=sigma)
-        return A, grid, coeffs, a
+        return A, grid, a
     if bc != "dirichlet":
         raise ConfigurationError("fractional powers are restricted with Dirichlet exterior data")
-    return RestrictedPowerOperator(TorusMultiplier.from_coeffs(coeffs), a, grid), grid, coeffs, a
+    return RestrictedPowerOperator(TorusMultiplier.from_coeffs(coeffs), a, grid), grid, a
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +525,7 @@ def _cmd_spectrum(cfg, args, em: Emitter) -> list[str]:
     from .errors import ConfigurationError
 
     count = _get(cfg, "task", "count", None)
-    A, grid, coeffs, a = _assemble_operator(cfg)
+    A, grid, a = _assemble_operator(cfg)
     if count is not None and count > A.shape[0]:
         raise ConfigurationError(f"task.count {count} exceeds the operator dimension {A.shape[0]}")
     spec = sym_eig(A) if count is None else lanczos_extreme(A, k=count)
@@ -564,7 +564,7 @@ def _cmd_weyl_fit(cfg, args, em: Emitter) -> list[str]:
         values = _load_csv_values(source)
         label = source
     else:
-        A, grid, coeffs, a = _assemble_operator(cfg)
+        A, grid, a = _assemble_operator(cfg)
         values = sym_eig(A).values
         label = A.descriptor
     window = _get(cfg, "task", "window")
@@ -608,7 +608,7 @@ def _cmd_boundary_exp(cfg, args, em: Emitter) -> list[str]:
     from .asymptotics import boundary_exponent, ratio_trace_check
     from .eig import lanczos_extreme
 
-    A, grid, coeffs, a = _assemble_operator(cfg)
+    A, grid, a = _assemble_operator(cfg)
     ground = lanczos_extreme(A, k=1, want_vectors=True)
     u = ground.vectors[:, 0]
     band = _get(cfg, "task", "band")  # None: the default band of asymptotics._fit_band

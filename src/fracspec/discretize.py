@@ -1,20 +1,22 @@
 """Grids and matrix realizations.
 
 Uniform torus grids carry the periodic-embedding path for restricted
-fractional powers r+ P_a e+, either gathered into a dense matrix
-(fractional_restricted, the oracle and the general route) or held as an
-operator (RestrictedPowerOperator) that is applied matrix-free by transforms,
-for a few eigenpairs past the dense cap, and that splits into
-reflection-parity blocks (ParitySplit) on tensor-block interiors, for full
-spectra.  The same grids feed the second-order Dirichlet, mixed
-and periodic assemblies, which sum the form over the closure nodes of
-the domain with one neighbour rule for every boundary condition; which
-node lies on which face plane is decided once, from integer torus
-indices (Grid.planes), and grid_spacing is the one spacing rule.
-schur_split is the one Schur complement: its extension map K and
-interface S are the discrete Poisson extension and, weighted by the
-boundary measure, the discrete Dirichlet-to-Neumann operator of the
-Krein assembly (zaremba.KreinAssembly.K and L_weighted).
+fractional powers r+ P_a e+ of a torus multiplier: RestrictedPowerOperator
+evaluates the multiplier's power once and is the one owner of its torus
+kernel.  It is applied matrix-free by transforms, for a few eigenpairs
+past the dense cap, gathered into a dense matrix (toarray), and split
+into reflection-parity blocks (ParitySplit) on tensor-block interiors,
+for full spectra.  fractional_restricted is the dense route for a matrix
+base, by eigendecomposition, and the transform route's oracle.  The
+same grids feed the second-order Dirichlet, mixed and periodic
+assemblies, which sum the form over the closure nodes of the domain
+with one neighbour rule for every boundary condition; which node lies
+on which face plane is decided once, from integer torus indices
+(Grid.planes), and grid_spacing is the one spacing rule.  schur_split
+is the one Schur complement: its extension map K and interface S are
+the discrete Poisson extension and, weighted by the boundary measure,
+the discrete Dirichlet-to-Neumann operator of the Krein assembly
+(zaremba.KreinAssembly.K and L_weighted).
 
 Unit conventions
 ----------------
@@ -366,17 +368,7 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
     form.sum_duplicates()
     mat = form / h**n
     desc = f"second-order form, bc={bc}, coefficients {coeffs.describe()}"
-    meta = {
-        "units": "operator",
-        "row_sets": row_sets,
-        "node_ids": keep,
-        "h": h,
-        "bc": bc,
-    }
-    if a0:
-        meta["a0"] = "callable" if callable(a0) else float(a0)
-    if bc == "mixed":
-        meta["sigma"] = "callable" if callable(sigma) else float(sigma)
+    meta = {"units": "operator", "row_sets": row_sets, "node_ids": keep, "h": h}
     return OperatorMatrix(mat, grid, desc, meta)
 
 
@@ -417,19 +409,6 @@ def _multiplier_values(mult: TorusMultiplier, grid: Grid) -> np.ndarray:
     return vals
 
 
-def _symbol_power(mult: TorusMultiplier, a: float, grid: Grid) -> np.ndarray:
-    """The multiplier to the power a on the frequency lattice.
-
-    The one source of the symbol for both the dense gather and the
-    matrix-free apply, so the two routes realize the same operator.
-    """
-    vals = _multiplier_values(mult, grid)
-    if vals.min() < -1e-10 * max(vals.max(), 1.0):
-        raise NotPositiveError("multiplier takes negative values on the frequency lattice")
-    vals = np.clip(vals, 0.0, None)
-    return vals**a
-
-
 def _reflect(x: np.ndarray, axes) -> np.ndarray:
     """x(-d) of a torus array x(d), d negated modulo the torus along the given axes."""
     return np.roll(np.flip(x, axes), 1, axes)
@@ -441,11 +420,6 @@ def _even_kernel(vals_pow: np.ndarray) -> np.ndarray:
     return 0.5 * (kern + _reflect(kern, tuple(range(kern.ndim))))
 
 
-def _restricted_from_multiplier(vals_pow: np.ndarray, grid: Grid, interior: np.ndarray) -> np.ndarray:
-    multi = np.stack(np.unravel_index(interior, grid.shape), axis=-1)
-    return _kernels.toeplitz_gather(_even_kernel(vals_pow).ravel(), multi, grid.shape)
-
-
 def materialize_torus_operator(mult: TorusMultiplier, grid: Grid) -> OperatorMatrix:
     """Dense torus matrix of a Fourier multiplier.
 
@@ -453,50 +427,35 @@ def materialize_torus_operator(mult: TorusMultiplier, grid: Grid) -> OperatorMat
     fractional_restricted, the slow-but-generic contrast to the
     transform route of the multiplier itself.
     """
-    vals = _multiplier_values(mult, grid)
-    dense = _restricted_from_multiplier(vals, grid, np.arange(grid.size))
+    kern = _even_kernel(_multiplier_values(mult, grid))
+    multi = np.stack(np.unravel_index(np.arange(grid.size), grid.shape), axis=-1)
+    dense = _kernels.toeplitz_gather(kern.ravel(), multi, grid.shape)
     meta = {"units": "operator", "h": grid.h}
     return OperatorMatrix(dense, grid, f"dense torus matrix of {mult.descriptor}", meta)
 
 
 def fractional_restricted(base, a: float, grid: Grid | None = None, interior=None) -> OperatorMatrix:
-    """Discrete r+ P_a e+: the a-th power on the torus, cut down to Omega.
+    """Discrete r+ P_a e+ of a matrix base: its a-th power, cut down to interior.
 
-    base is either a TorusMultiplier (constant-coefficient fast path via
-    the fast transform) or a symmetric positive semidefinite torus
-    matrix (dense eigendecomposition path: eig.sym_eig, capped at
-    eig.DENSE_CAP and checked symmetric).  a = 1 with a matrix base
-    returns the principal submatrix exactly.
+    base is a symmetric positive semidefinite torus matrix (dense, sparse
+    or an OperatorMatrix); its power comes from a dense eigendecomposition
+    (eig.sym_eig, capped at eig.DENSE_CAP and checked symmetric).
+    interior defaults to grid.interior_idx, or to every row without a
+    grid.  This is the dense route of criterion 05 and the oracle of the
+    transform route, RestrictedPowerOperator.
     """
     if not a > 0.0:
         raise ValueError("fractional exponent a must be positive")
     if interior is None:
-        if grid is not None:
-            interior = grid.interior_idx
-    interior = None if interior is None else np.asarray(interior)
-
-    if isinstance(base, TorusMultiplier):
-        if grid is None:
-            raise ConfigurationError("multiplier path needs a grid")
-        idx = interior if interior is not None else np.arange(grid.size)
-        R = _restricted_from_multiplier(_symbol_power(base, a, grid), grid, idx)
-        desc = f"({base.descriptor})^{a:g} restricted to {idx.size} nodes"
-        return OperatorMatrix(R, grid, desc, {"units": "operator", "path": "multiplier", "a": a})
-
-    desc_base = base.descriptor if isinstance(base, OperatorMatrix) else "matrix"
-    idx = interior if interior is not None else np.arange(np.shape(base)[0])
-
-    if a == 1.0:
-        mat = base.toarray() if isinstance(base, OperatorMatrix) else np.asarray(base, dtype=float)
-        R = mat[np.ix_(idx, idx)]
-        return OperatorMatrix(R, grid, f"({desc_base}) restricted", {"units": "operator", "path": "submatrix", "a": 1.0})
-
+        interior = grid.interior_idx if grid is not None else np.arange(np.shape(base)[0])
+    idx = np.asarray(interior)
     spec = sym_eig(base, want_vectors=True)  # capped before base is gathered
     w = spec.values
     if w.min() < -1e-10 * max(abs(w.max()), 1.0):
         raise NotPositiveError("base operator has negative eigenvalues beyond tolerance")
     R = _power_from_pairs(np.clip(w, 0.0, None), spec.vectors, a)[np.ix_(idx, idx)]
-    return OperatorMatrix(R, grid, f"({desc_base})^{a:g} restricted", {"units": "operator", "path": "dense", "a": a})
+    desc_base = base.descriptor if isinstance(base, OperatorMatrix) else "matrix"
+    return OperatorMatrix(R, grid, f"({desc_base})^{a:g} restricted", {"units": "operator"})
 
 
 @dataclass(frozen=True)
@@ -555,16 +514,17 @@ class ParitySplit:
 class RestrictedPowerOperator(spla.LinearOperator):
     """Matrix-free r+ P_a e+ for a torus multiplier.
 
-    The operator fractional_restricted gathers into a dense m x m matrix,
-    applied instead by zero extension, transforms and restriction
-    (circulant embedding: Chan & Jin, An Introduction to Iterative
-    Toeplitz Solvers, SIAM 2007).  Storage is one half-lattice symbol and
-    each product costs two transforms of the torus, so a few Lanczos
-    pairs stay within reach past the dense cap.  The dense gather keeps
-    the real, symmetrized part of the torus kernel, i.e. the even part of
-    the lattice symbol, and that even part is what the transforms multiply
-    by; toarray() is the gather itself, for the dense route, and
-    parity_split() the reflection-parity blocks, for full spectra.
+    The multiplier is evaluated once, on the torus frequency lattice, and
+    raised to the power a; both forms of the operator come from that one
+    array.  Products use its even part on the half lattice: zero
+    extension, transforms and restriction (circulant embedding: Chan &
+    Jin, An Introduction to Iterative Toeplitz Solvers, SIAM 2007), two
+    transforms of the torus each, so a few Lanczos pairs stay within
+    reach past the dense cap.  The dense forms use its torus kernel, the
+    real, symmetrized inverse transform, i.e. the kernel of the same even
+    part: toarray() gathers it into the m x m matrix, for the dense
+    route, and parity_split() folds it into reflection-parity blocks, for
+    full spectra.  The kernel is built on the first of those calls only.
     """
 
     def __init__(self, mult: TorusMultiplier, a: float, grid: Grid):
@@ -572,11 +532,19 @@ class RestrictedPowerOperator(spla.LinearOperator):
             raise ValueError("fractional exponent a must be positive")
         idx = grid.interior_idx
         super().__init__(np.float64, (idx.size, idx.size))
-        vals_pow = _symbol_power(mult, a, grid)
-        even = 0.5 * (vals_pow + _reflect(vals_pow, tuple(range(grid.n))))
+        vals = _multiplier_values(mult, grid)
+        if vals.min() < -1e-10 * max(vals.max(), 1.0):
+            raise NotPositiveError("multiplier takes negative values on the frequency lattice")
+        self._vals_pow = np.clip(vals, 0.0, None) ** a
+        even = 0.5 * (self._vals_pow + _reflect(self._vals_pow, tuple(range(grid.n))))
         self.symbol = np.ascontiguousarray(even[..., : grid.shape[-1] // 2 + 1])
         self.mult, self.a, self.grid, self.interior = mult, a, grid, idx
         self.descriptor = f"({mult.descriptor})^{a:g} restricted to {idx.size} nodes"
+
+    @functools.cached_property
+    def _kernel(self) -> np.ndarray:
+        """The even torus kernel of the power, torus shape."""
+        return _even_kernel(self._vals_pow)
 
     @property
     def norm_bound(self) -> float:
@@ -584,8 +552,9 @@ class RestrictedPowerOperator(spla.LinearOperator):
         return float(np.abs(self.symbol).max())
 
     def toarray(self) -> np.ndarray:
-        """The dense matrix fractional_restricted gathers for the same operator."""
-        return fractional_restricted(self.mult, self.a, grid=self.grid).matrix
+        """The dense m x m matrix: the kernel read at the offsets between interior nodes."""
+        multi = np.stack(np.unravel_index(self.interior, self.grid.shape), axis=-1)
+        return _kernels.toeplitz_gather(self._kernel.ravel(), multi, self.grid.shape)
 
     def parity_split(self) -> ParitySplit | None:
         """The reflection-parity blocks of the operator, or None when it does not split.
@@ -598,12 +567,12 @@ class RestrictedPowerOperator(spla.LinearOperator):
         if block is None:
             return None
         corner, lengths = block
-        kern = _even_kernel(_symbol_power(self.mult, self.a, self.grid))
+        kern = self._kernel
         scale = np.abs(kern).max()
         defect = max(np.abs(kern - _reflect(kern, k)).max() for k in range(kern.ndim)) / scale
         if not defect <= PARITY_DEFECT:  # NaN for a zero kernel: no split either
             return None
-        for k in range(kern.ndim):  # each step keeps the earlier axes even bit for bit
+        for k in range(kern.ndim):  # each step keeps the earlier axes even bit for bit; the cached kernel stays
             kern = 0.5 * (kern + _reflect(kern, k))
         return ParitySplit(kern, corner, lengths, float(defect))
 

@@ -252,9 +252,11 @@ def krein_term(coeffs: SecondOrderCoeffs, sigma, grid: Grid, partition=None,
 def _positivity_shift(shift, coeffs: SecondOrderCoeffs, sigma, domain, grid: Grid | None = None) -> float:
     """The zero-order shift of the mixed problem: a number as given, or the value of "auto".
 
-    "auto" is exactly 1 on inputs whose mixed assembly is known to be positive: the disk
-    (the Laplacian, the only form its route accepts) and separable_face inputs, on either
-    route.  Elsewhere it is 1 + max(0, -2 lambda_min), lambda_min a Lanczos estimate on the
+    "auto" is exactly 1 on the disk (the Laplacian, the only form its route accepts) and on
+    separable_face inputs, on either route.  Shift 1 is known positive there only for
+    sigma >= 0, which separable_face requires and the disk does not: the disk has no
+    lowest-eigenvalue estimate, and a negative sigma there may raise NotPositiveError.
+    Elsewhere it is 1 + max(0, -2 lambda_min), lambda_min a Lanczos estimate on the
     unshifted mixed assembly on grid.
     """
     if shift != "auto":
@@ -512,7 +514,10 @@ def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: flo
         # commutes with the interior elimination, so adding it here is exact
         S_plus = S_plus + sigma * arc_w * np.eye(sel.size)
 
-    mu = sym_eig(Q_plus, S_plus).values[::-1]
+    try:
+        mu = sym_eig(Q_plus, S_plus).values[::-1]
+    except NotPositiveError as exc:  # S_plus is the pencil's B
+        raise NotPositiveError(_NOT_POSITIVE) from exc
 
     L_weighted = S_plus / arc_w
     d_lo = radius * (thetas[sel] - th0)

@@ -254,6 +254,10 @@ class TestPipelines:
         assert rows["n2_flagged"] == "True"
         assert (rows["krein_path"], rows["identity_check"]) == ("modes", "not_run")
 
+    def test_zaremba_disk_mildly_negative_sigma_answers_at_shift_one(self, tmp_path):
+        assert run(["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--sigma", "-0.5"], tmp_path) == 0
+        assert report_lines(tmp_path, "zaremba")["shift"] == "1.0"
+
     def test_zaremba_disk_default_is_the_laplacian(self, tmp_path):
         base = ["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--repro"]
         assert run(base, tmp_path / "default") == 0
@@ -334,6 +338,13 @@ _CONSTRAINT_CASES = [
      "domain.cap applies to the ball only, not the box domain"),
 ]
 
+# numeric failures, exit 3, each message naming its remedy
+_NUMERIC_CASES = [
+    # shift 1 is known positive on the disk for sigma >= 0 only
+    (["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--sigma", "-5"],
+     "interface Schur complement is not positive definite; apply a larger positivity shift"),
+]
+
 
 class TestConfigHandling:
     def test_config_file_and_flag_override(self, tmp_path):
@@ -400,6 +411,12 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
         assert "Traceback" not in err and not (tmp_path / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("argv, message", _NUMERIC_CASES, ids=[" ".join(argv) for argv, _ in _NUMERIC_CASES])
+    def test_numeric_failure_names_remedy_exit_3(self, tmp_path, argv, message, capsys):
+        assert run(argv, tmp_path) == 3
+        assert capsys.readouterr().err == f"numeric failure: {message}\n"
+        assert not (tmp_path / "manifest.txt").exists()
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--domain", "disk", "--nodes", "12", "--bc", "mixed"],

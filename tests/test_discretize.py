@@ -1,9 +1,9 @@
 """Grid construction, second-order assembly, and fractional restriction.
 
-Two contrast objects live here, since only tests use them: the spectral
-fractional power of a Dirichlet matrix, and a boundary-fitted polar disk
-grid with its form-unit Laplacian (the assembled oracle of the disk mode
-route in zaremba, imported by test_zaremba).
+One contrast object lives here, since only tests use it: a
+boundary-fitted polar disk grid with its form-unit Laplacian (the
+assembled oracle of the disk mode route in zaremba, imported by
+test_zaremba).
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,7 @@ from scipy.special import jn_zeros
 from fracspec.discretize import (
     Grid,
     OperatorMatrix,
+    RestrictedPowerOperator,
     TorusMultiplier,
     _distance_to_boundary,
     assemble_second_order,
@@ -25,7 +26,6 @@ from fracspec.discretize import (
     materialize_torus_operator,
     schur_split,
 )
-from fracspec.eig import sym_eig
 from fracspec.errors import ConfigurationError, InvariantError, NotPositiveError, NumericError
 from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
@@ -34,20 +34,6 @@ from fracspec.zaremba import krein_from_matrix
 
 def laplacian(n):
     return SecondOrderCoeffs.laplacian(n)
-
-
-def spectral_fractional_dirichlet(A_dir, a: float) -> OperatorMatrix:
-    """The a-th power of the Dirichlet realization itself (contrast object)."""
-    mat = A_dir.toarray() if isinstance(A_dir, OperatorMatrix) else np.asarray(A_dir, dtype=float)
-    desc = A_dir.descriptor if isinstance(A_dir, OperatorMatrix) else "matrix"
-    grid = A_dir.grid if isinstance(A_dir, OperatorMatrix) else None
-    if a == 1.0:
-        return OperatorMatrix(mat.copy(), grid, desc, {"units": "operator", "a": 1.0})
-    spec = sym_eig(mat, want_vectors=True)
-    if spec.values.min() <= 0.0:
-        raise NotPositiveError("Dirichlet realization must be positive definite")
-    F = spec.vectors * spec.values ** (0.5 * a)
-    return OperatorMatrix(F @ F.T, grid, f"({desc})^{a:g} spectral", {"units": "operator", "a": a})
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +427,11 @@ class TestFractional:
     def test_whole_torus_eigenvalues_are_multiplier_powers(self):
         g = build_grid(DomainSpec.unit_interval(), 16)
         mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 + 1.0)
-        R = fractional_restricted(mult, 0.5, g, interior=np.arange(g.size))
+        R = fractional_restricted(materialize_torus_operator(mult, g), 0.5, g, interior=np.arange(g.size))
         w = np.sort(sla.eigvalsh(R.toarray()))
         xi = g.frequencies()[0]
         expect = np.sort((xi**2 + 1.0) ** 0.5)
         assert np.allclose(w, expect, rtol=1e-10)
-
-    def test_exponent_one_is_exact_submatrix(self):
-        rng = np.random.default_rng(7)
-        B = rng.standard_normal((12, 12))
-        base = B @ B.T
-        idx = np.array([0, 3, 5, 11])
-        R = fractional_restricted(base, 1.0, interior=idx)
-        assert np.array_equal(R.toarray(), base[np.ix_(idx, idx)])
 
     def test_restricted_below_spectral(self):
         # half-circle restriction of the 1D periodic Laplacian
@@ -461,7 +439,7 @@ class TestFractional:
         Ap = assemble_second_order(laplacian(1), g, bc="periodic")
         Rr = fractional_restricted(Ap, 0.5, g)
         Ad = assemble_second_order(laplacian(1), g, bc="dirichlet")
-        Rs = spectral_fractional_dirichlet(Ad, 0.5)
+        Rs = fractional_restricted(Ad, 0.5)
         wr = sla.eigvalsh(Rr.toarray())
         ws = sla.eigvalsh(Rs.toarray())
         assert Rr.shape == Rs.shape
@@ -470,7 +448,7 @@ class TestFractional:
     def test_fast_and_dense_paths_agree(self):
         g = build_grid(DomainSpec.unit_interval(), 16)
         mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 + 1.0)
-        Rfast = fractional_restricted(mult, 0.5, g)
+        Rfast = RestrictedPowerOperator(mult, 0.5, g)
         dense = materialize_torus_operator(mult, g)
         Rdense = fractional_restricted(dense, 0.5, g)
         assert np.abs(Rfast.toarray() - Rdense.toarray()).max() < 1e-10
@@ -478,10 +456,10 @@ class TestFractional:
     def test_restricted_positive_definite(self):
         g = build_grid(DomainSpec.unit_square(), 8)
         mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 + xi[..., 1] ** 2)
-        R = fractional_restricted(mult, 0.5, g)
-        w = sla.eigvalsh(R.toarray())
+        R = RestrictedPowerOperator(mult, 0.5, g).toarray()
+        w = sla.eigvalsh(R)
         assert w.min() > 0.0
-        assert np.abs(R.toarray() - R.toarray().T).max() == 0.0
+        assert np.abs(R - R.T).max() == 0.0
 
     def test_truncation_never_raises_eigenvalues_of_enlargement(self):
         # ordered eigenvalues of the restriction to a LARGER node set sit
@@ -489,8 +467,9 @@ class TestFractional:
         g = build_grid(DomainSpec.unit_square(), 8)
         mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 + xi[..., 1] ** 2)
         small = g.interior_idx[: g.interior_idx.size // 2]
-        R_small = fractional_restricted(mult, 0.5, g, interior=small)
-        R_big = fractional_restricted(mult, 0.5, g)
+        dense = materialize_torus_operator(mult, g)
+        R_small = fractional_restricted(dense, 0.5, g, interior=small)
+        R_big = fractional_restricted(dense, 0.5, g)
         w_small = np.sort(sla.eigvalsh(R_small.toarray()))
         w_big = np.sort(sla.eigvalsh(R_big.toarray()))
         assert np.all(w_big[: w_small.size] <= w_small + 1e-10)
@@ -499,7 +478,7 @@ class TestFractional:
         g = build_grid(DomainSpec.unit_interval(), 16)
         mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 - 5.0)
         with pytest.raises(NotPositiveError):
-            fractional_restricted(mult, 0.5, g)
+            RestrictedPowerOperator(mult, 0.5, g)
 
     def test_nonpositive_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -524,20 +503,20 @@ class TestFractional:
 class TestSpectralFractional:
     def test_diagonal_example(self):
         A = OperatorMatrix(np.diag([1.0, 4.0]))
-        S = spectral_fractional_dirichlet(A, 0.5)
+        S = fractional_restricted(A, 0.5)
         assert np.allclose(S.toarray(), np.diag([1.0, 2.0]), atol=1e-14)
 
     def test_exponent_one_identity(self):
         rng = np.random.default_rng(3)
         B = rng.standard_normal((9, 9))
         A = OperatorMatrix(B @ B.T + 9 * np.eye(9))
-        S = spectral_fractional_dirichlet(A, 1.0)
+        S = fractional_restricted(A, 1.0)
         assert np.abs(S.toarray() - A.toarray()).max() < 1e-12
 
     def test_1d_interval_sine_eigenvalues(self):
         g = build_grid(DomainSpec.unit_interval(), 64)
         A = assemble_second_order(laplacian(1), g, bc="dirichlet")
-        S = spectral_fractional_dirichlet(A, 0.5)
+        S = fractional_restricted(A, 0.5)
         w = np.sort(sla.eigvalsh(S.toarray()))
         h, m = g.h, 63
         k = np.arange(1, m + 1)
@@ -547,7 +526,7 @@ class TestSpectralFractional:
     def test_indefinite_rejected(self):
         A = OperatorMatrix(np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveError):
-            spectral_fractional_dirichlet(A, 0.5)
+            fractional_restricted(A, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from fracspec.discretize import (
     TorusMultiplier,
     assemble_second_order,
     build_grid,
-    fractional_restricted,
 )
 from fracspec.eig import (
     DENSE_CAP,
@@ -264,7 +263,7 @@ def test_lanczos_no_convergence_falls_back(monkeypatch):
     spec = lanczos_extreme(op, k=1)
     assert raised and spec.meta["eig_path"] == "dense"
     # both dense solves are backward stable: they agree to eps ||A||, not to eps lambda_1
-    dense = sym_eig(fractional_restricted(mult, 1.5, grid=g)).values[0]
+    dense = sym_eig(op.toarray()).values[0]
     assert spec.values[0] == pytest.approx(dense, abs=eig.BACKWARD_ERROR * np.finfo(float).eps * op.norm_bound)
 
 

@@ -1,14 +1,19 @@
 """Oracle tests: the matrix-free restricted power against the dense gather.
 
-fractional_restricted gathers r+ P_a e+ into a dense matrix and stays the
-reference; RestrictedPowerOperator applies the same operator by transforms,
-lanczos_extreme takes a few pairs from it (preconditioned LOBPCG for a < 1,
-ARPACK's Lanczos from a = 1 on), and sym_eig takes its full spectrum from
-the reflection-parity blocks.  Random SPD forms in n = 1, 2, 3, with cross
-terms, powers a in (0, 1.5] and small grids; for the parity blocks, random
-diagonal forms, powers a in (0, 2) and boxes with odd and even node counts
-per axis.
+RestrictedPowerOperator.toarray() gathers r+ P_a e+ into a dense matrix
+from the operator's torus kernel and stays the reference; the operator
+applies the same power by transforms, lanczos_extreme takes a few pairs
+from it (preconditioned LOBPCG for a < 1, ARPACK's Lanczos from a = 1
+on), and sym_eig takes its full spectrum from the reflection-parity
+blocks.  Random SPD forms in n = 1, 2, 3, with cross terms, powers a in
+(0, 1.5] and small grids; for the parity blocks, random diagonal forms,
+powers a in (0, 2) and boxes with odd and even node counts per axis.
+The dense route of fractional_restricted, by eigendecomposition of the
+dense torus matrix, is the gather's own oracle (test_discretize).
 """
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,8 +21,9 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracspec import discretize
 from fracspec.asymptotics import boundary_exponent
-from fracspec.discretize import RestrictedPowerOperator, TorusMultiplier, build_grid, fractional_restricted
+from fracspec.discretize import RestrictedPowerOperator, TorusMultiplier, build_grid
 from fracspec.eig import lanczos_extreme, sym_eig
 from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
@@ -48,10 +54,11 @@ def problems(draw):
 @given(problems())
 def test_matmat_matches_dense_gather(problem):
     mult, a, grid, rng = problem
-    dense = fractional_restricted(mult, a, grid=grid).toarray()
+    op = RestrictedPowerOperator(mult, a, grid)
+    dense = op.toarray()
     X = rng.standard_normal((dense.shape[0], 3))
     expect = dense @ X
-    got = RestrictedPowerOperator(mult, a, grid) @ X
+    got = op @ X
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
@@ -59,8 +66,9 @@ def test_matmat_matches_dense_gather(problem):
 @given(problems(), st.integers(1, 4))
 def test_few_pairs_match_dense_eigenvalues(problem, k):
     mult, a, grid, _ = problem
-    dense = sla.eigvalsh(fractional_restricted(mult, a, grid=grid).toarray())
-    spec = lanczos_extreme(RestrictedPowerOperator(mult, a, grid), k=k)
+    op = RestrictedPowerOperator(mult, a, grid)
+    dense = sla.eigvalsh(op.toarray())
+    spec = lanczos_extreme(op, k=k)
     assert a >= 1.0 or spec.meta["eig_path"] == "lobpcg"  # from a = 1 on, ARPACK, or the dense route
     # both solvers carry an absolute error of order eps ||A||, which dominates for large a
     assert np.allclose(spec.values, dense[:k], rtol=1e-10, atol=1e-13 * dense[-1])
@@ -72,8 +80,9 @@ def test_few_pairs_degenerate_and_cross_forms(form, k):
     # the identity form's pairs 2 and 3 form one eigenspace: k = 2 splits it, k = 3 takes it whole
     grid = build_grid(DomainSpec.unit_square(), 16)
     mult = TorusMultiplier.from_coeffs(SecondOrderCoeffs(2, a=form))
-    dense = sla.eigvalsh(fractional_restricted(mult, 0.5, grid=grid).toarray())
-    spec = lanczos_extreme(RestrictedPowerOperator(mult, 0.5, grid), k=k)
+    op = RestrictedPowerOperator(mult, 0.5, grid)
+    dense = sla.eigvalsh(op.toarray())
+    spec = lanczos_extreme(op, k=k)
     assert spec.meta["eig_path"] == "lobpcg"
     assert np.allclose(spec.values, dense[:k], rtol=1e-10, atol=1e-13 * dense[-1])
 
@@ -82,8 +91,9 @@ def test_few_pairs_degenerate_and_cross_forms(form, k):
 @given(problems())
 def test_ground_state_boundary_exponent_matches_dense(problem):
     mult, a, grid, _ = problem
-    _, vecs = sla.eigh(fractional_restricted(mult, a, grid=grid).toarray(), subset_by_index=[0, 0])
-    ground = lanczos_extreme(RestrictedPowerOperator(mult, a, grid), k=1, want_vectors=True)
+    op = RestrictedPowerOperator(mult, a, grid)
+    _, vecs = sla.eigh(op.toarray(), subset_by_index=[0, 0])
+    ground = lanczos_extreme(op, k=1, want_vectors=True)
     assert a >= 1.0 or ground.meta["eig_path"] == "lobpcg"
     assert abs(boundary_exponent(ground.vectors[:, 0], grid) - boundary_exponent(vecs[:, 0], grid)) <= 1e-8
 
@@ -109,8 +119,8 @@ def diagonal_problems(draw):
 @given(diagonal_problems())
 def test_parity_spectrum_matches_dense_eigenvalues(problem):
     mult, a, grid = problem
-    dense = sla.eigvalsh(fractional_restricted(mult, a, grid=grid).toarray())
     op = RestrictedPowerOperator(mult, a, grid)
+    dense = sla.eigvalsh(op.toarray())
     spec = sym_eig(op)
     assert spec.meta["eig_path"] == "parity" and spec.meta["parity_defect"] <= 1e-12
     split = op.parity_split()  # exactly symmetric blocks need no symmetrized copy
@@ -128,10 +138,38 @@ def test_off_diagonal_form_takes_the_dense_gather():
     assert op.parity_split() is None
     spec = sym_eig(op)
     assert spec.meta == {"eig_path": "dense"}
-    assert np.array_equal(spec.values, sla.eigvalsh(fractional_restricted(mult, 0.5, grid=grid).toarray()))
+    assert np.array_equal(spec.values, sla.eigvalsh(op.toarray()))
 
 
 def test_disk_interior_takes_the_dense_gather():
     grid = build_grid(DomainSpec.disk(radius=0.5), 16)
     op = RestrictedPowerOperator(TorusMultiplier.from_coeffs(SecondOrderCoeffs.laplacian(2)), 0.5, grid)
     assert op.parity_split() is None and sym_eig(op).meta["eig_path"] == "dense"
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.unit_square, DomainSpec.disk], ids=["square", "disk"])
+def test_multiplier_evaluated_once_per_operator(monkeypatch, domain):
+    # products, the parity blocks and the dense gather all read the constructor's one evaluation
+    calls, real = [], discretize._multiplier_values
+    monkeypatch.setattr(discretize, "_multiplier_values", lambda *args: calls.append(args) or real(*args))
+    op = RestrictedPowerOperator(TorusMultiplier.from_coeffs(SecondOrderCoeffs.laplacian(2)), 0.5,
+                                 build_grid(domain(), 24))
+    sym_eig(op)
+    op.toarray()
+    lanczos_extreme(op, k=1)
+    assert len(calls) == 1
+
+
+def test_torus_kernel_has_two_owners():
+    # the multiplier is evaluated, and a torus kernel built from it, only by the
+    # restricted operator and by the dense torus matrix
+    owners = {"RestrictedPowerOperator", "materialize_torus_operator"}
+    callers = []
+    for path in sorted(pathlib.Path(discretize.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if getattr(top, "name", None) in owners:
+                continue
+            callers += [f"{path.name}:{node.lineno}" for node in ast.walk(top) if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None))
+                        in ("_even_kernel", "_multiplier_values")]
+    assert callers == []
