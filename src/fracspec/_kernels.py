@@ -2,7 +2,8 @@
 
 ``boundary_quantities`` evaluates the boundary symbol's (ann, b, c) per
 sample.  ``toeplitz_gather`` reads a torus kernel at the offsets of two
-sets of nodes, and ``restricted_power_apply`` is the matrix-free product
+sets of nodes, or sums such reads with signs, and
+``restricted_power_apply`` is the matrix-free product
 with a restricted torus multiplier; its work is in the compiled
 transforms.  ``dst1`` is the orthonormal sine transform that diagonalizes
 the Dirichlet Laplacian on a tensor block.  ``asymmetry`` measures how
@@ -30,24 +31,39 @@ def boundary_quantities(mats, xips):
     return ann, b, c
 
 
-def toeplitz_gather(kern_flat, idx, shape, cols=None):
+def toeplitz_gather(kern_flat, idx, shape, cols=None, signs=None):
     """R[i, j] = kern[(idx[i] - cols[j]) mod shape] for a flat row-major torus kernel.
 
-    idx and cols (default idx) are (m, n) torus multi-indices.  The kernel
-    is tiled twice along each axis, so the offset idx[i] - cols[j] + shape
-    indexes the tiling directly, with no wrap; the flat offsets are formed
-    one block of rows at a time, of about 2^16 entries.
+    idx and cols (default idx) are (m, n) torus multi-indices.  With signs,
+    cols is a sequence of groups, each a sequence of (m', n) column sets,
+    and R is the signed sum over groups g of signs[g] times the sum of
+    kern[idx - c] over the sets c of group g: each group is summed first,
+    in its order, and the groups are then added in theirs, starting from
+    zero.  The kernel is tiled twice along each axis, so the offset
+    idx[i] - c[j] + shape indexes the tiling directly, with no wrap; the
+    flat offsets are formed, and every term summed, one block of rows at
+    a time, of about 2^16 entries.
     """
-    cols = idx if cols is None else cols
+    if signs is None:
+        cols, signs = [[idx if cols is None else cols]], [1]
     shape = np.asarray(shape, dtype=np.int64)
     tiled = np.tile(kern_flat.reshape(tuple(shape)), (2,) * shape.size).ravel()
     strides = np.array([np.prod(2 * shape[k + 1 :]) for k in range(shape.size)], dtype=np.int64)  # row-major, tiled
     rows = idx @ strides
-    shifted = shape @ strides - cols @ strides
-    out = np.empty((rows.size, shifted.size))
-    step = max(1, (1 << 16) // max(shifted.size, 1))
+    shifted = [[shape @ strides - c @ strides for c in group] for group in cols]
+    width = shifted[0][0].size
+    out = np.empty((rows.size, width))
+    step = max(1, (1 << 16) // max(width, 1))
     for lo in range(0, rows.size, step):
-        np.take(tiled, rows[lo : lo + step, None] + shifted, out=out[lo : lo + step])
+        at, block = rows[lo : lo + step, None], out[lo : lo + step]
+        for g, (sign, group) in enumerate(zip(signs, shifted)):
+            acc = np.take(tiled, at + group[0], out=None if g else block)
+            for offsets in group[1:]:
+                acc += np.take(tiled, at + offsets)
+            if g:
+                (np.subtract if sign < 0 else np.add)(block, acc, out=block)
+            elif sign < 0:  # 0 - x is -x exactly: the sum starts from zero
+                np.negative(block, out=block)
     return out
 
 

@@ -6,7 +6,7 @@ evaluates the multiplier's power once and is the one owner of its torus
 kernel.  It is applied matrix-free by transforms, for a few eigenpairs
 past the dense cap, gathered into a dense matrix (toarray), and split
 into reflection-parity blocks (ParitySplit) on tensor-block interiors,
-for full spectra.  fractional_restricted is the dense route for a matrix
+folded further where axes of equal length swap, for full spectra.  fractional_restricted is the dense route for a matrix
 base, by eigendecomposition, and the transform route's oracle.  The
 same grids feed the second-order Dirichlet, mixed and periodic
 assemblies, which sum the form over the closure nodes of the domain
@@ -460,7 +460,7 @@ def fractional_restricted(base, a: float, grid: Grid | None = None, interior=Non
 
 @dataclass(frozen=True)
 class ParitySplit:
-    """Reflection-parity blocks of r+ P_a e+ on a tensor-block interior.
+    """Reflection-parity blocks of r+ P_a e+ on a tensor-block interior, folded by axis swaps.
 
     When the even torus kernel K is even along every axis as well, the
     restricted operator commutes with the reflection j_k -> L_k - 1 - j_k
@@ -474,14 +474,37 @@ class ParitySplit:
 
     where rho_s reflects the axes in s and f is the product of 1/sqrt(2)
     over the axes where I is the centre of an odd length.  The spectra of
-    the blocks together are the operator's.  The kernel is made even
-    along every axis bit for bit, so each block is exactly symmetric.
+    the blocks together are the operator's.
+
+    Two axes of equal length, on a torus of equal size, are swappable
+    when the swap tau of their offsets leaves K unchanged within
+    PARITY_DEFECT; swapping the two node indices is then a symmetry of the
+    operator too, and the blocks reduce further in a basis adapted to it
+    (symmetry-adapted bases: Bossavit, Comput. Methods Appl. Mech. Engrg.
+    56 (1986)).  Swappable axes form classes.  (a) A permutation within
+    the classes maps block p onto a block with the same spectrum, so one
+    block is solved per key, p sorted within each class of axes, and its
+    values are repeated for the key's other parities.  (b) A block with
+    p_i = p_j on a swappable pair (i, j) commutes with the swap I -> tau I
+    of its nodes and splits into a symmetric and an antisymmetric half,
+    on the tau-orbit representatives I_i <= I_j (I_i < I_j for the
+    antisymmetric half):
+
+        B_p^+-[I, J] = g(I) g(J) sum_s (-1)^(p.s) (K(I - rho_s J) +- K(I - rho_s tau J)),
+
+    where g is f times 1/sqrt(2) at the swap-fixed nodes I_i = I_j.  Each
+    half is gathered directly; the block it halves is never formed.  The
+    kernel is made even along every axis, and invariant under each class's
+    permutations, bit for bit, and the terms of s and tau s are summed
+    before the rest, so every block and half is exactly symmetric.
     """
 
-    kernel: np.ndarray  # torus kernel, even along every axis bit for bit, torus shape
+    kernel: np.ndarray  # torus kernel, even along every axis and swap-invariant within each class, bit for bit
     corner: np.ndarray  # torus multi-index of the interior block's low corner
     lengths: np.ndarray  # interior nodes per axis
     defect: float  # max over axes of max|K - flip_k K|, relative to max|K|, before K was made even per axis
+    classes: tuple = ()  # classes of two or more mutually swappable axes
+    swap_defect: float | None = None  # min of max|K - tau K| / max|K| over pairs of equal length; None without one
 
     @property
     def parities(self) -> list[tuple]:
@@ -496,19 +519,65 @@ class ParitySplit:
     def sizes(self) -> list[int]:
         return [int(np.prod(self.half(p))) for p in self.parities]
 
-    def block(self, p) -> np.ndarray:
-        """The dense block B_p."""
-        L, half, kern = self.lengths, self.half(p), self.kernel.ravel()
+    @property
+    def solves(self) -> list[tuple]:
+        """(p, pair, sign, copies) of each matrix block(p, pair, sign) the split's spectrum needs.
+
+        p is a key and copies the number of parities it stands for; pair
+        is the first swappable pair (i, j) with p_i = p_j, or None; sign is
+        1, or -1 for an antisymmetric half, left out when it is empty.
+        """
+        keys: dict[tuple, int] = {}
+        for p in self.parities:
+            key = list(p)
+            for c in self.classes:
+                for k, bit in zip(c, sorted(p[k] for k in c)):
+                    key[k] = bit
+            keys[tuple(key)] = keys.get(tuple(key), 0) + 1
+        out = []
+        for p, copies in keys.items():
+            pair = next((ij for c in self.classes for ij in itertools.combinations(c, 2) if p[ij[0]] == p[ij[1]]), None)
+            signs = (1,) if pair is None or self.half(p)[pair[0]] == 1 else (1, -1)
+            out += [(p, pair, sign, copies) for sign in signs]
+        return out
+
+    def block(self, p, pair=None, sign=1) -> np.ndarray:
+        """The dense block B_p, or with a swappable pair (i, j), p_i = p_j, its half of the given sign."""
+        L, half = self.lengths, self.half(p)
         local = np.stack(np.unravel_index(np.arange(np.prod(half)), tuple(half)), axis=-1)
-        rows = self.corner + local
-        B = np.zeros((rows.shape[0], rows.shape[0]))
-        for s in itertools.product((0, 1), repeat=L.size):
-            cols = self.corner + np.where(s, L - 1 - local, local)
-            (np.subtract if np.dot(p, s) % 2 else np.add)(
-                B, _kernels.toeplitz_gather(kern, rows, self.kernel.shape, cols), out=B)
         f = np.where((L % 2 == 1) & (local == L // 2), np.sqrt(0.5), 1.0).prod(axis=1)
+        swap = list(range(L.size))  # tau as an order of the axes: none without a pair
+        if pair is not None:
+            i, j = pair
+            swap[i], swap[j] = j, i
+            keep = local[:, i] < local[:, j] if sign < 0 else local[:, i] <= local[:, j]
+            local, f = local[keep], f[keep] * np.where(local[keep, i] == local[keep, j], np.sqrt(0.5), 1.0)
+        columns = [(local, 1)] if pair is None else [(local, 1), (local[:, swap], sign)]  # J, and tau J
+        groups, signs = [], []
+        for s in itertools.product((0, 1), repeat=L.size):
+            t = tuple(s[k] for k in swap)
+            if t < s:
+                continue  # summed with its swap image t
+            for J, weight in columns:
+                groups.append([self.corner + np.where(r, L - 1 - J, J) for r in dict.fromkeys((s, t))])
+                signs.append(weight * (-1) ** int(np.dot(p, s)))
+        B = _kernels.toeplitz_gather(self.kernel.ravel(), self.corner + local, self.kernel.shape, groups, signs)
         B *= np.multiply.outer(f, f)  # f(I) f(J) rounds alike for (I, J) and (J, I)
         return B
+
+
+def _swap_invariant(kern: np.ndarray, classes) -> np.ndarray:
+    """An even kernel read at each offset folded into [0, N_k/2] per axis and sorted within each class of axes.
+
+    Folding keeps every value of an even kernel, and sorting makes it
+    invariant under the permutations of each class, bit for bit.
+    """
+    shape = np.array(kern.shape).reshape(-1, *(1,) * kern.ndim)
+    d = np.indices(kern.shape)
+    d = np.minimum(d, shape - d)
+    for c in classes:
+        d[list(c)] = np.sort(d[list(c)], axis=0)
+    return kern[tuple(d)]
 
 
 class RestrictedPowerOperator(spla.LinearOperator):
@@ -561,7 +630,10 @@ class RestrictedPowerOperator(spla.LinearOperator):
 
         It splits when the interior fills a tensor block and the even
         kernel departs from evenness along each axis by at most
-        PARITY_DEFECT, relative to its largest value.
+        PARITY_DEFECT, relative to its largest value.  Axes of equal
+        length and torus size whose swap moves the kernel by at most
+        PARITY_DEFECT, relative to the same value, are swappable; each
+        class of mutually swappable axes folds the blocks further.
         """
         block = self._tensor_block()
         if block is None:
@@ -572,9 +644,22 @@ class RestrictedPowerOperator(spla.LinearOperator):
         defect = max(np.abs(kern - _reflect(kern, k)).max() for k in range(kern.ndim)) / scale
         if not defect <= PARITY_DEFECT:  # NaN for a zero kernel: no split either
             return None
+        swaps = {(i, j): float(np.abs(kern - np.swapaxes(kern, i, j)).max() / scale)
+                 for i, j in itertools.combinations(range(kern.ndim), 2)
+                 if lengths[i] == lengths[j] and kern.shape[i] == kern.shape[j]}
+        classes: list[list[int]] = []
+        for k in range(kern.ndim):  # into the first class every member of which swaps with k
+            home = next((c for c in classes if all(swaps.get((i, k), np.inf) <= PARITY_DEFECT for i in c)), None)
+            if home is None:
+                classes.append([k])
+            else:
+                home.append(k)
+        classes = tuple(tuple(c) for c in classes if len(c) > 1)
         for k in range(kern.ndim):  # each step keeps the earlier axes even bit for bit; the cached kernel stays
             kern = 0.5 * (kern + _reflect(kern, k))
-        return ParitySplit(kern, corner, lengths, float(defect))
+        if classes:
+            kern = _swap_invariant(kern, classes)
+        return ParitySplit(kern, corner, lengths, float(defect), classes, min(swaps.values(), default=None))
 
     def preconditioner(self) -> spla.LinearOperator | None:
         """S diag(lambda^(-a)) S, an approximate inverse for LOBPCG, or None where it does not apply.

@@ -8,9 +8,12 @@ Full spectra: sym_eig, LAPACK's tridiagonalization + implicit-shift drivers
 (scipy.linalg.eigh), with vectors on request.  An operator that splits into
 reflection-parity blocks (discretize.RestrictedPowerOperator.parity_split: a
 tensor-block interior and a kernel even along every axis) has its values taken
-block by block, each block capped at DENSE_CAP (eig_path "parity"); any other
-input is gathered whole and capped at DENSE_CAP before the gather (eig_path
-"dense").  Given B as well, sym_eig solves the symmetric-definite pencil
+block by block, each block capped at DENSE_CAP (eig_path "parity"); where axes
+of equal length swap too (identity coefficients on the square and the box),
+parities that a swap maps onto each other are solved once, and a block whose
+parities agree on a swapped pair is solved as its symmetric and antisymmetric
+halves.  Any other input is gathered whole and capped at DENSE_CAP before the
+gather (eig_path "dense").  Given B as well, sym_eig solves the symmetric-definite pencil
 A x = lambda B x (the Krein and interface spectra of zaremba) with the same cap
 and symmetry check on both matrices; a B that is not positive definite raises
 NotPositiveError.  Every matrix is checked symmetric within a relative 1e-8
@@ -122,12 +125,16 @@ def sym_eig(A, B=None, want_vectors: bool = False) -> Spectrum:
     Loan, Matrix Computations, sec. 8.7): both matrices are capped and
     checked symmetric, and a B that is not positive definite raises
     NotPositiveError.  Values only of an operator with a parity split
-    (parity_split() not None), without B: each reflection-parity block is
-    solved on its own, DENSE_CAP applies per block, the values are merged,
-    and the m x m matrix is never formed; meta reports the blocks, the
-    largest block and the split's parity_defect.  Otherwise the whole
-    matrix is gathered, capped first, and its symmetrized part (A + A^T)/2
-    is decomposed.
+    (parity_split() not None), without B: DENSE_CAP applies per
+    reflection-parity block, checked before any gather; each matrix of
+    split.solves (a block, or the half of one that an axis swap leaves) is
+    gathered and solved on its own, its values are repeated for each
+    parity it stands for and merged, and the m x m matrix is never formed.
+    meta reports the parity blocks, the largest of them and the split's
+    parity_defect, solves (the number of dense eigensolves), and, when two
+    axes have equal lengths, swap_defect.  Otherwise the whole matrix is
+    gathered, capped first, and its symmetrized part (A + A^T)/2 is
+    decomposed.
     """
     if B is not None:
         A, B = _check_symmetric(_as_dense(A)), _check_symmetric(_as_dense(B))
@@ -141,12 +148,16 @@ def sym_eig(A, B=None, want_vectors: bool = False) -> Spectrum:
     if split is None:
         w, v = _eigh(_check_symmetric(_as_dense(A)), want_vectors)
         return Spectrum(w, v, meta={"eig_path": "dense"})
-    sizes = split.sizes
+    sizes, solves = split.sizes, split.solves
     _check_cap(max(sizes))
-    # each block is built here and dropped after its solve, so LAPACK may overwrite it
-    w = np.sort(np.concatenate([_eigh(_check_symmetric(split.block(p)), False, overwrite=True)[0]
-                                for p in split.parities]))
-    meta = {"eig_path": "parity", "blocks": len(sizes), "max_block": max(sizes), "parity_defect": split.defect}
+    # each block or half is built here and dropped after its solve, so LAPACK may overwrite it; the
+    # values of a key stand for each of its parities, copied
+    w = np.sort(np.concatenate([np.tile(_eigh(_check_symmetric(split.block(p, pair, sign)), False, overwrite=True)[0],
+                                        copies) for p, pair, sign, copies in solves]))
+    meta = {"eig_path": "parity", "blocks": len(sizes), "max_block": max(sizes), "parity_defect": split.defect,
+            "solves": len(solves)}
+    if split.swap_defect is not None:
+        meta["swap_defect"] = split.swap_defect
     return Spectrum(w, None, meta=meta)
 
 

@@ -512,7 +512,11 @@ class TestManifest:
         (["zaremba", "--domain", "box", "--nodes", "12"], 1000),  # face modes: 1452 nodes past the cap
         (["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32"], None),
         (["zaremba", "--toy"], None),
-    ], ids=["singular-probe", "zaremba-assembled", "zaremba-face-modes", "zaremba-disk", "zaremba-toy"])
+        # parity blocks folded by the axis swap: a repeated parity's values are copies
+        (["spectrum", "--a", "0.5", "--domain", "square", "--nodes", "24"], None),
+        (["spectrum", "--a", "0.5", "--domain", "box", "--nodes", "10"], None),
+    ], ids=["singular-probe", "zaremba-assembled", "zaremba-face-modes", "zaremba-disk", "zaremba-toy",
+            "spectrum-square", "spectrum-box"])
     def test_repro_reruns_bit_identical(self, tmp_path, monkeypatch, argv, cap):
         from fracspec import eig
 

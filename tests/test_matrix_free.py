@@ -5,9 +5,11 @@ from the operator's torus kernel and stays the reference; the operator
 applies the same power by transforms, lanczos_extreme takes a few pairs
 from it (preconditioned LOBPCG for a < 1, ARPACK's Lanczos from a = 1
 on), and sym_eig takes its full spectrum from the reflection-parity
-blocks.  Random SPD forms in n = 1, 2, 3, with cross terms, powers a in
-(0, 1.5] and small grids; for the parity blocks, random diagonal forms,
-powers a in (0, 2) and boxes with odd and even node counts per axis.
+blocks, folded by axis swaps where lengths and coefficients allow.
+Random SPD forms in n = 1, 2, 3, with cross terms, powers a in (0, 1.5]
+and small grids; for the parity blocks, random diagonal forms, powers a
+in (0, 2) and boxes with odd and even node counts per axis, and fixed
+cases that take the swap, or miss it by a length or a coefficient.
 The dense route of fractional_restricted, by eigendecomposition of the
 dense torus matrix, is the gather's own oracle (test_discretize).
 """
@@ -127,6 +129,66 @@ def test_parity_spectrum_matches_dense_eigenvalues(problem):
     assert all(np.array_equal(B, B.T) for B in map(split.block, split.parities))
     assert spec.meta["blocks"] == 2**grid.n and spec.meta["max_block"] < dense.size
     assert np.allclose(spec.values, dense, rtol=1e-10, atol=1e-13 * dense[-1])
+
+
+def _diag_operator(domain, nodes, *diagonal):
+    form = SecondOrderCoeffs(len(diagonal), a=np.diag(diagonal))
+    return RestrictedPowerOperator(TorusMultiplier.from_coeffs(form), 0.5, build_grid(domain, nodes))
+
+
+@pytest.mark.parametrize("domain, nodes, diagonal, classes, solves", [
+    (DomainSpec.unit_square(), 16, (1.0, 1.0), ((0, 1),), 5),  # 00 and 11 halved, 01 for 10
+    (DomainSpec.unit_box(), 8, (1.0, 1.0, 1.0), ((0, 1, 2),), 8),  # 000, 001, 011, 111, each halved
+    (DomainSpec.unit_square(), 16, (1.0, 4.0), (), 4),  # equal lengths, no swap symmetry
+    (DomainSpec("rectangle", lengths=(1.0, 0.75)), 16, (1.0, 1.0), (), 4),  # unequal lengths
+    (DomainSpec.unit_box(), 8, (1.0, 1.0, 4.0), ((0, 1),), 10),  # 001 stays apart from 010 and 100
+    (DomainSpec.unit_square(), 16, (1.0, 1.0 + 1e-9), (), 4),  # swap defect about 1e-9: plain parity blocks
+    # interior 7 x 2 x 2: the halves along axes 1 and 2 have length 1, so of the 6 keys the 4 with
+    # p_1 = p_2 have an empty antisymmetric half, left out
+    (DomainSpec("box", lengths=(1.0, 0.375, 0.375)), 8, (1.0, 1.0, 1.0), ((1, 2),), 6),
+    (DomainSpec("box", lengths=(1.0, 0.25, 0.25)), 8, (1.0, 1.0, 1.0), ((1, 2),), 2),  # interior 7 x 1 x 1
+], ids=["square", "box", "square-diag-1-4", "rectangle", "box-diag-1-1-4", "square-near-swap", "box-7-2-2",
+        "box-7-1-1"])
+def test_swap_folded_spectrum_matches_dense_eigenvalues(domain, nodes, diagonal, classes, solves):
+    op = _diag_operator(domain, nodes, *diagonal)
+    dense = sla.eigvalsh(op.toarray())
+    spec = sym_eig(op)
+    split = op.parity_split()
+    assert split.classes == classes and spec.meta["solves"] == len(split.solves) == solves
+    assert spec.meta["blocks"] == len(split.parities) and spec.meta["max_block"] == max(split.sizes)
+    if len(set(split.lengths)) < split.lengths.size:  # some pair of axes has equal lengths
+        assert (spec.meta["swap_defect"] <= discretize.PARITY_DEFECT) == bool(classes)
+    else:
+        assert "swap_defect" not in spec.meta
+    solved = 0
+    for p, pair, sign, copies in split.solves:
+        B = split.block(p, pair, sign)
+        assert B.size and np.array_equal(B, B.T)
+        solved += copies * B.shape[0]
+    assert solved == dense.size
+    assert np.allclose(spec.values, dense, rtol=1e-10, atol=1e-13 * dense[-1])
+
+
+def test_swap_halves_gathered_without_the_block(monkeypatch):
+    # each half is gathered directly: no gathered array outgrows the largest matrix solved, and the
+    # kernel reads (entries times column sets) stay within the parity route's, 2^n per block entry
+    from fracspec import _kernels, eig
+
+    gathers, solved, real_gather, real_eigh = [], [], _kernels.toeplitz_gather, eig._eigh
+
+    def gather(kern, idx, shape, cols=None, signs=None):
+        out = real_gather(kern, idx, shape, cols, signs)
+        gathers.append((out.size, out.size * (1 if signs is None else sum(map(len, cols)))))
+        return out
+
+    monkeypatch.setattr(_kernels, "toeplitz_gather", gather)
+    monkeypatch.setattr(eig, "_eigh", lambda M, *args, **kw: solved.append(M.shape[0]) or real_eigh(M, *args, **kw))
+    op = _diag_operator(DomainSpec.unit_square(), 64, 1.0, 1.0)
+    spec = sym_eig(op)
+    sizes = op.parity_split().sizes
+    assert spec.meta["solves"] == len(solved) == len(gathers) == 5
+    assert max(size for size, _ in gathers) <= max(solved) ** 2 < max(sizes) ** 2
+    assert sum(reads for _, reads in gathers) <= sum(4 * s * s for s in sizes)
 
 
 def test_off_diagonal_form_takes_the_dense_gather():
