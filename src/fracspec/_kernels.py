@@ -42,7 +42,10 @@ def toeplitz_gather(kern_flat, idx, shape, cols=None, signs=None):
     zero.  The kernel is tiled twice along each axis, so the offset
     idx[i] - c[j] + shape indexes the tiling directly, with no wrap; the
     flat offsets are formed, and every term summed, one block of rows at
-    a time, of about 2^16 entries.
+    a time, of about 2^16 entries.  Every offset is in range by that
+    construction, so the reads skip numpy's bounds check (mode "clip",
+    which also lets them write into their output unbuffered), and the
+    terms after a block's first are read into two reused scratch blocks.
     """
     if signs is None:
         cols, signs = [[idx if cols is None else cols]], [1]
@@ -54,12 +57,13 @@ def toeplitz_gather(kern_flat, idx, shape, cols=None, signs=None):
     width = shifted[0][0].size
     out = np.empty((rows.size, width))
     step = max(1, (1 << 16) // max(width, 1))
+    group_sum, term = np.empty((2, min(step, rows.size), width))  # the one-set form never touches their pages
     for lo in range(0, rows.size, step):
         at, block = rows[lo : lo + step, None], out[lo : lo + step]
         for g, (sign, group) in enumerate(zip(signs, shifted)):
-            acc = np.take(tiled, at + group[0], out=None if g else block)
+            acc = np.take(tiled, at + group[0], out=group_sum[: len(at)] if g else block, mode="clip")
             for offsets in group[1:]:
-                acc += np.take(tiled, at + offsets)
+                acc += np.take(tiled, at + offsets, out=term[: len(at)], mode="clip")
             if g:
                 (np.subtract if sign < 0 else np.add)(block, acc, out=block)
             elif sign < 0:  # 0 - x is -x exactly: the sum starts from zero

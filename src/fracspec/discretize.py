@@ -541,6 +541,23 @@ class ParitySplit:
             out += [(p, pair, sign, copies) for sign in signs]
         return out
 
+    @property
+    def solve_sizes(self) -> list[int]:
+        """The order of each matrix of solves, from the half-block lengths alone: nothing is gathered.
+
+        A half on a pair (i, j) of equal half lengths n keeps the n (n + 1) / 2
+        orbit representatives with I_i <= I_j, or the n (n - 1) / 2 with I_i < I_j.
+        """
+        out = []
+        for p, pair, sign, _ in self.solves:
+            half = self.half(p)
+            size = int(np.prod(half))
+            if pair is not None:
+                n = int(half[pair[0]])
+                size = size // (n * n) * (n * (n + sign) // 2)
+            out.append(size)
+        return out
+
     def block(self, p, pair=None, sign=1) -> np.ndarray:
         """The dense block B_p, or with a swappable pair (i, j), p_i = p_j, its half of the given sign."""
         L, half = self.lengths, self.half(p)

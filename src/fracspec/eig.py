@@ -20,14 +20,19 @@ NotPositiveError.  Every matrix is checked symmetric within a relative 1e-8
 before it is symmetrized, never silently.
 
 A few lowest pairs: lanczos_extreme, on a dense, sparse or matrix-free
-operator, uncapped, with one residual rule for every iterative route.  Three
-routes, chosen from what the input shows: preconditioned LOBPCG (Knyazev,
-SIAM J. Sci. Comput. 23 (2001)) when the operator returns a preconditioner
-(RestrictedPowerOperator.preconditioner: a tensor-block interior and
-0 < a < 1) and k <= LOBPCG_MAX_K, the measured crossover (eig_path
-"lobpcg"); otherwise, or when LOBPCG errs or misses the residual rule,
-ARPACK's implicitly restarted Lanczos (eig_path "lanczos"); and within the
-cap the dense route takes what neither finishes (eig_path "dense").
+operator, uncapped, with one residual rule for every iterative route.  Four
+routes, tried in order and chosen from what the input shows: preconditioned
+LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001)) when the operator returns a
+preconditioner (RestrictedPowerOperator.preconditioner: a tensor-block
+interior and 0 < a < 1) and k <= LOBPCG_MAX_K, the measured crossover
+(eig_path "lobpcg"); for values only, the exact parity blocks of sym_eig when
+the operator has a parity split within DENSE_CAP and its dense work is the
+cheaper by the measured rule PARITY_KAPPA (eig_path "parity"); otherwise, or
+when LOBPCG errs or misses the residual rule, ARPACK's implicitly restarted
+Lanczos (eig_path "lanczos"); and the dense route takes what neither
+iterative route finishes (eig_path "dense": values only through sym_eig, so
+by the parity blocks where the operator has them; with vectors the whole
+matrix, within the cap).
 
 Every Spectrum holds its eigenvalues ascending, repeated according to
 multiplicity, and checks that order; callers that report a descending
@@ -53,6 +58,7 @@ _SCALE_FLOOR = np.finfo(float).eps ** (2.0 / 3.0)  # smallest |lambda| residuals
 LOBPCG_MAX_K = 6  # most pairs LOBPCG is given: ARPACK was faster at k = 8 on box 24, at k = 12 on square 64 and 128
 LOBPCG_TOL = 1e-2 * MAX_RESIDUAL  # LOBPCG's residual target, relative to an upper estimate of |lambda_1|
 LOBPCG_MAXITER = 200  # the slowest k <= 6 measured took 147 (square 64, a = 0.9, k = 5 splitting a double pair)
+PARITY_KAPPA = 5000  # lanczos_extreme's values-only parity route: sum s^3 <= PARITY_KAPPA k m log2 m (measured there)
 
 
 def _check_cap(n: int) -> None:
@@ -148,6 +154,11 @@ def sym_eig(A, B=None, want_vectors: bool = False) -> Spectrum:
     if split is None:
         w, v = _eigh(_check_symmetric(_as_dense(A)), want_vectors)
         return Spectrum(w, v, meta={"eig_path": "dense"})
+    return _parity_values(split)
+
+
+def _parity_values(split) -> Spectrum:
+    """Every value of an operator from its parity split: DENSE_CAP per block, checked before any gather."""
     sizes, solves = split.sizes, split.solves
     _check_cap(max(sizes))
     # each block or half is built here and dropped after its solve, so LAPACK may overwrite it; the
@@ -197,13 +208,30 @@ def _lobpcg(op, k: int, precond, norm: float):
 def lanczos_extreme(A, k: int = 6, want_vectors: bool = False) -> Spectrum:
     """The k smallest eigenpairs of A (dense, sparse, LinearOperator or .matrix), ascending.
 
-    Above dimension max(4k, 64) the pairs come from an iterative solver.  When k <= LOBPCG_MAX_K and the
-    operator offers a preconditioner (A.preconditioner() not None), LOBPCG from a fixed start block, to
-    LOBPCG_TOL (eig_path "lobpcg"; meta iterations); otherwise, or when that route misses, ARPACK from a fixed
-    start vector, within DENSE_CAP for about n operator products (eig_path "lanczos").  A pair counts if
-    ||A v - lambda v|| <= max(MAX_RESIDUAL |lambda|, BACKWARD_ERROR eps ||A||), ||A|| <= the operator's
-    norm_bound or 1-norm: rounding alone leaves eps ||A||.  Otherwise the dense route answers (residual
-    reported, unchecked), or NumericError past DENSE_CAP.  meta: eig_path, max_residual.
+    Above dimension max(4k, 64) four routes are tried in order.  (1) When k <= LOBPCG_MAX_K and the operator
+    offers a preconditioner (A.preconditioner() not None), LOBPCG from a fixed start block, to LOBPCG_TOL
+    (eig_path "lobpcg"; meta iterations).  (2) Values only, of an operator whose parity split has every block
+    within DENSE_CAP, when the split's dense work is the cheaper: sum s^3 over the matrices of split.solves
+    <= PARITY_KAPPA k m log2 m; the first k of sym_eig's values, with its meta (eig_path "parity").  (3) ARPACK
+    from a fixed start vector, within DENSE_CAP for about n operator products (eig_path "lanczos").  A pair of
+    (1) or (3) counts if ||A v - lambda v|| <= max(MAX_RESIDUAL |lambda|, BACKWARD_ERROR eps ||A||), ||A|| <=
+    the operator's norm_bound or 1-norm: rounding alone leaves eps ||A||.  (4) Otherwise the dense route
+    answers: values only, the first k of sym_eig, which takes the parity blocks where the operator has them;
+    with vectors, the whole matrix (residual reported, unchecked), or NumericError past DENSE_CAP.
+    meta: eig_path, and max_residual where pairs were computed; the parity meta on the parity route.
+
+    The cost rule compares the LAPACK work of the parity route, s^3 per matrix of order s, with about k m log2 m
+    for ARPACK; PARITY_KAPPA = 5000 puts every point below on its faster side.  Measured with values only at a =
+    1/2 on two Intel Xeon cores, best of 2, each time with the operator's build; ratio is sum s^3 / (k m log2 m):
+
+        grid (m)                    parity   ARPACK k = 7 / 12 / 40   ratio k = 7 / 12 / 40
+        square 64 (3969)            0.21 s   0.27 / 0.28 / 0.55 s     4420 / 2578 /  773
+        square 64, diag(1, 4)       0.33 s   0.17 / 0.23 / 0.58 s    11783 / 6874 / 2062
+        square 80 (6241)            0.55 s   0.44 / 0.49 / 1.11 s    10356 / 6041 / 1812
+        box 24 (12167)              0.65 s   1.94 / 1.87 / 3.70 s     3218 / 1877 /  563
+        box 32 (29791)              5.40 s   4.70 / 4.46 / 8.39 s    17184 / 10024 / 3007
+        interval 2048 (2047)        0.21 s   0.21 / 0.21 / 0.34 s    13605 / 7937 / 2381
+        interval 4096 (4095)        1.28 s   0.61 / 0.64 / 1.04 s    49909 / 29114 / 8734
     """
     op = A.matrix if hasattr(A, "matrix") else A
     n = op.shape[0]
@@ -212,9 +240,13 @@ def lanczos_extreme(A, k: int = 6, want_vectors: bool = False) -> Spectrum:
         norm = getattr(op, "norm_bound", 0.0) if isinstance(op, spla.LinearOperator) else abs(op).sum(axis=0).max()
         precond = op.preconditioner() if k <= LOBPCG_MAX_K and hasattr(op, "preconditioner") else None
         got = None if precond is None else _lobpcg(op, k, precond, norm)
+        split = None if got is not None or want_vectors or not hasattr(op, "parity_split") else op.parity_split()
         if got is not None:
             w, V, res, iterations = got
             path, extra = "lobpcg", {"iterations": iterations}
+        elif (split is not None and max(split.sizes) <= DENSE_CAP
+              and sum(s**3 for s in split.solve_sizes) <= PARITY_KAPPA * k * n * np.log2(n)):
+            return _first(_parity_values(split), k)
         else:
             ncv = min(n, max(2 * k + 1, 20))
             try:  # a fixed start vector makes repeated calls agree bit for bit; ARPACK returns ascending values
@@ -224,8 +256,15 @@ def lanczos_extreme(A, k: int = 6, want_vectors: bool = False) -> Spectrum:
                 ok, res = _accepted(op, w, V, norm)
                 path = "lanczos" if ok else path
             except spla.ArpackNoConvergence:
-                pass  # the dense route answers below; past DENSE_CAP, _as_dense raises NumericError
+                pass  # the dense route answers below; past DENSE_CAP (per parity block, values only), NumericError
     if path == "dense":
+        if not want_vectors:
+            return _first(sym_eig(op), k)
         w, V = scipy.linalg.eigh(_check_symmetric(_as_dense(op)), subset_by_index=[0, min(k, n) - 1])
         res = Spectrum(w, V).residuals(op)
     return Spectrum(w, V if want_vectors else None, meta={"eig_path": path, "max_residual": float(res.max()), **extra})
+
+
+def _first(spec: Spectrum, k: int) -> Spectrum:
+    """The k lowest values of a values-only spectrum, with its meta."""
+    return Spectrum(spec.values[:k], None, meta=spec.meta)

@@ -156,6 +156,16 @@ class TestPipelines:
         assert float(rows["max_residual"]) <= 1e-8
         assert int(rows["count"]) == 6
 
+    def test_spectrum_count_by_parity_matches_ground_energy(self, tmp_path):
+        # 40 values only from the exact parity blocks; the lowest is boundary-exp's ground energy (a pair from LOBPCG)
+        argv = ["--coeffs", "identity", "--a", "0.5", "--domain", "square", "--nodes", "64"]
+        assert run(["spectrum", *argv, "--count", "40"], tmp_path) == 0
+        rows = report_lines(tmp_path, "spectrum")
+        assert rows["eig_path"] == "parity" and int(rows["count"]) == 40
+        assert run(["boundary-exp", *argv], tmp_path) == 0
+        ground = float(report_lines(tmp_path, "boundary-exp")["ground_energy"])
+        assert float(rows["lambda_min"]) == pytest.approx(ground, rel=1e-10, abs=0.0)
+
     def test_full_spectrum_beyond_dense_cap_by_parity(self, tmp_path):
         # m = 23^3 = 12167 > DENSE_CAP, in 8 reflection-parity blocks of at most 12^3 = 1728
         assert run(["spectrum", "--a", "0.5", "--domain", "box", "--nodes", "24"], tmp_path) == 0
@@ -458,7 +468,8 @@ class TestConfigHandling:
 
     def test_residual_gate_exit_3(self, tmp_path, monkeypatch):
         # a matrix-free product that is not symmetric gives Ritz pairs that
-        # miss the residual check; past the dense cap that is exit 3
+        # miss the residual check; past the dense cap that is exit 3 (a cross
+        # form: identity coefficients split into parity blocks, which the product never reaches)
         from fracspec import _kernels, eig
 
         apply = _kernels.restricted_power_apply
@@ -466,7 +477,7 @@ class TestConfigHandling:
                             lambda symbol, interior, shape, X: apply(symbol, interior, shape, X)
                             + 0.5 * np.roll(X, 1, axis=0))
         monkeypatch.setattr(eig, "DENSE_CAP", 64)
-        assert run(["spectrum", "--coeffs", "identity", "--a", "0.5", "--domain", "square",
+        assert run(["spectrum", "--coeffs", "matrix:2,0.3;0.3,1", "--a", "0.5", "--domain", "square",
                     "--nodes", "16", "--count", "3"], tmp_path) == 3
 
     def test_invariant_failure_exit_3(self, tmp_path, monkeypatch, capsys):
@@ -515,8 +526,9 @@ class TestManifest:
         # parity blocks folded by the axis swap: a repeated parity's values are copies
         (["spectrum", "--a", "0.5", "--domain", "square", "--nodes", "24"], None),
         (["spectrum", "--a", "0.5", "--domain", "box", "--nodes", "10"], None),
+        (["spectrum", "--a", "0.5", "--domain", "square", "--nodes", "64", "--count", "40"], None),  # parity route
     ], ids=["singular-probe", "zaremba-assembled", "zaremba-face-modes", "zaremba-disk", "zaremba-toy",
-            "spectrum-square", "spectrum-box"])
+            "spectrum-square", "spectrum-box", "spectrum-count"])
     def test_repro_reruns_bit_identical(self, tmp_path, monkeypatch, argv, cap):
         from fracspec import eig
 

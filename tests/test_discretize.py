@@ -420,6 +420,25 @@ class TestFractional:
         square = (rows[:, None, :] - rows[None, :, :]) % np.array(shape)
         assert np.array_equal(toeplitz_gather(kern, rows, shape), kern[square @ strides])
 
+    @pytest.mark.parametrize("shape", [(7,), (6, 9), (4, 5, 6)])
+    def test_signed_groups_match_wrapped_differences(self, shape):
+        # 300 x 500 entries span three blocks of rows, the last one short, so the reused scratch is read
+        # at two lengths; the reference sums in the same order, so the two agree bit for bit
+        from fracspec._kernels import toeplitz_gather
+
+        rng = np.random.default_rng(len(shape))
+        kern = rng.standard_normal(shape).ravel()
+        rows = np.stack([rng.integers(0, m, 300) for m in shape], axis=-1)
+        groups = [[np.stack([rng.integers(0, m, 500) for m in shape], axis=-1) for _ in range(terms)]
+                  for terms in (2, 1, 3)]
+        signs = [-1, 1, -1]
+        strides = np.array([int(np.prod(shape[k + 1 :])) for k in range(len(shape))])
+        expect = np.zeros((300, 500))
+        for sign, group in zip(signs, groups):
+            terms = [kern[((rows[:, None, :] - c[None, :, :]) % np.array(shape)) @ strides] for c in group]
+            expect += sign * sum(terms[1:], start=terms[0])
+        assert np.array_equal(toeplitz_gather(kern, rows, shape, groups, signs), expect)
+
     def test_two_node_toy(self):
         R = fractional_restricted(np.diag([2.0, 8.0]), 0.5)
         assert np.allclose(R.toarray(), np.diag([np.sqrt(2.0), 2.0 * np.sqrt(2.0)]), rtol=1e-14)

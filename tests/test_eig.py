@@ -243,7 +243,7 @@ def test_lanczos_accepts_rounding_floor(n):
     assert spec.values[0] == pytest.approx(1.0, abs=eig.BACKWARD_ERROR * np.finfo(float).eps * 1e9)
 
 
-def test_lanczos_no_convergence_falls_back(monkeypatch):
+def _unconverged(monkeypatch, want_vectors):
     # (-Laplacian)^1.5 on 511 interval nodes: ||A|| / lambda_1 ~ 3e7, and
     # Lanczos needs far more than its n operator products, so ARPACK stops
     # unconverged and the dense route answers
@@ -260,11 +260,23 @@ def test_lanczos_no_convergence_falls_back(monkeypatch):
 
     monkeypatch.setattr(eig.spla, "eigsh", eigsh)
     op = RestrictedPowerOperator(mult, 1.5, g)
-    spec = lanczos_extreme(op, k=1)
-    assert raised and spec.meta["eig_path"] == "dense"
+    spec = lanczos_extreme(op, k=1, want_vectors=want_vectors)
+    assert raised
     # both dense solves are backward stable: they agree to eps ||A||, not to eps lambda_1
     dense = sym_eig(op.toarray()).values[0]
     assert spec.values[0] == pytest.approx(dense, abs=eig.BACKWARD_ERROR * np.finfo(float).eps * op.norm_bound)
+    return spec
+
+
+def test_lanczos_no_convergence_falls_back(monkeypatch):
+    # with vectors, from the whole matrix
+    assert _unconverged(monkeypatch, want_vectors=True).meta["eig_path"] == "dense"
+
+
+def test_lanczos_no_convergence_values_from_parity_blocks(monkeypatch):
+    # values only, through sym_eig: from the interval's two parity blocks
+    spec = _unconverged(monkeypatch, want_vectors=False)
+    assert spec.meta["eig_path"] == "parity" and spec.meta["blocks"] == 2
 
 
 def _power_operator(domain, nodes, a=0.5, form=None):
@@ -305,18 +317,22 @@ def test_preconditioner_inverts_the_spectral_power_on_sine_modes():
     (DomainSpec.unit_square(), 1.5, "dense"),  # ||A|| / lambda_1 ~ 1e5: ARPACK stops short, the dense route answers
 ], ids=["disk", "a=1", "a=1.5"])
 def test_preconditioner_only_for_tensor_blocks_and_a_below_1(domain, a, path):
+    # with vectors: a values-only request on the square would take the parity blocks
     op = _power_operator(domain, 24, a=a)
     assert op.preconditioner() is None
-    spec = lanczos_extreme(op, k=1)
+    spec = lanczos_extreme(op, k=1, want_vectors=True)
     assert spec.meta["eig_path"] == path and "iterations" not in spec.meta
 
 
 def test_lobpcg_route_up_to_max_k():
+    # past LOBPCG_MAX_K, ARPACK with vectors, the parity blocks for values only
     op = _power_operator(DomainSpec.unit_square(), 32)
     dense = sym_eig(op).values
-    for k, path in ((1, "lobpcg"), (eig.LOBPCG_MAX_K, "lobpcg"), (eig.LOBPCG_MAX_K + 1, "lanczos")):
-        spec = lanczos_extreme(op, k=k)
-        assert spec.meta["eig_path"] == path and spec.meta["max_residual"] <= eig.MAX_RESIDUAL
+    for k, vectors, path in ((1, False, "lobpcg"), (eig.LOBPCG_MAX_K, False, "lobpcg"),
+                             (eig.LOBPCG_MAX_K + 1, True, "lanczos"), (eig.LOBPCG_MAX_K + 1, False, "parity")):
+        spec = lanczos_extreme(op, k=k, want_vectors=vectors)
+        assert spec.meta["eig_path"] == path
+        assert path == "parity" or spec.meta["max_residual"] <= eig.MAX_RESIDUAL
         assert np.allclose(spec.values, dense[:k], rtol=1e-10)
     assert lanczos_extreme(op, k=1).meta["iterations"] > 0
 
@@ -343,3 +359,69 @@ def test_lobpcg_repeat_calls_bit_identical():
     assert first.meta["eig_path"] == "lobpcg" and first.meta == second.meta
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
+
+
+@pytest.mark.parametrize("k", [7, 12, 40])
+@pytest.mark.parametrize("domain, nodes, diagonal", [
+    (DomainSpec.unit_interval(), 200, False),  # 199 nodes
+    (DomainSpec.unit_interval(), 201, True),  # 200
+    (DomainSpec("rectangle", lengths=(1.0, 0.75)), 20, True),  # 19 x 14
+    (DomainSpec.unit_square(), 21, False),  # 20 x 20: swap halves
+    (DomainSpec.unit_box(), 10, False),  # 9^3: swap halves
+    (DomainSpec.unit_box(), 11, True),  # 10^3
+], ids=["interval-odd", "interval-even-diag", "rectangle-diag", "square-even", "box-odd", "box-even-diag"])
+def test_parity_route_matches_dense_and_arpack(domain, nodes, diagonal, k):
+    # values only, on a split whose dense work the cost rule finds cheaper: sym_eig's values and meta
+    form = np.diag(np.random.default_rng(nodes).uniform(0.5, 2.0, domain.n)) if diagonal else None
+    op = _power_operator(domain, nodes, form=form)
+    spec = lanczos_extreme(op, k=k)
+    assert spec.meta["eig_path"] == "parity" and spec.vectors is None and spec.meta == sym_eig(op).meta
+    assert np.allclose(spec.values, sym_eig(op.toarray()).values[:k], rtol=1e-12, atol=0.0)
+    arpack = spla.eigsh(op, k=k, which="SA", tol=0.0, return_eigenvectors=False,
+                       v0=np.random.default_rng(0).uniform(-1.0, 1.0, op.shape[0]))
+    assert np.allclose(spec.values, np.sort(arpack), rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("domain, form", [
+    (DomainSpec.disk(radius=0.5), None),  # no tensor block
+    (DomainSpec.unit_square(), np.array([[2.0, 0.3], [0.3, 1.0]])),  # a kernel not even along each axis
+], ids=["disk", "cross"])
+def test_no_parity_split_keeps_arpack(domain, form):
+    op = _power_operator(domain, 24, form=form)
+    assert op.parity_split() is None
+    spec = lanczos_extreme(op, k=12)
+    assert spec.meta["eig_path"] == "lanczos"
+    assert np.allclose(spec.values, sym_eig(op).values[:12], rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("diagonal, k, path", [
+    ((1.0, 1.0), 40, "parity"),  # sum s^3 = 773 k m log2 m
+    ((1.0, 4.0), 7, "lanczos"),  # 11783 k m log2 m: no swap, four whole blocks
+], ids=["parity-side", "arpack-side"])
+def test_parity_cost_rule_sides(monkeypatch, diagonal, k, path):
+    from fracspec import discretize
+
+    eigsh_calls, blocks = [], []
+    real_eigsh, real_block = spla.eigsh, discretize.ParitySplit.block
+    monkeypatch.setattr(eig.spla, "eigsh", lambda *a, **kw: eigsh_calls.append(1) or real_eigsh(*a, **kw))
+    monkeypatch.setattr(discretize.ParitySplit, "block", lambda *a, **kw: blocks.append(1) or real_block(*a, **kw))
+    op = _power_operator(DomainSpec.unit_square(), 64, form=np.diag(diagonal))
+    spec = lanczos_extreme(op, k=k)
+    assert spec.meta["eig_path"] == path and spec.values.size == k
+    if path == "parity":
+        assert blocks and not eigsh_calls
+    else:
+        assert eigsh_calls and not blocks
+
+
+def test_parity_route_past_block_cap_falls_through_to_arpack(monkeypatch):
+    from fracspec import _kernels
+
+    op = _power_operator(DomainSpec.unit_square(), 32)
+    dense = sym_eig(op).values[:12]
+    gathers = []
+    monkeypatch.setattr(_kernels, "toeplitz_gather", lambda *a, **kw: gathers.append(a))
+    monkeypatch.setattr(eig, "DENSE_CAP", 200)  # blocks of 16^2 = 256 and less
+    spec = lanczos_extreme(op, k=12)
+    assert spec.meta["eig_path"] == "lanczos" and not gathers
+    assert np.allclose(spec.values, dense, rtol=1e-10, atol=0.0)

@@ -161,9 +161,9 @@ def test_swap_folded_spectrum_matches_dense_eigenvalues(domain, nodes, diagonal,
     else:
         assert "swap_defect" not in spec.meta
     solved = 0
-    for p, pair, sign, copies in split.solves:
+    for (p, pair, sign, copies), size in zip(split.solves, split.solve_sizes, strict=True):
         B = split.block(p, pair, sign)
-        assert B.size and np.array_equal(B, B.T)
+        assert B.size and B.shape[0] == size and np.array_equal(B, B.T)
         solved += copies * B.shape[0]
     assert solved == dense.size
     assert np.allclose(spec.values, dense, rtol=1e-10, atol=1e-13 * dense[-1])
