@@ -521,11 +521,15 @@ class ParitySplit:
 
     @property
     def solves(self) -> list[tuple]:
-        """(p, pair, sign, copies) of each matrix block(p, pair, sign) the split's spectrum needs.
+        """(p, pair, sign, copies, order) of each matrix block(p, pair, sign) the split's spectrum needs.
 
         p is a key and copies the number of parities it stands for; pair
         is the first swappable pair (i, j) with p_i = p_j, or None; sign is
         1, or -1 for an antisymmetric half, left out when it is empty.
+        order is the matrix's order, from the half-block lengths alone:
+        nothing is gathered.  A half on a pair of equal half lengths l
+        keeps the l (l + 1) / 2 orbit representatives with I_i <= I_j of
+        each l x l plane, or the l (l - 1) / 2 with I_i < I_j.
         """
         keys: dict[tuple, int] = {}
         for p in self.parities:
@@ -536,26 +540,11 @@ class ParitySplit:
             keys[tuple(key)] = keys.get(tuple(key), 0) + 1
         out = []
         for p, copies in keys.items():
-            pair = next((ij for c in self.classes for ij in itertools.combinations(c, 2) if p[ij[0]] == p[ij[1]]), None)
-            signs = (1,) if pair is None or self.half(p)[pair[0]] == 1 else (1, -1)
-            out += [(p, pair, sign, copies) for sign in signs]
-        return out
-
-    @property
-    def solve_sizes(self) -> list[int]:
-        """The order of each matrix of solves, from the half-block lengths alone: nothing is gathered.
-
-        A half on a pair (i, j) of equal half lengths n keeps the n (n + 1) / 2
-        orbit representatives with I_i <= I_j, or the n (n - 1) / 2 with I_i < I_j.
-        """
-        out = []
-        for p, pair, sign, _ in self.solves:
             half = self.half(p)
-            size = int(np.prod(half))
-            if pair is not None:
-                n = int(half[pair[0]])
-                size = size // (n * n) * (n * (n + sign) // 2)
-            out.append(size)
+            pair = next((ij for c in self.classes for ij in itertools.combinations(c, 2) if p[ij[0]] == p[ij[1]]), None)
+            l = 1 if pair is None else int(half[pair[0]])  # l = 1: the whole block, one sign
+            for sign in (1,) if l == 1 else (1, -1):
+                out.append((p, pair, sign, copies, int(np.prod(half)) // (l * l) * (l * (l + sign) // 2)))
         return out
 
     def block(self, p, pair=None, sign=1) -> np.ndarray:
@@ -611,6 +600,9 @@ class RestrictedPowerOperator(spla.LinearOperator):
     part: toarray() gathers it into the m x m matrix, for the dense
     route, and parity_split() folds it into reflection-parity blocks, for
     full spectra.  The kernel is built on the first of those calls only.
+    block, found once here, is (low corner, nodes per axis) of the
+    interior when it fills a tensor block, else None; parity_split() and
+    preconditioner() both read it.
     """
 
     def __init__(self, mult: TorusMultiplier, a: float, grid: Grid):
@@ -625,6 +617,11 @@ class RestrictedPowerOperator(spla.LinearOperator):
         even = 0.5 * (self._vals_pow + _reflect(self._vals_pow, tuple(range(grid.n))))
         self.symbol = np.ascontiguousarray(even[..., : grid.shape[-1] // 2 + 1])
         self.mult, self.a, self.grid, self.interior = mult, a, grid, idx
+        multi = np.stack(np.unravel_index(idx, grid.shape), axis=-1)
+        corner = multi.min(axis=0)
+        lengths = multi.max(axis=0) - corner + 1
+        # (torus multi-index of the low corner, nodes per axis) of the interior, or None if it is no tensor block
+        self.block = (corner, lengths) if idx.size == np.prod(lengths) else None
         self.descriptor = f"({mult.descriptor})^{a:g} restricted to {idx.size} nodes"
 
     @functools.cached_property
@@ -652,10 +649,9 @@ class RestrictedPowerOperator(spla.LinearOperator):
         PARITY_DEFECT, relative to the same value, are swappable; each
         class of mutually swappable axes folds the blocks further.
         """
-        block = self._tensor_block()
-        if block is None:
+        if self.block is None:
             return None
-        corner, lengths = block
+        corner, lengths = self.block
         kern = self._kernel
         scale = np.abs(kern).max()
         defect = max(np.abs(kern - _reflect(kern, k)).max() for k in range(kern.ndim)) / scale
@@ -688,13 +684,12 @@ class RestrictedPowerOperator(spla.LinearOperator):
         spectral power (-Delta_h)^a, whose energy norm is equivalent to the
         restricted operator's for 0 < a < 1 (Bonito et al., Comput. Vis.
         Sci. 19 (2018)).  A cross-coefficient form is preconditioned by its
-        diagonal.  None when the interior is not a tensor block (the test
-        parity_split makes) or a lies outside (0, 1).
+        diagonal.  None when the interior is not a tensor block (self.block is
+        None) or a lies outside (0, 1).
         """
-        block = self._tensor_block()
-        if block is None or not 0.0 < self.a < 1.0:
+        if self.block is None or not 0.0 < self.a < 1.0:
             return None
-        lengths, h = block[1], self.grid.h
+        lengths, h = self.block[1], self.grid.h
         diag = [float(self.mult.fn(e)) for e in np.eye(self.grid.n)]
         per_axis = [d * (np.pi * np.arange(1, L + 1) / ((L + 1) * h)) ** 2 for d, L in zip(diag, lengths)]
         weight = functools.reduce(np.add.outer, per_axis) ** -self.a
@@ -706,13 +701,6 @@ class RestrictedPowerOperator(spla.LinearOperator):
             return out.reshape(np.shape(X))
 
         return spla.LinearOperator(self.shape, matvec=apply, matmat=apply, dtype=np.float64)
-
-    def _tensor_block(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(torus multi-index of the low corner, nodes per axis) of the interior, or None if it is no tensor block."""
-        multi = np.stack(np.unravel_index(self.interior, self.grid.shape), axis=-1)
-        corner = multi.min(axis=0)
-        lengths = multi.max(axis=0) - corner + 1
-        return (corner, lengths) if self.interior.size == np.prod(lengths) else None
 
     def _matmat(self, X):
         return _kernels.restricted_power_apply(self.symbol, self.interior, self.grid.shape, X)

@@ -30,6 +30,15 @@ measure.  Error estimates come from comparing two refinement levels of
 the spatial rule (and of the cosphere rule, where one is used), since no
 external truth is available for these integrals.
 
+Every rule, spatial or cosphere, is built from three private helpers:
+_gauss (Gauss-Legendre mapped onto [lo, hi]), _periodic (the trapezoid
+rule on [0, 2 pi)) and _sphere (unit vectors of the 2-sphere from a
+polar-cosine rule times the azimuth trapezoid).  Box volumes and faces
+are tensor products of _gauss rules; the disk takes _gauss in radius
+(or in angle on its boundary) and _periodic in angle; sphere_rule(3),
+the ball volume and the ball cap all go through _sphere, the first two
+with the raw Gauss-Legendre nodes on [-1, 1].
+
 DomainSpec holds the geometry of every domain the package meets and
 refuses impossible geometry (lengths and radii that are not finite and
 positive, arcs outside 0 <= t0 < t1 <= 2 pi, caps outside (0, pi]);
@@ -84,6 +93,31 @@ class SphereRule:
     rule_id: str
 
 
+def _gauss(m: int, lo, hi):
+    """m-point Gauss-Legendre rule on [lo, hi]: nodes 0.5 (hi - lo)(t + 1) + lo, weights 0.5 (hi - lo) w."""
+    t, w = np.polynomial.legendre.leggauss(m)
+    return 0.5 * (hi - lo) * (t + 1.0) + lo, 0.5 * (hi - lo) * w
+
+
+def _periodic(k: int):
+    """k-point trapezoid rule on [0, 2 pi): equally spaced angles, equal weights 2 pi / k."""
+    return 2.0 * np.pi * np.arange(k) / k, np.full(k, 2.0 * np.pi / k)
+
+
+def _sphere(z: np.ndarray, wz: np.ndarray, k: int):
+    """(unit vectors, weights) on the 2-sphere: a rule (z, wz) in the polar cosine times k azimuths.
+
+    Vectors run over z first, then the azimuth, row-major.
+    """
+    lam, wl = _periodic(k)
+    s = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
+    u = np.empty((z.size * k, 3))
+    u[:, 0] = np.outer(s, np.cos(lam)).ravel()
+    u[:, 1] = np.outer(s, np.sin(lam)).ravel()
+    u[:, 2] = np.repeat(z, k)
+    return u, np.outer(wz, wl).ravel()
+
+
 def sphere_rule(n: int, level: int = 0) -> SphereRule:
     """Quadrature rule on the unit sphere in R^n.
 
@@ -100,20 +134,11 @@ def sphere_rule(n: int, level: int = 0) -> SphereRule:
         )
     if n == 2:
         k = max(int(256 * scale), 8)
-        th = 2.0 * np.pi * np.arange(k) / k
-        nodes = np.column_stack([np.cos(th), np.sin(th)])
-        weights = np.full(k, 2.0 * np.pi / k)
-        return SphereRule(nodes, weights, f"trapezoid-circle-{k}")
+        th, weights = _periodic(k)
+        return SphereRule(np.column_stack([np.cos(th), np.sin(th)]), weights, f"trapezoid-circle-{k}")
     if n == 3:
         nz, nphi = max(int(64 * scale), 8), max(int(128 * scale), 16)
-        z, wz = np.polynomial.legendre.leggauss(nz)
-        phi = 2.0 * np.pi * np.arange(nphi) / nphi
-        r = np.sqrt(1.0 - z**2)
-        nodes = np.empty((nz * nphi, 3))
-        nodes[:, 0] = np.outer(r, np.cos(phi)).ravel()
-        nodes[:, 1] = np.outer(r, np.sin(phi)).ravel()
-        nodes[:, 2] = np.repeat(z, nphi)
-        weights = np.outer(wz, np.full(nphi, 2.0 * np.pi / nphi)).ravel()
+        nodes, weights = _sphere(*np.polynomial.legendre.leggauss(nz), nphi)
         return SphereRule(nodes, weights, f"product-gauss-{nz}x{nphi}")
     raise ValueError("sphere rules are provided for n in {1, 2, 3}")
 
@@ -259,37 +284,18 @@ class DomainSpec:
         """(points, weights) integrating over the domain; Gauss-Legendre based."""
         m = max(int(32 * 2.0**level), 4)
         if self.box_like:
-            axes = []
-            for L in self.lengths:
-                t, w = np.polynomial.legendre.leggauss(m)
-                axes.append((0.5 * L * (t + 1.0), 0.5 * L * w))
-            return _tensor_rule(axes)
+            return _tensor_rule([_gauss(m, 0.0, L) for L in self.lengths])
+        r, wr = _gauss(m, 0.0, self.radius)
         if self.kind == "disk":
-            t, w = np.polynomial.legendre.leggauss(m)
-            r = 0.5 * self.radius * (t + 1.0)
-            wr = 0.5 * self.radius * w * r
-            k = 4 * m
-            th = 2.0 * np.pi * np.arange(k) / k
-            wth = np.full(k, 2.0 * np.pi / k)
-            pts = np.empty((m * k, 2))
+            th, wth = _periodic(4 * m)
+            pts = np.empty((m * th.size, 2))
             pts[:, 0] = np.outer(r, np.cos(th)).ravel()
             pts[:, 1] = np.outer(r, np.sin(th)).ravel()
-            return pts + np.asarray(self.center), np.outer(wr, wth).ravel()
+            return pts + np.asarray(self.center), np.outer(wr * r, wth).ravel()
         # ball: Gauss-Legendre in radius and polar cosine, trapezoid azimuth
-        t, w = np.polynomial.legendre.leggauss(m)
-        r = 0.5 * self.radius * (t + 1.0)
-        wr = 0.5 * self.radius * w * r**2
-        z, wz = np.polynomial.legendre.leggauss(m)
-        k = 2 * m
-        lam = 2.0 * np.pi * np.arange(k) / k
-        wl = np.full(k, 2.0 * np.pi / k)
-        s = np.sqrt(1.0 - z**2)
-        pts = np.empty((m * m * k, 3))
-        pts[:, 0] = (r[:, None, None] * np.outer(s, np.cos(lam))[None]).ravel()
-        pts[:, 1] = (r[:, None, None] * np.outer(s, np.sin(lam))[None]).ravel()
-        pts[:, 2] = (r[:, None, None] * np.broadcast_to(z[:, None], (m, k))[None]).ravel()
-        wts = (wr[:, None, None] * np.outer(wz, wl)[None]).ravel()
-        return pts + np.asarray(self.center), wts
+        u, wu = _sphere(*np.polynomial.legendre.leggauss(m), 2 * m)
+        pts = (r[:, None, None] * u[None]).reshape(-1, 3)
+        return pts + np.asarray(self.center), ((wr * r**2)[:, None] * wu[None]).ravel()
 
     # -- boundary rule ------------------------------------------------------
 
@@ -299,22 +305,14 @@ class DomainSpec:
         n = self.n
         normal = np.zeros(n)
         normal[ax] = 1.0 if side == "-" else -1.0  # interior normal
-        tangents = [np.eye(n)[i] for i in range(n) if i != ax]
-        frame = np.column_stack(tangents + [normal]) if n > 1 else normal.reshape(1, 1)
+        cols = [i for i in range(n) if i != ax]
+        frame = np.column_stack([np.eye(n)[i] for i in cols] + [normal]) if n > 1 else normal.reshape(1, 1)
         if n == 1:
             pt = np.array([[0.0 if side == "-" else self.lengths[0]]])
             return pt, np.array([frame]), np.array([1.0])
-        axes = []
-        for i in range(n):
-            if i == ax:
-                continue
-            t, w = np.polynomial.legendre.leggauss(m)
-            axes.append((0.5 * self.lengths[i] * (t + 1.0), 0.5 * self.lengths[i] * w))
-        sub_pts, wts = _tensor_rule(axes)
+        sub_pts, wts = _tensor_rule([_gauss(m, 0.0, self.lengths[i]) for i in cols])
         pts = np.empty((sub_pts.shape[0], n))
-        cols = [i for i in range(n) if i != ax]
-        for j, i in enumerate(cols):
-            pts[:, i] = sub_pts[:, j]
+        pts[:, cols] = sub_pts
         pts[:, ax] = 0.0 if side == "-" else self.lengths[ax]
         frames = np.broadcast_to(frame, (pts.shape[0], n, n)).copy()
         return pts, frames, wts
@@ -329,62 +327,42 @@ class DomainSpec:
         m = max(int(32 * 2.0**level), 4)
         if self.box_like:
             faces = self.sigma_plus if part == "sigma_plus" else _BOX_FACES[self.n]
-            chunks = [self._face_rule(f, m) for f in faces]
-            pts = np.concatenate([c[0] for c in chunks])
-            frames = np.concatenate([c[1] for c in chunks])
-            wts = np.concatenate([c[2] for c in chunks])
-            return pts, frames, wts
+            return tuple(np.concatenate(c) for c in zip(*(self._face_rule(f, m) for f in faces)))
         if self.kind == "disk":
             if part == "sigma_plus":
                 _, th0, th1 = self.sigma_plus
             else:
                 th0, th1 = 0.0, 2.0 * np.pi
-            k = 8 * m
-            t, w = np.polynomial.legendre.leggauss(k)
-            th = 0.5 * (th1 - th0) * (t + 1.0) + th0
-            wts = 0.5 * (th1 - th0) * w * self.radius
+            th, wth = _gauss(8 * m, th0, th1)
             cs, sn = np.cos(th), np.sin(th)
             pts = np.column_stack([cs, sn]) * self.radius + np.asarray(self.center)
-            frames = np.empty((k, 2, 2))
+            frames = np.empty((th.size, 2, 2))
             frames[:, 0, 0] = -sn
             frames[:, 1, 0] = cs
             frames[:, 0, 1] = -cs
             frames[:, 1, 1] = -sn
-            return pts, frames, wts
+            return pts, frames, wth * self.radius
         # ball cap
         phi1 = self.sigma_plus[1] if part == "sigma_plus" else np.pi
-        z0 = np.cos(phi1)
-        t, wz = np.polynomial.legendre.leggauss(2 * m)
-        z = 0.5 * (1.0 - z0) * (t + 1.0) + z0
-        wz = 0.5 * (1.0 - z0) * wz
+        z, wz = _gauss(2 * m, np.cos(phi1), 1.0)
         k = 4 * m
-        lam = 2.0 * np.pi * np.arange(k) / k
-        wl = np.full(k, 2.0 * np.pi / k)
-        s = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
-        npts = z.size * k
-        pts = np.empty((npts, 3))
-        rad = np.empty((npts, 3))
-        rad[:, 0] = np.outer(s, np.cos(lam)).ravel()
-        rad[:, 1] = np.outer(s, np.sin(lam)).ravel()
-        rad[:, 2] = np.repeat(z, k)
-        pts[:] = self.radius * rad + np.asarray(self.center)
+        rad, wts = _sphere(z, wz, k)
+        pts = self.radius * rad + np.asarray(self.center)
         # frame: e_phi, e_lambda tangents, inward radial normal
-        e_lam = np.column_stack([-np.tile(np.sin(lam), z.size), np.tile(np.cos(lam), z.size), np.zeros(npts)])
+        lam = _periodic(k)[0]
+        e_lam = np.column_stack([-np.tile(np.sin(lam), z.size), np.tile(np.cos(lam), z.size), np.zeros(rad.shape[0])])
         e_phi = np.cross(e_lam, rad)
         frames = np.stack([e_phi, e_lam, -rad], axis=2)
-        wts = self.radius**2 * np.outer(wz, wl).ravel()
-        return pts, frames, wts
+        return pts, frames, self.radius**2 * wts
 
 
 def _tensor_rule(axes):
-    pts_1d = [a[0] for a in axes]
-    wts_1d = [a[1] for a in axes]
-    grids = np.meshgrid(*pts_1d, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    w = wts_1d[0]
-    for wi in wts_1d[1:]:
+    """Tensor product of 1-d rules (nodes, weights), the last axis fastest."""
+    pts, wts = zip(*axes)
+    w = wts[0]
+    for wi in wts[1:]:
         w = np.outer(w, wi).ravel()
-    return pts, w
+    return np.column_stack([g.ravel() for g in np.meshgrid(*pts, indexing="ij")]), w
 
 
 def domain_measure(domain: DomainSpec, part: str = "volume", via: str = "closed") -> QuadratureResult:

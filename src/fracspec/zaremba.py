@@ -64,7 +64,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from . import eig
+from . import _kernels, eig
 from .discretize import Grid, OperatorMatrix, assemble_second_order, build_grid, grid_spacing, schur_split
 from .eig import lanczos_extreme, sym_eig
 from .errors import ConfigurationError, NotPositiveError, NumericError
@@ -578,7 +578,7 @@ def face_mode_spectra(coeffs: SecondOrderCoeffs, sigma: float, domain, nodes: in
     position in its nodes (C order over the tangential axes, the order of
     the grid's sigma_plus_idx); the rest of the face is Dirichlet, and
     the patch takes the submatrices of S = V diag(s) V and
-    Q = V diag(q) V, V the orthonormal DST-I (scipy.fft.dstn), as the
+    Q = V diag(q) V, V the orthonormal DST-I (_kernels.dst1), as the
     disk takes the arc's.
     """
     if not separable_face(coeffs, sigma, domain):
@@ -609,8 +609,6 @@ def face_mode_spectra(coeffs: SecondOrderCoeffs, sigma: float, domain, nodes: in
         mu = np.sort(q / s)[::-1]
         interface = np.sort(s) / w_b
     else:
-        import scipy.fft  # only patches use it, and it is slow to import
-
         sel = np.unique(np.asarray(partition, dtype=int).ravel())
         if sel.size == 0 or sel[0] < 0 or sel[-1] >= modes:
             raise ConfigurationError(f"partition positions must lie in the {modes} free face nodes")
@@ -618,8 +616,7 @@ def face_mode_spectra(coeffs: SecondOrderCoeffs, sigma: float, domain, nodes: in
         # rows sel of V, from the DST of unit vectors
         V = np.zeros((n_free, modes))
         V[np.arange(n_free), sel] = 1.0
-        V = scipy.fft.dstn(V.reshape(n_free, *face_shape), type=1, norm="ortho",
-                           axes=tuple(range(1, n)), overwrite_x=True).reshape(n_free, modes)
+        V = _kernels.dst1(V.reshape(n_free, *face_shape), tuple(range(1, n))).reshape(n_free, modes)
         S_plus = (V * s) @ V.T
         mu = sym_eig((V * q) @ V.T, S_plus).values[::-1]
         interface = sym_eig(S_plus).values / w_b

@@ -190,9 +190,10 @@ class TestPipelines:
 
         gathers = []
         monkeypatch.setattr(_kernels, "toeplitz_gather", lambda *a, **k: gathers.append(a))
-        monkeypatch.setattr(eig, "DENSE_CAP", 200)  # square 32: blocks of 16^2 = 256 and less
+        # square 32: blocks of 16^2 = 256 and less; the largest matrix solved is block 01, of 16 x 15 = 240
+        monkeypatch.setattr(eig, "DENSE_CAP", 200)
         assert run(["spectrum", "--a", "0.5", "--domain", "square", "--nodes", "32"], tmp_path) == 3
-        assert "capped at 200, got 256" in capsys.readouterr().err and not gathers
+        assert "capped at 200, got 240" in capsys.readouterr().err and not gathers
 
     @pytest.mark.parametrize("a", ["1", "0.5"])  # sparse Lanczos, matrix-free preconditioned LOBPCG
     def test_boundary_exp_repro_in_process(self, tmp_path, a):

@@ -90,9 +90,9 @@ def test_nan_entry_is_not_symmetric(where):
 def test_check_symmetric_returns_exactly_symmetric_input_itself():
     M = np.random.default_rng(3).standard_normal((50, 50))
     S = M + M.T
-    assert eig._check_symmetric(S) is S
+    assert eig._as_dense(S) is S
     near = S + 1e-12 * np.triu(np.ones_like(S), 1)
-    assert np.array_equal(eig._check_symmetric(near), 0.5 * (near + near.T))
+    assert np.array_equal(eig._as_dense(near), 0.5 * (near + near.T))
 
 
 def test_sym_eig_dense_cap():
@@ -142,6 +142,9 @@ def test_eig_is_the_only_eigensolver_caller():
     callers = [p.name for p in sorted(src.glob("*.py"))
                if p.name != "eig.py" and re.search(r"\b(eigh|eigvalsh|eigsh|lobpcg)\(", p.read_text())]
     assert callers == []
+    # and within eig.py every dense solve is the one LAPACK call site of _eigh
+    text = (src / "eig.py").read_text()
+    assert len(re.findall(r"scipy\.linalg\.eigh\(", text)) == 1 and "eigvalsh" not in text
 
 
 def test_eigvector_residuals_and_orthogonality():
@@ -303,7 +306,7 @@ def test_preconditioner_inverts_the_spectral_power_on_sine_modes():
     # lambda = sum_k a_kk (pi j_k / ((L_k + 1) h))^2 from the form's diagonal only
     form = np.array([[2.0, 0.3], [0.3, 0.5]])
     op = _power_operator(DomainSpec("rectangle", lengths=(1.0, 0.75)), 16, a=0.4, form=form)
-    L, h = op._tensor_block()[1], op.grid.h
+    L, h = op.block[1], op.grid.h
     assert tuple(L) == (15, 11)
     j = (2, 3)
     u = np.multiply.outer(*(np.sin(np.pi * jk * np.arange(1, Lk + 1) / (Lk + 1)) for jk, Lk in zip(j, L))).ravel()
@@ -425,3 +428,13 @@ def test_parity_route_past_block_cap_falls_through_to_arpack(monkeypatch):
     spec = lanczos_extreme(op, k=12)
     assert spec.meta["eig_path"] == "lanczos" and not gathers
     assert np.allclose(spec.values, dense, rtol=1e-10, atol=0.0)
+
+
+def test_arpack_restart_floor_on_short_intervals():
+    # interval 512 at k = 12: ARPACK needs 45 restarts, more than n // (ncv - k) + 1 = 40 of 511 nodes; the
+    # floor ARPACK_MIN_RESTARTS lets it finish, so the pairs do not fall to the dense route
+    op = _power_operator(DomainSpec.unit_interval(), 512)
+    assert op.shape[0] // (25 - 12) + 1 < eig.ARPACK_MIN_RESTARTS
+    spec = lanczos_extreme(op, k=12, want_vectors=True)
+    assert spec.meta["eig_path"] == "lanczos" and spec.meta["max_residual"] <= eig.MAX_RESIDUAL
+    assert np.allclose(spec.values, sym_eig(op).values[:12], rtol=1e-10, atol=0.0)

@@ -27,6 +27,7 @@ from fracspec import discretize
 from fracspec.asymptotics import boundary_exponent
 from fracspec.discretize import RestrictedPowerOperator, TorusMultiplier, build_grid
 from fracspec.eig import lanczos_extreme, sym_eig
+from fracspec.errors import NumericError
 from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
 
@@ -161,9 +162,9 @@ def test_swap_folded_spectrum_matches_dense_eigenvalues(domain, nodes, diagonal,
     else:
         assert "swap_defect" not in spec.meta
     solved = 0
-    for (p, pair, sign, copies), size in zip(split.solves, split.solve_sizes, strict=True):
+    for p, pair, sign, copies, order in split.solves:
         B = split.block(p, pair, sign)
-        assert B.size and B.shape[0] == size and np.array_equal(B, B.T)
+        assert B.size and B.shape[0] == order and np.array_equal(B, B.T)
         solved += copies * B.shape[0]
     assert solved == dense.size
     assert np.allclose(spec.values, dense, rtol=1e-10, atol=1e-13 * dense[-1])
@@ -189,6 +190,27 @@ def test_swap_halves_gathered_without_the_block(monkeypatch):
     assert spec.meta["solves"] == len(solved) == len(gathers) == 5
     assert max(size for size, _ in gathers) <= max(solved) ** 2 < max(sizes) ** 2
     assert sum(reads for _, reads in gathers) <= sum(4 * s * s for s in sizes)
+
+
+def test_dense_cap_applies_to_the_matrices_solved(monkeypatch):
+    # box 16: parity blocks of order up to 512, but the swap fold solves halves of order at most 288 and never
+    # forms the blocks, so a cap of 300 leaves the values as they are; at 250 nothing is gathered
+    from fracspec import eig
+
+    op = _diag_operator(DomainSpec.unit_box(), 16, 1.0, 1.0, 1.0)
+    split = op.parity_split()
+    assert max(split.sizes) == 512 and max(order for *_, order in split.solves) == 288
+    full = sym_eig(op)
+    monkeypatch.setattr(eig, "DENSE_CAP", 300)
+    capped = sym_eig(op)
+    assert np.array_equal(capped.values, full.values) and capped.meta == full.meta
+    assert lanczos_extreme(op, k=40).meta == full.meta  # the parity blocks, not ARPACK
+    blocks, real_block = [], discretize.ParitySplit.block
+    monkeypatch.setattr(discretize.ParitySplit, "block", lambda *a, **kw: blocks.append(1) or real_block(*a, **kw))
+    monkeypatch.setattr(eig, "DENSE_CAP", 250)
+    with pytest.raises(NumericError, match="capped at 250, got 288"):
+        sym_eig(op)
+    assert lanczos_extreme(op, k=40).meta["eig_path"] == "lanczos" and blocks == []
 
 
 def test_off_diagonal_form_takes_the_dense_gather():
