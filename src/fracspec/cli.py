@@ -123,7 +123,8 @@ _ALL = tuple(SUBCOMMANDS)
 # flag, help).  The type converts and checks the config text: float, int,
 # _Int(lo) (at least lo), str, _floats, _pair (exactly two numbers),
 # _index_range (integers lo < hi), _bool, _shift (a finite number or auto),
-# or a tuple of the accepted words.
+# or a tuple of the accepted words.  _get refuses a float, _floats or _pair
+# value that is NaN or infinite.
 # Every option is also a config key [section] key = value, accepted by any
 # subcommand.
 OPTIONS = (
@@ -220,9 +221,13 @@ def _get(cfg, section, key, default=None):
             raise ConfigurationError(f"{section}.{key} must be one of {' | '.join(typ)}, got {raw!r}")
         return raw
     try:
-        return typ(raw)
+        val = typ(raw)
     except ValueError as exc:
         raise ConfigurationError(f"{section}.{key}: cannot read {raw!r} ({exc})") from exc
+    numbers = [val] if typ is float else val if isinstance(typ, _Floats) else []
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigurationError(f"{section}.{key}: cannot read {raw!r} (needs finite numbers)")
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +485,7 @@ def _cmd_symbol_check(cfg, args, em: Emitter) -> list[str]:
 
 
 def _cmd_weyl_const(cfg, args, em: Emitter) -> list[str]:
+    from .errors import ConfigurationError
     from .quadrature import weyl_constant_dirichlet, weyl_constant_L, weyl_constant_M
     from .symbols import PrincipalSymbol
 
@@ -492,6 +498,9 @@ def _cmd_weyl_const(cfg, args, em: Emitter) -> list[str]:
 
     if which == "dirichlet":
         if op_kind == "frac-laplacian":
+            if coeffs.describe() != "identity":
+                raise ConfigurationError(f"--op frac-laplacian is the power of the Laplacian, not of coefficients "
+                                         f"{coeffs.describe()}: use --op coeffs")
             symbol = PrincipalSymbol.fractional_laplacian(domain.n, a)
         else:
             symbol = PrincipalSymbol.from_coeffs(coeffs, power=a)
@@ -507,8 +516,6 @@ def _cmd_weyl_const(cfg, args, em: Emitter) -> list[str]:
         em.row("law", "N_M(t) ~ c_M t^(-(n-1)/2) as t -> 0+")
         name = "c_M"
     else:
-        from .errors import ConfigurationError
-
         raise ConfigurationError(f"unknown constant selector {which!r}")
 
     value = float(res.value)

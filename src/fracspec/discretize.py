@@ -6,13 +6,14 @@ evaluates the multiplier's power once and is the one owner of its torus
 kernel.  It is applied matrix-free by transforms, for a few eigenpairs
 past the dense cap, gathered into a dense matrix (toarray), and split
 into reflection-parity blocks (ParitySplit) on tensor-block interiors,
-folded further where axes of equal length swap, for full spectra.  fractional_restricted is the dense route for a matrix
-base, by eigendecomposition, and the transform route's oracle.  The
-same grids feed the second-order Dirichlet, mixed and periodic
-assemblies, which sum the form over the closure nodes of the domain
-with one neighbour rule for every boundary condition; which node lies
-on which face plane is decided once, from integer torus indices
-(Grid.planes), and grid_spacing is the one spacing rule.  schur_split
+folded further where axes of equal length swap, for full spectra.  Its
+dense oracle, the power of the whole torus matrix by eigendecomposition,
+lives with the tests (test_discretize.dense_power).  The same grids feed
+the second-order Dirichlet, mixed and periodic assemblies, which sum the
+form over the closure nodes of the domain with one neighbour rule for
+every boundary condition; which node lies on which face plane is
+decided once, from integer torus indices (Grid.planes), and
+grid_spacing is the one spacing rule.  schur_split
 is the one Schur complement: its extension map K and interface S are
 the discrete Poisson extension and, weighted by the boundary measure,
 the discrete Dirichlet-to-Neumann operator of the Krein assembly
@@ -39,7 +40,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _kernels
-from .eig import sym_eig
 from .errors import ConfigurationError, InvariantError, NotPositiveError, NumericError
 from .quadrature import DomainSpec
 from .symbols import SecondOrderCoeffs
@@ -420,44 +420,6 @@ def _even_kernel(vals_pow: np.ndarray) -> np.ndarray:
     return 0.5 * (kern + _reflect(kern, tuple(range(kern.ndim))))
 
 
-def materialize_torus_operator(mult: TorusMultiplier, grid: Grid) -> OperatorMatrix:
-    """Dense torus matrix of a Fourier multiplier.
-
-    Its fractional powers take the dense eigendecomposition route of
-    fractional_restricted, the slow-but-generic contrast to the
-    transform route of the multiplier itself.
-    """
-    kern = _even_kernel(_multiplier_values(mult, grid))
-    multi = np.stack(np.unravel_index(np.arange(grid.size), grid.shape), axis=-1)
-    dense = _kernels.toeplitz_gather(kern.ravel(), multi, grid.shape)
-    meta = {"units": "operator", "h": grid.h}
-    return OperatorMatrix(dense, grid, f"dense torus matrix of {mult.descriptor}", meta)
-
-
-def fractional_restricted(base, a: float, grid: Grid | None = None, interior=None) -> OperatorMatrix:
-    """Discrete r+ P_a e+ of a matrix base: its a-th power, cut down to interior.
-
-    base is a symmetric positive semidefinite torus matrix (dense, sparse
-    or an OperatorMatrix); its power comes from a dense eigendecomposition
-    (eig.sym_eig, capped at eig.DENSE_CAP and checked symmetric).
-    interior defaults to grid.interior_idx, or to every row without a
-    grid.  This is the dense route of criterion 05 and the oracle of the
-    transform route, RestrictedPowerOperator.
-    """
-    if not a > 0.0:
-        raise ValueError("fractional exponent a must be positive")
-    if interior is None:
-        interior = grid.interior_idx if grid is not None else np.arange(np.shape(base)[0])
-    idx = np.asarray(interior)
-    spec = sym_eig(base, want_vectors=True)  # capped before base is gathered
-    w = spec.values
-    if w.min() < -1e-10 * max(abs(w.max()), 1.0):
-        raise NotPositiveError("base operator has negative eigenvalues beyond tolerance")
-    R = _power_from_pairs(np.clip(w, 0.0, None), spec.vectors, a)[np.ix_(idx, idx)]
-    desc_base = base.descriptor if isinstance(base, OperatorMatrix) else "matrix"
-    return OperatorMatrix(R, grid, f"({desc_base})^{a:g} restricted", {"units": "operator"})
-
-
 @dataclass(frozen=True)
 class ParitySplit:
     """Reflection-parity blocks of r+ P_a e+ on a tensor-block interior, folded by axis swaps.
@@ -606,8 +568,8 @@ class RestrictedPowerOperator(spla.LinearOperator):
     """
 
     def __init__(self, mult: TorusMultiplier, a: float, grid: Grid):
-        if not a > 0.0:
-            raise ValueError("fractional exponent a must be positive")
+        if not 0.0 < a < np.inf:  # NaN fails the comparison
+            raise ValueError("fractional exponent a must be finite and positive")
         idx = grid.interior_idx
         super().__init__(np.float64, (idx.size, idx.size))
         vals = _multiplier_values(mult, grid)
@@ -704,12 +666,6 @@ class RestrictedPowerOperator(spla.LinearOperator):
 
     def _matmat(self, X):
         return _kernels.restricted_power_apply(self.symbol, self.interior, self.grid.shape, X)
-
-
-def _power_from_pairs(w: np.ndarray, V: np.ndarray, a: float) -> np.ndarray:
-    """V diag(w^a) V^T for eigenpairs with w >= 0, as F F^T with F = V diag(w^(a/2)): symmetric bit for bit."""
-    F = V * w ** (0.5 * a)
-    return F @ F.T
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ site of LAPACK's symmetric drivers, _eigh (scipy.linalg.eigh), with one error
 map, and every matrix reaches it through _as_dense, which gathers, caps and
 checks symmetry in one step.
 
-Full spectra: sym_eig, LAPACK's tridiagonalization + implicit-shift drivers,
-with vectors on request.  An operator that splits into reflection-parity
+Full spectra: sym_eig, values only, from LAPACK's tridiagonalization +
+implicit-shift drivers.  An operator that splits into reflection-parity
 blocks (discretize.RestrictedPowerOperator.parity_split: a tensor-block
 interior and a kernel even along every axis) has its values taken matrix by
 matrix of split.solves, each capped at DENSE_CAP (eig_path "parity"); where
@@ -66,8 +66,8 @@ ARPACK_MIN_RESTARTS = 64  # floor on ARPACK's n // (ncv - k) + 1 restarts: inter
 
 def _check_cap(n: int) -> None:
     if n > DENSE_CAP:
-        raise NumericError(f"dense eigensolve capped at {DENSE_CAP}, got {n}: full spectra stop there, and a "
-                           "few pairs past it come only from Lanczos within the residual bound (lanczos_extreme)")
+        raise NumericError(f"dense eigensolve capped at {DENSE_CAP}, got {n}: full spectra stop there, and a few "
+                           "pairs past it come only from LOBPCG or Lanczos within the residual bound (lanczos_extreme)")
 
 
 def _unwrap(A):
@@ -139,13 +139,13 @@ def _eigh(M: np.ndarray, B: np.ndarray | None = None, want_vectors: bool = False
     return out if want_vectors else (out, None)
 
 
-def sym_eig(A, B=None, want_vectors: bool = False) -> Spectrum:
-    """Full ascending spectrum of a symmetric matrix or operator A, or of the pencil (A, B).
+def sym_eig(A, B=None) -> Spectrum:
+    """Full ascending spectrum, values only, of a symmetric matrix or operator A, or of the pencil (A, B).
 
     With B, the symmetric-definite pencil A x = lambda B x (Golub & Van
     Loan, Matrix Computations, sec. 8.7): both matrices are capped and
     checked symmetric, and a B that is not positive definite raises
-    NotPositiveError.  Values only of an operator with a parity split
+    NotPositiveError.  An operator with a parity split
     (parity_split() not None), without B: DENSE_CAP applies to the order
     of each matrix of split.solves (a block, or the half of one that an
     axis swap leaves), checked before any gather; each is gathered and
@@ -156,11 +156,11 @@ def sym_eig(A, B=None, want_vectors: bool = False) -> Spectrum:
     equal lengths, swap_defect.  Otherwise the whole matrix is gathered,
     capped first, and its symmetrized part (A + A^T)/2 is decomposed.
     """
-    split = None if B is not None or want_vectors or not hasattr(A, "parity_split") else A.parity_split()
+    split = None if B is not None or not hasattr(A, "parity_split") else A.parity_split()
     if split is not None:
         return _parity_values(split)
-    w, v = _eigh(_as_dense(A), None if B is None else _as_dense(B), want_vectors)
-    return Spectrum(w, v, meta={"eig_path": "dense"})
+    w, _ = _eigh(_as_dense(A), None if B is None else _as_dense(B))
+    return Spectrum(w, meta={"eig_path": "dense"})
 
 
 def _parity_values(split) -> Spectrum:

@@ -60,7 +60,6 @@ __all__ = [
     "QuadratureResult",
     "SphereRule",
     "sphere_rule",
-    "domain_measure",
     "weyl_constant_dirichlet",
     "weyl_constant_L",
     "weyl_constant_M",
@@ -363,21 +362,6 @@ def _tensor_rule(axes):
     for wi in wts[1:]:
         w = np.outer(w, wi).ravel()
     return np.column_stack([g.ravel() for g in np.meshgrid(*pts, indexing="ij")]), w
-
-
-def domain_measure(domain: DomainSpec, part: str = "volume", via: str = "closed") -> QuadratureResult:
-    """|Omega| or |Sigma+|, closed form by default, quadrature on request."""
-    if part == "volume":
-        exact = domain.measure()
-        if via == "rule":
-            _, w = domain.volume_rule()
-            return QuadratureResult(float(w.sum()), float(w.sum()) - exact, {"volume": w.size})
-        return QuadratureResult(exact, 0.0, {})
-    exact = domain.sigma_plus_measure()
-    if via == "rule":
-        _, _, w = domain.boundary_rule("sigma_plus")
-        return QuadratureResult(float(w.sum()), float(w.sum()) - exact, {"boundary": w.size})
-    return QuadratureResult(exact, 0.0, {})
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ emitted files can be asserted without shelling out; the console entry
 point and the import-order guard for --jobs run in a subprocess.
 """
 
+import importlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -27,6 +29,9 @@ from fracspec.cli import (
     _shift,
     execute,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def run(args, out):
@@ -299,6 +304,25 @@ _CONSTRAINT_CASES = [
     (["weyl-fit", "--window", "30,2"], "needs lo < hi"),
     (["zaremba", "--shift", "abc"], "operator.shift: cannot read 'abc' (needs a finite number or 'auto'"),
     (["zaremba", "--shift", "inf"], "operator.shift: cannot read 'inf' (needs a finite number or 'auto'"),
+    # float, _floats and _pair values that are not finite
+    (["weyl-fit", "--domain", "square", "--nodes", "16", "--expect-exponent", "1", "--tol-exponent", "nan",
+      "--assert"], "task.tol_exponent: cannot read 'nan' (needs finite numbers)"),
+    (["weyl-fit", "--domain", "square", "--nodes", "16", "--fixed-exponent", "nan"],
+     "task.fixed_exponent: cannot read 'nan' (needs finite numbers)"),
+    (["weyl-const", "--a", "nan"], "operator.a: cannot read 'nan' (needs finite numbers)"),
+    (["boundary-exp", "--domain", "interval", "--nodes", "64", "--threshold", "nan"],
+     "task.threshold: cannot read 'nan' (needs finite numbers)"),
+    (["zaremba", "--domain", "square", "--nodes", "12", "--sigma", "nan"],
+     "operator.sigma: cannot read 'nan' (needs finite numbers)"),
+    (["spectrum", "--a", "inf", "--domain", "square", "--nodes", "16"],
+     "operator.a: cannot read 'inf' (needs finite numbers)"),
+    (["boundary-exp", "--a", "inf", "--domain", "interval", "--nodes", "64"],
+     "operator.a: cannot read 'inf' (needs finite numbers)"),
+    (["boundary-exp", "--band", "0.01,inf"], "task.band: cannot read '0.01,inf' (needs finite numbers)"),
+    (["dtn-probe", "--xi", "1,nan,3"], "task.xi: cannot read '1,nan,3' (needs finite numbers)"),
+    # the fractional Laplacian's constant reads no coefficients
+    (["weyl-const", "--op", "frac-laplacian", "--coeffs", "diag:1,4", "--a", "0.5"],
+     "--op frac-laplacian is the power of the Laplacian, not of coefficients diag(1,4): use --op coeffs"),
     # coefficient and --n dimensions against the domain's
     (["zaremba", "--domain", "box", "--coeffs", "diag:1,2", "--nodes", "64"],
      "coefficients 'diag:1,2' are 2-dimensional, but the box domain is 3-dimensional"),
@@ -558,10 +582,15 @@ class TestManifest:
         assert ha is not None and report_hash is not None and ha != report_hash
 
 
-@pytest.mark.skipif(shutil.which("fracspec") is None, reason="entry point not on PATH")
 def test_console_script_help():
-    proc = subprocess.run(["fracspec", "--help"], capture_output=True, text=True)
-    assert proc.returncode == 0
+    # pyproject's entry point names a callable, and --help runs: through the installed script when it is on
+    # PATH, else through the module from the source tree
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        module, attr = re.search(r'^fracspec = "([\w.]+):(\w+)"$', fh.read(), re.M).groups()
+    assert callable(getattr(importlib.import_module(module), attr))
+    argv = ["fracspec"] if shutil.which("fracspec") else [sys.executable, "-m", "fracspec.cli"]
+    proc = subprocess.run([*argv, "--help"], env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     assert "symbol-check" in proc.stdout
 
 
@@ -613,8 +642,7 @@ def test_option_table_round_trip(row, capsys):
 
 def test_cli_import_leaves_numeric_stack_unloaded():
     # --jobs sets the thread caps in execute(); they only bind if numpy loads after that
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run(
         [sys.executable, "-c", "import fracspec.cli, sys; assert 'numpy' not in sys.modules"],
         env=env, capture_output=True, text=True,
@@ -625,8 +653,7 @@ def test_cli_import_leaves_numeric_stack_unloaded():
 def test_pipeline_imports_leave_scipy_special_and_fft_unloaded():
     # scipy.special (tens of ms to import) serves only singular-probe, and the sine transform of the LOBPCG
     # preconditioner is numpy's: importing the modules a pipeline run needs loads neither
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     code = ("import sys, fracspec.asymptotics, fracspec.cli, fracspec.discretize, fracspec.eig, fracspec.zaremba; "
             "loaded = [m for m in ('scipy.special', 'scipy.fft') if m in sys.modules]; assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -1,9 +1,12 @@
 """Grid construction, second-order assembly, and fractional restriction.
 
-One contrast object lives here, since only tests use it: a
+Two contrast objects live here, since only tests use them: a
 boundary-fitted polar disk grid with its form-unit Laplacian (the
 assembled oracle of the disk mode route in zaremba, imported by
-test_zaremba).
+test_zaremba), and the dense fractional power of a matrix by
+eigendecomposition, on the whole torus matrix of a multiplier (the
+oracle of RestrictedPowerOperator and the route of criterion 05,
+imported by test_acceptance).
 """
 
 from dataclasses import dataclass
@@ -14,16 +17,17 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.special import jn_zeros
 
+from fracspec._kernels import toeplitz_gather
 from fracspec.discretize import (
     Grid,
     OperatorMatrix,
     RestrictedPowerOperator,
     TorusMultiplier,
     _distance_to_boundary,
+    _even_kernel,
+    _multiplier_values,
     assemble_second_order,
     build_grid,
-    fractional_restricted,
-    materialize_torus_operator,
     schur_split,
 )
 from fracspec.errors import ConfigurationError, InvariantError, NotPositiveError, NumericError
@@ -185,6 +189,33 @@ def assemble_polar_laplacian(grid: PolarDiskGrid, sigma: float = 0.0) -> Operato
         "sigma": sigma,
     }
     return OperatorMatrix(perm, None, "Laplacian form on a polar disk grid", meta)
+
+
+# ---------------------------------------------------------------------------
+# dense fractional power by eigendecomposition
+# ---------------------------------------------------------------------------
+
+
+def torus_matrix(mult: TorusMultiplier, grid: Grid) -> np.ndarray:
+    """Dense torus matrix of a Fourier multiplier: its even torus kernel read at every pair of torus nodes."""
+    kern = _even_kernel(_multiplier_values(mult, grid))
+    multi = np.stack(np.unravel_index(np.arange(grid.size), grid.shape), axis=-1)
+    return toeplitz_gather(kern.ravel(), multi, grid.shape)
+
+
+def dense_power(base, a: float, interior=None) -> np.ndarray:
+    """(base^a)[interior, interior] of a symmetric positive semidefinite matrix; every row by default.
+
+    base is dense, or has toarray().  Its power is V diag(w^a) V^T from
+    one eigendecomposition, rounding below 0 in w clipped, formed as
+    F F^T with F = V diag(w^(a/2)), so it is symmetric bit for bit.  On
+    torus_matrix(mult, grid) and grid.interior_idx this is r+ P_a e+ by
+    the slow generic route, against RestrictedPowerOperator's transforms.
+    """
+    w, V = sla.eigh(base.toarray() if hasattr(base, "toarray") else base)
+    F = V * np.clip(w, 0.0, None) ** (0.5 * a)
+    R = F @ F.T
+    return R if interior is None else R[np.ix_(interior, interior)]
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +455,6 @@ class TestFractional:
     def test_signed_groups_match_wrapped_differences(self, shape):
         # 300 x 500 entries span three blocks of rows, the last one short, so the reused scratch is read
         # at two lengths; the reference sums in the same order, so the two agree bit for bit
-        from fracspec._kernels import toeplitz_gather
-
         rng = np.random.default_rng(len(shape))
         kern = rng.standard_normal(shape).ravel()
         rows = np.stack([rng.integers(0, m, 300) for m in shape], axis=-1)
@@ -440,14 +469,14 @@ class TestFractional:
         assert np.array_equal(toeplitz_gather(kern, rows, shape, groups, signs), expect)
 
     def test_two_node_toy(self):
-        R = fractional_restricted(np.diag([2.0, 8.0]), 0.5)
-        assert np.allclose(R.toarray(), np.diag([np.sqrt(2.0), 2.0 * np.sqrt(2.0)]), rtol=1e-14)
+        R = dense_power(np.diag([2.0, 8.0]), 0.5)
+        assert np.allclose(R, np.diag([np.sqrt(2.0), 2.0 * np.sqrt(2.0)]), rtol=1e-14)
 
     def test_whole_torus_eigenvalues_are_multiplier_powers(self):
         g = build_grid(DomainSpec.unit_interval(), 16)
         mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 + 1.0)
-        R = fractional_restricted(materialize_torus_operator(mult, g), 0.5, g, interior=np.arange(g.size))
-        w = np.sort(sla.eigvalsh(R.toarray()))
+        R = dense_power(torus_matrix(mult, g), 0.5)
+        w = np.sort(sla.eigvalsh(R))
         xi = g.frequencies()[0]
         expect = np.sort((xi**2 + 1.0) ** 0.5)
         assert np.allclose(w, expect, rtol=1e-10)
@@ -456,11 +485,11 @@ class TestFractional:
         # half-circle restriction of the 1D periodic Laplacian
         g = build_grid(DomainSpec.unit_interval(), 64)
         Ap = assemble_second_order(laplacian(1), g, bc="periodic")
-        Rr = fractional_restricted(Ap, 0.5, g)
+        Rr = dense_power(Ap, 0.5, g.interior_idx)
         Ad = assemble_second_order(laplacian(1), g, bc="dirichlet")
-        Rs = fractional_restricted(Ad, 0.5)
-        wr = sla.eigvalsh(Rr.toarray())
-        ws = sla.eigvalsh(Rs.toarray())
+        Rs = dense_power(Ad, 0.5)
+        wr = sla.eigvalsh(Rr)
+        ws = sla.eigvalsh(Rs)
         assert Rr.shape == Rs.shape
         assert wr[0] <= ws[0] + 1e-12
 
@@ -468,9 +497,8 @@ class TestFractional:
         g = build_grid(DomainSpec.unit_interval(), 16)
         mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 + 1.0)
         Rfast = RestrictedPowerOperator(mult, 0.5, g)
-        dense = materialize_torus_operator(mult, g)
-        Rdense = fractional_restricted(dense, 0.5, g)
-        assert np.abs(Rfast.toarray() - Rdense.toarray()).max() < 1e-10
+        Rdense = dense_power(torus_matrix(mult, g), 0.5, g.interior_idx)
+        assert np.abs(Rfast.toarray() - Rdense).max() < 1e-10
 
     def test_restricted_positive_definite(self):
         g = build_grid(DomainSpec.unit_square(), 8)
@@ -486,11 +514,9 @@ class TestFractional:
         g = build_grid(DomainSpec.unit_square(), 8)
         mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 + xi[..., 1] ** 2)
         small = g.interior_idx[: g.interior_idx.size // 2]
-        dense = materialize_torus_operator(mult, g)
-        R_small = fractional_restricted(dense, 0.5, g, interior=small)
-        R_big = fractional_restricted(dense, 0.5, g)
-        w_small = np.sort(sla.eigvalsh(R_small.toarray()))
-        w_big = np.sort(sla.eigvalsh(R_big.toarray()))
+        dense = torus_matrix(mult, g)
+        w_small = np.sort(sla.eigvalsh(dense_power(dense, 0.5, small)))
+        w_big = np.sort(sla.eigvalsh(dense_power(dense, 0.5, g.interior_idx)))
         assert np.all(w_big[: w_small.size] <= w_small + 1e-10)
 
     def test_negative_multiplier_rejected(self):
@@ -500,52 +526,36 @@ class TestFractional:
             RestrictedPowerOperator(mult, 0.5, g)
 
     def test_nonpositive_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            fractional_restricted(np.eye(2), 0.0)
-        with pytest.raises(ValueError):
-            fractional_restricted(np.eye(2), -0.5)
-
-    def test_dense_cap(self):
-        class FakeBig:
-            shape = (9000, 9000)
-
-            def __array__(self, dtype=None, copy=None):
-                raise AssertionError("capped path must not materialize")
-
-        big = np.zeros((8193, 8193))
-        with pytest.raises(NumericError, match="8192"):
-            fractional_restricted(big, 0.5)
-        with pytest.raises(NumericError, match="8192"):
-            fractional_restricted(FakeBig(), 0.5)
+        # and the exponents that are not finite
+        g = build_grid(DomainSpec.unit_interval(), 16)
+        mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2)
+        for a in (0.0, -0.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                RestrictedPowerOperator(mult, a, g)
 
 
 class TestSpectralFractional:
     def test_diagonal_example(self):
         A = OperatorMatrix(np.diag([1.0, 4.0]))
-        S = fractional_restricted(A, 0.5)
-        assert np.allclose(S.toarray(), np.diag([1.0, 2.0]), atol=1e-14)
+        S = dense_power(A, 0.5)
+        assert np.allclose(S, np.diag([1.0, 2.0]), atol=1e-14)
 
     def test_exponent_one_identity(self):
         rng = np.random.default_rng(3)
         B = rng.standard_normal((9, 9))
         A = OperatorMatrix(B @ B.T + 9 * np.eye(9))
-        S = fractional_restricted(A, 1.0)
-        assert np.abs(S.toarray() - A.toarray()).max() < 1e-12
+        S = dense_power(A, 1.0)
+        assert np.abs(S - A.toarray()).max() < 1e-12
 
     def test_1d_interval_sine_eigenvalues(self):
         g = build_grid(DomainSpec.unit_interval(), 64)
         A = assemble_second_order(laplacian(1), g, bc="dirichlet")
-        S = fractional_restricted(A, 0.5)
-        w = np.sort(sla.eigvalsh(S.toarray()))
+        S = dense_power(A, 0.5)
+        w = np.sort(sla.eigvalsh(S))
         h, m = g.h, 63
         k = np.arange(1, m + 1)
         exact = np.sqrt((2.0 - 2.0 * np.cos(k * np.pi * h)) / h**2)
         assert np.allclose(w, np.sort(exact), rtol=1e-10)
-
-    def test_indefinite_rejected(self):
-        A = OperatorMatrix(np.diag([1.0, -1.0]))
-        with pytest.raises(NotPositiveError):
-            fractional_restricted(A, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ Random SPD forms in n = 1, 2, 3, with cross terms, powers a in (0, 1.5]
 and small grids; for the parity blocks, random diagonal forms, powers a
 in (0, 2) and boxes with odd and even node counts per axis, and fixed
 cases that take the swap, or miss it by a length or a coefficient.
-The dense route of fractional_restricted, by eigendecomposition of the
-dense torus matrix, is the gather's own oracle (test_discretize).
+The dense power by eigendecomposition of the whole torus matrix,
+test_discretize's dense_power on torus_matrix, is the gather's own
+oracle; no code in the package takes that route.
 """
 
 import ast
@@ -244,10 +245,9 @@ def test_multiplier_evaluated_once_per_operator(monkeypatch, domain):
     assert len(calls) == 1
 
 
-def test_torus_kernel_has_two_owners():
-    # the multiplier is evaluated, and a torus kernel built from it, only by the
-    # restricted operator and by the dense torus matrix
-    owners = {"RestrictedPowerOperator", "materialize_torus_operator"}
+def test_torus_kernel_has_one_owner():
+    # the multiplier is evaluated, and a torus kernel built from it, only by the restricted operator
+    owners = {"RestrictedPowerOperator"}
     callers = []
     for path in sorted(pathlib.Path(discretize.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -257,3 +257,15 @@ def test_torus_kernel_has_two_owners():
                         and getattr(node.func, "id", getattr(node.func, "attr", None))
                         in ("_even_kernel", "_multiplier_values")]
     assert callers == []
+
+
+def test_discretize_imports_nothing_from_eig():
+    # grids and operators sit below the eigensolvers: eig takes discretize's operators as input, and discretize
+    # calls no eigensolver
+    imported = []  # dotted names: import a.b, and from a import b as a and a.b
+    for node in ast.walk(ast.parse(pathlib.Path(discretize.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and [name for name in imported if "eig" in name.split(".")] == []

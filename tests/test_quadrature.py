@@ -7,7 +7,6 @@ from fracspec import _kernels, quadrature
 from fracspec.quadrature import (
     DomainSpec,
     EllipticityError,
-    domain_measure,
     sphere_rule,
     weyl_constant_dirichlet,
     weyl_constant_L,
@@ -23,15 +22,15 @@ def test_sphere_rule_total_measure():
 
 
 def test_domain_measures_closed_form():
-    assert domain_measure(DomainSpec.unit_square()).value == 1.0
-    assert domain_measure(DomainSpec.unit_box()).value == 1.0
-    assert domain_measure(DomainSpec.disk()).value == pytest.approx(np.pi)
-    assert domain_measure(DomainSpec.ball()).value == pytest.approx(4.0 * np.pi / 3.0)
+    assert DomainSpec.unit_square().measure() == 1.0
+    assert DomainSpec.unit_box().measure() == 1.0
+    assert DomainSpec.disk().measure() == pytest.approx(np.pi)
+    assert DomainSpec.ball().measure() == pytest.approx(4.0 * np.pi / 3.0)
     # boundary parts
-    assert domain_measure(DomainSpec.unit_square(), "sigma_plus").value == 1.0
-    assert domain_measure(DomainSpec.disk(arc=(0.0, np.pi)), "sigma_plus").value == pytest.approx(np.pi)
+    assert DomainSpec.unit_square().sigma_plus_measure() == 1.0
+    assert DomainSpec.disk(arc=(0.0, np.pi)).sigma_plus_measure() == pytest.approx(np.pi)
     # hemisphere cap: 2 pi (1 - cos(pi/2)) = 2 pi
-    assert domain_measure(DomainSpec.ball(cap=np.pi / 2), "sigma_plus").value == pytest.approx(2.0 * np.pi)
+    assert DomainSpec.ball(cap=np.pi / 2).sigma_plus_measure() == pytest.approx(2.0 * np.pi)
 
 
 def test_domain_rejects_impossible_geometry():
@@ -59,12 +58,12 @@ def test_domain_rejects_impossible_geometry():
 
 def test_domain_measures_by_rule_match():
     for dom in (DomainSpec.unit_square(), DomainSpec.unit_box(), DomainSpec.disk(), DomainSpec.ball()):
-        r = domain_measure(dom, "volume", via="rule")
-        assert r.value == pytest.approx(dom.measure(), rel=1e-10)
-        assert r.error <= 1e-10 * max(1.0, dom.measure())
+        total = dom.volume_rule()[1].sum()
+        assert total == pytest.approx(dom.measure(), rel=1e-10)
+        assert abs(total - dom.measure()) <= 1e-10 * max(1.0, dom.measure())
     for dom in (DomainSpec.unit_box(), DomainSpec.disk(arc=(0.3, 2.1)), DomainSpec.ball(cap=1.0)):
-        r = domain_measure(dom, "sigma_plus", via="rule")
-        assert r.value == pytest.approx(dom.sigma_plus_measure(), rel=1e-10)
+        total = dom.boundary_rule("sigma_plus")[2].sum()
+        assert total == pytest.approx(dom.sigma_plus_measure(), rel=1e-10)
 
 
 def test_boundary_frames_are_adapted():
