@@ -226,7 +226,6 @@ def ratio_trace_check(u, grid, a: float, band: tuple | None = None, threshold: f
 
 @dataclass(frozen=True)
 class LogDivergenceReport:
-    deltas: np.ndarray
     integrals: np.ndarray
     slope: float
     norm_sq: float
@@ -271,7 +270,7 @@ def log_divergence_probe(psi, deltas, decay: str = "harmonic") -> LogDivergenceR
     norm_sq = float(coeff_sq.sum())
     if norm_sq == 0.0:
         zeros = np.zeros_like(deltas)
-        return LogDivergenceReport(deltas, zeros, 0.0, 0.0, True)
+        return LogDivergenceReport(zeros, 0.0, 0.0, True)
 
     if decay == "flat":
         integrals = norm_sq * (-np.log(deltas))
@@ -284,4 +283,4 @@ def log_divergence_probe(psi, deltas, decay: str = "harmonic") -> LogDivergenceR
     x = -np.log(deltas)
     A = np.stack([x, np.ones_like(x)], axis=1)
     (slope, _), *_ = np.linalg.lstsq(A, integrals, rcond=None)
-    return LogDivergenceReport(deltas, integrals, float(slope) / norm_sq, norm_sq, False)
+    return LogDivergenceReport(integrals, float(slope) / norm_sq, norm_sq, False)

@@ -3,9 +3,11 @@
 Eight subcommands cover the pipelines: symbol-check (factorization and
 reflection-phase residuals), weyl-const (spectral constants by
 quadrature), spectrum (assemble + eigensolve + export), weyl-fit
-(power-law fits), boundary-exp (eigenfunction boundary decay), zaremba
-(Krein pipeline + identity check), dtn-probe (interface symbol on a
-strip), singular-probe (log-divergence detector).
+(power-law fit of a `j,value` file, such as spectrum's export),
+boundary-exp (eigenfunction boundary decay), zaremba (Krein pipeline +
+identity check), dtn-probe (interface symbol on a strip), singular-probe
+(log-divergence detector).  spectrum and boundary-exp assemble the
+Dirichlet realization; the mixed problem is zaremba's.
 
 Configuration comes from an INI-style file ([section] with key = value
 lines) merged with command-line flags, flags winning.  Both are declared
@@ -115,7 +117,7 @@ SUBCOMMANDS = {
     "dtn-probe": "interface symbol on a flat strip",
     "singular-probe": "log-divergence detector",
 }
-_ASSEMBLED = ("spectrum", "weyl-fit", "boundary-exp")  # read through _assemble_operator
+_ASSEMBLED = ("spectrum", "boundary-exp")  # read through _assemble_operator
 _DOMAIN = ("weyl-const", "zaremba", *_ASSEMBLED)  # read through _build_domain
 _ALL = tuple(SUBCOMMANDS)
 
@@ -132,9 +134,8 @@ OPTIONS = (
     ("operator", "coeffs", "--coeffs", str, ("symbol-check", "dtn-probe", *_DOMAIN),
      "identity | diag:1,4 | matrix:2,1;1,2"),
     ("operator", "a", "--a", float, ("symbol-check", "weyl-const", *_ASSEMBLED), "fractional power"),
-    ("operator", "sigma", "--sigma", float, ("zaremba", *_ASSEMBLED), "Robin weight on the free boundary"),
+    ("operator", "sigma", "--sigma", float, ("zaremba",), "Robin weight on the free boundary"),
     ("operator", "shift", "--shift", _shift, ("zaremba",), "positivity shift (number or 'auto')"),
-    ("operator", "bc", "--bc", str, _ASSEMBLED, "dirichlet | mixed | periodic"),
     ("operator", "mu", "--mu", float, ("symbol-check",), "reflection order (defaults to the power)"),
     ("domain", "kind", "--domain", str, _DOMAIN, "interval | square | box | disk | ball"),
     ("domain", "n", "--n", int, ("symbol-check", *_DOMAIN), "ambient dimension"),
@@ -161,7 +162,7 @@ OPTIONS = (
     ("task", "tol_exponent", "--tol-exponent", float, ("weyl-fit",), "relative exponent tolerance"),
     ("task", "tol_constant", "--tol-constant", float, ("weyl-fit",), "relative constant tolerance"),
     ("task", "which", "--which", str, ("weyl-const",), "dirichlet | interface-l | interface-m"),
-    ("task", "input", "--input", str, ("weyl-fit",), "fit an existing j,value file instead of assembling"),
+    ("task", "input", "--input", str, ("weyl-fit",), "the j,value file to fit (spectrum writes one)"),
     ("task", "samples", "--samples", _Int(1), ("symbol-check",), "random boundary samples"),
     ("output", "directory", "--out", str, _ALL, "output directory (overrides FRACSPEC_OUT)"),
     ("output", "repro", "--repro", _bool, _ALL, "omit timestamps for bit-identical reruns"),
@@ -307,22 +308,16 @@ def _build_domain(cfg):
 
 
 def _assemble_operator(cfg):
-    """Assembled operator, its grid and the power a; a fractional power is the matrix-free RestrictedPowerOperator."""
+    """Dirichlet operator, its grid and the power a; a fractional power is the matrix-free RestrictedPowerOperator."""
     from .discretize import RestrictedPowerOperator, TorusMultiplier, assemble_second_order, build_grid
-    from .errors import ConfigurationError
 
     domain = _build_domain(cfg)
     coeffs = _build_coeffs(cfg, domain)
     nodes = _get(cfg, "grid", "nodes", 32)
     grid = build_grid(domain, nodes)
     a = _get(cfg, "operator", "a", 1.0)
-    bc = _get(cfg, "operator", "bc", "dirichlet")
     if a == 1.0:
-        sigma = _get(cfg, "operator", "sigma", 0.0) if bc == "mixed" else None
-        A = assemble_second_order(coeffs, grid, bc=bc, sigma=sigma)
-        return A, grid, a
-    if bc != "dirichlet":
-        raise ConfigurationError("fractional powers are restricted with Dirichlet exterior data")
+        return assemble_second_order(coeffs, grid, bc="dirichlet"), grid, a
     return RestrictedPowerOperator(TorusMultiplier.from_coeffs(coeffs), a, grid), grid, a
 
 
@@ -491,20 +486,20 @@ def _cmd_weyl_const(cfg, args, em: Emitter) -> list[str]:
 
     which = _get(cfg, "task", "which", "dirichlet")
     level = _get(cfg, "task", "level", 0)
-    a = _get(cfg, "operator", "a", 1.0)
+    if which in ("interface-l", "interface-m"):  # c(L) and c(M) read the coefficients alone
+        for key in ("a", "kind"):
+            if ("operator", key) in cfg:
+                raise ConfigurationError(f"operator.{key} applies to --which dirichlet only, not {which}")
     domain = _build_domain(cfg)
-    op_kind = _get(cfg, "operator", "kind", "frac-laplacian")
     coeffs = _build_coeffs(cfg, domain)
 
     if which == "dirichlet":
-        if op_kind == "frac-laplacian":
-            if coeffs.describe() != "identity":
-                raise ConfigurationError(f"--op frac-laplacian is the power of the Laplacian, not of coefficients "
-                                         f"{coeffs.describe()}: use --op coeffs")
-            symbol = PrincipalSymbol.fractional_laplacian(domain.n, a)
-        else:
-            symbol = PrincipalSymbol.from_coeffs(coeffs, power=a)
-        res = weyl_constant_dirichlet(symbol, domain, level=level)
+        a = _get(cfg, "operator", "a", 1.0)
+        op_kind = _get(cfg, "operator", "kind", "frac-laplacian")
+        if op_kind == "frac-laplacian" and coeffs.describe() != "identity":
+            raise ConfigurationError(f"--op frac-laplacian is the power of the Laplacian, not of coefficients "
+                                     f"{coeffs.describe()}: use --op coeffs")
+        res = weyl_constant_dirichlet(PrincipalSymbol.from_coeffs(coeffs, power=a), domain, level=level)
         em.row("law", "N(t) ~ C' t^(n/(2a)) as t -> infinity")
         name = "C'"
     elif which == "interface-l":
@@ -521,8 +516,9 @@ def _cmd_weyl_const(cfg, args, em: Emitter) -> list[str]:
     value = float(res.value)
     em.row("constant", value)
     em.row("estimated_error", float(res.error))
-    em.row("operator", op_kind)
-    em.row("power", a)
+    if which == "dirichlet":
+        em.row("operator", op_kind)
+        em.row("power", a)
     em.row("domain", _get(cfg, "domain", "kind", "square"))
     return [f"{name} = {value:.6g}"]
 
@@ -564,22 +560,18 @@ def _load_csv_values(path):
 
 def _cmd_weyl_fit(cfg, args, em: Emitter) -> list[str]:
     from .asymptotics import weyl_fit
-    from .eig import sym_eig
+    from .errors import ConfigurationError
 
     source = _get(cfg, "task", "input")
-    if source:
-        values = _load_csv_values(source)
-        label = source
-    else:
-        A, grid, a = _assemble_operator(cfg)
-        values = sym_eig(A).values
-        label = A.descriptor
+    if not source:
+        raise ConfigurationError("weyl-fit fits a j,value file: set --input (spectrum writes spectrum-values.csv)")
+    values = _load_csv_values(source)
     window = _get(cfg, "task", "window")
     fixed = _get(cfg, "task", "fixed_exponent", None)
     fit = weyl_fit(values, window=tuple(window) if window else None, fixed_exponent=fixed)
 
     em.row("law", "v_j ~ C j^e on the fit window")
-    em.row("source", label)
+    em.row("source", source)
     em.row("exponent", float(fit.exponent))
     em.row("constant", float(fit.constant))
     em.row("window_lo", fit.window[0])
@@ -649,6 +641,7 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
     import numpy as np
 
     from .discretize import OperatorMatrix
+    from .errors import ConfigurationError
     from .zaremba import interface_spectra, krein_from_matrix, krein_identity_check
 
     if args.toy:
@@ -671,6 +664,11 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
         ]
 
     domain = _build_domain(cfg)
+    kind = _get(cfg, "domain", "kind", "square")
+    for key in ("nodes",) if kind == "disk" else ("n_r", "n_theta"):  # the resolution keys this route does not read
+        if ("grid", key) in cfg:
+            raise ConfigurationError(f"grid.{key} does not apply to the {kind} domain: the disk reads "
+                                     "grid.n_r and grid.n_theta, the other domains grid.nodes")
     tol = _get(cfg, "task", "tol", 1e-10)
     em.tolerance("identity_rel", tol)
     res = interface_spectra(_build_coeffs(cfg, domain), _get(cfg, "operator", "sigma", 0.0), domain,

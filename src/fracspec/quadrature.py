@@ -70,14 +70,10 @@ __all__ = [
 class QuadratureResult:
     value: float
     error: float
-    nodes: dict
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "error", abs(self.error))
-
-    def __float__(self):
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +85,6 @@ class QuadratureResult:
 class SphereRule:
     nodes: np.ndarray  # (ns, n) unit covectors
     weights: np.ndarray  # (ns,), sums to the sphere measure
-    rule_id: str
 
 
 def _gauss(m: int, lo, hi):
@@ -129,16 +124,15 @@ def sphere_rule(n: int, level: int = 0) -> SphereRule:
         return SphereRule(
             nodes=np.array([[1.0], [-1.0]]),
             weights=np.array([1.0, 1.0]),
-            rule_id="two-point",
         )
     if n == 2:
         k = max(int(256 * scale), 8)
         th, weights = _periodic(k)
-        return SphereRule(np.column_stack([np.cos(th), np.sin(th)]), weights, f"trapezoid-circle-{k}")
+        return SphereRule(np.column_stack([np.cos(th), np.sin(th)]), weights)
     if n == 3:
         nz, nphi = max(int(64 * scale), 8), max(int(128 * scale), 16)
         nodes, weights = _sphere(*np.polynomial.legendre.leggauss(nz), nphi)
-        return SphereRule(nodes, weights, f"product-gauss-{nz}x{nphi}")
+        return SphereRule(nodes, weights)
     raise ValueError("sphere rules are provided for n in {1, 2, 3}")
 
 
@@ -405,15 +399,12 @@ def weyl_constant_dirichlet(symbol: PrincipalSymbol, domain: DomainSpec, level: 
     if coeffs is not None and coeffs.n != n:
         raise ValueError(f"symbol coefficients are {coeffs.n}-dimensional, the domain {n}-dimensional")
     vals = {}
-    nodes = {}
     for lev in (level - 1, level):
         pts, wx = domain.volume_rule(lev)
-        nodes[lev] = {"domain": pts.shape[0]}
         if coeffs is not None:
             total = _sphere_measure(n) * float(wx @ _inv_sqrt_det(coeffs.a_batch(pts), "coefficient form"))
         else:
             rule = sphere_rule(n, lev)
-            nodes[lev]["sphere"] = rule.nodes.shape[0]
             total = 0.0
             for x, w in zip(pts, wx):
                 fv = np.array([abs(complex(symbol(x, xi))) for xi in rule.nodes])
@@ -426,8 +417,7 @@ def weyl_constant_dirichlet(symbol: PrincipalSymbol, domain: DomainSpec, level: 
     return QuadratureResult(
         value=cprime,
         error=vals[level] - vals[level - 1],
-        nodes=nodes[level],
-        meta={"companion_C": companion, "order": two_a},
+        meta={"companion_C": companion},
     )
 
 
@@ -437,7 +427,6 @@ def _boundary_constant(coeffs: SecondOrderCoeffs, domain: DomainSpec, level: int
     if n < 2:
         raise ValueError("boundary constants need n >= 2")
     vals = {}
-    nodes = {}
     for lev in (level - 1, level):
         pts, frames, wx = domain.boundary_rule("sigma_plus", lev)
         abar = reduce_frames(coeffs.a_batch(pts), frames)
@@ -448,14 +437,12 @@ def _boundary_constant(coeffs: SecondOrderCoeffs, domain: DomainSpec, level: int
         if which == "M":
             f *= (0.5 * ann) ** (0.5 * (n - 1))
         vals[lev] = _sphere_measure(n - 1) * float(wx @ f) / ((n - 1) * (2.0 * np.pi) ** (n - 1))
-        nodes[lev] = {"boundary": pts.shape[0]}
     meta = {}
     if which == "M" and n == 2:
         meta["n2_special_case"] = True  # reported value sits outside the main n >= 3 scope
     return QuadratureResult(
         value=vals[level],
         error=vals[level] - vals[level - 1],
-        nodes=nodes[level],
         meta=meta,
     )
 

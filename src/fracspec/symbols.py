@@ -162,35 +162,19 @@ class PrincipalSymbol:
 
     order: float
     fn: Callable
-    kind: str = "user-supplied"
     coeffs: Optional[SecondOrderCoeffs] = None
 
     def __call__(self, x, xi):
         return self.fn(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
 
     @classmethod
-    def fractional_laplacian(cls, n: int, a: float) -> "PrincipalSymbol":
-        """|xi|^(2a), the symbol of the fractional Laplacian of power a."""
-
-        def fn(x, xi):
-            return float(np.dot(xi, xi)) ** a
-
-        return cls(
-            order=2.0 * a,
-            fn=fn,
-            kind=f"fractional-power(laplacian, {a})",
-            coeffs=SecondOrderCoeffs.laplacian(n),
-        )
-
-    @classmethod
     def from_coeffs(cls, coeffs: SecondOrderCoeffs, power: float = 1.0) -> "PrincipalSymbol":
-        """(xi . a(x) xi)^power, order 2*power."""
+        """(xi . a(x) xi)^power, order 2*power; the fractional Laplacian's is from_coeffs(laplacian(n), a)."""
 
         def fn(x, xi):
             return float(xi @ coeffs.a_at(x) @ xi) ** power
 
-        kind = "differential" if power == 1.0 else f"fractional-power(coeffs, {power})"
-        return cls(order=2.0 * power, fn=fn, kind=kind, coeffs=coeffs)
+        return cls(order=2.0 * power, fn=fn, coeffs=coeffs)
 
 
 def strong_ellipticity_margin(coeffs: SecondOrderCoeffs, sample_points) -> float:
@@ -221,11 +205,7 @@ class BoundaryFactorization:
     kappa0^2 in the interface-normal covector.
     """
 
-    x: np.ndarray
-    frame: np.ndarray
-    abar: np.ndarray
     a_nn: float
-    xi_prime: Optional[np.ndarray] = None
     b: Optional[float] = None
     c: Optional[float] = None
     a_prime: Optional[float] = None
@@ -234,13 +214,7 @@ class BoundaryFactorization:
     kappa_minus: Optional[complex] = None
     residual: Optional[float] = None
     # tangential (second) factorization
-    xi_dprime: Optional[np.ndarray] = None
-    a_tangent: Optional[np.ndarray] = None
     a_tt: Optional[float] = None
-    b_t: Optional[float] = None
-    c_t: Optional[float] = None
-    a_pp: Optional[float] = None
-    kappa0_t: Optional[float] = None
     kappat_plus: Optional[complex] = None
     kappat_minus: Optional[complex] = None
     tangential_residual: Optional[float] = None
@@ -316,15 +290,13 @@ def _check_frames(frames, shape: tuple) -> np.ndarray:
     return frames
 
 
-def _reduce_one(coeffs: SecondOrderCoeffs, point, frame) -> dict:
-    """The point, checked frame, frame-reduced abar and its abar_nn > 0 as BoundaryFactorization fields."""
-    x = np.asarray(point, dtype=float)
+def _reduce_one(coeffs: SecondOrderCoeffs, point, frame) -> np.ndarray:
+    """The frame-reduced abar at one point, its frame checked and its abar_nn > 0."""
     frame = _check_frames(frame, (coeffs.n, coeffs.n))
-    abar = reduce_frames(coeffs.a_at(x)[None], frame[None])[0]
-    ann = float(abar[-1, -1])
-    if ann <= 0.0:
+    abar = reduce_frames(coeffs.a_at(np.asarray(point, dtype=float))[None], frame[None])[0]
+    if abar[-1, -1] <= 0.0:
         raise EllipticityError("abar_nn must be positive")
-    return dict(x=x, frame=frame, abar=abar, a_nn=ann)
+    return abar
 
 
 def _check_xi_prime(xips: np.ndarray, n: int) -> None:
@@ -338,14 +310,6 @@ def _check_xi_prime(xips: np.ndarray, n: int) -> None:
 _XI_N_PROBE = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
 
-def _base_fields(abar: np.ndarray, xip: np.ndarray) -> dict:
-    """Base fields at one frame-reduced abar and xi': a batch of one, residual the max over _XI_N_PROBE."""
-    (ann,), (b,), (c,), (a_prime,) = _elliptic_quantities(abar[None], xip[None])
-    kappa0, kappa_plus, kappa_minus, residual = _root_pairs(ann, b, c, _XI_N_PROBE)
-    return dict(xi_prime=xip, b=float(b), c=float(c), a_prime=float(a_prime), kappa0=float(kappa0),
-                kappa_plus=complex(kappa_plus), kappa_minus=complex(kappa_minus), residual=float(residual.max()))
-
-
 def boundary_reduction(
     coeffs: SecondOrderCoeffs, boundary_point, normal_frame, xi_prime
 ) -> BoundaryFactorization:
@@ -353,12 +317,18 @@ def boundary_reduction(
 
     ``normal_frame`` has the tangent vectors in its first n-1 columns and
     the interior normal in the last one.  Raises EllipticityError when the
-    reduced discriminant a' = ann c - b^2 is not positive.
+    reduced discriminant a' = ann c - b^2 is not positive.  A batch of
+    one; the residual is the largest over the _XI_N_PROBE normal
+    components.
     """
     xip = np.asarray(xi_prime, dtype=float).reshape(-1)
     _check_xi_prime(xip[None], coeffs.n)
-    reduced = _reduce_one(coeffs, boundary_point, normal_frame)
-    return BoundaryFactorization(**reduced, **_base_fields(reduced["abar"], xip))
+    abar = _reduce_one(coeffs, boundary_point, normal_frame)
+    (ann,), (b,), (c,), (a_prime,) = _elliptic_quantities(abar[None], xip[None])
+    kappa0, kappa_plus, kappa_minus, residual = _root_pairs(ann, b, c, _XI_N_PROBE)
+    return BoundaryFactorization(a_nn=float(ann), b=float(b), c=float(c), a_prime=float(a_prime),
+                                 kappa0=float(kappa0), kappa_plus=complex(kappa_plus),
+                                 kappa_minus=complex(kappa_minus), residual=float(residual.max()))
 
 
 def boundary_residuals(coeffs: SecondOrderCoeffs, points, frames, xips) -> np.ndarray:
@@ -408,24 +378,18 @@ def tangential_factorization(
     xidp = np.asarray(xi_dprime, dtype=float).reshape(-1)
     if xidp.shape != (coeffs.n - 2,):
         raise ValueError(f"xi_dprime must have dimension {coeffs.n - 2}")
-    reduced = _reduce_one(coeffs, interface_point, frame)
-    a_tan = tangential_form(reduced["abar"])
+    abar = _reduce_one(coeffs, interface_point, frame)
+    a_tan = tangential_form(abar)
     (att,), (b_t,), (c_t,) = _kernels.boundary_quantities(a_tan[None], xidp[None])  # b_t = c_t = 0 for zero xi''
     if att <= 0.0:
         raise EllipticityError("a'_{n-1,n-1} must be positive")
     a_pp = att * c_t - b_t * b_t
     if xidp.any() and a_pp <= 0.0:  # zero xi'' gives a'' = 0: the pair degenerates to constants
         raise EllipticityError("tangential reduced discriminant must be positive")
-    kappa0_t, kappat_plus, kappat_minus, residual = _root_pairs(att, b_t, c_t, _XI_N_PROBE)
+    _, kappat_plus, kappat_minus, residual = _root_pairs(att, b_t, c_t, _XI_N_PROBE)
     return BoundaryFactorization(
-        **reduced,
-        xi_dprime=xidp,
-        a_tangent=a_tan,
+        a_nn=float(abar[-1, -1]),
         a_tt=float(att),
-        b_t=float(b_t),
-        c_t=float(c_t),
-        a_pp=float(a_pp),
-        kappa0_t=float(kappa0_t),
         kappat_plus=complex(kappat_plus),
         kappat_minus=complex(kappat_minus),
         tangential_residual=float(residual.max()),

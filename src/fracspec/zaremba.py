@@ -406,8 +406,7 @@ def dtn_symbol_probe(coeffs: SecondOrderCoeffs, xi_primes, h: float = 1.0 / 128.
                        0.5 * a[0, 0] * mxi + a[1, 1], up)
     measured = -s / h
     rel = np.abs(measured - predicted) / np.abs(predicted)
-    meta = {"h": h, "height": float(n_rows * h), "rows": n_rows}
-    return DtnProbeReport(xi_arr, measured, predicted, rel, meta)
+    return DtnProbeReport(xi_arr, measured, predicted, rel, {"rows": n_rows})
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +422,8 @@ class DiskSpectra:
     interface: ascending spectrum of L_weighted, as InterfaceSpectra.interface.
     L_weighted: arc-weighted interface Schur matrix over Sigma+ nodes, and
     S_plus the unweighted one.  arc_distances: geodesic distance of each
-    Sigma+ node to the nearest arc endpoint.
+    Sigma+ node to the nearest arc endpoint.  report: the route's report
+    rows, as InterfaceSpectra.report.
     """
 
     mu: np.ndarray
@@ -431,7 +431,7 @@ class DiskSpectra:
     L_weighted: np.ndarray
     S_plus: np.ndarray
     arc_distances: np.ndarray
-    meta: dict = field(default_factory=dict)
+    report: dict
 
 
 def _radial_chains(n_r: int, n_theta: int, radius: float, shift: float, modes: np.ndarray):
@@ -524,18 +524,8 @@ def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: flo
     d_hi = radius * (th1 - thetas[sel])
     arc_distances = np.minimum(d_lo, d_hi)
 
-    meta = {
-        "n_r": n_r,
-        "n_theta": n_theta,
-        "radius": radius,
-        "arc": (th0, th1),
-        "shift": shift,
-        "sigma": sigma,
-        "dr": radius / n_r,
-        "arc_weight": arc_w,
-        "n2_flagged": True,
-    }
-    return DiskSpectra(mu, sym_eig(L_weighted).values, L_weighted, S_plus, arc_distances, meta)
+    report = {"boundary_nodes": int(mu.size), "shift": shift, "n2_flagged": True, "krein_path": "modes"}
+    return DiskSpectra(mu, sym_eig(L_weighted).values, L_weighted, S_plus, arc_distances, report)
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +661,7 @@ def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r:
         shift = _positivity_shift(shift, coeffs, sigma, domain)
         d = disk_interface_spectra(n_r, n_theta, arc=domain.sigma_plus[1:], radius=domain.radius,
                                    shift=shift, sigma=sigma)
-        report = {"boundary_nodes": int(d.mu.size), "shift": shift, "n2_flagged": d.meta["n2_flagged"],
-                  "krein_path": "modes"}
-        return InterfaceSpectra(d.mu, d.interface, report)
+        return InterfaceSpectra(d.mu, d.interface, d.report)
     if separable_face(coeffs, sigma, domain):
         _, cells, _, tangential = _face_cells(domain, nodes)
         if np.prod([c - 1 for c in cells]) + np.prod([cells[t] - 1 for t in tangential]) > eig.DENSE_CAP:

@@ -325,7 +325,7 @@ def test_criterion_09_interface_decay_disk(disk_fine):
     # "residual small": RMS log-log misfit of the pure j^{-2} law; 0.15 allows
     # a few percent of scatter per point, measured 0.0035 here
     assert fixed.residual <= 0.15, verdict("09 interface decay (disk)", False, f"residual {fixed.residual:.3g}")
-    assert disk_fine.meta["n2_flagged"]
+    assert disk_fine.report["n2_flagged"]
     verdict(
         "09 interface decay (disk)", True,
         f"free exponent {free.exponent:.4f} (dev {dev:.2%}), fixed-law residual {fixed.residual:.3g}, 2D flag set",
@@ -422,7 +422,7 @@ def test_criterion_11_interface_eigenfunction_edges(disk_coarse):
     # the same operator diagonalizes in sine modes, which vanish linearly.
     ds = disk_coarse
     _, V = sla.eigh(ds.L_weighted)
-    step = ds.meta["radius"] * 2.0 * np.pi / ds.meta["n_theta"]
+    step = 1.0 * 2.0 * np.pi / 256  # disk_coarse: radius 1, 256 angular nodes
     band = (2.0 * step, 20.0 * step)
     exps = [exponent_from_profile(np.abs(V[:, j]), ds.arc_distances, band) for j in range(3)]
     ok = all(0.35 <= e <= 0.65 for e in exps)

@@ -8,6 +8,7 @@ point and the import-order guard for --jobs run in a subprocess.
 import importlib
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -105,7 +106,7 @@ class TestPipelines:
     def test_spectrum_export(self, tmp_path):
         assert run(
             ["spectrum", "--coeffs", "identity", "--domain", "square",
-             "--n", "2", "--nodes", "24", "--bc", "dirichlet", "--count", "40"],
+             "--n", "2", "--nodes", "24", "--count", "40"],
             tmp_path,
         ) == 0
         lines = (tmp_path / "spectrum-values.csv").read_text().splitlines()
@@ -302,13 +303,13 @@ _CONSTRAINT_CASES = [
     (["spectrum", "--count", "100", "--nodes", "8"], "task.count 100 exceeds the operator dimension 49"),
     (["weyl-fit", "--window", "2.7,30.9"], "task.window"),
     (["weyl-fit", "--window", "30,2"], "needs lo < hi"),
+    (["weyl-fit", "--window", "2,30"], "set --input (spectrum writes spectrum-values.csv)"),
     (["zaremba", "--shift", "abc"], "operator.shift: cannot read 'abc' (needs a finite number or 'auto'"),
     (["zaremba", "--shift", "inf"], "operator.shift: cannot read 'inf' (needs a finite number or 'auto'"),
     # float, _floats and _pair values that are not finite
-    (["weyl-fit", "--domain", "square", "--nodes", "16", "--expect-exponent", "1", "--tol-exponent", "nan",
-      "--assert"], "task.tol_exponent: cannot read 'nan' (needs finite numbers)"),
-    (["weyl-fit", "--domain", "square", "--nodes", "16", "--fixed-exponent", "nan"],
-     "task.fixed_exponent: cannot read 'nan' (needs finite numbers)"),
+    (["weyl-fit", "--expect-exponent", "1", "--tol-exponent", "nan", "--assert"],
+     "task.tol_exponent: cannot read 'nan' (needs finite numbers)"),
+    (["weyl-fit", "--fixed-exponent", "nan"], "task.fixed_exponent: cannot read 'nan' (needs finite numbers)"),
     (["weyl-const", "--a", "nan"], "operator.a: cannot read 'nan' (needs finite numbers)"),
     (["boundary-exp", "--domain", "interval", "--nodes", "64", "--threshold", "nan"],
      "task.threshold: cannot read 'nan' (needs finite numbers)"),
@@ -323,6 +324,15 @@ _CONSTRAINT_CASES = [
     # the fractional Laplacian's constant reads no coefficients
     (["weyl-const", "--op", "frac-laplacian", "--coeffs", "diag:1,4", "--a", "0.5"],
      "--op frac-laplacian is the power of the Laplacian, not of coefficients diag(1,4): use --op coeffs"),
+    # c(L) and c(M) read neither a power nor an operator kind
+    (["weyl-const", "--which", "interface-l", "--a", "0.7"],
+     "operator.a applies to --which dirichlet only, not interface-l"),
+    (["weyl-const", "--which", "interface-l", "--op", "frac-laplacian", "--domain", "box"],
+     "operator.kind applies to --which dirichlet only, not interface-l"),
+    (["weyl-const", "--which", "interface-m", "--op", "coeffs", "--coeffs", "diag:1,2,3", "--domain", "box"],
+     "operator.kind applies to --which dirichlet only, not interface-m"),
+    (["weyl-const", "--which", "interface-m", "--a", "0.5", "--domain", "ball"],
+     "operator.a applies to --which dirichlet only, not interface-m"),
     # coefficient and --n dimensions against the domain's
     (["zaremba", "--domain", "box", "--coeffs", "diag:1,2", "--nodes", "64"],
      "coefficients 'diag:1,2' are 2-dimensional, but the box domain is 3-dimensional"),
@@ -344,7 +354,6 @@ _CONSTRAINT_CASES = [
     (["zaremba", "--domain", "square", "--coeffs", "matrix:1,2;2,1"], "not strongly elliptic"),
     (["zaremba", "--domain", "box", "--coeffs", "diag:1,-1,1"], "not strongly elliptic"),
     (["boundary-exp", "--domain", "square", "--coeffs", "diag:1,-1"], "not strongly elliptic"),
-    (["weyl-fit", "--domain", "square", "--coeffs", "matrix:1,2;2,1"], "not strongly elliptic"),
     (["weyl-const", "--op", "coeffs", "--coeffs", "diag:1,-1"], "not strongly elliptic"),
     (["symbol-check", "--coeffs", "matrix:1,2;2,1"], "not strongly elliptic"),
     (["dtn-probe", "--coeffs", "diag:1,0"], "not strongly elliptic (smallest eigenvalue 0)"),
@@ -371,6 +380,12 @@ _CONSTRAINT_CASES = [
     (["weyl-const", "--domain", "disk", "--cap", "1"], "domain.cap applies to the ball only, not the disk domain"),
     (["zaremba", "--domain", "box", "--cap", "1", "--nodes", "8"],
      "domain.cap applies to the ball only, not the box domain"),
+    # zaremba's resolution keys on a domain whose route does not read them
+    (["zaremba", "--domain", "disk", "--nodes", "64", "--n-r", "16", "--n-theta", "32"],
+     "grid.nodes does not apply to the disk domain"),
+    (["zaremba", "--domain", "interval", "--n-r", "16"], "grid.n_r does not apply to the interval domain"),
+    (["zaremba", "--domain", "square", "--n-theta", "32"], "grid.n_theta does not apply to the square domain"),
+    (["zaremba", "--domain", "box", "--n-r", "16", "--n-theta", "32"], "grid.n_r does not apply to the box domain"),
 ]
 
 # numeric failures, exit 3, each message naming its remedy
@@ -434,6 +449,9 @@ class TestConfigHandling:
         ["zaremba", "--bc", "periodic"],
         ["dtn-probe", "--nodes", "8"],
         ["weyl-fit", "--tol", "0.1"],
+        ["weyl-fit", "--nodes", "8"],
+        ["boundary-exp", "--bc", "mixed"],
+        ["spectrum", "--bc", "periodic"],
         ["weyl-const", "--op", "bogus"],
     ], ids=" ".join)
     def test_flag_the_subcommand_ignores_exit_2(self, tmp_path, argv, capsys):
@@ -454,7 +472,6 @@ class TestConfigHandling:
         assert not (tmp_path / "manifest.txt").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["spectrum", "--domain", "disk", "--nodes", "12", "--bc", "mixed"],
         ["zaremba", "--domain", "ball", "--nodes", "8"],
     ], ids=" ".join)
     def test_mixed_without_free_nodes_exit_2(self, tmp_path, argv, capsys):
@@ -462,15 +479,19 @@ class TestConfigHandling:
         assert run(argv, tmp_path) == 2
         assert "mixed assembly needs free boundary nodes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, message", [
-        ("kind = square\nradius = 5\n", "domain.radius applies to the disk and ball only, not the square domain"),
-        ("kind = box\narc = 1,2\n", "domain.arc applies to the disk only, not the box domain"),
-        ("kind = disk\ncap = 1\n", "domain.cap applies to the ball only, not the disk domain"),
-    ], ids=["radius", "arc", "cap"])
-    def test_geometry_key_in_config_exit_2(self, tmp_path, section, message, capsys):
+    @pytest.mark.parametrize("subcommand, text, message", [
+        ("weyl-const", "[domain]\nkind = square\nradius = 5\n",
+         "domain.radius applies to the disk and ball only, not the square domain"),
+        ("weyl-const", "[domain]\nkind = box\narc = 1,2\n", "domain.arc applies to the disk only, not the box domain"),
+        ("weyl-const", "[domain]\nkind = disk\ncap = 1\n", "domain.cap applies to the ball only, not the disk domain"),
+        ("zaremba", "[domain]\nkind = disk\n[grid]\nnodes = 64\n", "grid.nodes does not apply to the disk domain"),
+        ("zaremba", "[domain]\nkind = box\n[grid]\nn_r = 16\n", "grid.n_r does not apply to the box domain"),
+        ("zaremba", "[grid]\nn_theta = 32\n", "grid.n_theta does not apply to the square domain"),
+    ], ids=["radius", "arc", "cap", "nodes", "n_r", "n_theta"])
+    def test_geometry_key_in_config_exit_2(self, tmp_path, subcommand, text, message, capsys):
         cfgfile = tmp_path / "g.ini"
-        cfgfile.write_text("[domain]\n" + section)
-        assert run(["weyl-const", "--config", str(cfgfile)], tmp_path / "o") == 2
+        cfgfile.write_text(text)
+        assert run([subcommand, "--config", str(cfgfile)], tmp_path / "o") == 2
         assert message in capsys.readouterr().err
 
     def test_ball_reads_radius(self, tmp_path):
@@ -592,6 +613,17 @@ def test_console_script_help():
     proc = subprocess.run([*argv, "--help"], env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "symbol-check" in proc.stdout
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    # every command of the README's CLI "Examples:" block runs as written, its output redirected
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = re.search(r"^Examples:\n\n```\n(.*?)^```", fh.read(), re.M | re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert commands and all(argv[0] == "fracspec" for argv in commands)
+    for k, argv in enumerate(commands):
+        assert execute(argv[1:] + ["--out", str(tmp_path / str(k)), "--repro"]) == 0, argv
+    capsys.readouterr()
 
 
 def test_jobs_flag_caps_thread_env(tmp_path, monkeypatch):

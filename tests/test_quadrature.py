@@ -80,7 +80,7 @@ def test_boundary_frames_are_adapted():
 
 def test_weyl_constant_square_laplacian():
     # |Omega| sigma(S^1) / (n (2 pi)^n) = 2 pi / (2 (2 pi)^2) = 1 / (4 pi)
-    sym = PrincipalSymbol.fractional_laplacian(2, 0.5)
+    sym = PrincipalSymbol.from_coeffs(SecondOrderCoeffs.laplacian(2), 0.5)
     res = weyl_constant_dirichlet(sym, DomainSpec.unit_square())
     assert res.value == pytest.approx(1.0 / (4.0 * np.pi), rel=1e-8)
     assert res.meta["companion_C"] == pytest.approx((4.0 * np.pi) ** 0.5, rel=1e-8)
@@ -88,13 +88,14 @@ def test_weyl_constant_square_laplacian():
 
 def test_weyl_constant_order_independent_for_coeff_symbols():
     dom = DomainSpec.unit_square()
-    v = [weyl_constant_dirichlet(PrincipalSymbol.fractional_laplacian(2, a), dom).value for a in (0.25, 0.5, 0.9)]
+    lap = SecondOrderCoeffs.laplacian(2)
+    v = [weyl_constant_dirichlet(PrincipalSymbol.from_coeffs(lap, a), dom).value for a in (0.25, 0.5, 0.9)]
     assert max(v) - min(v) <= 1e-14
 
 
 def test_weyl_constant_ball_laplacian():
     # (4 pi / 3) 4 pi / (3 (2 pi)^3) = 2 / (9 pi)
-    sym = PrincipalSymbol.fractional_laplacian(3, 0.5)
+    sym = PrincipalSymbol.from_coeffs(SecondOrderCoeffs.laplacian(3), 0.5)
     res = weyl_constant_dirichlet(sym, DomainSpec.ball())
     assert res.value == pytest.approx(2.0 / (9.0 * np.pi), rel=1e-8)
 
@@ -113,7 +114,7 @@ def test_weyl_constant_anisotropic_oracle():
 def test_weyl_constant_generic_callable_matches_fused_path():
     dom = DomainSpec.unit_square()
     generic = PrincipalSymbol(order=1.0, fn=lambda x, xi: float(xi @ xi) ** 0.5)
-    fused = PrincipalSymbol.fractional_laplacian(2, 0.5)
+    fused = PrincipalSymbol.from_coeffs(SecondOrderCoeffs.laplacian(2), 0.5)
     a = weyl_constant_dirichlet(generic, dom).value
     b = weyl_constant_dirichlet(fused, dom).value
     assert a == pytest.approx(b, rel=1e-12)
@@ -128,7 +129,7 @@ def test_weyl_constant_rejects_indefinite():
 
 def test_weyl_constant_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dimensional"):
-        weyl_constant_dirichlet(PrincipalSymbol.fractional_laplacian(2, 0.5), DomainSpec.unit_box())
+        weyl_constant_dirichlet(PrincipalSymbol.from_coeffs(SecondOrderCoeffs.laplacian(2), 0.5), DomainSpec.unit_box())
 
 
 def test_interface_constant_hemisphere():
@@ -407,7 +408,7 @@ def test_coefficient_constants_never_call_sphere_rule(monkeypatch):
 
     monkeypatch.setattr(quadrature, "sphere_rule", spy)
     lap = SecondOrderCoeffs.laplacian(3)
-    weyl_constant_dirichlet(PrincipalSymbol.fractional_laplacian(3, 0.5), DomainSpec.ball(), level=-2)
+    weyl_constant_dirichlet(PrincipalSymbol.from_coeffs(lap, 0.5), DomainSpec.ball(), level=-2)
     weyl_constant_L(lap, DomainSpec.ball(), level=-2)
     weyl_constant_M(lap, DomainSpec.ball(), level=-2)
     assert calls == []

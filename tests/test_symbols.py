@@ -241,7 +241,7 @@ def test_dtn_negativity_bound():
 
 
 def test_mu_transmission_even_symbol():
-    s = sy.PrincipalSymbol.fractional_laplacian(2, 0.3)
+    s = sy.PrincipalSymbol.from_coeffs(sy.SecondOrderCoeffs.laplacian(2), 0.3)
     pts = [[0.0, 0.0], [0.5, 0.25]]
     normals = [[1.0, 0.0], [0.6, 0.8]]
     assert sy.mu_transmission_residual(s, 0.3, pts, normals) <= 1e-14

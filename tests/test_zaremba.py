@@ -601,7 +601,7 @@ class TestDiskSpectra:
 
     def test_record_and_flag(self):
         d = disk_interface_spectra(10, 16, shift=1.0)
-        assert d.meta["n2_flagged"] is True
+        assert d.report["n2_flagged"] is True
 
     def test_bad_arc_rejected(self):
         with pytest.raises(ConfigurationError):
