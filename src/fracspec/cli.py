@@ -646,7 +646,10 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
 
     if args.toy:
         # 2-node worked example: interior node coupled to one free
-        # boundary node; every quantity is hand-checkable
+        # boundary node; every quantity is hand-checkable, and it reads no key outside [output]
+        for section, key in sorted(cfg):
+            if section != "output":
+                raise ConfigurationError(f"{section}.{key} does not apply to --toy, which reads [output] keys only")
         toy = OperatorMatrix(
             np.array([[2.0, -1.0], [-1.0, 1.5]]),
             meta={"row_sets": {"interior": [0], "sigma_plus": [1]}, "h": 1.0},

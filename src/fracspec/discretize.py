@@ -187,18 +187,15 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
 
 
 def _distance_to_boundary(domain: DomainSpec, x: np.ndarray) -> np.ndarray:
+    if not domain.box_like:  # the disk or the ball, centred at the origin
+        return np.abs(np.linalg.norm(x, axis=1) - domain.radius)
     lo = domain.origin()
     hi = lo + domain.extent()
-    if domain.box_like:
-        below = np.maximum(lo - x, 0.0)
-        above = np.maximum(x - hi, 0.0)
-        outside = np.sqrt((below**2 + above**2).sum(axis=1))
-        inside_margin = np.minimum(x - lo, hi - x).min(axis=1)
-        return np.where(outside > 0.0, outside, np.abs(inside_margin))
-    if domain.kind in ("disk", "ball"):
-        r = np.linalg.norm(x - np.asarray(domain.center), axis=1)
-        return np.abs(r - domain.radius)
-    raise ConfigurationError(f"no distance rule for domain kind {domain.kind!r}")
+    below = np.maximum(lo - x, 0.0)
+    above = np.maximum(x - hi, 0.0)
+    outside = np.sqrt((below**2 + above**2).sum(axis=1))
+    inside_margin = np.minimum(x - lo, hi - x).min(axis=1)
+    return np.where(outside > 0.0, outside, np.abs(inside_margin))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +267,7 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
     plus sigma_plus nodes (Robin term sigma there, Dirichlet on
     sigma_minus) and requires sigma, 0.0 being a valid choice, and a grid
     with sigma_plus nodes; "periodic" assembles on the whole torus with no
-    boundary terms.
+    boundary terms.  a0 and sigma are numbers.
 
     The form is summed over the closure nodes (interior and boundary; the
     whole torus for "periodic") in ascending torus index, and one
@@ -351,10 +348,9 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
     # zero-order and Robin terms (node volumes, boundary fractions)
     diag = np.zeros(closure.size)
     if a0:
-        diag += np.asarray(a0(x) if callable(a0) else a0, dtype=float) * h**n * 0.5 ** on_plane.sum(axis=1)
+        diag += a0 * h**n * 0.5 ** on_plane.sum(axis=1)
     if bc == "mixed":
-        free = np.searchsorted(closure, grid.sigma_plus_idx)
-        diag[free] += np.asarray(sigma(x[free]) if callable(sigma) else sigma, dtype=float) * h ** (n - 1)
+        diag[np.searchsorted(closure, grid.sigma_plus_idx)] += sigma * h ** (n - 1)
     nz = np.flatnonzero(diag)
     rows.append(nz)
     cols.append(nz)

@@ -153,7 +153,7 @@ class DomainSpec:
 
     kind: interval | rectangle | box | disk | ball.
     lengths: per-axis extents for box-like kinds.
-    radius/center: for disk and ball.
+    radius: for disk and ball, which are centred at the origin.
     sigma_plus: face-id tuple for box-like kinds (e.g. ("y-",)), an
         ("arc", th0, th1) angle range for the disk, or ("cap", phi_max)
         (polar angle from the north pole) for the ball.
@@ -162,7 +162,6 @@ class DomainSpec:
     kind: str
     lengths: tuple = ()
     radius: float = 1.0
-    center: tuple = ()
     sigma_plus: tuple = ()
 
     def __post_init__(self):
@@ -190,8 +189,6 @@ class DomainSpec:
                 raise ValueError("ball sigma_plus must be ('cap', phi_max)")
             if not 0.0 < self.sigma_plus[1] <= np.pi:
                 raise ValueError(f"ball cap must lie in (0, pi], got {self.sigma_plus[1]!r}")
-        if not self.center:
-            object.__setattr__(self, "center", (0.0,) * self.n)
 
     # -- constructors -------------------------------------------------------
 
@@ -236,7 +233,7 @@ class DomainSpec:
         """Lower corner of the bounding box."""
         if self.box_like:
             return np.zeros(self.n)
-        return np.asarray(self.center, dtype=float) - self.radius
+        return np.full(self.n, -self.radius)
 
     def measure(self) -> float:
         if self.box_like:
@@ -268,8 +265,7 @@ class DomainSpec:
             lo = points > 0.0
             hi = points < np.asarray(self.lengths)
             return np.logical_and(lo.all(axis=1), hi.all(axis=1))
-        d = points - np.asarray(self.center)
-        return np.einsum("ki,ki->k", d, d) < self.radius**2
+        return np.einsum("ki,ki->k", points, points) < self.radius**2
 
     # -- volume rule --------------------------------------------------------
 
@@ -284,11 +280,11 @@ class DomainSpec:
             pts = np.empty((m * th.size, 2))
             pts[:, 0] = np.outer(r, np.cos(th)).ravel()
             pts[:, 1] = np.outer(r, np.sin(th)).ravel()
-            return pts + np.asarray(self.center), np.outer(wr * r, wth).ravel()
+            return pts, np.outer(wr * r, wth).ravel()
         # ball: Gauss-Legendre in radius and polar cosine, trapezoid azimuth
         u, wu = _sphere(*np.polynomial.legendre.leggauss(m), 2 * m)
         pts = (r[:, None, None] * u[None]).reshape(-1, 3)
-        return pts + np.asarray(self.center), ((wr * r**2)[:, None] * wu[None]).ravel()
+        return pts, ((wr * r**2)[:, None] * wu[None]).ravel()
 
     # -- boundary rule ------------------------------------------------------
 
@@ -328,7 +324,7 @@ class DomainSpec:
                 th0, th1 = 0.0, 2.0 * np.pi
             th, wth = _gauss(8 * m, th0, th1)
             cs, sn = np.cos(th), np.sin(th)
-            pts = np.column_stack([cs, sn]) * self.radius + np.asarray(self.center)
+            pts = np.column_stack([cs, sn]) * self.radius
             frames = np.empty((th.size, 2, 2))
             frames[:, 0, 0] = -sn
             frames[:, 1, 0] = cs
@@ -340,7 +336,7 @@ class DomainSpec:
         z, wz = _gauss(2 * m, np.cos(phi1), 1.0)
         k = 4 * m
         rad, wts = _sphere(z, wz, k)
-        pts = self.radius * rad + np.asarray(self.center)
+        pts = self.radius * rad
         # frame: e_phi, e_lambda tangents, inward radial normal
         lam = _periodic(k)[0]
         e_lam = np.column_stack([-np.tile(np.sin(lam), z.size), np.tile(np.cos(lam), z.size), np.zeros(rad.shape[0])])

@@ -299,8 +299,15 @@ def _reduce_one(coeffs: SecondOrderCoeffs, point, frame) -> np.ndarray:
     return abar
 
 
+def _check_dimension(n: int) -> None:
+    """A boundary of dimension n - 1 >= 1, which has tangential covectors."""
+    if n < 2:
+        raise ValueError(f"boundary symbols need n >= 2: a {n}-dimensional domain has no tangential covector")
+
+
 def _check_xi_prime(xips: np.ndarray, n: int) -> None:
-    """xi' per sample, (N, n-1): of dimension n - 1 and nonzero."""
+    """xi' per sample, (N, n-1): of dimension n - 1 >= 1 and nonzero."""
+    _check_dimension(n)
     if xips.shape[1:] != (n - 1,):
         raise ValueError(f"xi_prime must have dimension {n - 1}")
     if not xips.any(axis=1).all():
@@ -375,6 +382,7 @@ def tangential_factorization(
     With att > 0, a'' > 0 forces kappa0^2 = c_t > 0 at xi' = (xi'', 0),
     so the base pair there is elliptic too.
     """
+    _check_dimension(coeffs.n)
     xidp = np.asarray(xi_dprime, dtype=float).reshape(-1)
     if xidp.shape != (coeffs.n - 2,):
         raise ValueError(f"xi_dprime must have dimension {coeffs.n - 2}")

@@ -38,7 +38,7 @@ Anal. 7 (1970)).  chain_schur is the one chain elimination: a batch of
 chains, one LDL^H sweep over the chain index vectorized over the modes,
 returning the per-mode interface Schur value s_m and extension mass q_m.
 Three callers share it: the disk (angular Fourier modes, radial chains,
-arc submatrices of the synthesized circulants), the square and box
+arc submatrices gathered from mode-synthesized columns), the square and box
 faces (DST-I modes over the free face, normal chains, partition
 submatrices, on the cells that discretize.grid_spacing gives build_grid
 too), and the flat-strip probe measuring the DtN principal symbol
@@ -310,37 +310,34 @@ def chain_schur(diag, off, d_free, c, vol=None):
     """Schur complements of a batch of Hermitian tridiagonal chains onto a free end node.
 
     Row m of diag (modes, L) and off (modes, L-1) is the chain T_m: real
-    diagonal diag[m] and superdiagonal T_m[j, j+1] = off[m, j], real or
-    complex.  Position 0 is the far end; position L-1 couples to one free
-    node with weight c[m] (the entry T[L-1, free]) whose diagonal is
-    d_free[m].  One forward LDL^H (Thomas) sweep over the chain index,
-    vectorized over the modes, gives the pivots p_j, and
-    (T^{-1})_{L-1, L-1} = 1/p_{L-1}, so
+    diagonal d_j = diag[m, j] and superdiagonal o_j = T_m[j, j+1] =
+    off[m, j], real or complex.  Position 0 is the far end; position L-1
+    couples to one free node with weight c[m] (the entry T[L-1, free])
+    whose diagonal is d_free[m].  One forward sweep over j, vectorized over
+    the modes, carries the LDL^H pivot p_j of the leading block T_{0..j}
+    and the mass m_j = sum_i vol[m, i] |x_i|^2 of the last column x of its
+    inverse, x = [-o_{j-1} x' / p_j; 1 / p_j] with x' the previous block's
+    (Meurant, SIAM J. Matrix Anal. Appl. 13 (1992)):
 
-        s_m = d_free[m] - |c[m]|^2 / p_{L-1}.
+        p_j = d_j - |o_{j-1}|^2 / p_{j-1},  m_j = (|o_{j-1}|^2 m_{j-1} + vol_j) / p_j^2,
 
-    With vol (modes, L), back substitution gives the extension
-    u = -T^{-1} c e_{L-1} of a unit value on the free node as a
-    cumulative product, and its mass q_m = sum_j vol[m, j] |u_j|^2.
-    Returns (s, q), q None without vol.  No pivoting: the chains of a
+    from p_0 = d_0 and m_0 = vol_0 / p_0^2.  Then s_m = d_free[m] - |c[m]|^2 / p_{L-1},
+    and q_m = |c[m]|^2 m_{L-1} is the mass of the extension -T^{-1} c e_{L-1}
+    of a unit value on the free node.  The chains are read a column at a
+    time (broadcast views stay uncopied) and only vectors over the modes are
+    held.  Returns (s, q), q None without vol.  No pivoting: the chains of a
     positive assembly are positive definite.
     """
-    modes, length = np.shape(diag)
-    diag = np.ascontiguousarray(np.transpose(diag))  # chain-major: each step reads one contiguous row
-    off = np.ascontiguousarray(np.transpose(off))
-    e2 = np.abs(off) ** 2
-    piv = np.empty((length, modes))
-    piv[0] = diag[0]
-    for j in range(1, length):
-        np.subtract(diag[j], e2[j - 1] / piv[j - 1], out=piv[j])
-    s = np.asarray(d_free) - np.abs(c) ** 2 / piv[-1]
-    q = None
-    if vol is not None:
-        # u_{L-1} = -c / p_{L-1} and u_j = -(T[j, j+1] / p_j) u_{j+1}
-        ratio = -off / piv[:-1]
-        u = np.concatenate([np.cumprod(ratio[::-1], axis=0)[::-1], np.ones((1, modes))])
-        u *= -np.asarray(c) / piv[-1]
-        q = np.einsum("jm,mj->m", np.abs(u) ** 2, vol)
+    piv = diag[:, 0]
+    mass = None if vol is None else vol[:, 0] / piv**2
+    for j in range(1, diag.shape[1]):
+        e2 = np.abs(off[:, j - 1]) ** 2
+        piv = diag[:, j] - e2 / piv
+        if vol is not None:
+            mass = (e2 * mass + vol[:, j]) / piv**2
+    c2 = np.abs(c) ** 2
+    s = np.asarray(d_free) - c2 / piv
+    q = None if vol is None else c2 * mass
     if not (np.all(np.isfinite(s)) and (q is None or np.all(np.isfinite(q)))):
         raise NumericError("chain elimination met a zero pivot")
     return s, q
@@ -480,12 +477,12 @@ def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: flo
                            shift: float = 1.0, sigma: float = 0.0) -> DiskSpectra:
     """Krein and interface spectra for a disk whose free boundary is an arc.
 
-    Separation of variables turns the full-circle Schur complement and
-    the extension mass K^T W K into circulants synthesized from per-mode
-    scalar chains, so no dense interior solve is ever formed.  Dropping
-    the complement of the arc (Dirichlet elimination) is exactly taking
-    the arc submatrices, which is where the mixed problem and its arc
-    geometry enter.
+    Separation of variables makes the full-circle Schur complement and
+    the extension mass K^T W K cyclic in the angle, each fixed by its first
+    column, synthesized from per-mode scalar chains, so no dense interior
+    solve is ever formed.  Dropping the complement of the arc (Dirichlet
+    elimination) is exactly taking the arc submatrices, gathered from the
+    columns; that is where the mixed problem and its arc geometry enter.
     """
     if n_r < 4 or n_theta < 8:
         raise ConfigurationError("disk resolution too small to resolve the interface")
@@ -495,8 +492,7 @@ def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: flo
 
     half = n_theta // 2
     s_half, q_half = _radial_chains(n_r, n_theta, radius, shift, np.arange(half + 1))
-    S_full, Q_full = (scipy.linalg.circulant(np.fft.ifft(np.concatenate([v, v[1 : n_theta - half][::-1]])).real)
-                      for v in (s_half, q_half))
+    s_col, q_col = (np.fft.ifft(np.concatenate([v, v[1 : n_theta - half][::-1]])).real for v in (s_half, q_half))
 
     dth = 2.0 * np.pi / n_theta
     thetas = dth * np.arange(n_theta)
@@ -505,8 +501,8 @@ def disk_interface_spectra(n_r: int, n_theta: int, arc=(0.0, np.pi), radius: flo
     sel = np.flatnonzero(on_arc)
     if sel.size == 0:
         raise ConfigurationError("arc contains no boundary nodes at this resolution")
-    S_plus = S_full[np.ix_(sel, sel)]
-    Q_plus = Q_full[np.ix_(sel, sel)]
+    lag = (sel[:, None] - sel) % n_theta
+    S_plus, Q_plus = s_col[lag], q_col[lag]
 
     arc_w = radius * dth
     if sigma:
@@ -542,7 +538,7 @@ def separable_face(coeffs: SecondOrderCoeffs, sigma, domain) -> bool:
     """
     if domain.kind not in ("rectangle", "box") or len(domain.sigma_plus) != 1:
         return False
-    if not coeffs.constant or callable(sigma) or sigma is None or sigma < 0.0:
+    if not coeffs.constant or sigma is None or sigma < 0.0:
         return False
     a = np.asarray(coeffs.a)
     return bool(np.all(a == np.diag(np.diag(a))) and np.all(np.diag(a) > 0.0))

@@ -386,6 +386,16 @@ _CONSTRAINT_CASES = [
     (["zaremba", "--domain", "interval", "--n-r", "16"], "grid.n_r does not apply to the interval domain"),
     (["zaremba", "--domain", "square", "--n-theta", "32"], "grid.n_theta does not apply to the square domain"),
     (["zaremba", "--domain", "box", "--n-r", "16", "--n-theta", "32"], "grid.n_r does not apply to the box domain"),
+    # the 2-node toy reads [output] keys only
+    (["zaremba", "--toy", "--domain", "disk"], "domain.kind does not apply to --toy"),
+    (["zaremba", "--toy", "--nodes", "64"], "grid.nodes does not apply to --toy"),
+    (["zaremba", "--toy", "--sigma", "5"], "operator.sigma does not apply to --toy"),
+    (["zaremba", "--toy", "--coeffs", "diag:1,4"], "operator.coeffs does not apply to --toy"),
+    (["zaremba", "--toy", "--tol", "1e-3"], "task.tol does not apply to --toy"),
+    # a 1-dimensional boundary has no tangential covector
+    (["symbol-check", "--n", "1"], "boundary symbols need n >= 2: a 1-dimensional domain has no tangential covector"),
+    (["symbol-check", "--coeffs", "diag:2"],
+     "boundary symbols need n >= 2: a 1-dimensional domain has no tangential covector"),
 ]
 
 # numeric failures, exit 3, each message naming its remedy
