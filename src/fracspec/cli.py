@@ -309,7 +309,7 @@ def _build_domain(cfg):
 
 def _assemble_operator(cfg):
     """Dirichlet operator, its grid and the power a; a fractional power is the matrix-free RestrictedPowerOperator."""
-    from .discretize import RestrictedPowerOperator, TorusMultiplier, assemble_second_order, build_grid
+    from .discretize import RestrictedPowerOperator, assemble_second_order, build_grid
 
     domain = _build_domain(cfg)
     coeffs = _build_coeffs(cfg, domain)
@@ -318,7 +318,7 @@ def _assemble_operator(cfg):
     a = _get(cfg, "operator", "a", 1.0)
     if a == 1.0:
         return assemble_second_order(coeffs, grid, bc="dirichlet"), grid, a
-    return RestrictedPowerOperator(TorusMultiplier.from_coeffs(coeffs), a, grid), grid, a
+    return RestrictedPowerOperator(coeffs, a, grid), grid, a
 
 
 # ---------------------------------------------------------------------------

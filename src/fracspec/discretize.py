@@ -1,23 +1,23 @@
 """Grids and matrix realizations.
 
 Uniform torus grids carry the periodic-embedding path for restricted
-fractional powers r+ P_a e+ of a torus multiplier: RestrictedPowerOperator
-evaluates the multiplier's power once and is the one owner of its torus
-kernel.  It is applied matrix-free by transforms, for a few eigenpairs
-past the dense cap, gathered into a dense matrix (toarray), and split
-into reflection-parity blocks (ParitySplit) on tensor-block interiors,
-folded further where axes of equal length swap, for full spectra.  Its
-dense oracle, the power of the whole torus matrix by eigendecomposition,
-lives with the tests (test_discretize.dense_power).  The same grids feed
-the second-order Dirichlet, mixed and periodic assemblies, which sum the
-form over the closure nodes of the domain with one neighbour rule for
-every boundary condition; which node lies on which face plane is
-decided once, from integer torus indices (Grid.planes), and
-grid_spacing is the one spacing rule.  schur_split
-is the one Schur complement: its extension map K and interface S are
-the discrete Poisson extension and, weighted by the boundary measure,
-the discrete Dirichlet-to-Neumann operator of the Krein assembly
-(zaremba.KreinAssembly.K and L_weighted).
+fractional powers r+ P_a e+ of P = -div(A grad) with constant
+coefficients A: RestrictedPowerOperator takes A, evaluates the power of
+its symbol once and is the one owner of its torus kernel.  It is applied
+matrix-free by transforms, for a few eigenpairs past the dense cap,
+gathered into a dense matrix (toarray), and split into reflection-parity
+blocks (ParitySplit) on tensor-block interiors, folded further where
+axes of equal length swap, for full spectra.  Its dense oracle, the
+power of the whole torus matrix by eigendecomposition, lives with the
+tests (test_discretize.dense_power).  The same grids feed the
+second-order Dirichlet and mixed assemblies, which sum the form over the
+closure nodes of the domain with one neighbour rule for both boundary
+conditions; which node lies on which face plane is decided once, from
+integer torus indices (Grid.planes), and grid_spacing is the one
+spacing rule.  schur_split is the one Schur complement: its extension
+map K and interface S are the discrete Poisson extension and, weighted
+by the boundary measure, the discrete Dirichlet-to-Neumann operator of
+the Krein assembly (zaremba.KreinAssembly.K and L_weighted).
 
 Unit conventions
 ----------------
@@ -266,16 +266,15 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
     bc = "dirichlet" keeps interior nodes only; "mixed" keeps interior
     plus sigma_plus nodes (Robin term sigma there, Dirichlet on
     sigma_minus) and requires sigma, 0.0 being a valid choice, and a grid
-    with sigma_plus nodes; "periodic" assembles on the whole torus with no
-    boundary terms.  a0 and sigma are numbers.
+    with sigma_plus nodes.  a0 and sigma are numbers.
 
-    The form is summed over the closure nodes (interior and boundary; the
-    whole torus for "periodic") in ascending torus index, and one
-    neighbour rule serves every boundary condition: the closure position
-    of node + offset, taken modulo the torus, or -1 outside the closure.
-    The padding of build_grid keeps the closure of a bounded domain from
-    wrapping.  A dual cell on a face plane (Grid.planes) is halved once
-    per plane: edges along the plane, cross cells in it, node volumes.
+    The form is summed over the closure nodes (interior and boundary) in
+    ascending torus index, and one neighbour rule serves both boundary
+    conditions: the closure position of node + offset, taken modulo the
+    torus, or -1 outside the closure.  The padding of build_grid keeps the
+    closure of a bounded domain from wrapping.  A dual cell on a face
+    plane (Grid.planes) is halved once per plane: edges along the plane,
+    cross cells in it, node volumes.
 
     Diagonal coefficients may vary over the domain (edge-midpoint
     sampling); cross coefficients enter through the diagonal-difference
@@ -283,7 +282,7 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
     edge midpoint.
     """
     n, h = grid.n, grid.h
-    if bc not in ("dirichlet", "mixed", "periodic"):
+    if bc not in ("dirichlet", "mixed"):
         raise ConfigurationError(f"unknown boundary condition {bc!r}")
     if bc == "mixed" and sigma is None:
         raise ConfigurationError("mixed assembly needs sigma (0.0 is allowed)")
@@ -293,11 +292,7 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
     if coeffs.n != n:
         raise ConfigurationError("coefficient dimension does not match the grid")
 
-    periodic = bc == "periodic"
-    if periodic:
-        keep = np.arange(grid.size)
-        row_sets = {"torus": np.arange(grid.size)}
-    elif bc == "dirichlet":
+    if bc == "dirichlet":
         keep = grid.interior_idx
         row_sets = {"interior": np.arange(keep.size)}
     else:
@@ -306,10 +301,10 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
             "interior": np.arange(grid.interior_idx.size),
             "sigma_plus": grid.interior_idx.size + np.arange(grid.sigma_plus_idx.size),
         }
-    closure = keep if periodic else np.sort(np.concatenate([grid.interior_idx, grid.boundary_idx]))
+    closure = np.sort(np.concatenate([grid.interior_idx, grid.boundary_idx]))
     multi = np.stack(np.unravel_index(closure, grid.shape), axis=-1)
     x = grid.origin + h * multi
-    on_plane = _plane_hits(grid.planes, multi).any(axis=2) & (not periodic)  # the torus has no faces
+    on_plane = _plane_hits(grid.planes, multi).any(axis=2)
 
     def neighbour(offset):
         t = np.ravel_multi_index(((multi + offset) % grid.shape).T, grid.shape)
@@ -373,36 +368,12 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusMultiplier:
-    """Constant-coefficient operator given by its Fourier multiplier.
-
-    fn maps a covector array of shape (..., n) to nonnegative multiplier
-    values; it is evaluated on the torus frequency lattice.
-    """
-
-    fn: object
-    descriptor: str = "multiplier"
-
-    @classmethod
-    def from_coeffs(cls, coeffs: SecondOrderCoeffs) -> "TorusMultiplier":
-        if not coeffs.constant:
-            raise ConfigurationError("multiplier path needs constant coefficients")
-        a = np.asarray(coeffs.a, dtype=float)
-
-        def fn(xi):
-            return np.einsum("...i,ij,...j->...", xi, a, xi)
-
-        return cls(fn, f"quadratic-form multiplier {coeffs.describe()}")
-
-
-def _multiplier_values(mult: TorusMultiplier, grid: Grid) -> np.ndarray:
-    freqs = np.meshgrid(*grid.frequencies(), indexing="ij")
-    xi = np.stack(freqs, axis=-1)
-    vals = np.asarray(mult.fn(xi), dtype=float)
-    if vals.shape != grid.shape:
-        raise ConfigurationError("multiplier did not evaluate to one value per torus node")
-    return vals
+def _multiplier_values(coeffs: SecondOrderCoeffs, grid: Grid) -> np.ndarray:
+    """The quadratic form xi . A xi of constant coefficients A on the torus frequency lattice."""
+    if not coeffs.constant:
+        raise ConfigurationError("multiplier path needs constant coefficients")
+    xi = np.stack(np.meshgrid(*grid.frequencies(), indexing="ij"), axis=-1)
+    return np.einsum("...i,ij,...j->...", xi, coeffs.a, xi)
 
 
 def _reflect(x: np.ndarray, axes) -> np.ndarray:
@@ -545,42 +516,42 @@ def _swap_invariant(kern: np.ndarray, classes) -> np.ndarray:
 
 
 class RestrictedPowerOperator(spla.LinearOperator):
-    """Matrix-free r+ P_a e+ for a torus multiplier.
+    """Matrix-free r+ P_a e+ for P = -div(A grad), A the constant coefficients.
 
-    The multiplier is evaluated once, on the torus frequency lattice, and
-    raised to the power a; both forms of the operator come from that one
-    array.  Products use its even part on the half lattice: zero
-    extension, transforms and restriction (circulant embedding: Chan &
-    Jin, An Introduction to Iterative Toeplitz Solvers, SIAM 2007), two
-    transforms of the torus each, so a few Lanczos pairs stay within
-    reach past the dense cap.  The dense forms use its torus kernel, the
-    real, symmetrized inverse transform, i.e. the kernel of the same even
-    part: toarray() gathers it into the m x m matrix, for the dense
-    route, and parity_split() folds it into reflection-parity blocks, for
-    full spectra.  The kernel is built on the first of those calls only.
-    block, found once here, is (low corner, nodes per axis) of the
-    interior when it fills a tensor block, else None; parity_split() and
-    preconditioner() both read it.
+    The multiplier xi . A xi of P is evaluated once, on the torus
+    frequency lattice, and raised to the power a; both forms of the
+    operator come from that one array.  Products use its even part on the
+    half lattice: zero extension, transforms and restriction (circulant
+    embedding: Chan & Jin, An Introduction to Iterative Toeplitz Solvers,
+    SIAM 2007), two transforms of the torus each, so a few Lanczos pairs
+    stay within reach past the dense cap.  The dense forms use its torus
+    kernel, the real, symmetrized inverse transform, i.e. the kernel of
+    the same even part: toarray() gathers it into the m x m matrix, for
+    the dense route, and parity_split() folds it into reflection-parity
+    blocks, for full spectra.  The kernel is built on the first of those
+    calls only.  block, found once here, is (low corner, nodes per axis)
+    of the interior when it fills a tensor block, else None;
+    parity_split() and preconditioner() both read it.
     """
 
-    def __init__(self, mult: TorusMultiplier, a: float, grid: Grid):
+    def __init__(self, coeffs: SecondOrderCoeffs, a: float, grid: Grid):
         if not 0.0 < a < np.inf:  # NaN fails the comparison
             raise ValueError("fractional exponent a must be finite and positive")
         idx = grid.interior_idx
         super().__init__(np.float64, (idx.size, idx.size))
-        vals = _multiplier_values(mult, grid)
-        if vals.min() < -1e-10 * max(vals.max(), 1.0):
+        vals = _multiplier_values(coeffs, grid)
+        if vals.min() < -1e-10 * max(vals.max(), 1.0):  # an indefinite form
             raise NotPositiveError("multiplier takes negative values on the frequency lattice")
         self._vals_pow = np.clip(vals, 0.0, None) ** a
         even = 0.5 * (self._vals_pow + _reflect(self._vals_pow, tuple(range(grid.n))))
         self.symbol = np.ascontiguousarray(even[..., : grid.shape[-1] // 2 + 1])
-        self.mult, self.a, self.grid, self.interior = mult, a, grid, idx
+        self.coeffs, self.a, self.grid, self.interior = coeffs, a, grid, idx
         multi = np.stack(np.unravel_index(idx, grid.shape), axis=-1)
         corner = multi.min(axis=0)
         lengths = multi.max(axis=0) - corner + 1
         # (torus multi-index of the low corner, nodes per axis) of the interior, or None if it is no tensor block
         self.block = (corner, lengths) if idx.size == np.prod(lengths) else None
-        self.descriptor = f"({mult.descriptor})^{a:g} restricted to {idx.size} nodes"
+        self.descriptor = f"(quadratic-form multiplier {coeffs.describe()})^{a:g} restricted to {idx.size} nodes"
 
     @functools.cached_property
     def _kernel(self) -> np.ndarray:
@@ -636,20 +607,20 @@ class RestrictedPowerOperator(spla.LinearOperator):
         """S diag(lambda^(-a)) S, an approximate inverse for LOBPCG, or None where it does not apply.
 
         S is the orthonormal DST-I on the interior block (L_k nodes along
-        axis k) and lambda_j = sum_k a_kk (pi j_k / ((L_k + 1) h))^2, with
-        a_kk = mult.fn(e_k), are the Dirichlet eigenvalues of the diagonal
-        part of the form on the block's extent, j_k = 1..L_k: this is the
-        spectral power (-Delta_h)^a, whose energy norm is equivalent to the
-        restricted operator's for 0 < a < 1 (Bonito et al., Comput. Vis.
-        Sci. 19 (2018)).  A cross-coefficient form is preconditioned by its
-        diagonal.  None when the interior is not a tensor block (self.block is
-        None) or a lies outside (0, 1).
+        axis k) and lambda_j = sum_k a_kk (pi j_k / ((L_k + 1) h))^2, a_kk
+        the diagonal of the coefficients, are the Dirichlet eigenvalues of
+        the diagonal part of the form on the block's extent, j_k = 1..L_k:
+        this is the spectral power (-Delta_h)^a, whose energy norm is
+        equivalent to the restricted operator's for 0 < a < 1 (Bonito et
+        al., Comput. Vis. Sci. 19 (2018)).  A cross-coefficient form is
+        preconditioned by its diagonal.  None when the interior is not a
+        tensor block (self.block is None) or a lies outside (0, 1).
         """
         if self.block is None or not 0.0 < self.a < 1.0:
             return None
         lengths, h = self.block[1], self.grid.h
-        diag = [float(self.mult.fn(e)) for e in np.eye(self.grid.n)]
-        per_axis = [d * (np.pi * np.arange(1, L + 1) / ((L + 1) * h)) ** 2 for d, L in zip(diag, lengths)]
+        per_axis = [d * (np.pi * np.arange(1, L + 1) / ((L + 1) * h)) ** 2
+                    for d, L in zip(np.diag(self.coeffs.a), lengths)]
         weight = functools.reduce(np.add.outer, per_axis) ** -self.a
         axes = tuple(range(self.grid.n))
 

@@ -244,8 +244,6 @@ class DomainSpec:
 
     def _face_measure(self, face: str) -> float:
         ax = "xyz".index(face[0])
-        if self.n == 1:
-            return 1.0
         others = [self.lengths[i] for i in range(self.n) if i != ax]
         return float(np.prod(others))
 

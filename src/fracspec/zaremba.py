@@ -252,12 +252,13 @@ def krein_term(coeffs: SecondOrderCoeffs, sigma, grid: Grid, partition=None,
 def _positivity_shift(shift, coeffs: SecondOrderCoeffs, sigma, domain, grid: Grid | None = None) -> float:
     """The zero-order shift of the mixed problem: a number as given, or the value of "auto".
 
-    "auto" is exactly 1 on the disk (the Laplacian, the only form its route accepts) and on
-    separable_face inputs, on either route.  Shift 1 is known positive there only for
-    sigma >= 0, which separable_face requires and the disk does not: the disk has no
-    lowest-eigenvalue estimate, and a negative sigma there may raise NotPositiveError.
-    Elsewhere it is 1 + max(0, -2 lambda_min), lambda_min a Lanczos estimate on the
-    unshifted mixed assembly on grid.
+    "auto" is exactly 1 on separable_face inputs, on either route, and is known positive
+    there, since separable_face requires sigma >= 0.  On the disk (the Laplacian, the
+    only form its route accepts) it is 1, the start of interface_spectra's doubling
+    1, 2, 4, ..., which keeps the first shift whose interface Schur complement is
+    positive (the disk has no lowest-eigenvalue estimate): 1 for sigma >= 0, and more
+    for a sigma negative enough.  Elsewhere it is 1 + max(0, -2 lambda_min), lambda_min
+    a Lanczos estimate on the unshifted mixed assembly on grid.
     """
     if shift != "auto":
         return float(shift)
@@ -642,10 +643,11 @@ def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r:
                       shift="auto") -> InterfaceSpectra:
     """Answer the Zaremba question on the route that fits the input.
 
-    The disk takes its angular modes (n_r rings, n_theta angles) and refuses
-    coefficients other than the Laplacian.  A grid domain takes the assembled
-    route, the only one that certifies the Krein identity, while M (N = n_I + n_B
-    on build_grid(domain, nodes)) fits under eig.DENSE_CAP.  Past the cap,
+    The disk takes its angular modes (n_r rings, n_theta angles), under "auto" at
+    the first shift 1, 2, 4, ... whose S is positive, and refuses coefficients
+    other than the Laplacian.  A grid domain takes the assembled route, the only
+    one that certifies the Krein identity, while M (N = n_I + n_B on
+    build_grid(domain, nodes)) fits under eig.DENSE_CAP.  Past the cap,
     separable inputs take the face modes, which need no grid (the torus grid of a
     fine box is the largest object of the run), and any other input raises
     NumericError.  Both refusals come before any assembly.
@@ -654,9 +656,16 @@ def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r:
         if not np.array_equal(coeffs.a, np.eye(2)):
             raise ConfigurationError(f"the disk mode route solves the Laplacian only, "
                                      f"not coefficients {coeffs.describe()}")
-        shift = _positivity_shift(shift, coeffs, sigma, domain)
-        d = disk_interface_spectra(n_r, n_theta, arc=domain.sigma_plus[1:], radius=domain.radius,
-                                   shift=shift, sigma=sigma)
+        value = _positivity_shift(shift, coeffs, sigma, domain)
+        while True:  # "auto" doubles from 1 while S is not positive; S grows without bound in the shift
+            try:
+                d = disk_interface_spectra(n_r, n_theta, arc=domain.sigma_plus[1:], radius=domain.radius,
+                                           shift=value, sigma=sigma)
+                break
+            except NotPositiveError:
+                if shift != "auto":
+                    raise
+                value *= 2.0
         return InterfaceSpectra(d.mu, d.interface, d.report)
     if separable_face(coeffs, sigma, domain):
         _, cells, _, tangential = _face_cells(domain, nodes)

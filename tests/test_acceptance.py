@@ -25,7 +25,6 @@ from fracspec.discretize import (
     DomainSpec,
     OperatorMatrix,
     RestrictedPowerOperator,
-    TorusMultiplier,
     build_grid,
 )
 from fracspec.quadrature import (
@@ -78,8 +77,7 @@ def random_boundary_samples(n: int, count: int, seed: int):
 def square64():
     """Unit square, 64 nodes per axis (128^2 torus): spectrum + ground state."""
     g = build_grid(DomainSpec.unit_square(), 64)
-    mult = TorusMultiplier.from_coeffs(SecondOrderCoeffs.laplacian(2))
-    A = RestrictedPowerOperator(mult, 0.5, g).toarray()
+    A = RestrictedPowerOperator(SecondOrderCoeffs.laplacian(2), 0.5, g).toarray()
     lam = np.sort(sla.eigvalsh(A))
     _, v = sla.eigh(A, subset_by_index=[0, 0])
     return g, lam, v[:, 0]
@@ -88,8 +86,7 @@ def square64():
 @pytest.fixture(scope="module")
 def interval2048():
     g = build_grid(DomainSpec.unit_interval(), 2048)
-    mult = TorusMultiplier.from_coeffs(SecondOrderCoeffs.laplacian(1))
-    A = RestrictedPowerOperator(mult, 0.5, g).toarray()
+    A = RestrictedPowerOperator(SecondOrderCoeffs.laplacian(1), 0.5, g).toarray()
     _, v = sla.eigh(A, subset_by_index=[0, 0])
     return g, v[:, 0]
 
@@ -221,7 +218,7 @@ def test_criterion_05_weyl_law_variable_route():
     # 64^2 torus; the fitted constant must match the quadrature prediction.
     co = SecondOrderCoeffs(n=2, a=np.diag([1.0, 4.0]))
     g = build_grid(DomainSpec.unit_square(), 32)
-    dense = torus_matrix(TorusMultiplier.from_coeffs(co), g)
+    dense = torus_matrix(co, g)
     lam = np.sort(sla.eigvalsh(dense_power(dense, 0.5, g.interior_idx)))
     target = weyl_constant_dirichlet(
         PrincipalSymbol.from_coeffs(co, 0.5), DomainSpec.unit_square()
@@ -452,8 +449,7 @@ def test_criterion_13_property_suites():
     assert strong_ellipticity_margin(SecondOrderCoeffs.laplacian(2), np.zeros((1, 2))) > 0.0
     assert abs(DomainSpec.unit_square().measure() - 1.0) <= 1e-12
     g = build_grid(DomainSpec.unit_interval(), 16)
-    mult = TorusMultiplier.from_coeffs(SecondOrderCoeffs.laplacian(1))
-    R = RestrictedPowerOperator(mult, 0.5, g).toarray()
+    R = RestrictedPowerOperator(SecondOrderCoeffs.laplacian(1), 0.5, g).toarray()
     assert np.abs(R - R.T).max() == 0.0 and sla.eigvalsh(R).min() > 0.0
     fit = weyl_fit(0.25 * np.arange(1, 41, dtype=float) ** 2)
     assert abs(fit.exponent - 2.0) < 1e-10 and abs(fit.constant - 0.25) < 1e-10

@@ -275,6 +275,11 @@ class TestPipelines:
         assert run(["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--sigma", "-0.5"], tmp_path) == 0
         assert report_lines(tmp_path, "zaremba")["shift"] == "1.0"
 
+    def test_zaremba_disk_negative_sigma_doubles_the_auto_shift(self, tmp_path):
+        assert run(["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--sigma", "-5"], tmp_path) == 0
+        shift = float(report_lines(tmp_path, "zaremba")["shift"])
+        assert shift > 1.0 and np.log2(shift) == np.round(np.log2(shift))
+
     def test_zaremba_disk_default_is_the_laplacian(self, tmp_path):
         base = ["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--repro"]
         assert run(base, tmp_path / "default") == 0
@@ -290,6 +295,29 @@ class TestPipelines:
         assert float(rows["max_rel_error"]) <= 1e-3
         strict = tmp_path / "strict"
         assert run(args + ["--assert", "--tol", "1e-6"], strict) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["symbol-check", "--a", "0.5", "--mu", "0.3"],
+        ["weyl-fit", "--expect-exponent", "3"],
+        ["weyl-fit", "--expect-constant", "1"],
+        ["boundary-exp", "--domain", "interval", "--nodes", "64", "--a", "0.5", "--tol", "1e-6"],
+        ["zaremba", "--domain", "square", "--nodes", "8", "--tol", "1e-17"],
+        ["singular-probe", "--decay", "harmonic"],
+    ], ids=" ".join)
+    def test_assert_exits_4_on_a_tolerance_the_run_misses(self, tmp_path, argv, capsys):
+        if argv[0] == "weyl-fit":  # it fits 0.25 j^2: exponent 2, constant 0.25
+            j = np.arange(1, 41)
+            np.savetxt(tmp_path / "values.csv", np.c_[j, 0.25 * j**2], delimiter=",", header="j,value", comments="")
+            argv = argv + ["--input", str(tmp_path / "values.csv")]
+        assert run(argv + ["--assert"], tmp_path / "out") == 4
+        assert capsys.readouterr().err.startswith("tolerance failure: ")
+
+    def test_boundary_exp_disk_takes_the_distance_profile(self, tmp_path):
+        # the disk has no face planes: the fit reads the in-band profile against nearest-boundary distance
+        assert run(["boundary-exp", "--domain", "disk", "--nodes", "32", "--a", "0.5"], tmp_path) == 0
+        rows = report_lines(tmp_path, "boundary-exp")
+        assert rows["eig_path"] == "lanczos"
+        assert np.isfinite(float(rows["exponent"]))
 
 
 # option values the table's constraints reject, with a phrase of the message
@@ -400,8 +428,8 @@ _CONSTRAINT_CASES = [
 
 # numeric failures, exit 3, each message naming its remedy
 _NUMERIC_CASES = [
-    # shift 1 is known positive on the disk for sigma >= 0 only
-    (["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--sigma", "-5"],
+    # a numeric shift is never raised, whatever sigma
+    (["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--sigma", "-5", "--shift", "4"],
      "interface Schur complement is not positive definite; apply a larger positivity shift"),
 ]
 

@@ -4,7 +4,7 @@ Two contrast objects live here, since only tests use them: a
 boundary-fitted polar disk grid with its form-unit Laplacian (the
 assembled oracle of the disk mode route in zaremba, imported by
 test_zaremba), and the dense fractional power of a matrix by
-eigendecomposition, on the whole torus matrix of a multiplier (the
+eigendecomposition, on the whole torus matrix of a coefficient form (the
 oracle of RestrictedPowerOperator and the route of criterion 05,
 imported by test_acceptance).
 """
@@ -22,7 +22,6 @@ from fracspec.discretize import (
     Grid,
     OperatorMatrix,
     RestrictedPowerOperator,
-    TorusMultiplier,
     _distance_to_boundary,
     _even_kernel,
     _multiplier_values,
@@ -196,9 +195,9 @@ def assemble_polar_laplacian(grid: PolarDiskGrid, sigma: float = 0.0) -> Operato
 # ---------------------------------------------------------------------------
 
 
-def torus_matrix(mult: TorusMultiplier, grid: Grid) -> np.ndarray:
-    """Dense torus matrix of a Fourier multiplier: its even torus kernel read at every pair of torus nodes."""
-    kern = _even_kernel(_multiplier_values(mult, grid))
+def torus_matrix(coeffs: SecondOrderCoeffs, grid: Grid) -> np.ndarray:
+    """Dense torus matrix of the multiplier xi . A xi: its even torus kernel read at every pair of torus nodes."""
+    kern = _even_kernel(_multiplier_values(coeffs, grid))
     multi = np.stack(np.unravel_index(np.arange(grid.size), grid.shape), axis=-1)
     return toeplitz_gather(kern.ravel(), multi, grid.shape)
 
@@ -209,7 +208,7 @@ def dense_power(base, a: float, interior=None) -> np.ndarray:
     base is dense, or has toarray().  Its power is V diag(w^a) V^T from
     one eigendecomposition, rounding below 0 in w clipped, formed as
     F F^T with F = V diag(w^(a/2)), so it is symmetric bit for bit.  On
-    torus_matrix(mult, grid) and grid.interior_idx this is r+ P_a e+ by
+    torus_matrix(coeffs, grid) and grid.interior_idx this is r+ P_a e+ by
     the slow generic route, against RestrictedPowerOperator's transforms.
     """
     w, V = sla.eigh(base.toarray() if hasattr(base, "toarray") else base)
@@ -301,16 +300,6 @@ class TestAssembly:
         k = np.arange(1, m + 1)
         exact = (2.0 - 2.0 * np.cos(k * np.pi * h)) / h**2
         assert np.allclose(w, np.sort(exact), rtol=1e-12)
-
-    def test_periodic_circulant_symbol(self):
-        g = build_grid(DomainSpec.unit_interval(), 16)
-        one = SecondOrderCoeffs(n=1, a=np.eye(1))
-        A = assemble_second_order(one, g, bc="periodic", a0=1.0)
-        vals = np.fft.fft(A.toarray()[0]).real
-        N, h = g.shape[0], g.h
-        k = np.arange(N)
-        sym = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / N)) / h**2 + 1.0
-        assert np.allclose(np.sort(vals), np.sort(sym), rtol=1e-12)
 
     def test_mixed_below_dirichlet(self):
         g = build_grid(DomainSpec.unit_square(sigma_plus=("y-",)), 8)
@@ -474,17 +463,18 @@ class TestFractional:
 
     def test_whole_torus_eigenvalues_are_multiplier_powers(self):
         g = build_grid(DomainSpec.unit_interval(), 16)
-        mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 + 1.0)
-        R = dense_power(torus_matrix(mult, g), 0.5)
+        R = dense_power(torus_matrix(SecondOrderCoeffs(1, [[2.0]]), g), 1.5)
         w = np.sort(sla.eigvalsh(R))
         xi = g.frequencies()[0]
-        expect = np.sort((xi**2 + 1.0) ** 0.5)
+        expect = np.sort((2.0 * xi**2) ** 1.5)
         assert np.allclose(w, expect, rtol=1e-10)
 
     def test_restricted_below_spectral(self):
         # half-circle restriction of the 1D periodic Laplacian
         g = build_grid(DomainSpec.unit_interval(), 64)
-        Ap = assemble_second_order(laplacian(1), g, bc="periodic")
+        column = np.zeros(g.size)
+        column[[0, 1, -1]] = 2.0, -1.0, -1.0
+        Ap = sla.circulant(column) / g.h**2
         Rr = dense_power(Ap, 0.5, g.interior_idx)
         Ad = assemble_second_order(laplacian(1), g, bc="dirichlet")
         Rs = dense_power(Ad, 0.5)
@@ -495,15 +485,14 @@ class TestFractional:
 
     def test_fast_and_dense_paths_agree(self):
         g = build_grid(DomainSpec.unit_interval(), 16)
-        mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 + 1.0)
-        Rfast = RestrictedPowerOperator(mult, 0.5, g)
-        Rdense = dense_power(torus_matrix(mult, g), 0.5, g.interior_idx)
+        coeffs = SecondOrderCoeffs(1, [[2.0]])
+        Rfast = RestrictedPowerOperator(coeffs, 1.0, g)
+        Rdense = dense_power(torus_matrix(coeffs, g), 1.0, g.interior_idx)
         assert np.abs(Rfast.toarray() - Rdense).max() < 1e-10
 
     def test_restricted_positive_definite(self):
         g = build_grid(DomainSpec.unit_square(), 8)
-        mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 + xi[..., 1] ** 2)
-        R = RestrictedPowerOperator(mult, 0.5, g).toarray()
+        R = RestrictedPowerOperator(laplacian(2), 0.5, g).toarray()
         w = sla.eigvalsh(R)
         assert w.min() > 0.0
         assert np.abs(R - R.T).max() == 0.0
@@ -512,26 +501,24 @@ class TestFractional:
         # ordered eigenvalues of the restriction to a LARGER node set sit
         # below those of the smaller set (minimax over a larger trial space)
         g = build_grid(DomainSpec.unit_square(), 8)
-        mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 + xi[..., 1] ** 2)
         small = g.interior_idx[: g.interior_idx.size // 2]
-        dense = torus_matrix(mult, g)
+        dense = torus_matrix(laplacian(2), g)
         w_small = np.sort(sla.eigvalsh(dense_power(dense, 0.5, small)))
         w_big = np.sort(sla.eigvalsh(dense_power(dense, 0.5, g.interior_idx)))
         assert np.all(w_big[: w_small.size] <= w_small + 1e-10)
 
     def test_negative_multiplier_rejected(self):
+        # an indefinite form
         g = build_grid(DomainSpec.unit_interval(), 16)
-        mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2 - 5.0)
         with pytest.raises(NotPositiveError):
-            RestrictedPowerOperator(mult, 0.5, g)
+            RestrictedPowerOperator(SecondOrderCoeffs(1, [[-1.0]]), 0.5, g)
 
     def test_nonpositive_exponent_rejected(self):
         # and the exponents that are not finite
         g = build_grid(DomainSpec.unit_interval(), 16)
-        mult = TorusMultiplier(lambda xi: xi[..., 0] ** 2)
         for a in (0.0, -0.5, np.inf, np.nan):
             with pytest.raises(ValueError, match="finite and positive"):
-                RestrictedPowerOperator(mult, a, g)
+                RestrictedPowerOperator(laplacian(1), a, g)
 
 
 class TestSpectralFractional:

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from fracspec import discretize
 from fracspec.asymptotics import boundary_exponent
-from fracspec.discretize import RestrictedPowerOperator, TorusMultiplier, build_grid
+from fracspec.discretize import RestrictedPowerOperator, build_grid
 from fracspec.eig import lanczos_extreme, sym_eig
 from fracspec.errors import NumericError
 from fracspec.quadrature import DomainSpec
@@ -51,14 +51,14 @@ def problems(draw):
     form = (q * rng.uniform(0.5, 4.0, n)) @ q.T
     a = draw(st.floats(0.05, 1.5))
     grid = build_grid(make(), draw(st.integers(lo, hi)))
-    return TorusMultiplier.from_coeffs(SecondOrderCoeffs(n, a=0.5 * (form + form.T))), a, grid, rng
+    return SecondOrderCoeffs(n, a=0.5 * (form + form.T)), a, grid, rng
 
 
 @settings(max_examples=20, deadline=None)
 @given(problems())
 def test_matmat_matches_dense_gather(problem):
-    mult, a, grid, rng = problem
-    op = RestrictedPowerOperator(mult, a, grid)
+    coeffs, a, grid, rng = problem
+    op = RestrictedPowerOperator(coeffs, a, grid)
     dense = op.toarray()
     X = rng.standard_normal((dense.shape[0], 3))
     expect = dense @ X
@@ -69,8 +69,8 @@ def test_matmat_matches_dense_gather(problem):
 @settings(max_examples=20, deadline=None)
 @given(problems(), st.integers(1, 4))
 def test_few_pairs_match_dense_eigenvalues(problem, k):
-    mult, a, grid, _ = problem
-    op = RestrictedPowerOperator(mult, a, grid)
+    coeffs, a, grid, _ = problem
+    op = RestrictedPowerOperator(coeffs, a, grid)
     dense = sla.eigvalsh(op.toarray())
     spec = lanczos_extreme(op, k=k)
     assert a >= 1.0 or spec.meta["eig_path"] == "lobpcg"  # from a = 1 on, ARPACK, or the dense route
@@ -83,8 +83,7 @@ def test_few_pairs_match_dense_eigenvalues(problem, k):
 def test_few_pairs_degenerate_and_cross_forms(form, k):
     # the identity form's pairs 2 and 3 form one eigenspace: k = 2 splits it, k = 3 takes it whole
     grid = build_grid(DomainSpec.unit_square(), 16)
-    mult = TorusMultiplier.from_coeffs(SecondOrderCoeffs(2, a=form))
-    op = RestrictedPowerOperator(mult, 0.5, grid)
+    op = RestrictedPowerOperator(SecondOrderCoeffs(2, a=form), 0.5, grid)
     dense = sla.eigvalsh(op.toarray())
     spec = lanczos_extreme(op, k=k)
     assert spec.meta["eig_path"] == "lobpcg"
@@ -94,8 +93,8 @@ def test_few_pairs_degenerate_and_cross_forms(form, k):
 @settings(max_examples=20, deadline=None)
 @given(problems())
 def test_ground_state_boundary_exponent_matches_dense(problem):
-    mult, a, grid, _ = problem
-    op = RestrictedPowerOperator(mult, a, grid)
+    coeffs, a, grid, _ = problem
+    op = RestrictedPowerOperator(coeffs, a, grid)
     _, vecs = sla.eigh(op.toarray(), subset_by_index=[0, 0])
     ground = lanczos_extreme(op, k=1, want_vectors=True)
     assert a >= 1.0 or ground.meta["eig_path"] == "lobpcg"
@@ -116,14 +115,14 @@ def diagonal_problems(draw):
     domain = DomainSpec(kind, lengths=tuple(c / nodes for c in cells))
     form = np.diag(draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n)))
     a = draw(st.floats(0.05, 1.95))
-    return TorusMultiplier.from_coeffs(SecondOrderCoeffs(n, a=form)), a, build_grid(domain, nodes)
+    return SecondOrderCoeffs(n, a=form), a, build_grid(domain, nodes)
 
 
 @settings(max_examples=30, deadline=None)
 @given(diagonal_problems())
 def test_parity_spectrum_matches_dense_eigenvalues(problem):
-    mult, a, grid = problem
-    op = RestrictedPowerOperator(mult, a, grid)
+    coeffs, a, grid = problem
+    op = RestrictedPowerOperator(coeffs, a, grid)
     dense = sla.eigvalsh(op.toarray())
     spec = sym_eig(op)
     assert spec.meta["eig_path"] == "parity" and spec.meta["parity_defect"] <= 1e-12
@@ -135,7 +134,7 @@ def test_parity_spectrum_matches_dense_eigenvalues(problem):
 
 def _diag_operator(domain, nodes, *diagonal):
     form = SecondOrderCoeffs(len(diagonal), a=np.diag(diagonal))
-    return RestrictedPowerOperator(TorusMultiplier.from_coeffs(form), 0.5, build_grid(domain, nodes))
+    return RestrictedPowerOperator(form, 0.5, build_grid(domain, nodes))
 
 
 @pytest.mark.parametrize("domain, nodes, diagonal, classes, solves", [
@@ -218,8 +217,7 @@ def test_off_diagonal_form_takes_the_dense_gather():
     # a cross term breaks the evenness along each axis: no split, and the
     # values are those of the gathered matrix, bit for bit
     grid = build_grid(DomainSpec.unit_square(), 16)
-    mult = TorusMultiplier.from_coeffs(SecondOrderCoeffs(2, a=np.array([[2.0, 0.3], [0.3, 1.0]])))
-    op = RestrictedPowerOperator(mult, 0.5, grid)
+    op = RestrictedPowerOperator(SecondOrderCoeffs(2, a=np.array([[2.0, 0.3], [0.3, 1.0]])), 0.5, grid)
     assert op.parity_split() is None
     spec = sym_eig(op)
     assert spec.meta == {"eig_path": "dense"}
@@ -228,7 +226,7 @@ def test_off_diagonal_form_takes_the_dense_gather():
 
 def test_disk_interior_takes_the_dense_gather():
     grid = build_grid(DomainSpec.disk(radius=0.5), 16)
-    op = RestrictedPowerOperator(TorusMultiplier.from_coeffs(SecondOrderCoeffs.laplacian(2)), 0.5, grid)
+    op = RestrictedPowerOperator(SecondOrderCoeffs.laplacian(2), 0.5, grid)
     assert op.parity_split() is None and sym_eig(op).meta["eig_path"] == "dense"
 
 
@@ -237,8 +235,7 @@ def test_multiplier_evaluated_once_per_operator(monkeypatch, domain):
     # products, the parity blocks and the dense gather all read the constructor's one evaluation
     calls, real = [], discretize._multiplier_values
     monkeypatch.setattr(discretize, "_multiplier_values", lambda *args: calls.append(args) or real(*args))
-    op = RestrictedPowerOperator(TorusMultiplier.from_coeffs(SecondOrderCoeffs.laplacian(2)), 0.5,
-                                 build_grid(domain(), 24))
+    op = RestrictedPowerOperator(SecondOrderCoeffs.laplacian(2), 0.5, build_grid(domain(), 24))
     sym_eig(op)
     op.toarray()
     lanczos_extreme(op, k=1)
