@@ -23,12 +23,13 @@ import numpy as np
 
 
 def boundary_quantities(mats, xips):
-    """Per-sample ann, b, c for frame-reduced mats (N, n, n) and xips (N, n-1)."""
-    n = mats.shape[1]
-    ann = np.ascontiguousarray(mats[:, n - 1, n - 1])
-    b = np.einsum("ki,ki->k", mats[:, : n - 1, n - 1], xips)
-    c = np.einsum("kij,ki,kj->k", mats[:, : n - 1, : n - 1], xips, xips)
-    return ann, b, c
+    """Per-sample ann, b, c for frame-reduced mats (N, n, n) and xips (N, n-1).
+
+    One row product x' abar[:-1, :] per sample gives b, its last entry,
+    and the row (a' x')^T that one more product turns into c.
+    """
+    row = xips[:, None, :] @ mats[:, :-1, :]
+    return mats[:, -1, -1], row[:, 0, -1], (row[:, :, :-1] @ xips[:, :, None])[:, 0, 0]
 
 
 def toeplitz_gather(kern_flat, idx, shape, cols=None, signs=None):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import math
 import os
@@ -770,6 +771,7 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracspec",

@@ -37,7 +37,8 @@ polar-cosine rule times the azimuth trapezoid).  Box volumes and faces
 are tensor products of _gauss rules; the disk takes _gauss in radius
 (or in angle on its boundary) and _periodic in angle; sphere_rule(3),
 the ball volume and the ball cap all go through _sphere, the first two
-with the raw Gauss-Legendre nodes on [-1, 1].
+with the raw Gauss-Legendre nodes on [-1, 1].  Those nodes come from
+_leggauss, which builds them once per size.
 
 DomainSpec holds the geometry of every domain the package meets and
 refuses impossible geometry (lengths and radii that are not finite and
@@ -48,6 +49,7 @@ kinds, which have per-axis lengths and named faces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -87,9 +89,21 @@ class SphereRule:
     weights: np.ndarray  # (ns,), sums to the sphere measure
 
 
+@functools.cache
+def _leggauss(m: int):
+    """m-point Gauss-Legendre nodes and weights on [-1, 1], built once per m and read-only.
+
+    Only these two 1-d arrays are kept; the rules built from them are not,
+    since a fine ball-cap rule runs to megabytes.
+    """
+    t, w = np.polynomial.legendre.leggauss(m)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _gauss(m: int, lo, hi):
     """m-point Gauss-Legendre rule on [lo, hi]: nodes 0.5 (hi - lo)(t + 1) + lo, weights 0.5 (hi - lo) w."""
-    t, w = np.polynomial.legendre.leggauss(m)
+    t, w = _leggauss(m)
     return 0.5 * (hi - lo) * (t + 1.0) + lo, 0.5 * (hi - lo) * w
 
 
@@ -131,7 +145,7 @@ def sphere_rule(n: int, level: int = 0) -> SphereRule:
         return SphereRule(np.column_stack([np.cos(th), np.sin(th)]), weights)
     if n == 3:
         nz, nphi = max(int(64 * scale), 8), max(int(128 * scale), 16)
-        nodes, weights = _sphere(*np.polynomial.legendre.leggauss(nz), nphi)
+        nodes, weights = _sphere(*_leggauss(nz), nphi)
         return SphereRule(nodes, weights)
     raise ValueError("sphere rules are provided for n in {1, 2, 3}")
 
@@ -280,7 +294,7 @@ class DomainSpec:
             pts[:, 1] = np.outer(r, np.sin(th)).ravel()
             return pts, np.outer(wr * r, wth).ravel()
         # ball: Gauss-Legendre in radius and polar cosine, trapezoid azimuth
-        u, wu = _sphere(*np.polynomial.legendre.leggauss(m), 2 * m)
+        u, wu = _sphere(*_leggauss(m), 2 * m)
         pts = (r[:, None, None] * u[None]).reshape(-1, 3)
         return pts, ((wr * r**2)[:, None] * wu[None]).ravel()
 

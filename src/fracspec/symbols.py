@@ -28,17 +28,21 @@ whose principal-branch half-power split carries the square-root
 boundary behavior of the mixed problem.
 
 ``_root_pairs`` is the one implementation of this factorization, on
-arrays.  Every factorization takes the same path: ``reduce_frames``, then
-``_kernels.boundary_quantities`` for (ann, b, c), then ``_root_pairs``.
-``factorization_residuals`` and ``boundary_residuals`` run it over a
-batch and ``boundary_reduction`` on a batch of one.
-``tangential_factorization`` runs only the second pair: ``_root_pairs``
-on the tangential form ``a'``, which ``tangential_form`` defines once,
-for one matrix or a batch.
+arrays that broadcast.  Every factorization takes the same path:
+``reduce_frames``, then ``_kernels.boundary_quantities`` for (ann, b, c),
+then ``_root_pairs``.  ``reduce_frames`` and ``tangential_form`` take
+one (n, n) matrix or any leading shape, so a single sample costs one
+sample's arithmetic; ``boundary_quantities`` reads rows (N, n, n), one
+row for a single sample.  ``factorization_residuals`` and
+``boundary_residuals`` run the path over many samples,
+``boundary_reduction`` over one.  ``tangential_factorization`` runs only
+the second pair: ``_root_pairs`` on the tangential form ``a'`` of one
+sample's reduced matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -97,7 +101,7 @@ class SecondOrderCoeffs:
             mat = np.asarray(self.a, dtype=float)
             if mat.shape != (self.n, self.n):
                 raise ValueError(f"coefficient matrix must be {(self.n, self.n)}")
-            if not np.isfinite(mat).all() or _kernels.asymmetry(mat)[0] > 1e-12:
+            if not (np.isfinite(mat).all() and np.abs(mat - mat.T).max() <= 1e-12):  # no inf - inf warning
                 raise ValueError("coefficient matrix must be finite and symmetric")
             object.__setattr__(self, "a", mat)
 
@@ -275,9 +279,17 @@ def _elliptic_quantities(red, xips):
     """ann, b, c and a' = ann c - b^2 per sample; raises EllipticityError unless every a' > 0."""
     ann, b, c = _kernels.boundary_quantities(red, xips)
     a_prime = ann * c - b * b
-    if (a_prime <= 0.0).any():
+    if not (a_prime > 0.0).all():  # written so that a NaN fails too, as in every check below
         raise EllipticityError("reduced discriminant a' = ann c - b^2 must be positive")
     return ann, b, c, a_prime
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The (n, n) identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _check_frames(frames, shape: tuple) -> np.ndarray:
@@ -285,7 +297,7 @@ def _check_frames(frames, shape: tuple) -> np.ndarray:
     frames = np.asarray(frames, dtype=float)
     if frames.shape != shape:
         raise ValueError(f"frame must be an {shape[-2:]} matrix with columns = frame vectors")
-    if abs(np.swapaxes(frames, -1, -2) @ frames - np.eye(shape[-1])).max() > _FRAME_TOL:
+    if not abs(frames.swapaxes(-1, -2) @ frames - _identity(shape[-1])).max() <= _FRAME_TOL:  # a NaN fails too
         raise ValueError("frame columns must be orthonormal")
     return frames
 
@@ -293,8 +305,8 @@ def _check_frames(frames, shape: tuple) -> np.ndarray:
 def _reduce_one(coeffs: SecondOrderCoeffs, point, frame) -> np.ndarray:
     """The frame-reduced abar at one point, its frame checked and its abar_nn > 0."""
     frame = _check_frames(frame, (coeffs.n, coeffs.n))
-    abar = reduce_frames(coeffs.a_at(np.asarray(point, dtype=float))[None], frame[None])[0]
-    if abar[-1, -1] <= 0.0:
+    abar = reduce_frames(coeffs.a_at(point), frame)
+    if not abar[-1, -1] > 0.0:
         raise EllipticityError("abar_nn must be positive")
     return abar
 
@@ -324,9 +336,8 @@ def boundary_reduction(
 
     ``normal_frame`` has the tangent vectors in its first n-1 columns and
     the interior normal in the last one.  Raises EllipticityError when the
-    reduced discriminant a' = ann c - b^2 is not positive.  A batch of
-    one; the residual is the largest over the _XI_N_PROBE normal
-    components.
+    reduced discriminant a' = ann c - b^2 is not positive.  The residual
+    is the largest over the _XI_N_PROBE normal components.
     """
     xip = np.asarray(xi_prime, dtype=float).reshape(-1)
     _check_xi_prime(xip[None], coeffs.n)
@@ -350,21 +361,20 @@ def boundary_residuals(coeffs: SecondOrderCoeffs, points, frames, xips) -> np.nd
     xips = np.asarray(xips, dtype=float)
     _check_xi_prime(xips, n)
     abar = reduce_frames(coeffs.a_batch(points), _check_frames(frames, (xips.shape[0], n, n)))
-    if (abar[:, -1, -1] <= 0.0).any():
+    if not (abar[:, -1, -1] > 0.0).all():
         raise EllipticityError("abar_nn must be positive")
     ann, b, c, _ = _elliptic_quantities(abar, xips)
     return _root_pairs(ann[:, None], b[:, None], c[:, None], _XI_N_PROBE)[3].max(axis=1)
 
 
 def tangential_form(abar: np.ndarray) -> np.ndarray:
-    """Matrix of the quadratic form a'(xi') = ann c(xi') - b(xi')^2, for one abar (n, n) or a batch (N, n, n).
+    """Matrix of the quadratic form a'(xi') = ann c(xi') - b(xi')^2, for one abar (n, n) or any leading shape.
 
     With abar frame-reduced, a'_jk = ann abar_jk - abar_jn abar_kn for
     j, k < n, so kappa0(xi')^2 = xi' . a' xi'.
     """
-    ann = abar[..., -1:, -1:]
-    v = abar[..., :-1, -1]
-    return ann * abar[..., :-1, :-1] - v[..., :, None] * v[..., None, :]
+    v = abar[..., :-1, -1:]
+    return abar[..., -1:, -1:] * abar[..., :-1, :-1] - v * v.swapaxes(-1, -2)
 
 
 def tangential_factorization(
@@ -387,12 +397,12 @@ def tangential_factorization(
     if xidp.shape != (coeffs.n - 2,):
         raise ValueError(f"xi_dprime must have dimension {coeffs.n - 2}")
     abar = _reduce_one(coeffs, interface_point, frame)
-    a_tan = tangential_form(abar)
-    (att,), (b_t,), (c_t,) = _kernels.boundary_quantities(a_tan[None], xidp[None])  # b_t = c_t = 0 for zero xi''
-    if att <= 0.0:
+    # one row of boundary_quantities; b_t = c_t = 0 for zero xi''
+    (att,), (b_t,), (c_t,) = _kernels.boundary_quantities(tangential_form(abar)[None], xidp[None])
+    if not att > 0.0:
         raise EllipticityError("a'_{n-1,n-1} must be positive")
     a_pp = att * c_t - b_t * b_t
-    if xidp.any() and a_pp <= 0.0:  # zero xi'' gives a'' = 0: the pair degenerates to constants
+    if not a_pp > 0.0 and xidp.any():  # zero xi'' gives a'' = 0: the pair degenerates to constants
         raise EllipticityError("tangential reduced discriminant must be positive")
     _, kappat_plus, kappat_minus, residual = _root_pairs(att, b_t, c_t, _XI_N_PROBE)
     return BoundaryFactorization(
@@ -436,8 +446,12 @@ def mu_transmission_residual(symbol: PrincipalSymbol, mu: float, boundary_points
 
 
 def reduce_frames(mats: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Frame-reduce a batch of coefficient matrices: F^T A F per sample."""
-    return np.einsum("kia,kij,kjb->kab", frames, mats, frames)
+    """Frame-reduce coefficient matrices: F^T A F per sample, for one (n, n) sample or any leading shape.
+
+    One matmul chain, (F^T A) F; mats and frames broadcast over their
+    leading axes.
+    """
+    return np.swapaxes(frames, -1, -2) @ mats @ frames
 
 
 def factorization_residuals(mats, frames, xips, xins):
@@ -449,11 +463,9 @@ def factorization_residuals(mats, frames, xips, xins):
     Returns (kappa0, re_kappa, residual) arrays; raises EllipticityError
     if any reduced discriminant fails to be positive.
     """
-    mats = np.ascontiguousarray(mats, dtype=float)
-    frames = np.ascontiguousarray(frames, dtype=float)
-    xips = np.ascontiguousarray(np.atleast_2d(xips), dtype=float)
+    xips = np.atleast_2d(np.asarray(xips, dtype=float))
     xins = np.asarray(xins, dtype=float)
-    red = np.ascontiguousarray(reduce_frames(mats, frames))
+    red = reduce_frames(np.asarray(mats, dtype=float), np.asarray(frames, dtype=float))
     ann, b, c, _ = _elliptic_quantities(red, xips)
     kappa0, _, _, resid = _root_pairs(ann, b, c, xins)
     return kappa0, kappa0 / ann, resid

@@ -327,20 +327,26 @@ def chain_schur(diag, off, d_free, c, vol=None):
     of a unit value on the free node.  The chains are read a column at a
     time (broadcast views stay uncopied) and only vectors over the modes are
     held.  Returns (s, q), q None without vol.  No pivoting: the chains of a
-    positive assembly are positive definite.
+    positive assembly are positive definite.  A q_m that is not positive
+    although c_m != 0 raises NumericError: p_j^2 overflowed and the masses
+    underflowed to zero, which a huge shift brings about.
     """
-    piv = diag[:, 0]
-    mass = None if vol is None else vol[:, 0] / piv**2
-    for j in range(1, diag.shape[1]):
-        e2 = np.abs(off[:, j - 1]) ** 2
-        piv = diag[:, j] - e2 / piv
-        if vol is not None:
-            mass = (e2 * mass + vol[:, j]) / piv**2
+    with np.errstate(over="ignore"):  # an overflow ends as a zero or non-finite q or s, refused below
+        piv = diag[:, 0]
+        mass = None if vol is None else vol[:, 0] / piv**2
+        for j in range(1, diag.shape[1]):
+            e2 = np.abs(off[:, j - 1]) ** 2
+            piv = diag[:, j] - e2 / piv
+            if vol is not None:
+                mass = (e2 * mass + vol[:, j]) / piv**2
     c2 = np.abs(c) ** 2
     s = np.asarray(d_free) - c2 / piv
     q = None if vol is None else c2 * mass
     if not (np.all(np.isfinite(s)) and (q is None or np.all(np.isfinite(q)))):
         raise NumericError("chain elimination met a zero pivot")
+    if q is not None and not (q[c2 != 0.0] > 0.0).all():
+        raise NumericError("chain elimination lost an extension mass: q_m = 0 although c_m != 0, "
+                           "as p_j^2 overflowed (the shift dwarfs the operator's scale)")
     return s, q
 
 

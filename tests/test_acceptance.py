@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.stats
 
+from fracspec._kernels import boundary_quantities
 from fracspec.asymptotics import (
     boundary_exponent,
     exponent_from_profile,
@@ -35,10 +36,13 @@ from fracspec.quadrature import (
 from fracspec.symbols import (
     PrincipalSymbol,
     SecondOrderCoeffs,
+    _root_pairs,
     boundary_reduction,
     factorization_residuals,
+    reduce_frames,
     strong_ellipticity_margin,
     tangential_factorization,
+    tangential_form,
 )
 from fracspec.zaremba import (
     disk_interface_spectra,
@@ -171,6 +175,32 @@ def test_scalar_and_batch_factorizations_agree(boundary_samples):
                         worst_rel([bf.kappa_plus.real for bf in scalar], re_kappa),
                         worst_rel([bf.kappa_minus.real for bf in scalar], re_kappa))
     assert worst <= 4.0 * np.finfo(float).eps
+
+
+def test_one_sample_and_batch_tangential_factorizations_agree(boundary_samples):
+    # tangential_factorization runs one (n, n) sample through the helpers the batch pipeline runs
+    # over (N, n, n): reduce_frames, tangential_form, boundary_quantities and _root_pairs.  On the
+    # criterion 01-02 samples every field agrees within 4 eps relative; reduce_frames on one sample
+    # equals its batch-of-one form bit for bit, and a three-operand einsum within 1e-15 max|A|
+    eps = np.finfo(float).eps
+    for n, (mats, frames, xips, _xins) in boundary_samples.items():
+        sym = 0.5 * (mats + np.swapaxes(mats, 1, 2))
+        xidps = xips[:, : n - 2]
+        abar = reduce_frames(sym, frames)
+        att, b_t, c_t = boundary_quantities(tangential_form(abar), xidps)
+        _, kappat_plus, kappat_minus, _ = _root_pairs(att, b_t, c_t, 0.0)
+        batch = {"a_nn": abar[:, -1, -1], "a_tt": att, "kappat_plus": kappat_plus, "kappat_minus": kappat_minus}
+        one = [tangential_factorization(SecondOrderCoeffs(n=n, a=m), np.zeros(n), f, xi)
+               for m, f, xi in zip(sym, frames, xidps)]
+        for field, want in batch.items():
+            got = np.array([getattr(bf, field) for bf in one])
+            assert np.all(np.abs(got - want) <= 4.0 * eps * np.abs(want)), (n, field)  # n = 2: kappat = 0 exactly
+
+        for m, f in zip(sym, frames):
+            assert np.array_equal(reduce_frames(m, f), reduce_frames(m[None], f[None])[0])
+        scale = np.abs(sym).max(axis=(1, 2))
+        einsum = np.einsum("kia,kij,kjb->kab", frames, sym, frames)
+        assert np.all(np.abs(abar - einsum).max(axis=(1, 2)) <= 1e-15 * scale)
 
 
 def test_criterion_03_weyl_constant_cross_check():

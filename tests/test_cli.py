@@ -280,6 +280,14 @@ class TestPipelines:
         shift = float(report_lines(tmp_path, "zaremba")["shift"])
         assert shift > 1.0 and np.log2(shift) == np.round(np.log2(shift))
 
+    def test_zaremba_disk_overflowing_shift_is_a_numeric_failure(self, tmp_path, capsys):
+        # the doubling reaches shifts whose pivots square past the float range, where every extension
+        # mass would read 0: the run refuses (exit 3) rather than answer zeros
+        assert run(["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--sigma=-1e300"], tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: chain elimination lost an extension mass" in err
+        assert "overflowed" in err
+
     def test_zaremba_disk_default_is_the_laplacian(self, tmp_path):
         base = ["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--repro"]
         assert run(base, tmp_path / "default") == 0
@@ -661,6 +669,33 @@ def test_readme_examples_run(tmp_path, capsys):
     assert commands and all(argv[0] == "fracspec" for argv in commands)
     for k, argv in enumerate(commands):
         assert execute(argv[1:] + ["--out", str(tmp_path / str(k)), "--repro"]) == 0, argv
+    capsys.readouterr()
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # one process: a refused flag, then two valid runs; each answers as a fresh process does
+    assert _build_parser() is _build_parser()
+    seq = tmp_path / "seq.csv"
+    seq.write_text("j,value\n" + "\n".join(f"{i},{0.25 * i**0.5}" for i in range(1, 101)))
+    runs = [
+        ["weyl-const", "--op", "frac-laplacian", "--a", "0.5", "--domain", "square", "--level", "-1"],
+        ["weyl-fit", "--input", str(seq), "--window", "10,60"],
+    ]
+    assert execute(["weyl-const", "--no-such-flag"]) == 2
+    for k, argv in enumerate(runs):
+        assert execute(argv + ["--out", str(tmp_path / str(k)), "--repro"]) == 0
+        (tmp_path / str(k)).rename(tmp_path / f"in-process-{k}")  # the fresh run writes the same --out
+    env = {**os.environ, "PYTHONPATH": SRC}
+    fresh = [sys.executable, "-m", "fracspec.cli"]
+    proc = subprocess.run([*fresh, "weyl-const", "--no-such-flag"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    for k, argv in enumerate(runs):
+        out, kept = tmp_path / str(k), tmp_path / f"in-process-{k}"
+        proc = subprocess.run([*fresh, *argv, "--out", str(out), "--repro"], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(os.listdir(out)) == sorted(os.listdir(kept))
+        for name in os.listdir(out):
+            assert (out / name).read_bytes() == (kept / name).read_bytes(), name
     capsys.readouterr()
 
 

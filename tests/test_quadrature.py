@@ -416,3 +416,27 @@ def test_coefficient_constants_never_call_sphere_rule(monkeypatch):
     generic = PrincipalSymbol(order=1.0, fn=lambda x, xi: float(xi @ xi) ** 0.5)
     weyl_constant_dirichlet(generic, DomainSpec.unit_square(), level=-3)
     assert calls == [(2, -4), (2, -3)]
+
+
+def test_cached_gauss_legendre_nodes_build_the_same_rules(monkeypatch):
+    # the nodes are built once per size and shared, so they are read-only; every rule built from
+    # them equals the rule built from a fresh leggauss call, bit for bit
+    t, w = quadrature._leggauss(16)
+    for arr in (t, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    domains = [DomainSpec.ball(), DomainSpec.disk(), DomainSpec.unit_box(),
+               DomainSpec("rectangle", lengths=(1.3, 0.7), sigma_plus=("y-",))]
+    levels = range(-2, 2)
+
+    def rules():
+        out = [(r.nodes, r.weights) for n in (1, 2, 3) for r in (sphere_rule(n, lev) for lev in levels)]
+        for dom in domains:
+            for lev in levels:
+                out += [dom.volume_rule(lev), dom.boundary_rule("sigma_plus", lev)]
+        return out
+
+    cached = rules()
+    monkeypatch.setattr(quadrature, "_leggauss", np.polynomial.legendre.leggauss)
+    for got, want in zip(cached, rules(), strict=True):
+        assert all(np.array_equal(g, v) for g, v in zip(got, want, strict=True))

@@ -68,10 +68,21 @@ def test_ellipticity_margin_is_the_cosphere_minimum():
 def test_symmetry_rule_is_absolute():
     # asymmetry up to 1e-12 is accepted whatever the scale, anything more is not
     sy.SecondOrderCoeffs(2, [[1e6, 1.0], [1.0 + 5e-13, 1e6]])
+    sy.SecondOrderCoeffs(2, [[1.0, 0.5], [0.5 + 5e-13, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         sy.SecondOrderCoeffs(2, [[1e6, 1.0], [1.0 + 1e-11, 1e6]])
-    with pytest.raises(ValueError, match="symmetric"):
-        sy.SecondOrderCoeffs(2, [[1.0, np.nan], [0.0, 1.0]])
+    # a NaN or infinite entry is refused too, even where the matrix equals its transpose
+    refused = [
+        [[1.0, np.nan], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[1.0, -np.inf], [-np.inf, 1.0]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, 0.5], [0.5 + 1e-11, 1.0]],
+    ]
+    for a in refused:
+        with pytest.raises(ValueError, match="symmetric"):
+            sy.SecondOrderCoeffs(2, a)
 
 
 def test_boundary_reduction_laplacian():
@@ -110,6 +121,22 @@ def test_boundary_reduction_rejects_bad_frame():
     lap = sy.SecondOrderCoeffs.laplacian(2)
     with pytest.raises(ValueError):
         sy.boundary_reduction(lap, [0.0, 0.0], np.array([[1.0, 1.0], [0.0, 1.0]]), [1.0])
+
+
+def test_nan_inputs_are_refused_not_factored():
+    # a NaN compares false with every bound, so each check is written to fail on it
+    lap = sy.SecondOrderCoeffs.laplacian(3)
+    frame = np.eye(3)
+    frame[0, 0] = np.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        sy.tangential_factorization(lap, np.zeros(3), frame, [0.3])
+    with pytest.raises(ValueError, match="orthonormal"):
+        sy.boundary_reduction(lap, np.zeros(3), frame, [0.3, 0.1])
+    nan_field = sy.SecondOrderCoeffs(3, lambda x: np.full((3, 3), np.nan))
+    with pytest.raises(sy.EllipticityError, match="abar_nn"):
+        sy.tangential_factorization(nan_field, np.zeros(3), np.eye(3), [0.3])
+    with pytest.raises(sy.EllipticityError, match="abar_nn"):
+        sy.boundary_residuals(nan_field, np.zeros((2, 3)), np.stack([np.eye(3)] * 2), np.ones((2, 2)))
 
 
 def test_boundary_reduction_ellipticity_failure():

@@ -536,6 +536,15 @@ class TestChainCore:
         assert np.max(np.abs(s - ref[:, 0])) <= 1e-10 * scale
         assert np.max(np.abs(q - ref[:, 1])) <= 1e-10 * np.abs(ref[:, 1]).max()
 
+    def test_overflowing_pivots_refuse_a_zero_mass(self):
+        # pivots near 1e200 square past the float range, so the masses would read 0 where c != 0;
+        # a zero coupling c keeps its zero mass
+        diag = np.full((2, 4), 1e200)
+        with pytest.raises(NumericError, match="lost an extension mass"):
+            chain_schur(diag, np.full((2, 3), -1.0), diag[:, 0], np.array([-1.0, 0.0]), np.ones((2, 4)))
+        s, q = chain_schur(diag, np.full((2, 3), -1.0), diag[:, 0], np.zeros(2), np.ones((2, 4)))
+        assert np.array_equal(q, np.zeros(2)) and np.array_equal(s, diag[:, 0])
+
     def test_holds_no_per_layer_array(self):
         # 4096 modes x 1024 layers as broadcast views, as the face route passes them: one
         # (modes, layers) float array would be 32 MiB, and the sweep keeps vectors over the modes only
