@@ -11,9 +11,11 @@ Subpackage map:
   difference (Krein) spectra
 * :mod:`fracspec.cli` command-line entry point
 
-The hot kernels (:mod:`fracspec._kernels`) have one numpy/BLAS build;
-importing the package loads no numeric library, so ``--jobs`` can still
-cap the thread pools first.
+The hot kernels (:mod:`fracspec._kernels`) are vectorized numpy.  numpy
+and scipy each carry their own OpenBLAS; the large dense products that
+feed scipy's LAPACK go through ``_kernels.gemm``, on scipy's.  Importing
+the package loads no numeric library, so ``--jobs`` can still cap both
+thread pools first.
 """
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: one vectorized numpy/BLAS build.
+"""Hot numeric kernels: vectorized numpy, with scipy's BLAS for large dense products.
 
 ``boundary_quantities`` evaluates the boundary symbol's (ann, b, c) per
 sample.  ``toeplitz_gather`` reads a torus kernel at the offsets of two
@@ -7,7 +7,8 @@ sets of nodes, or sums such reads with signs, and
 with a restricted torus multiplier; its work is in the compiled
 transforms.  ``dst1`` is the orthonormal sine transform that diagonalizes
 the Dirichlet Laplacian on a tensor block.  ``asymmetry`` measures how
-far a dense matrix is from symmetric.  Kernels that would build a large
+far a dense matrix is from symmetric.  ``gemm`` is the dense matrix
+product on scipy's BLAS (see below).  Kernels that would build a large
 temporary work in blocks of about 2^16 entries (2^22 torus values for
 the transforms), which bounds the working set.
 
@@ -15,11 +16,21 @@ Coefficient matrices arrive frame-reduced where stated, so the last
 index is the interior-normal direction.  The Weyl-constant quadratures
 need no kernel here: their cosphere integrals are in closed form (see
 ``quadrature``).
+
+numpy and scipy each carry their own OpenBLAS, each with its own thread
+pool.  A route that alternates numpy's ``@`` with scipy's LAPACK
+(Cholesky, triangular solves, ``eigh``, SuperLU) wakes both pools in
+turn, and the idle pool's spinning workers hold cores the other pool's
+threaded call waits for.  So the large dense products that feed scipy
+LAPACK go through ``gemm``, on scipy's BLAS, and numpy's pool stays
+asleep along the assembled Krein route (``zaremba.KreinAssembly``,
+``discretize.schur_split``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 
 def boundary_quantities(mats, xips):
@@ -89,6 +100,25 @@ def asymmetry(M):
         asym = max(asym, x) if x == x else x
         scale = max(scale, y) if y == y else y
     return asym, scale
+
+
+def gemm(a, b):
+    """a @ b for real 2-d operands through scipy's BLAS (dgemm); C-ordered, as ``@`` returns it.
+
+    dgemm writes a Fortran-ordered result, so it forms (a b)^T = b^T a^T,
+    whose transpose is the C-ordered product.  A C-ordered operand enters
+    through its transpose, a Fortran-ordered one with the transpose flag,
+    so neither is copied; an operand contiguous in neither order is
+    copied to Fortran order by the wrapper.
+    """
+    (bt, trans_bt), (at, trans_at) = (_fortran_transpose(x) for x in (b, a))
+    return dgemm(1.0, bt, at, trans_a=trans_bt, trans_b=trans_at).T
+
+
+def _fortran_transpose(x):
+    """(y, trans) with op(y) = x^T for dgemm: y = x^T when that is Fortran-ordered, else x with the flag."""
+    x = np.asarray(x, dtype=float)
+    return (x.T, 0) if x.flags.c_contiguous else (x, 1)
 
 
 def restricted_power_apply(symbol, interior, shape, X):

@@ -670,5 +670,5 @@ def schur_split(mat, I, B):
         raise NumericError(f"interior block solve failed (missing positivity shift?): {exc}") from exc
     if K is None:
         raise NumericError("singular interior block; apply a positivity shift")
-    S = A_BB + A_IB.T @ K
+    S = A_BB + _kernels.gemm(A_IB.T, K)  # on scipy's BLAS, as the solve above (see _kernels)
     return K, 0.5 * (S + S.T)

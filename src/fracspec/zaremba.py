@@ -21,7 +21,7 @@ N x N matrix M, and without storing it.  With Q an orthonormal basis of
 range([K; I]), the Rayleigh-Ritz values of M are the eigenvalues of
 B = Q^T M Q = (Q^T F)(F^T Q) (n_B x n_B), and rho = ||F F^T - Q B Q^T||_F
 is summed over row blocks of the upper triangle, each one GEMM of inner
-dimension 2 n_B over the two n_B x N factors F^T and Q^T: every entry of
+dimension 2 n_B against the N x 2 n_B factor [F | Q]: every entry of
 M is formed and compared with Q B Q^T, in about 2 N^2 n_B flops, and no
 N x N array is held (at the 16-layer box, N = 3600, M alone would be
 104 MB).  By Weyl's inequality every eigenvalue of M lies within rho of
@@ -53,7 +53,9 @@ any assembly), and every route returns an InterfaceSpectra.  The shift
 Every spectrum here, the pencils (X, S) and the interface operators
 alike, comes from eig.sym_eig, which owns the dense cap and the
 symmetry check; routes report mu descending and interface spectra
-ascending.
+ascending.  The assembled route's dense products go through
+_kernels.gemm and its factorizations through scipy.linalg, so one
+OpenBLAS (scipy's) runs the route and numpy's thread pool stays asleep.
 """
 
 from __future__ import annotations
@@ -122,12 +124,12 @@ class KreinAssembly:
         self.S_form = self.S if form_units else (self.h**self.n) * self.S
         root = 1.0 / np.sqrt(self.boundary_weights)
         self.L_weighted = root[:, None] * self.S_form * root[None, :]
-        self.P1 = (self.K * self.interior_weights[:, None]).T @ self.K
+        self.P1 = _kernels.gemm((self.K * self.interior_weights[:, None]).T, self.K)
 
     @cached_property
     def gram(self) -> np.ndarray:
         """G^T G = I + K^T K for G = [K; I], read-only; the identity side and the Ritz basis share it."""
-        g = self.K.T @ self.K + np.eye(self.n_boundary)
+        g = _kernels.gemm(self.K.T, self.K) + np.eye(self.n_boundary)
         g.flags.writeable = False
         return g
 
@@ -148,8 +150,10 @@ class KreinAssembly:
         with M Q = F (F^T Q), and rho is summed over row blocks of the upper
         triangle of M - Q B Q^T, off-diagonal parts twice: each block is
         one GEMM of inner dimension 2 n_B against the stacked factor
-        [F | Q]^T (2 n_B x N), so no N x N array is formed.  Refused past
-        eig.DENSE_CAP, the size the assembled route is kept to.
+        [F | Q] (N x 2 n_B, C-ordered, so every tail [F | Q][lo:] reaches
+        the GEMM uncopied; only a row block's n_B-column halves are copied), and
+        no N x N array is formed.  Refused past eig.DENSE_CAP, the size the
+        assembled route is kept to.
         """
         nB = self.n_boundary
         if nB == 0:
@@ -157,31 +161,42 @@ class KreinAssembly:
         size = self.n_interior + nB
         if size > eig.DENSE_CAP:
             raise NumericError(_cap_message(size))
-        G = np.vstack([self.K, np.eye(nB)])  # G.T is Fortran-ordered: LAPACK reads it without a transposing copy
-        FQt = np.empty((2 * nB, size))  # [F | Q]^T
-        FQt[:nB] = scipy.linalg.solve_triangular(self._chol[0], G.T, trans="T", lower=self._chol[1])
-        FQt[nB:] = scipy.linalg.solve_triangular(np.linalg.cholesky(self.gram), G.T, lower=True)
-        del G
+        G = np.vstack([self.K, np.eye(nB)])  # a row block's G^T is Fortran-ordered: LAPACK reads it uncopied
+        C = scipy.linalg.cholesky(self.gram, lower=True)
+        blocks = [(lo, min(lo + _ROW_BLOCK, size)) for lo in range(0, size, _ROW_BLOCK)]
+        # [F | Q] is filled a row block at a time, so no whole F^T or Q^T is held beside it, and
+        # F^T Q is summed from each block's solves while they are contiguous
+        FQ = np.empty((size, 2 * nB))
+        FtQ = np.zeros((nB, nB))
+        for lo, hi in blocks:
+            Ft = scipy.linalg.solve_triangular(self._chol[0], G[lo:hi].T, trans="T", lower=self._chol[1])
+            Qt = scipy.linalg.solve_triangular(C, G[lo:hi].T, lower=True)
+            FQ[lo:hi, :nB], FQ[lo:hi, nB:] = Ft.T, Qt.T
+            FtQ += _kernels.gemm(Ft, Qt.T)
+        del G, C, Ft, Qt
         # Q^T (M Q) with M Q = F (F^T Q), not (Q^T F)(F^T Q): this order keeps the
         # 2-node worked example's Ritz value at exactly 5/4
-        B = FQt[nB:] @ (FQt[:nB].T @ (FQt[:nB] @ FQt[nB:].T))
+        B = np.zeros((nB, nB))
+        for lo, hi in blocks:
+            B += _kernels.gemm(FQ[lo:hi, nB:].T, _kernels.gemm(FQ[lo:hi, :nB], FtQ))
         B = 0.5 * (B + B.T)
         ritz = sym_eig(B).values[::-1]
         sq = 0.0
-        for lo in range(0, size, _ROW_BLOCK):
-            hi = min(lo + _ROW_BLOCK, size)
-            D = self._residual_rows(lo, hi, FQt, B)
-            # the diagonal block counts once, the part right of it twice
-            sq += 2.0 * float(np.linalg.norm(D)) ** 2 - float(np.linalg.norm(D[:, : hi - lo])) ** 2
+        for lo, hi in blocks:
+            D = self._residual_rows(lo, hi, FQ, B)
+            # the diagonal block counts once, the part right of it twice; squared in place and
+            # summed by ufuncs, which run on no BLAS pool (a norm's dot would wake numpy's)
+            D *= D
+            sq += 2.0 * float(D.sum()) - float(D[:, : hi - lo].sum())
             del D  # before the next block is formed
         return ritz, float(np.sqrt(sq))
 
     @staticmethod
-    def _residual_rows(lo: int, hi: int, FQt: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """(M - Q B Q^T)[lo:hi, lo:] = [F | -Q B][lo:hi] [F | Q]^T[:, lo:], one GEMM of inner dimension 2 n_B."""
+    def _residual_rows(lo: int, hi: int, FQ: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """(M - Q B Q^T)[lo:hi, lo:] = [F | -Q B][lo:hi] [F | Q][lo:]^T, one GEMM of inner dimension 2 n_B."""
         nB = B.shape[0]
-        rows = FQt[:, lo:hi].T
-        return np.hstack([rows[:, :nB], -(rows[:, nB:] @ B)]) @ FQt[:, lo:]
+        rows = FQ[lo:hi]
+        return _kernels.gemm(np.hstack([rows[:, :nB], -_kernels.gemm(rows[:, nB:], B)]), FQ[lo:].T)
 
     def weighted_mu(self, half_cell: bool = False) -> np.ndarray:
         """Descending spectrum of S_form^{-1} K^T W_I K.
@@ -257,8 +272,9 @@ def _positivity_shift(shift, coeffs: SecondOrderCoeffs, sigma, domain, grid: Gri
     only form its route accepts) it is 1, the start of interface_spectra's doubling
     1, 2, 4, ..., which keeps the first shift whose interface Schur complement is
     positive (the disk has no lowest-eigenvalue estimate): 1 for sigma >= 0, and more
-    for a sigma negative enough.  Elsewhere it is 1 + max(0, -2 lambda_min), lambda_min
-    a Lanczos estimate on the unshifted mixed assembly on grid.
+    for a sigma negative enough, refused past the operator's scale (_disk_scale).
+    Elsewhere it is 1 + max(0, -2 lambda_min), lambda_min a Lanczos estimate on the
+    unshifted mixed assembly on grid.
     """
     if shift != "auto":
         return float(shift)
@@ -438,6 +454,40 @@ class DiskSpectra:
     report: dict
 
 
+def _rings(n_r: int, n_theta: int, radius: float):
+    """dr, dth, and per ring j = 1..n_r (the boundary ring last): the radial edge weight
+    to ring j+1 (rings 1..n_r-1), the angular edge weight and the node volume."""
+    dr = radius / n_r
+    dth = 2.0 * np.pi / n_theta
+    r = dr * np.arange(1, n_r + 1)
+    # radial edge weights between rings j and j+1 (midpoint radius)
+    w_rad = (r[:-1] + 0.5 * dr) * dth / dr
+    # angular edge weight at ring j, halved on the boundary ring
+    w_ang = dr / (r * dth)
+    w_ang[-1] *= 0.5
+    # node volumes: r_j dr dth, halved on the boundary ring
+    vol = r * dr * dth
+    vol[-1] *= 0.5
+    return dr, dth, w_rad, w_ang, vol
+
+
+def _disk_scale(n_r: int, n_theta: int, radius: float) -> float:
+    """The unshifted disk operator's scale: its largest stiffness-to-mass ratio.
+
+    Each ring's stiffness diagonal at the highest angular mode (its
+    angular edges times max 2 - 2 cos(m dth), plus its radial edges) over
+    the ring's volume, maximized over the rings that carry mass: the
+    interior rings and the boundary ring.  The centre is left out, since
+    it has no mass in any mode m != 0.  About 2.7e4 at n_r = 16,
+    n_theta = 32 (ring 1, whose angular edges are the stiffest), growing
+    like n_theta^2 n_r^2.
+    """
+    _, dth, w_rad, w_ang, vol = _rings(n_r, n_theta, radius)
+    radial = np.append(w_rad, 0.0) + np.insert(w_rad, 0, dth / 2.0)  # outer edge + inner edge (the centre's)
+    mang = 2.0 - 2.0 * np.cos((n_theta // 2) * dth)  # the highest of the modes 0..n_theta // 2
+    return float(np.max((w_ang * mang + radial) / vol))
+
+
 def _radial_chains(n_r: int, n_theta: int, radius: float, shift: float, modes: np.ndarray):
     """Scalar Schur s_m and extension mass q_m of the given angular modes.
 
@@ -447,19 +497,8 @@ def _radial_chains(n_r: int, n_theta: int, radius: float, shift: float, modes: n
     centre joins mode 0 only; in every other mode it is a decoupled unit
     with no volume.
     """
-    dr = radius / n_r
-    dth = 2.0 * np.pi / n_theta
+    dr, dth, w_rad, w_ang, vol = _rings(n_r, n_theta, radius)
     mang = (2.0 - 2.0 * np.cos(modes * dth))[:, None]
-    r = dr * np.arange(1, n_r + 1)
-
-    # radial edge weights between rings j and j+1 (midpoint radius)
-    w_rad = (r[:-1] + 0.5 * dr) * dth / dr
-    # angular edge weight at ring j, halved on the boundary ring
-    w_ang = dr / (r * dth)
-    w_ang[-1] *= 0.5
-    # node volumes: r_j dr dth, halved on the boundary ring
-    vol = r * dr * dth
-    vol[-1] *= 0.5
 
     # ring j sees its outer radial edge and its inner one; ring 1's inner
     # edges go to the centre, weight dth/2 per sector, in every mode
@@ -651,7 +690,12 @@ def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r:
 
     The disk takes its angular modes (n_r rings, n_theta angles), under "auto" at
     the first shift 1, 2, 4, ... whose S is positive, and refuses coefficients
-    other than the Laplacian.  A grid domain takes the assembled route, the only
+    other than the Laplacian.  A doubled shift past _disk_scale raises
+    NumericError: mu would then measure the shift, not the operator.  The
+    check follows the solve, so a shift that overflows the chains first is
+    refused by chain_schur.
+
+    A grid domain takes the assembled route, the only
     one that certifies the Krein identity, while M (N = n_I + n_B on
     build_grid(domain, nodes)) fits under eig.DENSE_CAP.  Past the cap,
     separable inputs take the face modes, which need no grid (the torus grid of a
@@ -672,6 +716,10 @@ def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r:
                 if shift != "auto":
                     raise
                 value *= 2.0
+        scale = _disk_scale(n_r, n_theta, domain.radius)
+        if shift == "auto" and value > max(1.0, scale):
+            raise NumericError(f"the auto shift doubled to {value:g}, past the disk operator's scale {scale:.4g} "
+                               "(its largest stiffness-to-mass ratio): the shift alone would decide mu")
         return InterfaceSpectra(d.mu, d.interface, d.report)
     if separable_face(coeffs, sigma, domain):
         _, cells, _, tangential = _face_cells(domain, nodes)

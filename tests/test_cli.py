@@ -279,6 +279,7 @@ class TestPipelines:
         assert run(["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--sigma", "-5"], tmp_path) == 0
         shift = float(report_lines(tmp_path, "zaremba")["shift"])
         assert shift > 1.0 and np.log2(shift) == np.round(np.log2(shift))
+        assert shift == 32.0  # below the operator's scale (2.7e4 here), so not refused
 
     def test_zaremba_disk_overflowing_shift_is_a_numeric_failure(self, tmp_path, capsys):
         # the doubling reaches shifts whose pivots square past the float range, where every extension
@@ -287,6 +288,22 @@ class TestPipelines:
         err = capsys.readouterr().err
         assert "numeric failure: chain elimination lost an extension mass" in err
         assert "overflowed" in err
+
+    def test_zaremba_disk_auto_shift_past_the_operator_scale_is_refused(self, tmp_path, capsys):
+        # sigma = -1e6 needs the shift 2^25, past the largest stiffness-to-mass ratio (2.7e4 here),
+        # where mu would measure the shift alone
+        assert run(["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--sigma=-1e6"], tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: the auto shift doubled to 3.35544e+07, past the disk operator's scale")
+        assert not (tmp_path / "zaremba-report.txt").exists()
+
+    def test_zaremba_disk_default_answers_as_the_fixed_shift_one(self, tmp_path):
+        # the scale check leaves the default run alone: its files are those of --shift 1, byte for byte
+        base = ["zaremba", "--domain", "disk", "--repro"]
+        assert run(base, tmp_path / "auto") == 0
+        assert run(base + ["--shift", "1"], tmp_path / "one") == 0
+        for name in ("zaremba-report.txt", "zaremba-mu.csv", "zaremba-interface.csv"):
+            assert (tmp_path / "auto" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
     def test_zaremba_disk_default_is_the_laplacian(self, tmp_path):
         base = ["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--repro"]
@@ -612,6 +629,7 @@ class TestManifest:
     @pytest.mark.parametrize("argv, cap", [
         (["singular-probe", "--decay", "harmonic", "--deltas", "1e-2,1e-3,1e-4"], None),
         (["zaremba", "--domain", "square", "--nodes", "12"], None),  # assembled
+        (["zaremba", "--domain", "box", "--nodes", "12"], None),  # assembled, N = 1452: threaded GEMMs
         (["zaremba", "--domain", "box", "--nodes", "12"], 1000),  # face modes: 1452 nodes past the cap
         (["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32"], None),
         (["zaremba", "--toy"], None),
@@ -619,7 +637,7 @@ class TestManifest:
         (["spectrum", "--a", "0.5", "--domain", "square", "--nodes", "24"], None),
         (["spectrum", "--a", "0.5", "--domain", "box", "--nodes", "10"], None),
         (["spectrum", "--a", "0.5", "--domain", "square", "--nodes", "64", "--count", "40"], None),  # parity route
-    ], ids=["singular-probe", "zaremba-assembled", "zaremba-face-modes", "zaremba-disk", "zaremba-toy",
+    ], ids=["singular-probe", "zaremba-assembled", "zaremba-assembled-box", "zaremba-face-modes", "zaremba-disk", "zaremba-toy",
             "spectrum-square", "spectrum-box", "spectrum-count"])
     def test_repro_reruns_bit_identical(self, tmp_path, monkeypatch, argv, cap):
         from fracspec import eig

@@ -294,6 +294,30 @@ def test_mu_transmission_odd_symbol_max_violation():
     assert r == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("power, mu", [(1.0, 1.0), (0.5, 0.3), (0.75, 0.2), (1.3, 1.0)])
+def test_mu_transmission_batched_matches_the_per_point_loop(power, mu):
+    # symbol-check's 2000 samples (n = 3), drawn as the command draws them; the coefficient symbol
+    # takes one batched quadratic form, the same symbol without coeffs the per-point calls
+    n, samples = 3, 2000
+    draws = np.random.default_rng(11).standard_normal((samples, n * n + 2 * n - 1))
+    frames = np.linalg.qr(draws[:, : n * n].reshape(samples, n, n))[0]
+    points, normals = draws[:, n * n : n * n + n], frames[:, :, -1]
+    rng = np.random.default_rng(5)
+    for coeffs in (sy.SecondOrderCoeffs(3, _random_spd(rng, 3)),
+                   sy.SecondOrderCoeffs(3, a=lambda x: np.diag(2.0 + np.sin(x)))):
+        symbol = sy.PrincipalSymbol.from_coeffs(coeffs, power)
+        batched = sy.mu_transmission_residual(symbol, mu, points, normals)
+        per_point = sy.mu_transmission_residual(sy.PrincipalSymbol(symbol.order, symbol.fn), mu, points, normals)
+        assert type(batched) is float and batched == per_point
+        assert (batched == 0.0) == (mu == power)
+
+
+def test_mu_transmission_degenerate_coefficient_symbol():
+    s = sy.PrincipalSymbol.from_coeffs(sy.SecondOrderCoeffs.laplacian(2), 0.5)
+    with pytest.raises(sy.DegenerateSymbolError):
+        sy.mu_transmission_residual(s, 0.5, [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+
+
 def test_mu_transmission_degenerate_symbol():
     s = sy.PrincipalSymbol(order=1.0, fn=lambda x, xi: xi[0])
     with pytest.raises(sy.DegenerateSymbolError):

@@ -1,5 +1,8 @@
 """Krein-term algebra, the chain-Schur core, the DtN strip probe, and the disk and face mode routes."""
 
+import inspect
+import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec.discretize import OperatorMatrix, build_grid
-from fracspec import eig, zaremba
+from fracspec import _kernels, discretize, eig, zaremba
 from fracspec.asymptotics import weyl_fit
 from fracspec.errors import ConfigurationError, NotPositiveError, NumericError
 from fracspec.quadrature import DomainSpec
@@ -239,6 +242,21 @@ class TestRitzCertificate:
             tracemalloc.stop()
         assert peak < size * size * 8 / 2  # one N x N float array would be twice this
 
+    def test_certificate_peak_stays_below_the_whole_array_build(self):
+        # [F | Q] is filled a row block at a time beside the basis G (3 N n_B floats), then M is
+        # read one row block at a time; the build of whole F^T and Q^T held G, [F | Q]^T and one
+        # solve's output at once (4 N n_B floats, 4.17 N n_B measured with the n_B^2 matrices), and a
+        # copy of the tail [F | Q][lo:] per row block would pass that again
+        k = grid_krein(DomainSpec.unit_box(), 12, 0.5)
+        size, nB = k.n_interior + k.n_boundary, k.n_boundary
+        tracemalloc.start()
+        try:
+            assert krein_identity_check(k).rank_bound_ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * size * nB * 8
+
     def test_symmetric_perturbation_fails_certificate(self, monkeypatch):
         k = grid_krein(DomainSpec.unit_square(), 16, 0.5)
         assert krein_identity_check(k).rank_bound_ok
@@ -265,6 +283,43 @@ class TestRitzCertificate:
         # one eigenvalue too many: the rank bound fails
         assert not full_spectrum_verdict(materialized_m(k) + E, k.n_boundary, scale)[1]
         assert rep.max_rel_mismatch <= 1e-12  # while the Ritz values still match the identity
+
+
+class TestOneBlasPool:
+    """The assembled route's dense products run on scipy's BLAS (_kernels.gemm), never on numpy's."""
+
+    @staticmethod
+    def operands():
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((70, 50)), rng.standard_normal((50, 40))
+        yield a, b
+        yield np.asfortranarray(a), b
+        yield a, np.asfortranarray(b)
+        yield a.T.T[::2], b[:, 3:33]  # strided in both orders: copied, still the product
+        yield a[:, 10:].T, rng.standard_normal((70, 20))
+        # [F | Q] row blocks as ritz_from_M reads them (N = 300, n_B = 40, blocks of 128 rows)
+        fq, nb = rng.standard_normal((300, 80)), 40
+        B = rng.standard_normal((nb, nb))
+        for lo in range(0, 300, 128):
+            rows = fq[lo : lo + 128]
+            yield rows, fq[lo:].T
+            yield rows[:, nb:], B
+            yield rows[:, nb:].T, rows[:, :nb]
+
+    def test_gemm_is_the_matrix_product(self):
+        for a, b in self.operands():
+            got, want = _kernels.gemm(a, b), a @ b
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_route_wakes_no_numpy_blas(self):
+        # numpy's linalg and @ run on numpy's own OpenBLAS pool; the assembled route keeps to scipy's
+        text = pathlib.Path(zaremba.__file__).read_text()
+        assert not re.search(r"\b(np|numpy)\.linalg\b", text)
+        for obj in (zaremba.KreinAssembly, discretize.schur_split):
+            code = inspect.getsource(obj)
+            assert not re.search(r"\b(np|numpy)\.linalg\b", code)
+            assert not re.search(r"[\w)\]][ \t]*@[ \t]*[\w(]", code), obj  # a matmul, not a decorator
 
 
 class TestKreinGrid:
