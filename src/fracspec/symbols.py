@@ -27,22 +27,27 @@ the two boundary regimes, yields a second factorization
 whose principal-branch half-power split carries the square-root
 boundary behavior of the mixed problem.
 
-``_root_pairs`` is the one implementation of this factorization, on
-arrays that broadcast.  Every factorization takes the same path:
-``reduce_frames``, then ``_kernels.boundary_quantities`` for (ann, b, c),
-then ``_root_pairs``.  ``reduce_frames`` and ``tangential_form`` take
-one (n, n) matrix or any leading shape, so a single sample costs one
-sample's arithmetic; ``boundary_quantities`` reads rows (N, n, n), one
-row for a single sample.  ``factorization_residuals`` and
-``boundary_residuals`` run the path over many samples,
-``boundary_reduction`` over one.  ``tangential_factorization`` runs only
-the second pair: ``_root_pairs`` on the tangential form ``a'`` of one
-sample's reduced matrix.
+Two kernels compute these factorizations.  The batch kernel works on
+arrays that broadcast: ``reduce_frames``, then
+``_kernels.boundary_quantities`` for (ann, b, c), then ``_root_pairs``;
+``factorization_residuals`` and ``boundary_residuals`` run it over many
+samples, and ``tangential_form`` gives the batch its a'.  The one-sample
+kernel works on Python floats once numpy has formed one sample's
+F^T [F | A F]: ``_reduce_one`` (the reduction and its frame check),
+``_quantities_one`` (the same row-then-dot association as
+``boundary_quantities``) and ``_root_pair``.  ``boundary_reduction``
+and ``tangential_factorization`` run it, since numpy's per-call cost on
+(n, n) arrays would be most of a sample's time; the second runs only the
+tangential pair, on the a' of one sample's reduced matrix.  The oracle
+test ``test_one_sample_root_pair_matches_the_batch`` holds the two
+kernels within 4 eps of each other.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -101,8 +106,13 @@ class SecondOrderCoeffs:
             mat = np.asarray(self.a, dtype=float)
             if mat.shape != (self.n, self.n):
                 raise ValueError(f"coefficient matrix must be {(self.n, self.n)}")
-            if not (np.isfinite(mat).all() and np.abs(mat - mat.T).max() <= 1e-12):  # no inf - inf warning
-                raise ValueError("coefficient matrix must be finite and symmetric")
+            rows = mat.tolist()
+            # |a_jk - a_kj| <= 1e-12 over k >= j also refuses a NaN or infinite entry: on the
+            # diagonal x - x is NaN for those, and off it the difference is NaN or infinite
+            for j, row in enumerate(rows):
+                for k in range(j, self.n):
+                    if not abs(row[k] - rows[k][j]) <= 1e-12:
+                        raise ValueError("coefficient matrix must be finite and symmetric")
             object.__setattr__(self, "a", mat)
 
     @classmethod
@@ -302,13 +312,64 @@ def _check_frames(frames, shape: tuple) -> np.ndarray:
     return frames
 
 
-def _reduce_one(coeffs: SecondOrderCoeffs, point, frame) -> np.ndarray:
-    """The frame-reduced abar at one point, its frame checked and its abar_nn > 0."""
-    frame = _check_frames(frame, (coeffs.n, coeffs.n))
-    abar = reduce_frames(coeffs.a_at(point), frame)
-    if not abar[-1, -1] > 0.0:
+def _reduce_one(coeffs: SecondOrderCoeffs, point, frame) -> list:
+    """The frame-reduced abar at one point as nested Python floats, its frame checked and its abar_nn > 0.
+
+    The product F^T [F | A F] gives F^T F, whose distance from the identity
+    checks the frame as _check_frames does, and abar = F^T A F; one
+    .tolist() leaves numpy.
+    """
+    n = coeffs.n
+    frame = np.asarray(frame, dtype=float)
+    if frame.shape != (n, n):
+        raise ValueError(f"frame must be an {(n, n)} matrix with columns = frame vectors")
+    # ndarray.dot: on (n, n) operands the matmul ufunc's dispatch costs about a microsecond more
+    prod = frame.T.dot(np.concatenate((frame, coeffs.a_at(point).dot(frame)), axis=1)).tolist()
+    for j, row in enumerate(prod):
+        for k in range(n):
+            if not abs(row[k] - (j == k)) <= _FRAME_TOL:  # a NaN fails too
+                raise ValueError("frame columns must be orthonormal")
+    abar = [row[n:] for row in prod]
+    if not abar[-1][-1] > 0.0:
         raise EllipticityError("abar_nn must be positive")
     return abar
+
+
+def _quantities_one(mat: list, xi: list) -> tuple:
+    """ann, b, c of one sample on Python floats, as _kernels.boundary_quantities forms them.
+
+    The row x' mat[:-1, :] first, its last entry b, then the dot of its
+    other entries with x' for c.
+    """
+    row = [sum(map(operator.mul, xi, col), 0.0) for col in zip(*mat)]
+    return mat[-1][-1], row[-1], sum(map(operator.mul, row, xi), 0.0)
+
+
+_XI_N_PROBE = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+_PROBE = [(x, 1j * x) for x in _XI_N_PROBE.tolist()]  # (xi_n, i xi_n) on Python floats, for _root_pair
+
+
+def _root_pair(ann: float, b: float, c: float) -> tuple:
+    """_root_pairs for one sample on Python floats, its residual the largest over the _XI_N_PROBE components.
+
+    Returns (kappa0, kappa_plus, kappa_minus, residual).  As for
+    _root_pairs, callers check a' = ann c - b^2 first: a' is positive, or
+    the zero of the degenerate tangential pair, or NaN.  A NaN residual at
+    any probe is the result, never passed over by the maximum.
+    """
+    kappa0 = math.sqrt(ann * c - b * b)
+    kappa_plus = complex(kappa0, b) / ann
+    kappa_minus = complex(kappa0, -b) / ann
+    worst = 0.0
+    for x, ix in _PROBE:
+        poly = ann * x**2 + 2.0 * b * x + c
+        size = abs(poly)
+        r = abs(poly - ann * (kappa_plus + ix) * (kappa_minus - ix)) / (size if size > 1e-300 else 1e-300)
+        if not r <= worst:
+            if r != r:  # NaN: no later value may replace it
+                return kappa0, kappa_plus, kappa_minus, r
+            worst = r
+    return kappa0, kappa_plus, kappa_minus, worst
 
 
 def _check_dimension(n: int) -> None:
@@ -326,9 +387,6 @@ def _check_xi_prime(xips: np.ndarray, n: int) -> None:
         raise ValueError("xi_prime must be nonzero")
 
 
-_XI_N_PROBE = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-
-
 def boundary_reduction(
     coeffs: SecondOrderCoeffs, boundary_point, normal_frame, xi_prime
 ) -> BoundaryFactorization:
@@ -341,12 +399,13 @@ def boundary_reduction(
     """
     xip = np.asarray(xi_prime, dtype=float).reshape(-1)
     _check_xi_prime(xip[None], coeffs.n)
-    abar = _reduce_one(coeffs, boundary_point, normal_frame)
-    (ann,), (b,), (c,), (a_prime,) = _elliptic_quantities(abar[None], xip[None])
-    kappa0, kappa_plus, kappa_minus, residual = _root_pairs(ann, b, c, _XI_N_PROBE)
-    return BoundaryFactorization(a_nn=float(ann), b=float(b), c=float(c), a_prime=float(a_prime),
-                                 kappa0=float(kappa0), kappa_plus=complex(kappa_plus),
-                                 kappa_minus=complex(kappa_minus), residual=float(residual.max()))
+    ann, b, c = _quantities_one(_reduce_one(coeffs, boundary_point, normal_frame), xip.tolist())
+    a_prime = ann * c - b * b
+    if not a_prime > 0.0:  # a NaN fails too
+        raise EllipticityError("reduced discriminant a' = ann c - b^2 must be positive")
+    kappa0, kappa_plus, kappa_minus, residual = _root_pair(ann, b, c)
+    return BoundaryFactorization(a_nn=ann, b=b, c=c, a_prime=a_prime, kappa0=kappa0, kappa_plus=kappa_plus,
+                                 kappa_minus=kappa_minus, residual=residual)
 
 
 def boundary_residuals(coeffs: SecondOrderCoeffs, points, frames, xips) -> np.ndarray:
@@ -397,21 +456,19 @@ def tangential_factorization(
     if xidp.shape != (coeffs.n - 2,):
         raise ValueError(f"xi_dprime must have dimension {coeffs.n - 2}")
     abar = _reduce_one(coeffs, interface_point, frame)
-    # one row of boundary_quantities; b_t = c_t = 0 for zero xi''
-    (att,), (b_t,), (c_t,) = _kernels.boundary_quantities(tangential_form(abar)[None], xidp[None])
+    # a'_jk = ann abar_jk - abar_jn abar_kn for j, k < n, as tangential_form forms it
+    ann, v = abar[-1][-1], [row[-1] for row in abar[:-1]]
+    form = [[ann * row[k] - vj * v[k] for k in range(len(v))] for row, vj in zip(abar, v)]
+    xidp = xidp.tolist()
+    att, b_t, c_t = _quantities_one(form, xidp)  # b_t = c_t = 0 for zero xi''
     if not att > 0.0:
         raise EllipticityError("a'_{n-1,n-1} must be positive")
     a_pp = att * c_t - b_t * b_t
-    if not a_pp > 0.0 and xidp.any():  # zero xi'' gives a'' = 0: the pair degenerates to constants
+    if not a_pp > 0.0 and any(xidp):  # zero xi'' gives a'' = 0: the pair degenerates to constants
         raise EllipticityError("tangential reduced discriminant must be positive")
-    _, kappat_plus, kappat_minus, residual = _root_pairs(att, b_t, c_t, _XI_N_PROBE)
-    return BoundaryFactorization(
-        a_nn=float(abar[-1, -1]),
-        a_tt=float(att),
-        kappat_plus=complex(kappat_plus),
-        kappat_minus=complex(kappat_minus),
-        tangential_residual=float(residual.max()),
-    )
+    _, kappat_plus, kappat_minus, residual = _root_pair(att, b_t, c_t)
+    return BoundaryFactorization(a_nn=ann, a_tt=att, kappat_plus=kappat_plus, kappat_minus=kappat_minus,
+                                 tangential_residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -691,9 +691,9 @@ def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r:
     The disk takes its angular modes (n_r rings, n_theta angles), under "auto" at
     the first shift 1, 2, 4, ... whose S is positive, and refuses coefficients
     other than the Laplacian.  A doubled shift past _disk_scale raises
-    NumericError: mu would then measure the shift, not the operator.  The
-    check follows the solve, so a shift that overflows the chains first is
-    refused by chain_schur.
+    NumericError before it is solved: mu would then measure the shift, not
+    the operator.  So the doubling makes at most log2(scale) + 2 disk solves,
+    and never reaches a shift whose chain pivots overflow.
 
     A grid domain takes the assembled route, the only
     one that certifies the Krein identity, while M (N = n_I + n_B on
@@ -716,10 +716,11 @@ def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r:
                 if shift != "auto":
                     raise
                 value *= 2.0
-        scale = _disk_scale(n_r, n_theta, domain.radius)
-        if shift == "auto" and value > max(1.0, scale):
-            raise NumericError(f"the auto shift doubled to {value:g}, past the disk operator's scale {scale:.4g} "
-                               "(its largest stiffness-to-mass ratio): the shift alone would decide mu")
+                scale = _disk_scale(n_r, n_theta, domain.radius)
+                if value > max(1.0, scale):
+                    raise NumericError(f"the auto shift doubled to {value:g}, past the disk operator's scale "
+                                       f"{scale:.4g} (its largest stiffness-to-mass ratio): the shift alone "
+                                       "would decide mu") from None
         return InterfaceSpectra(d.mu, d.interface, d.report)
     if separable_face(coeffs, sigma, domain):
         _, cells, _, tangential = _face_cells(domain, nodes)

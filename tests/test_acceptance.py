@@ -36,6 +36,8 @@ from fracspec.quadrature import (
 from fracspec.symbols import (
     PrincipalSymbol,
     SecondOrderCoeffs,
+    _XI_N_PROBE,
+    _root_pair,
     _root_pairs,
     boundary_reduction,
     factorization_residuals,
@@ -178,10 +180,12 @@ def test_scalar_and_batch_factorizations_agree(boundary_samples):
 
 
 def test_one_sample_and_batch_tangential_factorizations_agree(boundary_samples):
-    # tangential_factorization runs one (n, n) sample through the helpers the batch pipeline runs
-    # over (N, n, n): reduce_frames, tangential_form, boundary_quantities and _root_pairs.  On the
-    # criterion 01-02 samples every field agrees within 4 eps relative; reduce_frames on one sample
-    # equals its batch-of-one form bit for bit, and a three-operand einsum within 1e-15 max|A|
+    # two kernels factor the symbol: the one-sample kernel on Python floats (_reduce_one,
+    # _quantities_one, _root_pair), which tangential_factorization runs, and the batch kernel over
+    # (N, n, n) (reduce_frames, tangential_form, boundary_quantities, _root_pairs), bound to it by
+    # test_one_sample_root_pair_matches_the_batch.  On the criterion 01-02 samples every field
+    # agrees within 4 eps relative; reduce_frames on one sample equals its batch-of-one form bit for
+    # bit, and a three-operand einsum within 1e-15 max|A|
     eps = np.finfo(float).eps
     for n, (mats, frames, xips, _xins) in boundary_samples.items():
         sym = 0.5 * (mats + np.swapaxes(mats, 1, 2))
@@ -201,6 +205,28 @@ def test_one_sample_and_batch_tangential_factorizations_agree(boundary_samples):
         scale = np.abs(sym).max(axis=(1, 2))
         einsum = np.einsum("kia,kij,kjb->kab", frames, sym, frames)
         assert np.all(np.abs(abar - einsum).max(axis=(1, 2)) <= 1e-15 * scale)
+
+
+def test_one_sample_root_pair_matches_the_batch(boundary_samples):
+    # the oracle of the one-sample kernel: _root_pair on Python floats against _root_pairs, fed the
+    # same (ann, b, c) of the base and the tangential pair of each criterion 01-02 sample.  kappa0 and
+    # kappa_pm agree within 4 eps relative (n = 2's tangential pair is 0 exactly) and both residuals
+    # stay under criterion 01's 1e-12; the one-sample a_tt agrees with the batch's within 4 eps
+    eps = np.finfo(float).eps
+    for n, (mats, frames, xips, _xins) in boundary_samples.items():
+        sym = 0.5 * (mats + np.swapaxes(mats, 1, 2))
+        abar = reduce_frames(sym, frames)
+        base = boundary_quantities(abar, xips)
+        tangential = boundary_quantities(tangential_form(abar), xips[:, : n - 2])
+        for ann, b, c in (base, tangential):
+            k0, kp, km, res = _root_pairs(ann[:, None], b[:, None], c[:, None], _XI_N_PROBE)
+            one = np.array([_root_pair(*q) for q in zip(ann.tolist(), b.tolist(), c.tolist())])
+            for got, want in zip(one.T[:3], (k0[:, 0], kp[:, 0], km[:, 0])):
+                assert np.all(np.abs(got - want) <= 4.0 * eps * np.abs(want)), n
+            assert one[:, 3].real.max() <= 1e-12 and res.max() <= 1e-12
+        a_tt = [tangential_factorization(SecondOrderCoeffs(n=n, a=m), np.zeros(n), f, xi).a_tt
+                for m, f, xi in zip(sym, frames, xips[:, : n - 2])]
+        assert np.all(np.abs(np.array(a_tt) - tangential[0]) <= 4.0 * eps * tangential[0])
 
 
 def test_criterion_03_weyl_constant_cross_check():

@@ -1,3 +1,7 @@
+import inspect
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +87,64 @@ def test_symmetry_rule_is_absolute():
     for a in refused:
         with pytest.raises(ValueError, match="symmetric"):
             sy.SecondOrderCoeffs(2, a)
+
+
+def test_coefficient_refusals_keep_their_messages():
+    # the shape is checked first, then one test over k >= j refuses asymmetry, NaN and inf alike
+    sy.SecondOrderCoeffs(2, [[1.0, 0.0], [1e-12, 1.0]])  # an asymmetry of exactly 1e-12 is accepted
+    asymmetric = [[1.0, 0.0], [np.nextafter(1e-12, 1.0), 1.0]]
+    for a in ([[1.0, 0.0], [0.0, np.inf]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]], asymmetric):
+        with pytest.raises(ValueError, match="^coefficient matrix must be finite and symmetric$"):
+            sy.SecondOrderCoeffs(2, a)
+    for a in (np.eye(3), [1.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
+        with pytest.raises(ValueError, match=r"^coefficient matrix must be \(2, 2\)$"):
+            sy.SecondOrderCoeffs(2, a)
+    with pytest.raises(ValueError, match="setting an array element with a sequence"):  # numpy's, as before
+        sy.SecondOrderCoeffs(2, [[1.0, 0.0], [0.0]])
+    stored = sy.SecondOrderCoeffs(2, [[2.0, 1.0], [1.0, 2.0]]).a
+    assert isinstance(stored, np.ndarray) and stored.dtype == float
+
+
+def test_one_sample_factorizations_take_tuples_and_lists():
+    # dtn_symbol_probe passes the point (0.0, 0.0) and the covector (xi,) as tuples
+    rng = np.random.default_rng(11)
+    for n in (2, 3):
+        coeffs, frame = sy.SecondOrderCoeffs(n, _random_spd(rng, n)), _random_frame(rng, n)
+        xip = rng.standard_normal(n - 1)
+        want = sy.boundary_reduction(coeffs, np.zeros(n), frame, xip)
+        assert sy.boundary_reduction(coeffs, (0.0,) * n, frame.tolist(), tuple(xip.tolist())) == want
+        assert sy.boundary_reduction(coeffs, [0.0] * n, frame, xip.tolist()) == want
+        want = sy.tangential_factorization(coeffs, np.zeros(n), frame, xip[: n - 2])
+        assert sy.tangential_factorization(coeffs, (0.0,) * n, frame.tolist(), tuple(xip[: n - 2].tolist())) == want
+        assert sy.tangential_factorization(coeffs, [0.0] * n, frame, xip[: n - 2].tolist()) == want
+    assert isinstance(want.a_tt, float) and isinstance(want.kappat_plus, complex)
+
+
+def test_root_pair_degenerate_and_nan():
+    # the degenerate tangential pair of n = 2 (b = c = 0): constant roots 0, residual 0, as _root_pairs gives
+    for ann in (0.5, 2.0, 7.25):
+        got = sy._root_pair(ann, 0.0, 0.0)
+        k0, kp, km, res = sy._root_pairs(ann, 0.0, 0.0, sy._XI_N_PROBE)
+        assert got == (0.0, 0j, 0j, 0.0) and (k0, kp, km, res.max()) == (0.0, 0j, 0j, 0.0)
+    for args in ((math.nan, 1.0, 2.0), (2.0, math.nan, 2.0), (2.0, 1.0, math.nan)):
+        assert math.isnan(sy._root_pair(*args)[3])
+
+
+def test_root_pair_keeps_a_nan_residual(monkeypatch):
+    # a NaN at the first probe is the residual, though finite ones follow
+    monkeypatch.setattr(sy, "_PROBE", [(math.nan, complex(0.0, math.nan)), *sy._PROBE])
+    assert math.isnan(sy._root_pair(2.0, 1.0, 2.0)[3])
+
+
+def test_one_sample_path_stays_off_the_batch_kernels():
+    # the one-sample path is tangential_factorization and boundary_reduction with the helpers they
+    # call; the batch functions keep _root_pairs
+    one_sample = (sy.tangential_factorization, sy.boundary_reduction, sy._reduce_one, sy._quantities_one,
+                  sy._root_pair)
+    for fn in one_sample:
+        assert not re.search(r"\b(_root_pairs|boundary_quantities|reduce_frames)\(", inspect.getsource(fn)), fn
+    for fn in (sy.factorization_residuals, sy.boundary_residuals):
+        assert re.search(r"\b_root_pairs\(", inspect.getsource(fn)), fn
 
 
 def test_boundary_reduction_laplacian():

@@ -869,6 +869,19 @@ class TestAutoShift:
         disk = interface_spectra(co, 0.5, DomainSpec.disk(), None, 16, 32)
         assert disk.report["shift"] == 1.0 and calls == []
 
+    @pytest.mark.parametrize("n_r, n_theta", [(16, 32), (64, 96)])
+    def test_disk_doubling_stops_at_the_scale_unsolved(self, monkeypatch, n_r, n_theta):
+        # no shift makes S positive for sigma = -1e300: the doubling solves at 1, 2, 4, ... up to the
+        # operator's scale and refuses the next shift before solving it, at most ceil(log2 scale) + 2 solves
+        shifts, real = [], zaremba.disk_interface_spectra
+        monkeypatch.setattr(zaremba, "disk_interface_spectra",
+                            lambda *a, **k: shifts.append(k["shift"]) or real(*a, **k))
+        scale = zaremba._disk_scale(n_r, n_theta, 1.0)
+        with pytest.raises(NumericError, match="past the disk operator's scale"):
+            interface_spectra(SecondOrderCoeffs.laplacian(2), -1e300, DomainSpec.disk(), None, n_r, n_theta)
+        assert len(shifts) <= np.ceil(np.log2(scale)) + 2
+        assert max(shifts) <= scale < 2.0 * max(shifts)
+
     def test_negative_sigma_keeps_the_estimate(self, monkeypatch):
         # a Robin weight of -5 makes the unshifted assembly indefinite: auto lifts it past 1
         calls = self.spy(monkeypatch)
