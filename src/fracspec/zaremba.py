@@ -20,14 +20,18 @@ The identity (criterion 08) is certified without an eigensolve of the
 N x N matrix M, and without storing it.  With Q an orthonormal basis of
 range([K; I]), the Rayleigh-Ritz values of M are the eigenvalues of
 B = Q^T M Q = (Q^T F)(F^T Q) (n_B x n_B), and rho = ||F F^T - Q B Q^T||_F
-is summed over row blocks of the upper triangle, each one GEMM of inner
-dimension 2 n_B against the N x 2 n_B factor [F | Q]: every entry of
-M is formed and compared with Q B Q^T, in about 2 N^2 n_B flops, and no
-N x N array is held (at the 16-layer box, N = 3600, M alone would be
-104 MB).  By Weyl's inequality every eigenvalue of M lies within rho of
-the Ritz values or of zero (Parlett, The Symmetric Eigenvalue Problem,
-ch. 11), so a small rho proves both the rank bound and the sign of the
-spectrum, and the Ritz values stand for the nonzero spectrum of M in the
+follows from the factors: with A = Q^T F and E = F - Q A,
+F F^T - Q B Q^T = [E | Q] Z [E | Q]^T with Z = [[I, A^T], [A, A A^T - B]],
+a matrix of rank at most 2 n_B, so rho^2 = tr(Z W Z W) with the
+2 n_B x 2 n_B gram W = [E | Q]^T [E | Q].  The certificate takes about
+20 N n_B^2 flops (products, the gram G^T G among them, and two
+triangular solves), where forming every entry of F F^T - Q B Q^T would
+take 2 N^2 n_B, and it holds no array larger than the N x 2 n_B factor
+[F | Q] (at the 16-layer box, N = 3600, M alone would be 104 MB).  By
+Weyl's inequality every eigenvalue of M lies within rho of the Ritz
+values or of zero (Parlett, The Symmetric Eigenvalue Problem, ch. 11),
+so a small rho proves both the rank bound and the sign of the spectrum,
+and the Ritz values stand for the nonzero spectrum of M in the
 comparison with S^{-1}(K^T K + I).  rho relative to the spectral scale
 is reported as identity_residual.  The identity is only checked for
 N <= eig.DENSE_CAP (krein_path "assembled").
@@ -73,7 +77,7 @@ from .errors import ConfigurationError, NotPositiveError, NumericError
 from .symbols import SecondOrderCoeffs, boundary_reduction
 
 _NOT_POSITIVE = "interface Schur complement is not positive definite; apply a larger positivity shift"
-_ROW_BLOCK = 128  # rows of M - Q B Q^T per block of the Rayleigh-Ritz residual
+_ROW_BLOCK = 128  # rows of [F | Q] per solve and per product of the Rayleigh-Ritz certificate
 
 
 def _cap_message(size: int) -> str:
@@ -92,7 +96,7 @@ class KreinAssembly:
     complement S (the unweighted L) of discretize.schur_split.  Holds
     the Cholesky factor of S, its form-unit and boundary-weighted
     counterparts, and the interior mass P1 = K^T W_I K.  M itself is
-    never stored: the identity certificate reads it in row blocks.
+    never stored: the identity certificate reads its factor F.
     """
 
     def __init__(self, K, S, h: float, n: int, shift: float,
@@ -147,13 +151,16 @@ class KreinAssembly:
         Cholesky QR loses orthogonality as eps cond(G)^2, and the identity
         block keeps cond(G)^2 <= 1 + ||K||^2 small (below 8 on the square
         and box grids, where ||Q^T Q - I|| is a few eps).  B = Q^T (M Q)
-        with M Q = F (F^T Q), and rho is summed over row blocks of the upper
-        triangle of M - Q B Q^T, off-diagonal parts twice: each block is
-        one GEMM of inner dimension 2 n_B against the stacked factor
-        [F | Q] (N x 2 n_B, C-ordered, so every tail [F | Q][lo:] reaches
-        the GEMM uncopied; only a row block's n_B-column halves are copied), and
-        no N x N array is formed.  Refused past eig.DENSE_CAP, the size the
-        assembled route is kept to.
+        with M Q = F (F^T Q).  rho^2 = tr(Z W Z W), Z and W the 2 n_B x 2 n_B
+        matrices of the module docstring: E = F - Q A overwrites F in the
+        stacked factor [F | Q] (N x 2 n_B, C-ordered) a row block at a
+        time, W is one product over the whole of it, and the trace is
+        summed entrywise as sum_ij (Z W)_ij (Z W)_ji, clamped at 0.  The
+        cancellations are those of the entries of M - Q B Q^T, in E and in
+        A A^T - B; no term of the trace is a product of two O(1) numbers.
+        No N x N array is formed, G is never held whole, and [F | Q] is
+        released before the 2 n_B x 2 n_B blocks are formed.  Refused past
+        eig.DENSE_CAP, the size the assembled route is kept to.
         """
         nB = self.n_boundary
         if nB == 0:
@@ -161,19 +168,22 @@ class KreinAssembly:
         size = self.n_interior + nB
         if size > eig.DENSE_CAP:
             raise NumericError(_cap_message(size))
-        G = np.vstack([self.K, np.eye(nB)])  # a row block's G^T is Fortran-ordered: LAPACK reads it uncopied
         C = scipy.linalg.cholesky(self.gram, lower=True)
+        nI, eye = self.n_interior, np.eye(nB)
         blocks = [(lo, min(lo + _ROW_BLOCK, size)) for lo in range(0, size, _ROW_BLOCK)]
-        # [F | Q] is filled a row block at a time, so no whole F^T or Q^T is held beside it, and
-        # F^T Q is summed from each block's solves while they are contiguous
+        # [F | Q] is filled a row block at a time from the same rows of G = [K; I], so neither G
+        # nor a whole F^T or Q^T is held beside it, and F^T Q is summed from each block's solves
+        # while they are contiguous
         FQ = np.empty((size, 2 * nB))
         FtQ = np.zeros((nB, nB))
         for lo, hi in blocks:
-            Ft = scipy.linalg.solve_triangular(self._chol[0], G[lo:hi].T, trans="T", lower=self._chol[1])
-            Qt = scipy.linalg.solve_triangular(C, G[lo:hi].T, lower=True)
+            # rows lo:hi of G, C-ordered: their transpose is Fortran-ordered, which LAPACK reads uncopied
+            Gt = np.vstack([self.K[lo:hi], eye[max(lo - nI, 0) : max(hi - nI, 0)]]).T
+            Ft = scipy.linalg.solve_triangular(self._chol[0], Gt, trans="T", lower=self._chol[1])
+            Qt = scipy.linalg.solve_triangular(C, Gt, lower=True)
             FQ[lo:hi, :nB], FQ[lo:hi, nB:] = Ft.T, Qt.T
             FtQ += _kernels.gemm(Ft, Qt.T)
-        del G, C, Ft, Qt
+        del C, Gt, Ft, Qt
         # Q^T (M Q) with M Q = F (F^T Q), not (Q^T F)(F^T Q): this order keeps the
         # 2-node worked example's Ritz value at exactly 5/4
         B = np.zeros((nB, nB))
@@ -181,22 +191,14 @@ class KreinAssembly:
             B += _kernels.gemm(FQ[lo:hi, nB:].T, _kernels.gemm(FQ[lo:hi, :nB], FtQ))
         B = 0.5 * (B + B.T)
         ritz = sym_eig(B).values[::-1]
-        sq = 0.0
-        for lo, hi in blocks:
-            D = self._residual_rows(lo, hi, FQ, B)
-            # the diagonal block counts once, the part right of it twice; squared in place and
-            # summed by ufuncs, which run on no BLAS pool (a norm's dot would wake numpy's)
-            D *= D
-            sq += 2.0 * float(D.sum()) - float(D[:, : hi - lo].sum())
-            del D  # before the next block is formed
-        return ritz, float(np.sqrt(sq))
-
-    @staticmethod
-    def _residual_rows(lo: int, hi: int, FQ: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """(M - Q B Q^T)[lo:hi, lo:] = [F | -Q B][lo:hi] [F | Q][lo:]^T, one GEMM of inner dimension 2 n_B."""
-        nB = B.shape[0]
-        rows = FQ[lo:hi]
-        return _kernels.gemm(np.hstack([rows[:, :nB], -_kernels.gemm(rows[:, nB:], B)]), FQ[lo:].T)
+        # rho^2 = tr(Z W Z W), Z = [[I, A^T], [A, A A^T - B]] and W = [E | Q]^T [E | Q]
+        A = FtQ.T  # Q^T F
+        for lo, hi in blocks:  # E = F - Q A overwrites F in [F | Q]
+            FQ[lo:hi, :nB] -= _kernels.gemm(FQ[lo:hi, nB:], A)
+        W = _kernels.gemm(FQ.T, FQ)
+        del FQ  # so that the 2 n_B x 2 n_B blocks below are not held beside it
+        ZW = _kernels.gemm(np.block([[eye, FtQ], [A, _kernels.gemm(A, FtQ) - B]]), W)
+        return ritz, float(np.sqrt(max(float((ZW * ZW.T).sum()), 0.0)))
 
     def weighted_mu(self, half_cell: bool = False) -> np.ndarray:
         """Descending spectrum of S_form^{-1} K^T W_I K.
@@ -298,7 +300,7 @@ def krein_identity_check(k: KreinAssembly) -> KreinIdentityReport:
     """Compare the two independent routes to the nonzero spectrum of M.
 
     Left side: the Rayleigh-Ritz values of M = F F^T on range([K; I])
-    with their residual rho, read in row blocks (ritz_from_M).  Every
+    with their residual rho, from the factors F and Q (ritz_from_M).  Every
     eigenvalue of M lies within rho of a Ritz value or of zero, so
     rho <= t and min(ritz) - rho >= -t (t = 1e-12 max(scale, 1)) prove
     that at most n_boundary eigenvalues exceed t in modulus and none

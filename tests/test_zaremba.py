@@ -44,10 +44,15 @@ def basis(k):
     return np.vstack([k.K, np.eye(k.n_boundary)])
 
 
+def factor(k):
+    """F = [K; I] R^{-1} with S = R^T R (N x n_B), so that M = F F^T."""
+    return sla.solve_triangular(sla.cholesky(k.S), basis(k).T, trans="T").T
+
+
 def materialized_m(k):
-    """The N x N matrix M = F F^T, F = [K; I] R^{-1} with S = R^T R: the oracle of the blocked certificate."""
-    Ft = sla.solve_triangular(sla.cholesky(k.S), basis(k).T, trans="T")
-    return Ft.T @ Ft
+    """The N x N matrix M = F F^T: the oracle of the factored certificate."""
+    F = factor(k)
+    return F @ F.T
 
 
 def materialized_ritz(M, G):
@@ -188,10 +193,23 @@ def grid_krein(domain, nodes, sigma):
     return krein_term(SecondOrderCoeffs.laplacian(grid.n), sigma, grid)
 
 
-def read_perturbed_m(monkeypatch, k, E):
-    """Make the certificate read the row blocks of M + E, as a defect in the assembled M would show."""
-    real = k._residual_rows
-    monkeypatch.setattr(k, "_residual_rows", lambda lo, hi, *factors: real(lo, hi, *factors) + E[lo:hi, lo:])
+def read_perturbed_f(monkeypatch, D):
+    """Make the certificate read the factor F + D (N x n_B), as a defect in the assembled F would show.
+
+    ritz_from_M fills F^T a row block at a time by a transposed triangular solve (and Q^T by an
+    untransposed one); the patch adds the block's rows of D to each transposed solve, in order.
+    """
+    real, end = sla.solve_triangular, [0]
+
+    def solve(a, b, *args, trans=0, **kwargs):
+        x = real(a, b, *args, trans=trans, **kwargs)
+        if trans != "T":
+            return x
+        lo = end[0] % D.shape[0]
+        end[0] = lo + b.shape[1]
+        return x + D[lo : end[0]].T
+
+    monkeypatch.setattr(sla, "solve_triangular", solve)
 
 
 class TestRitzCertificate:
@@ -243,10 +261,10 @@ class TestRitzCertificate:
         assert peak < size * size * 8 / 2  # one N x N float array would be twice this
 
     def test_certificate_peak_stays_below_the_whole_array_build(self):
-        # [F | Q] is filled a row block at a time beside the basis G (3 N n_B floats), then M is
-        # read one row block at a time; the build of whole F^T and Q^T held G, [F | Q]^T and one
-        # solve's output at once (4 N n_B floats, 4.17 N n_B measured with the n_B^2 matrices), and a
-        # copy of the tail [F | Q][lo:] per row block would pass that again
+        # [F | Q] (2 N n_B floats) is filled a row block at a time from the rows of G = [K; I],
+        # which is never held whole, and released before the 2 n_B x 2 n_B blocks are formed:
+        # 2.69 N n_B measured here.  Holding G beside [F | Q] took 3.52 N n_B, and the build of
+        # whole F^T and Q^T, which held G, [F | Q]^T and one solve's output at once, 4.17 N n_B
         k = grid_krein(DomainSpec.unit_box(), 12, 0.5)
         size, nB = k.n_interior + k.n_boundary, k.n_boundary
         tracemalloc.start()
@@ -255,34 +273,75 @@ class TestRitzCertificate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * size * nB * 8
+        assert peak <= 3 * size * nB * 8
 
     def test_symmetric_perturbation_fails_certificate(self, monkeypatch):
         k = grid_krein(DomainSpec.unit_square(), 16, 0.5)
         assert krein_identity_check(k).rank_bound_ok
-        size = k.n_interior + k.n_boundary
-        E = np.random.default_rng(1).standard_normal((size, size))
-        E = E + E.T
-        read_perturbed_m(monkeypatch, k, 1e-9 * E / np.linalg.norm(E))
+        F = factor(k)
+        D = np.random.default_rng(1).standard_normal(F.shape)
+        # ||D|| ||F|| = 1e-9: M' - M = F D^T + D F^T + D D^T is a symmetric defect of order 1e-9
+        read_perturbed_f(monkeypatch, 1e-9 * D / (np.linalg.norm(D) * np.linalg.norm(F)))
         rep = krein_identity_check(k)
         assert not rep.rank_bound_ok
         assert rep.residual * np.abs(rep.mu_identity).max() > 1e-10
 
     def test_rank_one_outside_range_fails_both_routes(self, monkeypatch):
         k = grid_krein(DomainSpec.unit_square(), 16, 0.5)
-        G = basis(k)
-        v = np.random.default_rng(2).standard_normal(G.shape[0])
+        G, F = basis(k), factor(k)
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal(G.shape[0])
         v -= G @ np.linalg.lstsq(G, v, rcond=None)[0]  # orthogonal to range([K; I])
         v /= np.linalg.norm(v)
+        u = rng.standard_normal(k.n_boundary)
+        u /= np.linalg.norm(u)
         scale = np.abs(k.mu_exact()).max()
-        E = 1e-3 * scale * np.outer(v, v)
-        read_perturbed_m(monkeypatch, k, E)
+        # F' = F + D puts 1e-3 scale v v^T and the cross terms F u v^T + v u^T F^T into M' = F' F'^T
+        D = np.sqrt(1e-3 * scale) * np.outer(v, u)
+        M = (F + D) @ (F + D).T
+        read_perturbed_f(monkeypatch, D)
         rep = krein_identity_check(k)
         assert not rep.rank_bound_ok
-        assert rep.residual == pytest.approx(1e-3, rel=1e-6)  # rho is the added term itself
-        # one eigenvalue too many: the rank bound fails
-        assert not full_spectrum_verdict(materialized_m(k) + E, k.n_boundary, scale)[1]
+        assert rep.residual == pytest.approx(materialized_ritz(M, G)[1] / scale, rel=1e-6)
+        # the full spectrum of M' holds the defect too: tr M' = tr M + 1e-3 scale, as F^T v = 0
+        w = np.linalg.eigvalsh(M)
+        assert w.sum() - rep.mu_identity.sum() == pytest.approx(1e-3 * scale, rel=1e-6)
         assert rep.max_rel_mismatch <= 1e-12  # while the Ritz values still match the identity
+
+    @pytest.mark.parametrize("size", [1e-10, 1e-6])
+    @pytest.mark.parametrize("domain, nodes", [
+        (DomainSpec.unit_square(), 16),
+        (DomainSpec.unit_box(), 12),
+    ], ids=["square16", "box12"])
+    def test_factored_rho_matches_the_materialized_residual(self, monkeypatch, domain, nodes, size):
+        # a rank-one defect of F lifts rho far above roundoff, where the trace form and the entries
+        # of M' - Q B' Q^T (M' = F' F'^T) must agree to many digits, not only both be tiny.  Any
+        # double-precision rho, this oracle's too, carries an absolute error of a fraction of
+        # eps ||M'||_F: at size 1e-10 that is up to 1e-7 of rho against an extended-precision rho
+        k = grid_krein(domain, nodes, 0.5)
+        F = factor(k)
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal(F.shape[0]), rng.standard_normal(F.shape[1])
+        D = size * np.linalg.norm(F) * np.outer(x / np.linalg.norm(x), y / np.linalg.norm(y))
+        M = (F + D) @ (F + D).T
+        read_perturbed_f(monkeypatch, D)
+        want = materialized_ritz(M, basis(k))[1]
+        assert k.ritz_from_M()[1] == pytest.approx(want, rel=1e-8, abs=np.finfo(float).eps * np.linalg.norm(M))
+
+    def test_certificate_flops_grow_as_n_not_n_squared(self, monkeypatch):
+        # box 16: N = 3600, n_B = 225.  The certificate's products, the gram G^T G included, take
+        # 19 N n_B^2 flops; forming the entries of M - Q B Q^T alone would take 2 N^2 n_B, 32 N n_B^2
+        k = grid_krein(DomainSpec.unit_box(), 16, 0.5)
+        size, nB = k.n_interior + k.n_boundary, k.n_boundary
+        flops, real = [], _kernels.gemm
+
+        def spy(a, b):
+            flops.append(2 * a.shape[0] * a.shape[1] * b.shape[1])
+            return real(a, b)
+
+        monkeypatch.setattr(_kernels, "gemm", spy)
+        assert krein_identity_check(k).rank_bound_ok
+        assert sum(flops) <= 24 * size * nB**2
 
 
 class TestOneBlasPool:
@@ -297,14 +356,19 @@ class TestOneBlasPool:
         yield a, np.asfortranarray(b)
         yield a.T.T[::2], b[:, 3:33]  # strided in both orders: copied, still the product
         yield a[:, 10:].T, rng.standard_normal((70, 20))
-        # [F | Q] row blocks as ritz_from_M reads them (N = 300, n_B = 40, blocks of 128 rows)
+        # the layouts ritz_from_M passes (N = 300, n_B = 40, blocks of 128 rows): row blocks of
+        # [F | Q] against F^T Q (C-ordered) and A = (F^T Q)^T (Fortran-ordered), a block's Q half
+        # transposed against an F-half product, the gram of the whole [E | Q], and the n_B-sized blocks
         fq, nb = rng.standard_normal((300, 80)), 40
-        B = rng.standard_normal((nb, nb))
+        FtQ = rng.standard_normal((nb, nb))
         for lo in range(0, 300, 128):
             rows = fq[lo : lo + 128]
-            yield rows, fq[lo:].T
-            yield rows[:, nb:], B
+            yield rows[:, :nb], FtQ
             yield rows[:, nb:].T, rows[:, :nb]
+            yield rows[:, nb:], FtQ.T
+        yield fq.T, fq
+        yield FtQ.T, FtQ
+        yield rng.standard_normal((2 * nb, 2 * nb)), rng.standard_normal((2 * nb, 2 * nb))
 
     def test_gemm_is_the_matrix_product(self):
         for a, b in self.operands():
