@@ -13,8 +13,11 @@ Configuration comes from an INI-style file ([section] with key = value
 lines) merged with command-line flags, flags winning.  Both are declared
 once, in the OPTIONS table: each row gives a config key, its flag, its
 type and the subcommands that offer the flag, so a subcommand rejects a
-flag its pipeline does not read.  Unknown sections or keys, and config
-values their type cannot read, are rejected before any computation.
+flag its pipeline does not read.  A key read in some modes only is
+refused by the handler in the others: operator.a by the interface
+constants, domain.arc and domain.cap (the free boundary) by a Dirichlet
+problem.  Unknown sections or keys, and config values their type cannot
+read, are rejected before any computation.
 Every run emits a
 manifest recording the config hash, package and library versions, the
 kernel build (always ``numpy``), the seed, and all tolerances; reports are
@@ -277,8 +280,12 @@ def _build_coeffs(cfg, domain=None):
 _GEOMETRY_KEYS = {"radius": ("disk", "ball"), "arc": ("disk",), "cap": ("ball",)}
 
 
-def _build_domain(cfg):
-    """One of the five documented domains; domain.n, if set, must be its dimension."""
+def _build_domain(cfg, dirichlet: bool = False):
+    """One of the five documented domains; domain.n, if set, must be its dimension.
+
+    A Dirichlet problem (dirichlet=True) has no free boundary, so it
+    refuses domain.arc and domain.cap, which place one.
+    """
     import numpy as np
 
     from .errors import ConfigurationError
@@ -289,6 +296,10 @@ def _build_domain(cfg):
         if kind not in kinds and ("domain", key) in cfg:
             raise ConfigurationError(f"domain.{key} applies to the {' and '.join(kinds)} only, "
                                      f"not the {kind} domain")
+    for key in ("arc", "cap"):
+        if dirichlet and ("domain", key) in cfg:
+            raise ConfigurationError(f"domain.{key} places the free boundary, which the Dirichlet problem "
+                                     "does not have")
     radius = _get(cfg, "domain", "radius", 1.0)
     if kind == "interval":
         domain = DomainSpec.unit_interval()
@@ -312,7 +323,7 @@ def _assemble_operator(cfg):
     """Dirichlet operator, its grid and the power a; a fractional power is the matrix-free RestrictedPowerOperator."""
     from .discretize import RestrictedPowerOperator, assemble_second_order, build_grid
 
-    domain = _build_domain(cfg)
+    domain = _build_domain(cfg, dirichlet=True)
     coeffs = _build_coeffs(cfg, domain)
     nodes = _get(cfg, "grid", "nodes", 32)
     grid = build_grid(domain, nodes)
@@ -491,7 +502,7 @@ def _cmd_weyl_const(cfg, args, em: Emitter) -> list[str]:
         for key in ("a", "kind"):
             if ("operator", key) in cfg:
                 raise ConfigurationError(f"operator.{key} applies to --which dirichlet only, not {which}")
-    domain = _build_domain(cfg)
+    domain = _build_domain(cfg, dirichlet=which == "dirichlet")
     coeffs = _build_coeffs(cfg, domain)
 
     if which == "dirichlet":

@@ -1,23 +1,26 @@
 """Grids and matrix realizations.
 
-Uniform torus grids carry the periodic-embedding path for restricted
-fractional powers r+ P_a e+ of P = -div(A grad) with constant
-coefficients A: RestrictedPowerOperator takes A, evaluates the power of
-its symbol once and is the one owner of its torus kernel.  It is applied
-matrix-free by transforms, for a few eigenpairs past the dense cap,
-gathered into a dense matrix (toarray), and split into reflection-parity
-blocks (ParitySplit) on tensor-block interiors, folded further where
-axes of equal length swap, for full spectra.  Its dense oracle, the
-power of the whole torus matrix by eigendecomposition, lives with the
-tests (test_discretize.dense_power).  The same grids feed the
-second-order Dirichlet and mixed assemblies, which sum the form over the
-closure nodes of the domain with one neighbour rule for both boundary
-conditions; which node lies on which face plane is decided once, from
-integer torus indices (Grid.planes), and grid_spacing is the one
-spacing rule.  schur_split is the one Schur complement: its extension
-map K and interface S are the discrete Poisson extension and, weighted
-by the boundary measure, the discrete Dirichlet-to-Neumann operator of
-the Krein assembly (zaremba.KreinAssembly.K and L_weighted).
+A grid is the domain's node set on its bounding block (Grid): uniform
+nodes of one spacing (grid_spacing, the one spacing rule), classified
+into interior, free and Dirichlet boundary nodes, with the face planes
+that carry them decided once, from integer block indices (Grid.planes).
+RestrictedPowerOperator, on such a grid, is the restricted fractional
+power r+ P_a e+ of P = -div(A grad) with constant coefficients A, and
+the one owner of the periodic embedding: it places the block in a torus
+of _TORUS_PAD times the domain's extent, evaluates the power of the
+symbol once on the torus frequency lattice and owns its torus kernel.
+It is applied matrix-free by transforms, for a few eigenpairs past the
+dense cap, gathered into a dense matrix (toarray), and split into
+reflection-parity blocks (ParitySplit) on tensor-block interiors, folded
+further where axes of equal length swap, for full spectra.  Its dense
+oracle, the power of the whole torus matrix by eigendecomposition, lives
+with the tests (test_discretize.dense_power).  The second-order
+Dirichlet and mixed assemblies of constant coefficients sum the form
+over the closure nodes of the domain with one neighbour rule for both
+boundary conditions.  schur_split is the one Schur complement: its
+extension map K and interface S are the discrete Poisson extension and,
+weighted by the boundary measure, the discrete Dirichlet-to-Neumann
+operator of the Krein assembly (zaremba.KreinAssembly.K and L_weighted).
 
 Unit conventions
 ----------------
@@ -51,26 +54,26 @@ _SLAB = 1 << 16  # bounding-block nodes build_grid classifies at a time, rounded
 
 
 # ---------------------------------------------------------------------------
-# uniform torus grid
+# uniform grid on the bounding block
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform torus grid with node classification for an embedded domain.
+    """Uniform grid on the domain's bounding block, with node classification.
 
-    Node sets (flat indices into the row-major torus array, ascending)
-    are disjoint: interior of Omega, sigma_plus and sigma_minus; every
-    other torus node lies outside the closure.  d holds the distance to
-    the domain boundary of each interior node, aligned with interior_idx.
-    planes (n, 2) holds the torus index of each axis's low and high face
-    plane (see _plane_hits).
+    shape is the block, cells + 1 nodes per axis (grid_spacing), whose
+    node 0 sits at domain.origin().  Node sets (flat indices into the
+    row-major block, ascending) are disjoint: interior of Omega,
+    sigma_plus and sigma_minus; every other block node lies outside the
+    closure.  d holds the distance to the domain boundary of each
+    interior node, aligned with interior_idx.  planes (n, 2) holds the
+    block index of each axis's low and high face plane (see _plane_hits).
     """
 
     domain: DomainSpec
     h: float
     shape: tuple
-    origin: np.ndarray
     planes: np.ndarray
     interior_idx: np.ndarray
     sigma_plus_idx: np.ndarray
@@ -94,15 +97,11 @@ class Grid:
         if idx is None:
             idx = np.arange(self.size)
         multi = np.stack(np.unravel_index(np.asarray(idx), self.shape), axis=-1)
-        return self.origin + self.h * multi
+        return self.domain.origin() + self.h * multi
 
     def on_planes(self, idx) -> np.ndarray:
         """(len(idx), n, 2) mask of the given flat indices on each axis's low / high face plane."""
         return _plane_hits(self.planes, np.stack(np.unravel_index(np.asarray(idx), self.shape), axis=-1))
-
-    def frequencies(self) -> list[np.ndarray]:
-        """Angular Fourier frequencies per axis for the torus."""
-        return [2.0 * np.pi * np.fft.fftfreq(m, d=self.h) for m in self.shape]
 
 
 def grid_spacing(domain: DomainSpec, nodes_per_axis: int) -> tuple[float, list[int]]:
@@ -115,7 +114,7 @@ def grid_spacing(domain: DomainSpec, nodes_per_axis: int) -> tuple[float, list[i
 
 
 def _plane_hits(planes: np.ndarray, multi: np.ndarray) -> np.ndarray:
-    """Face-plane membership from integer torus indices, (len(multi), n, 2).
+    """Face-plane membership from integer block indices, (len(multi), n, 2).
 
     A node lies on the low (high) face plane of axis t when its index
     along t equals planes[t, 0] (planes[t, 1]).  Only box-like domains
@@ -127,38 +126,31 @@ def _plane_hits(planes: np.ndarray, multi: np.ndarray) -> np.ndarray:
 
 
 def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
-    """Uniform torus grid of spacing h = max extent / nodes_per_axis.
+    """Uniform grid of spacing h = max extent / nodes_per_axis on the domain's bounding block.
 
     Omega membership is decided by the cell-center indicator; nodes
     landing on the boundary (within snap tolerance) are classified into
     sigma_plus (relative interiors of its faces: on the face's plane and
-    on no other) and sigma_minus.  Only the domain's bounding block, torus
-    indices offsets to offsets + cells along each axis, is classified:
-    it holds every closure node, and on a padded torus it is about
-    2^-n of the nodes.  It is classified in slabs of whole planes along
-    axis 0, of about _SLAB nodes each, which bounds the temporaries.  Free
-    nodes lie on faces of intervals, rectangles and boxes only, so a disk
-    or ball grid has no sigma_plus nodes.
+    on no other) and sigma_minus.  The block holds every closure node.  It
+    is classified in slabs of whole planes along axis 0, of about _SLAB
+    nodes each, which bounds the temporaries.  Free nodes lie on faces of
+    intervals, rectangles and boxes only, so a disk or ball grid has no
+    sigma_plus nodes.
     """
     h, cells = grid_spacing(domain, nodes_per_axis)
-    extent = domain.extent()
-    shape = tuple(int(round(_TORUS_PAD * e / h)) for e in extent)
-    if any(m * h < e + 2 * h for m, e in zip(shape, extent)):
-        raise ConfigurationError("domain does not fit in the padded torus")
-    offsets = np.array([(m - c) // 2 for m, c in zip(shape, cells)])
-    origin = domain.origin() - offsets * h
+    shape = tuple(c + 1 for c in cells)
     planes = np.full((len(shape), 2), -1)
     if domain.box_like:
-        for t, (c, e, off) in enumerate(zip(cells, extent, offsets)):
-            planes[t] = off, (off + c if abs(c * h - e) <= _SNAP * h else -1)
+        for t, (c, e) in enumerate(zip(cells, domain.extent())):
+            planes[t] = 0, (c if abs(c * h - e) <= _SNAP * h else -1)
 
-    block = tuple(c + 1 for c in cells)
-    plane, total = int(np.prod(block[1:])), int(np.prod(block))
+    plane, total = int(np.prod(shape[1:])), int(np.prod(shape))
     step = max(1, _SLAB // plane) * plane
     parts = []  # per slab: interior, sigma_plus and sigma_minus indices, interior distances
     for lo in range(0, total, step):
-        multi = offsets + np.stack(np.unravel_index(np.arange(lo, min(lo + step, total)), block), axis=-1)
-        x = origin + h * multi
+        idx = np.arange(lo, min(lo + step, total))
+        multi = np.stack(np.unravel_index(idx, shape), axis=-1)
+        x = domain.origin() + h * multi
         d_slab = _distance_to_boundary(domain, x)
         on_boundary = d_slab <= _SNAP * h
         inside = domain.contains(x) & ~on_boundary
@@ -170,14 +162,12 @@ def build_grid(domain: DomainSpec, nodes_per_axis: int) -> Grid:
                 axis = "xyz".index(face[0])
                 on_other = np.delete(on_plane, axis, axis=1).any(axis=1)
                 splus |= on_boundary & hits[:, axis, int(face[1] == "+")] & ~on_other
-        idx = np.ravel_multi_index(multi.T, shape)  # ascending: the block's C order is the torus's
         parts.append((idx[inside], idx[splus], idx[on_boundary & ~splus], d_slab[inside]))
     interior_idx, sigma_plus_idx, sigma_minus_idx, d = (np.concatenate(p) for p in zip(*parts))
     return Grid(
         domain=domain,
         h=h,
         shape=shape,
-        origin=origin,
         planes=planes,
         interior_idx=interior_idx,
         sigma_plus_idx=sigma_plus_idx,
@@ -246,20 +236,6 @@ class OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_entries(coeffs: SecondOrderCoeffs, x_mid: np.ndarray, i: int) -> np.ndarray:
-    """a_ii sampled at edge midpoints (vectorized over x_mid rows).
-
-    A variable coefficient with a nonzero cross entry at any of them
-    raises ConfigurationError: cross terms enter only as constants.
-    """
-    if coeffs.constant:
-        return np.full(x_mid.shape[0], coeffs.a[i, i])
-    mats = coeffs.a_batch(x_mid)
-    if mats[:, ~np.eye(coeffs.n, dtype=bool)].any():
-        raise ConfigurationError("variable cross-derivative coefficients are not supported")
-    return mats[:, i, i]
-
-
 def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=None, a0=0.0) -> OperatorMatrix:
     """Symmetric realization of -div(a grad u) + a0 u on the grid.
 
@@ -269,19 +245,18 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
     with sigma_plus nodes.  a0 and sigma are numbers.
 
     The form is summed over the closure nodes (interior and boundary) in
-    ascending torus index, and one neighbour rule serves both boundary
-    conditions: the closure position of node + offset, taken modulo the
-    torus, or -1 outside the closure.  The padding of build_grid keeps the
-    closure of a bounded domain from wrapping.  A dual cell on a face
-    plane (Grid.planes) is halved once per plane: edges along the plane,
-    cross cells in it, node volumes.
+    ascending block index, and one neighbour rule serves both boundary
+    conditions: the closure position of node + offset, or -1 where that
+    lies outside the block or the closure.  A dual cell on a face plane
+    (Grid.planes) is halved once per plane: edges along the plane, cross
+    cells in it, node volumes.
 
-    Diagonal coefficients may vary over the domain (edge-midpoint
-    sampling); cross coefficients enter through the diagonal-difference
-    form per grid cell and must be constant, which is checked at every
-    edge midpoint.
+    The coefficients are constant; cross coefficients enter through the
+    diagonal-difference form per grid cell.
     """
     n, h = grid.n, grid.h
+    if not coeffs.constant:
+        raise ConfigurationError("assemble_second_order takes constant coefficients only")
     if bc not in ("dirichlet", "mixed"):
         raise ConfigurationError(f"unknown boundary condition {bc!r}")
     if bc == "mixed" and sigma is None:
@@ -303,13 +278,14 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
         }
     closure = np.sort(np.concatenate([grid.interior_idx, grid.boundary_idx]))
     multi = np.stack(np.unravel_index(closure, grid.shape), axis=-1)
-    x = grid.origin + h * multi
     on_plane = _plane_hits(grid.planes, multi).any(axis=2)
 
     def neighbour(offset):
-        t = np.ravel_multi_index(((multi + offset) % grid.shape).T, grid.shape)
+        step = multi + offset
+        inside = ((step >= 0) & (step < grid.shape)).all(axis=1)
+        t = np.ravel_multi_index(np.where(inside, step.T, 0), grid.shape)
         p = np.minimum(np.searchsorted(closure, t), closure.size - 1)
-        return np.where(closure[p] == t, p, -1)
+        return np.where(inside & (closure[p] == t), p, -1)
 
     rows, cols, vals = [], [], []
 
@@ -324,21 +300,19 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
         k = np.flatnonzero(nb >= 0)
         l = nb[k]
         frac = 0.5 ** np.delete(on_plane[k], axis, axis=1).sum(axis=1)
-        mid = 0.5 * (x[k] + x[l])
-        add_edges(k, l, h ** (n - 2) * frac * _diagonal_entries(coeffs, mid, axis))
+        add_edges(k, l, h ** (n - 2) * frac * coeffs.a[axis, axis])
 
-    if coeffs.constant:
-        # diagonal-difference edges along e_i + e_j and e_i - e_j over each closure cell
-        for i in range(n):
-            for j in range(i + 1, n):
-                aij = coeffs.a[i, j]
-                if aij == 0.0:
-                    continue
-                c10, c01, c11 = neighbour(unit[i]), neighbour(unit[j]), neighbour(unit[i] + unit[j])
-                cell = np.flatnonzero((c10 >= 0) & (c01 >= 0) & (c11 >= 0))
-                half = 0.5 ** np.delete(on_plane[cell], (i, j), axis=1).sum(axis=1)
-                for sgn, k, l in ((1, cell, c11[cell]), (-1, c01[cell], c10[cell])):
-                    add_edges(k, l, np.full(k.size, sgn * aij * 0.5 * h ** (n - 2)) * half)
+    # diagonal-difference edges along e_i + e_j and e_i - e_j over each closure cell
+    for i in range(n):
+        for j in range(i + 1, n):
+            aij = coeffs.a[i, j]
+            if aij == 0.0:
+                continue
+            c10, c01, c11 = neighbour(unit[i]), neighbour(unit[j]), neighbour(unit[i] + unit[j])
+            cell = np.flatnonzero((c10 >= 0) & (c01 >= 0) & (c11 >= 0))
+            half = 0.5 ** np.delete(on_plane[cell], (i, j), axis=1).sum(axis=1)
+            for sgn, k, l in ((1, cell, c11[cell]), (-1, c01[cell], c10[cell])):
+                add_edges(k, l, np.full(k.size, sgn * aij * 0.5 * h ** (n - 2)) * half)
 
     # zero-order and Robin terms (node volumes, boundary fractions)
     diag = np.zeros(closure.size)
@@ -368,11 +342,12 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
 # ---------------------------------------------------------------------------
 
 
-def _multiplier_values(coeffs: SecondOrderCoeffs, grid: Grid) -> np.ndarray:
-    """The quadratic form xi . A xi of constant coefficients A on the torus frequency lattice."""
+def _multiplier_values(coeffs: SecondOrderCoeffs, torus: tuple, h: float) -> np.ndarray:
+    """The quadratic form xi . A xi of constant coefficients A on the frequency lattice of a torus of spacing h."""
     if not coeffs.constant:
         raise ConfigurationError("multiplier path needs constant coefficients")
-    xi = np.stack(np.meshgrid(*grid.frequencies(), indexing="ij"), axis=-1)
+    freqs = [2.0 * np.pi * np.fft.fftfreq(m, d=h) for m in torus]
+    xi = np.stack(np.meshgrid(*freqs, indexing="ij"), axis=-1)
     return np.einsum("...i,ij,...j->...", xi, coeffs.a, xi)
 
 
@@ -518,8 +493,12 @@ def _swap_invariant(kern: np.ndarray, classes) -> np.ndarray:
 class RestrictedPowerOperator(spla.LinearOperator):
     """Matrix-free r+ P_a e+ for P = -div(A grad), A the constant coefficients.
 
-    The multiplier xi . A xi of P is evaluated once, on the torus
-    frequency lattice, and raised to the power a; both forms of the
+    The operator owns the periodic embedding: the grid's bounding block
+    sits in the middle of a torus (torus, its shape) of _TORUS_PAD times
+    the domain's extent per axis, at offsets (torus - cells) // 2, and
+    interior holds the interior nodes' flat torus indices.  The
+    multiplier xi . A xi of P is evaluated once, on the torus frequency
+    lattice, and raised to the power a; both forms of the
     operator come from that one array.  Products use its even part on the
     half lattice: zero extension, transforms and restriction (circulant
     embedding: Chan & Jin, An Introduction to Iterative Toeplitz Solvers,
@@ -537,16 +516,21 @@ class RestrictedPowerOperator(spla.LinearOperator):
     def __init__(self, coeffs: SecondOrderCoeffs, a: float, grid: Grid):
         if not 0.0 < a < np.inf:  # NaN fails the comparison
             raise ValueError("fractional exponent a must be finite and positive")
-        idx = grid.interior_idx
+        h, extent = grid.h, grid.domain.extent()
+        torus = tuple(int(round(_TORUS_PAD * e / h)) for e in extent)
+        if any(m * h < e + 2 * h for m, e in zip(torus, extent)):
+            raise ConfigurationError("domain does not fit in the padded torus")
+        offsets = (np.array(torus) - (np.array(grid.shape) - 1)) // 2  # (torus - cells) // 2 per axis
+        multi = offsets + np.stack(np.unravel_index(grid.interior_idx, grid.shape), axis=-1)
+        idx = np.ravel_multi_index(multi.T, torus)  # ascending: the block's C order is the torus's
         super().__init__(np.float64, (idx.size, idx.size))
-        vals = _multiplier_values(coeffs, grid)
+        vals = _multiplier_values(coeffs, torus, h)
         if vals.min() < -1e-10 * max(vals.max(), 1.0):  # an indefinite form
             raise NotPositiveError("multiplier takes negative values on the frequency lattice")
         self._vals_pow = np.clip(vals, 0.0, None) ** a
         even = 0.5 * (self._vals_pow + _reflect(self._vals_pow, tuple(range(grid.n))))
-        self.symbol = np.ascontiguousarray(even[..., : grid.shape[-1] // 2 + 1])
-        self.coeffs, self.a, self.grid, self.interior = coeffs, a, grid, idx
-        multi = np.stack(np.unravel_index(idx, grid.shape), axis=-1)
+        self.symbol = np.ascontiguousarray(even[..., : torus[-1] // 2 + 1])
+        self.coeffs, self.a, self.grid, self.torus, self.interior = coeffs, a, grid, torus, idx
         corner = multi.min(axis=0)
         lengths = multi.max(axis=0) - corner + 1
         # (torus multi-index of the low corner, nodes per axis) of the interior, or None if it is no tensor block
@@ -565,8 +549,8 @@ class RestrictedPowerOperator(spla.LinearOperator):
 
     def toarray(self) -> np.ndarray:
         """The dense m x m matrix: the kernel read at the offsets between interior nodes."""
-        multi = np.stack(np.unravel_index(self.interior, self.grid.shape), axis=-1)
-        return _kernels.toeplitz_gather(self._kernel.ravel(), multi, self.grid.shape)
+        multi = np.stack(np.unravel_index(self.interior, self.torus), axis=-1)
+        return _kernels.toeplitz_gather(self._kernel.ravel(), multi, self.torus)
 
     def parity_split(self) -> ParitySplit | None:
         """The reflection-parity blocks of the operator, or None when it does not split.
@@ -632,7 +616,7 @@ class RestrictedPowerOperator(spla.LinearOperator):
         return spla.LinearOperator(self.shape, matvec=apply, matmat=apply, dtype=np.float64)
 
     def _matmat(self, X):
-        return _kernels.restricted_power_apply(self.symbol, self.interior, self.grid.shape, X)
+        return _kernels.restricted_power_apply(self.symbol, self.interior, self.torus, X)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ kernels within 4 eps of each other.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -294,20 +293,12 @@ def _elliptic_quantities(red, xips):
     return ann, b, c, a_prime
 
 
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    """The (n, n) identity, built once per n and read-only."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
 def _check_frames(frames, shape: tuple) -> np.ndarray:
     """Frames of the given shape, (n, n) or (N, n, n), whose columns are orthonormal to _FRAME_TOL."""
     frames = np.asarray(frames, dtype=float)
     if frames.shape != shape:
         raise ValueError(f"frame must be an {shape[-2:]} matrix with columns = frame vectors")
-    if not abs(frames.swapaxes(-1, -2) @ frames - _identity(shape[-1])).max() <= _FRAME_TOL:  # a NaN fails too
+    if not abs(frames.swapaxes(-1, -2) @ frames - np.eye(shape[-1])).max() <= _FRAME_TOL:  # a NaN fails too
         raise ValueError("frame columns must be orthonormal")
     return frames
 

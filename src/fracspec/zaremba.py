@@ -594,7 +594,7 @@ def separable_face(coeffs: SecondOrderCoeffs, sigma, domain) -> bool:
 
 def _face_cells(domain, nodes: int):
     """Spacing and cells per axis (grid_spacing, as build_grid), the free face's normal axis
-    and its tangential axes, without building the torus grid."""
+    and its tangential axes, without building the grid."""
     h, cells = grid_spacing(domain, nodes)
     normal = "xyz".index(domain.sigma_plus[0][0])
     return h, cells, normal, [t for t in range(len(cells)) if t != normal]
@@ -700,9 +700,8 @@ def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r:
     A grid domain takes the assembled route, the only
     one that certifies the Krein identity, while M (N = n_I + n_B on
     build_grid(domain, nodes)) fits under eig.DENSE_CAP.  Past the cap,
-    separable inputs take the face modes, which need no grid (the torus grid of a
-    fine box is the largest object of the run), and any other input raises
-    NumericError.  Both refusals come before any assembly.
+    separable inputs take the face modes, which need no grid, and any other
+    input raises NumericError.  Both refusals come before any assembly.
     """
     if domain.kind == "disk":
         if not np.array_equal(coeffs.a, np.eye(2)):

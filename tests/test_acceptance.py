@@ -274,8 +274,9 @@ def test_criterion_05_weyl_law_variable_route():
     # 64^2 torus; the fitted constant must match the quadrature prediction.
     co = SecondOrderCoeffs(n=2, a=np.diag([1.0, 4.0]))
     g = build_grid(DomainSpec.unit_square(), 32)
-    dense = torus_matrix(co, g)
-    lam = np.sort(sla.eigvalsh(dense_power(dense, 0.5, g.interior_idx)))
+    op = RestrictedPowerOperator(co, 0.5, g)  # the torus and the interior's torus indices
+    dense = torus_matrix(co, op.torus, g.h)
+    lam = np.sort(sla.eigvalsh(dense_power(dense, 0.5, op.interior)))
     target = weyl_constant_dirichlet(
         PrincipalSymbol.from_coeffs(co, 0.5), DomainSpec.unit_square()
     ).meta["companion_C"]  # (8 pi)^{1/2}

@@ -75,6 +75,12 @@ class TestWorkedExamples:
         rows = report_lines(tmp_path, "weyl-const")
         assert float(rows["constant"]) == pytest.approx(1 / (8 * np.pi), rel=1e-10)
 
+    def test_interface_constant_reads_the_disk_arc(self, tmp_path):
+        # the free arc that a Dirichlet problem refuses is the interface constants' input: c_L = |arc| / pi
+        assert run(["weyl-const", "--which", "interface-l", "--domain", "disk", "--arc", "0.5,1.0"], tmp_path) == 0
+        rows = report_lines(tmp_path, "weyl-const")
+        assert float(rows["constant"]) == pytest.approx(0.5 / np.pi, rel=1e-12)
+
     def test_symbol_check_console_floor(self, tmp_path, capsys):
         rc = run(
             ["symbol-check", "--coeffs", "identity", "--n", "3",
@@ -385,6 +391,13 @@ _CONSTRAINT_CASES = [
      "operator.kind applies to --which dirichlet only, not interface-m"),
     (["weyl-const", "--which", "interface-m", "--a", "0.5", "--domain", "ball"],
      "operator.a applies to --which dirichlet only, not interface-m"),
+    # a Dirichlet problem has no free boundary for domain.arc or domain.cap to place
+    (["spectrum", "--domain", "disk", "--nodes", "16", "--a", "0.5", "--count", "3", "--arc", "0.5,1.0"],
+     "domain.arc places the free boundary, which the Dirichlet problem does not have"),
+    (["boundary-exp", "--domain", "ball", "--nodes", "12", "--cap", "0.2"],
+     "domain.cap places the free boundary, which the Dirichlet problem does not have"),
+    (["weyl-const", "--domain", "disk", "--arc", "0.5,1.0"],
+     "domain.arc places the free boundary, which the Dirichlet problem does not have"),
     # coefficient and --n dimensions against the domain's
     (["zaremba", "--domain", "box", "--coeffs", "diag:1,2", "--nodes", "64"],
      "coefficients 'diag:1,2' are 2-dimensional, but the box domain is 3-dimensional"),

@@ -4,9 +4,9 @@ Two contrast objects live here, since only tests use them: a
 boundary-fitted polar disk grid with its form-unit Laplacian (the
 assembled oracle of the disk mode route in zaremba, imported by
 test_zaremba), and the dense fractional power of a matrix by
-eigendecomposition, on the whole torus matrix of a coefficient form (the
-oracle of RestrictedPowerOperator and the route of criterion 05,
-imported by test_acceptance).
+eigendecomposition, on the whole matrix of a coefficient form on the
+torus of a RestrictedPowerOperator (the operator's oracle and the route
+of criterion 05, imported by test_acceptance).
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,6 @@ from scipy.special import jn_zeros
 
 from fracspec._kernels import toeplitz_gather
 from fracspec.discretize import (
-    Grid,
     OperatorMatrix,
     RestrictedPowerOperator,
     _distance_to_boundary,
@@ -195,11 +194,11 @@ def assemble_polar_laplacian(grid: PolarDiskGrid, sigma: float = 0.0) -> Operato
 # ---------------------------------------------------------------------------
 
 
-def torus_matrix(coeffs: SecondOrderCoeffs, grid: Grid) -> np.ndarray:
-    """Dense torus matrix of the multiplier xi . A xi: its even torus kernel read at every pair of torus nodes."""
-    kern = _even_kernel(_multiplier_values(coeffs, grid))
-    multi = np.stack(np.unravel_index(np.arange(grid.size), grid.shape), axis=-1)
-    return toeplitz_gather(kern.ravel(), multi, grid.shape)
+def torus_matrix(coeffs: SecondOrderCoeffs, torus: tuple, h: float) -> np.ndarray:
+    """Dense matrix of the multiplier xi . A xi on a torus of spacing h: its even kernel read at every pair of nodes."""
+    kern = _even_kernel(_multiplier_values(coeffs, torus, h))
+    multi = np.stack(np.unravel_index(np.arange(kern.size), torus), axis=-1)
+    return toeplitz_gather(kern.ravel(), multi, torus)
 
 
 def dense_power(base, a: float, interior=None) -> np.ndarray:
@@ -208,8 +207,9 @@ def dense_power(base, a: float, interior=None) -> np.ndarray:
     base is dense, or has toarray().  Its power is V diag(w^a) V^T from
     one eigendecomposition, rounding below 0 in w clipped, formed as
     F F^T with F = V diag(w^(a/2)), so it is symmetric bit for bit.  On
-    torus_matrix(coeffs, grid) and grid.interior_idx this is r+ P_a e+ by
-    the slow generic route, against RestrictedPowerOperator's transforms.
+    torus_matrix(coeffs, op.torus, h) and op.interior, op a
+    RestrictedPowerOperator on a grid of spacing h, this is r+ P_a e+ by
+    the slow generic route, against the operator's transforms.
     """
     w, V = sla.eigh(base.toarray() if hasattr(base, "toarray") else base)
     F = V * np.clip(w, 0.0, None) ** (0.5 * a)
@@ -225,7 +225,7 @@ def dense_power(base, a: float, interior=None) -> np.ndarray:
 class TestBuildGrid:
     def test_interval_counts(self):
         g = build_grid(DomainSpec.unit_interval(), 16)
-        assert g.shape == (32,)
+        assert g.shape == (17,)
         assert g.interior_idx.size == 15
         # x- face is Sigma+, the other endpoint falls to Sigma-
         assert g.sigma_plus_idx.size == 1
@@ -234,7 +234,7 @@ class TestBuildGrid:
 
     def test_square_counts(self):
         g = build_grid(DomainSpec.unit_square(sigma_plus=("y-",)), 16)
-        assert g.shape == (32, 32)
+        assert g.shape == (17, 17)
         assert g.interior_idx.size == 15 * 15
         assert g.sigma_plus_idx.size == 15
         # three remaining open faces plus four corners
@@ -254,8 +254,8 @@ class TestBuildGrid:
         assert abs(area - np.pi) / np.pi < 0.03
 
     def test_node_sets_partition_torus(self):
-        # the node sets are disjoint and ascending, and every other node of the whole torus (only the
-        # bounding block is classified) lies outside the closed domain
+        # the node sets are disjoint and ascending, and every other node of the bounding block lies outside
+        # the closed domain: the block's corners of the disk and the ball, no node of the square and rectangle
         for domain in (DomainSpec.unit_square(), DomainSpec("rectangle", lengths=(1.0, 0.53)),
                        DomainSpec.disk(), DomainSpec.ball()):
             g = build_grid(domain, 12)
@@ -264,8 +264,9 @@ class TestBuildGrid:
             closure = np.concatenate(sets)
             assert np.unique(closure).size == closure.size
             rest = g.points(np.setdiff1d(np.arange(g.size), closure))
+            assert (rest.shape[0] > 0) == (not domain.box_like)
             assert not domain.contains(rest).any()
-            assert _distance_to_boundary(domain, rest).min() > 1e-9 * g.h
+            assert _distance_to_boundary(domain, rest).min(initial=np.inf) > 1e-9 * g.h
             assert g.d.shape == g.interior_idx.shape and np.isfinite(g.d).all()
 
     def test_distance_field(self):
@@ -335,34 +336,14 @@ class TestAssembly:
         assert sla.eigvalsh(d).min() >= -1e-12
         assert np.any(d > 0)
 
-    def test_variable_diagonal_coefficient(self):
-        # -(c(x) u')' with c(x) = 1 + x; assembled entries are edge-midpoint samples
-        g = build_grid(DomainSpec.unit_interval(), 16)
-        coeffs = SecondOrderCoeffs(n=1, a=lambda x: np.array([[1.0 + float(np.atleast_1d(x)[0])]]))
-        A = assemble_second_order(coeffs, g, bc="dirichlet")
-        h = g.h
-        x = g.points(g.interior_idx)[:, 0]
-        Ad = A.toarray()
-        c_right = 1.0 + (x + 0.5 * h)
-        assert np.allclose(np.diag(Ad, 1), -c_right[:-1] / h**2, rtol=1e-12)
-
-    def test_variable_cross_rejected(self):
+    def test_callable_coefficients_rejected(self):
+        # the assembly takes constant coefficients only: a callable is refused before anything is sampled,
+        # whether it varies on the diagonal, off it, or nowhere
         g = build_grid(DomainSpec.unit_square(), 8)
-        coeffs = SecondOrderCoeffs(n=2, a=lambda x: np.array([[2.0, x[0]], [x[0], 2.0]]))
-        with pytest.raises(ConfigurationError):
-            assemble_second_order(coeffs, g, bc="dirichlet")
-
-    def test_local_variable_cross_rejected(self):
-        # a cross coefficient on a small disk between sample nodes: every edge
-        # midpoint is checked, so it cannot be dropped silently
-        g = build_grid(DomainSpec.unit_square(), 16)
-
-        def a(x):
-            c = 0.5 if np.hypot(x[0] - 0.25, x[1] - 0.75) < 0.07 else 0.0
-            return np.array([[2.0, c], [c, 2.0]])
-
-        with pytest.raises(ConfigurationError, match="cross-derivative"):
-            assemble_second_order(SecondOrderCoeffs(n=2, a=a), g, bc="dirichlet")
+        for a in (lambda x: np.diag([1.0 + x[0], 2.0]), lambda x: np.array([[2.0, x[0]], [x[0], 2.0]]),
+                  lambda x: 2.0 * np.eye(2)):
+            with pytest.raises(ConfigurationError, match="assemble_second_order takes constant coefficients only"):
+                assemble_second_order(SecondOrderCoeffs(n=2, a=a), g, bc="dirichlet")
 
     def test_cross_term_interior_stencil(self):
         # constant a12: interior stencil couples diagonal neighbours with -a12/(2h^2)
@@ -385,6 +366,17 @@ class TestAssembly:
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
         A = assemble_second_order(SecondOrderCoeffs(n=2, a=a), g, bc="dirichlet")
         assert sla.eigvalsh(A.toarray()).min() > 0.0
+
+    @pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 0.53)], ids=["square", "rectangle"])
+    def test_neighbours_do_not_wrap(self, lengths):
+        # every face free and a cross term: each entry couples nodes at most one block index apart along every
+        # axis, so no neighbour wraps from a high face of the block to its low face
+        g = build_grid(DomainSpec("rectangle", lengths=lengths, sigma_plus=("x-", "x+", "y-", "y+")), 12)
+        A = assemble_second_order(SecondOrderCoeffs(n=2, a=np.array([[2.0, 0.5], [0.5, 1.0]])), g, bc="mixed",
+                                  sigma=0.0)
+        coo = A.matrix.tocoo()
+        multi = np.stack(np.unravel_index(A.meta["node_ids"], g.shape), axis=-1)
+        assert coo.nnz and np.abs(multi[coo.row] - multi[coo.col]).max() == 1
 
     def test_box_face_halving_is_a_kron_sum(self):
         # free z- face, in-face cross term: the form separates into
@@ -463,19 +455,23 @@ class TestFractional:
 
     def test_whole_torus_eigenvalues_are_multiplier_powers(self):
         g = build_grid(DomainSpec.unit_interval(), 16)
-        R = dense_power(torus_matrix(SecondOrderCoeffs(1, [[2.0]]), g), 1.5)
+        coeffs = SecondOrderCoeffs(1, [[2.0]])
+        torus = RestrictedPowerOperator(coeffs, 1.5, g).torus
+        R = dense_power(torus_matrix(coeffs, torus, g.h), 1.5)
         w = np.sort(sla.eigvalsh(R))
-        xi = g.frequencies()[0]
+        xi = 2.0 * np.pi * np.fft.fftfreq(torus[0], d=g.h)
         expect = np.sort((2.0 * xi**2) ** 1.5)
         assert np.allclose(w, expect, rtol=1e-10)
 
     def test_restricted_below_spectral(self):
-        # half-circle restriction of the 1D periodic Laplacian
+        # half-circle restriction of the 1D periodic Laplacian on the operator's torus, twice the interval
         g = build_grid(DomainSpec.unit_interval(), 64)
-        column = np.zeros(g.size)
+        op = RestrictedPowerOperator(laplacian(1), 0.5, g)
+        assert op.torus == (128,)
+        column = np.zeros(op.torus[0])
         column[[0, 1, -1]] = 2.0, -1.0, -1.0
         Ap = sla.circulant(column) / g.h**2
-        Rr = dense_power(Ap, 0.5, g.interior_idx)
+        Rr = dense_power(Ap, 0.5, op.interior)
         Ad = assemble_second_order(laplacian(1), g, bc="dirichlet")
         Rs = dense_power(Ad, 0.5)
         wr = sla.eigvalsh(Rr)
@@ -487,7 +483,7 @@ class TestFractional:
         g = build_grid(DomainSpec.unit_interval(), 16)
         coeffs = SecondOrderCoeffs(1, [[2.0]])
         Rfast = RestrictedPowerOperator(coeffs, 1.0, g)
-        Rdense = dense_power(torus_matrix(coeffs, g), 1.0, g.interior_idx)
+        Rdense = dense_power(torus_matrix(coeffs, Rfast.torus, g.h), 1.0, Rfast.interior)
         assert np.abs(Rfast.toarray() - Rdense).max() < 1e-10
 
     def test_restricted_positive_definite(self):
@@ -501,10 +497,11 @@ class TestFractional:
         # ordered eigenvalues of the restriction to a LARGER node set sit
         # below those of the smaller set (minimax over a larger trial space)
         g = build_grid(DomainSpec.unit_square(), 8)
-        small = g.interior_idx[: g.interior_idx.size // 2]
-        dense = torus_matrix(laplacian(2), g)
+        op = RestrictedPowerOperator(laplacian(2), 0.5, g)
+        small = op.interior[: op.interior.size // 2]
+        dense = torus_matrix(laplacian(2), op.torus, g.h)
         w_small = np.sort(sla.eigvalsh(dense_power(dense, 0.5, small)))
-        w_big = np.sort(sla.eigvalsh(dense_power(dense, 0.5, g.interior_idx)))
+        w_big = np.sort(sla.eigvalsh(dense_power(dense, 0.5, op.interior)))
         assert np.all(w_big[: w_small.size] <= w_small + 1e-10)
 
     def test_negative_multiplier_rejected(self):

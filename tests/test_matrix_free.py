@@ -256,6 +256,36 @@ def test_torus_kernel_has_one_owner():
     assert callers == []
 
 
+def test_periodic_embedding_has_one_owner():
+    # the periodic embedding (its pad and its frequency lattice) is read only where the restricted power is
+    # built; grids index the domain's bounding block and carry no frequencies
+    owners = {"RestrictedPowerOperator", "_multiplier_values"}
+    readers = []
+    for top in ast.parse(pathlib.Path(discretize.__file__).read_text()).body:
+        if getattr(top, "name", None) in owners:
+            continue
+        readers += [f"discretize.py:{node.lineno}" for node in ast.walk(top)
+                    if isinstance(getattr(node, "ctx", None), ast.Load)  # not the pad's own definition
+                    and getattr(node, "id", getattr(node, "attr", None)) in ("_TORUS_PAD", "fftfreq")]
+    assert readers == []
+    assert not hasattr(discretize.Grid, "frequencies")
+
+
+@pytest.mark.parametrize("domain, nodes, torus", [
+    (DomainSpec.unit_interval(), 16, (32,)),
+    (DomainSpec.unit_square(), 16, (32, 32)),
+    (DomainSpec("rectangle", lengths=(1.0, 0.53)), 12, (24, 13)),
+    (DomainSpec.disk(), 24, (48, 48)),
+    (DomainSpec.ball(), 10, (20, 20, 20)),
+], ids=["interval", "square", "rectangle", "disk", "ball"])
+def test_torus_shape(domain, nodes, torus):
+    # twice the domain's extent per axis, in whole cells; the grid itself is the bounding block
+    grid = build_grid(domain, nodes)
+    op = RestrictedPowerOperator(SecondOrderCoeffs.laplacian(domain.n), 0.5, grid)
+    assert op.torus == torus
+    assert grid.shape == tuple(int(round(e / grid.h)) + 1 for e in domain.extent())
+
+
 def test_discretize_imports_nothing_from_eig():
     # grids and operators sit below the eigensolvers: eig takes discretize's operators as input, and discretize
     # calls no eigensolver
