@@ -338,12 +338,29 @@ class TestAssembly:
 
     def test_callable_coefficients_rejected(self):
         # the assembly takes constant coefficients only: a callable is refused before anything is sampled,
-        # whether it varies on the diagonal, off it, or nowhere
+        # whether it varies on the diagonal or nowhere
         g = build_grid(DomainSpec.unit_square(), 8)
-        for a in (lambda x: np.diag([1.0 + x[0], 2.0]), lambda x: np.array([[2.0, x[0]], [x[0], 2.0]]),
-                  lambda x: 2.0 * np.eye(2)):
+        for a in (lambda x: np.diag([1.0 + x[0], 2.0]), lambda x: 2.0 * np.eye(2)):
             with pytest.raises(ConfigurationError, match="assemble_second_order takes constant coefficients only"):
                 assemble_second_order(SecondOrderCoeffs(n=2, a=a), g, bc="dirichlet")
+
+    def test_variable_cross_rejected(self):
+        g = build_grid(DomainSpec.unit_square(), 8)
+        coeffs = SecondOrderCoeffs(n=2, a=lambda x: np.array([[2.0, x[0]], [x[0], 2.0]]))
+        with pytest.raises(ConfigurationError, match="assemble_second_order takes constant coefficients only"):
+            assemble_second_order(coeffs, g, bc="dirichlet")
+
+    def test_local_variable_cross_rejected(self):
+        # a cross coefficient on a small disk between sample nodes cannot be dropped silently:
+        # the callable is refused at entry, whatever it returns at the nodes
+        g = build_grid(DomainSpec.unit_square(), 16)
+
+        def a(x):
+            c = 0.5 if np.hypot(x[0] - 0.25, x[1] - 0.75) < 0.07 else 0.0
+            return np.array([[2.0, c], [c, 2.0]])
+
+        with pytest.raises(ConfigurationError, match="assemble_second_order takes constant coefficients only"):
+            assemble_second_order(SecondOrderCoeffs(n=2, a=a), g, bc="dirichlet")
 
     def test_cross_term_interior_stencil(self):
         # constant a12: interior stencil couples diagonal neighbours with -a12/(2h^2)
