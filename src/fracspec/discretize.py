@@ -21,6 +21,12 @@ boundary conditions.  schur_split is the one Schur complement: its
 extension map K and interface S are the discrete Poisson extension and,
 weighted by the boundary measure, the discrete Dirichlet-to-Neumann
 operator of the Krein assembly (zaremba.KreinAssembly.K and L_weighted).
+A sparse interior block is eliminated over the breadth-first levels of
+its graph from the free boundary, in which any sparse matrix is block
+tridiagonal (George & Liu, Computer Solution of Large Sparse Positive
+Definite Systems, 1981, ch. 4): one sweep of dense LU factors and
+products, block by block from the far end, the block form of
+zaremba.chain_schur's per-mode sweep.
 
 Unit conventions
 ----------------
@@ -41,6 +47,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import _kernels
 from .errors import ConfigurationError, InvariantError, NotPositiveError, NumericError
@@ -51,6 +59,7 @@ PARITY_DEFECT = 1e-12  # largest relative kernel defect ParitySplit accepts
 _SNAP = 1e-9  # relative to h; boundary-hit tolerance
 _TORUS_PAD = 2.0  # torus extent over domain extent, per axis, of the periodic embedding
 _SLAB = 1 << 16  # bounding-block nodes build_grid classifies at a time, rounded to whole planes
+_LEVEL_BLOCK = 32  # fewest nodes in one block of schur_split's level sweep
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +638,11 @@ def schur_split(mat, I, B):
 
     mat is dense or sparse.  Returns K = -A_II^{-1} A_IB and the
     symmetrized S = A_BB + A_IB^T K; an empty B gives an (nI, 0) K and a
-    (0, 0) S.  A sparse A_II is LU-factored under the minimum-degree
-    ordering of A_II + A_II^T, which suits its symmetric pattern (half
-    the fill of COLAMD on the 16-layer box).  A singular interior block
-    raises NumericError.
+    (0, 0) S.  A sparse A_II is eliminated by level blocks from the
+    interior rows that A_IB touches (_level_sweep); a dense one goes
+    through scipy.linalg.solve, the oracle of that sweep.  A_IB^T K is
+    summed over the touched rows only, where A_IB is nonzero.  A singular
+    interior block raises NumericError.
     """
     I = np.asarray(I, dtype=int)
     B = np.asarray(B, dtype=int)
@@ -640,19 +650,103 @@ def schur_split(mat, I, B):
         return np.zeros((I.size, 0)), np.zeros((0, 0))
     if sp.issparse(mat):
         mat = mat.tocsr()
-        A_II, A_IB, A_BB = mat[I][:, I].tocsc(), mat[I][:, B].toarray(), mat[B][:, B].toarray()
+        rows = mat[I]
+        A_II, A_IB, A_BB = rows[:, I], rows[:, B].toarray(), mat[B][:, B].toarray()
     else:
         mat = np.asarray(mat, dtype=float)
         A_II, A_IB, A_BB = mat[np.ix_(I, I)], mat[np.ix_(I, B)], mat[np.ix_(B, B)]
-    try:
-        if sp.issparse(A_II):
-            lu = spla.splu(A_II, permc_spec="MMD_AT_PLUS_A")
-            K = -lu.solve(A_IB) if np.abs(lu.U.diagonal()).min() > 1e-300 else None
-        else:
+    touched = np.flatnonzero(A_IB.any(axis=1))
+    if sp.issparse(A_II):
+        K = _level_sweep(A_II, A_IB, touched)
+    else:
+        try:
             K = -scipy.linalg.solve(A_II, A_IB, assume_a="sym")
-    except (RuntimeError, scipy.linalg.LinAlgError) as exc:
-        raise NumericError(f"interior block solve failed (missing positivity shift?): {exc}") from exc
-    if K is None:
-        raise NumericError("singular interior block; apply a positivity shift")
-    S = A_BB + _kernels.gemm(A_IB.T, K)  # on scipy's BLAS, as the solve above (see _kernels)
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericError(f"interior block solve failed (missing positivity shift?): {exc}") from exc
+    # on scipy's BLAS, as the solves above (see _kernels)
+    S = A_BB + _kernels.gemm(A_IB[touched].T, K[touched])
     return K, 0.5 * (S + S.T)
+
+
+def _level_sweep(A_II, A_IB, touched):
+    """K = -A_II^{-1} A_IB for a sparse A_II, by block elimination over breadth-first levels.
+
+    Level j holds the interior nodes at graph distance j, in the pattern
+    of A_II + A_II^T, from the touched rows (the rows where A_IB is
+    nonzero), so A_II couples only equal or adjacent levels and is block
+    tridiagonal in level order (George & Liu, Computer Solution of Large
+    Sparse Positive Definite Systems, 1981, ch. 4).  Consecutive levels,
+    from the touched ones outward, are merged into blocks of at least
+    _LEVEL_BLOCK nodes, numbered from the far end: block 0 is the
+    farthest, block `last` holds the touched rows.  One sweep toward B
+    LU-factors each block's Schur complement (dgetrf, row pivoting, so an
+    indefinite but nonsingular interior is solved):
+
+        S_0 = D_0,  X_l = S_l^{-1} A[l, l+1],  S_{l+1} = D_{l+1} - A[l+1, l] X_l,
+
+    and ends with the solve of S_last against A_IB, which is zero outside
+    that block; back-substitution is one product per block,
+    K_l = -X_l K_{l+1}, written into K's rows.  Both off-diagonal blocks
+    are read as they are, neither as the transpose of the other, so a
+    matrix that is not symmetric is solved too.
+    Nodes run by descending level within a block as well, so each
+    block's factor pivots toward B like the sweep; on one long chain
+    this keeps the scalar recursion's accuracy, where pivoting each
+    block from its near side lost a factor 40 on the 2048-node interval.  Each
+    block row of A_II is made dense only when the sweep reaches it, and
+    only the X_l are kept.  Interior nodes that the touched rows do not
+    reach are decoupled from them and have K = 0; their block is still
+    factored, so a singular interior is refused there too (NumericError).
+    """
+    from scipy.sparse import csgraph  # imported here: only this sweep needs it, and its import adds 1 MB to every run
+
+    n = A_II.shape[0]
+    K = np.empty((n, A_IB.shape[1]))
+    pattern = sp.csr_matrix((np.ones(A_II.nnz), A_II.indices, A_II.indptr), shape=A_II.shape)
+    dist = csgraph.dijkstra(pattern, directed=False, indices=touched, unweighted=True, min_only=True) \
+        if touched.size else np.full(n, np.inf)
+    reached = np.isfinite(dist)
+    if not reached.all():
+        unreached = np.flatnonzero(~reached)
+        _factor(A_II[unreached][:, unreached].toarray(order="F"))
+        K[unreached] = 0.0
+    if not reached.any():
+        return K
+    level = dist[reached].astype(int)
+    nodes = np.flatnonzero(reached)[np.argsort(-level, kind="stable")]  # far first
+    cuts = [0]  # levels merged from B outward, then read from the far end
+    for end in np.cumsum(np.bincount(level)):
+        if end - cuts[-1] >= _LEVEL_BLOCK or end == nodes.size:
+            cuts.append(int(end))
+    bounds = [nodes.size - c for c in reversed(cuts)]
+    P = A_II[nodes][:, nodes].tocsr()
+    P.sum_duplicates()
+    row_of = np.repeat(np.arange(nodes.size), np.diff(P.indptr))
+    last = len(bounds) - 2
+    X = []  # X_l = S_l^{-1} A[l, l+1], block 0 the farthest
+    for l in range(last + 1):
+        lo, hi = bounds[l], bounds[l + 1]
+        c0, c1 = bounds[max(l - 1, 0)], bounds[min(l + 2, last + 1)]
+        slab = np.zeros((hi - lo, c1 - c0), order="F")  # block row l: A[l, l-1], D_l, A[l, l+1]
+        a, b = P.indptr[lo], P.indptr[hi]
+        slab[row_of[a:b] - lo, P.indices[a:b] - c0] = P.data[a:b]
+        S = slab[:, lo - c0 : hi - c0]
+        if l:
+            S = dgemm(-1.0, slab[:, : lo - c0], X[-1], beta=1.0, c=S, overwrite_c=True)
+        lu, piv = _factor(S)
+        x, _ = dgetrs(lu, piv, slab[:, hi - c0 :] if l < last else A_IB[nodes[lo:hi]])
+        X.append(x)
+    x = -X.pop()
+    for l in range(last, -1, -1):
+        if l < last:
+            x = dgemm(-1.0, X.pop(), x)
+        K[nodes[bounds[l] : bounds[l + 1]]] = x
+    return K
+
+
+def _factor(D):
+    """LU factor (dgetrf) of a dense block, in place when D is Fortran-ordered; NumericError if singular."""
+    lu, piv, info = dgetrf(D, overwrite_a=True)
+    if info != 0 or not np.abs(np.diagonal(lu)).min() > 1e-300:
+        raise NumericError("singular interior block; apply a positivity shift")
+    return lu, piv

@@ -9,8 +9,11 @@ boundary nodes B = Sigma+,
     M = [K; I] S^{-1} [K; I]^T,
 
 whose nonzero spectrum equals that of S^{-1}(K^T K + I) exactly.  K and
-S come from discretize.schur_split, the one Schur complement: K is the
-discrete Poisson extension, and S in form units over the boundary
+S come from discretize.schur_split, the one Schur complement, which
+eliminates the sparse interior block by breadth-first level blocks from
+the free boundary (George & Liu, Computer Solution of Large Sparse
+Positive Definite Systems, 1981, ch. 4), one dense LU per block: K is
+the discrete Poisson extension, and S in form units over the boundary
 weights h^{n-1} (KreinAssembly.L_weighted) is the discrete DtN operator
 with its sign reversed.  S = R^T R is Cholesky-factored once, so
 M = F F^T with F = [K; I] R^{-1}, and every spectrum of the form
@@ -154,7 +157,8 @@ class KreinAssembly:
         with M Q = F (F^T Q).  rho^2 = tr(Z W Z W), Z and W the 2 n_B x 2 n_B
         matrices of the module docstring: E = F - Q A overwrites F in the
         stacked factor [F | Q] (N x 2 n_B, C-ordered) a row block at a
-        time, W is one product over the whole of it, and the trace is
+        time, W is one symmetric product over the whole of it (dsyrk,
+        _kernels.gram, so W is exactly symmetric), and the trace is
         summed entrywise as sum_ij (Z W)_ij (Z W)_ji, clamped at 0.  The
         cancellations are those of the entries of M - Q B Q^T, in E and in
         A A^T - B; no term of the trace is a product of two O(1) numbers.
@@ -195,7 +199,7 @@ class KreinAssembly:
         A = FtQ.T  # Q^T F
         for lo, hi in blocks:  # E = F - Q A overwrites F in [F | Q]
             FQ[lo:hi, :nB] -= _kernels.gemm(FQ[lo:hi, nB:], A)
-        W = _kernels.gemm(FQ.T, FQ)
+        W = _kernels.gram(FQ)
         del FQ  # so that the 2 n_B x 2 n_B blocks below are not held beside it
         ZW = _kernels.gemm(np.block([[eye, FtQ], [A, _kernels.gemm(A, FtQ) - B]]), W)
         return ritz, float(np.sqrt(max(float((ZW * ZW.T).sum()), 0.0)))

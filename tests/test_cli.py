@@ -239,6 +239,14 @@ class TestPipelines:
         assert rows["rank_bound_ok"] == "True"
         assert (rows["krein_path"], rows["identity_check"]) == ("assembled", "run")
 
+    def test_zaremba_indefinite_interior_answers(self, tmp_path):
+        # shift -30 leaves the square's interior block indefinite (its lowest eigenvalue near
+        # 2 pi^2 - 30) but nonsingular: the Schur split solves it rather than refusing it
+        assert run(["zaremba", "--domain", "square", "--nodes", "16", "--shift", "-30"], tmp_path) == 0
+        rows = report_lines(tmp_path, "zaremba")
+        assert (rows["krein_path"], rows["shift"]) == ("assembled", "-30.0")
+        assert float(rows["identity_mismatch"]) <= 1e-10
+
     def test_zaremba_box_past_cap_takes_face_modes(self, tmp_path):
         # N = 23^3 + 23^2 = 12696 > 8192: M cannot be materialized, the face modes answer
         from fracspec.quadrature import DomainSpec

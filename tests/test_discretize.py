@@ -687,14 +687,97 @@ class TestSchurDtn:
         (DomainSpec.unit_square(), 48, 1.25),
     ], ids=["box12", "square48-robin"])
     def test_sparse_split_matches_dense_solve(self, domain, nodes, sigma):
-        # the minimum-degree sparse LU route against scipy.linalg.solve on the dense blocks
+        # the level-block sweep against scipy.linalg.solve on the dense blocks
         g = build_grid(domain, nodes)
         A = assemble_second_order(laplacian(g.n), g, bc="mixed", sigma=sigma, a0=1.0)
+        assert_split_matches_dense(A.matrix, A.rows("interior"), A.rows("sigma_plus"))
+
+    def test_level_sweep_cross_coefficient_box(self):
+        # cross coefficients couple each level to its neighbours' diagonal neighbours too
+        g = build_grid(DomainSpec.unit_box(), 12)
+        co = SecondOrderCoeffs(n=3, a=np.array([[2.0, 0.5, 0.3], [0.5, 2.0, 0.4], [0.3, 0.4, 1.0]]))
+        A = assemble_second_order(co, g, bc="mixed", sigma=0.5, a0=1.0)
+        assert_split_matches_dense(A.matrix, A.rows("interior"), A.rows("sigma_plus"))
+
+    def test_level_sweep_all_faces_square(self):
+        # the levels are rings closing on the centre
+        _, A = _square_all_faces(48)
+        assert_split_matches_dense(A.matrix, A.rows("interior"), A.rows("sigma_plus"))
+
+    def test_level_sweep_face_patch(self):
+        # a patch of the free face, as krein_term's partition selects it: levels widen as they recede
+        g = build_grid(DomainSpec.unit_box(), 12)
+        A = assemble_second_order(laplacian(3), g, bc="mixed", sigma=0.5, a0=1.0)
+        B = A.rows("sigma_plus")
+        pts = g.points(np.asarray(A.meta["node_ids"])[B])
+        patch = B[(np.abs(pts[:, 0] - 0.5) < 0.2) & (np.abs(pts[:, 1] - 0.5) < 0.2)]
+        assert 0 < patch.size < B.size
+        assert_split_matches_dense(A.matrix, A.rows("interior"), patch)
+
+    def test_level_sweep_interval(self):
+        # 2047 levels of one node each, merged into blocks
+        g = build_grid(DomainSpec.unit_interval(), 2048)
+        A = assemble_second_order(laplacian(1), g, bc="mixed", sigma=0.5, a0=1.0)
+        assert_split_matches_dense(A.matrix, A.rows("interior"), A.rows("sigma_plus"))
+
+    def test_level_sweep_interval_two_free_ends_is_backward_stable(self):
+        # Both ends free: the far block holds the middle, where the two chains meet.  The sweep
+        # and the dense solve are both backward stable, but K is as ill-conditioned as A_II
+        # (cond 1.7e6), and they differ by 1.3e-12 relative (4.6e-13 for the dense solve, 1.3e-12
+        # for the sweep, against an extended-precision solve); the residual is the sharp check.
+        g = build_grid(DomainSpec.unit_interval(sigma_plus=("x-", "x+")), 2048)
+        A = assemble_second_order(laplacian(1), g, bc="mixed", sigma=0.5, a0=1.0)
         I, B = A.rows("interior"), A.rows("sigma_plus")
-        K, S = schur_split(A.matrix, I, B)
-        K_d, S_d = schur_split(A.matrix.toarray(), I, B)
-        assert np.abs(K - K_d).max() <= 1e-13 * np.abs(K_d).max()
-        assert np.abs(S - S_d).max() <= 1e-13 * np.abs(S_d).max()
+        M = A.matrix.tocsr()
+        A_II, A_IB = M[I][:, I], M[I][:, B].toarray()
+        K, _ = schur_split(M, I, B)
+        scale = abs(A_II).sum(axis=1).max() * np.abs(K).max()
+        assert np.abs(A_II @ K + A_IB).max() <= 1e-14 * scale
+        K_d, _ = schur_split(M.toarray(), I, B)
+        assert np.abs(K - K_d).max() <= 1e-11 * np.abs(K_d).max()
+
+    def test_level_sweep_polar_disk_whole_ring(self):
+        # not a grid: rings inward from Sigma+ and Sigma-, the centre coupled to the whole first ring
+        pg = PolarDiskGrid(radius=1.0, n_r=10, n_theta=16, arc=(0.0, np.pi))
+        F = assemble_polar_laplacian(pg)
+        B = np.concatenate([F.rows("sigma_plus"), F.rows("sigma_minus")])
+        assert_split_matches_dense(F.matrix, F.rows("interior"), B)
+
+    def test_level_sweep_unreached_component(self):
+        # an interior component no free node reaches keeps K = 0 there, and is still factored
+        _, A = _square_all_faces(16)
+        n = A.shape[0]
+        chain = sp.diags([-np.ones(39), np.full(40, 2.5), -np.ones(39)], [-1, 0, 1])
+        mat = sp.block_diag([A.matrix, chain]).tocsr()
+        I = np.concatenate([A.rows("interior"), n + np.arange(40)])
+        K = assert_split_matches_dense(mat, I, A.rows("sigma_plus"))
+        assert not K[-40:].any()
+        lone = sp.block_diag([A.matrix, sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))]).tocsr()
+        with pytest.raises(NumericError, match="singular interior block; apply a positivity shift"):
+            schur_split(lone, np.concatenate([A.rows("interior"), [n, n + 1]]), A.rows("sigma_plus"))
+
+    def test_singular_sparse_interior_rejected(self):
+        bad = sp.csr_matrix(np.array([[1.0, -1.0, 0.5], [-1.0, 1.0, 0.0], [0.5, 0.0, 1.0]]))
+        with pytest.raises(NumericError, match="singular interior block; apply a positivity shift"):
+            schur_split(bad, [0, 1], [2])
+
+    def test_indefinite_interior_is_solved(self):
+        # shift -30 puts the square's lowest Dirichlet eigenvalues (2 pi^2 and 5 pi^2 ~ 49.3 less
+        # their discretization error) on both sides of zero: nonsingular, indefinite
+        g = build_grid(DomainSpec.unit_square(), 16)
+        A = assemble_second_order(laplacian(2), g, bc="mixed", sigma=0.5, a0=-30.0)
+        I = A.rows("interior")
+        assert sla.eigvalsh(A.matrix.toarray()[np.ix_(I, I)]).min() < 0.0
+        assert_split_matches_dense(A.matrix, I, A.rows("sigma_plus"))
+
+
+def assert_split_matches_dense(mat, I, B):
+    """schur_split of the sparse mat against the dense oracle (scipy.linalg.solve), at 1e-13; returns K."""
+    K, S = schur_split(mat, I, B)
+    K_d, S_d = schur_split(mat.toarray(), I, B)
+    assert np.abs(K - K_d).max() <= 1e-13 * np.abs(K_d).max()
+    assert np.abs(S - S_d).max() <= 1e-13 * np.abs(S_d).max()
+    return K
 
 
 # ---------------------------------------------------------------------------

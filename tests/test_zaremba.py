@@ -358,7 +358,8 @@ class TestOneBlasPool:
         yield a[:, 10:].T, rng.standard_normal((70, 20))
         # the layouts ritz_from_M passes (N = 300, n_B = 40, blocks of 128 rows): row blocks of
         # [F | Q] against F^T Q (C-ordered) and A = (F^T Q)^T (Fortran-ordered), a block's Q half
-        # transposed against an F-half product, the gram of the whole [E | Q], and the n_B-sized blocks
+        # transposed against an F-half product, and the n_B-sized blocks (the whole [F | Q] against
+        # itself is a layout of the gram's former product, kept as one more case)
         fq, nb = rng.standard_normal((300, 80)), 40
         FtQ = rng.standard_normal((nb, nb))
         for lo in range(0, 300, 128):
@@ -376,11 +377,19 @@ class TestOneBlasPool:
             assert got.shape == want.shape and got.flags.c_contiguous
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    def test_gram_is_the_exactly_symmetric_product(self):
+        # ritz_from_M's W = [E | Q]^T [E | Q] (C-ordered), and the other layouts
+        x = np.random.default_rng(5).standard_normal((300, 80))
+        for y in (x, np.asfortranarray(x), x[::2, 5:], x[:1], x[:, :1]):
+            got, want = _kernels.gram(y), y.T @ y
+            assert got.shape == want.shape and np.array_equal(got, got.T)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_route_wakes_no_numpy_blas(self):
         # numpy's linalg and @ run on numpy's own OpenBLAS pool; the assembled route keeps to scipy's
         text = pathlib.Path(zaremba.__file__).read_text()
         assert not re.search(r"\b(np|numpy)\.linalg\b", text)
-        for obj in (zaremba.KreinAssembly, discretize.schur_split):
+        for obj in (zaremba.KreinAssembly, discretize.schur_split, discretize._level_sweep, discretize._factor):
             code = inspect.getsource(obj)
             assert not re.search(r"\b(np|numpy)\.linalg\b", code)
             assert not re.search(r"[\w)\]][ \t]*@[ \t]*[\w(]", code), obj  # a matmul, not a decorator
