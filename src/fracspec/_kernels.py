@@ -8,10 +8,9 @@ with a restricted torus multiplier; its work is in the compiled
 transforms.  ``dst1`` is the orthonormal sine transform that diagonalizes
 the Dirichlet Laplacian on a tensor block.  ``asymmetry`` measures how
 far a dense matrix is from symmetric.  ``gemm`` is the dense matrix
-product on scipy's BLAS (see below), and ``gram`` the symmetric product
-x^T x.  Kernels that would build a large temporary work in blocks of
-about 2^16 entries (2^22 torus values for the transforms), which bounds
-the working set.
+product on scipy's BLAS (see below).  Kernels that would build a large
+temporary work in blocks of about 2^16 entries (2^22 torus values for
+the transforms), which bounds the working set.
 
 Coefficient matrices arrive frame-reduced where stated, so the last
 index is the interior-normal direction.  The Weyl-constant quadratures
@@ -20,21 +19,20 @@ need no kernel here: their cosphere integrals are in closed form (see
 
 numpy and scipy each carry their own OpenBLAS, each with its own thread
 pool.  A route that alternates numpy's ``@`` with scipy's LAPACK
-(Cholesky, triangular solves, ``eigh``, and the per-block LU factors
-and solves, ``dgetrf``/``dgetrs``, of ``discretize.schur_split``'s level
-sweep over breadth-first level blocks, after George & Liu, 1981, ch. 4)
-wakes both pools in turn, and the idle pool's spinning workers hold
-cores the other pool's threaded call waits for.  So the large dense
-products that feed scipy LAPACK go through ``gemm`` and ``gram``, or
-scipy's ``dgemm`` directly, on scipy's BLAS, and numpy's pool stays
-asleep along the assembled Krein route (``zaremba.KreinAssembly``,
-``discretize.schur_split``).
+(Cholesky, triangular solves, ``eigh``, and the LU factors and solves,
+``dgetrf``/``dgetrs``, of ``discretize.schur_split``'s elimination over
+breadth-first level blocks, after George & Liu, 1981, ch. 4) wakes both
+pools in turn, and the idle pool's spinning workers hold cores the other
+pool's threaded call waits for.  So the large dense products that feed
+scipy LAPACK go through ``gemm``, or scipy's BLAS directly, and numpy's
+pool stays asleep along the assembled Krein route
+(``zaremba.KreinAssembly``, ``discretize.schur_split``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dsyrk
+from scipy.linalg.blas import dgemm
 
 
 def boundary_quantities(mats, xips):
@@ -117,22 +115,6 @@ def gemm(a, b):
     """
     (bt, trans_bt), (at, trans_at) = (_fortran_transpose(x) for x in (b, a))
     return dgemm(1.0, bt, at, trans_a=trans_bt, trans_b=trans_at).T
-
-
-def gram(x):
-    """x^T x for a real 2-d x through scipy's BLAS (dsyrk), exactly symmetric.
-
-    dsyrk forms the upper triangle, at half the flops of the general
-    product, and the lower is mirrored into the same array a column at a
-    time, so no second m x m array is made.  x enters as for ``gemm``,
-    uncopied when it is C- or Fortran-ordered; the result is
-    Fortran-ordered.
-    """
-    y, trans = _fortran_transpose(x)
-    w = dsyrk(1.0, y, trans=trans)
-    for j in range(w.shape[0] - 1):
-        w[j + 1 :, j] = w[j, j + 1 :]
-    return w
 
 
 def _fortran_transpose(x):

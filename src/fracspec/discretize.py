@@ -25,7 +25,8 @@ A sparse interior block is eliminated over the breadth-first levels of
 its graph from the free boundary, in which any sparse matrix is block
 tridiagonal (George & Liu, Computer Solution of Large Sparse Positive
 Definite Systems, 1981, ch. 4): one sweep of dense LU factors and
-products, block by block from the far end, the block form of
+products, block by block from the far end, with partial pivoting across
+neighbouring blocks as in a banded LU, the block form of
 zaremba.chain_schur's per-mode sweep.
 
 Unit conventions
@@ -47,8 +48,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.lapack import dgetrf, dgetrs, dlaswp
 
 from . import _kernels
 from .errors import ConfigurationError, InvariantError, NotPositiveError, NumericError
@@ -678,30 +679,41 @@ def _level_sweep(A_II, A_IB, touched):
     Sparse Positive Definite Systems, 1981, ch. 4).  Consecutive levels,
     from the touched ones outward, are merged into blocks of at least
     _LEVEL_BLOCK nodes, numbered from the far end: block 0 is the
-    farthest, block `last` holds the touched rows.  One sweep toward B
-    LU-factors each block's Schur complement (dgetrf, row pivoting, so an
-    indefinite but nonsingular interior is solved):
+    farthest, block `last` holds the touched rows.
 
-        S_0 = D_0,  X_l = S_l^{-1} A[l, l+1],  S_{l+1} = D_{l+1} - A[l+1, l] X_l,
-
-    and ends with the solve of S_last against A_IB, which is zero outside
-    that block; back-substitution is one product per block,
-    K_l = -X_l K_{l+1}, written into K's rows.  Both off-diagonal blocks
-    are read as they are, neither as the transpose of the other, so a
-    matrix that is not symmetric is solved too.
-    Nodes run by descending level within a block as well, so each
-    block's factor pivots toward B like the sweep; on one long chain
-    this keeps the scalar recursion's accuracy, where pivoting each
-    block from its near side lost a factor 40 on the 2048-node interval.  Each
-    block row of A_II is made dense only when the sweep reaches it, and
-    only the X_l are kept.  Interior nodes that the touched rows do not
-    reach are decoupled from them and have K = 0; their block is still
-    factored, so a singular interior is refused there too (NumericError).
+    The sweep is Gaussian elimination with partial pivoting on the
+    augmented [A_II | A_IB], restricted to its block band as LAPACK's
+    banded dgbtrf restricts it to a scalar band.  Step l factors the
+    columns of block l over every row that still has entries there: the
+    rows carried from step l-1 (the rows left after its pivots, which
+    reach columns l and l+1) and block row l+1 (columns l, l+1 and l+2).
+    One dgetrf on that tall panel picks the pivots, so a row may cross
+    from block l+1 into block l's pivots.  Pivoting inside each block
+    alone breaks down where a far-side principal submatrix (blocks 0..l)
+    is singular although A_II is not, as for an indefinite interior at a
+    shift where a far strip of it is singular; crossing pivots do not.
+    The panel's pivot rows give W_l = U_l^{-1} [U_{l,l+1} | U_{l,l+2}]
+    (dtrsm), the second part only where a crossed row brings one in, and
+    the other rows are carried, less their share (dgemm).  The columns
+    of A_IB join the band at block `last`, the only rows where A_IB is
+    nonzero; the carried rows left at the end are solved against them
+    (dgetrf, dgetrs), and back-substitution is one or two products per
+    block, K_l = -W_l [K_{l+1}; K_{l+2}], written into K's rows.  Off-diagonal
+    blocks are read as they are, so a matrix that is not symmetric is
+    solved too.  Nodes run by descending level within a block as well,
+    so each block's pivots go toward B like the sweep; on one long chain
+    this keeps the scalar recursion's accuracy, where ordering each
+    block from its near side lost a factor 40 on the 2048-node interval.
+    Each block row of A_II is made dense only when the sweep reaches it,
+    and only the W_l are kept.  Interior nodes that the touched rows do
+    not reach are decoupled from them and have K = 0; their block is
+    still factored, so a singular interior is refused there too
+    (NumericError).
     """
     from scipy.sparse import csgraph  # imported here: only this sweep needs it, and its import adds 1 MB to every run
 
-    n = A_II.shape[0]
-    K = np.empty((n, A_IB.shape[1]))
+    n, nB = A_II.shape[0], A_IB.shape[1]
+    K = np.empty((n, nB))
     pattern = sp.csr_matrix((np.ones(A_II.nnz), A_II.indices, A_II.indptr), shape=A_II.shape)
     dist = csgraph.dijkstra(pattern, directed=False, indices=touched, unweighted=True, min_only=True) \
         if touched.size else np.full(n, np.inf)
@@ -719,33 +731,62 @@ def _level_sweep(A_II, A_IB, touched):
         if end - cuts[-1] >= _LEVEL_BLOCK or end == nodes.size:
             cuts.append(int(end))
     bounds = [nodes.size - c for c in reversed(cuts)]
+    last = len(bounds) - 2
     P = A_II[nodes][:, nodes].tocsr()
     P.sum_duplicates()
     row_of = np.repeat(np.arange(nodes.size), np.diff(P.indptr))
-    last = len(bounds) - 2
-    X = []  # X_l = S_l^{-1} A[l, l+1], block 0 the farthest
-    for l in range(last + 1):
-        lo, hi = bounds[l], bounds[l + 1]
-        c0, c1 = bounds[max(l - 1, 0)], bounds[min(l + 2, last + 1)]
-        slab = np.zeros((hi - lo, c1 - c0), order="F")  # block row l: A[l, l-1], D_l, A[l, l+1]
+
+    def block_row(r, out):
+        """Scatter block row r of P (columns from block r-1 on) into out, then A_IB's rows if r is last."""
+        lo, hi, c0 = bounds[r], bounds[r + 1], bounds[max(r - 1, 0)]
         a, b = P.indptr[lo], P.indptr[hi]
-        slab[row_of[a:b] - lo, P.indices[a:b] - c0] = P.data[a:b]
-        S = slab[:, lo - c0 : hi - c0]
-        if l:
-            S = dgemm(-1.0, slab[:, : lo - c0], X[-1], beta=1.0, c=S, overwrite_c=True)
-        lu, piv = _factor(S)
-        x, _ = dgetrs(lu, piv, slab[:, hi - c0 :] if l < last else A_IB[nodes[lo:hi]])
-        X.append(x)
-    x = -X.pop()
-    for l in range(last, -1, -1):
-        if l < last:
-            x = dgemm(-1.0, X.pop(), x)
+        out[row_of[a:b] - lo, P.indices[a:b] - c0] = P.data[a:b]
+        if r == last:
+            out[:, nodes.size - c0 :] = A_IB[nodes[lo:hi]]
+        return out
+
+    # rows carried into step l, over the columns of blocks l and l+1 (A_IB's past block `last`)
+    width = bounds[min(2, last + 1)] + (nB if last == 0 else 0)
+    carried = block_row(0, np.zeros((bounds[1], width), order="F"))
+    W = []  # W_l = U_l^{-1} [U_{l,l+1} | U_{l,l+2}], block 0 the farthest
+    for l in range(last):
+        lo, mid, hi = bounds[l], bounds[l + 1], bounds[l + 2]
+        end = bounds[l + 3] if l + 2 <= last else hi + nB  # columns through block l+2, or A_IB's
+        k = mid - lo  # block l's columns, and the rows carried into this step
+        panel = np.zeros((k + hi - mid, end - lo), order="F")
+        panel[:k, : carried.shape[1]] = carried
+        block_row(l + 1, panel[k:])
+        lu, piv = _factor(panel[:, :k])
+        rest = dlaswp(panel[:, k:], piv, overwrite_a=True)
+        far = l + 2 > last or rest[:k, hi - mid :].any()  # A_IB's columns, or block l+2's from a crossed pivot row
+        reach = end - mid if far else hi - mid
+        U = dtrsm(1.0, lu[:k], rest[:k, :reach], lower=1, diag=1, overwrite_b=True)
+        carried = np.array(rest[k:], order="F")
+        dgemm(-1.0, lu[k:], U, beta=1.0, c=carried[:, :reach], overwrite_c=True)
+        W.append(dtrsm(1.0, lu[:k], U, overwrite_b=True))
+    lu, piv = _factor(carried[:, : bounds[last + 1] - bounds[last]])
+    x, _ = dgetrs(lu, piv, carried[:, lu.shape[1] :])
+    K_near = K_far = -x  # K on blocks l+1 and l+2
+    K[nodes[bounds[last] :]] = K_near
+    for l in range(last - 1, -1, -1):
+        w, split = W.pop(), bounds[l + 2] - bounds[l + 1]
+        if l + 1 == last:  # the columns past block l+1 are A_IB's: K_l = -(W' K_{l+1} + W'')
+            x = dgemm(-1.0, w[:, :split], K_near, beta=-1.0, c=w[:, split:], overwrite_c=True)
+        else:
+            x = dgemm(-1.0, w[:, :split], K_near)
+            if w.shape[1] > split:
+                x = dgemm(-1.0, w[:, split:], K_far, beta=1.0, c=x, overwrite_c=True)
+        K_near, K_far = x, K_near
         K[nodes[bounds[l] : bounds[l + 1]]] = x
     return K
 
 
 def _factor(D):
-    """LU factor (dgetrf) of a dense block, in place when D is Fortran-ordered; NumericError if singular."""
+    """LU factor (dgetrf) of a dense block, square or tall, in place when D is Fortran-ordered.
+
+    NumericError when a pivot is zero or below 1e-300 in magnitude: the
+    block's columns are then singular over its rows.
+    """
     lu, piv, info = dgetrf(D, overwrite_a=True)
     if info != 0 or not np.abs(np.diagonal(lu)).min() > 1e-300:
         raise NumericError("singular interior block; apply a positivity shift")

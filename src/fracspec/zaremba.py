@@ -12,9 +12,9 @@ whose nonzero spectrum equals that of S^{-1}(K^T K + I) exactly.  K and
 S come from discretize.schur_split, the one Schur complement, which
 eliminates the sparse interior block by breadth-first level blocks from
 the free boundary (George & Liu, Computer Solution of Large Sparse
-Positive Definite Systems, 1981, ch. 4), one dense LU per block: K is
-the discrete Poisson extension, and S in form units over the boundary
-weights h^{n-1} (KreinAssembly.L_weighted) is the discrete DtN operator
+Positive Definite Systems, 1981, ch. 4), with partial pivoting across
+the blocks: K is the discrete Poisson extension, and S in form units
+over the boundary weights h^{n-1} (KreinAssembly.L_weighted) is the discrete DtN operator
 with its sign reversed.  S = R^T R is Cholesky-factored once, so
 M = F F^T with F = [K; I] R^{-1}, and every spectrum of the form
 S^{-1} X is a generalized-definite eigensolve of the pencil (X, S).
@@ -61,8 +61,9 @@ Every spectrum here, the pencils (X, S) and the interface operators
 alike, comes from eig.sym_eig, which owns the dense cap and the
 symmetry check; routes report mu descending and interface spectra
 ascending.  The assembled route's dense products go through
-_kernels.gemm and its factorizations through scipy.linalg, so one
-OpenBLAS (scipy's) runs the route and numpy's thread pool stays asleep.
+_kernels.gemm (the certificate's gram through scipy's dsyrk and dsymm)
+and its factorizations through scipy.linalg, so one OpenBLAS (scipy's)
+runs the route and numpy's thread pool stays asleep.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsymm, dsyrk
 
 from . import _kernels, eig
 from .discretize import Grid, OperatorMatrix, assemble_second_order, build_grid, grid_spacing, schur_split
@@ -158,10 +160,11 @@ class KreinAssembly:
         matrices of the module docstring: E = F - Q A overwrites F in the
         stacked factor [F | Q] (N x 2 n_B, C-ordered) a row block at a
         time, W is one symmetric product over the whole of it (dsyrk,
-        _kernels.gram, so W is exactly symmetric), and the trace is
-        summed entrywise as sum_ij (Z W)_ij (Z W)_ji, clamped at 0.  The
-        cancellations are those of the entries of M - Q B Q^T, in E and in
-        A A^T - B; no term of the trace is a product of two O(1) numbers.
+        which forms its upper triangle, read by dsymm in Z W, so W is
+        exactly symmetric), and the trace is summed entrywise as
+        sum_ij (Z W)_ij (Z W)_ji, clamped at 0.  The cancellations are
+        those of the entries of M - Q B Q^T, in E and in A A^T - B; no
+        term of the trace is a product of two O(1) numbers.
         No N x N array is formed, G is never held whole, and [F | Q] is
         released before the 2 n_B x 2 n_B blocks are formed.  Refused past
         eig.DENSE_CAP, the size the assembled route is kept to.
@@ -199,10 +202,11 @@ class KreinAssembly:
         A = FtQ.T  # Q^T F
         for lo, hi in blocks:  # E = F - Q A overwrites F in [F | Q]
             FQ[lo:hi, :nB] -= _kernels.gemm(FQ[lo:hi, nB:], A)
-        W = _kernels.gram(FQ)
+        W = dsyrk(1.0, FQ.T)  # upper triangle; FQ.T is Fortran-ordered, read uncopied
         del FQ  # so that the 2 n_B x 2 n_B blocks below are not held beside it
-        ZW = _kernels.gemm(np.block([[eye, FtQ], [A, _kernels.gemm(A, FtQ) - B]]), W)
-        return ritz, float(np.sqrt(max(float((ZW * ZW.T).sum()), 0.0)))
+        Z = np.block([[eye, FtQ], [A, _kernels.gemm(A, FtQ) - B]])
+        WZt = dsymm(1.0, W, Z.T)  # (Z W)^T, W read from its upper triangle
+        return ritz, float(np.sqrt(max(float((WZt * WZt.T).sum()), 0.0)))
 
     def weighted_mu(self, half_cell: bool = False) -> np.ndarray:
         """Descending spectrum of S_form^{-1} K^T W_I K.

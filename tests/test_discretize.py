@@ -770,6 +770,57 @@ class TestSchurDtn:
         assert sla.eigvalsh(A.matrix.toarray()[np.ix_(I, I)]).min() < 0.0
         assert_split_matches_dense(A.matrix, I, A.rows("sigma_plus"))
 
+    @pytest.mark.parametrize("domain, nodes, far", [
+        (DomainSpec.unit_square(), 16, 9),  # the far 3 of 5 blocks of 3 rows
+        (DomainSpec.unit_box(), 12, 4),  # the far 4 of 11 one-plane blocks
+    ], ids=["square16", "box12"])
+    def test_singular_far_strip_is_pivoted_across_blocks(self, domain, nodes, far):
+        # The shift zeroes the lowest Dirichlet eigenvalue of the strip of the `far` node layers
+        # farthest from the free face, a principal submatrix of A_II made of the sweep's far
+        # blocks, while A_II stays nonsingular (its nearest eigenvalue 10 or more away).
+        # Pivoting inside each block breaks down on the strip (K off by 6e-3 and 2e-2, with no
+        # error raised); the sweep's pivots cross into the next block.
+        g = build_grid(domain, nodes)
+        n, h = g.n, 1.0 / nodes
+        e1, strip = 2.0 - 2.0 * np.cos(np.pi / nodes), 2.0 - 2.0 * np.cos(np.pi / (far + 1))
+        A = assemble_second_order(laplacian(n), g, bc="mixed", sigma=0.5, a0=-((n - 1) * e1 + strip) / h**2)
+        I = A.rows("interior")
+        A_II = A.matrix.toarray()[np.ix_(I, I)]
+        layer = g.points(np.asarray(A.meta["node_ids"])[I])[:, -1]  # the free face is the last axis' low face
+        in_strip = layer > 1.0 - (far + 0.5) * h
+        assert np.abs(sla.eigvalsh(A_II[np.ix_(in_strip, in_strip)])).min() < 1e-9
+        assert np.abs(sla.eigvalsh(A_II)).min() > 10.0
+        assert_split_matches_dense(A.matrix, I, A.rows("sigma_plus"))
+
+    def test_level_sweep_solves_a_nonsymmetric_interior(self):
+        # both off-diagonal blocks are read as they are: a skew part on A's pattern (a drift
+        # term), on an indefinite interior, against a general dense solve
+        g = build_grid(DomainSpec.unit_square(), 16)
+        A = assemble_second_order(laplacian(2), g, bc="mixed", sigma=0.5, a0=-30.0)
+        upper = sp.triu(A.matrix, 1)
+        mat = (A.matrix + 0.3 * (upper - upper.T)).tocsr()
+        I, B = A.rows("interior"), A.rows("sigma_plus")
+        K, _ = schur_split(mat, I, B)
+        dense = mat.toarray()
+        K_ref = -sla.solve(dense[np.ix_(I, I)], dense[np.ix_(I, B)])
+        assert np.abs(K - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
+
+    def test_singular_far_plane_strip_box16_residual(self):
+        # The box-16 case of the test above: the far 9 of 15 one-plane blocks are singular at
+        # this shift, A_II's nearest eigenvalue is 13.9 away.  The dense oracle is itself 1e-13
+        # off here (dsysv, against a solve refined with an extended-precision residual, where
+        # the sweep is 1e-15 off), so the residual is the check; pivoting inside each block
+        # alone leaves it at 2e-3.
+        g = build_grid(DomainSpec.unit_box(), 16)
+        e1, strip = 2.0 - 2.0 * np.cos(np.pi / 16), 2.0 - 2.0 * np.cos(np.pi / 10)
+        A = assemble_second_order(laplacian(3), g, bc="mixed", sigma=0.5, a0=-256.0 * (2.0 * e1 + strip))
+        I, B = A.rows("interior"), A.rows("sigma_plus")
+        M = A.matrix.tocsr()
+        A_II, A_IB = M[I][:, I], M[I][:, B].toarray()
+        K, _ = schur_split(M, I, B)
+        scale = abs(A_II).sum(axis=1).max() * np.abs(K).max()
+        assert np.abs(A_II @ K + A_IB).max() <= 1e-14 * scale
+
 
 def assert_split_matches_dense(mat, I, B):
     """schur_split of the sparse mat against the dense oracle (scipy.linalg.solve), at 1e-13; returns K."""

@@ -358,8 +358,8 @@ class TestOneBlasPool:
         yield a[:, 10:].T, rng.standard_normal((70, 20))
         # the layouts ritz_from_M passes (N = 300, n_B = 40, blocks of 128 rows): row blocks of
         # [F | Q] against F^T Q (C-ordered) and A = (F^T Q)^T (Fortran-ordered), a block's Q half
-        # transposed against an F-half product, and the n_B-sized blocks (the whole [F | Q] against
-        # itself is a layout of the gram's former product, kept as one more case)
+        # transposed against an F-half product, and the n_B-sized blocks; the whole [F | Q] against
+        # itself is one more layout
         fq, nb = rng.standard_normal((300, 80)), 40
         FtQ = rng.standard_normal((nb, nb))
         for lo in range(0, 300, 128):
@@ -375,14 +375,6 @@ class TestOneBlasPool:
         for a, b in self.operands():
             got, want = _kernels.gemm(a, b), a @ b
             assert got.shape == want.shape and got.flags.c_contiguous
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-    def test_gram_is_the_exactly_symmetric_product(self):
-        # ritz_from_M's W = [E | Q]^T [E | Q] (C-ordered), and the other layouts
-        x = np.random.default_rng(5).standard_normal((300, 80))
-        for y in (x, np.asfortranarray(x), x[::2, 5:], x[:1], x[:, :1]):
-            got, want = _kernels.gram(y), y.T @ y
-            assert got.shape == want.shape and np.array_equal(got, got.T)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_route_wakes_no_numpy_blas(self):
