@@ -21,8 +21,8 @@ boundary conditions.  schur_split is the one Schur complement: its
 extension map K and interface S are the discrete Poisson extension and,
 weighted by the boundary measure, the discrete Dirichlet-to-Neumann
 operator of the Krein assembly (zaremba.KreinAssembly.K and L_weighted).
-A sparse interior block is eliminated over the breadth-first levels of
-its graph from the free boundary, in which any sparse matrix is block
+The interior block, dense or sparse, is eliminated over the breadth-first
+levels of its graph from the free boundary, in which any matrix is block
 tridiagonal (George & Liu, Computer Solution of Large Sparse Positive
 Definite Systems, 1981, ch. 4): one sweep of dense LU factors and
 products, block by block from the far end, with partial pivoting across
@@ -45,7 +45,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dgemm, dtrsm
@@ -343,7 +342,7 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
     form.sum_duplicates()
     mat = form / h**n
     desc = f"second-order form, bc={bc}, coefficients {coeffs.describe()}"
-    meta = {"units": "operator", "row_sets": row_sets, "node_ids": keep, "h": h}
+    meta = {"row_sets": row_sets, "node_ids": keep, "h": h}
     return OperatorMatrix(mat, grid, desc, meta)
 
 
@@ -637,40 +636,31 @@ class RestrictedPowerOperator(spla.LinearOperator):
 def schur_split(mat, I, B):
     """Extension map and boundary Schur complement over row sets I and B.
 
-    mat is dense or sparse.  Returns K = -A_II^{-1} A_IB and the
-    symmetrized S = A_BB + A_IB^T K; an empty B gives an (nI, 0) K and a
-    (0, 0) S.  A sparse A_II is eliminated by level blocks from the
-    interior rows that A_IB touches (_level_sweep); a dense one goes
-    through scipy.linalg.solve, the oracle of that sweep.  A_IB^T K is
-    summed over the touched rows only, where A_IB is nonzero.  A singular
-    interior block raises NumericError.
+    mat is dense or sparse; a dense one is converted to CSR, so every input
+    takes the one elimination, _level_sweep (one block, a general dense LU,
+    where A_IB touches every row).  Returns K = -A_II^{-1} A_IB, correct for
+    any nonsingular A_II, and the symmetrized S = A_BB + A_IB^T K, the Schur
+    complement only of a symmetric mat (A_BI = A_IB^T; OperatorMatrix checks
+    it for every caller); an empty B gives an (nI, 0) K and a (0, 0) S.
+    A_IB^T K is summed over the touched rows only, where A_IB is nonzero.
+    A singular interior block raises NumericError.
     """
     I = np.asarray(I, dtype=int)
     B = np.asarray(B, dtype=int)
     if B.size == 0:
         return np.zeros((I.size, 0)), np.zeros((0, 0))
-    if sp.issparse(mat):
-        mat = mat.tocsr()
-        rows = mat[I]
-        A_II, A_IB, A_BB = rows[:, I], rows[:, B].toarray(), mat[B][:, B].toarray()
-    else:
-        mat = np.asarray(mat, dtype=float)
-        A_II, A_IB, A_BB = mat[np.ix_(I, I)], mat[np.ix_(I, B)], mat[np.ix_(B, B)]
+    mat = sp.csr_matrix(mat, dtype=float)
+    rows = mat[I]
+    A_II, A_IB, A_BB = rows[:, I], rows[:, B].toarray(), mat[B][:, B].toarray()
     touched = np.flatnonzero(A_IB.any(axis=1))
-    if sp.issparse(A_II):
-        K = _level_sweep(A_II, A_IB, touched)
-    else:
-        try:
-            K = -scipy.linalg.solve(A_II, A_IB, assume_a="sym")
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericError(f"interior block solve failed (missing positivity shift?): {exc}") from exc
-    # on scipy's BLAS, as the solves above (see _kernels)
+    K = _level_sweep(A_II, A_IB, touched)
+    # on scipy's BLAS, as the sweep (see _kernels)
     S = A_BB + _kernels.gemm(A_IB[touched].T, K[touched])
     return K, 0.5 * (S + S.T)
 
 
 def _level_sweep(A_II, A_IB, touched):
-    """K = -A_II^{-1} A_IB for a sparse A_II, by block elimination over breadth-first levels.
+    """K = -A_II^{-1} A_IB, A_II in CSR, by block elimination over breadth-first levels.
 
     Level j holds the interior nodes at graph distance j, in the pattern
     of A_II + A_II^T, from the touched rows (the rows where A_IB is

@@ -10,12 +10,12 @@ boundary nodes B = Sigma+,
 
 whose nonzero spectrum equals that of S^{-1}(K^T K + I) exactly.  K and
 S come from discretize.schur_split, the one Schur complement, which
-eliminates the sparse interior block by breadth-first level blocks from
+eliminates the interior block by breadth-first level blocks from
 the free boundary (George & Liu, Computer Solution of Large Sparse
 Positive Definite Systems, 1981, ch. 4), with partial pivoting across
-the blocks: K is the discrete Poisson extension, and S in form units
-over the boundary weights h^{n-1} (KreinAssembly.L_weighted) is the discrete DtN operator
-with its sign reversed.  S = R^T R is Cholesky-factored once, so
+the blocks: K is the discrete Poisson extension, and h^n S (form units)
+over the uniform boundary weight h^{n-1} (KreinAssembly.L_weighted) is
+the discrete DtN operator with its sign reversed.  S = R^T R is Cholesky-factored once, so
 M = F F^T with F = [K; I] R^{-1}, and every spectrum of the form
 S^{-1} X is a generalized-definite eigensolve of the pencil (X, S).
 
@@ -98,27 +98,20 @@ class KreinAssembly:
     """Schur-factorized resolvent difference for one mixed assembly.
 
     Built from the extension map K and the algebraic interface Schur
-    complement S (the unweighted L) of discretize.schur_split.  Holds
-    the Cholesky factor of S, its form-unit and boundary-weighted
-    counterparts, and the interior mass P1 = K^T W_I K.  M itself is
-    never stored: the identity certificate reads its factor F.
+    complement S (the unweighted L) of discretize.schur_split, of an
+    operator-unit matrix on a uniform grid.  Holds the Cholesky factor of
+    S, S_form = h^n S, L_weighted = S_form / h^{n-1} and the interior mass
+    P1 = h^n K^T K.  M itself is never stored: the identity certificate reads its factor F.
     """
 
-    def __init__(self, K, S, h: float, n: int, shift: float,
-                 boundary_weights=None, interior_weights=None, form_units: bool = False):
+    def __init__(self, K, S, h: float, n: int, shift: float):
         nI, nB = K.shape
         self.h = float(h)
         self.n = int(n)
         self.shift = float(shift)
         self.n_interior = nI
         self.n_boundary = nB
-
-        if interior_weights is None:
-            interior_weights = np.full(nI, self.h**self.n)
-        self.interior_weights = np.asarray(interior_weights, dtype=float)
-        if boundary_weights is None:
-            boundary_weights = np.full(nB, self.h ** (self.n - 1))
-        self.boundary_weights = np.asarray(boundary_weights, dtype=float)
+        volume, self.boundary_weight = self.h**self.n, self.h ** (self.n - 1)  # the uniform grid's node weights
 
         self.K = K
         self.S = S
@@ -128,12 +121,11 @@ class KreinAssembly:
                 self._chol = scipy.linalg.cho_factor(S)
             except scipy.linalg.LinAlgError as exc:
                 raise NotPositiveError(_NOT_POSITIVE) from exc
-        # weighted spectra live in quadratic-form units; box assemblies carry
-        # the 1/h^n operator normalization that must be undone first
-        self.S_form = self.S if form_units else (self.h**self.n) * self.S
-        root = 1.0 / np.sqrt(self.boundary_weights)
-        self.L_weighted = root[:, None] * self.S_form * root[None, :]
-        self.P1 = _kernels.gemm((self.K * self.interior_weights[:, None]).T, self.K)
+        # weighted spectra live in quadratic-form units: undo the 1/h^n operator normalization
+        self.S_form = volume * self.S
+        root = 1.0 / np.sqrt(self.boundary_weight)
+        self.L_weighted = root * self.S_form * root
+        self.P1 = _kernels.gemm((self.K * volume).T, self.K)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -209,15 +201,15 @@ class KreinAssembly:
         return ritz, float(np.sqrt(max(float((WZt * WZt.T).sum()), 0.0)))
 
     def weighted_mu(self, half_cell: bool = False) -> np.ndarray:
-        """Descending spectrum of S_form^{-1} K^T W_I K.
+        """Descending spectrum of S_form^{-1} P1, P1 = h^n K^T K.
 
         The continuum-consistent mu_j: interface form against the
         interior L2 mass of the extension.  The boundary trace mass
-        (diag of Sigma+ weights) is an O(h) discrete artifact and is
-        left out; the exact algebraic identity keeps it.
+        (h^{n-1} on each Sigma+ node) is an O(h) discrete artifact and
+        is left out; the exact algebraic identity keeps it.
 
         half_cell adds the volume quadrature contribution of the free
-        boundary nodes themselves (surface weight times h/2).  The
+        boundary nodes themselves (boundary weight h^{n-1} times h/2).  The
         extension equals the boundary data there, so this is the
         trapezoid end correction of the same interior mass integral;
         it sharpens the constant in ordered-eigenvalue fits on coarse
@@ -226,7 +218,7 @@ class KreinAssembly:
         """
         inner = self.P1.copy()
         if half_cell:
-            inner[np.diag_indices_from(inner)] += 0.5 * self.h * self.boundary_weights
+            inner[np.diag_indices_from(inner)] += 0.5 * self.h * self.boundary_weight
         return sym_eig(inner, self.S_form).values[::-1]
 
     def weighted_L_spectrum(self) -> np.ndarray:
@@ -234,20 +226,18 @@ class KreinAssembly:
         return sym_eig(self.L_weighted).values
 
 
-def krein_from_matrix(A_full: OperatorMatrix, boundary_weights=None, interior_weights=None) -> KreinAssembly:
-    """Krein assembly from a matrix carrying interior/sigma_plus row sets, as given.
+def krein_from_matrix(A_full: OperatorMatrix) -> KreinAssembly:
+    """Krein assembly from an operator-unit matrix carrying interior/sigma_plus row sets, as given.
 
-    A positivity shift belongs in the matrix: grid-based callers fold it
-    into the zero-order term at assembly time (krein_term), which uses the
-    true node volumes.
+    Operator units are assemble_second_order's, on a uniform grid of spacing meta["h"].
+    A positivity shift belongs in the matrix: grid-based callers fold it into the
+    zero-order term at assembly time (krein_term), which uses the true node volumes.
     """
     K, S = schur_split(A_full.matrix, A_full.rows("interior"), A_full.rows("sigma_plus"))
     grid = A_full.grid
     h = A_full.meta.get("h", grid.h if grid is not None else 1.0)
     n = grid.n if grid is not None else 1
-    return KreinAssembly(K, S, h, n, 0.0,
-                         boundary_weights=boundary_weights, interior_weights=interior_weights,
-                         form_units=A_full.meta.get("units") == "form")
+    return KreinAssembly(K, S, h, n, 0.0)
 
 
 def krein_term(coeffs: SecondOrderCoeffs, sigma, grid: Grid, partition=None,

@@ -9,6 +9,8 @@ torus of a RestrictedPowerOperator (the operator's oracle and the route
 of criterion 05, imported by test_acceptance).
 """
 
+import pathlib
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.special import jn_zeros
 
+import fracspec
 from fracspec._kernels import toeplitz_gather
 from fracspec.discretize import (
     OperatorMatrix,
@@ -178,7 +181,6 @@ def assemble_polar_laplacian(grid: PolarDiskGrid, sigma: float = 0.0) -> Operato
         "sigma_minus": ni + npl + np.arange(grid.sigma_minus_idx.size),
     }
     meta = {
-        "units": "form",
         "row_sets": row_sets,
         "node_ids": order,
         "h": dr,
@@ -672,11 +674,11 @@ class TestSchurDtn:
         F = assemble_polar_laplacian(pg)
         n_plus = pg.sigma_plus_idx.size
         arc_w = pg.radius * pg.dtheta
-        L = krein_from_matrix(F, boundary_weights=np.full(n_plus, arc_w)).L_weighted
+        _, S = schur_split(F.matrix, F.rows("interior"), F.rows("sigma_plus"))
         _, S_full = schur_split(F.matrix, F.rows("interior"),
                                 np.concatenate([F.rows("sigma_plus"), F.rows("sigma_minus")]))
-        assert L.shape == (n_plus, n_plus)
-        assert np.allclose(L, S_full[:n_plus, :n_plus] / arc_w, atol=1e-12)
+        assert S.shape == (n_plus, n_plus)
+        assert np.allclose(S / arc_w, S_full[:n_plus, :n_plus] / arc_w, atol=1e-12)
 
     def test_positive_after_shift(self):
         _, A = _square_all_faces(8)
@@ -733,7 +735,7 @@ class TestSchurDtn:
         K, _ = schur_split(M, I, B)
         scale = abs(A_II).sum(axis=1).max() * np.abs(K).max()
         assert np.abs(A_II @ K + A_IB).max() <= 1e-14 * scale
-        K_d, _ = schur_split(M.toarray(), I, B)
+        K_d, _ = dense_split(M, I, B)
         assert np.abs(K - K_d).max() <= 1e-11 * np.abs(K_d).max()
 
     def test_level_sweep_polar_disk_whole_ring(self):
@@ -755,6 +757,14 @@ class TestSchurDtn:
         lone = sp.block_diag([A.matrix, sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))]).tocsr()
         with pytest.raises(NumericError, match="singular interior block; apply a positivity shift"):
             schur_split(lone, np.concatenate([A.rows("interior"), [n, n + 1]]), A.rows("sigma_plus"))
+
+    def test_level_sweep_is_the_only_elimination(self):
+        # no module calls a general solver or LU factorization: a Schur split, of a dense matrix
+        # too, is the sweep's own dgetrf; triangular solves and Cholesky factors stay allowed
+        src = pathlib.Path(fracspec.__file__).parent
+        callers = [p.name for p in sorted(src.glob("*.py"))
+                   if re.search(r"\b(solve|lu_factor|splu|spsolve|factorized)\(", p.read_text())]
+        assert callers == []
 
     def test_singular_sparse_interior_rejected(self):
         bad = sp.csr_matrix(np.array([[1.0, -1.0, 0.5], [-1.0, 1.0, 0.0], [0.5, 0.0, 1.0]]))
@@ -794,16 +804,18 @@ class TestSchurDtn:
 
     def test_level_sweep_solves_a_nonsymmetric_interior(self):
         # both off-diagonal blocks are read as they are: a skew part on A's pattern (a drift
-        # term), on an indefinite interior, against a general dense solve
+        # term), on an indefinite interior, against a general dense solve; the dense form of the
+        # matrix takes the same sweep (a solve that reads one triangle of A_II is 3e-3 off here)
         g = build_grid(DomainSpec.unit_square(), 16)
         A = assemble_second_order(laplacian(2), g, bc="mixed", sigma=0.5, a0=-30.0)
         upper = sp.triu(A.matrix, 1)
         mat = (A.matrix + 0.3 * (upper - upper.T)).tocsr()
         I, B = A.rows("interior"), A.rows("sigma_plus")
-        K, _ = schur_split(mat, I, B)
         dense = mat.toarray()
         K_ref = -sla.solve(dense[np.ix_(I, I)], dense[np.ix_(I, B)])
-        assert np.abs(K - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
+        for form in (mat, dense):
+            K, _ = schur_split(form, I, B)
+            assert np.abs(K - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
 
     def test_singular_far_plane_strip_box16_residual(self):
         # The box-16 case of the test above: the far 9 of 15 one-plane blocks are singular at
@@ -822,10 +834,19 @@ class TestSchurDtn:
         assert np.abs(A_II @ K + A_IB).max() <= 1e-14 * scale
 
 
+def dense_split(mat, I, B):
+    """schur_split's oracle: K by scipy.linalg.solve on the dense blocks, S = A_BB + A_IB^T K symmetrized."""
+    dense = mat.toarray()
+    A_IB = dense[np.ix_(I, B)]
+    K = -sla.solve(dense[np.ix_(I, I)], A_IB, assume_a="sym")
+    S = dense[np.ix_(B, B)] + A_IB.T @ K
+    return K, 0.5 * (S + S.T)
+
+
 def assert_split_matches_dense(mat, I, B):
-    """schur_split of the sparse mat against the dense oracle (scipy.linalg.solve), at 1e-13; returns K."""
+    """schur_split of the sparse mat against the dense oracle (dense_split), at 1e-13; returns K."""
     K, S = schur_split(mat, I, B)
-    K_d, S_d = schur_split(mat.toarray(), I, B)
+    K_d, S_d = dense_split(mat, I, B)
     assert np.abs(K - K_d).max() <= 1e-13 * np.abs(K_d).max()
     assert np.abs(S - S_d).max() <= 1e-13 * np.abs(S_d).max()
     return K

@@ -12,13 +12,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracspec.discretize import OperatorMatrix, build_grid
+from fracspec.discretize import OperatorMatrix, build_grid, schur_split
 from fracspec import _kernels, discretize, eig, zaremba
 from fracspec.asymptotics import weyl_fit
 from fracspec.errors import ConfigurationError, NotPositiveError, NumericError
 from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
 from fracspec.zaremba import (
+    KreinAssembly,
     _radial_chains,
     chain_schur,
     disk_interface_spectra,
@@ -32,10 +33,8 @@ from fracspec.zaremba import (
 from test_discretize import PolarDiskGrid, assemble_polar_laplacian
 
 
-def wrap(mat, interior, splus, h=1.0, units=None):
+def wrap(mat, interior, splus, h=1.0):
     meta = {"row_sets": {"interior": interior, "sigma_plus": splus}, "h": h}
-    if units:
-        meta["units"] = units
     return OperatorMatrix(np.asarray(mat, dtype=float), meta=meta)
 
 
@@ -130,7 +129,7 @@ def congruence_mu(S, inner):
 
 @st.composite
 def split_spd(draw):
-    """A random SPD matrix (eigenvalues in [0.5, 4]) with a random I/B split and weights."""
+    """A random SPD matrix (eigenvalues in [0.5, 4]) with a random I/B split and spacing h."""
     size = draw(st.integers(2, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q, _ = np.linalg.qr(rng.standard_normal((size, size)))
@@ -138,8 +137,7 @@ def split_spd(draw):
     perm = rng.permutation(size)
     nB = draw(st.integers(1, size - 1))
     B, I = np.sort(perm[:nB]), np.sort(perm[nB:])
-    om = wrap(0.5 * (A + A.T), I.tolist(), B.tolist(), h=float(rng.uniform(0.1, 1.0)))
-    return om, rng.uniform(0.5, 2.0, nB), rng.uniform(0.5, 2.0, I.size)
+    return wrap(0.5 * (A + A.T), I.tolist(), B.tolist(), h=float(rng.uniform(0.1, 1.0)))
 
 
 class TestKreinOracle:
@@ -147,21 +145,21 @@ class TestKreinOracle:
 
     @settings(max_examples=30, deadline=None)
     @given(split_spd())
-    def test_mu_exact_matches_materialized_m(self, problem):
-        om, _, _ = problem
+    def test_mu_exact_matches_materialized_m(self, om):
         k = krein_from_matrix(om)
         top = np.linalg.eigvalsh(materialized_m(k))[::-1][: k.n_boundary]
         mu = k.mu_exact()
         assert np.max(np.abs(mu - top)) <= 1e-10 * mu[0]
 
     @settings(max_examples=30, deadline=None)
-    @given(split_spd(), st.booleans())
-    def test_weighted_mu_matches_congruence(self, problem, half_cell):
-        om, w_b, w_i = problem
-        k = krein_from_matrix(om, boundary_weights=w_b, interior_weights=w_i)
-        inner = (k.K * w_i[:, None]).T @ k.K
-        inner[np.diag_indices_from(inner)] += (0.5 * k.h if half_cell else 0.0) * w_b
-        want = congruence_mu(k.S_form, inner)
+    @given(split_spd(), st.integers(1, 3), st.booleans())
+    def test_weighted_mu_matches_congruence(self, om, n, half_cell):
+        # the uniform grid's weights: the node volume h^n inside, h^(n-1) on the free boundary
+        h = om.meta["h"]
+        k = KreinAssembly(*schur_split(om.matrix, om.rows("interior"), om.rows("sigma_plus")), h, n, 0.0)
+        inner = h**n * k.K.T @ k.K
+        inner[np.diag_indices_from(inner)] += (0.5 * h if half_cell else 0.0) * h ** (n - 1)
+        want = congruence_mu(h**n * k.S, inner)
         got = k.weighted_mu(half_cell=half_cell)
         assert np.max(np.abs(got - want)) <= 1e-10 * want[0]
 
@@ -235,8 +233,7 @@ class TestRitzCertificate:
 
     @settings(max_examples=30, deadline=None)
     @given(split_spd())
-    def test_ritz_values_bound_full_spectrum(self, problem):
-        om, _, _ = problem
+    def test_ritz_values_bound_full_spectrum(self, om):
         assert self.assert_weyl_bound(krein_from_matrix(om)).rank_bound_ok
 
     @pytest.mark.parametrize("domain, nodes, sigma", [
@@ -687,26 +684,23 @@ class TestDiskSpectra:
         pg = PolarDiskGrid(n_r=10, n_theta=16, radius=1.0, arc=(0.0, np.pi))
         F = assemble_polar_laplacian(pg)
         vols = np.asarray(F.meta["volumes"])
-        nb = len(F.rows("sigma_plus"))
-        arc_w = np.full(nb, 2.0 * np.pi / 16.0)
         mat = F.matrix + sp.diags(shift * vols) if shift else F.matrix
-        om = OperatorMatrix(mat, None, F.descriptor, dict(F.meta))
-        generic = krein_from_matrix(om, boundary_weights=arc_w,
-                                    interior_weights=vols[F.rows("interior")])
+        K, S = schur_split(mat, F.rows("interior"), F.rows("sigma_plus"))
+        # the polar form, weighted by the polar node volumes and the arc length 2 pi / 16
+        mu = sla.eigh((K * vols[F.rows("interior")][:, None]).T @ K, S, eigvals_only=True)[::-1]
+        L = S / (2.0 * np.pi / 16.0)
         fast = disk_interface_spectra(10, 16, arc=(0.0, np.pi), shift=shift)
-        return generic, fast
+        return mu, L, fast
 
     def test_mode_route_matches_assembled_route(self):
-        generic, fast = self.dual_route(0.0)
-        mu_g = generic.weighted_mu()
+        mu_g, L_g, fast = self.dual_route(0.0)
         assert np.max(np.abs(mu_g - fast.mu)) <= 1e-12 * fast.mu[0]
-        assert np.max(np.abs(generic.L_weighted - fast.L_weighted)) <= 1e-12 * np.abs(fast.L_weighted).max()
+        assert np.max(np.abs(L_g - fast.L_weighted)) <= 1e-12 * np.abs(fast.L_weighted).max()
 
     def test_mode_route_matches_with_volume_shift(self):
-        generic, fast = self.dual_route(2.5)
-        mu_g = generic.weighted_mu()
+        mu_g, L_g, fast = self.dual_route(2.5)
         assert np.max(np.abs(mu_g - fast.mu)) <= 1e-12 * fast.mu[0]
-        assert np.max(np.abs(generic.L_weighted - fast.L_weighted)) <= 1e-12 * np.abs(fast.L_weighted).max()
+        assert np.max(np.abs(L_g - fast.L_weighted)) <= 1e-12 * np.abs(fast.L_weighted).max()
 
     def test_robin_adds_exact_diagonal(self):
         base = disk_interface_spectra(10, 16, shift=0.0)
