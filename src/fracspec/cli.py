@@ -666,9 +666,8 @@ def _cmd_zaremba(cfg, args, em: Emitter) -> list[str]:
             np.array([[2.0, -1.0], [-1.0, 1.5]]),
             meta={"row_sets": {"interior": [0], "sigma_plus": [1]}, "h": 1.0},
         )
-        k = krein_from_matrix(toy)
-        rep = krein_identity_check(k)
-        mu = float(k.mu_exact()[0])
+        rep = krein_identity_check(krein_from_matrix(toy))
+        mu = float(rep.mu_identity[0])
         em.row("law", "nonzero spec(M) = spec(S^-1 (K^T K + I))")
         em.row("mu_1", mu)
         em.row("krein_path", "assembled")

@@ -19,8 +19,8 @@ Dirichlet and mixed assemblies of constant coefficients sum the form
 over the closure nodes of the domain with one neighbour rule for both
 boundary conditions.  schur_split is the one Schur complement: its
 extension map K and interface S are the discrete Poisson extension and,
-weighted by the boundary measure, the discrete Dirichlet-to-Neumann
-operator of the Krein assembly (zaremba.KreinAssembly.K and L_weighted).
+times the spacing h, the discrete Dirichlet-to-Neumann operator of the
+Krein assembly (zaremba.KreinAssembly.K and L_weighted = h S).
 The interior block, dense or sparse, is eliminated over the breadth-first
 levels of its graph from the free boundary, in which any matrix is block
 tridiagonal (George & Liu, Computer Solution of Large Sparse Positive
@@ -34,8 +34,9 @@ Unit conventions
 Assembled OperatorMatrix objects are in operator units: the matrix of
 the bilinear form divided by the node volume h^n, so the 1D Dirichlet
 Laplacian is the classical tridiag(-1, 2, -1)/h^2.  The form matrix is
-recovered as h^n * matrix; Schur complements of the form matrix divided
-by the boundary weight h^{n-1} approximate the continuum DtN.
+recovered as h^n * matrix; a Schur complement S of the operator-unit
+matrix times h (h^n S over the boundary weight h^{n-1}) approximates
+the continuum DtN, and h^n cancels in a pencil of two such matrices.
 """
 
 from __future__ import annotations

@@ -13,11 +13,13 @@ S come from discretize.schur_split, the one Schur complement, which
 eliminates the interior block by breadth-first level blocks from
 the free boundary (George & Liu, Computer Solution of Large Sparse
 Positive Definite Systems, 1981, ch. 4), with partial pivoting across
-the blocks: K is the discrete Poisson extension, and h^n S (form units)
-over the uniform boundary weight h^{n-1} (KreinAssembly.L_weighted) is
-the discrete DtN operator with its sign reversed.  S = R^T R is Cholesky-factored once, so
-M = F F^T with F = [K; I] R^{-1}, and every spectrum of the form
-S^{-1} X is a generalized-definite eigensolve of the pencil (X, S).
+the blocks: K is the discrete Poisson extension, and L = h S
+(KreinAssembly.L_weighted: the form matrix h^n S over the boundary
+weight h^{n-1}) is the discrete DtN operator with its sign reversed.
+S = R^T R is Cholesky-factored once, so M = F F^T with F = [K; I] R^{-1},
+and every spectrum of the form S^{-1} X is a generalized-definite
+eigensolve of the pencil (X, S) in operator units: the volume weight
+h^n of its two form matrices cancels.
 
 The identity (criterion 08) is certified without an eigensolve of the
 N x N matrix M, and without storing it.  With Q an orthonormal basis of
@@ -69,7 +71,6 @@ runs the route and numpy's thread pool stays asleep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -97,22 +98,18 @@ def _cap_message(size: int) -> str:
 class KreinAssembly:
     """Schur-factorized resolvent difference for one mixed assembly.
 
-    Built from the extension map K and the algebraic interface Schur
-    complement S (the unweighted L) of discretize.schur_split, of an
-    operator-unit matrix on a uniform grid.  Holds the Cholesky factor of
-    S, S_form = h^n S, L_weighted = S_form / h^{n-1} and the interior mass
-    P1 = h^n K^T K.  M itself is never stored: the identity certificate reads its factor F.
+    Built from the extension map K and the interface Schur complement S
+    of discretize.schur_split, of an operator-unit matrix on a uniform
+    grid of spacing h.  Holds the Cholesky factor of S, KtK = K^T K
+    (formed once, read-only) and L_weighted = h S.  M itself is never
+    stored: the identity certificate reads its factor F.
     """
 
-    def __init__(self, K, S, h: float, n: int, shift: float):
+    def __init__(self, K, S, h: float, shift: float):
         nI, nB = K.shape
-        self.h = float(h)
-        self.n = int(n)
         self.shift = float(shift)
         self.n_interior = nI
         self.n_boundary = nB
-        volume, self.boundary_weight = self.h**self.n, self.h ** (self.n - 1)  # the uniform grid's node weights
-
         self.K = K
         self.S = S
         self._chol = None
@@ -121,24 +118,19 @@ class KreinAssembly:
                 self._chol = scipy.linalg.cho_factor(S)
             except scipy.linalg.LinAlgError as exc:
                 raise NotPositiveError(_NOT_POSITIVE) from exc
-        # weighted spectra live in quadratic-form units: undo the 1/h^n operator normalization
-        self.S_form = volume * self.S
-        root = 1.0 / np.sqrt(self.boundary_weight)
-        self.L_weighted = root * self.S_form * root
-        self.P1 = _kernels.gemm((self.K * volume).T, self.K)
+        self.L_weighted = float(h) * S
+        self.KtK = _kernels.gemm(K.T, K)
+        self.KtK.flags.writeable = False
 
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """G^T G = I + K^T K for G = [K; I], read-only; the identity side and the Ritz basis share it."""
-        g = _kernels.gemm(self.K.T, self.K) + np.eye(self.n_boundary)
-        g.flags.writeable = False
-        return g
+    def _pencil(self, c: float) -> np.ndarray:
+        """Descending spectrum of the pencil (K^T K + c I, S)."""
+        return sym_eig(self.KtK + c * np.eye(self.n_boundary), self.S).values[::-1]
 
     # -- spectra -----------------------------------------------------------
 
     def mu_exact(self) -> np.ndarray:
         """Nonzero spectrum of M through the algebraic identity side."""
-        return sym_eig(self.gram, self.S).values[::-1]
+        return self._pencil(1.0)
 
     def ritz_from_M(self) -> tuple[np.ndarray, float]:
         """Ritz values of M on range([K; I]), descending, and rho = ||M - Q B Q^T||_F.
@@ -167,7 +159,7 @@ class KreinAssembly:
         size = self.n_interior + nB
         if size > eig.DENSE_CAP:
             raise NumericError(_cap_message(size))
-        C = scipy.linalg.cholesky(self.gram, lower=True)
+        C = scipy.linalg.cholesky(self.KtK + np.eye(nB), lower=True)
         nI, eye = self.n_interior, np.eye(nB)
         blocks = [(lo, min(lo + _ROW_BLOCK, size)) for lo in range(0, size, _ROW_BLOCK)]
         # [F | Q] is filled a row block at a time from the same rows of G = [K; I], so neither G
@@ -201,7 +193,7 @@ class KreinAssembly:
         return ritz, float(np.sqrt(max(float((WZt * WZt.T).sum()), 0.0)))
 
     def weighted_mu(self, half_cell: bool = False) -> np.ndarray:
-        """Descending spectrum of S_form^{-1} P1, P1 = h^n K^T K.
+        """Descending spectrum of S^{-1} K^T K, the pencil (K^T K, S).
 
         The continuum-consistent mu_j: interface form against the
         interior L2 mass of the extension.  The boundary trace mass
@@ -209,17 +201,14 @@ class KreinAssembly:
         is left out; the exact algebraic identity keeps it.
 
         half_cell adds the volume quadrature contribution of the free
-        boundary nodes themselves (boundary weight h^{n-1} times h/2).  The
-        extension equals the boundary data there, so this is the
-        trapezoid end correction of the same interior mass integral;
-        it sharpens the constant in ordered-eigenvalue fits on coarse
-        grids where the default one-sided sum underweights slowly
+        boundary nodes themselves (boundary weight h^{n-1} times h/2, so
+        1/2 against h^n).  The extension equals the boundary data there,
+        so this is the trapezoid end correction of the same interior mass
+        integral; it sharpens the constant in ordered-eigenvalue fits on
+        coarse grids where the default one-sided sum underweights slowly
         decaying extensions.
         """
-        inner = self.P1.copy()
-        if half_cell:
-            inner[np.diag_indices_from(inner)] += 0.5 * self.h * self.boundary_weight
-        return sym_eig(inner, self.S_form).values[::-1]
+        return self._pencil(0.5 if half_cell else 0.0)
 
     def weighted_L_spectrum(self) -> np.ndarray:
         """Ascending spectrum of the boundary-weighted interface operator."""
@@ -229,15 +218,15 @@ class KreinAssembly:
 def krein_from_matrix(A_full: OperatorMatrix) -> KreinAssembly:
     """Krein assembly from an operator-unit matrix carrying interior/sigma_plus row sets, as given.
 
-    Operator units are assemble_second_order's, on a uniform grid of spacing meta["h"].
+    Operator units are assemble_second_order's, on a uniform grid of spacing meta["h"],
+    which L_weighted = h S reads; a matrix without it is refused (ConfigurationError).
     A positivity shift belongs in the matrix: grid-based callers fold it into the
     zero-order term at assembly time (krein_term), which uses the true node volumes.
     """
     K, S = schur_split(A_full.matrix, A_full.rows("interior"), A_full.rows("sigma_plus"))
-    grid = A_full.grid
-    h = A_full.meta.get("h", grid.h if grid is not None else 1.0)
-    n = grid.n if grid is not None else 1
-    return KreinAssembly(K, S, h, n, 0.0)
+    if "h" not in A_full.meta:
+        raise ConfigurationError('the Krein assembly needs the grid spacing meta["h"] of its operator-unit matrix')
+    return KreinAssembly(K, S, A_full.meta["h"], 0.0)
 
 
 def krein_term(coeffs: SecondOrderCoeffs, sigma, grid: Grid, partition=None,
@@ -261,7 +250,7 @@ def krein_term(coeffs: SecondOrderCoeffs, sigma, grid: Grid, partition=None,
         if len(B) != len(wanted):
             raise ConfigurationError("partition contains nodes outside the grid's sigma_plus set")
     K, S = schur_split(A.matrix, A.rows("interior"), B)
-    return KreinAssembly(K, S, grid.h, grid.n, shift)
+    return KreinAssembly(K, S, grid.h, shift)
 
 
 def _positivity_shift(shift, coeffs: SecondOrderCoeffs, sigma, domain, grid: Grid | None = None) -> float:
@@ -733,5 +722,5 @@ def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r:
     k = krein_term(coeffs, sigma, grid, shift=shift)
     identity = krein_identity_check(k)
     report = {"interior_nodes": k.n_interior, "boundary_nodes": k.n_boundary, "shift": k.shift,
-              "sigma": sigma, "n2_flagged": k.n == 2, "krein_path": "assembled"}
+              "sigma": sigma, "n2_flagged": grid.n == 2, "krein_path": "assembled"}
     return InterfaceSpectra(k.weighted_mu(), k.weighted_L_spectrum(), report, identity)

@@ -632,7 +632,10 @@ class TestPoissonExtension:
 
 
 class TestSchurDtn:
-    """The DtN operator is -L, L = KreinAssembly.L_weighted: the form-unit Schur complement over h^{n-1}."""
+    """The DtN operator is -L, L = KreinAssembly.L_weighted = h S of the operator-unit Schur complement S.
+
+    That is the form-unit complement h^n S over the boundary weight h^{n-1}: the volume weights cancel.
+    """
 
     def test_two_node_toy(self):
         A = OperatorMatrix(
@@ -660,7 +663,7 @@ class TestSchurDtn:
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_full_sigma_plus_keeps_everything(self):
-        # the interface operator covers every retained boundary node: h^n S / h^{n-1}
+        # the interface operator covers every retained boundary node: h S, that is h^n S / h^{n-1}
         g, A = _square_all_faces(8)
         _, S = _extension(A)
         L = krein_from_matrix(A).L_weighted

@@ -19,7 +19,6 @@ from fracspec.errors import ConfigurationError, NotPositiveError, NumericError
 from fracspec.quadrature import DomainSpec
 from fracspec.symbols import SecondOrderCoeffs
 from fracspec.zaremba import (
-    KreinAssembly,
     _radial_chains,
     chain_schur,
     disk_interface_spectra,
@@ -106,6 +105,13 @@ class TestKreinToy:
         assert ritz.size == 0 and rho == 0.0
         assert krein_identity_check(k).max_rel_mismatch == 0.0
 
+    def test_missing_spacing_rejected(self):
+        # L_weighted = h S reads the spacing; no default stands in for it
+        bare = OperatorMatrix(np.array([[2.0, -1.0], [-1.0, 1.5]]),
+                              meta={"row_sets": {"interior": [0], "sigma_plus": [1]}})
+        with pytest.raises(ConfigurationError, match="spacing"):
+            krein_from_matrix(bare)
+
     def test_indefinite_schur_rejected(self):
         with pytest.raises(NotPositiveError):
             krein_from_matrix(wrap([[1.0, 2.0], [2.0, 1.0]], [0], [1]))
@@ -154,9 +160,10 @@ class TestKreinOracle:
     @settings(max_examples=30, deadline=None)
     @given(split_spd(), st.integers(1, 3), st.booleans())
     def test_weighted_mu_matches_congruence(self, om, n, half_cell):
-        # the uniform grid's weights: the node volume h^n inside, h^(n-1) on the free boundary
+        # the oracle keeps the uniform grid's weights, the node volume h^n inside and h^(n-1) on the
+        # free boundary, in form units; weighted_mu drops them, as they cancel in the pencil
         h = om.meta["h"]
-        k = KreinAssembly(*schur_split(om.matrix, om.rows("interior"), om.rows("sigma_plus")), h, n, 0.0)
+        k = krein_from_matrix(om)
         inner = h**n * k.K.T @ k.K
         inner[np.diag_indices_from(inner)] += (0.5 * h if half_cell else 0.0) * h ** (n - 1)
         want = congruence_mu(h**n * k.S, inner)
@@ -177,6 +184,21 @@ class TestKreinOracle:
         rep = krein_identity_check(k)
         assert calls == [k.n_boundary]  # the Ritz matrix B, never the N x N matrix M
         assert rep.max_rel_mismatch <= 1e-10
+
+    def test_gram_product_formed_once(self, monkeypatch):
+        # K^T K, the one product contracted over the interior nodes, serves every pencil
+        contractions, real = [], _kernels.gemm
+
+        def spy(a, b):
+            contractions.append(a.shape[1])
+            return real(a, b)
+
+        monkeypatch.setattr(_kernels, "gemm", spy)
+        k = krein_term(SecondOrderCoeffs.laplacian(3), 0.5, build_grid(DomainSpec.unit_box(), 12), shift=1.0)
+        k.weighted_mu()
+        k.weighted_mu(half_cell=True)
+        k.mu_exact()
+        assert contractions.count(k.n_interior) == 1
 
 
 def full_spectrum_verdict(M, n_boundary, scale):
@@ -327,9 +349,8 @@ class TestRitzCertificate:
 
     def test_certificate_flops_grow_as_n_not_n_squared(self, monkeypatch):
         # box 16: N = 3600, n_B = 225.  The certificate's products, the gram G^T G included, take
-        # 19 N n_B^2 flops; forming the entries of M - Q B Q^T alone would take 2 N^2 n_B, 32 N n_B^2
-        k = grid_krein(DomainSpec.unit_box(), 16, 0.5)
-        size, nB = k.n_interior + k.n_boundary, k.n_boundary
+        # 19 N n_B^2 flops; forming the entries of M - Q B Q^T alone would take 2 N^2 n_B, 32 N n_B^2.
+        # The gram's K^T K is formed with the assembly, so the spy counts from before it
         flops, real = [], _kernels.gemm
 
         def spy(a, b):
@@ -337,6 +358,8 @@ class TestRitzCertificate:
             return real(a, b)
 
         monkeypatch.setattr(_kernels, "gemm", spy)
+        k = grid_krein(DomainSpec.unit_box(), 16, 0.5)
+        size, nB = k.n_interior + k.n_boundary, k.n_boundary
         assert krein_identity_check(k).rank_bound_ok
         assert sum(flops) <= 24 * size * nB**2
 
@@ -432,8 +455,10 @@ class TestKreinGrid:
         lam = k.weighted_L_spectrum()
         assert lam.min() > 0.0
         assert np.all(np.diff(lam) >= -1e-12)
-        # default boundary weight is h^(n-1), so L = S_form / h in 2d
-        assert np.allclose(k.L_weighted, k.S_form / self.grid.h, atol=1e-14)
+        # the form-unit Schur complement h^n S over the boundary weight h^(n-1), in 2d
+        h, n = self.grid.h, self.grid.n
+        root = 1.0 / np.sqrt(h ** (n - 1))
+        assert np.allclose(k.L_weighted, root * (h**n * k.S) * root, atol=1e-14)
 
 
 KD = 1.0 / 128.0
