@@ -141,7 +141,7 @@ OPTIONS = (
     ("operator", "sigma", "--sigma", float, ("zaremba",), "Robin weight on the free boundary"),
     ("operator", "shift", "--shift", _shift, ("zaremba",), "positivity shift (number or 'auto')"),
     ("operator", "mu", "--mu", float, ("symbol-check",), "reflection order (defaults to the power)"),
-    ("domain", "kind", "--domain", str, _DOMAIN, "interval | square | box | disk | ball"),
+    ("domain", "kind", "--domain", ("interval", "square", "box", "disk", "ball"), _DOMAIN, "domain"),
     ("domain", "n", "--n", int, ("symbol-check", *_DOMAIN), "ambient dimension"),
     ("domain", "radius", "--radius", float, _DOMAIN, "disk or ball radius"),
     ("domain", "arc", "--arc", _pair, _DOMAIN, "free arc angles t0,t1 (disk)"),
@@ -154,7 +154,7 @@ OPTIONS = (
     ("task", "window", "--window", _index_range, ("weyl-fit",), "fit window j_lo,j_hi"),
     ("task", "fixed_exponent", "--fixed-exponent", float, ("weyl-fit",), "fit the constant at this exponent"),
     ("task", "deltas", "--deltas", _floats, ("singular-probe",), "cutoff sequence, comma separated, decreasing"),
-    ("task", "decay", "--decay", str, ("singular-probe",), "flat | harmonic"),
+    ("task", "decay", "--decay", ("flat", "harmonic"), ("singular-probe",), "decay profile"),
     ("task", "level", "--level", int, ("weyl-const",), "quadrature refinement level"),
     ("task", "count", "--count", _Int(1), ("spectrum",), "export only the first eigenvalues"),
     ("task", "band", "--band", _pair, ("boundary-exp",), "distance band lo,hi for the fit"),
@@ -165,7 +165,7 @@ OPTIONS = (
      ("symbol-check", "boundary-exp", "zaremba", "dtn-probe", "singular-probe"), "primary tolerance for --assert"),
     ("task", "tol_exponent", "--tol-exponent", float, ("weyl-fit",), "relative exponent tolerance"),
     ("task", "tol_constant", "--tol-constant", float, ("weyl-fit",), "relative constant tolerance"),
-    ("task", "which", "--which", str, ("weyl-const",), "dirichlet | interface-l | interface-m"),
+    ("task", "which", "--which", ("dirichlet", "interface-l", "interface-m"), ("weyl-const",), "spectral constant"),
     ("task", "input", "--input", str, ("weyl-fit",), "the j,value file to fit (spectrum writes one)"),
     ("task", "samples", "--samples", _Int(1), ("symbol-check",), "random boundary samples"),
     ("output", "directory", "--out", str, _ALL, "output directory (overrides FRACSPEC_OUT)"),
@@ -309,10 +309,8 @@ def _build_domain(cfg, dirichlet: bool = False):
         domain = DomainSpec.unit_box()
     elif kind == "disk":
         domain = DomainSpec.disk(radius=radius, arc=tuple(_get(cfg, "domain", "arc", [0.0, float(np.pi)])))
-    elif kind == "ball":
-        domain = DomainSpec.ball(radius=radius, cap=_get(cfg, "domain", "cap", float(np.pi) / 2.0))
     else:
-        raise ConfigurationError(f"unknown domain kind {kind!r}")
+        domain = DomainSpec.ball(radius=radius, cap=_get(cfg, "domain", "cap", float(np.pi) / 2.0))
     n = _get(cfg, "domain", "n", domain.n)
     if n != domain.n:
         raise ConfigurationError(f"domain.n = {n}, but the {kind} domain is {domain.n}-dimensional")
@@ -518,12 +516,10 @@ def _cmd_weyl_const(cfg, args, em: Emitter) -> list[str]:
         res = weyl_constant_L(coeffs, domain, level=level)
         em.row("law", "N_L(t) ~ c_L t^(-(n-1)) as t -> 0+")
         name = "c_L"
-    elif which == "interface-m":
+    else:
         res = weyl_constant_M(coeffs, domain, level=level)
         em.row("law", "N_M(t) ~ c_M t^(-(n-1)/2) as t -> 0+")
         name = "c_M"
-    else:
-        raise ConfigurationError(f"unknown constant selector {which!r}")
 
     value = float(res.value)
     em.row("constant", value)

@@ -207,11 +207,11 @@ class OperatorMatrix:
     """Symmetric matrix realization of a continuum operator.
 
     Carries the node sets its rows act on (meta["row_sets"] maps set
-    names to row positions), the grid it came from, and a plain-text
-    descriptor of the continuum object.
+    names to row positions) and a plain-text descriptor of the continuum
+    object.
     """
 
-    def __init__(self, matrix, grid=None, descriptor: str = "", meta: dict | None = None):
+    def __init__(self, matrix, descriptor: str = "", meta: dict | None = None):
         if sp.issparse(matrix):
             matrix = matrix.tocsr()
             scale = np.abs(matrix.data).max() if matrix.nnz else 0.0
@@ -223,7 +223,6 @@ class OperatorMatrix:
         if scale and not asym <= 1e-12 * scale:  # NaN fails the comparison
             raise InvariantError("operator matrix is not symmetric to working tolerance")
         self.matrix = matrix
-        self.grid = grid
         self.descriptor = descriptor
         self.meta = dict(meta or {})
 
@@ -344,7 +343,7 @@ def assemble_second_order(coeffs: SecondOrderCoeffs, grid: Grid, bc: str, sigma=
     mat = form / h**n
     desc = f"second-order form, bc={bc}, coefficients {coeffs.describe()}"
     meta = {"row_sets": row_sets, "node_ids": keep, "h": h}
-    return OperatorMatrix(mat, grid, desc, meta)
+    return OperatorMatrix(mat, desc, meta)
 
 
 # ---------------------------------------------------------------------------

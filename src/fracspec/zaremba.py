@@ -56,8 +56,10 @@ used for asymptotic comparisons.
 
 interface_spectra is the one route choice (disk modes, face modes past
 the cap, the assembled route with its certificate, or a refusal before
-any assembly), and every route returns an InterfaceSpectra.  The shift
-"auto" has one rule, _positivity_shift's.
+any assembly), and every route returns an InterfaceSpectra.  Each route
+decides the shift "auto" where it solves: krein_term on the grid (1 on
+separable inputs, else a Lanczos estimate), interface_spectra on the
+mode routes (1, which the disk doubles while S is not positive).
 
 Every spectrum here, the pencils (X, S) and the interface operators
 alike, comes from eig.sym_eig, which owns the dense cap and the
@@ -235,11 +237,21 @@ def krein_term(coeffs: SecondOrderCoeffs, sigma, grid: Grid, partition=None,
 
     partition optionally selects a subset of the grid's Sigma+ node ids
     as the free boundary set; unselected Sigma+ nodes are eliminated as
-    Dirichlet.  The shift (a number, or "auto" by the rule of
-    _positivity_shift) is folded into the zero-order term so the mass is
-    the true node volume; it is recorded in the assembly.
+    Dirichlet.  The shift is folded into the zero-order term so the mass
+    is the true node volume; it is recorded in the assembly.  A number is
+    taken as given.  "auto" is exactly 1 on separable_face inputs, known
+    positive there since separable_face requires sigma >= 0, and elsewhere
+    1 + max(0, -2 lambda_min), lambda_min a Lanczos estimate on the
+    unshifted mixed assembly.
     """
-    shift = _positivity_shift(shift, coeffs, sigma, grid.domain, grid)
+    if shift != "auto":
+        shift = float(shift)
+    elif separable_face(coeffs, sigma, grid.domain):
+        shift = 1.0
+    else:
+        probe = assemble_second_order(coeffs, grid, bc="mixed", sigma=sigma)
+        est = float(lanczos_extreme(probe.matrix, k=1).values[0]) if probe.shape[0] else 1.0
+        shift = 1.0 + max(0.0, -2.0 * est)
     A = assemble_second_order(coeffs, grid, bc="mixed", sigma=sigma, a0=shift)
 
     B = A.rows("sigma_plus")
@@ -251,27 +263,6 @@ def krein_term(coeffs: SecondOrderCoeffs, sigma, grid: Grid, partition=None,
             raise ConfigurationError("partition contains nodes outside the grid's sigma_plus set")
     K, S = schur_split(A.matrix, A.rows("interior"), B)
     return KreinAssembly(K, S, grid.h, shift)
-
-
-def _positivity_shift(shift, coeffs: SecondOrderCoeffs, sigma, domain, grid: Grid | None = None) -> float:
-    """The zero-order shift of the mixed problem: a number as given, or the value of "auto".
-
-    "auto" is exactly 1 on separable_face inputs, on either route, and is known positive
-    there, since separable_face requires sigma >= 0.  On the disk (the Laplacian, the
-    only form its route accepts) it is 1, the start of interface_spectra's doubling
-    1, 2, 4, ..., which keeps the first shift whose interface Schur complement is
-    positive (the disk has no lowest-eigenvalue estimate): 1 for sigma >= 0, and more
-    for a sigma negative enough, refused past the operator's scale (_disk_scale).
-    Elsewhere it is 1 + max(0, -2 lambda_min), lambda_min a Lanczos estimate on the
-    unshifted mixed assembly on grid.
-    """
-    if shift != "auto":
-        return float(shift)
-    if domain.kind == "disk" or separable_face(coeffs, sigma, domain):
-        return 1.0
-    probe = assemble_second_order(coeffs, grid, bc="mixed", sigma=sigma)
-    est = float(lanczos_extreme(probe.matrix, k=1).values[0]) if probe.shape[0] else 1.0
-    return 1.0 + max(0.0, -2.0 * est)
 
 
 @dataclass(frozen=True)
@@ -641,14 +632,7 @@ def face_mode_spectra(coeffs: SecondOrderCoeffs, sigma: float, domain, nodes: in
         S_plus = (V * s) @ V.T
         mu = sym_eig((V * q) @ V.T, S_plus).values[::-1]
         interface = sym_eig(S_plus).values / w_b
-    report = {
-        "interior_nodes": int(np.prod([c - 1 for c in cells])),
-        "boundary_nodes": int(n_free),
-        "shift": float(shift),
-        "sigma": sigma,
-        "n2_flagged": n == 2,
-        "krein_path": "modes",
-    }
+    report = _report(np.prod([c - 1 for c in cells]), n_free, shift, sigma, n, "modes")
     return InterfaceSpectra(mu, interface, report)
 
 
@@ -673,13 +657,21 @@ class InterfaceSpectra:
     identity: KreinIdentityReport | None = None
 
 
+def _report(interior, boundary, shift, sigma, n: int, path: str) -> dict:
+    """The report rows of the two grid routes, the face modes and the assembled route, in row order."""
+    return {"interior_nodes": int(interior), "boundary_nodes": int(boundary), "shift": float(shift),
+            "sigma": sigma, "n2_flagged": n == 2, "krein_path": path}
+
+
 def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r: int, n_theta: int,
                       shift="auto") -> InterfaceSpectra:
     """Answer the Zaremba question on the route that fits the input.
 
-    The disk takes its angular modes (n_r rings, n_theta angles), under "auto" at
-    the first shift 1, 2, 4, ... whose S is positive, and refuses coefficients
-    other than the Laplacian.  A doubled shift past _disk_scale raises
+    Both mode routes read "auto" as 1, and a numeric shift as given; the
+    assembled route leaves the shift to krein_term.  The disk takes its
+    angular modes (n_r rings, n_theta angles), under "auto" at the first
+    shift 1, 2, 4, ... whose S is positive, and refuses coefficients other
+    than the Laplacian.  A doubled shift past _disk_scale raises
     NumericError before it is solved: mu would then measure the shift, not
     the operator.  So the doubling makes at most log2(scale) + 2 disk solves,
     and never reaches a shift whose chain pivots overflow.
@@ -690,11 +682,11 @@ def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r:
     separable inputs take the face modes, which need no grid, and any other
     input raises NumericError.  Both refusals come before any assembly.
     """
+    value = 1.0 if shift == "auto" else float(shift)
     if domain.kind == "disk":
         if not np.array_equal(coeffs.a, np.eye(2)):
             raise ConfigurationError(f"the disk mode route solves the Laplacian only, "
                                      f"not coefficients {coeffs.describe()}")
-        value = _positivity_shift(shift, coeffs, sigma, domain)
         while True:  # "auto" doubles from 1 while S is not positive; S grows without bound in the shift
             try:
                 d = disk_interface_spectra(n_r, n_theta, arc=domain.sigma_plus[1:], radius=domain.radius,
@@ -713,14 +705,12 @@ def interface_spectra(coeffs: SecondOrderCoeffs, sigma, domain, nodes: int, n_r:
     if separable_face(coeffs, sigma, domain):
         _, cells, _, tangential = _face_cells(domain, nodes)
         if np.prod([c - 1 for c in cells]) + np.prod([cells[t] - 1 for t in tangential]) > eig.DENSE_CAP:
-            return face_mode_spectra(coeffs, sigma, domain, nodes,
-                                     shift=_positivity_shift(shift, coeffs, sigma, domain))
+            return face_mode_spectra(coeffs, sigma, domain, nodes, shift=value)
     grid = build_grid(domain, nodes)
     size = grid.interior_idx.size + grid.sigma_plus_idx.size
     if size > eig.DENSE_CAP:
         raise NumericError(_cap_message(size))
     k = krein_term(coeffs, sigma, grid, shift=shift)
     identity = krein_identity_check(k)
-    report = {"interior_nodes": k.n_interior, "boundary_nodes": k.n_boundary, "shift": k.shift,
-              "sigma": sigma, "n2_flagged": grid.n == 2, "krein_path": "assembled"}
+    report = _report(k.n_interior, k.n_boundary, k.shift, sigma, grid.n, "assembled")
     return InterfaceSpectra(k.weighted_mu(), k.weighted_L_spectrum(), report, identity)

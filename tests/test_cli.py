@@ -247,6 +247,11 @@ class TestPipelines:
         assert (rows["krein_path"], rows["shift"]) == ("assembled", "-30.0")
         assert float(rows["identity_mismatch"]) <= 1e-10
 
+    def test_zaremba_auto_shift_spelled_out(self, tmp_path):
+        # the word auto, spelled out, reads as the default: 1 on the separable square
+        assert run(["zaremba", "--domain", "square", "--nodes", "16", "--shift", "auto"], tmp_path) == 0
+        assert report_lines(tmp_path, "zaremba")["shift"] == "1.0"
+
     def test_zaremba_box_past_cap_takes_face_modes(self, tmp_path):
         # N = 23^3 + 23^2 = 12696 > 8192: M cannot be materialized, the face modes answer
         from fracspec.quadrature import DomainSpec
@@ -420,7 +425,6 @@ _CONSTRAINT_CASES = [
     (["zaremba", "--domain", "disk", "--n", "3"], "domain.n = 3, but the disk domain is 2-dimensional"),
     (["zaremba", "--domain", "disk", "--coeffs", "diag:1,4", "--n-r", "16", "--n-theta", "32"],
      "the disk mode route solves the Laplacian only, not coefficients diag(1,4)"),
-    (["spectrum", "--domain", "cube"], "unknown domain kind 'cube'"),
     # forms that are not strongly elliptic
     (["spectrum", "--domain", "square", "--coeffs", "matrix:1,2;2,1", "--nodes", "16", "--count", "3"],
      "coefficients 'matrix:1,2;2,1' are not strongly elliptic (smallest eigenvalue -1)"),
@@ -465,6 +469,10 @@ _CONSTRAINT_CASES = [
     (["zaremba", "--toy", "--sigma", "5"], "operator.sigma does not apply to --toy"),
     (["zaremba", "--toy", "--coeffs", "diag:1,4"], "operator.coeffs does not apply to --toy"),
     (["zaremba", "--toy", "--tol", "1e-3"], "task.tol does not apply to --toy"),
+    # a coefficient form that is none of the three, and an arc between two angular nodes
+    (["symbol-check", "--coeffs", "bogus:1"], "unknown coefficient form 'bogus:1'"),
+    (["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--arc", "0,0.1"],
+     "arc contains no boundary nodes at this resolution"),
     # a 1-dimensional boundary has no tangential covector
     (["symbol-check", "--n", "1"], "boundary symbols need n >= 2: a 1-dimensional domain has no tangential covector"),
     (["symbol-check", "--coeffs", "diag:2"],
@@ -475,6 +483,9 @@ _CONSTRAINT_CASES = [
 _NUMERIC_CASES = [
     # a numeric shift is never raised, whatever sigma
     (["zaremba", "--domain", "disk", "--n-r", "16", "--n-theta", "32", "--sigma", "-5", "--shift", "4"],
+     "interface Schur complement is not positive definite; apply a larger positivity shift"),
+    # nor on the face route, past the cap
+    (["zaremba", "--domain", "box", "--nodes", "24", "--shift", "-50"],
      "interface Schur complement is not positive definite; apply a larger positivity shift"),
 ]
 
@@ -536,6 +547,8 @@ class TestConfigHandling:
         ["boundary-exp", "--bc", "mixed"],
         ["spectrum", "--bc", "periodic"],
         ["weyl-const", "--op", "bogus"],
+        ["spectrum", "--domain", "cube"],
+        ["spectrum", "--domain", "cube", "--radius", "2"],  # the kind is refused, not the radius
     ], ids=" ".join)
     def test_flag_the_subcommand_ignores_exit_2(self, tmp_path, argv, capsys):
         assert run(argv, tmp_path) == 2
@@ -584,6 +597,24 @@ class TestConfigHandling:
         assert run(base + ["--radius", "2"], tmp_path / "r2") == 0
         c1, c2 = (float(report_lines(tmp_path / r, "weyl-const")["constant"]) for r in ("r1", "r2"))
         assert c2 == pytest.approx(8.0 * c1, rel=1e-12)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[output]\nrepro = maybe\n", "output.repro: cannot read 'maybe' (not a boolean: 'maybe')"),
+        ("[domain]\nkind = cube\n", "domain.kind must be one of interval | square | box | disk | ball, got 'cube'"),
+    ], ids=["repro", "kind"])
+    def test_unreadable_config_value_exit_2(self, tmp_path, text, message, capsys):
+        cfgfile = tmp_path / "v.ini"
+        cfgfile.write_text(text)
+        assert run(["spectrum", "--config", str(cfgfile)], tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("subcommand, flag, message", [
+        ("singular-probe", "--config", "config file not found"),
+        ("weyl-fit", "--input", "cannot read input sequence"),
+    ], ids=["config", "input"])
+    def test_missing_file_exit_2(self, tmp_path, subcommand, flag, message, capsys):
+        assert run([subcommand, flag, str(tmp_path / "absent")], tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
 
     def test_constraint_in_config_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.ini"

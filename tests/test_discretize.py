@@ -188,7 +188,7 @@ def assemble_polar_laplacian(grid: PolarDiskGrid, sigma: float = 0.0) -> Operato
         "arc_weights": grid.arc_weights(),
         "sigma": sigma,
     }
-    return OperatorMatrix(perm, None, "Laplacian form on a polar disk grid", meta)
+    return OperatorMatrix(perm, "Laplacian form on a polar disk grid", meta)
 
 
 # ---------------------------------------------------------------------------
