@@ -41,6 +41,13 @@ and ``tangential_factorization`` run it, since numpy's per-call cost on
 tangential pair, on the a' of one sample's reduced matrix.  The oracle
 test ``test_one_sample_root_pair_matches_the_batch`` holds the two
 kernels within 4 eps of each other.
+
+A variable coefficient is a field: a per-point callable ``x -> (n, n)``
+that may also declare ``batch(points) -> (N, n, n)``.  Every read at many
+points goes through ``SecondOrderCoeffs.a_batch``, which calls a declared
+``batch`` once, checks its shape, and compares its first, middle and last
+rows with the per-point field before using it; a field without ``batch``
+is called point by point.
 """
 
 from __future__ import annotations
@@ -92,7 +99,10 @@ class SecondOrderCoeffs:
     """Principal coefficients a_jk of a second-order symmetric operator.
 
     ``a`` is either a constant (n, n) symmetric array or a callable
-    ``x -> (n, n) array``.  The zeroth-order term and the Robin
+    ``x -> (n, n) array``.  A callable may also declare a vectorized form,
+    a method ``batch(points) -> (N, n, n) array``; ``a_batch`` uses it
+    after checking its shape and its agreement with the callable at probe
+    rows.  The zeroth-order term and the Robin
     coefficient are arguments of the assembly (``assemble_second_order``,
     ``krein_term``), not fields here.
     """
@@ -133,19 +143,34 @@ class SecondOrderCoeffs:
     def a_batch(self, points: np.ndarray) -> np.ndarray:
         """Coefficient matrices at many points, shape (npts, n, n).
 
-        A callable coefficient is called once per point, like a_at, and the
-        stacked result's shape is checked once.
+        A field with a ``batch`` method is evaluated by one ``batch(points)``
+        call.  Its result's shape is checked, and its first, middle and last
+        rows are checked against ``a_at`` at those points: each entry must
+        agree within 1e-12 max|A| (the largest finite entry of the batch),
+        or both be NaN.  A wrong shape or a disagreement raises ValueError,
+        so a refused batch is never used.  The probe catches a batch that
+        evaluates another field or orders its axes otherwise, not an error
+        confined to unprobed rows.
+        A field without ``batch`` is called once per point, like a_at, and
+        the stacked result's shape is checked once.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        shape = (points.shape[0], self.n, self.n)
         if self.constant:
-            return np.broadcast_to(self.a, (points.shape[0], self.n, self.n)).copy()
-        mats = [self.a(x) for x in points]
+            return np.broadcast_to(self.a, shape).copy()
+        batch = getattr(self.a, "batch", None)
+        mats = [self.a(x) for x in points] if batch is None else batch(points)
         try:
-            out = np.array(mats, dtype=float)
+            out = np.asarray(mats, dtype=float)
         except ValueError:  # ragged: the matrices differ in shape
             out = None
-        if out is None or out.shape != (points.shape[0], self.n, self.n):
-            raise ValueError("coefficient callable returned a wrong shape")
+        if out is None or out.shape != shape:
+            raise ValueError(f"coefficient {'callable' if batch is None else 'batch'} returned a wrong shape")
+        if batch is not None and shape[0]:
+            tol = 1e-12 * np.abs(out).max(initial=0.0, where=np.isfinite(out))
+            for i in sorted({0, shape[0] // 2, shape[0] - 1}):
+                if not np.isclose(out[i], self.a_at(points[i]), rtol=0.0, atol=tol, equal_nan=True).all():
+                    raise ValueError(f"coefficient batch disagrees with the per-point field at row {i}")
         return out
 
     def describe(self) -> str:
@@ -200,7 +225,7 @@ def strong_ellipticity_margin(coeffs: SecondOrderCoeffs, sample_points) -> float
     points = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if points.shape[0] == 0:
         raise ValueError("sample_points must be nonempty")
-    return min(float(sym_eig(coeffs.a_at(x)).values[0]) for x in points)
+    return min(float(sym_eig(mat).values[0]) for mat in coeffs.a_batch(points))
 
 
 # ---------------------------------------------------------------------------

@@ -340,9 +340,11 @@ class TestAssembly:
 
     def test_callable_coefficients_rejected(self):
         # the assembly takes constant coefficients only: a callable is refused before anything is sampled,
-        # whether it varies on the diagonal or nowhere
+        # whether it varies on the diagonal or nowhere, and whether or not it declares a batch form
         g = build_grid(DomainSpec.unit_square(), 8)
-        for a in (lambda x: np.diag([1.0 + x[0], 2.0]), lambda x: 2.0 * np.eye(2)):
+        batched = lambda x: 2.0 * np.eye(2)  # noqa: E731
+        batched.batch = lambda pts: np.broadcast_to(2.0 * np.eye(2), (len(pts), 2, 2))
+        for a in (lambda x: np.diag([1.0 + x[0], 2.0]), lambda x: 2.0 * np.eye(2), batched):
             with pytest.raises(ConfigurationError, match="assemble_second_order takes constant coefficients only"):
                 assemble_second_order(SecondOrderCoeffs(n=2, a=a), g, bc="dirichlet")
 

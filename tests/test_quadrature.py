@@ -285,6 +285,13 @@ class _SmoothField:
         return (self.q * (2.5 + self.amp * np.sin(self.k @ x + self.phi))) @ self.q.T
 
 
+class _BatchedSmoothField(_SmoothField):
+    """_SmoothField declaring its vectorized form."""
+
+    def batch(self, pts):
+        return (self.q * (2.5 + self.amp * np.sin(pts @ self.k.T + self.phi))[:, None, :]) @ self.q.T
+
+
 # sphere level of the reference sums: converged to roundoff for eigenvalue ratios up to 4
 _REF_SPHERE_LEVEL = -1
 _CONSTANTS = ("dirichlet", "L", "M")
@@ -352,6 +359,19 @@ def test_closed_form_matches_product_sum_hypothesis(n, level, which, variable, s
     rng = np.random.default_rng(seed)
     coeffs = SecondOrderCoeffs(n, _SmoothField(rng, n) if variable else _spd(rng, n))
     assert _closed_form(coeffs, which, level) == pytest.approx(_reference(coeffs, which, level), rel=1e-12)
+
+
+@settings(max_examples=24, deadline=None)
+@given(n=st.sampled_from([2, 3]), level=st.integers(-2, 0), seed=st.integers(0, 2**31 - 1))
+def test_declared_batch_gives_the_per_point_constants(n, level, seed):
+    # the same field with and without its batch form: the constants agree, and so do the matrices
+    field = _BatchedSmoothField(np.random.default_rng(seed), n)
+    batched, per_point = SecondOrderCoeffs(n, field), SecondOrderCoeffs(n, field.__call__)
+    for which in _CONSTANTS:
+        assert _closed_form(batched, which, level) == pytest.approx(_closed_form(per_point, which, level), rel=1e-13)
+    pts = _oracle_domain(n, "dirichlet").volume_rule(level)[0]
+    mats = np.stack([per_point.a_at(x) for x in pts])
+    assert abs(batched.a_batch(pts) - mats).max() <= 1e-12 * abs(mats).max()
 
 
 @pytest.mark.parametrize("n", [2, 3])

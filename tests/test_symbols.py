@@ -40,6 +40,62 @@ def test_a_batch_rejects_wrong_shapes(field):
         sy.SecondOrderCoeffs(3, a=field).a_batch(pts)
 
 
+_K = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [0.5, 0.0, 1.0]])
+
+
+def _diag_field(x):
+    return np.diag(2.0 + np.sin(_K @ x))
+
+
+def _diag_batch(pts):
+    return np.eye(3) * (2.0 + np.sin(pts @ _K.T))[:, None, :]
+
+
+def test_a_batch_calls_a_declared_batch_once_and_the_field_at_the_probe_rows():
+    seen, batches = [], []
+
+    def field(x):
+        seen.append(x)
+        return _diag_field(x)
+
+    def batch(pts):
+        batches.append(pts.shape[0])
+        return _diag_batch(pts)
+
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 3))
+    coeffs = sy.SecondOrderCoeffs(3, a=field)
+    per_point = coeffs.a_batch(pts)  # a plain callable: once per point
+    assert len(seen) == 50 and batches == []
+    field.batch = batch
+    for count, rows in ((50, [0, 25, 49]), (2, [0, 1]), (1, [0])):  # first, middle and last, each probed once
+        seen.clear()
+        got = coeffs.a_batch(pts[:count])
+        assert batches[-1] == count and np.array_equal(np.stack(seen), pts[rows])
+        assert abs(got - per_point[:count]).max() <= 1e-12 * abs(per_point).max()
+    # the ellipticity margin reads its matrices through the same one call
+    seen.clear()
+    margin = sy.strong_ellipticity_margin(coeffs, pts)
+    assert margin == pytest.approx(per_point.diagonal(axis1=1, axis2=2).min(), abs=1e-15)
+    assert batches == [50, 2, 1, 50] and len(seen) == 3
+
+
+@pytest.mark.parametrize("batch, match", [
+    (lambda pts: _diag_batch(pts)[:, :2], "batch returned a wrong shape"),
+    (lambda pts: _diag_batch(pts[1:]), "batch returned a wrong shape"),  # a row short
+    (lambda pts: [_diag_batch(pts[:1])[0], np.eye(2)], "batch returned a wrong shape"),  # ragged
+    # the naive vectorization pts @ K for K x: every row disagrees, and the first is refused
+    (lambda pts: np.eye(3) * (2.0 + np.sin(pts @ _K))[:, None, :], "disagrees .* at row 0"),
+    (lambda pts: _diag_batch(pts) + 1e-10 * (np.arange(len(pts)) == 1)[:, None, None], "at row 1"),
+    (lambda pts: np.where(np.arange(len(pts))[:, None, None] == 2, np.nan, _diag_batch(pts)), "at row 2"),
+], ids=["wrong-shape", "row-short", "ragged", "naive-vectorization", "off-at-row-1", "nan-at-row-2"])
+def test_a_batch_refuses_a_batch_it_cannot_trust(batch, match):
+    # three points: the first, middle and last rows are the whole batch
+    field = lambda x: _diag_field(x)  # noqa: E731
+    field.batch = batch
+    with pytest.raises(ValueError, match=match):
+        sy.SecondOrderCoeffs(3, a=field).a_batch(np.linspace(-1.0, 1.0, 9).reshape(3, 3))
+
+
 def test_ellipticity_margin_examples():
     pts = [[0.0, 0.0], [0.5, 0.5]]
     assert sy.strong_ellipticity_margin(sy.SecondOrderCoeffs.laplacian(2), pts) == pytest.approx(1.0, abs=1e-12)
@@ -199,6 +255,12 @@ def test_nan_inputs_are_refused_not_factored():
         sy.tangential_factorization(nan_field, np.zeros(3), np.eye(3), [0.3])
     with pytest.raises(sy.EllipticityError, match="abar_nn"):
         sy.boundary_residuals(nan_field, np.zeros((2, 3)), np.stack([np.eye(3)] * 2), np.ones((2, 2)))
+    # a NaN batch agrees with a NaN field at the probe rows, and is refused where the per-point field is
+    nan_batch = lambda x: np.full((3, 3), np.nan)  # noqa: E731
+    nan_batch.batch = lambda pts: np.full((len(pts), 3, 3), np.nan)
+    with pytest.raises(sy.EllipticityError, match="abar_nn"):
+        sy.boundary_residuals(sy.SecondOrderCoeffs(3, nan_batch), np.zeros((2, 3)), np.stack([np.eye(3)] * 2),
+                              np.ones((2, 2)))
 
 
 def test_boundary_reduction_ellipticity_failure():
